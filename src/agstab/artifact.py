@@ -11,12 +11,13 @@ they carry the canonical generator matrix of the descended code plus a
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from typing import Any
 
 from . import __version__
-from .curves import build_codes, classical_params, evaluation_matrix, make_backend
+from .curves import _evaluation_rows, build_codes, classical_params, make_backend
 from .descent import DescentBasis, descend_code, self_dual_basis
 from .gf import GF2m
 from .symplectic import (
@@ -89,7 +90,12 @@ def to_json(art: CodeArtifact) -> str:
         },
         "provenance": {"descended_from": art.descended_from},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # json.dump streams the encoder's chunks; json.dumps would first hold
+    # every chunk (one per matrix entry) in a list
+    out = io.StringIO()
+    json.dump(doc, out, indent=2, sort_keys=True)
+    out.write("\n")
+    return out.getvalue()
 
 
 def from_json(text: str) -> CodeArtifact:
@@ -133,8 +139,8 @@ def load(path: str) -> CodeArtifact:
 def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifact:
     backend = make_backend(kind, q, gamma)
     points = backend.evaluation_points().point_order
-    g_rows = evaluation_matrix(backend, j, "g")
-    h_rows = evaluation_matrix(backend, j, "h")
+    g_rows = _evaluation_rows(backend, j, "g")
+    h_rows = _evaluation_rows(backend, j, "h")
     c_g, c_h = build_codes(backend, j)
     if c_g.rank != backend.n + j or c_h.rank != backend.n - j:
         raise AssertionError("rank sanity failed")  # build_codes already checks
@@ -226,8 +232,8 @@ def verify_artifact(
         backend = make_backend(art.backend_kind, art.q, art.gamma)
         points = backend.evaluation_points().point_order
         same_places = art.places == [list(p.coords) for p in points]
-        g_rows = [list(r) for r in evaluation_matrix(backend, art.j, "g")]
-        h_rows = [list(r) for r in evaluation_matrix(backend, art.j, "h")]
+        g_rows = [list(r) for r in _evaluation_rows(backend, art.j, "g")]
+        h_rows = [list(r) for r in _evaluation_rows(backend, art.j, "h")]
         same_rows = art.c_g_rows == g_rows and art.c_h_rows == h_rows
         checks.append(
             _check(

@@ -424,11 +424,25 @@ def evaluation_matrix(backend: Backend, j: int, which: str = "g") -> list[tuple[
     ]
 
 
+def _evaluation_rows(backend: Backend, j: int, which: str) -> list[tuple[int, ...]]:
+    """``evaluation_matrix(backend, j, which)``, evaluated once per backend.
+
+    Construction and verification each read the same matrix several times
+    (the stored rows, ``build_codes``, ``classical_params``); the rows are
+    kept on the backend, which lives for one command.
+    """
+    memo = backend.__dict__.setdefault("_evaluation_rows", {})
+    key = (j, which)
+    if key not in memo:
+        memo[key] = evaluation_matrix(backend, j, which)
+    return memo[key]
+
+
 def build_codes(backend: Backend, j: int) -> tuple[CodeBasis, CodeBasis]:
     """Canonical bases of C(G) and C(H); dims are n + j and n - j."""
     width = 2 * backend.n
-    c_g = CodeBasis.from_rows(backend.field, evaluation_matrix(backend, j, "g"), width)
-    c_h = CodeBasis.from_rows(backend.field, evaluation_matrix(backend, j, "h"), width)
+    c_g = CodeBasis.from_rows(backend.field, _evaluation_rows(backend, j, "g"), width)
+    c_h = CodeBasis.from_rows(backend.field, _evaluation_rows(backend, j, "h"), width)
     if c_g.rank != backend.n + j or c_h.rank != backend.n - j:
         raise AssertionError(
             f"unexpected code dimensions {c_g.rank}/{c_h.rank} at j={j} on {backend!r}"
@@ -445,7 +459,7 @@ def classical_params(backend: Backend, j: int) -> ClassicalParams:
     """
     f = backend.field
     width = 2 * backend.n
-    rows = evaluation_matrix(backend, j, "g")
+    rows = _evaluation_rows(backend, j, "g")
     reduced, pivots = rref(f, rows, width)
     dual_rows = nullspace(f, rows, width)
     contained = all(row_in_span(f, reduced, pivots, r) for r in dual_rows)

@@ -139,6 +139,7 @@ class GF2m:
         for i in range(self.q - 1, 2 * self.q):
             self._exp[i] = self._exp[i - (self.q - 1)]
 
+        self._log_antilog = None
         self._mul_table = None
 
     # -- construction helpers -------------------------------------------
@@ -238,24 +239,45 @@ class GF2m:
     # -- bulk tables -----------------------------------------------------
 
     @property
+    def log_antilog(self):
+        """numpy (log, antilog) arrays for vectorized multiplication.
+
+        ``log[a]`` is the discrete log of a nonzero element (int32) and
+        ``log[0]`` is a sentinel ``Z = 3(q-1)``.  ``antilog[i]`` is
+        ``g^(i mod (q-1))`` for ``i < Z`` and 0 from ``Z`` to its end at
+        ``2Z + q - 2``, in the element dtype (uint8 for q <= 256, uint16
+        above).  So ``antilog[log[a] + log[b] + s]`` is ``a * b * g^s`` for
+        every a, b and every shift ``0 <= s < q - 1``, with no zero masks.
+        Built lazily, once per field; read-only.
+        """
+        if self._log_antilog is None:
+            import numpy as np
+
+            period = self.q - 1
+            zero = 3 * period
+            log = np.array(self._log, dtype=np.int32)
+            log[0] = zero
+            antilog = np.zeros(2 * zero + period, dtype=np.uint8 if self.q <= 256 else np.uint16)
+            antilog[:zero] = np.tile(np.array(self._exp[:period], dtype=antilog.dtype), 3)
+            log.setflags(write=False)
+            antilog.setflags(write=False)
+            self._log_antilog = (log, antilog)
+        return self._log_antilog
+
+    @property
     def mul_table(self):
         """q x q numpy multiplication table (uint8), for fields with q <= 256.
 
-        Built lazily; shared read-only by the vectorized linear-algebra and
-        enumeration routines.
+        One gather from ``log_antilog``, built lazily; shared read-only by
+        the vectorized enumeration routines.
         """
         if self._mul_table is None:
             if self.q > 256:
                 raise ValueError(
                     f"multiplication table only materialized for q <= 256, got q={self.q}"
                 )
-            import numpy as np
-
-            t = np.zeros((self.q, self.q), dtype=np.uint8)
-            for a in range(1, self.q):
-                la = self._log[a]
-                for b in range(1, self.q):
-                    t[a, b] = self._exp[la + self._log[b]]
+            log, antilog = self.log_antilog
+            t = antilog[log[:, None] + log[None, :]]
             t.setflags(write=False)
             self._mul_table = t
         return self._mul_table

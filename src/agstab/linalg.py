@@ -2,10 +2,13 @@
 nullspace and small solves.
 
 Matrices are sequences of rows with integer entries (field indices).  For
-fields with at most 256 elements the elimination loops run on numpy uint8
-arrays through the field's multiplication table; larger fields use scalar
-arithmetic.  Pivoting is leftmost-column, first-nonzero-row, which makes
-every reduced form canonical for its row space.
+every field, 1 <= r <= 16, the elimination runs on one numpy array, uint8
+when q <= 256 and uint16 above, and multiplies through the field's
+log/antilog arrays (``GF2m.log_antilog``): a row update is one gather
+``antilog[log[column] + log[pivot row]]``.  Pivoting is leftmost-column,
+first-nonzero-row, which makes every reduced form canonical for its row
+space.  ``_rref_scalar`` is the plain-Python elimination kept as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -20,38 +23,41 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 def _as_array(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
-    a = np.zeros((len(rows), width), dtype=np.uint8)
+    """The rows as a field-element array; ValueError on ragged or out-of-range input."""
     for i, r in enumerate(rows):
         if len(r) != width:
             raise ValueError(f"row {i} has length {len(r)}, expected {width}")
-        a[i] = r
-    if a.size and int(a.max()) >= field.q:
-        raise ValueError(f"entry out of range for {field}")
-    return a
+        if width and (min(r) < 0 or max(r) >= field.q):
+            raise ValueError(f"row {i} has an entry outside [0, {field.q}) for {field}")
+    return np.array(rows, dtype=field.log_antilog[1].dtype).reshape(len(rows), width)
 
 
-def _rref_np(field: GF2m, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    mul = field.mul_table
+def _rref_array(field: GF2m, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduce M in place; returns its nonzero rows and the pivot columns."""
+    log, antilog = field.log_antilog
+    period = field.q - 1
     nrows, width = M.shape
     pivots: list[int] = []
     r = 0
     for c in range(width):
         if r == nrows:
             break
-        nz = np.nonzero(M[r:, c])[0]
+        nz = np.flatnonzero(M[r:, c])
         if nz.size == 0:
             continue
         p = r + int(nz[0])
         if p != r:
             M[[r, p]] = M[[p, r]]
-        lead = int(M[r, c])
-        if lead != 1:
-            M[r] = mul[field.inv(lead)][M[r]]
+        # the pivot row is zero left of c, so only columns c.. change
+        row_log = log[M[r, c:]]
+        if row_log[0]:  # lead != 1: scale the row by lead^-1 = g^(period - log lead)
+            row_log = row_log + (period - row_log[0])
+            M[r, c:] = antilog[row_log]
         col = M[:, c].copy()
         col[r] = 0
-        hit = np.nonzero(col)[0]
+        hit = np.flatnonzero(col)
         if hit.size:
-            M[hit] ^= mul[col[hit][:, None], M[r][None, :]]
+            M[hit, c:] ^= antilog[log[col[hit]][:, None] + row_log]
         pivots.append(c)
         r += 1
     return M[:r], pivots
@@ -83,18 +89,14 @@ def _rref_scalar(field: GF2m, rows: list[list[int]], width: int) -> tuple[list[l
 
 
 def rref(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> tuple[Rows, tuple[int, ...]]:
-    """Canonical reduced row echelon form of the row space, plus pivot columns."""
+    """Canonical reduced row echelon form of the row space, plus pivot columns.
+
+    Raises ValueError on ragged rows or on entries outside [0, q).
+    """
     if not rows:
         return (), ()
-    if field.q <= 256:
-        M, pivots = _rref_np(field, _as_array(field, rows, width))
-        return tuple(tuple(int(v) for v in row) for row in M), tuple(pivots)
-    work = [list(map(int, r)) for r in rows]
-    for i, r in enumerate(work):
-        if len(r) != width:
-            raise ValueError(f"row {i} has length {len(r)}, expected {width}")
-    out, pivots = _rref_scalar(field, work, width)
-    return tuple(tuple(r) for r in out), tuple(pivots)
+    M, pivots = _rref_array(field, _as_array(field, rows, width))
+    return tuple(map(tuple, M.tolist())), tuple(pivots)
 
 
 def rank(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> int:
@@ -104,6 +106,11 @@ def rank(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> int:
 def nullspace(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> Rows:
     """Canonical basis of {x : M x^T = 0}, as rref rows."""
     R, pivots = rref(field, rows, width)
+    return _nullspace_of_rref(field, R, pivots, width)
+
+
+def _nullspace_of_rref(field: GF2m, R: Rows, pivots: Sequence[int], width: int) -> Rows:
+    """Canonical nullspace basis from rref rows whose pivots all lie below ``width``."""
     pivot_set = set(pivots)
     free = [c for c in range(width) if c not in pivot_set]
     basis = []
@@ -137,19 +144,20 @@ def solve(
     """Solve M x^T = rhs.
 
     Returns (particular solution with free coordinates zero, canonical
-    nullspace basis); the particular solution is None when the system is
-    inconsistent.
+    nullspace basis of M).  An inconsistent system returns (None, ()): no
+    nullspace is computed for it.
     """
     if len(rhs) != len(rows):
         raise ValueError("right-hand side length does not match the row count")
     aug = [list(r) + [s] for r, s in zip(rows, rhs)]
     R, pivots = rref(field, aug, width + 1)
     if width in pivots:
-        return None, nullspace(field, rows, width)
+        return None, ()
     x = [0] * width
     for i, p in enumerate(pivots):
         x[p] = R[i][width]
-    return tuple(x), nullspace(field, rows, width)
+    # with no pivot in the rhs column, the first ``width`` columns of R are rref(M)
+    return tuple(x), _nullspace_of_rref(field, R, pivots, width)
 
 
 def identity_rows(width: int) -> Rows:

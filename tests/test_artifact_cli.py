@@ -23,6 +23,29 @@ def test_round_trip_bit_exact(tmp_path):
     assert artifact_mod.to_json(again) == artifact_mod.to_json(art)
 
 
+def test_to_json_layout():
+    text = artifact_mod.to_json(artifact_mod.construct_artifact("rational", 8, 2))
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_each_riemann_roch_matrix_evaluated_once(monkeypatch):
+    from agstab import curves
+
+    calls = []
+    real = curves.evaluation_matrix
+
+    def counting(backend, j, which="g"):
+        calls.append(which)
+        return real(backend, j, which)
+
+    monkeypatch.setattr(curves, "evaluation_matrix", counting)
+    art = artifact_mod.construct_artifact("hermitian", 2, 1)
+    assert sorted(calls) == ["g", "h"]
+    calls.clear()
+    assert artifact_mod.verify_artifact(art)["ok"]
+    assert sorted(calls) == ["g", "h"]
+
+
 def test_verify_passes_and_reports_all_checks(tmp_path):
     art = artifact_mod.construct_artifact("rational", 8, 1)
     report = artifact_mod.verify_artifact(art, exact_distance=True)

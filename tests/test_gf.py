@@ -111,6 +111,23 @@ def test_mul_table_matches_scalar():
         field(16).mul_table
 
 
+@pytest.mark.parametrize("degree", [1, 2, 4, 8, 9, 16])
+def test_log_antilog_matches_scalar(degree):
+    f = GF2m(degree)
+    assert f._log_antilog is None  # built on first use, not with the field
+    log, antilog = f.log_antilog
+    assert antilog.dtype == (np.uint8 if f.q <= 256 else np.uint16)
+    rng = np.random.default_rng(degree)
+    a = rng.integers(0, f.q, 400)
+    b = rng.integers(0, f.q, 400)
+    a[:10] = 0
+    b[5:15] = 0
+    shift = rng.integers(0, f.q - 1, 400)
+    got = antilog[log[a] + log[b] + shift]
+    for x, y, s, v in zip(a.tolist(), b.tolist(), shift.tolist(), got.tolist()):
+        assert v == f.mul(f.mul(x, y), f.pow(f.generator, s))
+
+
 # ---------------------------------------------------------------------------
 # element wrapper
 # ---------------------------------------------------------------------------

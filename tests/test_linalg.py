@@ -1,0 +1,169 @@
+"""Differential tests for linalg: the log/antilog elimination kernel against
+the plain-Python reference elimination ``linalg._rref_scalar`` and the
+brute-force span oracle, on random small matrices over GF(2^r)."""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agstab import linalg
+from agstab.curves import RationalBackend, evaluation_matrix
+from agstab.gf import field
+from conftest import span_vectors
+
+DEGREES = (1, 2, 4, 8, 9, 16)
+ORACLE_SIZE = 4096  # largest space the brute-force oracles walk
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """(field, rows, width) with zero rows, repeated rows and sparse entries mixed in."""
+    f = field(draw(st.sampled_from(DEGREES)))
+    width = draw(st.integers(1, 5))
+    nrows = width if square else draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         min_size=nrows, max_size=nrows))
+    shape = draw(st.sampled_from(("random", "zero-row", "repeat", "all-zero")))
+    if rows and shape == "zero-row":
+        rows[draw(st.integers(0, nrows - 1))] = [0] * width
+    elif nrows >= 2 and shape == "repeat":
+        rows[-1] = list(rows[0])
+    elif shape == "all-zero":
+        rows = [[0] * width for _ in rows]
+    return f, rows, width
+
+
+def reference_rref(f, rows, width):
+    if not rows:
+        return (), ()
+    out, pivots = linalg._rref_scalar(f, [list(r) for r in rows], width)
+    return tuple(map(tuple, out)), tuple(pivots)
+
+
+def apply(f, rows, x):
+    """M x^T by scalar arithmetic."""
+    out = []
+    for row in rows:
+        acc = 0
+        for a, b in zip(row, x):
+            acc ^= f.mul(a, b)
+        out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# rref and rank
+# ---------------------------------------------------------------------------
+
+@FUZZ
+@given(matrices())
+def test_rref_matches_scalar_reference(case):
+    f, rows, width = case
+    R, pivots = linalg.rref(f, rows, width)
+    assert (R, pivots) == reference_rref(f, rows, width)
+    assert linalg.rank(f, rows, width) == len(R)
+    assert all(type(v) is int for row in R for v in row)
+    if f.q ** len(rows) <= ORACLE_SIZE:
+        assert span_vectors(f, list(R), width) == span_vectors(f, rows, width)
+
+
+def test_rref_leaves_input_alone():
+    f = field(9)
+    rows = [[3, 5, 0], [7, 1, 511]]
+    snapshot = [list(r) for r in rows]
+    linalg.rref(f, rows, 3)
+    assert rows == snapshot
+
+
+def test_rref_q512_evaluation_slice():
+    backend = RationalBackend(512)
+    rows = evaluation_matrix(backend, 4, "g")[:40]
+    width = len(rows[0])
+    assert linalg.rref(backend.field, rows, width) == reference_rref(backend.field, rows, width)
+
+
+# ---------------------------------------------------------------------------
+# nullspace, solve, inverse
+# ---------------------------------------------------------------------------
+
+@FUZZ
+@given(matrices())
+def test_nullspace_is_the_canonical_kernel(case):
+    f, rows, width = case
+    null = linalg.nullspace(f, rows, width)
+    ref_rank = len(reference_rref(f, rows, width)[0])
+    assert len(null) == width - ref_rank
+    assert null == reference_rref(f, null, width)[0]
+    assert all(not any(apply(f, rows, v)) for v in null)
+    if rows and f.q ** width <= ORACLE_SIZE:
+        kernel = {x for x in product(f.elements(), repeat=width) if not any(apply(f, rows, x))}
+        assert span_vectors(f, list(null), width) == kernel
+
+
+@FUZZ
+@given(matrices(), st.data())
+def test_solve_matches_reference(case, data):
+    f, rows, width = case
+    rhs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=len(rows), max_size=len(rows)))
+    x, null = linalg.solve(f, rows, width, rhs)
+    m_rank = len(reference_rref(f, rows, width)[0])
+    aug = [list(r) + [s] for r, s in zip(rows, rhs)]
+    consistent = len(reference_rref(f, aug, width + 1)[0]) == m_rank
+    if not consistent:
+        assert (x, null) == (None, ())
+        return
+    assert apply(f, rows, x) == list(rhs)
+    pivots = set(reference_rref(f, rows, width)[1])
+    assert all(x[c] == 0 for c in range(width) if c not in pivots)
+    assert null == linalg.nullspace(f, rows, width)
+
+
+def test_solve_inconsistent_returns_no_nullspace():
+    f = field(4)
+    assert linalg.solve(f, [[1, 2], [1, 2]], 2, [3, 4]) == (None, ())
+    with pytest.raises(ValueError):
+        linalg.solve(f, [[1, 2]], 2, [3, 4])
+
+
+@FUZZ
+@given(matrices(square=True))
+def test_invert_matrix_matches_reference(case):
+    f, rows, n = case
+    if len(reference_rref(f, rows, n)[0]) < n:
+        with pytest.raises(ValueError):
+            linalg.invert_matrix(f, rows)
+        return
+    inv = linalg.invert_matrix(f, rows)
+    cols = list(zip(*inv))
+    assert [tuple(apply(f, rows, c)) for c in cols] == list(zip(*linalg.identity_rows(n)))
+    assert [tuple(apply(f, inv, c)) for c in zip(*rows)] == list(zip(*linalg.identity_rows(n)))
+
+
+# ---------------------------------------------------------------------------
+# input contract (negative controls)
+# ---------------------------------------------------------------------------
+
+BAD_INPUTS = {
+    "ragged": lambda q: [[1, 2, 3], [1, 2]],
+    "negative": lambda q: [[1, 2, 3], [0, -1, 0]],
+    "equal-to-q": lambda q: [[1, 2, 3], [q, 0, 0]],
+    "above-q": lambda q: [[1, 2, 3], [0, 0, q + 5]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("degree", [4, 9])
+def test_malformed_rows_rejected(degree, kind):
+    f = field(degree)
+    rows = BAD_INPUTS[kind](f.q)
+    with pytest.raises(ValueError):
+        linalg.rref(f, rows, 3)
+    with pytest.raises(ValueError):
+        linalg.nullspace(f, rows, 3)
+    with pytest.raises(ValueError):
+        linalg.solve(f, rows, 3, [0, 0])

@@ -42,7 +42,6 @@ from .decoder import (
     brute_oracle,
     exhaustive_coset_leaders,
     hamming_min_solve,
-    swap_negate,
     symplectic_decode,
     syndrome_of,
 )

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .gf import SubfieldEmbedding, field
-from .linalg import nullspace, rref, row_in_span
+from .linalg import _nullspace_of_rref, rref, row_in_span
 from .symplectic import CodeBasis
 
 
@@ -461,8 +461,8 @@ def classical_params(backend: Backend, j: int) -> ClassicalParams:
     width = 2 * backend.n
     rows = _evaluation_rows(backend, j, "g")
     reduced, pivots = rref(f, rows, width)
-    dual_rows = nullspace(f, rows, width)
-    contained = all(row_in_span(f, reduced, pivots, r) for r in dual_rows)
+    dual_rows, _ = _nullspace_of_rref(f, reduced, pivots, width)
+    contained = bool(row_in_span(f, reduced, pivots, dual_rows).all())
     return ClassicalParams(
         length=width,
         dim=len(reduced),

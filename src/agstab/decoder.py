@@ -38,7 +38,7 @@ from .gf import GF2m
 from .linalg import solve
 from .symplectic import (
     CodeBasis,
-    _pair_value_chunks,
+    _SyndromeSearch,
     swap_halves,
     symplectic_form,
     symplectic_weight,
@@ -85,18 +85,6 @@ class DecodeResult:
 def syndrome_of(field: GF2m, v: Sequence[int], dual_rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """s_i = <v, b_i> for each dual-basis row b_i."""
     return tuple(symplectic_form(field, v, b) for b in dual_rows)
-
-
-def swap_negate(v: Sequence[int]) -> tuple[int, ...]:
-    """e -> (-e_{n+1} .. -e_{2n}, e_1 .. e_n); negation is trivial here."""
-    if len(v) % 2:
-        raise ValueError("symplectic vectors have even length")
-    return swap_halves(v)
-
-
-def unswap(v: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of swap_negate: e = (y_{n+1} .. y_{2n}, -y_1 .. -y_n)."""
-    return swap_halves(v)
 
 
 def hamming_min_solve(
@@ -177,7 +165,7 @@ def symplectic_decode(problem: SyndromeProblem, deg_g: int) -> DecodeResult:
     y = hamming_min_solve(field, problem.syndrome, problem.dual_basis.rows, budget)
     if y is None:
         return DecodeResult(error=None, weight=None, status="budget-exhausted")
-    e = unswap(y)
+    e = swap_halves(y)  # its own inverse in characteristic 2
     got = syndrome_of(field, e, problem.dual_basis.rows)
     if got != tuple(problem.syndrome):
         raise AssertionError("swap reduction produced a wrong syndrome")
@@ -246,14 +234,24 @@ def brute_oracle(
     """Exact coset minimizer by exhaustive enumeration.
 
     Without ``weight_cap`` the whole ambient space is enumerated (requires
-    q^(2n) <= cap); with it, only vectors of symplectic weight up to
-    ``weight_cap`` are visited, and "budget-exhausted" is returned when the
+    q^(2n) <= cap); with it, the meet-in-the-middle kernel of ``symplectic``
+    lists the coset weight by weight up to ``weight_cap`` (ValueError past
+    ``cap`` rows per half), and "budget-exhausted" is returned when the
     coset has no vector that light.  Ties are broken lexicographically on
     the entry tuple.
     """
-    if weight_cap is not None:
-        return _weight_capped_oracle(problem, weight_cap)
     field = problem.field
+    if weight_cap is not None:
+        if not any(problem.syndrome):
+            return DecodeResult(error=(0,) * problem.dual_basis.width, weight=0, status="found-min")
+        search = _SyndromeSearch(field, problem.dual_basis.rows, problem.n)
+        for w in range(1, weight_cap + 1):
+            hits = [search.dense(*block) for block in search.solutions(w, problem.syndrome, cap)]
+            if hits:
+                vecs = np.concatenate(hits)
+                best = vecs[np.lexsort(vecs.T[::-1])[0]]
+                return DecodeResult(error=tuple(best.tolist()), weight=w, status="found-min")
+        return DecodeResult(error=None, weight=None, status="budget-exhausted")
     syn = _all_syndromes(field, problem.dual_basis, cap)
     target = np.array(problem.syndrome, dtype=np.uint8)
     match = np.nonzero((syn == target).all(axis=1))[0]
@@ -263,42 +261,6 @@ def brute_oracle(
     best = match[int(np.argmin(weights))]  # argmin returns the first minimum
     vec = _vector_of_index(field.q, problem.dual_basis.width, int(best))
     return DecodeResult(error=vec, weight=int(weights.min()), status="found-min")
-
-
-def _weight_capped_oracle(problem: SyndromeProblem, weight_cap: int) -> DecodeResult:
-    field = problem.field
-    if field.q > 256:
-        raise ValueError("the weight-capped oracle requires a table-backed field (q <= 256)")
-    q = field.q
-    mul = field.mul_table
-    n = problem.n
-    checks = np.array([swap_halves(r) for r in problem.dual_basis.rows], dtype=np.uint8)
-    target = np.array(problem.syndrome, dtype=np.uint8)
-    if not any(problem.syndrome):
-        return DecodeResult(error=(0,) * (2 * n), weight=0, status="found-min")
-    for w in range(1, weight_cap + 1):
-        hits: list[tuple[int, ...]] = []
-        for X, Z in _pair_value_chunks(q, w):
-            for support in combinations(range(n), w):
-                ok = np.ones(len(X), dtype=bool)
-                for r in range(checks.shape[0]):
-                    acc = np.zeros(len(X), dtype=np.uint8)
-                    for p, i in enumerate(support):
-                        acc ^= mul[X[:, p], checks[r, i]]
-                        acc ^= mul[Z[:, p], checks[r, n + i]]
-                    ok &= acc == target[r]
-                    if not ok.any():
-                        break
-                for row in np.nonzero(ok)[0]:
-                    vec = [0] * (2 * n)
-                    for p, i in enumerate(support):
-                        vec[i] = int(X[row, p])
-                        vec[n + i] = int(Z[row, p])
-                    hits.append(tuple(vec))
-        if hits:
-            best = min(hits)
-            return DecodeResult(error=best, weight=w, status="found-min")
-    return DecodeResult(error=None, weight=None, status="budget-exhausted")
 
 
 def exhaustive_coset_leaders(

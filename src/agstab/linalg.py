@@ -1,5 +1,5 @@
 """Dense linear algebra over GF(2^r): reduced row echelon form, rank,
-nullspace and small solves.
+nullspace, span membership and small solves.
 
 Matrices are sequences of rows with integer entries (field indices).  For
 every field, 1 <= r <= 16, the elimination runs on one numpy array, uint8
@@ -106,11 +106,11 @@ def rank(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> int:
 def nullspace(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> Rows:
     """Canonical basis of {x : M x^T = 0}, as rref rows."""
     R, pivots = rref(field, rows, width)
-    return _nullspace_of_rref(field, R, pivots, width)
+    return _nullspace_of_rref(field, R, pivots, width)[0]
 
 
-def _nullspace_of_rref(field: GF2m, R: Rows, pivots: Sequence[int], width: int) -> Rows:
-    """Canonical nullspace basis from rref rows whose pivots all lie below ``width``."""
+def _nullspace_of_rref(field: GF2m, R: Rows, pivots: Sequence[int], width: int) -> tuple[Rows, tuple[int, ...]]:
+    """Canonical nullspace basis, and its pivots, from rref rows whose pivots all lie below ``width``."""
     pivot_set = set(pivots)
     free = [c for c in range(width) if c not in pivot_set]
     basis = []
@@ -120,19 +120,25 @@ def _nullspace_of_rref(field: GF2m, R: Rows, pivots: Sequence[int], width: int) 
         for i, p in enumerate(pivots):
             v[p] = R[i][f]  # -R[i][f] in characteristic 2
         basis.append(v)
-    out, _ = rref(field, basis, width)
-    return out
+    return rref(field, basis, width)
 
 
-def row_in_span(field: GF2m, rref_rows: Rows, pivots: Sequence[int], row: Sequence[int]) -> bool:
-    """True when ``row`` reduces to zero against a canonical rref basis."""
-    v = list(row)
-    for i, p in enumerate(pivots):
-        f = v[p]
-        if f:
-            rr = rref_rows[i]
-            v = [v[j] ^ field.mul(f, rr[j]) for j in range(len(v))]
-    return not any(v)
+def row_in_span(field: GF2m, rref_rows: Rows, pivots: Sequence[int], rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """For each of ``rows``, whether it reduces to zero against a canonical rref basis.
+
+    All rows reduce together, one log/antilog update per pivot; returns a
+    bool array with one entry per row.
+    """
+    if not rows:
+        return np.ones(0, dtype=bool)
+    width = len(rows[0])
+    V = _as_array(field, rows, width)
+    log, antilog = field.log_antilog
+    R_log = log[_as_array(field, rref_rows, width)]
+    for i, p in enumerate(pivots):  # basis row i is zero left of its pivot p
+        hit = np.flatnonzero(V[:, p])
+        V[hit, p:] ^= antilog[log[V[hit, p]][:, None] + R_log[i, p:]]
+    return ~V.any(axis=1)
 
 
 def solve(
@@ -157,7 +163,7 @@ def solve(
     for i, p in enumerate(pivots):
         x[p] = R[i][width]
     # with no pivot in the rhs column, the first ``width`` columns of R are rref(M)
-    return tuple(x), _nullspace_of_rref(field, R, pivots, width)
+    return tuple(x), _nullspace_of_rref(field, R, pivots, width)[0]
 
 
 def identity_rows(width: int) -> Rows:

@@ -9,18 +9,24 @@ weight of a vector counts the pairs (x_i, x_{n+i}) that are not both zero.
 A basis is always kept in canonical reduced row echelon form so that any
 two equal subspaces compare bit for bit.
 
-The distance searches are the hot paths: exact relative minimum weight by
-full codeword enumeration (capped), and a weight-budget sweep over ambient
-vectors for codes too large to enumerate.  Both may be partitioned over
-disjoint index ranges by independent workers since all inputs are
-immutable; the implementation here is single-threaded.
+The distance searches are the hot paths.  The exact relative minimum
+weight enumerates every codeword (up to q^dim <= ENUMERATION_CAP).  Larger
+codes are swept by weight with one meet-in-the-middle kernel (Stern 1988),
+``_SyndromeSearch``: the vectors of weight exactly w with syndrome t split
+after s_{w//2} of their support s_1 < ... < s_w; the left parts are held
+sorted by a 64-bit GF(2)-linear fingerprint of their syndromes, the right
+parts stream past them in chunks, and every match is checked exactly.  A
+weight whose halves exceed the cap is refused with ValueError.  Syndromes
+come from the log/antilog arrays, so every GF(2^r), r <= 16, works.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, islice
+from math import comb
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,10 +68,7 @@ class CodeBasis:
         return len(self.rows)
 
     def contains_row(self, row: Sequence[int]) -> bool:
-        return linalg.row_in_span(self.field, self.rows, self.pivots, row)
-
-    def matrix(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.uint8).reshape(self.rank, self.width)
+        return bool(linalg.row_in_span(self.field, self.rows, self.pivots, [row])[0])
 
 
 def row_reduce(field: GF2m, rows: Sequence[Sequence[int]], width: int | None = None) -> tuple[CodeBasis, int]:
@@ -99,19 +102,10 @@ def symplectic_weight(x: Sequence[int]) -> int:
     return sum(1 for i in range(n) if x[i] or x[n + i])
 
 
-def hamming_weight(x: Sequence[int]) -> int:
-    return sum(1 for v in x if v)
-
-
 def swap_halves(x: Sequence[int]) -> tuple[int, ...]:
     """(x_1..x_n | x_{n+1}..x_{2n}) -> (x_{n+1}..x_{2n} | x_1..x_n)."""
     n = len(x) // 2
     return tuple(x[n:]) + tuple(x[:n])
-
-
-def _dual_check_rows(basis: CodeBasis) -> tuple[tuple[int, ...], ...]:
-    """Rows h' with <x, h> = x . h' (standard product) for each basis row h."""
-    return tuple(swap_halves(row) for row in basis.rows)
 
 
 def symplectic_dual(basis: CodeBasis) -> CodeBasis:
@@ -121,16 +115,17 @@ def symplectic_dual(basis: CodeBasis) -> CodeBasis:
     if basis.rank == 0:
         rows = linalg.identity_rows(basis.width)
         return CodeBasis(basis.field, basis.width, rows, tuple(range(basis.width)))
-    null = linalg.nullspace(basis.field, _dual_check_rows(basis), basis.width)
-    reduced, pivots = linalg.rref(basis.field, null, basis.width)
-    return CodeBasis(basis.field, basis.width, reduced, pivots)
+    # <x, h> is the standard product of x with swap_halves(h)
+    R, pivots = linalg.rref(basis.field, [swap_halves(row) for row in basis.rows], basis.width)
+    null, null_pivots = linalg._nullspace_of_rref(basis.field, R, pivots, basis.width)
+    return CodeBasis(basis.field, basis.width, null, null_pivots)
 
 
 def contains(outer: CodeBasis, inner: CodeBasis) -> bool:
     """True when every row of ``inner`` reduces to zero against ``outer``."""
     if outer.field != inner.field or outer.width != inner.width:
         raise ValueError("bases live in different ambient spaces")
-    return all(outer.contains_row(row) for row in inner.rows)
+    return bool(linalg.row_in_span(outer.field, outer.rows, outer.pivots, inner.rows).all())
 
 
 # ---------------------------------------------------------------------------
@@ -151,122 +146,178 @@ class MinWeightResult:
     floor: int | None = None
 
 
-def _complement_rows(C: CodeBasis, D: CodeBasis) -> list[tuple[int, ...]]:
-    """Rows of C extending a basis of D to a basis of C."""
-    field = C.field
-    stack = [list(r) for r in D.rows]
-    have = D.rank
-    out = []
-    for row in C.rows:
-        probe = stack + [list(row)]
-        if linalg.rank(field, probe, C.width) > have:
-            stack = probe
-            have += 1
-            out.append(row)
-    return out
+def _min_codeword_weight(field: GF2m, rows: Sequence[Sequence[int]], start: int, cap: int, weight) -> int:
+    """Least weight over the codewords sum_i m_i * rows[i] with message index m >= start.
+
+    Digit i of m in base q is m_i.  ``weight`` maps a chunk of codewords
+    (one per array row) to their weights; the search stops early at 1.
+    """
+    if field.q > 256:
+        raise ValueError("exact enumeration requires a table-backed field (q <= 256)")
+    q = field.q
+    k = len(rows)
+    total = q ** k
+    if total > cap:
+        raise ValueError(f"q^dim = {total} exceeds the enumeration cap {cap}")
+    mul = field.mul_table
+    R = np.array(rows, dtype=np.uint8)
+    best = R.shape[1] + 1
+    chunk = 1 << 16
+    for lo in range(start, total, chunk):
+        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        cw = np.zeros((len(idx), R.shape[1]), dtype=np.uint8)
+        for i in range(k):
+            digits = ((idx // q ** i) % q).astype(np.uint8)
+            if digits.any():
+                cw ^= mul[digits[:, None], R[i][None, :]]
+        best = min(best, int(weight(cw).min()))
+        if best == 1:
+            break
+    return best
 
 
 def _enumerate_min_weight(C: CodeBasis, D: CodeBasis, cap: int) -> int:
     """Exact min symplectic weight over C \\ D by full enumeration.
 
     Codewords are generated as u * D_rows + v * E_rows with E a complement
-    of D inside C; restricting to v != 0 enumerates exactly C \\ D.
+    of D inside C; restricting to v != 0 enumerates exactly C \\ D.  D's
+    pivots are pivots of C (D <= C), and E is the rows of C at the others.
     """
-    field = C.field
-    if field.q > 256:
-        raise ValueError("exact enumeration requires a table-backed field (q <= 256)")
-    q = field.q
-    rows = list(D.rows) + _complement_rows(C, D)
-    k = len(rows)
-    total = q ** k
-    if total > cap:
-        raise ValueError(f"q^dim = {total} exceeds the enumeration cap {cap}")
-    mul = field.mul_table
-    width = C.width
-    n = width // 2
-    R = np.array(rows, dtype=np.uint8)
-    start = q ** D.rank  # first message index with a nonzero complement digit
-    best = n + 1
-    chunk = 1 << 16
-    powers = [q ** i for i in range(k)]
-    for lo in range(start, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        cw = np.zeros((hi - lo, width), dtype=np.uint8)
-        for i in range(k):
-            digits = ((idx // powers[i]) % q).astype(np.uint8)
-            if digits.any():
-                cw ^= mul[digits[:, None], R[i][None, :]]
-        w = ((cw[:, :n] != 0) | (cw[:, n:] != 0)).sum(axis=1)
-        m = int(w.min())
-        if m < best:
-            best = m
-        if best == 1:
-            break
-    return best
-
-
-def _syndrome_columns(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """check[r, j] with <x, rows[r]> = sum_j x_j * check[r, j]."""
-    return np.array([swap_halves(r) for r in rows], dtype=np.uint8)
-
-
-def _pair_value_chunks(q: int, w: int, chunk: int = 1 << 18):
-    """Chunks of all w-tuples of nonzero coordinate pairs over GF(q).
-
-    Pair values run over 1 .. q^2 - 1 (value v encodes the pair
-    (v // q, v % q), never (0, 0)).  Yields (X, Z) uint8 arrays of shape
-    (<= chunk, w) holding the two halves of each pair.
-    """
-    base = q * q - 1
-    total = base ** w
-    powers = [base ** i for i in range(w)]
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        vals = np.empty((hi - lo, w), dtype=np.int64)
-        for i in range(w):
-            vals[:, i] = (idx // powers[i]) % base + 1
-        yield (vals // q).astype(np.uint8), (vals % q).astype(np.uint8)
-
-
-def _budget_min_weight(C: CodeBasis, D: CodeBasis, budget: int) -> MinWeightResult:
-    """Sweep ambient vectors of symplectic weight 1..budget for one in C \\ D."""
-    field = C.field
-    if field.q > 256:
-        raise ValueError("the budget sweep requires a table-backed field (q <= 256)")
-    q = field.q
-    mul = field.mul_table
     n = C.width // 2
-    in_c = _syndrome_columns(symplectic_dual(C).rows)
-    not_d = _syndrome_columns(symplectic_dual(D).rows)
+    rows = list(D.rows) + [row for row, p in zip(C.rows, C.pivots) if p not in D.pivots]
+    return _min_codeword_weight(C.field, rows, C.field.q ** D.rank, cap,
+                                lambda cw: ((cw[:, :n] != 0) | (cw[:, n:] != 0)).sum(axis=1))
+
+
+def _supports(n: int, k: int, step: int) -> Iterator[np.ndarray]:
+    """The k-subsets of range(n) in lexicographic order, as sorted rows of <= step arrays."""
+    it = combinations(range(n), k)
+    while block := list(islice(it, step)):
+        yield np.array(block, dtype=np.int64).reshape(len(block), k)
+
+
+class _SyndromeSearch:
+    """Vectors of symplectic weight exactly w with syndrome t against check rows.
+
+    s_r = <x, rows[r]> = sum_i X_i a_i[r] + Z_i b_i[r] for x = (X | Z), where
+    a_i and b_i are columns i and n + i of the rows after ``swap_halves``.
+    A vector of weight w is held as its support (w sorted positions) and
+    its pair values v in 1 .. q^2 - 1, with (X_i, Z_i) = divmod(v, q).
+    """
+
+    CHUNK = 1 << 16  # right-half rows streamed, and matches expanded, at once
+
+    def __init__(self, field: GF2m, rows: Sequence[Sequence[int]], n: int):
+        log, _ = field.log_antilog
+        checks = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n)
+        self.field, self.n, self.base = field, n, field.q * field.q - 1
+        self._log_a, self._log_b = log[checks[:, n:].T], log[checks[:, :n].T]
+        mix = random.Random(0)  # a fixed random GF(2)-linear map from syndrome bits to 64 bits
+        self._mix = np.array([mix.getrandbits(64) for _ in range(len(rows) * field.degree)], dtype=np.uint64)
+        # fingerprints of the single-bit pair values 1, 2, 4, .. at each position (n, 2r);
+        # a syndrome is GF(2)-linear in the bits of v, so these give every v
+        nbits = 2 * field.degree
+        position = np.repeat(np.arange(n), nbits)[:, None]
+        unit = np.tile(1 << np.arange(nbits), n)[:, None]
+        self._bit_keys = self._fingerprints(self.syndromes(position, unit)).reshape(n, nbits)
+
+    def syndromes(self, support: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Exact syndromes (h, checks) of the vectors given by (h, w) supports and values."""
+        log, antilog = self.field.log_antilog
+        out = np.zeros((len(support), self._log_a.shape[1]), dtype=antilog.dtype)
+        for p in range(support.shape[1]):
+            x, z = np.divmod(values[:, p], self.field.q)
+            out ^= antilog[log[x][:, None] + self._log_a[support[:, p]]]
+            out ^= antilog[log[z][:, None] + self._log_b[support[:, p]]]
+        return out
+
+    def dense(self, support: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The same vectors as (h, 2n) arrays (X | Z)."""
+        out = np.zeros((len(support), 2 * self.n), dtype=np.int64)
+        row = np.arange(len(support))[:, None]
+        out[row, support], out[row, self.n + support] = np.divmod(values, self.field.q)
+        return out
+
+    def _fingerprints(self, syndromes: np.ndarray) -> np.ndarray:
+        bits = (syndromes[:, :, None].astype(np.int64) >> np.arange(self.field.degree)) & 1
+        keys = np.where(bits.reshape(len(syndromes), self._mix.size) == 1, self._mix, np.uint64(0))
+        return np.bitwise_xor.reduce(keys, axis=1)
+
+    def _half(self, support: np.ndarray) -> np.ndarray:
+        """Fingerprints of the s * base^k vectors on s supports of size k, support-major;
+        row d of a support has pair values 1 + the base-``base`` digits of d, most significant first."""
+        keys = np.zeros((len(support), 1), dtype=np.uint64)
+        for p in range(support.shape[1]):
+            pair = np.zeros((len(support), self.base + 1), dtype=np.uint64)  # pair value v -> fingerprint
+            for b, column in enumerate(self._bit_keys[support[:, p]].T):
+                pair[:, 1 << b: 2 << b] = pair[:, : 1 << b] ^ column[:, None]
+            keys = (keys[:, :, None] ^ pair[:, None, 1:]).reshape(len(support), -1)
+        return keys.reshape(-1)
+
+    def _values(self, digits: np.ndarray, k: int) -> np.ndarray:
+        """Pair values (h, k) of the rows with these within-support indices."""
+        out = np.empty((len(digits), k), dtype=np.int64)
+        for p in reversed(range(k)):
+            digits, out[:, p] = np.divmod(digits, self.base)
+        return out + 1
+
+    def solutions(self, w: int, target: Sequence[int], cap: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Blocks (support, values) of every vector of weight exactly w with syndrome ``target``.
+
+        Raises ValueError, before any work, when either half has more than ``cap`` rows.
+        """
+        n, base = self.n, self.base
+        k_left, k_right = w // 2, w - w // 2
+        for side, k in (("left", k_left), ("right", k_right)):
+            if comb(n, k) * base ** k > cap:
+                raise ValueError(f"weight {w}: the {side} half has C({n},{k}) * {base}^{k} = "
+                                 f"{comb(n, k) * base ** k} rows, over the cap {cap}")
+        if w > n:
+            return
+        target = np.asarray(target, dtype=np.int64)
+        per_left, per_right = base ** k_left, base ** k_right
+        # A join key is a fingerprint with its low bits replaced by 1 + the last
+        # left position: the left rows that match a right row and end before
+        # its first position are one run of the sorted keys.
+        shift = np.uint64((n + 1).bit_length())
+        left_support = np.concatenate(list(_supports(n, k_left, self.CHUNK)))
+        left_end = left_support[:, -1] + 1 if k_left else np.zeros(1, dtype=np.int64)
+        left = self._half(left_support) >> shift << shift | np.repeat(left_end, per_left).astype(np.uint64)
+        order = np.argsort(left)
+        left = left[order]
+        want = self._fingerprints(target[None, :])[0]
+        for right_support in _supports(n, k_right, max(1, self.CHUNK // per_right)):
+            keys = (self._half(right_support) ^ want) >> shift << shift
+            first = np.searchsorted(left, keys)
+            start = np.repeat(right_support[:, 0] + 1, per_right).astype(np.uint64)
+            count = np.searchsorted(left, keys | start) - first
+            ends = np.cumsum(count)
+            for lo in range(0, int(ends[-1]), self.CHUNK):
+                pair = np.arange(lo, min(lo + self.CHUNK, int(ends[-1])))
+                ri = np.searchsorted(ends, pair, "right")
+                li = order[first[ri] + pair - (ends[ri] - count[ri])]
+                support = np.hstack([left_support[li // per_left], right_support[ri // per_right]])
+                values = np.hstack([self._values(li % per_left, k_left), self._values(ri % per_right, k_right)])
+                exact = (self.syndromes(support, values) == target).all(axis=1)
+                if exact.any():
+                    yield support[exact], values[exact]
+
+
+def _budget_min_weight(C: CodeBasis, D: CodeBasis, budget: int, cap: int = ENUMERATION_CAP) -> MinWeightResult:
+    """Sweep ambient vectors of symplectic weight 1..budget for one in C \\ D.
+
+    The vectors of C are those with zero syndrome against the checks of C
+    (the rows of its symplectic dual); a hit lies in D exactly when every
+    check of D vanishes on it too.
+    """
+    n = C.width // 2
+    in_c = _SyndromeSearch(C.field, symplectic_dual(C).rows, n)
+    in_d = _SyndromeSearch(C.field, symplectic_dual(D).rows, n)
+    zero = (0,) * (C.width - C.rank)
     for w in range(1, budget + 1):
-        for X, Z in _pair_value_chunks(q, w):
-            for support in combinations(range(n), w):
-                # membership in C: every dual check must vanish; prune per row
-                ax, az = X, Z
-                dead = False
-                for r in range(in_c.shape[0]):
-                    acc = np.zeros(len(ax), dtype=np.uint8)
-                    for p, i in enumerate(support):
-                        acc ^= mul[ax[:, p], in_c[r, i]]
-                        acc ^= mul[az[:, p], in_c[r, n + i]]
-                    keep = acc == 0
-                    if not keep.any():
-                        dead = True
-                        break
-                    ax, az = ax[keep], az[keep]
-                if dead:
-                    continue
-                outside = np.zeros(len(ax), dtype=bool)
-                for r in range(not_d.shape[0]):
-                    acc = np.zeros(len(ax), dtype=np.uint8)
-                    for p, i in enumerate(support):
-                        acc ^= mul[ax[:, p], not_d[r, i]]
-                        acc ^= mul[az[:, p], not_d[r, n + i]]
-                    outside |= acc != 0
-                if outside.any():
-                    return MinWeightResult(status="exact", weight=w)
+        for support, values in in_c.solutions(w, zero, cap):
+            if in_d.syndromes(support, values).any():
+                return MinWeightResult(status="exact", weight=w)
     return MinWeightResult(status="at-least", floor=budget + 1)
 
 
@@ -296,39 +347,14 @@ def relative_min_weight(
         raise ValueError(
             f"q^dim = {C.field.q ** C.rank} exceeds the enumeration cap; a weight budget is required"
         )
-    return _budget_min_weight(C, D, budget)
+    return _budget_min_weight(C, D, budget, cap)
 
 
 def min_hamming_weight(C: CodeBasis, cap: int = ENUMERATION_CAP) -> int:
     """Exact minimum Hamming weight over the nonzero codewords of C."""
-    field = C.field
-    if field.q > 256:
-        raise ValueError("exact enumeration requires a table-backed field (q <= 256)")
     if C.rank == 0:
         raise ValueError("the zero code has no nonzero codeword")
-    q = field.q
-    total = q ** C.rank
-    if total > cap:
-        raise ValueError(f"q^dim = {total} exceeds the enumeration cap {cap}")
-    mul = field.mul_table
-    R = np.array(C.rows, dtype=np.uint8)
-    best = C.width + 1
-    powers = [q ** i for i in range(C.rank)]
-    chunk = 1 << 16
-    for lo in range(1, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        cw = np.zeros((hi - lo, C.width), dtype=np.uint8)
-        for i in range(C.rank):
-            digits = ((idx // powers[i]) % q).astype(np.uint8)
-            if digits.any():
-                cw ^= mul[digits[:, None], R[i][None, :]]
-        m = int((cw != 0).sum(axis=1).min())
-        if m < best:
-            best = m
-        if best == 1:
-            break
-    return best
+    return _min_codeword_weight(C.field, C.rows, 1, cap, lambda cw: (cw != 0).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,11 @@ from agstab.decoder import (
     exhaustive_coset_leaders,
     guarantee_cap,
     hamming_min_solve,
-    swap_negate,
     symplectic_decode,
     syndrome_of,
-    unswap,
 )
 from agstab.gf import field
-from agstab.symplectic import CodeBasis, symplectic_form, symplectic_weight
+from agstab.symplectic import CodeBasis, swap_halves, symplectic_form, symplectic_weight
 
 
 def _dot(f, x, y):
@@ -51,11 +49,11 @@ def test_weight_one_error_has_nonzero_syndrome():
 
 
 def test_swap_negate_definition():
+    # e -> (-e_{n+1} .. -e_{2n}, e_1 .. e_n) is swap_halves in characteristic 2
     # n = 2: (a, 0 | 0, b) -> (0, -b | a, 0)
-    assert swap_negate((5, 0, 0, 7)) == (0, 7, 5, 0)
+    assert swap_halves((5, 0, 0, 7)) == (0, 7, 5, 0)
     e = (1, 2, 3, 4, 5, 6)
-    assert swap_negate(swap_negate(e)) == e     # involution (char 2)
-    assert unswap(swap_negate(e)) == e
+    assert swap_halves(swap_halves(e)) == e     # involution (char 2): it is its own inverse
 
 
 def test_swap_negate_transfers_the_form():
@@ -65,7 +63,7 @@ def test_swap_negate_transfers_the_form():
         for _ in range(60):
             e = tuple(int(v) for v in rng.integers(0, f.q, 8))
             b = tuple(int(v) for v in rng.integers(0, f.q, 8))
-            assert symplectic_form(f, e, b) == _dot(f, swap_negate(e), b)
+            assert symplectic_form(f, e, b) == _dot(f, swap_halves(e), b)
 
 
 def test_hamming_bound_on_swap():
@@ -73,7 +71,7 @@ def test_hamming_bound_on_swap():
     f = field(2)
     for _ in range(60):
         e = tuple(int(v) for v in rng.integers(0, f.q, 10))
-        wh = sum(1 for v in swap_negate(e) if v)
+        wh = sum(1 for v in swap_halves(e) if v)
         assert wh <= 2 * symplectic_weight(e)
 
 

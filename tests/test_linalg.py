@@ -80,6 +80,21 @@ def test_rref_leaves_input_alone():
     assert rows == snapshot
 
 
+@FUZZ
+@given(matrices(), st.data())
+def test_row_in_span_matches_the_span(case, data):
+    f, rows, width = case
+    R, pivots = linalg.rref(f, rows, width)
+    probes = data.draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=width, max_size=width),
+                                max_size=4))
+    probes += [list(r) for r in rows]
+    got = linalg.row_in_span(f, R, pivots, probes)
+    assert got.shape == (len(probes),) and got[len(probes) - len(rows):].all()
+    if f.q ** len(R) <= ORACLE_SIZE:
+        span = span_vectors(f, list(R), width)
+        assert list(got) == [tuple(p) in span for p in probes]
+
+
 def test_rref_q512_evaluation_slice():
     backend = RationalBackend(512)
     rows = evaluation_matrix(backend, 4, "g")[:40]

@@ -195,6 +195,9 @@ class RationalBackend:
         self.gamma = 1  # the additive shift of sigma(x) = x + 1
         self._points = self._build_points()
 
+    def __repr__(self) -> str:
+        return f"RationalBackend(q={self.q})"
+
     # -- places ----------------------------------------------------------
 
     def enumerate_places(self) -> tuple[list[Place], Place]:
@@ -285,6 +288,9 @@ class HermitianBackend:
         self.n = (q * q - 1) * q // 2
         self.x_shift = q * q // 2 - 1
         self._points = self._build_points()
+
+    def __repr__(self) -> str:
+        return f"HermitianBackend(q={self.q}, gamma={self.gamma})"
 
     # -- places ----------------------------------------------------------
 

@@ -19,29 +19,31 @@ certified ("unique-guaranteed").  Heavier errors come back either as a
 best-effort minimum ("found-min") or as an explicit "budget-exhausted",
 never as a silently wrong certificate.
 
-The Hamming solver itself enumerates support patterns by increasing
-weight and solves a small linear system per support.  It is a stand-in
-with the same outside behaviour as a dedicated algebraic-geometry
-decoder: unique minimum-weight recovery inside the guarantee region, and
+The Hamming solver runs the meet-in-the-middle kernel of ``symplectic``
+weight by weight and returns the lexicographically least vector of the
+first weight that has any; a weight whose halves exceed ORACLE_CAP rows,
+C(2n, k) * (q - 1)^k, is refused with ValueError.  It is a stand-in with
+the same outside behaviour as a dedicated algebraic-geometry decoder:
+unique minimum-weight recovery inside the guarantee region, and
 deterministic lexicographic tie-breaking outside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .gf import GF2m
-from .linalg import solve
+from .linalg import _as_array
 from .symplectic import (
     CodeBasis,
     _SyndromeSearch,
+    _symplectic_search,
     swap_halves,
-    symplectic_form,
     symplectic_weight,
+    syndrome_of,
 )
 
 ORACLE_CAP = 1 << 24
@@ -82,9 +84,19 @@ class DecodeResult:
     status: str  # "unique-guaranteed" | "found-min" | "budget-exhausted"
 
 
-def syndrome_of(field: GF2m, v: Sequence[int], dual_rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """s_i = <v, b_i> for each dual-basis row b_i."""
-    return tuple(symplectic_form(field, v, b) for b in dual_rows)
+def _least_solution(
+    search: _SyndromeSearch, target: Sequence[int], budget: int, cap: int
+) -> tuple[tuple[int, ...], int] | None:
+    """(lexicographically least vector, its weight) at the least weight 0 .. budget
+    with syndrome ``target``; None when there is none that light."""
+    if not any(target):
+        return (0,) * (search.group * search.n), 0
+    for w in range(1, budget + 1):
+        hits = [search.dense(*block) for block in search.solutions(w, target, cap)]
+        if hits:
+            vecs = np.concatenate(hits)
+            return tuple(vecs[np.lexsort(vecs.T[::-1])[0]].tolist()), w
+    return None
 
 
 def hamming_min_solve(
@@ -95,54 +107,22 @@ def hamming_min_solve(
 ) -> tuple[int, ...] | None:
     """Minimum Hamming-weight y with y . rows[i] = syndrome[i] for all i.
 
-    Supports are enumerated by increasing weight with one linear solve per
-    support; all solutions at the winning weight are collected so the
-    lexicographically least vector is returned.  None when every vector
-    with the right syndrome weighs more than ``budget``.
+    The kernel lists the vectors of each Hamming weight 1 .. budget with
+    that syndrome; the lexicographically least one of the first weight that
+    has any is returned, None when all weigh more than ``budget``.
+    ValueError on ragged rows, entries outside [0, q), and a weight whose
+    halves exceed ORACLE_CAP rows.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    width = len(rows[0]) if rows else 0
     if not rows:
         raise ValueError("need at least one check row")
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged check rows")
-    if not any(syndrome):
-        return (0,) * width
-    cols = [tuple(r[c] for r in rows) for c in range(width)]
-    nrows = len(rows)
-    for w in range(1, budget + 1):
-        hits: list[tuple[int, ...]] = []
-        for support in combinations(range(width), w):
-            sub = [[cols[c][r] for c in support] for r in range(nrows)]
-            particular, null_basis = solve(field, sub, w, syndrome)
-            if particular is None:
-                continue
-            candidates: Iterator[tuple[int, ...]]
-            if null_basis:
-                candidates = _affine_space(field, particular, null_basis)
-            else:
-                candidates = iter([particular])
-            for cand in candidates:
-                if all(cand):  # zeros would mean a smaller support, found earlier
-                    full = [0] * width
-                    for c, val in zip(support, cand):
-                        full[c] = val
-                    hits.append(tuple(full))
-        if hits:
-            return min(hits)
-    return None
-
-
-def _affine_space(field: GF2m, particular: Sequence[int], null_basis: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    width = len(particular)
-    for coeffs in product(field.elements(), repeat=len(null_basis)):
-        v = list(particular)
-        for c, row in zip(coeffs, null_basis):
-            if c:
-                for i in range(width):
-                    v[i] ^= field.mul(c, row[i])
-        yield tuple(v)
+    if len(syndrome) != len(rows):
+        raise ValueError(f"syndrome length {len(syndrome)} != {len(rows)} check rows")
+    width = len(rows[0])
+    search = _SyndromeSearch(field, _as_array(field, rows, width), width, 1)
+    found = _least_solution(search, _as_array(field, [syndrome], len(rows))[0], budget, ORACLE_CAP)
+    return None if found is None else found[0]
 
 
 def guarantee_cap(n: int, deg_g: int) -> int:
@@ -233,34 +213,20 @@ def brute_oracle(
 ) -> DecodeResult:
     """Exact coset minimizer by exhaustive enumeration.
 
-    Without ``weight_cap`` the whole ambient space is enumerated (requires
-    q^(2n) <= cap); with it, the meet-in-the-middle kernel of ``symplectic``
-    lists the coset weight by weight up to ``weight_cap`` (ValueError past
-    ``cap`` rows per half), and "budget-exhausted" is returned when the
+    Without ``weight_cap`` the syndrome's exhaustive coset leader is
+    returned (requires q^(2n) <= cap); with it, the meet-in-the-middle
+    kernel lists the coset weight by weight up to ``weight_cap`` (ValueError
+    past ``cap`` rows per half), and "budget-exhausted" is returned when the
     coset has no vector that light.  Ties are broken lexicographically on
     the entry tuple.
     """
-    field = problem.field
-    if weight_cap is not None:
-        if not any(problem.syndrome):
-            return DecodeResult(error=(0,) * problem.dual_basis.width, weight=0, status="found-min")
-        search = _SyndromeSearch(field, problem.dual_basis.rows, problem.n)
-        for w in range(1, weight_cap + 1):
-            hits = [search.dense(*block) for block in search.solutions(w, problem.syndrome, cap)]
-            if hits:
-                vecs = np.concatenate(hits)
-                best = vecs[np.lexsort(vecs.T[::-1])[0]]
-                return DecodeResult(error=tuple(best.tolist()), weight=w, status="found-min")
+    if weight_cap is None:
+        vec, w = exhaustive_coset_leaders(problem.field, problem.dual_basis, cap)[tuple(problem.syndrome)]
+        return DecodeResult(error=vec, weight=w, status="found-min")
+    found = _least_solution(_symplectic_search(problem.dual_basis), problem.syndrome, weight_cap, cap)
+    if found is None:
         return DecodeResult(error=None, weight=None, status="budget-exhausted")
-    syn = _all_syndromes(field, problem.dual_basis, cap)
-    target = np.array(problem.syndrome, dtype=np.uint8)
-    match = np.nonzero((syn == target).all(axis=1))[0]
-    if match.size == 0:
-        raise AssertionError("every syndrome is reachable for a full-rank dual basis")
-    weights = _weights_by_index(field.q, problem.dual_basis.width)[match]
-    best = match[int(np.argmin(weights))]  # argmin returns the first minimum
-    vec = _vector_of_index(field.q, problem.dual_basis.width, int(best))
-    return DecodeResult(error=vec, weight=int(weights.min()), status="found-min")
+    return DecodeResult(error=found[0], weight=found[1], status="found-min")
 
 
 def exhaustive_coset_leaders(

@@ -466,9 +466,6 @@ class SubfieldEmbedding:
         """Image in GF(q^m) of the subfield element with index a."""
         return self._embed[a]
 
-    def in_subfield(self, y: int) -> bool:
-        return y in self._project
-
     def project(self, y: int) -> int:
         """Inverse of embed; raises ValueError when y is outside the subfield."""
         try:

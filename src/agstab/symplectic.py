@@ -12,18 +12,20 @@ two equal subspaces compare bit for bit.
 The distance searches are the hot paths.  The exact relative minimum
 weight enumerates every codeword (up to q^dim <= ENUMERATION_CAP).  Larger
 codes are swept by weight with one meet-in-the-middle kernel (Stern 1988),
-``_SyndromeSearch``: the vectors of weight exactly w with syndrome t split
-after s_{w//2} of their support s_1 < ... < s_w; the left parts are held
-sorted by a 64-bit GF(2)-linear fingerprint of their syndromes, the right
-parts stream past them in chunks, and every match is checked exactly.  A
-weight whose halves exceed the cap is refused with ValueError.  Syndromes
-come from the log/antilog arrays, so every GF(2^r), r <= 16, works.
+``_SyndromeSearch``, which also decodes on Hamming weight: the vectors of
+weight exactly w with syndrome t split after s_{w//2} of their support
+s_1 < ... < s_w; the left parts are held sorted by a 64-bit GF(2)-linear
+fingerprint of their syndromes, the right parts stream past them in
+chunks, and every match is checked exactly.  A weight whose halves exceed
+the cap is refused with ValueError.  Syndromes come from the log/antilog
+arrays, so every GF(2^r), r <= 16, works.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
 from math import comb
 from typing import Iterator, Sequence
@@ -70,6 +72,19 @@ class CodeBasis:
     def contains_row(self, row: Sequence[int]) -> bool:
         return bool(linalg.row_in_span(self.field, self.rows, self.pivots, [row])[0])
 
+    @cached_property
+    def _symplectic_dual(self) -> "CodeBasis":
+        # memo for symplectic_dual: verify, the budget sweep and descent ask for the same dual
+        if self.width % 2:
+            raise ValueError("symplectic dual needs an even ambient length")
+        if self.rank == 0:
+            rows = linalg.identity_rows(self.width)
+            return CodeBasis(self.field, self.width, rows, tuple(range(self.width)))
+        # <x, h> is the standard product of x with swap_halves(h)
+        R, pivots = linalg.rref(self.field, [swap_halves(row) for row in self.rows], self.width)
+        null, null_pivots = linalg._nullspace_of_rref(self.field, R, pivots, self.width)
+        return CodeBasis(self.field, self.width, null, null_pivots)
+
 
 def row_reduce(field: GF2m, rows: Sequence[Sequence[int]], width: int | None = None) -> tuple[CodeBasis, int]:
     """Canonical rref basis of the span of ``rows`` and its rank."""
@@ -77,21 +92,26 @@ def row_reduce(field: GF2m, rows: Sequence[Sequence[int]], width: int | None = N
     return basis, basis.rank
 
 
-def _check_pair(field: GF2m, x: Sequence[int], y: Sequence[int]) -> int:
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) % 2:
-        raise ValueError(f"symplectic vectors have even length, got {len(x)}")
-    return len(x) // 2
-
-
 def symplectic_form(field: GF2m, x: Sequence[int], y: Sequence[int]) -> int:
     """<x, y> = sum x_i y_{n+i} - sum x_{n+i} y_i (signs collapse, char 2)."""
-    n = _check_pair(field, x, y)
-    acc = 0
-    for i in range(n):
-        acc ^= field.mul(x[i], y[n + i]) ^ field.mul(x[n + i], y[i])
-    return acc
+    return syndrome_of(field, x, [y])[0]
+
+
+def syndrome_of(field: GF2m, v: Sequence[int], dual_rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """s_i = <v, b_i> for each dual-basis row b_i.
+
+    <v, b> = swap_halves(v) . b, in one log/antilog pass over the nonzero
+    coordinates.  ValueError on odd or unequal lengths and entries outside [0, q).
+    """
+    if len(v) % 2:
+        raise ValueError(f"symplectic vectors have even length, got {len(v)}")
+    if any(len(b) != len(v) for b in dual_rows):
+        raise ValueError(f"length mismatch: rows must have length {len(v)}")
+    y = linalg._as_array(field, [swap_halves(v)], len(v))[0]
+    on = np.flatnonzero(y)
+    B = linalg._as_array(field, [[b[c] for c in on.tolist()] for b in dual_rows], len(on))
+    log, antilog = field.log_antilog
+    return tuple(np.bitwise_xor.reduce(antilog[log[y[on]] + log[B]], axis=1).tolist())
 
 
 def symplectic_weight(x: Sequence[int]) -> int:
@@ -109,16 +129,8 @@ def swap_halves(x: Sequence[int]) -> tuple[int, ...]:
 
 
 def symplectic_dual(basis: CodeBasis) -> CodeBasis:
-    """Basis of {x : <x, c> = 0 for all c in the row space}."""
-    if basis.width % 2:
-        raise ValueError("symplectic dual needs an even ambient length")
-    if basis.rank == 0:
-        rows = linalg.identity_rows(basis.width)
-        return CodeBasis(basis.field, basis.width, rows, tuple(range(basis.width)))
-    # <x, h> is the standard product of x with swap_halves(h)
-    R, pivots = linalg.rref(basis.field, [swap_halves(row) for row in basis.rows], basis.width)
-    null, null_pivots = linalg._nullspace_of_rref(basis.field, R, pivots, basis.width)
-    return CodeBasis(basis.field, basis.width, null, null_pivots)
+    """Basis of {x : <x, c> = 0 for all c in the row space}, reduced once per basis."""
+    return basis._symplectic_dual
 
 
 def contains(outer: CodeBasis, inner: CodeBasis) -> bool:
@@ -197,65 +209,77 @@ def _supports(n: int, k: int, step: int) -> Iterator[np.ndarray]:
 
 
 class _SyndromeSearch:
-    """Vectors of symplectic weight exactly w with syndrome t against check rows.
+    """Vectors of weight exactly w with syndrome t = (y . checks[r])_r.
 
-    s_r = <x, rows[r]> = sum_i X_i a_i[r] + Z_i b_i[r] for x = (X | Z), where
-    a_i and b_i are columns i and n + i of the rows after ``swap_halves``.
-    A vector of weight w is held as its support (w sorted positions) and
-    its pair values v in 1 .. q^2 - 1, with (X_i, Z_i) = divmod(v, q).
+    The g m coordinates form m positions: position p holds coordinates p,
+    m + p, .., (g - 1) m + p, and the weight counts the nonzero positions.
+    g = 1 is the Hamming weight; g = 2 against the swap_halves of symplectic
+    rows is the symplectic weight.  A vector of weight w is held as its
+    support (w sorted positions) and its position values v in 1 .. q^g - 1,
+    whose base-q digits, most significant first, are the coordinates.
     """
 
     CHUNK = 1 << 16  # right-half rows streamed, and matches expanded, at once
 
-    def __init__(self, field: GF2m, rows: Sequence[Sequence[int]], n: int):
+    def __init__(self, field: GF2m, checks: Sequence[Sequence[int]], positions: int, group: int):
         log, _ = field.log_antilog
-        checks = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n)
-        self.field, self.n, self.base = field, n, field.q * field.q - 1
-        self._log_a, self._log_b = log[checks[:, n:].T], log[checks[:, :n].T]
+        H = np.asarray(checks, dtype=np.int64).reshape(len(checks), group * positions)
+        self.field, self.n, self.group, self.base = field, positions, group, field.q ** group - 1
+        # _log[k][p]: the logs of column k m + p, which digit k of position p multiplies
+        self._log = log[np.ascontiguousarray(H.T)].reshape(group, positions, len(H))
         mix = random.Random(0)  # a fixed random GF(2)-linear map from syndrome bits to 64 bits
-        self._mix = np.array([mix.getrandbits(64) for _ in range(len(rows) * field.degree)], dtype=np.uint64)
-        # fingerprints of the single-bit pair values 1, 2, 4, .. at each position (n, 2r);
+        self._mix = np.array([mix.getrandbits(64) for _ in range(len(H) * field.degree)], dtype=np.uint64)
+        # fingerprints of the single-bit position values 1, 2, 4, .. at each position (m, g r);
         # a syndrome is GF(2)-linear in the bits of v, so these give every v
-        nbits = 2 * field.degree
-        position = np.repeat(np.arange(n), nbits)[:, None]
-        unit = np.tile(1 << np.arange(nbits), n)[:, None]
-        self._bit_keys = self._fingerprints(self.syndromes(position, unit)).reshape(n, nbits)
+        nbits = group * field.degree
+        position = np.repeat(np.arange(positions), nbits)[:, None]
+        unit = np.tile(1 << np.arange(nbits), positions)[:, None]
+        self._bit_keys = self._fingerprints(self.syndromes(position, unit)).reshape(positions, nbits)
+
+    def _digits(self, values: np.ndarray) -> list[np.ndarray]:
+        """The g base-q digits of position values, most significant first."""
+        r, last = self.field.degree, self.group - 1
+        return [(values >> (r * (last - k))) & (self.field.q - 1) for k in range(self.group)]
 
     def syndromes(self, support: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Exact syndromes (h, checks) of the vectors given by (h, w) supports and values."""
         log, antilog = self.field.log_antilog
-        out = np.zeros((len(support), self._log_a.shape[1]), dtype=antilog.dtype)
+        out = np.zeros((len(support), self._log.shape[2]), dtype=antilog.dtype)
         for p in range(support.shape[1]):
-            x, z = np.divmod(values[:, p], self.field.q)
-            out ^= antilog[log[x][:, None] + self._log_a[support[:, p]]]
-            out ^= antilog[log[z][:, None] + self._log_b[support[:, p]]]
+            for digit, column_log in zip(self._digits(values[:, p]), self._log):
+                out ^= antilog[log[digit][:, None] + column_log[support[:, p]]]
         return out
 
     def dense(self, support: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """The same vectors as (h, 2n) arrays (X | Z)."""
-        out = np.zeros((len(support), 2 * self.n), dtype=np.int64)
+        """The same vectors as (h, g m) arrays."""
+        out = np.zeros((len(support), self.group * self.n), dtype=np.int64)
         row = np.arange(len(support))[:, None]
-        out[row, support], out[row, self.n + support] = np.divmod(values, self.field.q)
+        for k, digit in enumerate(self._digits(values)):
+            out[row, k * self.n + support] = digit
         return out
 
     def _fingerprints(self, syndromes: np.ndarray) -> np.ndarray:
-        bits = (syndromes[:, :, None].astype(np.int64) >> np.arange(self.field.degree)) & 1
-        keys = np.where(bits.reshape(len(syndromes), self._mix.size) == 1, self._mix, np.uint64(0))
-        return np.bitwise_xor.reduce(keys, axis=1)
+        """XOR of mix[c r + t] over the set bits t of every syndrome entry c, one bit plane at a time."""
+        mix = self._mix.reshape(-1, self.field.degree)
+        keys = np.zeros(len(syndromes), dtype=np.uint64)
+        for t in range(self.field.degree):
+            plane = ((syndromes >> t) & 1).astype(bool)
+            keys ^= np.bitwise_xor.reduce(np.where(plane, mix[:, t], np.uint64(0)), axis=1)
+        return keys
 
     def _half(self, support: np.ndarray) -> np.ndarray:
         """Fingerprints of the s * base^k vectors on s supports of size k, support-major;
-        row d of a support has pair values 1 + the base-``base`` digits of d, most significant first."""
+        row d of a support has position values 1 + the base-``base`` digits of d, most significant first."""
         keys = np.zeros((len(support), 1), dtype=np.uint64)
         for p in range(support.shape[1]):
-            pair = np.zeros((len(support), self.base + 1), dtype=np.uint64)  # pair value v -> fingerprint
+            value = np.zeros((len(support), self.base + 1), dtype=np.uint64)  # position value v -> fingerprint
             for b, column in enumerate(self._bit_keys[support[:, p]].T):
-                pair[:, 1 << b: 2 << b] = pair[:, : 1 << b] ^ column[:, None]
-            keys = (keys[:, :, None] ^ pair[:, None, 1:]).reshape(len(support), -1)
+                value[:, 1 << b: 2 << b] = value[:, : 1 << b] ^ column[:, None]
+            keys = (keys[:, :, None] ^ value[:, None, 1:]).reshape(len(support), -1)
         return keys.reshape(-1)
 
     def _values(self, digits: np.ndarray, k: int) -> np.ndarray:
-        """Pair values (h, k) of the rows with these within-support indices."""
+        """Position values (h, k) of the rows with these within-support indices."""
         out = np.empty((len(digits), k), dtype=np.int64)
         for p in reversed(range(k)):
             digits, out[:, p] = np.divmod(digits, self.base)
@@ -303,16 +327,22 @@ class _SyndromeSearch:
                     yield support[exact], values[exact]
 
 
+def _symplectic_search(basis: CodeBasis) -> _SyndromeSearch:
+    """The kernel on symplectic weight, checking <x, b> = x . swap_halves(b) for the rows b of ``basis``."""
+    rows = np.array(basis.rows, dtype=np.int64).reshape(basis.rank, basis.width)
+    return _SyndromeSearch(basis.field, np.roll(rows, basis.width // 2, axis=1), basis.width // 2, 2)
+
+
 def _budget_min_weight(C: CodeBasis, D: CodeBasis, budget: int, cap: int = ENUMERATION_CAP) -> MinWeightResult:
     """Sweep ambient vectors of symplectic weight 1..budget for one in C \\ D.
 
     The vectors of C are those with zero syndrome against the checks of C
     (the rows of its symplectic dual); a hit lies in D exactly when every
-    check of D vanishes on it too.
+    check of D vanishes on it too.  The checks of D = C^perp are the rows of C.
     """
-    n = C.width // 2
-    in_c = _SyndromeSearch(C.field, symplectic_dual(C).rows, n)
-    in_d = _SyndromeSearch(C.field, symplectic_dual(D).rows, n)
+    dual_c = symplectic_dual(C)
+    in_c = _symplectic_search(dual_c)
+    in_d = _symplectic_search(C if dual_c == D else symplectic_dual(D))
     zero = (0,) * (C.width - C.rank)
     for w in range(1, budget + 1):
         for support, values in in_c.solutions(w, zero, cap):

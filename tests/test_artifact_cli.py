@@ -46,6 +46,29 @@ def test_each_riemann_roch_matrix_evaluated_once(monkeypatch):
     assert sorted(calls) == ["g", "h"]
 
 
+def test_verify_budget_reduces_each_dual_once(monkeypatch):
+    from agstab import linalg
+
+    calls = []
+    real = linalg._nullspace_of_rref
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    down = artifact_mod.descend_artifact(artifact_mod.construct_artifact("hermitian", 2, 1))
+    monkeypatch.setattr(linalg, "_nullspace_of_rref", counting)
+    # dual-equality reduces the dual of C(G); the sweep reuses it, and takes
+    # the checks of C(H) = C(G)^perp from C(G) itself (three reductions before)
+    assert artifact_mod.verify_artifact(down, budget=2)["ok"]
+    assert len(calls) == 1
+    calls.clear()
+    down.c_h_rows = down.c_h_rows[1:]    # no longer the dual: its own checks are reduced
+    report = artifact_mod.verify_artifact(down, budget=2)
+    assert "dual-equality" in {c["name"] for c in report["checks"] if c["status"] == "fail"}
+    assert len(calls) == 2
+
+
 def test_verify_passes_and_reports_all_checks(tmp_path):
     art = artifact_mod.construct_artifact("rational", 8, 1)
     report = artifact_mod.verify_artifact(art, exact_distance=True)
@@ -162,6 +185,28 @@ def test_cli_invalid_parameters_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x.json")])
     assert code == 2
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_names_the_backend_in_errors(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    assert main(["construct", "--backend", "rational", "--q", "16", "--j", "99", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: j must be in [0, 8] for RationalBackend(q=16), got 99\n"
+    assert main(["construct", "--backend", "hermitian", "--q", "4", "--j", "99", "--out", out]) == 2
+    assert "for HermitianBackend(q=4, gamma=1), got 99" in capsys.readouterr().err
+
+
+def test_cli_decode_sim_refuses_past_the_cap(tmp_path, capsys):
+    art = str(tmp_path / "r128.json")
+    assert main(["construct", "--backend", "rational", "--q", "128", "--j", "1", "--out", art]) == 0
+    capsys.readouterr()
+    # a weight-2 error inside the guarantee region (t_cap = 15) has Hamming weight 3 or 4
+    # after the swap; the Hamming sweep refuses weight 3 instead of running for minutes
+    code = main(["decode-sim", "--artifact", art, "--trials", "1", "--weight", "2", "--seed", "1",
+                 "--out", str(tmp_path / "trials.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: weight 3: the right half has C(128,2) * 127^2 = 131096512 rows, "
+                   "over the cap 16777216\n")
 
 
 def test_cli_usage_error_exit_2():

@@ -13,6 +13,7 @@ from agstab.decoder import (
 )
 from agstab.gf import field
 from agstab.symplectic import CodeBasis, swap_halves, symplectic_form, symplectic_weight
+from conftest import naive_symplectic_form
 
 
 def _dot(f, x, y):
@@ -46,6 +47,19 @@ def test_weight_one_error_has_nonzero_syndrome():
     e = [0] * 16
     e[0] = 5
     assert any(syndrome_of(rb.field, tuple(e), ch.rows))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 9])
+def test_syndrome_of_matches_the_symplectic_form(degree):
+    f = field(degree)
+    rng = np.random.default_rng(7 + degree)
+    rows = [tuple(int(v) for v in rng.integers(0, f.q, 8)) for _ in range(3)]
+    for density in (0.0, 0.2, 1.0):
+        for _ in range(10):
+            e = tuple(int(v) if rng.random() < density else 0 for v in rng.integers(0, f.q, 8))
+            got = syndrome_of(f, e, rows)
+            assert got == tuple(naive_symplectic_form(f, e, r) for r in rows)
+            assert all(type(v) is int for v in got)
 
 
 def test_swap_negate_definition():
@@ -103,6 +117,30 @@ def test_hamming_solver_recovers_planted():
         target = tuple(_dot(f, y, b) for b in ch.rows)
         got = hamming_min_solve(f, target, ch.rows, 2)
         assert got == tuple(y)
+
+
+GOOD_ROWS = [(1, 0, 2, 3), (0, 1, 1, 2)]
+
+
+@pytest.mark.parametrize("rows, syndrome", [
+    ([(1, 0, 2, 3), (0, 1, -1, 2)], (1, 0)),    # negative entry in a row
+    ([(1, 0, 2, 3), (0, 1, 4, 2)], (1, 0)),     # entry = q in a row
+    (GOOD_ROWS, (1, 5)),                        # syndrome entry > q - 1
+    (GOOD_ROWS, (-1, 0)),                       # negative syndrome entry
+    ([(1, 0, 2, 3), (0, 1, 1)], (1, 0)),        # ragged rows
+    (GOOD_ROWS, (1, 0, 0)),                     # syndrome longer than the rows
+    ([], ()),                                   # no check rows
+])
+def test_hamming_solver_rejects_malformed_input(rows, syndrome):
+    f = field(2)
+    with pytest.raises(ValueError):
+        hamming_min_solve(f, syndrome, rows, 2)
+
+
+def test_hamming_solver_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        hamming_min_solve(field(2), (1, 0), GOOD_ROWS, -1)
+    assert hamming_min_solve(field(2), (1, 0), GOOD_ROWS, 2) is not None
 
 
 def test_hamming_solver_monotone_in_budget():

@@ -1,18 +1,22 @@
 """Differential tests for the meet-in-the-middle syndrome kernel: the
-kernel against a brute-force scan, the weight-budget sweep against the
-naive span oracle, the weight-capped decoding oracle against the
-exhaustive coset leaders, and negative controls for the D-rejection,
-fingerprint collisions, the work cap and containment."""
+kernel on symplectic and on Hamming weight against brute-force scans, the
+weight-budget sweep against the naive span oracle, the weight-capped
+decoding oracle against the exhaustive coset leaders, the Hamming decoder
+against a whole-space minimum, and negative controls for the
+D-rejection, fingerprint collisions, the work cap and containment."""
 
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agstab.decoder import SyndromeProblem, brute_oracle, exhaustive_coset_leaders
+from agstab.decoder import (ORACLE_CAP, SyndromeProblem, brute_oracle, exhaustive_coset_leaders,
+                            hamming_min_solve)
 from agstab.gf import field
-from agstab.symplectic import ENUMERATION_CAP, CodeBasis, _SyndromeSearch, contains, relative_min_weight
+from agstab.symplectic import (ENUMERATION_CAP, CodeBasis, _SyndromeSearch, contains, relative_min_weight,
+                                swap_halves)
 from conftest import naive_relative_min_weight, naive_symplectic_form, naive_symplectic_weight
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -104,8 +108,58 @@ def _brute_solutions(dual, w, syndrome):
 @given(syndrome_problems(), st.integers(1, 4))
 def test_kernel_lists_each_solution_once(case, w):
     dual, syndrome = case
-    found = _kernel_solutions(_SyndromeSearch(dual.field, dual.rows, dual.width // 2), w, syndrome)
+    found = _kernel_solutions(_SyndromeSearch(dual.field, [swap_halves(r) for r in dual.rows],
+                                              dual.width // 2, 2), w, syndrome)
     assert len(found) == len(set(found)) and set(found) == _brute_solutions(dual, w, syndrome)
+
+
+@st.composite
+def hamming_problems(draw):
+    """(field, rows, syndrome) over GF(2), GF(4) or GF(8); the rows need not be independent."""
+    f = field(draw(st.sampled_from((1, 2, 3))))
+    width = draw(st.integers(1, {2: 8, 4: 5, 8: 4}[f.q]))
+    rows = draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=width, max_size=width),
+                         min_size=1, max_size=width))
+    syndrome = tuple(draw(st.lists(st.integers(0, f.q - 1), min_size=len(rows), max_size=len(rows))))
+    return f, rows, syndrome
+
+
+def _dot(f, x, y):
+    acc = 0
+    for a, b in zip(x, y):
+        acc ^= f.mul(a, b)
+    return acc
+
+
+def _hamming_brute(f, rows, syndrome):
+    """Every vector y with y . rows[i] = syndrome[i], by a whole-space scan."""
+    return {v for v in product(f.elements(), repeat=len(rows[0]))
+            if tuple(_dot(f, v, r) for r in rows) == syndrome}
+
+
+def _hamming_weight(v):
+    return sum(1 for x in v if x)
+
+
+@settings(FUZZ, max_examples=40)
+@given(hamming_problems(), st.integers(1, 4))
+def test_hamming_kernel_lists_each_solution_once(case, w):
+    f, rows, syndrome = case
+    found = _kernel_solutions(_SyndromeSearch(f, rows, len(rows[0]), 1), w, syndrome)
+    expected = {v for v in _hamming_brute(f, rows, syndrome) if _hamming_weight(v) == w}
+    assert len(found) == len(set(found)) and set(found) == expected
+
+
+@FUZZ
+@given(hamming_problems())
+def test_hamming_min_solve_matches_the_whole_space_minimum(case):
+    f, rows, syndrome = case
+    ranked = sorted((_hamming_weight(v), v) for v in _hamming_brute(f, rows, syndrome))
+    for budget in range(5):
+        got = hamming_min_solve(f, syndrome, rows, budget)
+        expected = next((v for w, v in ranked if w <= budget), None)  # least weight, then lexicographic
+        assert got == expected
+        assert got is None or all(type(v) is int for v in got)
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +181,32 @@ def test_sweep_skips_light_vectors_of_d():
 def test_kernel_rejects_fingerprint_collisions(w):
     f = field(2)
     dual = CodeBasis.from_rows(f, [(1, 2, 0, 3, 1, 1), (0, 1, 1, 2, 0, 3)], 6)
-    search = _SyndromeSearch(f, dual.rows, 3)
+    search = _SyndromeSearch(f, [swap_halves(r) for r in dual.rows], 3, 2)
     search._mix[:], search._bit_keys[:] = 0, 0   # every fingerprint 0: every pair matches
     found = _kernel_solutions(search, w, (1, 2))
     assert len(found) == len(set(found)) and set(found) == _brute_solutions(dual, w, (1, 2))
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_hamming_kernel_rejects_fingerprint_collisions(w):
+    f = field(2)
+    rows = [(1, 2, 0, 3, 1), (0, 1, 1, 2, 3)]
+    search = _SyndromeSearch(f, rows, 5, 1)
+    search._mix[:], search._bit_keys[:] = 0, 0   # every fingerprint 0: every pair matches
+    found = _kernel_solutions(search, w, (1, 2))
+    expected = {v for v in _hamming_brute(f, rows, (1, 2)) if _hamming_weight(v) == w}
+    assert len(found) == len(set(found)) and set(found) == expected
+
+
+def test_hamming_min_solve_refuses_past_the_cap_naming_its_estimate():
+    f = field(4)
+    rows = [(1,) * 400, (1,) * 400]     # equal rows: syndrome (1, 0) is never reached
+    # weights 1 and 2 need 400 * 15 = 6000 rows per half; weight 3 needs C(400,2) * 15^2
+    assert comb(400, 2) * 15 ** 2 > ORACLE_CAP >= 400 * 15
+    assert hamming_min_solve(f, (1, 0), rows, 2) is None
+    with pytest.raises(ValueError, match=rf"weight 3: the right half has C\(400,2\) \* 15\^2 = "
+                                         rf"{comb(400, 2) * 225} rows, over the cap {ORACLE_CAP}"):
+        hamming_min_solve(f, (1, 0), rows, 3)
 
 
 def test_sweep_refuses_past_the_cap_naming_its_estimate():

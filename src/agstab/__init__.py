@@ -8,7 +8,7 @@ rate-curve tabulation.
 
 __version__ = "0.1.0"
 
-from .gf import GF2m, FieldElement, SubfieldEmbedding, field
+from .gf import GF2m, SubfieldEmbedding, field
 from .symplectic import (
     CodeBasis,
     MinWeightResult,

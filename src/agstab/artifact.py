@@ -98,27 +98,102 @@ def to_json(art: CodeArtifact) -> str:
     return out.getvalue()
 
 
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _json_kind(value: Any) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    return _KINDS.get(type(value), type(value).__name__)
+
+
+def _entry(block: dict, path: str, key: str, kind: type, nullable: bool = False) -> Any:
+    """block[key], checked to be of ``kind`` (a bool is not an int) or, if nullable, null."""
+    where = f"{path}.{key}" if path else key
+    if key not in block:
+        raise ValueError(f"artifact: missing key {where!r}")
+    value = block[key]
+    if (value is None and nullable) or (isinstance(value, kind) and not isinstance(value, bool)):
+        return value
+    expected = _KINDS[kind] + (" or null" if nullable else "")
+    raise ValueError(f"artifact: {where} must be {expected}, got {_json_kind(value)}")
+
+
+def _element_rows(rows: list, path: str, q: int, width: int | None) -> list[list[int]]:
+    """Lists of field-element indices in [0, q), each of length ``width`` when it is given."""
+    for i, row in enumerate(rows):
+        where = f"{path}[{i}]"
+        if not isinstance(row, list):
+            raise ValueError(f"artifact: {where} must be a list, got {_json_kind(row)}")
+        if width is not None and len(row) != width:
+            raise ValueError(f"artifact: {where} has length {len(row)}, expected 2n = {width}")
+        if set(map(type, row)) - {int}:
+            bad = next(v for v in row if type(v) is not int)
+            raise ValueError(f"artifact: {where} holds {_json_kind(bad)}, expected field-element integers")
+        values = set(row)  # no bools here, so no True merges into a 1
+        if values and (min(values) < 0 or max(values) >= q):
+            bad = next(v for v in row if not 0 <= v < q)
+            raise ValueError(f"artifact: {where} holds {bad}, outside [0, {q})")
+    return rows
+
+
 def from_json(text: str) -> CodeArtifact:
+    """Parse a schema-v1 artifact.
+
+    The structure is checked here: every key present, every value of its
+    type, the matrices rectangular with rows of length 2n and entries in
+    [0, q).  ValueError names the first offending key.  What the values
+    claim (k, d, the rows themselves) is left to ``verify_artifact``.
+    """
     doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
-    backend = doc.get("backend")
-    params = doc["params"]
+    if not isinstance(doc, dict):
+        raise ValueError(f"artifact: the document must be an object, got {_json_kind(doc)}")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {version!r}")
+    backend = _entry(doc, "", "backend", dict, nullable=True)
+    if backend is not None:
+        _entry(backend, "backend", "kind", str)
+        for key in ("q", "gamma", "j"):
+            _entry(backend, "backend", key, int)
+    block = _entry(doc, "", "field", dict)
+    for key in ("characteristic", "degree", "modulus", "size"):
+        _entry(block, "field", key, int)
+    f = _field_from_block(block)
+    if (block["characteristic"], block["size"]) != (2, f.q):
+        raise ValueError(f"artifact: field.characteristic and field.size must be 2 and {f.q} "
+                         f"for degree {f.degree}, got {block['characteristic']} and {block['size']}")
+    params = _entry(doc, "", "params", dict)
+    n = _entry(params, "params", "n", int)
+    if n < 1:
+        raise ValueError(f"artifact: params.n must be positive, got {n}")
+    k = _entry(params, "params", "k", int)
+    deg_g, d_lower, d_exact = (_entry(params, "params", key, int, nullable=True)
+                               for key in ("deg_g", "d_lower", "d_exact"))
+    places = _entry(doc, "", "places", list, nullable=True)
+    if places is not None:
+        _element_rows(places, "places", f.q, None)
+    matrices = _entry(doc, "", "matrices", dict)
+    rows = {key: _element_rows(_entry(matrices, "matrices", key, list), f"matrices.{key}", f.q, 2 * n)
+            for key in ("c_g", "c_h")}
+    provenance = _entry(doc, "", "provenance", dict)
     return CodeArtifact(
         backend_kind=None if backend is None else backend["kind"],
         q=None if backend is None else backend["q"],
         gamma=None if backend is None else backend["gamma"],
         j=None if backend is None else backend["j"],
-        field=_field_from_block(doc["field"]),
-        places=doc.get("places"),
-        c_g_rows=[list(r) for r in doc["matrices"]["c_g"]],
-        c_h_rows=[list(r) for r in doc["matrices"]["c_h"]],
-        n=params["n"],
-        k=params["k"],
-        deg_g=params.get("deg_g"),
-        d_lower=params.get("d_lower"),
-        d_exact=params.get("d_exact"),
-        descended_from=doc["provenance"].get("descended_from"),
+        field=f,
+        places=places,
+        c_g_rows=rows["c_g"],
+        c_h_rows=rows["c_h"],
+        n=n,
+        k=k,
+        deg_g=deg_g,
+        d_lower=d_lower,
+        d_exact=d_exact,
+        descended_from=_entry(provenance, "provenance", "descended_from", dict, nullable=True),
     )
 
 
@@ -315,14 +390,18 @@ def verify_artifact(
         )
         dim_ok = cp.dim == art.n + art.j
         if exact_distance and art.field.q ** cp.dim <= cap:
-            w = min_hamming_weight(c_g, cap)
-            checks.append(
-                _check(
-                    "hamming-bound",
-                    dim_ok and w >= cp.d_hamming_lower,
-                    f"classical dim {cp.dim} = n + j and min Hamming weight {w} >= {cp.d_hamming_lower}",
+            try:
+                w = min_hamming_weight(c_g, cap)
+            except ValueError as exc:
+                checks.append(_check("hamming-bound", False, f"search failed: {exc}"))
+            else:
+                checks.append(
+                    _check(
+                        "hamming-bound",
+                        dim_ok and w >= cp.d_hamming_lower,
+                        f"classical dim {cp.dim} = n + j and min Hamming weight {w} >= {cp.d_hamming_lower}",
+                    )
                 )
-            )
         else:
             checks.append(
                 _check(

@@ -31,6 +31,7 @@ deterministic lexicographic tie-breaking outside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -99,6 +100,16 @@ def _least_solution(
     return None
 
 
+@lru_cache(maxsize=8)
+def _hamming_search(field: GF2m, shape: tuple[int, int], rows: bytes) -> _SyndromeSearch:
+    """The Hamming-weight kernel on the check rows whose element array has this shape and these bytes.
+
+    Memoised: decode-sim decodes every trial of a code against the same rows.
+    """
+    checks = np.frombuffer(rows, dtype=field.log_antilog[1].dtype).reshape(shape)
+    return _SyndromeSearch(field, checks, shape[1], 1)
+
+
 def hamming_min_solve(
     field: GF2m,
     syndrome: Sequence[int],
@@ -120,7 +131,8 @@ def hamming_min_solve(
     if len(syndrome) != len(rows):
         raise ValueError(f"syndrome length {len(syndrome)} != {len(rows)} check rows")
     width = len(rows[0])
-    search = _SyndromeSearch(field, _as_array(field, rows, width), width, 1)
+    checks = _as_array(field, rows, width)
+    search = _hamming_search(field, checks.shape, checks.tobytes())
     found = _least_solution(search, _as_array(field, [syndrome], len(rows))[0], budget, ORACLE_CAP)
     return None if found is None else found[0]
 

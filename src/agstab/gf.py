@@ -32,7 +32,6 @@ trial division, so a custom modulus cannot silently corrupt a field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -212,9 +211,6 @@ class GF2m:
     def nonzero_elements(self) -> range:
         return range(1, self.q)
 
-    def element(self, index: int) -> "FieldElement":
-        return FieldElement(self, index)
-
     def min_poly(self, a: int) -> int:
         """Minimal polynomial of element a over GF(2), as a bit mask."""
         conjugates = []
@@ -302,55 +298,6 @@ class GF2m:
 def field(degree: int) -> GF2m:
     """Shared GF(2^degree) instance with the default modulus."""
     return GF2m(degree)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element bound to its field, for mix-up-safe arithmetic.
-
-    The bulk code paths work on bare integer indices; this wrapper is the
-    boundary representation that refuses to combine elements of different
-    fields.
-    """
-
-    field: GF2m
-    index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < self.field.q:
-            raise ValueError(f"index {self.index} out of range for {self.field}")
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if self.field != other.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.index ^ other.index)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.index, other.index))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.div(self.index, other.index))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.index, e))
-
-    def __neg__(self) -> "FieldElement":
-        return self
-
-    def __bool__(self) -> bool:
-        return self.index != 0
-
-    def __repr__(self) -> str:
-        return f"{self.field}[{self.index}]"
 
 
 # ---------------------------------------------------------------------------

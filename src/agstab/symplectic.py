@@ -9,16 +9,17 @@ weight of a vector counts the pairs (x_i, x_{n+i}) that are not both zero.
 A basis is always kept in canonical reduced row echelon form so that any
 two equal subspaces compare bit for bit.
 
-The distance searches are the hot paths.  The exact relative minimum
-weight enumerates every codeword (up to q^dim <= ENUMERATION_CAP).  Larger
-codes are swept by weight with one meet-in-the-middle kernel (Stern 1988),
-``_SyndromeSearch``, which also decodes on Hamming weight: the vectors of
-weight exactly w with syndrome t split after s_{w//2} of their support
-s_1 < ... < s_w; the left parts are held sorted by a 64-bit GF(2)-linear
-fingerprint of their syndromes, the right parts stream past them in
-chunks, and every match is checked exactly.  A weight whose halves exceed
-the cap is refused with ValueError.  Syndromes come from the log/antilog
-arrays, so every GF(2^r), r <= 16, works.
+The distance searches are the hot paths.  Every one sweeps the weights
+w = 1, 2, .. on one meet-in-the-middle kernel (Stern 1988),
+``_SyndromeSearch``: the exact distances (symplectic, for q^dim <=
+ENUMERATION_CAP, and Hamming) stop at the first weight with a codeword,
+the weight-budget sweep at its budget.  The kernel also decodes on Hamming
+weight.  The vectors of weight exactly w with syndrome t split after
+s_{w//2} of their support s_1 < ... < s_w; the left parts are held sorted
+by a 64-bit GF(2)-linear fingerprint of their syndromes, the right parts
+stream past them in chunks, and every match is checked exactly.  A weight
+whose halves exceed the cap is refused with ValueError.  Syndromes come
+from the log/antilog arrays, so every GF(2^r), r <= 16, works.
 """
 
 from __future__ import annotations
@@ -158,49 +159,6 @@ class MinWeightResult:
     floor: int | None = None
 
 
-def _min_codeword_weight(field: GF2m, rows: Sequence[Sequence[int]], start: int, cap: int, weight) -> int:
-    """Least weight over the codewords sum_i m_i * rows[i] with message index m >= start.
-
-    Digit i of m in base q is m_i.  ``weight`` maps a chunk of codewords
-    (one per array row) to their weights; the search stops early at 1.
-    """
-    if field.q > 256:
-        raise ValueError("exact enumeration requires a table-backed field (q <= 256)")
-    q = field.q
-    k = len(rows)
-    total = q ** k
-    if total > cap:
-        raise ValueError(f"q^dim = {total} exceeds the enumeration cap {cap}")
-    mul = field.mul_table
-    R = np.array(rows, dtype=np.uint8)
-    best = R.shape[1] + 1
-    chunk = 1 << 16
-    for lo in range(start, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        cw = np.zeros((len(idx), R.shape[1]), dtype=np.uint8)
-        for i in range(k):
-            digits = ((idx // q ** i) % q).astype(np.uint8)
-            if digits.any():
-                cw ^= mul[digits[:, None], R[i][None, :]]
-        best = min(best, int(weight(cw).min()))
-        if best == 1:
-            break
-    return best
-
-
-def _enumerate_min_weight(C: CodeBasis, D: CodeBasis, cap: int) -> int:
-    """Exact min symplectic weight over C \\ D by full enumeration.
-
-    Codewords are generated as u * D_rows + v * E_rows with E a complement
-    of D inside C; restricting to v != 0 enumerates exactly C \\ D.  D's
-    pivots are pivots of C (D <= C), and E is the rows of C at the others.
-    """
-    n = C.width // 2
-    rows = list(D.rows) + [row for row, p in zip(C.rows, C.pivots) if p not in D.pivots]
-    return _min_codeword_weight(C.field, rows, C.field.q ** D.rank, cap,
-                                lambda cw: ((cw[:, :n] != 0) | (cw[:, n:] != 0)).sum(axis=1))
-
-
 def _supports(n: int, k: int, step: int) -> Iterator[np.ndarray]:
     """The k-subsets of range(n) in lexicographic order, as sorted rows of <= step arrays."""
     it = combinations(range(n), k)
@@ -333,8 +291,8 @@ def _symplectic_search(basis: CodeBasis) -> _SyndromeSearch:
     return _SyndromeSearch(basis.field, np.roll(rows, basis.width // 2, axis=1), basis.width // 2, 2)
 
 
-def _budget_min_weight(C: CodeBasis, D: CodeBasis, budget: int, cap: int = ENUMERATION_CAP) -> MinWeightResult:
-    """Sweep ambient vectors of symplectic weight 1..budget for one in C \\ D.
+def _first_weight(C: CodeBasis, D: CodeBasis, budget: int, cap: int) -> int | None:
+    """The least symplectic weight 1..budget of a vector in C \\ D; None when all are heavier.
 
     The vectors of C are those with zero syndrome against the checks of C
     (the rows of its symplectic dual); a hit lies in D exactly when every
@@ -347,8 +305,28 @@ def _budget_min_weight(C: CodeBasis, D: CodeBasis, budget: int, cap: int = ENUME
     for w in range(1, budget + 1):
         for support, values in in_c.solutions(w, zero, cap):
             if in_d.syndromes(support, values).any():
-                return MinWeightResult(status="exact", weight=w)
-    return MinWeightResult(status="at-least", floor=budget + 1)
+                return w
+    return None
+
+
+def _enumerate_min_weight(C: CodeBasis, D: CodeBasis, cap: int) -> int:
+    """Exact min symplectic weight over the nonempty C \\ D.
+
+    The sweep of every weight 1, 2, .. stops at the first with a hit, so no
+    lighter vector was missed; every vector has weight <= n.
+    """
+    w = _first_weight(C, D, C.width // 2, cap)
+    if w is None:
+        raise AssertionError("C \\ D is nonempty but the sweep found no vector")
+    return w
+
+
+def _budget_min_weight(C: CodeBasis, D: CodeBasis, budget: int, cap: int = ENUMERATION_CAP) -> MinWeightResult:
+    """Sweep the symplectic weights 1..budget for a vector in C \\ D."""
+    w = _first_weight(C, D, budget, cap)
+    if w is None:
+        return MinWeightResult(status="at-least", floor=budget + 1)
+    return MinWeightResult(status="exact", weight=w)
 
 
 def relative_min_weight(
@@ -360,15 +338,19 @@ def relative_min_weight(
 ) -> MinWeightResult:
     """Minimum symplectic weight over C \\ D.
 
-    mode "auto" enumerates codewords exactly whenever q^dim(C) <= cap and
-    otherwise requires a budget; "exact" and "budget" force one strategy
-    (the latter is how the two are cross-checked against each other).
+    mode "auto" sweeps every weight up to the exact minimum whenever
+    q^dim(C) <= cap and otherwise requires a budget; "exact" (refused past
+    q^dim(C) > cap) and "budget" force one strategy (the latter is how the
+    two are cross-checked against each other).  Either sweep raises
+    ValueError when a weight's halves exceed ``cap`` rows.
     """
     if not contains(C, D):
         raise ValueError("D must be a subspace of C")
     if C.rank == D.rank:
         return MinWeightResult(status="empty")
     enumerable = C.field.q ** C.rank <= cap
+    if mode == "exact" and not enumerable:
+        raise ValueError(f"q^dim = {C.field.q ** C.rank} exceeds the enumeration cap {cap}")
     if mode == "exact" or (mode == "auto" and enumerable):
         return MinWeightResult(status="exact", weight=_enumerate_min_weight(C, D, cap))
     if mode not in ("auto", "budget"):
@@ -381,10 +363,24 @@ def relative_min_weight(
 
 
 def min_hamming_weight(C: CodeBasis, cap: int = ENUMERATION_CAP) -> int:
-    """Exact minimum Hamming weight over the nonzero codewords of C."""
+    """Exact minimum Hamming weight over the nonzero codewords of C.
+
+    The kernel with g = 1 sweeps the Hamming weights 1, 2, .. for a vector
+    with zero syndrome against the Euclidean dual of C and stops at the
+    first with a hit; the Singleton bound puts one at weight <= width -
+    rank + 1.  ValueError when a weight's halves exceed ``cap`` rows.
+    """
     if C.rank == 0:
         raise ValueError("the zero code has no nonzero codeword")
-    return _min_codeword_weight(C.field, C.rows, 1, cap, lambda cw: (cw != 0).sum(axis=1))
+    if C.rank == C.width:
+        return 1  # no checks: every unit vector is a codeword
+    checks, _ = linalg._nullspace_of_rref(C.field, C.rows, C.pivots, C.width)
+    search = _SyndromeSearch(C.field, checks, C.width, 1)
+    zero = (0,) * len(checks)
+    for w in range(1, C.width - C.rank + 2):
+        if next(search.solutions(w, zero, cap), None) is not None:
+            return w
+    raise AssertionError("no codeword within the Singleton bound")
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +426,7 @@ def stabilizer_params(
     """Extract [[n, k, d]] from C, which must satisfy C >= C^perp.
 
     distance selects how d is established: "none" records only the supplied
-    lower bound, "exact" enumerates, "budget" sweeps weights <= budget and
+    lower bound, "exact" sweeps up to the minimum, "budget" sweeps weights <= budget and
     upgrades the bound when the sweep comes back empty.
     """
     if C.width % 2:

@@ -1,6 +1,9 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agstab import artifact as artifact_mod
 from agstab.cli import Lcg64, main, sample_symplectic_error
@@ -271,3 +274,128 @@ def test_cli_bounds_csv(tmp_path, capsys):
     assert info["rows"] == 140
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 141
+
+
+# ---------------------------------------------------------------------------
+# exact-distance reports
+# ---------------------------------------------------------------------------
+
+# (backend, q, j, descended to GF(2)) -> (d_exact, SHA-256 of the `verify
+# --exact-distance` stdout), pinned from the codeword-enumeration search the
+# weight sweeps replaced; every code here has q^dim <= 2^24
+EXACT_REPORTS = {
+    ("rational", 4, 0, False): (None, "6e8e614f6ca19e1eff4846381760552862d4ea9fae15ecaa743ecbc85f822f69"),
+    ("rational", 4, 0, True): (None, "a48a7ec6cb0d336e937768665da30e378c59f589069a4e176fc4677a572fb98e"),
+    ("rational", 4, 1, False): (1, "3f0302cbca03d07c01208c4731cdcd83a0dd7c69960c24fbdc8b29e2b08e07dd"),
+    ("rational", 4, 1, True): (2, "f60c8472679ebfbe5d1b54ef4b8190d9af23637b75022995471bfa335ddd5aa8"),
+    ("rational", 4, 2, False): (1, "e5322ee45f15f2f798ee295bca0dc2432324284017cc506d3c1126fd4c9a6f46"),
+    ("rational", 4, 2, True): (1, "4b9f1c67b43325647eef698b731f67ae73c302aa0659f6bb9f4e58692bcb0d61"),
+    ("rational", 8, 0, False): (None, "9e4d4ee582897bec045007c6225a3bbbb77661d63c6aa5035c391e02962de1ef"),
+    ("rational", 8, 0, True): (None, "6cc4158c595f2a9fddef1b4b0344c20ba53773b911cc8ea4ea6656688c7fd4d6"),
+    ("rational", 8, 1, False): (2, "8bdfce6830959de6b114f5452a1db4596acbf33ca9a5b27368c81320eeabac70"),
+    ("rational", 8, 1, True): (2, "08753739ec8ad159d661f20f5e6764432018954907214922a4a47be20a9bfd71"),
+    ("rational", 8, 2, False): (2, "391792a0be6500b4a72613e292c9b7789c282c708ba984cbe8e479e11da095c2"),
+    ("rational", 8, 2, True): (2, "4ad397e08f56b35f97b961296d6e5901a4f24ede3c3d09f4747a7c2d914d0772"),
+    ("rational", 8, 3, False): (1, "30d92b580bb4a4cbe9512ae3319a519a6f2b25f0576bf395096340ecf97418ec"),
+    ("rational", 8, 3, True): (1, "ff35e80b002a5f0ceed5a0bb23c454ffc09595c4168ac2b4ead690aee14db135"),
+    ("rational", 8, 4, False): (1, "e7fe7282afd0931fa00a737a0ae89eb0cc39b7f6071e792bdf68114c2eb2432a"),
+    ("rational", 8, 4, True): (1, "57bb1c8df0ae56afdc194b4c5597991f21e95d226cf8de6d4a6fbdd7f7933cdd"),
+    ("hermitian", 2, 0, False): (None, "e87b59fe0b0e1a0cdf817892ba92e77b2fb533ac0a6727435e8d48e05295ff0a"),
+    ("hermitian", 2, 0, True): (None, "a96c2715a2f57f698ae30505cf287fa1fe684e76a1e13891114de72e01b95d6a"),
+    ("hermitian", 2, 1, False): (1, "86dd84edf96a8adbf9c5c049861107a5ef764f3159a85be3e8ba51285a74c30c"),
+    ("hermitian", 2, 1, True): (2, "132d7c5c5c97543033e4e554d68fee8a1589a1c6f87f913790bdcb40a652006f"),
+    ("hermitian", 2, 2, False): (1, "6259076a4546762fdca229867778cd0118d405db1ffffda62d60cb5b7bb6522e"),
+    ("hermitian", 2, 2, True): (2, "1adf181a26aabde98b377893d7e89183f086d42fa38b2cec76366f3e265954c8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_REPORTS, key=str),
+                         ids=lambda c: f"{c[0]}-q{c[1]}-j{c[2]}" + ("-descended" if c[3] else ""))
+def test_exact_distance_reports_are_pinned(tmp_path, capsys, case):
+    kind, q, j, descended = case
+    path = str(tmp_path / "code.json")
+    assert main(["construct", "--backend", kind, "--q", str(q), "--j", str(j), "--out", path]) == 0
+    if descended:
+        assert main(["descend", "--in", path, "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", path, "--exact-distance"]) == 0
+    out = capsys.readouterr().out
+    d_exact, digest = EXACT_REPORTS[case]
+    assert json.loads(out).get("d_exact") == d_exact
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# malformed artifacts: one line on stderr and exit 2
+# ---------------------------------------------------------------------------
+
+def _drop(doc, *path):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    del doc[last]
+
+
+def _put(doc, value, *path):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+MALFORMED = {
+    "missing-key": (lambda d: _drop(d, "params", "n"), "artifact: missing key 'params.n'"),
+    "missing-block": (lambda d: _drop(d, "matrices"), "artifact: missing key 'matrices'"),
+    "wrong-type": (lambda d: _put(d, "8", "params", "n"), "artifact: params.n must be an integer, got a string"),
+    "bool-as-int": (lambda d: _put(d, True, "params", "k"), "artifact: params.k must be an integer, got a boolean"),
+    "bool-entry": (lambda d: _put(d, True, "matrices", "c_h", 0, 0),
+                   "artifact: matrices.c_h[0] holds a boolean, expected field-element integers"),
+    "not-an-object": (lambda d: _put(d, [], "field"), "artifact: field must be an object, got a list"),
+    "ragged-rows": (lambda d: d["matrices"]["c_g"][2].pop(), "artifact: matrices.c_g[2] has length 7, expected 2n = 8"),
+    "entry-out-of-range": (lambda d: _put(d, 8, "matrices", "c_g", 1, 3),
+                           "artifact: matrices.c_g[1] holds 8, outside [0, 8)"),
+    "negative-entry": (lambda d: _put(d, -1, "places", 0, 0), "artifact: places[0] holds -1, outside [0, 8)"),
+    "width-not-2n": (lambda d: _put(d, 5, "params", "n"), "artifact: matrices.c_g[0] has length 8, expected 2n = 10"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_artifact_exits_2_naming_the_key(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    assert main(["construct", "--backend", "rational", "--q", "8", "--j", "1", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    corrupt, message = MALFORMED[name]
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_from_json_rejects_structural_damage_with_value_error(data):
+    """Any key deleted or any value replaced by another JSON value either still
+    parses or raises ValueError; never another exception."""
+    doc = json.loads(artifact_mod.to_json(artifact_mod.construct_artifact("hermitian", 2, 1)))
+    paths = []
+
+    def walk(node, path):
+        keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+        for key in keys:
+            paths.append(path + (key,))
+            walk(node[key], path + (key,))
+
+    walk(doc, ())
+    path = data.draw(st.sampled_from(paths))
+    junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 1 << 70), st.floats(allow_nan=False),
+                     st.text(max_size=3), st.lists(st.integers(-1, 5), max_size=3), st.just({}))
+    if data.draw(st.booleans()) and isinstance(path[-1], str):
+        _drop(doc, *path)
+    else:
+        _put(doc, data.draw(junk), *path)
+    try:
+        artifact_mod.from_json(json.dumps(doc))
+    except ValueError:
+        pass

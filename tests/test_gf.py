@@ -3,7 +3,6 @@ import pytest
 
 from agstab.gf import (
     GF2m,
-    FieldElement,
     SubfieldEmbedding,
     field,
     is_irreducible_gf2,
@@ -126,26 +125,6 @@ def test_log_antilog_matches_scalar(degree):
     got = antilog[log[a] + log[b] + shift]
     for x, y, s, v in zip(a.tolist(), b.tolist(), shift.tolist(), got.tolist()):
         assert v == f.mul(f.mul(x, y), f.pow(f.generator, s))
-
-
-# ---------------------------------------------------------------------------
-# element wrapper
-# ---------------------------------------------------------------------------
-
-def test_element_ops_and_mismatch():
-    f4, f8 = field(2), field(3)
-    w = f4.element(2)
-    w2 = f4.element(3)
-    assert (w + w2).index == 1
-    assert (w * w2).index == 1
-    assert (w2 / w).index == f4.div(3, 2)
-    assert (-w) == w
-    with pytest.raises(ValueError):
-        w + f8.element(2)
-    with pytest.raises(ValueError):
-        w / f4.element(0)
-    with pytest.raises(ValueError):
-        FieldElement(f4, 4)
 
 
 # ---------------------------------------------------------------------------

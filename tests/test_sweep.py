@@ -1,9 +1,11 @@
 """Differential tests for the meet-in-the-middle syndrome kernel: the
 kernel on symplectic and on Hamming weight against brute-force scans, the
-weight-budget sweep against the naive span oracle, the weight-capped
-decoding oracle against the exhaustive coset leaders, the Hamming decoder
-against a whole-space minimum, and negative controls for the
-D-rejection, fingerprint collisions, the work cap and containment."""
+weight-budget sweep and both exact distances (relative symplectic and
+Hamming, each a sweep stopped at its first weight) against the naive span
+oracle, the weight-capped decoding oracle against the exhaustive coset
+leaders, the Hamming decoder against a whole-space minimum, and negative
+controls for the D-rejection, fingerprint collisions, the work cap and
+containment."""
 
 from itertools import product
 from math import comb
@@ -12,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agstab.decoder import (ORACLE_CAP, SyndromeProblem, brute_oracle, exhaustive_coset_leaders,
+from agstab.decoder import (ORACLE_CAP, SyndromeProblem, _hamming_search, brute_oracle, exhaustive_coset_leaders,
                             hamming_min_solve)
 from agstab.gf import field
-from agstab.symplectic import (ENUMERATION_CAP, CodeBasis, _SyndromeSearch, contains, relative_min_weight,
-                                swap_halves)
-from conftest import naive_relative_min_weight, naive_symplectic_form, naive_symplectic_weight
+from agstab.symplectic import (ENUMERATION_CAP, CodeBasis, _SyndromeSearch, contains, min_hamming_weight,
+                                relative_min_weight, stabilizer_params, swap_halves)
+from conftest import naive_relative_min_weight, naive_symplectic_form, naive_symplectic_weight, span_vectors
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -64,6 +66,112 @@ def test_sweep_over_gf512():
     assert relative_min_weight(C, D, budget=2, mode="budget").weight == 2
     res = relative_min_weight(C, D, budget=1, mode="budget")
     assert res.status == "at-least" and res.floor == 2
+
+
+@FUZZ
+@given(code_pairs())
+def test_exact_distance_matches_naive(pair):
+    C, D = pair
+    expected = naive_relative_min_weight(C.field, list(C.rows), list(D.rows), C.width)
+    res = relative_min_weight(C, D, mode="exact")
+    if expected is None:
+        assert res.status == "empty"
+    else:
+        assert (res.status, res.weight) == ("exact", expected)
+        assert relative_min_weight(C, D).weight == expected      # "auto" takes the same sweep
+
+
+@st.composite
+def linear_codes(draw):
+    """A nonzero code over GF(2), GF(4) or GF(8), full-rank in about one draw in four."""
+    f = field(draw(st.sampled_from((1, 2, 3))))
+    if draw(st.integers(0, 3)) == 0:
+        width = draw(st.integers(1, {2: 5, 4: 3, 8: 2}[f.q]))
+        rows = [[int(i == c) for c in range(width)] for i in range(width)]
+    else:
+        width = draw(st.integers(1, {2: 8, 4: 6, 8: 5}[f.q]))
+        k = draw(st.integers(1, min(width, {2: 5, 4: 4, 8: 3}[f.q])))
+        rows = draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=width, max_size=width),
+                             min_size=k, max_size=k))
+    C = CodeBasis.from_rows(f, rows, width)
+    if C.rank == 0:
+        C = CodeBasis.from_rows(f, [[1] + [0] * (width - 1)], width)
+    return C
+
+
+@FUZZ
+@given(linear_codes())
+def test_hamming_sweep_matches_naive(C):
+    words = span_vectors(C.field, list(C.rows), C.width) - {(0,) * C.width}
+    expected = min(sum(1 for v in w if v) for w in words)
+    assert min_hamming_weight(C) == expected
+    # the Hamming weight of y is the symplectic weight of (y | 0)
+    padded = [row + (0,) * C.width for row in C.rows]
+    assert naive_relative_min_weight(C.field, padded, [], 2 * C.width) == expected
+
+
+@st.composite
+def self_dual_codes(draw):
+    """C = C^perp (k = 0): the rows (e_i | S_i) for a symmetric S, with some pairs swapped."""
+    f = field(draw(st.sampled_from((1, 2, 3))))
+    n = draw(st.integers(1, {2: 5, 4: 4, 8: 3}[f.q]))
+    S = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            S[i][j] = S[j][i] = draw(st.integers(0, f.q - 1))
+    rows = [[int(i == c) for c in range(n)] + S[i] for i in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        for row in rows:
+            row[i], row[n + i] = row[n + i], row[i]
+    return CodeBasis.from_rows(f, rows, 2 * n)
+
+
+@FUZZ
+@given(self_dual_codes())
+def test_zero_k_min_weight_matches_naive(C):
+    p = stabilizer_params(C)
+    assert (p.k, p.empty_difference, p.d) == (0, True, None)
+    assert p.zero_k_min_weight == naive_relative_min_weight(C.field, list(C.rows), [], C.width)
+
+
+def test_exact_distances_over_gf512():
+    f = field(9)
+    # a*r1 + b*r2 = (5a + 7b, 511b | 300a, 2b): symplectic weight 1 at b = 0
+    # and 2 otherwise; Hamming weight 2 at b = 0 and 3 otherwise
+    rows = [(5, 0, 300, 0), (7, 511, 0, 2)]
+    C = CodeBasis.from_rows(f, rows, 4)
+    D = CodeBasis.from_rows(f, rows[:1], 4)
+    assert f.q ** C.rank <= ENUMERATION_CAP
+    assert relative_min_weight(C, D, mode="exact").weight == 2
+    assert relative_min_weight(C, CodeBasis.zero(f, 4), mode="exact").weight == 1
+    assert min_hamming_weight(C) == 2
+    assert min_hamming_weight(D) == 2
+    with pytest.raises(ValueError, match="q\\^dim = 262144 exceeds the enumeration cap 262143"):
+        relative_min_weight(C, D, mode="exact", cap=f.q ** 2 - 1)
+
+
+def test_exact_distances_refuse_past_the_cap():
+    f = field(2)
+    C = CodeBasis.from_rows(f, [(1, 1, 1, 1, 1, 1)], 6)
+    # q^dim = 4 passes the gate.  The symplectic weight is 3, and weight 3
+    # needs C(3,2) * 15^2 = 675 rows.  The Hamming weight is 6 (the Singleton
+    # bound), and weight 5 needs C(6,3) * 3^3 = 540 rows in its right half.
+    with pytest.raises(ValueError, match=r"C\(3,2\) \* 15\^2 = 675 rows, over the cap 45"):
+        relative_min_weight(C, CodeBasis.zero(f, 6), mode="exact", cap=45)
+    with pytest.raises(ValueError, match=r"weight 5: the right half has C\(6,3\) \* 3\^3 = 540 rows, over the cap 539"):
+        min_hamming_weight(C, cap=539)
+    assert min_hamming_weight(C, cap=540) == 6
+
+
+def test_hamming_kernel_is_built_once_per_code():
+    f = field(2)
+    rows = [(1, 2, 0, 3, 1), (0, 1, 1, 2, 3)]
+    _hamming_search.cache_clear()
+    first = hamming_min_solve(f, (1, 2), rows, 3)
+    again = hamming_min_solve(f, (1, 2), [list(r) for r in rows], 3)    # equal rows, other container
+    assert first == again and _hamming_search.cache_info()[:2] == (1, 1)
+    hamming_min_solve(f, (1, 2), [rows[1], rows[0]], 3)
+    assert _hamming_search.cache_info()[:2] == (1, 2)
 
 
 @st.composite

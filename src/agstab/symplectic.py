@@ -349,9 +349,9 @@ def relative_min_weight(
     if C.rank == D.rank:
         return MinWeightResult(status="empty")
     enumerable = C.field.q ** C.rank <= cap
-    if mode == "exact" and not enumerable:
-        raise ValueError(f"q^dim = {C.field.q ** C.rank} exceeds the enumeration cap {cap}")
     if mode == "exact" or (mode == "auto" and enumerable):
+        if not enumerable:
+            raise ValueError(f"q^dim = {C.field.q ** C.rank} exceeds the enumeration cap {cap}")
         return MinWeightResult(status="exact", weight=_enumerate_min_weight(C, D, cap))
     if mode not in ("auto", "budget"):
         raise ValueError(f"unknown mode {mode!r}")

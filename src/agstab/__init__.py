@@ -24,12 +24,10 @@ from .symplectic import (
 )
 from .curves import (
     ClassicalParams,
-    Divisor,
     HermitianBackend,
     PairedEvaluationSet,
     Place,
     RationalBackend,
-    RRFunction,
     build_codes,
     classical_params,
     evaluation_matrix,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import __version__
-from .curves import _evaluation_rows, build_codes, classical_params, make_backend
+from .curves import build_codes, classical_params, evaluation_matrix, make_backend
 from .descent import DescentBasis, descend_code, self_dual_basis
 from .gf import GF2m
 from .symplectic import (
@@ -214,11 +214,7 @@ def load(path: str) -> CodeArtifact:
 def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifact:
     backend = make_backend(kind, q, gamma)
     points = backend.evaluation_points().point_order
-    g_rows = _evaluation_rows(backend, j, "g")
-    h_rows = _evaluation_rows(backend, j, "h")
-    c_g, c_h = build_codes(backend, j)
-    if c_g.rank != backend.n + j or c_h.rank != backend.n - j:
-        raise AssertionError("rank sanity failed")  # build_codes already checks
+    c_g, _ = build_codes(backend, j)
     return CodeArtifact(
         backend_kind=kind,
         q=q,
@@ -226,8 +222,8 @@ def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifac
         j=j,
         field=backend.field,
         places=[list(p.coords) for p in points],
-        c_g_rows=[list(r) for r in g_rows],
-        c_h_rows=[list(r) for r in h_rows],
+        c_g_rows=[list(r) for r in evaluation_matrix(backend, j, "g")],
+        c_h_rows=[list(r) for r in evaluation_matrix(backend, j, "h")],
         n=backend.n,
         k=c_g.rank - backend.n,
         deg_g=backend.deg_g(j),
@@ -307,8 +303,8 @@ def verify_artifact(
         backend = make_backend(art.backend_kind, art.q, art.gamma)
         points = backend.evaluation_points().point_order
         same_places = art.places == [list(p.coords) for p in points]
-        g_rows = [list(r) for r in _evaluation_rows(backend, art.j, "g")]
-        h_rows = [list(r) for r in _evaluation_rows(backend, art.j, "h")]
+        g_rows = [list(r) for r in evaluation_matrix(backend, art.j, "g")]
+        h_rows = [list(r) for r in evaluation_matrix(backend, art.j, "h")]
         same_rows = art.c_g_rows == g_rows and art.c_h_rows == h_rows
         checks.append(
             _check(

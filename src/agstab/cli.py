@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: construct, verify, descend, decode-sim, bounds.  Exit codes
-are 0 (success / all checks pass), 1 (a verification check failed) and 2
-(usage or parameter error).  Reports go to stdout as JSON; diagnostics to
-stderr.
+are 0 (success / all checks pass), 1 (a verification check failed, and
+nothing else) and 2 (usage, parameter or file error, or an internal
+error).  Reports go to stdout as JSON; diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -76,6 +76,11 @@ def sample_symplectic_error(rng: Lcg64, n: int, q: int, weight: int) -> tuple[in
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _check_count(flag: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     art = artifact_mod.construct_artifact(args.backend, args.q, args.j, args.gamma)
     artifact_mod.save(art, args.out)
@@ -84,6 +89,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_count("--budget", args.budget)
     art = artifact_mod.load(args.artifact)
     report = artifact_mod.verify_artifact(
         art, exact_distance=args.exact_distance, budget=args.budget
@@ -101,6 +107,8 @@ def _cmd_descend(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode_sim(args: argparse.Namespace) -> int:
+    _check_count("--trials", args.trials)
+    _check_count("--weight", args.weight)
     art = artifact_mod.load(args.artifact)
     if art.deg_g is None:
         raise ValueError("decode-sim needs a backend artifact with a recorded deg G")
@@ -193,11 +201,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except AssertionError as exc:  # a broken invariant is not a failed check
+        print(f"error: internal error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -54,3 +54,18 @@ def naive_relative_min_weight(field: GF2m, c_rows, d_rows, width) -> int | None:
     if not diff:
         return None
     return min(naive_symplectic_weight(v) for v in diff)
+
+
+def naive_monomial_matrix(field: GF2m, exponents, places) -> list[tuple[int, ...]]:
+    """Each monomial at each place, one scalar pow/mul/inv per factor."""
+    rows = []
+    for exps in exponents:
+        row = []
+        for place in places:
+            value = 1
+            for e, c in zip(exps, place.coords):
+                factor = field.pow(c, e) if e >= 0 else field.inv(field.pow(c, -e))
+                value = field.mul(value, factor)
+            row.append(value)
+        rows.append(tuple(row))
+    return rows

@@ -31,24 +31,6 @@ def test_to_json_layout():
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-def test_each_riemann_roch_matrix_evaluated_once(monkeypatch):
-    from agstab import curves
-
-    calls = []
-    real = curves.evaluation_matrix
-
-    def counting(backend, j, which="g"):
-        calls.append(which)
-        return real(backend, j, which)
-
-    monkeypatch.setattr(curves, "evaluation_matrix", counting)
-    art = artifact_mod.construct_artifact("hermitian", 2, 1)
-    assert sorted(calls) == ["g", "h"]
-    calls.clear()
-    assert artifact_mod.verify_artifact(art)["ok"]
-    assert sorted(calls) == ["g", "h"]
-
-
 def test_verify_budget_reduces_each_dual_once(monkeypatch):
     from agstab import linalg
 
@@ -210,6 +192,52 @@ def test_cli_decode_sim_refuses_past_the_cap(tmp_path, capsys):
     assert code == 2
     assert err == ("error: weight 3: the right half has C(128,2) * 127^2 = 131096512 rows, "
                    "over the cap 16777216\n")
+
+
+def test_cli_directory_paths_exit_2(tmp_path, capsys):
+    assert main(["verify", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    assert main(["construct", "--backend", "rational", "--q", "4", "--j", "0",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+
+
+def test_cli_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
+    from agstab import curves, decoder
+
+    art = str(tmp_path / "r16.json")
+    assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", art]) == 0
+    capsys.readouterr()
+    # a wrong syndrome after the swap reduction breaks symplectic_decode's invariant
+    with monkeypatch.context() as m:
+        m.setattr(decoder, "syndrome_of", lambda field, e, rows: ())
+        assert main(["decode-sim", "--artifact", art, "--trials", "1", "--weight", "1",
+                     "--seed", "1", "--out", str(tmp_path / "t.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: internal error: swap reduction produced a wrong syndrome\n"
+    # a lost basis row breaks build_codes' dimension check
+    real = curves.evaluation_matrix
+    monkeypatch.setattr(curves, "evaluation_matrix", lambda *args: real(*args)[1:])
+    assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", art]) == 2
+    assert capsys.readouterr().err == ("error: internal error: unexpected code dimensions 8/6 "
+                                       "at j=1 on RationalBackend(q=16)\n")
+
+
+@pytest.mark.parametrize("flag,value", [("--weight", -1), ("--trials", -3), ("--budget", -2)])
+def test_cli_negative_counts_exit_2(tmp_path, capsys, flag, value):
+    art = str(tmp_path / "r16.json")
+    assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", art]) == 0
+    capsys.readouterr()
+
+    def run(count):
+        if flag == "--budget":
+            return main(["verify", art, "--budget", str(count)])
+        counts = {"--trials": 2, "--weight": 1, flag: count}
+        return main(["decode-sim", "--artifact", art, "--seed", "1", "--out", str(tmp_path / "t.jsonl"),
+                     "--trials", str(counts["--trials"]), "--weight", str(counts["--weight"])])
+
+    assert run(value) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be >= 0, got {value}\n"
+    assert run(0) == 0  # zero stays valid
 
 
 def test_cli_usage_error_exit_2():

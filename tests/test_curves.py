@@ -1,8 +1,6 @@
 import pytest
 
 from agstab.curves import (
-    INFINITY,
-    Divisor,
     HermitianBackend,
     Place,
     RationalBackend,
@@ -10,7 +8,9 @@ from agstab.curves import (
     classical_params,
     evaluation_matrix,
     make_backend,
+    monomial_matrix,
 )
+from agstab.gf import field
 from agstab.symplectic import (
     CodeBasis,
     contains,
@@ -20,7 +20,7 @@ from agstab.symplectic import (
     symplectic_dual,
     symplectic_weight,
 )
-from conftest import span_vectors
+from conftest import naive_monomial_matrix, span_vectors
 
 BACKENDS = [RationalBackend(8), RationalBackend(16), HermitianBackend(2), HermitianBackend(4)]
 
@@ -31,26 +31,24 @@ BACKENDS = [RationalBackend(8), RationalBackend(16), HermitianBackend(2), Hermit
 
 def test_rational_places():
     rb = RationalBackend(8)
-    finite, inf = rb.enumerate_places()
-    assert len(finite) == 8 and inf.at_infinity
+    assert len(rb.enumerate_places()) == 8
     assert rb.n == 4
     pts = rb.evaluation_points()
     covered = {p.coords[0] for p in pts.primaries} | {p.coords[0] for p in pts.partners}
     assert covered == set(range(8))  # the sigma-orbits partition GF(8)
-    assert rb.sigma(Place.affine(0)) == Place.affine(1)
-    assert rb.sigma(INFINITY) == INFINITY
+    assert rb.sigma(Place((0,))) == Place((1,))
 
 
 def test_hermitian_q2_points():
     hb = HermitianBackend(2)
-    affine, inf = hb.enumerate_places()
+    affine = hb.enumerate_places()
     assert len(affine) == 8  # q^3
     f = hb.field
     for p in affine:  # curve equation holds exactly
         a, b = p.coords
         assert f.pow(b, 2) ^ b == f.pow(a, 3)
-    assert {p.coords for p in hb.x_zero_places()} == {(0, 0), (0, 1)}
-    zeros = hb.zeros_of_unit_circle()
+    assert {p.coords for p in affine if p.coords[0] == 0} == {(0, 0), (0, 1)}
+    zeros = hb.evaluation_points().point_order  # the zeros of x^(q^2-1) - 1
     assert len(zeros) == 6
     assert {p.coords for p in zeros} == {(a, b) for a in (1, 2, 3) for b in (2, 3)}
 
@@ -58,8 +56,7 @@ def test_hermitian_q2_points():
 def test_hermitian_q2_sigma_and_pairs():
     hb = HermitianBackend(2)
     # sigma with gamma = 1: (1, w) -> (1, w^2)
-    assert hb.sigma(Place.affine(1, 2)) == Place.affine(1, 3)
-    assert hb.sigma(INFINITY) == INFINITY
+    assert hb.sigma(Place((1, 2))) == Place((1, 3))
     pts = hb.evaluation_points()
     assert pts.n == 3
     assert [p.coords for p in pts.primaries] == [(1, 2), (2, 2), (3, 2)]
@@ -68,11 +65,10 @@ def test_hermitian_q2_sigma_and_pairs():
 
 def test_hermitian_q4_counts():
     hb = HermitianBackend(4)
-    affine, _ = hb.enumerate_places()
-    assert len(affine) == 64
+    assert len(hb.enumerate_places()) == 64
     assert hb.n == 30       # (q^2 - 1) q / 2 at q = 4
     assert hb.genus == 6
-    assert len(hb.zeros_of_unit_circle()) == 60
+    assert len(hb.evaluation_points().point_order) == 60
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: f"{b.kind}-q{b.q}")
@@ -85,57 +81,41 @@ def test_sigma_involution_and_disjoint_orbits(backend):
 
 
 # ---------------------------------------------------------------------------
-# divisors
+# the divisors G and H, through their degrees and Riemann-Roch spaces
 # ---------------------------------------------------------------------------
 
 def test_hermitian_q2_divisor_example():
     hb = HermitianBackend(2)
-    G, H = hb.divisor_pair(0)
-    assert G == Divisor({Place.affine(0, 0): 1, Place.affine(0, 1): 1, INFINITY: 1})
-    assert G.degree == 3 == hb.n + hb.genus - 1
-    assert G == H
+    assert hb.deg_g(0) == 3 == hb.n + hb.genus - 1
+    assert hb.rr_basis(0, "g") == hb.rr_basis(0, "h")  # G = H at j = 0
 
 
 def test_rational_divisor_example():
     rb = RationalBackend(8)
-    G, H = rb.divisor_pair(0)
-    assert G == Divisor({INFINITY: 3})
-    assert G.degree == 3 == rb.n - 1
+    assert rb.deg_g(0) == 3 == rb.n - 1
 
 
 def test_hermitian_q4_divisor_degrees():
     hb = HermitianBackend(4)
     assert hb.deg_g(0) == 35
-    G, H = hb.divisor_pair(5)
-    assert G.degree == 40 and H.degree == 30
+    assert hb.deg_g(5) == 40
+    # deg H = 30: both spaces are non-special, so their sizes differ by deg G - deg H
+    assert len(hb.rr_basis(5, "g")) - len(hb.rr_basis(5, "h")) == 10
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: f"{b.kind}-q{b.q}")
 def test_divisor_invariants(backend):
-    pts = backend.evaluation_points()
+    assert backend.deg_g(0) == backend.n + backend.genus - 1
     for j in (0, 1, backend.max_j):
-        G, H = backend.divisor_pair(j)
-        assert G.degree == backend.deg_g(j)
-        assert G >= H
-        # sigma G = G and zero coefficient at every evaluation place
-        for p, c in G.items():
-            assert G.coeff(backend.sigma(p)) == c
-        for p in pts.point_order:
-            assert G.coeff(p) == 0 and H.coeff(p) == 0
-    with pytest.raises(ValueError):
-        backend.divisor_pair(-1)
-    with pytest.raises(ValueError):
-        backend.divisor_pair(backend.max_j + 1)
-
-
-def test_divisor_arithmetic():
-    P = Place.affine(1)
-    D1 = Divisor({P: 2, INFINITY: 1})
-    D2 = Divisor({P: 1})
-    assert (D1 - D2).degree == 2
-    assert (2 * D2).coeff(P) == 2
-    assert (D1 - D1) == Divisor({})
-    assert D1 >= D2 and not (D2 >= D1)
+        assert backend.deg_g(j) == backend.deg_g(0) + j
+        g_basis, h_basis = backend.rr_basis(j, "g"), backend.rr_basis(j, "h")
+        assert len(g_basis) - len(h_basis) == 2 * j
+        assert g_basis[:len(h_basis)] == h_basis  # L(H) in L(G), in pole order
+    for j in (-1, backend.max_j + 1):
+        with pytest.raises(ValueError):
+            backend.rr_basis(j, "g")
+        with pytest.raises(ValueError):
+            backend.rr_basis(j, "h")
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +124,13 @@ def test_divisor_arithmetic():
 
 def test_hermitian_q2_basis_shapes():
     hb = HermitianBackend(2)
-    b0 = hb.rr_basis(0)
-    assert [fn.monomials[0][:2] for fn in b0] == [(0, 0), (1, 0), (0, 1)]  # 1/x, 1, z/x
-    assert all(fn.x_shift == 1 for fn in b0)
-    b1 = hb.rr_basis(1)
-    assert [fn.monomials[0][:2] for fn in b1] == [(0, 0), (1, 0), (0, 1), (2, 0)]
+    assert hb.rr_basis(0) == [(-1, 0), (0, 0), (-1, 1)]  # 1/x, 1, z/x
+    assert hb.rr_basis(1) == [(-1, 0), (0, 0), (-1, 1), (1, 0)]
 
 
 def test_rational_q8_basis():
     rb = RationalBackend(8)
-    b = rb.rr_basis(1)
-    assert len(b) == 5
-    assert [fn.monomials[0][0] for fn in b] == [0, 1, 2, 3, 4]
-    assert all(fn.x_shift == 0 for fn in b)
+    assert rb.rr_basis(1) == [(0,), (1,), (2,), (3,), (4,)]
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: f"{b.kind}-q{b.q}")
@@ -169,16 +143,48 @@ def test_basis_size_is_riemann_roch(backend):
 
 def test_evaluation_examples():
     hb = HermitianBackend(2)
-    z_over_x = hb.rr_basis(0)[2]
-    assert hb.evaluate(z_over_x, Place.affine(1, 2)) == 2       # w / 1
-    one = hb.rr_basis(0)[1]
-    assert hb.evaluate(one, Place.affine(3, 2)) == 1
-    inv_x = hb.rr_basis(0)[0]
-    assert hb.evaluate(inv_x, Place.affine(2, 2)) == 3          # 1 / w = w^2
-    with pytest.raises(ValueError):
-        hb.evaluate(inv_x, INFINITY)
-    with pytest.raises(ValueError):
-        hb.evaluate(inv_x, Place.affine(0, 0))                  # pole of 1/x
+    inv_x, one, z_over_x = hb.rr_basis(0)
+    for evaluator in (monomial_matrix, naive_monomial_matrix):
+        assert evaluator(hb.field, [z_over_x], [Place((1, 2))]) == [(2,)]   # w / 1
+        assert evaluator(hb.field, [one], [Place((3, 2))]) == [(1,)]
+        assert evaluator(hb.field, [inv_x], [Place((2, 2))]) == [(3,)]      # 1 / w = w^2
+        with pytest.raises(ValueError):
+            evaluator(hb.field, [inv_x], [Place((0, 0))])                   # pole of 1/x
+
+
+EVALUATION_BACKENDS = [RationalBackend(4), RationalBackend(8), RationalBackend(16),
+                       HermitianBackend(2), HermitianBackend(4)]
+
+
+@pytest.mark.parametrize("backend", EVALUATION_BACKENDS, ids=lambda b: f"{b.kind}-q{b.q}")
+def test_evaluation_matrix_matches_naive(backend):
+    points = backend.evaluation_points().point_order
+    for j in range(backend.max_j + 1):
+        for which in ("g", "h"):
+            basis = backend.rr_basis(j, which)
+            assert evaluation_matrix(backend, j, which) == naive_monomial_matrix(backend.field, basis, points)
+    if backend.kind == "rational":
+        assert evaluation_matrix(backend, backend.max_j, "h") == []  # L(H) = L(-P_inf) = 0
+    else:
+        # negative control: the basis has poles at the places above x = 0
+        places = backend.enumerate_places()
+        with pytest.raises(ValueError):
+            monomial_matrix(backend.field, backend.rr_basis(0), places)
+        with pytest.raises(ValueError):
+            naive_monomial_matrix(backend.field, backend.rr_basis(0), places)
+
+
+def test_monomial_matrix_zero_coordinates_and_large_fields():
+    # zero coordinates (both at (0, 0)) under zeroth and positive powers
+    hb = HermitianBackend(4)
+    exps = [(i, l) for i in range(3) for l in range(3)]
+    places = hb.enumerate_places()
+    assert monomial_matrix(hb.field, exps, places) == naive_monomial_matrix(hb.field, exps, places)
+    # GF(2^16): products of exponent and log exceed 32 bits before the reduction
+    f = field(16)
+    exps = [(65534, -65534), (-1, 40000), (0, 0), (65535 * 3 + 7, -65535 * 2 - 1)]
+    places = [Place((a, b)) for a in (1, 2, 40000, 65535) for b in (1, 3, 65534)]
+    assert monomial_matrix(f, exps, places) == naive_monomial_matrix(f, exps, places)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +258,8 @@ def test_representative_choice_is_immaterial():
     n = pts.n
     for flip in range(n):
         order[flip], order[n + flip] = order[n + flip], order[flip]
-        g_rows = [tuple(hb.evaluate(fn, p) for p in order) for fn in hb.rr_basis(1, "g")]
-        h_rows = [tuple(hb.evaluate(fn, p) for p in order) for fn in hb.rr_basis(1, "h")]
+        g_rows = monomial_matrix(hb.field, hb.rr_basis(1, "g"), order)
+        h_rows = monomial_matrix(hb.field, hb.rr_basis(1, "h"), order)
         cg = CodeBasis.from_rows(hb.field, g_rows, 2 * n)
         ch = CodeBasis.from_rows(hb.field, h_rows, 2 * n)
         assert symplectic_dual(cg).rows == ch.rows

@@ -11,7 +11,6 @@ they carry the canonical generator matrix of the descended code plus a
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -71,8 +70,44 @@ def _field_from_block(block: dict[str, int]) -> GF2m:
     return GF2m(block["degree"], block["modulus"])
 
 
-def to_json(art: CodeArtifact) -> str:
-    doc = {
+def _layout(value: Any, pad: str, out: list[str], decimals: list[str]) -> None:
+    """Append to ``out`` the text of ``json.dumps(value, indent=2, sort_keys=True)``,
+    laid out at indent ``pad``.
+
+    Keys (strings here) and scalars go through ``json.dumps``.  A list of
+    field-element-sized ints is one join over ``decimals``, the table of
+    str(i) at index i, grown here as needed.  The pieces are joined once,
+    at the end, so no nesting level copies the text below it.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [(f"{json.dumps(k)}: ", v) for k, v in sorted(value.items())]
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {int} and min(value) >= 0 and (top := max(value)) < 1 << 16:
+            if top >= len(decimals):
+                decimals.extend(map(str, range(len(decimals), top + 1)))
+            sep = ",\n" + inner
+            out.append(f"[\n{inner}{sep.join(map(decimals.__getitem__, value))}\n{pad}]")
+            return
+        items = [("", v) for v in value]
+        opening, closing = "[", "]"
+    else:
+        out.append(json.dumps(value))
+        return
+    if not items:
+        out.append(opening + closing)
+        return
+    sep = opening + "\n" + inner
+    for key, v in items:
+        out.append(sep + key)
+        _layout(v, inner, out, decimals)
+        sep = ",\n" + inner
+    out.append(f"\n{pad}{closing}")
+
+
+def _document(art: CodeArtifact) -> dict[str, Any]:
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "agstab", "version": __version__},
         "backend": None
@@ -90,12 +125,14 @@ def to_json(art: CodeArtifact) -> str:
         },
         "provenance": {"descended_from": art.descended_from},
     }
-    # json.dump streams the encoder's chunks; json.dumps would first hold
-    # every chunk (one per matrix entry) in a list
-    out = io.StringIO()
-    json.dump(doc, out, indent=2, sort_keys=True)
-    out.write("\n")
-    return out.getvalue()
+
+
+def to_json(art: CodeArtifact) -> str:
+    """The artifact file: indent 2, sorted keys and a final newline, stable byte for byte."""
+    out: list[str] = []
+    _layout(_document(art), "", out, [])
+    out.append("\n")
+    return "".join(out)
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
@@ -214,7 +251,8 @@ def load(path: str) -> CodeArtifact:
 def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifact:
     backend = make_backend(kind, q, gamma)
     points = backend.evaluation_points().point_order
-    c_g, _ = build_codes(backend, j)
+    g_rows, h_rows = (evaluation_matrix(backend, j, which) for which in "gh")
+    c_g, _ = build_codes(backend, j, g_rows, h_rows)
     return CodeArtifact(
         backend_kind=kind,
         q=q,
@@ -222,8 +260,8 @@ def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifac
         j=j,
         field=backend.field,
         places=[list(p.coords) for p in points],
-        c_g_rows=[list(r) for r in evaluation_matrix(backend, j, "g")],
-        c_h_rows=[list(r) for r in evaluation_matrix(backend, j, "h")],
+        c_g_rows=[list(r) for r in g_rows],
+        c_h_rows=[list(r) for r in h_rows],
         n=backend.n,
         k=c_g.rank - backend.n,
         deg_g=backend.deg_g(j),
@@ -305,7 +343,8 @@ def verify_artifact(
         same_places = art.places == [list(p.coords) for p in points]
         g_rows = [list(r) for r in evaluation_matrix(backend, art.j, "g")]
         h_rows = [list(r) for r in evaluation_matrix(backend, art.j, "h")]
-        same_rows = art.c_g_rows == g_rows and art.c_h_rows == h_rows
+        same_g = art.c_g_rows == g_rows
+        same_rows = same_g and art.c_h_rows == h_rows
         checks.append(
             _check(
                 "matrices-recompute",
@@ -376,7 +415,9 @@ def verify_artifact(
         checks.append(_check("distance-bound", bound_ok, bound_detail))
 
     if backend is not None:
-        cp = classical_params(backend, art.j)
+        # when the stored C(G) rows are the fresh ones, c_g is already their reduction
+        fresh_g = c_g if same_g else CodeBasis.from_rows(art.field, g_rows, art.width)
+        cp = classical_params(backend, art.j, fresh_g)
         checks.append(
             _check(
                 "euclidean-dual-containment",

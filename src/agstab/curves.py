@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .gf import GF2m, SubfieldEmbedding, field
-from .linalg import _nullspace_of_rref, rref, row_in_span
+from .linalg import _nullspace_rows, row_in_span
 from .symplectic import CodeBasis
 
 
@@ -296,11 +296,24 @@ def evaluation_matrix(backend: CurveBackend, j: int, which: str = "g") -> list[t
     )
 
 
-def build_codes(backend: CurveBackend, j: int) -> tuple[CodeBasis, CodeBasis]:
-    """Canonical bases of C(G) and C(H); dims are n + j and n - j."""
+def build_codes(
+    backend: CurveBackend,
+    j: int,
+    g_rows: Sequence[Sequence[int]] | None = None,
+    h_rows: Sequence[Sequence[int]] | None = None,
+) -> tuple[CodeBasis, CodeBasis]:
+    """Canonical bases of C(G) and C(H); dims are n + j and n - j.
+
+    ``g_rows`` and ``h_rows`` are the evaluations of L(G) and L(H), when the
+    caller already holds them; each one left out is evaluated here.
+    """
     width = 2 * backend.n
-    c_g = CodeBasis.from_rows(backend.field, evaluation_matrix(backend, j, "g"), width)
-    c_h = CodeBasis.from_rows(backend.field, evaluation_matrix(backend, j, "h"), width)
+    if g_rows is None:
+        g_rows = evaluation_matrix(backend, j, "g")
+    if h_rows is None:
+        h_rows = evaluation_matrix(backend, j, "h")
+    c_g = CodeBasis.from_rows(backend.field, g_rows, width)
+    c_h = CodeBasis.from_rows(backend.field, h_rows, width)
     if c_g.rank != backend.n + j or c_h.rank != backend.n - j:
         raise AssertionError(
             f"unexpected code dimensions {c_g.rank}/{c_h.rank} at j={j} on {backend!r}"
@@ -308,22 +321,24 @@ def build_codes(backend: CurveBackend, j: int) -> tuple[CodeBasis, CodeBasis]:
     return c_g, c_h
 
 
-def classical_params(backend: CurveBackend, j: int) -> ClassicalParams:
+def classical_params(backend: CurveBackend, j: int, c_g: CodeBasis | None = None) -> ClassicalParams:
     """Parameters of C(G) as a classical length-2n code over the code field.
 
-    The dimension comes from the rank, the Hamming-distance bound is
-    length/2 - g + 1 - j, and containment of the Euclidean dual is checked
-    by explicitly computing the dual and reducing it against C(G).
+    ``c_g`` is the canonical basis of C(G), when the caller already holds
+    it; otherwise L(G) is evaluated and reduced here.  The dimension comes
+    from the rank, the Hamming-distance bound is length/2 - g + 1 - j, and
+    containment of the Euclidean dual is checked by reducing a basis of
+    the dual, one kernel vector per free column, against C(G).
     """
     f = backend.field
     width = 2 * backend.n
-    rows = evaluation_matrix(backend, j, "g")
-    reduced, pivots = rref(f, rows, width)
-    dual_rows, _ = _nullspace_of_rref(f, reduced, pivots, width)
-    contained = bool(row_in_span(f, reduced, pivots, dual_rows).all())
+    if c_g is None:
+        c_g = CodeBasis.from_rows(f, evaluation_matrix(backend, j, "g"), width)
+    dual_rows = _nullspace_rows(c_g.rows, c_g.pivots, width)
+    contained = bool(row_in_span(f, c_g.rows, c_g.pivots, dual_rows).all())
     return ClassicalParams(
         length=width,
-        dim=len(reduced),
+        dim=c_g.rank,
         d_hamming_lower=backend.n - backend.genus + 1 - j,
         euclidean_dual_contained=contained,
     )

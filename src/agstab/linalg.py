@@ -5,7 +5,9 @@ Matrices are sequences of rows with integer entries (field indices).  For
 every field, 1 <= r <= 16, the elimination runs on one numpy array, uint8
 when q <= 256 and uint16 above, and multiplies through the field's
 log/antilog arrays (``GF2m.log_antilog``): a row update is one gather
-``antilog[log[column] + log[pivot row]]``.  Pivoting is leftmost-column,
+``antilog[log[column] + log[pivot row]]``, or, when a pivot hits more rows
+than the field has nonzero multipliers, a gather from the pivot row's q - 1
+multiples, formed once.  Pivoting is leftmost-column,
 first-nonzero-row, which makes every reduced form canonical for its row
 space.  ``_rref_scalar`` is the plain-Python elimination kept as the
 reference the tests compare against.
@@ -23,13 +25,49 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 def _as_array(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
-    """The rows as a field-element array; ValueError on ragged or out-of-range input."""
-    for i, r in enumerate(rows):
-        if len(r) != width:
-            raise ValueError(f"row {i} has length {len(r)}, expected {width}")
-        if width and (min(r) < 0 or max(r) >= field.q):
-            raise ValueError(f"row {i} has an entry outside [0, {field.q}) for {field}")
-    return np.array(rows, dtype=field.log_antilog[1].dtype).reshape(len(rows), width)
+    """The rows as a field-element array; ValueError on ragged, out-of-range or non-integer input.
+
+    Shape and range are checked on one array; only a failing input is
+    scanned row by row, to name the offending row.
+    """
+    dtype = field.log_antilog[1].dtype
+    if not len(rows):
+        return np.zeros((0, width), dtype=dtype)
+    try:
+        A = np.array(rows)
+    except ValueError:  # ragged
+        A = None
+    # one reduction checks the range: the OR of the entries lies in [0, q = 2^r) exactly
+    # when every entry does; object (huge ints), float and str arrays are scanned
+    if A is None or A.shape != (len(rows), width) or (A.size and not (
+            A.dtype.kind in "biu" and 0 <= np.bitwise_or.reduce(A, axis=None) < field.q)):
+        for i, r in enumerate(rows):
+            if len(r) != width:
+                raise ValueError(f"row {i} has length {len(r)}, expected {width}")
+            if width and (min(r) < 0 or max(r) >= field.q):
+                raise ValueError(f"row {i} has an entry outside [0, {field.q}) for {field}")
+        raise ValueError(f"the rows do not form a {len(rows)} x {width} integer matrix")
+    return A.astype(dtype)
+
+
+def _eliminate(field: GF2m, M: np.ndarray, hit: np.ndarray, c: int, row_log: np.ndarray) -> None:
+    """M[h] -= M[h, c] * (pivot row) for each row h in ``hit``, in place.
+
+    The pivot row is zero left of column c and ``row_log`` holds its logs
+    from c on.  When more rows are hit than the field has nonzero
+    multipliers, the q - 1 multiples of the pivot row are formed once and
+    gathered by each row's factor; otherwise each row's product is formed
+    on its own.
+    """
+    if not hit.size:
+        return
+    log, antilog = field.log_antilog
+    period = field.q - 1
+    factors = log[M[hit, c]]
+    if hit.size > period:
+        M[hit, c:] ^= antilog[np.arange(period)[:, None] + row_log][factors]
+    else:
+        M[hit, c:] ^= antilog[factors[:, None] + row_log]
 
 
 def _rref_array(field: GF2m, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -55,9 +93,7 @@ def _rref_array(field: GF2m, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
             M[r, c:] = antilog[row_log]
         col = M[:, c].copy()
         col[r] = 0
-        hit = np.flatnonzero(col)
-        if hit.size:
-            M[hit, c:] ^= antilog[log[col[hit]][:, None] + row_log]
+        _eliminate(field, M, np.flatnonzero(col), c, row_log)
         pivots.append(c)
         r += 1
     return M[:r], pivots
@@ -109,8 +145,12 @@ def nullspace(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> Rows:
     return _nullspace_of_rref(field, R, pivots, width)[0]
 
 
-def _nullspace_of_rref(field: GF2m, R: Rows, pivots: Sequence[int], width: int) -> tuple[Rows, tuple[int, ...]]:
-    """Canonical nullspace basis, and its pivots, from rref rows whose pivots all lie below ``width``."""
+def _nullspace_rows(R: Rows, pivots: Sequence[int], width: int) -> list[list[int]]:
+    """One kernel vector per free column, from rref rows whose pivots all lie below ``width``.
+
+    The vectors are independent (each has a 1 at its own free column), but
+    they are not reduced.
+    """
     pivot_set = set(pivots)
     free = [c for c in range(width) if c not in pivot_set]
     basis = []
@@ -120,7 +160,12 @@ def _nullspace_of_rref(field: GF2m, R: Rows, pivots: Sequence[int], width: int) 
         for i, p in enumerate(pivots):
             v[p] = R[i][f]  # -R[i][f] in characteristic 2
         basis.append(v)
-    return rref(field, basis, width)
+    return basis
+
+
+def _nullspace_of_rref(field: GF2m, R: Rows, pivots: Sequence[int], width: int) -> tuple[Rows, tuple[int, ...]]:
+    """Canonical nullspace basis, and its pivots, from rref rows whose pivots all lie below ``width``."""
+    return rref(field, _nullspace_rows(R, pivots, width), width)
 
 
 def row_in_span(field: GF2m, rref_rows: Rows, pivots: Sequence[int], rows: Sequence[Sequence[int]]) -> np.ndarray:
@@ -133,11 +178,9 @@ def row_in_span(field: GF2m, rref_rows: Rows, pivots: Sequence[int], rows: Seque
         return np.ones(0, dtype=bool)
     width = len(rows[0])
     V = _as_array(field, rows, width)
-    log, antilog = field.log_antilog
-    R_log = log[_as_array(field, rref_rows, width)]
+    R_log = field.log_antilog[0][_as_array(field, rref_rows, width)]
     for i, p in enumerate(pivots):  # basis row i is zero left of its pivot p
-        hit = np.flatnonzero(V[:, p])
-        V[hit, p:] ^= antilog[log[V[hit, p]][:, None] + R_log[i, p:]]
+        _eliminate(field, V, np.flatnonzero(V[:, p]), p, R_log[i, p:])
     return ~V.any(axis=1)
 
 

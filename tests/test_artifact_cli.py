@@ -27,8 +27,131 @@ def test_round_trip_bit_exact(tmp_path):
 
 
 def test_to_json_layout():
-    text = artifact_mod.to_json(artifact_mod.construct_artifact("rational", 8, 2))
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    # against the encoder the writer replaced: entries >= 256 (q=512), C(H) = [] at j = max_j,
+    # a descended artifact (null backend and places, nested gram, basis), and d_exact set
+    construct = artifact_mod.construct_artifact
+    with_d_exact = construct("hermitian", 2, 1)
+    with_d_exact.d_exact = 2
+    arts = [construct("rational", 8, 2), construct("rational", 512, 4), construct("hermitian", 4, 5),
+            construct("rational", 8, 4), artifact_mod.descend_artifact(construct("hermitian", 4, 1)),
+            with_d_exact]
+    for art in arts:
+        expected = json.dumps(artifact_mod._document(art), indent=2, sort_keys=True) + "\n"
+        assert artifact_mod.to_json(art) == expected
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": []}, [0], [[0, 1], []], (1, 2), [True, 0], [None, 1], [-1, 0, 3],
+    [1 << 16, 0], [2 ** 70], [1.5, 2], ["x", "\u00e9"], {"b": {"a": [[3, 4]]}, "a": None}, 7, None, "s",
+])
+def test_layout_matches_the_encoder(value):
+    out = []
+    artifact_mod._layout(value, "", out, [])
+    assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# SHA-256 of to_json, fixed when the writer was the json module's encoder
+ARTIFACT_SHA256 = {
+    "rational-q4-j0": "a097b83d2bfb250d68a9104cb999ec4a5b21e14d9d8ae253f8794b0e2c15ba24",
+    "descended-rational-q4-j0": "e9f4d23fb17134d3381f652c57d3d0e22a134182fb7906a98da619f9bb9f1c7c",
+    "rational-q4-j1": "ec87618d5e8367d04e16ea4413d13613756ef560922e6ef343771d3011bf99eb",
+    "descended-rational-q4-j1": "8bcc9dc172795fd67b4c6d666e562a3d279bb494e13a5c183e7376b0a342e534",
+    "rational-q4-j2": "e319ed391ef3ea550c4421ccc59ad322fbc72cf641e641a5ec72ca5fabe8a6e1",
+    "descended-rational-q4-j2": "ec709101913de752c7a96b160a24d151422b84dae49ef82f369e63f20231a704",
+    "rational-q8-j0": "15bf6d31bc51fcdbc33130b8c94348e998ffa9afea594533c7538ee369f855a0",
+    "descended-rational-q8-j0": "3fe3a307d3e86d68892aabd688862a56b87c8a24723fc7261888fcc0ed3b68d4",
+    "rational-q8-j1": "010b5f6880dfe12e628b62c27ec6eac319832ce4394486fda1ddc880d9d2cc23",
+    "descended-rational-q8-j1": "7ab60d3116f5babe09495d25029a2e7b25cdd5414fcfd340e16f6e8e14878236",
+    "rational-q8-j2": "817037648d33de4ee44eeb7cd72864c3cbdd8e22856e2ea20fd484c52db79740",
+    "descended-rational-q8-j2": "6590df8373a97cdf6e1a56711df99c2ee54c00675da19867f05ab09fb6b5458f",
+    "rational-q8-j3": "79259e97650b1bf39b9534c904d2f23fa3be3a45ca03d330bcb70c7a9c428916",
+    "descended-rational-q8-j3": "5746b2e8045b13bd085d799e0126b87970c4301f6c6687eea54156befd50251e",
+    "rational-q8-j4": "0591bf03d5b60ea5523c52e764e0d6f14aa495d3e7d64f5972d53b534a63f45e",
+    "descended-rational-q8-j4": "6338b887eb27a2cbc9c653488c464554de7cea0dd9e02d247b29feaa9c91f6a8",
+    "hermitian-q2-j0": "23f924c413ec0e2e1ece2e37c21f5927ed170adbb9f22bfb89160b13363198c7",
+    "descended-hermitian-q2-j0": "744f2db106e07deb5c1fb5d8600b885646a85991df3af323d76d544ebd9ec6d3",
+    "hermitian-q2-j1": "cd9f95c8ee9f7c610dfc515ad4da5619014bbf36388e738e81652aad8dfa72a5",
+    "descended-hermitian-q2-j1": "ef632c4a31acd1ab9e862691796b83906c8abde93bd5be388bd1e5ceb13115ec",
+    "hermitian-q2-j2": "7933ba6819ddb4320890378c384909f490aa0f5eeeced1f9a77042161068a99a",
+    "descended-hermitian-q2-j2": "9c332d080695bfc7ad0d7b6d6d6175d2dd19ed1e6e691156fa35ed103d28766b",
+    "hermitian-q4-j1": "75133b22dba02f96ec47d8b379b54bba044646c1e4a68275a65c9f78bf088615",
+    "descended-hermitian-q4-j1": "d8a7f3d92874492c2031ba16cc7181e23505103e3947fff2ae4756e9dbb9e6de",
+    "hermitian-q4-j5": "0af7a3a0df584232b8a425b991d12dbfc0004a15bb5d85d69bf4ca36eeb084f6",
+    "descended-hermitian-q4-j5": "3cfcac2e4f24fd58139db51d92b37b1de984ce4830d0efb2fe3b8faaaaacb434",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
+def test_artifact_bytes_are_pinned(name):
+    descended = name.startswith("descended-")
+    kind, q, j = name.removeprefix("descended-").split("-")
+    art = artifact_mod.construct_artifact(kind, int(q[1:]), int(j[1:]))
+    if descended:
+        art = artifact_mod.descend_artifact(art)
+    assert hashlib.sha256(artifact_mod.to_json(art).encode()).hexdigest() == ARTIFACT_SHA256[name]
+
+
+# SHA-256 of the verify report (as the CLI prints it) after row 0 of one matrix is changed
+TAMPERED_REPORT_SHA256 = {
+    "tampered-c_g-rational-q8-j2": "75ef3039ba063457654eaad26e6c5cbdea0da7a94e8da88290fac80091deddf6",
+    "tampered-c_g-hermitian-q4-j5": "a0614af37f0c573038195336e08a1bed1222231cc8f0f70dc780535ccaa87bd4",
+    "tampered-c_h-rational-q8-j2": "75ef3039ba063457654eaad26e6c5cbdea0da7a94e8da88290fac80091deddf6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED_REPORT_SHA256))
+def test_tampered_report_bytes_are_pinned(name):
+    _, key, kind, q, j = name.split("-")
+    art = artifact_mod.construct_artifact(kind, int(q[1:]), int(j[1:]))
+    getattr(art, key + "_rows")[0][0] ^= 1
+    report = artifact_mod.verify_artifact(art)
+    assert not report["ok"]
+    assert report["checks"][0] == {"name": "matrices-recompute", "status": "fail",
+                                   "detail": "stored places and generator rows match a fresh evaluation"}
+    text = json.dumps(report, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == TAMPERED_REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("kind,q,j", [("rational", 16, 2), ("hermitian", 4, 5)])
+def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j):
+    from agstab import linalg
+
+    calls = []
+    real = linalg.rref
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    art = artifact_mod.construct_artifact(kind, q, j)
+    monkeypatch.setattr(linalg, "rref", counting)
+    # C(G), C(H), and the symplectic dual of C(G) (its rows, then its kernel);
+    # the classical view reuses C(G) and checks the raw Euclidean dual rows
+    assert artifact_mod.verify_artifact(art)["ok"]
+    assert len(calls) == 4
+    calls.clear()
+    art.c_g_rows[0][0] ^= 1    # the classical view now reduces the fresh L(G) rows
+    assert not artifact_mod.verify_artifact(art)["ok"]
+    assert len(calls) == 5
+
+
+def test_each_riemann_roch_matrix_is_evaluated_once(monkeypatch):
+    from agstab import curves
+
+    calls = []
+    real = curves.evaluation_matrix
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    for owner in (curves, artifact_mod):
+        monkeypatch.setattr(owner, "evaluation_matrix", counting)
+    art = artifact_mod.construct_artifact("rational", 16, 2)
+    assert sorted(calls) == ["g", "h"]
+    calls.clear()
+    assert artifact_mod.verify_artifact(art)["ok"]
+    assert sorted(calls) == ["g", "h"]
 
 
 def test_verify_budget_reduces_each_dual_once(monkeypatch):
@@ -216,7 +339,7 @@ def test_cli_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: internal error: swap reduction produced a wrong syndrome\n"
     # a lost basis row breaks build_codes' dimension check
     real = curves.evaluation_matrix
-    monkeypatch.setattr(curves, "evaluation_matrix", lambda *args: real(*args)[1:])
+    monkeypatch.setattr(artifact_mod, "evaluation_matrix", lambda *args: real(*args)[1:])
     assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", art]) == 2
     assert capsys.readouterr().err == ("error: internal error: unexpected code dimensions 8/6 "
                                        "at j=1 on RationalBackend(q=16)\n")

@@ -319,3 +319,14 @@ def test_classical_rational():
     cp = classical_params(RationalBackend(8), 1)
     assert cp.dim == 5 and cp.d_hamming_lower == 4
     assert cp.euclidean_dual_contained
+
+
+@pytest.mark.parametrize("backend", [RationalBackend(8), HermitianBackend(2), HermitianBackend(4)], ids=repr)
+def test_classical_params_takes_the_reduced_basis(backend):
+    for j in range(backend.max_j + 1):
+        cg, _ = build_codes(backend, j)
+        assert classical_params(backend, j, cg) == classical_params(backend, j)
+    # a basis whose Euclidean dual {x : x_0 = 0} it does not contain
+    width = 2 * backend.n
+    cp = classical_params(backend, 0, CodeBasis.from_rows(backend.field, [[1] + [0] * (width - 1)], width))
+    assert cp.dim == 1 and not cp.euclidean_dual_contained

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agstab import linalg
-from agstab.curves import RationalBackend, evaluation_matrix
+from agstab.curves import HermitianBackend, RationalBackend, evaluation_matrix
 from agstab.gf import field
 from conftest import span_vectors
 
@@ -93,6 +93,39 @@ def test_row_in_span_matches_the_span(case, data):
     if f.q ** len(R) <= ORACLE_SIZE:
         span = span_vectors(f, list(R), width)
         assert list(got) == [tuple(p) in span for p in probes]
+
+
+@st.composite
+def tall_matrices(draw):
+    """(field, rows, width) with more rows than the field has nonzero elements."""
+    f = field(draw(st.sampled_from((1, 2, 4))))
+    width = draw(st.integers(1, 8))
+    nrows = draw(st.integers(f.q, 24))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=nrows, max_size=nrows))
+    return f, rows, width
+
+
+@FUZZ
+@given(tall_matrices())
+def test_rref_and_span_past_q_minus_1_rows(case):
+    # a pivot that hits more than q - 1 rows gathers from its q - 1 multiples
+    f, rows, width = case
+    R, pivots = linalg.rref(f, rows, width)
+    assert (R, pivots) == reference_rref(f, rows, width)
+    assert linalg.row_in_span(f, R, pivots, rows).all()
+    if R and f.q ** len(R) <= ORACLE_SIZE:
+        span = span_vectors(f, list(R), width)
+        probes = [[v ^ (c == pivots[-1]) for c, v in enumerate(r)] for r in rows]
+        assert list(linalg.row_in_span(f, R, pivots, probes)) == [tuple(p) in span for p in probes]
+
+
+def test_rref_hermitian_q8_slice():
+    # GF(64), 100 rows: the early pivots hit more rows than the 63 multipliers
+    backend = HermitianBackend(8)
+    rows = evaluation_matrix(backend, 1, "g")[:100]
+    width = len(rows[0])
+    assert linalg.rref(backend.field, rows, width) == reference_rref(backend.field, rows, width)
 
 
 def test_rref_q512_evaluation_slice():
@@ -182,3 +215,20 @@ def test_malformed_rows_rejected(degree, kind):
         linalg.nullspace(f, rows, 3)
     with pytest.raises(ValueError):
         linalg.solve(f, rows, 3, [0, 0])
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2, 3], [1, 2]], "row 1 has length 2, expected 3"),
+    ([[1, 2, 3, 4]], "row 0 has length 4, expected 3"),
+    ([[1, 2, 3], [0, -1, 0]], "row 1 has an entry outside [0, 16) for GF(2^4)"),
+    ([[1, 2, 3], [16, 0, 0]], "row 1 has an entry outside [0, 16) for GF(2^4)"),
+    ([[0, 0, 0], [1, 2, 3], [0, 2 ** 70, 0]], "row 2 has an entry outside [0, 16) for GF(2^4)"),
+    ([[1, 2, 3], [0, -2 ** 70, 0]], "row 1 has an entry outside [0, 16) for GF(2^4)"),
+    ([[1, 2, 3], [0, 2 ** 63, 0]], "row 1 has an entry outside [0, 16) for GF(2^4)"),
+    ([[-1, 0, 0], [0, 2 ** 63, 0]], "row 0 has an entry outside [0, 16) for GF(2^4)"),
+    ([[1.5, 0, 0]], "the rows do not form a 1 x 3 integer matrix"),
+])
+def test_malformed_rows_name_the_row(rows, message):
+    with pytest.raises(ValueError) as info:
+        linalg.rref(field(4), rows, 3)
+    assert str(info.value) == message

@@ -126,7 +126,7 @@ def hamming_min_solve(
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if not rows:
+    if not len(rows):
         raise ValueError("need at least one check row")
     if len(syndrome) != len(rows):
         raise ValueError(f"syndrome length {len(syndrome)} != {len(rows)} check rows")

@@ -28,12 +28,20 @@ the same thing in every run and in every file written by different runs:
 
 The constructor re-verifies irreducibility of the modulus by exhaustive
 trial division, so a custom modulus cannot silently corrupt a field.
+
+``SubfieldEmbedding`` places GF(q) inside GF(q^m) and holds the embedding,
+its inverse and the trace as lookup tables over every element; it also
+evaluates every GF(q)-combination of a set of elements at once, which is
+how basis tests and the descent's coordinate tables are built.  Lookups
+reject values outside [0, q) (``as_elements``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 # Default irreducible polynomials over GF(2), keyed by extension degree.
 # All of them have x (= index 2) as a primitive element.
@@ -247,8 +255,6 @@ class GF2m:
         Built lazily, once per field; read-only.
         """
         if self._log_antilog is None:
-            import numpy as np
-
             period = self.q - 1
             zero = 3 * period
             log = np.array(self._log, dtype=np.int32)
@@ -300,64 +306,18 @@ def field(degree: int) -> GF2m:
     return GF2m(degree)
 
 
-# ---------------------------------------------------------------------------
-# GF(2) bit-matrix helpers (used by the subfield machinery and the descent
-# coordinate maps; n <= 16 bits throughout).
-# ---------------------------------------------------------------------------
+def as_elements(field: GF2m, values) -> np.ndarray:
+    """A scalar or array of element indices as an integer array.
 
-def invert_bit_matrix(columns: Sequence[int], n: int) -> list[int]:
-    """Invert an n x n GF(2) matrix given by column masks; returns row masks.
-
-    Row mask k of the result has bit j set when (A^-1)[k][j] = 1, so applying
-    the inverse to a vector y is ``parity(row[k] & y)`` per output bit.
-    Raises ValueError when the matrix is singular.
+    ValueError, naming the first offending value and the field, when any
+    value is not an integer in [0, q); a table lookup would otherwise wrap
+    a negative index or fail with IndexError.
     """
-    rows = [0] * n
-    for j, col in enumerate(columns):
-        for i in range(n):
-            if (col >> i) & 1:
-                rows[i] |= 1 << j
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    r = 0
-    for c in range(n):
-        piv = next((k for k in range(r, n) if (aug[k] >> c) & 1), None)
-        if piv is None:
-            raise ValueError("singular GF(2) matrix")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for k in range(n):
-            if k != r and (aug[k] >> c) & 1:
-                aug[k] ^= aug[r]
-        r += 1
-    return [a >> n for a in aug]
-
-
-def solve_bit_system(equations: Iterable[tuple[int, int]], nbits: int) -> int | None:
-    """One solution x of a GF(2) system, or None when inconsistent.
-
-    ``equations`` yields (mask, rhs) pairs meaning parity(mask & x) = rhs.
-    Free bits of the returned solution are zero.
-    """
-    rows: list[tuple[int, int, int]] = []  # (mask, rhs, pivot bit)
-    for mask, rhs in equations:
-        for pm, pr, pb in rows:
-            if (mask >> pb) & 1:
-                mask ^= pm
-                rhs ^= pr
-        if mask == 0:
-            if rhs:
-                return None
-            continue
-        pb = mask.bit_length() - 1
-        rows = [
-            (pm ^ mask, pr ^ rhs, opb) if (pm >> pb) & 1 else (pm, pr, opb)
-            for pm, pr, opb in rows
-        ]
-        rows.append((mask, rhs, pb))
-    x = 0
-    for _, pr, pb in rows:
-        if pr:
-            x ^= 1 << pb
-    return x
+    a = np.asarray(values)
+    if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= field.q):
+        bad = next(v for v in a.flat if not (isinstance(v, (int, np.integer)) and 0 <= v < field.q))
+        raise ValueError(f"{bad} is not an element of {field}: expected an integer in [0, {field.q})")
+    return a.astype(np.intp, copy=False)
 
 
 class SubfieldEmbedding:
@@ -365,8 +325,10 @@ class SubfieldEmbedding:
 
     The embedding maps the subfield's canonical generator g to the smallest
     root of g's minimal polynomial among the order-(q-1) elements of the
-    extension, which makes it a deterministic ring homomorphism.  Tables are
-    immutable after construction and safe to share between threads.
+    extension, which makes it a deterministic ring homomorphism.  The
+    embedding, its inverse and the trace are numpy tables over every
+    element, built once; they are read-only and safe to share between
+    threads.
     """
 
     def __init__(self, sub: GF2m, ext: GF2m) -> None:
@@ -377,8 +339,23 @@ class SubfieldEmbedding:
         self.sub = sub
         self.ext = ext
         self.m = ext.degree // sub.degree
-        self._embed = self._build_embedding()
-        self._project = {y: a for a, y in enumerate(self._embed)}
+        self._embed = np.array(self._build_embedding())
+        self._project = np.full(ext.q, -1)
+        self._project[self._embed] = np.arange(sub.q)
+        # Tr(y) = y + y^q + .. + y^(q^(m-1)); q-th powers by repeated squaring
+        # (antilog[2 log 0] is 0, so 0 needs no mask)
+        log, antilog = ext.log_antilog
+        power = np.arange(ext.q)
+        total = np.zeros(ext.q, dtype=np.intp)
+        for _ in range(self.m):
+            total ^= power
+            for _ in range(sub.degree):
+                power = antilog[2 * log[power]]
+        self.trace_table = self._project[total]
+        if self.trace_table.min() < 0:
+            raise AssertionError("a trace fell outside the embedded subfield")
+        for table in (self._embed, self._project, self.trace_table):
+            table.setflags(write=False)
 
     def _build_embedding(self) -> list[int]:
         sub, ext = self.sub, self.ext
@@ -411,49 +388,41 @@ class SubfieldEmbedding:
 
     def embed(self, a: int) -> int:
         """Image in GF(q^m) of the subfield element with index a."""
-        return self._embed[a]
+        return int(self._embed[as_elements(self.sub, a)])
 
     def project(self, y: int) -> int:
         """Inverse of embed; raises ValueError when y is outside the subfield."""
-        try:
-            return self._project[y]
-        except KeyError:
+        a = int(self._project[as_elements(self.ext, y)])
+        if a < 0:
             raise ValueError(f"{y} is not in the embedded {self.sub} inside {self.ext}")
+        return a
 
     def trace(self, y: int) -> int:
-        """Trace down to the subfield: sum of y^(q^i) for i = 0 .. m-1.
+        """Trace down to the subfield, as a subfield index: a lookup in ``trace_table``."""
+        return int(self.trace_table[as_elements(self.ext, y)])
 
-        The result is fixed by the q-power map, hence lies in the embedded
-        subfield; it is returned as a subfield index.
+    def combinations(self, basis: Sequence[int]) -> np.ndarray:
+        """sum embed(c_i) * basis[i] for every c in GF(q)^len(basis).
+
+        Entry sum c_i q^i holds the image of c, so the table is a
+        permutation of GF(q^m) exactly when ``basis`` has m elements and is
+        a GF(q)-basis.
         """
-        acc = 0
-        c = y
-        for _ in range(self.m):
-            acc ^= c
-            c = self.ext.pow(c, self.sub.q)
-        return self.project(acc)
+        b = as_elements(self.ext, basis)
+        log, antilog = self.ext.log_antilog
+        return np.bitwise_xor.reduce(antilog[log[self._embed[self.tuples(len(b))]] + log[b]], axis=1)
 
-    def coordinate_columns(self, basis: Sequence[int]) -> list[int]:
-        """GF(2) column masks of (c_1..c_m) -> sum embed(c_i) * basis[i].
-
-        One column per (basis element, subfield bit) pair, ordered with the
-        subfield bits varying fastest.  Used to invert coordinate maps.
-        """
-        cols = []
-        for alpha in basis:
-            for bit in range(self.sub.degree):
-                cols.append(self.ext.mul(self._embed[1 << bit], alpha))
-        return cols
+    def tuples(self, k: int) -> np.ndarray:
+        """Every c in GF(q)^k as a (q^k, k) array, row sum c_i q^i holding c."""
+        return (np.arange(self.sub.q ** k)[:, None] >> (self.sub.degree * np.arange(k))) & (self.sub.q - 1)
 
     def is_basis(self, basis: Sequence[int]) -> bool:
         """True when the elements are GF(q)-linearly independent of full size."""
         if len(basis) != self.m:
             return False
-        try:
-            invert_bit_matrix(self.coordinate_columns(basis), self.ext.degree)
-        except ValueError:
-            return False
-        return True
+        hit = np.zeros(self.ext.q, dtype=bool)
+        hit[self.combinations(basis)] = True
+        return bool(hit.all())
 
     def gram_matrix(self, basis: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Matrix of pairwise traces Tr(basis[i] * basis[j]), over the subfield.
@@ -466,11 +435,6 @@ class SubfieldEmbedding:
             raise ValueError(
                 f"need {self.m} GF({self.sub.q})-linearly independent elements, got {list(basis)}"
             )
-        m = self.m
-        M = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                t = self.trace(self.ext.mul(basis[i], basis[j]))
-                M[i][j] = t
-                M[j][i] = t
-        return tuple(tuple(row) for row in M)
+        log, antilog = self.ext.log_antilog
+        b = log[as_elements(self.ext, basis)]
+        return tuple(map(tuple, self.trace_table[antilog[b[:, None] + b[None, :]]].tolist()))

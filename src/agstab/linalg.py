@@ -129,7 +129,7 @@ def rref(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> tuple[Rows, 
 
     Raises ValueError on ragged rows or on entries outside [0, q).
     """
-    if not rows:
+    if not len(rows):
         return (), ()
     M, pivots = _rref_array(field, _as_array(field, rows, width))
     return tuple(map(tuple, M.tolist())), tuple(pivots)
@@ -174,7 +174,7 @@ def row_in_span(field: GF2m, rref_rows: Rows, pivots: Sequence[int], rows: Seque
     All rows reduce together, one log/antilog update per pivot; returns a
     bool array with one entry per row.
     """
-    if not rows:
+    if not len(rows):
         return np.ones(0, dtype=bool)
     width = len(rows[0])
     V = _as_array(field, rows, width)

@@ -56,7 +56,7 @@ class CodeBasis:
     @classmethod
     def from_rows(cls, field: GF2m, rows: Sequence[Sequence[int]], width: int | None = None) -> "CodeBasis":
         if width is None:
-            if not rows:
+            if not len(rows):
                 raise ValueError("width is required for an empty row list")
             width = len(rows[0])
         reduced, pivots = linalg.rref(field, rows, width)

@@ -8,7 +8,14 @@ from __future__ import annotations
 
 from itertools import product
 
-from agstab.gf import GF2m
+from hypothesis import settings
+
+from agstab.gf import GF2m, SubfieldEmbedding
+
+# one profile for every property test: reproducible runs, no example
+# database and no per-example deadline; each test sets its own max_examples
+settings.register_profile("agstab", deadline=None, derandomize=True, database=None)
+settings.load_profile("agstab")
 
 
 def span_vectors(field: GF2m, rows: list[tuple[int, ...]], width: int) -> set[tuple[int, ...]]:
@@ -69,3 +76,42 @@ def naive_monomial_matrix(field: GF2m, exponents, places) -> list[tuple[int, ...
             row.append(value)
         rows.append(tuple(row))
     return rows
+
+
+def naive_trace(view: SubfieldEmbedding, y: int) -> int:
+    """y + y^q + .. + y^(q^(m-1)) by scalar powers, projected by scanning the subfield."""
+    acc = 0
+    for i in range(view.m):
+        acc ^= view.ext.pow(y, view.sub.q ** i)
+    return next(a for a in view.sub.elements() if view.embed(a) == acc)
+
+
+def naive_descend_vector(view: SubfieldEmbedding, basis, vec) -> tuple[int, ...]:
+    """gamma(vec), each coordinate found by scanning the q^m coordinate tuples.
+
+    alpha(c) = sum embed(c_i) a_i on the left half; beta(c) = alpha(M c)
+    with M[i][j] = Tr(a_i a_j) on the right half.
+    """
+    sub, ext, m = view.sub, view.ext, view.m
+    gram = [[naive_trace(view, ext.mul(a, b)) for b in basis] for a in basis]
+
+    def alpha(c):
+        acc = 0
+        for ci, a in zip(c, basis):
+            acc ^= ext.mul(view.embed(ci), a)
+        return acc
+
+    def beta(c):
+        mixed = []
+        for row in gram:
+            acc = 0
+            for mij, cj in zip(row, c):
+                acc ^= sub.mul(mij, cj)
+            mixed.append(acc)
+        return alpha(mixed)
+
+    tuples = list(product(sub.elements(), repeat=m))
+    n = len(vec) // 2
+    left = [next(c for c in tuples if alpha(c) == y) for y in vec[:n]]
+    right = [next(c for c in tuples if beta(c) == y) for y in vec[n:]]
+    return tuple(x for c in left + right for x in c)

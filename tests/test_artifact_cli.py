@@ -524,7 +524,7 @@ def test_cli_malformed_artifact_exits_2_naming_the_key(tmp_path, capsys, name):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_from_json_rejects_structural_damage_with_value_error(data):
     """Any key deleted or any value replaced by another JSON value either still

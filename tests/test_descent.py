@@ -1,9 +1,14 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agstab.curves import HermitianBackend, RationalBackend, build_codes
 from agstab.descent import DescentBasis, descend_code, descend_vector, self_dual_basis
-from agstab.gf import field
+from agstab.gf import SubfieldEmbedding, field
+from agstab.linalg import invert_matrix
 from agstab.symplectic import (
     CodeBasis,
     contains,
@@ -11,6 +16,9 @@ from agstab.symplectic import (
     symplectic_dual,
     symplectic_form,
 )
+from conftest import naive_descend_vector, naive_symplectic_form, naive_trace
+
+EXTENSIONS = ((1, 2), (1, 3), (1, 4), (2, 4))  # GF(4), GF(8), GF(16) over GF(2); GF(16) over GF(4)
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +160,159 @@ def test_distance_monotone_on_gf16_codes():
     down = descend_code(cg, db)
     assert down.width == 32 and down.rank == 18
     assert contains(down, symplectic_dual(down))
+
+
+# ---------------------------------------------------------------------------
+# values outside the field
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [-1, 4, 5, 2 ** 70])
+def test_inverse_maps_reject_values_outside_the_field(gf4_basis, bad):
+    for lookup in (gf4_basis.alpha_inv, gf4_basis.beta_inv):
+        with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\(2\^2\)"):
+            lookup(bad)
+
+
+@pytest.mark.parametrize("coords", [(2, 0), (0, -1), (1, 2 ** 70)])
+def test_forward_maps_reject_coordinates_outside_the_subfield(gf4_basis, coords):
+    bad = next(c for c in coords if c not in (0, 1))
+    for forward in (gf4_basis.alpha, gf4_basis.beta):
+        with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\(2\^1\)"):
+            forward(coords)
+
+
+def test_maps_reject_a_wrong_coordinate_count(gf4_basis):
+    for forward in (gf4_basis.alpha, gf4_basis.beta):
+        with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+            forward((1, 0, 1))
+
+
+def test_descend_vector_rejects_values_outside_the_field(gf4_basis):
+    with pytest.raises(ValueError, match=r"^5 is not an element of GF\(2\^2\)"):
+        descend_vector(gf4_basis, (5, 0, -1, 0))
+    with pytest.raises(ValueError, match=r"^-1 is not an element of GF\(2\^2\)"):
+        descend_vector(gf4_basis, (3, 0, -1, 0))
+    with pytest.raises(ValueError, match="even length"):
+        descend_vector(gf4_basis, (1, 0, 1))
+
+
+def test_maps_accept_numpy_integers(gf4_basis):
+    assert gf4_basis.alpha_inv(np.uint8(3)) == (1, 1)
+    assert gf4_basis.alpha((np.int64(1), np.uint16(1))) == 3
+    assert descend_vector(gf4_basis, np.array([3, 0, 0, 2], dtype=np.uint8)) == (1, 1, 0, 0, 0, 0, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# differential: the two tables against a per-entry scan of the q^m tuples
+# ---------------------------------------------------------------------------
+
+def span_size(view, elements):
+    """Size of the GF(q)-span of the elements, by enumerating every combination."""
+    span = set()
+    for coeffs in product(view.sub.elements(), repeat=len(elements)):
+        acc = 0
+        for c, a in zip(coeffs, elements):
+            acc ^= view.ext.mul(view.embed(c), a)
+        span.add(acc)
+    return len(span)
+
+
+def brute_twist(view, basis):
+    """The mu with Tr(mu a_i a_j) = (M^-1)[i][j] for all i, j by scanning GF(q^m); None if none."""
+    ext = view.ext
+    target = invert_matrix(view.sub, [[naive_trace(view, ext.mul(a, b)) for b in basis] for a in basis])
+    hits = [mu for mu in ext.elements()
+            if all(naive_trace(view, ext.mul(mu, ext.mul(a, b))) == target[i][j]
+                   for i, a in enumerate(basis) for j, b in enumerate(basis))]
+    assert len(hits) <= 1
+    return hits[0] if hits else None
+
+
+def random_sets(view, count, seed):
+    """``count`` random m-tuples of GF(q^m) elements that span it, and the dependent ones met on the way."""
+    rng = np.random.default_rng(seed)
+    bases, dependent = [], []
+    while len(bases) < count:
+        cand = tuple(int(v) for v in rng.integers(0, view.ext.q, view.m))
+        (bases if span_size(view, cand) == view.ext.q else dependent).append(cand)
+    return bases, dependent
+
+
+def check_against_oracles(view, sets):
+    for cand in sets:
+        is_basis = span_size(view, cand) == view.ext.q
+        assert view.is_basis(cand) == is_basis, cand
+        if is_basis:
+            assert DescentBasis(view.sub, view.ext, cand).twist == brute_twist(view, cand), cand
+
+
+@pytest.mark.parametrize("sd,ed", [(1, 2), (1, 3)])
+def test_twist_and_is_basis_on_every_ordered_set(sd, ed):
+    view = SubfieldEmbedding(field(sd), field(ed))
+    sets = list(product(view.ext.elements(), repeat=view.m))
+    check_against_oracles(view, sets)
+    assert sum(view.is_basis(c) for c in sets) == {2: 6, 3: 168}[ed]  # ordered bases of GF(4), GF(8)
+
+
+@pytest.mark.parametrize("sd", [1, 2])
+def test_twist_and_is_basis_on_random_gf16_sets(sd):
+    view = SubfieldEmbedding(field(sd), field(4))
+    bases, dependent = random_sets(view, 20, seed=sd)
+    check_against_oracles(view, bases + dependent)
+    assert any(DescentBasis(view.sub, view.ext, b).twist is None for b in bases)
+    assert any(DescentBasis(view.sub, view.ext, b).twist is not None for b in bases)
+
+
+def test_is_basis_rejects_wrong_sizes():
+    view = SubfieldEmbedding(field(1), field(3))
+    assert not view.is_basis((1, 2))
+    assert not view.is_basis((1, 2, 4, 3))
+
+
+@st.composite
+def descent_bases(draw):
+    """A DescentBasis over one of EXTENSIONS: the default, the self-dual or a random valid basis."""
+    sd, ed = draw(st.sampled_from(EXTENSIONS))
+    sub, ext = field(sd), field(ed)
+    view = SubfieldEmbedding(sub, ext)
+    kind = draw(st.sampled_from(("default", "self-dual", "random")))
+    if kind == "default":
+        return DescentBasis(sub, ext)
+    if kind == "self-dual":
+        return DescentBasis(sub, ext, self_dual_basis(sub, ext))
+    element = st.integers(1, ext.q - 1)
+    basis = draw(st.lists(element, min_size=view.m, max_size=view.m)
+                 .filter(lambda b: span_size(view, b) == ext.q))
+    return DescentBasis(sub, ext, basis)
+
+
+@settings(max_examples=120)
+@given(descent_bases(), st.data())
+def test_descend_vector_matches_the_tuple_scan(db, data):
+    n = data.draw(st.integers(1, 3))
+    vec = data.draw(st.lists(st.integers(0, db.ext.q - 1), min_size=2 * n, max_size=2 * n))
+    assert descend_vector(db, vec) == naive_descend_vector(db.view, db.basis, vec)
+
+
+@settings(max_examples=60)
+@given(descent_bases(), st.data())
+def test_descend_code_matches_the_tuple_scan(db, data):
+    # C = D^perp for a random self-orthogonal D, so C contains its dual
+    ext = db.ext
+    n = data.draw(st.integers(1, 2))
+    width = 2 * n
+    isotropic = []
+    for v in data.draw(st.lists(st.lists(st.integers(0, ext.q - 1), min_size=width, max_size=width),
+                                max_size=n + 1)):
+        if all(naive_symplectic_form(ext, v, u) == 0 for u in isotropic):
+            isotropic.append(v)
+    C = symplectic_dual(CodeBasis.from_rows(ext, isotropic, width))
+    spanning = [naive_descend_vector(db.view, db.basis, [ext.mul(a, v) for v in row])
+                for row in C.rows for a in db.basis]
+    expected = CodeBasis.from_rows(db.sub, spanning, db.m * width)
+    if expected.rank == db.m * C.rank and contains(expected, symplectic_dual(expected)):
+        assert descend_code(C, db) == expected
+    else:
+        assert db.twist is None
+        with pytest.raises(ValueError, match="does not contain its symplectic dual"):
+            descend_code(C, db)

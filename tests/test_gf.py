@@ -7,6 +7,7 @@ from agstab.gf import (
     field,
     is_irreducible_gf2,
 )
+from conftest import naive_trace
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +140,25 @@ def test_trace_gf4_examples():
     assert emb.trace(0) == 0
     assert emb.trace(2) == 1    # Tr(w) = w + w^2 = 1
     assert emb.trace(1) == 0    # 1 + 1
+
+
+@pytest.mark.parametrize("sd,ed", EXTENSIONS)
+def test_trace_table_is_the_sum_of_conjugates(sd, ed):
+    emb = SubfieldEmbedding(field(sd), field(ed))
+    assert [emb.trace(y) for y in emb.ext.elements()] == [naive_trace(emb, y) for y in emb.ext.elements()]
+    assert not emb.trace_table.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 2 ** 70])
+def test_trace_project_embed_reject_values_outside_the_field(bad):
+    emb = SubfieldEmbedding(field(1), field(2))
+    for lookup in (emb.trace, emb.project):
+        with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\(2\^2\)"):
+            lookup(bad)
+    with pytest.raises(ValueError, match=r"^2 is not an element of GF\(2\^1\)"):
+        emb.embed(2)
+    with pytest.raises(ValueError, match=r"3 is not in the embedded GF\(2\^1\)"):
+        emb.project(3)
 
 
 def test_incompatible_extension_rejected():

@@ -4,6 +4,7 @@ brute-force span oracle, on random small matrices over GF(2^r)."""
 
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 from agstab import linalg
 from agstab.curves import HermitianBackend, RationalBackend, evaluation_matrix
 from agstab.gf import field
+from agstab.symplectic import CodeBasis
 from conftest import span_vectors
 
 DEGREES = (1, 2, 4, 8, 9, 16)
 ORACLE_SIZE = 4096  # largest space the brute-force oracles walk
 
-FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+FUZZ = settings(max_examples=150)
 
 
 @st.composite
@@ -70,6 +72,28 @@ def test_rref_matches_scalar_reference(case):
     assert all(type(v) is int for row in R for v in row)
     if f.q ** len(rows) <= ORACLE_SIZE:
         assert span_vectors(f, list(R), width) == span_vectors(f, rows, width)
+
+
+@FUZZ
+@given(matrices(), st.sampled_from((np.int64, np.uint16)))
+def test_array_input_matches_list_input(case, dtype):
+    # a 2-D array is taken as it is, with no truth-value test on it
+    f, rows, width = case
+    A = np.array(rows, dtype=dtype).reshape(len(rows), width)
+    assert linalg.rref(f, A, width) == linalg.rref(f, rows, width)
+    assert CodeBasis.from_rows(f, A, width) == CodeBasis.from_rows(f, rows, width)
+    R, pivots = linalg.rref(f, rows, width)
+    assert list(linalg.row_in_span(f, R, pivots, A)) == list(linalg.row_in_span(f, R, pivots, rows))
+
+
+def test_array_input_examples():
+    f = field(2)
+    A = np.array([[1, 2, 3], [0, 1, 1]])
+    assert linalg.rref(f, A, 3) == linalg.rref(f, A.tolist(), 3) == (((1, 0, 1), (0, 1, 1)), (0, 1))
+    empty = np.zeros((0, 6), dtype=np.uint8)
+    assert linalg.rref(f, empty, 6) == ((), ())
+    assert CodeBasis.from_rows(f, empty, 6) == CodeBasis.zero(f, 6)
+    assert linalg.row_in_span(f, (), (), empty).shape == (0,)
 
 
 def test_rref_leaves_input_alone():

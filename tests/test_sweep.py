@@ -21,7 +21,7 @@ from agstab.symplectic import (ENUMERATION_CAP, CodeBasis, _SyndromeSearch, cont
                                 relative_min_weight, stabilizer_params, swap_halves)
 from conftest import naive_relative_min_weight, naive_symplectic_form, naive_symplectic_weight, span_vectors
 
-FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+FUZZ = settings(max_examples=60)
 
 
 @st.composite
@@ -212,7 +212,7 @@ def _brute_solutions(dual, w, syndrome):
             and tuple(naive_symplectic_form(dual.field, v, r) for r in dual.rows) == syndrome}
 
 
-@settings(FUZZ, max_examples=40)
+@settings(max_examples=40)
 @given(syndrome_problems(), st.integers(1, 4))
 def test_kernel_lists_each_solution_once(case, w):
     dual, syndrome = case
@@ -249,7 +249,7 @@ def _hamming_weight(v):
     return sum(1 for x in v if x)
 
 
-@settings(FUZZ, max_examples=40)
+@settings(max_examples=40)
 @given(hamming_problems(), st.integers(1, 4))
 def test_hamming_kernel_lists_each_solution_once(case, w):
     f, rows, syndrome = case

@@ -260,8 +260,8 @@ def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifac
         j=j,
         field=backend.field,
         places=[list(p.coords) for p in points],
-        c_g_rows=[list(r) for r in g_rows],
-        c_h_rows=[list(r) for r in h_rows],
+        c_g_rows=g_rows.tolist(),
+        c_h_rows=h_rows.tolist(),
         n=backend.n,
         k=c_g.rank - backend.n,
         deg_g=backend.deg_g(j),
@@ -294,8 +294,8 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
         j=None,
         field=sub,
         places=None,
-        c_g_rows=[list(r) for r in down.rows],
-        c_h_rows=[list(r) for r in dual.rows],
+        c_g_rows=down.rows.tolist(),
+        c_h_rows=dual.rows.tolist(),
         n=n,
         k=down.rank - n,
         deg_g=None,
@@ -341,10 +341,9 @@ def verify_artifact(
         backend = make_backend(art.backend_kind, art.q, art.gamma)
         points = backend.evaluation_points().point_order
         same_places = art.places == [list(p.coords) for p in points]
-        g_rows = [list(r) for r in evaluation_matrix(backend, art.j, "g")]
-        h_rows = [list(r) for r in evaluation_matrix(backend, art.j, "h")]
-        same_g = art.c_g_rows == g_rows
-        same_rows = same_g and art.c_h_rows == h_rows
+        g_rows, h_rows = (evaluation_matrix(backend, art.j, which) for which in "gh")
+        same_g = art.c_g_rows == g_rows.tolist()
+        same_rows = same_g and art.c_h_rows == h_rows.tolist()
         checks.append(
             _check(
                 "matrices-recompute",
@@ -360,7 +359,7 @@ def verify_artifact(
     checks.append(
         _check(
             "dual-equality",
-            dual_g.rows == c_h.rows,
+            dual_g == c_h,
             "canonical rref of the symplectic dual of C(G) equals that of C(H)",
         )
     )

@@ -259,17 +259,15 @@ def make_backend(kind: str, q: int, gamma: int = 1) -> CurveBackend:
 # Code construction
 # ---------------------------------------------------------------------------
 
-def monomial_matrix(
-    f: GF2m, exponents: Sequence[tuple[int, ...]], places: Sequence[Place]
-) -> list[tuple[int, ...]]:
+def monomial_matrix(f: GF2m, exponents: Sequence[tuple[int, ...]], places: Sequence[Place]) -> np.ndarray:
     """Row r holds the monomial with exponents[r] at each place, one factor per coordinate.
 
-    The whole matrix is one gather antilog[sum_k e_k * log c_k mod (q-1)].
-    A zero coordinate gives 0 under a positive power and 1 under the zeroth;
-    under a negative power it is a pole, and ValueError is raised.
+    The whole matrix is one gather antilog[sum_k e_k * log c_k mod (q-1)],
+    returned as it is: a read-only (len(exponents), len(places)) array in
+    the field's dtype.  A zero coordinate gives 0 under a positive power
+    and 1 under the zeroth; under a negative power it is a pole, and
+    ValueError is raised.
     """
-    if not exponents:
-        return []
     log, antilog = f.log_antilog
     period = f.q - 1
     index = np.zeros((len(exponents), len(places)), dtype=np.int32)
@@ -284,13 +282,14 @@ def monomial_matrix(
         # at a zero coordinate the term is 0 under e = 0, and e > 0 gives 0: antilog
         # is 0 from 3(q-1) on, and a later coordinate adds less than q-1
         index[np.ix_(e > 0, at_zero)] = 3 * period
-    # one int object per field element, not one per entry
-    elements = np.array(f.elements(), dtype=object)
-    return list(map(tuple, elements[antilog[index]].tolist()))
+    M = antilog[index]
+    M.setflags(write=False)
+    return M
 
 
-def evaluation_matrix(backend: CurveBackend, j: int, which: str = "g") -> list[tuple[int, ...]]:
-    """Rows of evaluations of the L(G) (or L(H)) basis at the point order."""
+def evaluation_matrix(backend: CurveBackend, j: int, which: str = "g") -> np.ndarray:
+    """Evaluations of the L(G) (or L(H)) basis at the point order, one row per
+    basis function, as ``monomial_matrix`` returns them."""
     return monomial_matrix(
         backend.field, backend.rr_basis(j, which), backend.evaluation_points().point_order
     )

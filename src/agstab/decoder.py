@@ -188,22 +188,15 @@ def _all_syndromes(field: GF2m, dual: CodeBasis, cap: int) -> np.ndarray:
     if total > cap:
         raise ValueError(f"q^(2n) = {total} exceeds the oracle cap {cap}")
     mul = field.mul_table
-    checks = [swap_halves(r) for r in dual.rows]
+    checks = np.roll(dual.rows, width // 2, axis=1)
     syn = np.zeros((total, dual.rank), dtype=np.uint8)
-    for c in range(width):
-        hold = q ** (width - 1 - c)
-        tiles = q ** c
-        for r, row in enumerate(checks):
-            if row[c]:
-                syn[:, r] ^= _hold_tile(mul[:q, row[c]], hold, tiles)
+    for r, c in zip(*np.nonzero(checks)):
+        syn[:, r] ^= _hold_tile(mul[:, checks[r, c]], q ** (width - 1 - c), q ** c)
     return syn
 
 
 def _vector_of_index(q: int, width: int, index: int) -> tuple[int, ...]:
-    digits = []
-    for c in range(width):
-        digits.append((index // (q ** (width - 1 - c))) % q)
-    return tuple(digits)
+    return tuple(index // q ** (width - 1 - c) % q for c in range(width))
 
 
 def _weights_by_index(q: int, width: int) -> np.ndarray:

@@ -48,8 +48,9 @@ from .symplectic import CodeBasis, contains, symplectic_dual
 
 
 class DescentBasis:
-    """A GF(q)-basis of GF(q^m) with its trace Gram matrix, its inverse and
-    the tables of the two coordinate maps.
+    """A GF(q)-basis of GF(q^m) with its trace Gram matrix (a tuple of
+    rows), the read-only array of its inverse and the tables of the two
+    coordinate maps.
 
     Row y of the read-only (q^m, m) tables of alpha^-1 and beta^-1 holds
     the coordinates of y; the tables of alpha and beta hold the image of
@@ -117,15 +118,15 @@ class DescentBasis:
         trace = self.view.trace_table
         b = log[np.array(self.basis)]
         products = log[antilog[b[:, None] + b[None, :]]]
-        target = np.array(self.gram_inv)
+        target = self.gram_inv
         (mu,) = np.flatnonzero((trace[antilog[log[:, None] + products[0]]] == target[0]).all(axis=1))
         return int(mu) if (trace[antilog[log[mu] + products]] == target).all() else None
 
 
-def _mix(sub: GF2m, matrix: Sequence[Sequence[int]], X: np.ndarray) -> np.ndarray:
+def _mix(sub: GF2m, matrix: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Every row x of X (subfield coordinates) mapped to matrix x, one column of matrix at a time."""
     log, antilog = sub.log_antilog
-    A = log[np.array(matrix)]
+    A = log[matrix]
     out = np.zeros(X.shape, dtype=antilog.dtype)
     for j in range(A.shape[1]):
         out ^= antilog[log[X[:, j]][:, None] + A[:, j]]
@@ -195,7 +196,7 @@ def descend_code(C: CodeBasis, basis: DescentBasis) -> CodeBasis:
     if not contains(C, symplectic_dual(C)):
         raise ValueError("input code does not contain its symplectic dual")
     log, antilog = basis.ext.log_antilog
-    scaled = antilog[log[np.array(C.rows)][:, None, :] + log[np.array(basis.basis)][None, :, None]]
+    scaled = antilog[log[C.rows][:, None, :] + log[np.array(basis.basis)][None, :, None]]
     down = CodeBasis.from_rows(basis.sub, _gamma(basis, scaled.reshape(-1, C.width)), basis.m * C.width)
     if down.rank != basis.m * C.rank:
         raise ValueError("descent lost rank; the coordinate maps are inconsistent")

@@ -1,10 +1,12 @@
 """Dense linear algebra over GF(2^r): reduced row echelon form, rank,
 nullspace, span membership and small solves.
 
-Matrices are sequences of rows with integer entries (field indices).  For
-every field, 1 <= r <= 16, the elimination runs on one numpy array, uint8
-when q <= 256 and uint16 above, and multiplies through the field's
-log/antilog arrays (``GF2m.log_antilog``): a row update is one gather
+A matrix is a 2-D numpy array of field indices in the field's dtype,
+uint8 when q <= 256 and uint16 above, and every matrix returned here is
+read-only.  Inputs may be any rectangular sequence of integer rows; they
+are checked on entry.  For every field, 1 <= r <= 16, the elimination
+runs on one such array and multiplies through the field's log/antilog
+arrays (``GF2m.log_antilog``): a row update is one gather
 ``antilog[log[column] + log[pivot row]]``, or, when a pivot hits more rows
 than the field has nonzero multipliers, a gather from the pivot row's q - 1
 multiples, formed once.  Pivoting is leftmost-column,
@@ -19,9 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import GF2m
-
-Rows = tuple[tuple[int, ...], ...]
+from .gf import GF2m, as_elements
 
 
 def _as_array(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
@@ -47,7 +47,7 @@ def _as_array(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> np.ndar
             if width and (min(r) < 0 or max(r) >= field.q):
                 raise ValueError(f"row {i} has an entry outside [0, {field.q}) for {field}")
         raise ValueError(f"the rows do not form a {len(rows)} x {width} integer matrix")
-    return A.astype(dtype)
+    return A.astype(dtype, copy=False)
 
 
 def _eliminate(field: GF2m, M: np.ndarray, hit: np.ndarray, c: int, row_log: np.ndarray) -> None:
@@ -124,61 +124,61 @@ def _rref_scalar(field: GF2m, rows: list[list[int]], width: int) -> tuple[list[l
     return rows[:r], pivots
 
 
-def rref(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> tuple[Rows, tuple[int, ...]]:
-    """Canonical reduced row echelon form of the row space, plus pivot columns.
+def rref(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Canonical reduced row echelon form of the row space, as a read-only
+    (rank, width) array, plus the pivot columns.
 
     Raises ValueError on ragged rows or on entries outside [0, q).
     """
-    if not len(rows):
-        return (), ()
-    M, pivots = _rref_array(field, _as_array(field, rows, width))
-    return tuple(map(tuple, M.tolist())), tuple(pivots)
+    R, pivots = _rref_array(field, _as_array(field, rows, width))
+    R.setflags(write=False)
+    return R, tuple(pivots)
 
 
 def rank(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> int:
     return len(rref(field, rows, width)[0])
 
 
-def nullspace(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> Rows:
+def nullspace(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
     """Canonical basis of {x : M x^T = 0}, as rref rows."""
     R, pivots = rref(field, rows, width)
     return _nullspace_of_rref(field, R, pivots, width)[0]
 
 
-def _nullspace_rows(R: Rows, pivots: Sequence[int], width: int) -> list[list[int]]:
+def _nullspace_rows(R: np.ndarray, pivots: Sequence[int], width: int) -> np.ndarray:
     """One kernel vector per free column, from rref rows whose pivots all lie below ``width``.
 
-    The vectors are independent (each has a 1 at its own free column), but
-    they are not reduced.
+    Vector f is 1 at free column f and R[i, f] at pivot column i (-R[i, f]
+    in characteristic 2), so the vectors are independent, but they are not
+    reduced.
     """
-    pivot_set = set(pivots)
-    free = [c for c in range(width) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * width
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = R[i][f]  # -R[i][f] in characteristic 2
-        basis.append(v)
-    return basis
+    free = np.delete(np.arange(width), pivots)
+    N = np.zeros((len(free), width), dtype=R.dtype)
+    N[np.arange(len(free)), free] = 1
+    N[:, list(pivots)] = R[:, free].T
+    return N
 
 
-def _nullspace_of_rref(field: GF2m, R: Rows, pivots: Sequence[int], width: int) -> tuple[Rows, tuple[int, ...]]:
+def _nullspace_of_rref(field: GF2m, R: np.ndarray, pivots: Sequence[int], width: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Canonical nullspace basis, and its pivots, from rref rows whose pivots all lie below ``width``."""
     return rref(field, _nullspace_rows(R, pivots, width), width)
 
 
-def row_in_span(field: GF2m, rref_rows: Rows, pivots: Sequence[int], rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """For each of ``rows``, whether it reduces to zero against a canonical rref basis.
+def row_in_span(field: GF2m, basis: np.ndarray, pivots: Sequence[int], rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """For each of ``rows``, whether it reduces to zero against a canonical
+    rref basis (an array as ``rref`` returns it).
 
     All rows reduce together, one log/antilog update per pivot; returns a
-    bool array with one entry per row.
+    bool array with one entry per row.  ValueError, naming the query row,
+    when a row is not as wide as the basis.
     """
     if not len(rows):
         return np.ones(0, dtype=bool)
-    width = len(rows[0])
-    V = _as_array(field, rows, width)
-    R_log = field.log_antilog[0][_as_array(field, rref_rows, width)]
+    try:
+        V = _as_array(field, rows, basis.shape[1])
+    except ValueError as exc:
+        raise ValueError(f"query {exc}") from None
+    R_log = field.log_antilog[0][basis]
     for i, p in enumerate(pivots):  # basis row i is zero left of its pivot p
         _eliminate(field, V, np.flatnonzero(V[:, p]), p, R_log[i, p:])
     return ~V.any(axis=1)
@@ -189,35 +189,33 @@ def solve(
     rows: Sequence[Sequence[int]],
     width: int,
     rhs: Sequence[int],
-) -> tuple[tuple[int, ...] | None, Rows]:
+) -> tuple[tuple[int, ...] | None, np.ndarray]:
     """Solve M x^T = rhs.
 
     Returns (particular solution with free coordinates zero, canonical
-    nullspace basis of M).  An inconsistent system returns (None, ()): no
-    nullspace is computed for it.
+    nullspace basis of M).  An inconsistent system returns None and an
+    empty (0, width) array: no nullspace is computed for it.
     """
     if len(rhs) != len(rows):
         raise ValueError("right-hand side length does not match the row count")
-    aug = [list(r) + [s] for r, s in zip(rows, rhs)]
+    aug = np.column_stack([_as_array(field, rows, width), as_elements(field, rhs)])
     R, pivots = rref(field, aug, width + 1)
     if width in pivots:
-        return None, ()
-    x = [0] * width
-    for i, p in enumerate(pivots):
-        x[p] = R[i][width]
+        return None, R[:0, :width]
+    x = np.zeros(width, dtype=R.dtype)
+    x[list(pivots)] = R[:, width]
     # with no pivot in the rhs column, the first ``width`` columns of R are rref(M)
-    return tuple(x), _nullspace_of_rref(field, R, pivots, width)[0]
+    return tuple(x.tolist()), _nullspace_of_rref(field, R, pivots, width)[0]
 
 
-def identity_rows(width: int) -> Rows:
-    return tuple(tuple(1 if i == j else 0 for j in range(width)) for i in range(width))
-
-
-def invert_matrix(field: GF2m, rows: Sequence[Sequence[int]]) -> Rows:
-    """Inverse of a square matrix over the field; ValueError when singular."""
+def invert_matrix(field: GF2m, rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Inverse of a square matrix over the field; ValueError when not square or singular."""
     n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    R, pivots = rref(field, aug, 2 * n)
-    if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
+    try:
+        A = _as_array(field, rows, n)
+    except ValueError as exc:
+        raise ValueError(f"not a {n} x {n} matrix: {exc}") from None
+    R, pivots = rref(field, np.hstack([A, np.eye(n, dtype=A.dtype)]), 2 * n)
+    if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular over " + repr(field))
-    return tuple(tuple(row[n:]) for row in R)
+    return R[:, n:]

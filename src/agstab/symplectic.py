@@ -34,23 +34,23 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import linalg
-from .gf import GF2m
+from .gf import GF2m, as_elements
 
 ENUMERATION_CAP = 1 << 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeBasis:
     """Canonical (rref) basis of a subspace of F_q^width.
 
-    rows are tuples of field indices; rank == len(rows).  Instances are
-    immutable and hashable, and equality is bit-exact equality of the
-    canonical form.
+    rows is a read-only (rank, width) array of field indices in the
+    field's dtype.  Instances are immutable and hashable, and equality is
+    bit-exact equality of the field, width, pivots and canonical rows.
     """
 
     field: GF2m
     width: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
     pivots: tuple[int, ...]
 
     @classmethod
@@ -64,7 +64,16 @@ class CodeBasis:
 
     @classmethod
     def zero(cls, field: GF2m, width: int) -> "CodeBasis":
-        return cls(field, width, (), ())
+        return cls.from_rows(field, (), width)
+
+    def _key(self) -> tuple:
+        return self.field, self.width, self.pivots, self.rows.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CodeBasis) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def rank(self) -> int:
@@ -78,11 +87,8 @@ class CodeBasis:
         # memo for symplectic_dual: verify, the budget sweep and descent ask for the same dual
         if self.width % 2:
             raise ValueError("symplectic dual needs an even ambient length")
-        if self.rank == 0:
-            rows = linalg.identity_rows(self.width)
-            return CodeBasis(self.field, self.width, rows, tuple(range(self.width)))
         # <x, h> is the standard product of x with swap_halves(h)
-        R, pivots = linalg.rref(self.field, [swap_halves(row) for row in self.rows], self.width)
+        R, pivots = linalg.rref(self.field, np.roll(self.rows, self.width // 2, axis=1), self.width)
         null, null_pivots = linalg._nullspace_of_rref(self.field, R, pivots, self.width)
         return CodeBasis(self.field, self.width, null, null_pivots)
 
@@ -101,18 +107,22 @@ def symplectic_form(field: GF2m, x: Sequence[int], y: Sequence[int]) -> int:
 def syndrome_of(field: GF2m, v: Sequence[int], dual_rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """s_i = <v, b_i> for each dual-basis row b_i.
 
-    <v, b> = swap_halves(v) . b, in one log/antilog pass over the nonzero
-    coordinates.  ValueError on odd or unequal lengths and entries outside [0, q).
+    <v, b> = v . swap_halves(b), in one log/antilog pass over the nonzero
+    coordinates of v and the columns of the rows they meet.  ValueError on
+    odd or unequal lengths and on entries outside [0, q), in v or anywhere
+    in the rows.
     """
     if len(v) % 2:
         raise ValueError(f"symplectic vectors have even length, got {len(v)}")
-    if any(len(b) != len(v) for b in dual_rows):
-        raise ValueError(f"length mismatch: rows must have length {len(v)}")
-    y = linalg._as_array(field, [swap_halves(v)], len(v))[0]
+    try:
+        B = linalg._as_array(field, dual_rows, len(v))
+    except ValueError as exc:
+        raise ValueError(f"dual {exc}") from None
+    y = as_elements(field, v)
     on = np.flatnonzero(y)
-    B = linalg._as_array(field, [[b[c] for c in on.tolist()] for b in dual_rows], len(on))
     log, antilog = field.log_antilog
-    return tuple(np.bitwise_xor.reduce(antilog[log[y[on]] + log[B]], axis=1).tolist())
+    partner = log[B[:, (on + len(v) // 2) % len(v)]]
+    return tuple(np.bitwise_xor.reduce(antilog[log[y[on]] + partner], axis=1).tolist())
 
 
 def symplectic_weight(x: Sequence[int]) -> int:
@@ -287,8 +297,7 @@ class _SyndromeSearch:
 
 def _symplectic_search(basis: CodeBasis) -> _SyndromeSearch:
     """The kernel on symplectic weight, checking <x, b> = x . swap_halves(b) for the rows b of ``basis``."""
-    rows = np.array(basis.rows, dtype=np.int64).reshape(basis.rank, basis.width)
-    return _SyndromeSearch(basis.field, np.roll(rows, basis.width // 2, axis=1), basis.width // 2, 2)
+    return _SyndromeSearch(basis.field, np.roll(basis.rows, basis.width // 2, axis=1), basis.width // 2, 2)
 
 
 def _first_weight(C: CodeBasis, D: CodeBasis, budget: int, cap: int) -> int | None:

@@ -63,8 +63,9 @@ def naive_relative_min_weight(field: GF2m, c_rows, d_rows, width) -> int | None:
     return min(naive_symplectic_weight(v) for v in diff)
 
 
-def naive_monomial_matrix(field: GF2m, exponents, places) -> list[tuple[int, ...]]:
-    """Each monomial at each place, one scalar pow/mul/inv per factor."""
+def naive_monomial_matrix(field: GF2m, exponents, places) -> list[list[int]]:
+    """Each monomial at each place, one scalar pow/mul/inv per factor, as
+    lists of rows (the form ``ndarray.tolist`` gives)."""
     rows = []
     for exps in exponents:
         row = []
@@ -74,7 +75,7 @@ def naive_monomial_matrix(field: GF2m, exponents, places) -> list[tuple[int, ...
                 factor = field.pow(c, e) if e >= 0 else field.inv(field.pow(c, -e))
                 value = field.mul(value, factor)
             row.append(value)
-        rows.append(tuple(row))
+        rows.append(row)
     return rows
 
 

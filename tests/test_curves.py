@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from agstab.curves import (
@@ -145,9 +146,9 @@ def test_evaluation_examples():
     hb = HermitianBackend(2)
     inv_x, one, z_over_x = hb.rr_basis(0)
     for evaluator in (monomial_matrix, naive_monomial_matrix):
-        assert evaluator(hb.field, [z_over_x], [Place((1, 2))]) == [(2,)]   # w / 1
-        assert evaluator(hb.field, [one], [Place((3, 2))]) == [(1,)]
-        assert evaluator(hb.field, [inv_x], [Place((2, 2))]) == [(3,)]      # 1 / w = w^2
+        assert np.asarray(evaluator(hb.field, [z_over_x], [Place((1, 2))])).tolist() == [[2]]  # w / 1
+        assert np.asarray(evaluator(hb.field, [one], [Place((3, 2))])).tolist() == [[1]]
+        assert np.asarray(evaluator(hb.field, [inv_x], [Place((2, 2))])).tolist() == [[3]]     # 1 / w = w^2
         with pytest.raises(ValueError):
             evaluator(hb.field, [inv_x], [Place((0, 0))])                   # pole of 1/x
 
@@ -162,9 +163,11 @@ def test_evaluation_matrix_matches_naive(backend):
     for j in range(backend.max_j + 1):
         for which in ("g", "h"):
             basis = backend.rr_basis(j, which)
-            assert evaluation_matrix(backend, j, which) == naive_monomial_matrix(backend.field, basis, points)
+            M = evaluation_matrix(backend, j, which)
+            assert M.dtype == backend.field.log_antilog[1].dtype
+            assert M.tolist() == naive_monomial_matrix(backend.field, basis, points)
     if backend.kind == "rational":
-        assert evaluation_matrix(backend, backend.max_j, "h") == []  # L(H) = L(-P_inf) = 0
+        assert evaluation_matrix(backend, backend.max_j, "h").shape == (0, 2 * backend.n)  # L(H) = L(-P_inf) = 0
     else:
         # negative control: the basis has poles at the places above x = 0
         places = backend.enumerate_places()
@@ -179,12 +182,18 @@ def test_monomial_matrix_zero_coordinates_and_large_fields():
     hb = HermitianBackend(4)
     exps = [(i, l) for i in range(3) for l in range(3)]
     places = hb.enumerate_places()
-    assert monomial_matrix(hb.field, exps, places) == naive_monomial_matrix(hb.field, exps, places)
+    assert monomial_matrix(hb.field, exps, places).tolist() == naive_monomial_matrix(hb.field, exps, places)
     # GF(2^16): products of exponent and log exceed 32 bits before the reduction
     f = field(16)
     exps = [(65534, -65534), (-1, 40000), (0, 0), (65535 * 3 + 7, -65535 * 2 - 1)]
     places = [Place((a, b)) for a in (1, 2, 40000, 65535) for b in (1, 3, 65534)]
-    assert monomial_matrix(f, exps, places) == naive_monomial_matrix(f, exps, places)
+    assert monomial_matrix(f, exps, places).tolist() == naive_monomial_matrix(f, exps, places)
+
+
+def test_evaluation_matrix_is_read_only():
+    M = evaluation_matrix(RationalBackend(8), 1, "g")
+    with pytest.raises(ValueError, match="read-only"):
+        M[0, 0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +202,11 @@ def test_monomial_matrix_zero_coordinates_and_large_fields():
 
 def test_hermitian_q2_j0_known_rows():
     hb = HermitianBackend(2)
-    rows = evaluation_matrix(hb, 0, "g")
-    assert (1, 1, 1, 1, 1, 1) in rows                   # f = 1
-    assert (1, 3, 2, 1, 3, 2) in rows                   # f = 1/x
+    rows = evaluation_matrix(hb, 0, "g").tolist()
+    assert [1, 1, 1, 1, 1, 1] in rows                   # f = 1
+    assert [1, 3, 2, 1, 3, 2] in rows                   # f = 1/x
     cg, ch = build_codes(hb, 0)
-    assert cg.rows == ch.rows                           # G = H at j = 0
+    assert cg == ch                                     # G = H at j = 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: f"{b.kind}-q{b.q}")
@@ -206,7 +215,7 @@ def test_dual_identity_and_dimensions(backend):
         cg, ch = build_codes(backend, j)
         assert cg.rank == backend.n + j
         assert ch.rank == backend.n - j
-        assert symplectic_dual(cg).rows == ch.rows
+        assert symplectic_dual(cg) == ch
         assert contains(cg, ch)
 
 
@@ -229,7 +238,7 @@ def test_distance_bound_exhaustive_small():
         for j in js:
             cg, _ = build_codes(backend, j)
             bound = backend.distance_bound(j)
-            words = span_vectors(backend.field, list(cg.rows), cg.width)
+            words = span_vectors(backend.field, cg.rows.tolist(), cg.width)
             for w in words:
                 if any(w):
                     assert symplectic_weight(w) >= bound
@@ -262,7 +271,7 @@ def test_representative_choice_is_immaterial():
         h_rows = monomial_matrix(hb.field, hb.rr_basis(1, "h"), order)
         cg = CodeBasis.from_rows(hb.field, g_rows, 2 * n)
         ch = CodeBasis.from_rows(hb.field, h_rows, 2 * n)
-        assert symplectic_dual(cg).rows == ch.rows
+        assert symplectic_dual(cg) == ch
         assert cg.rank - n == 1
 
 
@@ -271,7 +280,7 @@ def test_gamma_variants_hermitian_q4():
         hb = HermitianBackend(4, gamma=gamma)
         for j in (0, 3):
             cg, ch = build_codes(hb, j)
-            assert symplectic_dual(cg).rows == ch.rows
+            assert symplectic_dual(cg) == ch
 
 
 def test_backend_validation():

@@ -62,6 +62,19 @@ def test_syndrome_of_matches_the_symplectic_form(degree):
             assert all(type(v) is int for v in got)
 
 
+@pytest.mark.parametrize("v, rows, message", [
+    ((1, 0, 0, 0), [(0, 0, 0, 9)], "dual row 0 has an entry outside [0, 4)"),   # in a column v misses
+    ((1, 0, 0, 0), [(0, 0, 1, 0), (0, -1, 0, 0)], "dual row 1 has an entry outside [0, 4)"),
+    ((1, 0, 0, 0), [(0, 0, 1)], "dual row 0 has length 3, expected 4"),
+    ((1, 0, 0, 4), [(0, 0, 1, 0)], "4 is not an element of GF(2^2)"),
+    ((1, 0, 0), [(0, 0, 1)], "symplectic vectors have even length"),
+])
+def test_syndrome_of_validates_the_whole_check_matrix(v, rows, message):
+    with pytest.raises(ValueError) as info:
+        syndrome_of(field(2), v, rows)
+    assert str(info.value).startswith(message)
+
+
 def test_swap_negate_definition():
     # e -> (-e_{n+1} .. -e_{2n}, e_1 .. e_n) is swap_halves in characteristic 2
     # n = 2: (a, 0 | 0, b) -> (0, -b | a, 0)
@@ -114,7 +127,7 @@ def test_hamming_solver_recovers_planted():
     for _ in range(25):
         y = [0] * 16
         y[int(rng.integers(0, 16))] = int(rng.integers(1, 16))
-        target = tuple(_dot(f, y, b) for b in ch.rows)
+        target = tuple(_dot(f, y, b) for b in ch.rows.tolist())
         got = hamming_min_solve(f, target, ch.rows, 2)
         assert got == tuple(y)
 
@@ -150,7 +163,7 @@ def test_hamming_solver_monotone_in_budget():
     rng = np.random.default_rng(43)
     for _ in range(20):
         e = tuple(int(v) for v in rng.integers(0, f.q, 8))
-        s = tuple(_dot(f, e, b) for b in ch.rows)
+        s = tuple(_dot(f, e, b) for b in ch.rows.tolist())
         found = None
         for budget in range(0, 6):
             got = hamming_min_solve(f, s, ch.rows, budget)

@@ -41,10 +41,15 @@ def matrices(draw, square=False):
 
 
 def reference_rref(f, rows, width):
-    if not rows:
-        return (), ()
-    out, pivots = linalg._rref_scalar(f, [list(r) for r in rows], width)
-    return tuple(map(tuple, out)), tuple(pivots)
+    """``linalg._rref_scalar`` on plain int rows, as (R.tolist(), pivots)."""
+    out, pivots = linalg._rref_scalar(f, np.array(rows, dtype=np.int64).reshape(len(rows), width).tolist(), width)
+    return out, tuple(pivots)
+
+
+def as_lists(result):
+    """An rref result (R, pivots) in the form ``reference_rref`` gives."""
+    R, pivots = result
+    return R.tolist(), pivots
 
 
 def apply(f, rows, x):
@@ -67,11 +72,11 @@ def apply(f, rows, x):
 def test_rref_matches_scalar_reference(case):
     f, rows, width = case
     R, pivots = linalg.rref(f, rows, width)
-    assert (R, pivots) == reference_rref(f, rows, width)
+    assert (R.tolist(), pivots) == reference_rref(f, rows, width)
     assert linalg.rank(f, rows, width) == len(R)
-    assert all(type(v) is int for row in R for v in row)
+    assert R.shape == (len(pivots), width) and R.dtype == f.log_antilog[1].dtype
     if f.q ** len(rows) <= ORACLE_SIZE:
-        assert span_vectors(f, list(R), width) == span_vectors(f, rows, width)
+        assert span_vectors(f, R.tolist(), width) == span_vectors(f, rows, width)
 
 
 @FUZZ
@@ -80,7 +85,7 @@ def test_array_input_matches_list_input(case, dtype):
     # a 2-D array is taken as it is, with no truth-value test on it
     f, rows, width = case
     A = np.array(rows, dtype=dtype).reshape(len(rows), width)
-    assert linalg.rref(f, A, width) == linalg.rref(f, rows, width)
+    assert as_lists(linalg.rref(f, A, width)) == as_lists(linalg.rref(f, rows, width))
     assert CodeBasis.from_rows(f, A, width) == CodeBasis.from_rows(f, rows, width)
     R, pivots = linalg.rref(f, rows, width)
     assert list(linalg.row_in_span(f, R, pivots, A)) == list(linalg.row_in_span(f, R, pivots, rows))
@@ -89,9 +94,10 @@ def test_array_input_matches_list_input(case, dtype):
 def test_array_input_examples():
     f = field(2)
     A = np.array([[1, 2, 3], [0, 1, 1]])
-    assert linalg.rref(f, A, 3) == linalg.rref(f, A.tolist(), 3) == (((1, 0, 1), (0, 1, 1)), (0, 1))
+    assert as_lists(linalg.rref(f, A, 3)) == as_lists(linalg.rref(f, A.tolist(), 3)) == ([[1, 0, 1], [0, 1, 1]], (0, 1))
     empty = np.zeros((0, 6), dtype=np.uint8)
-    assert linalg.rref(f, empty, 6) == ((), ())
+    R, pivots = linalg.rref(f, empty, 6)
+    assert R.shape == (0, 6) and pivots == ()
     assert CodeBasis.from_rows(f, empty, 6) == CodeBasis.zero(f, 6)
     assert linalg.row_in_span(f, (), (), empty).shape == (0,)
 
@@ -115,7 +121,7 @@ def test_row_in_span_matches_the_span(case, data):
     got = linalg.row_in_span(f, R, pivots, probes)
     assert got.shape == (len(probes),) and got[len(probes) - len(rows):].all()
     if f.q ** len(R) <= ORACLE_SIZE:
-        span = span_vectors(f, list(R), width)
+        span = span_vectors(f, R.tolist(), width)
         assert list(got) == [tuple(p) in span for p in probes]
 
 
@@ -136,10 +142,10 @@ def test_rref_and_span_past_q_minus_1_rows(case):
     # a pivot that hits more than q - 1 rows gathers from its q - 1 multiples
     f, rows, width = case
     R, pivots = linalg.rref(f, rows, width)
-    assert (R, pivots) == reference_rref(f, rows, width)
+    assert (R.tolist(), pivots) == reference_rref(f, rows, width)
     assert linalg.row_in_span(f, R, pivots, rows).all()
-    if R and f.q ** len(R) <= ORACLE_SIZE:
-        span = span_vectors(f, list(R), width)
+    if len(R) and f.q ** len(R) <= ORACLE_SIZE:
+        span = span_vectors(f, R.tolist(), width)
         probes = [[v ^ (c == pivots[-1]) for c, v in enumerate(r)] for r in rows]
         assert list(linalg.row_in_span(f, R, pivots, probes)) == [tuple(p) in span for p in probes]
 
@@ -149,14 +155,14 @@ def test_rref_hermitian_q8_slice():
     backend = HermitianBackend(8)
     rows = evaluation_matrix(backend, 1, "g")[:100]
     width = len(rows[0])
-    assert linalg.rref(backend.field, rows, width) == reference_rref(backend.field, rows, width)
+    assert as_lists(linalg.rref(backend.field, rows, width)) == reference_rref(backend.field, rows, width)
 
 
 def test_rref_q512_evaluation_slice():
     backend = RationalBackend(512)
     rows = evaluation_matrix(backend, 4, "g")[:40]
     width = len(rows[0])
-    assert linalg.rref(backend.field, rows, width) == reference_rref(backend.field, rows, width)
+    assert as_lists(linalg.rref(backend.field, rows, width)) == reference_rref(backend.field, rows, width)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +175,12 @@ def test_nullspace_is_the_canonical_kernel(case):
     f, rows, width = case
     null = linalg.nullspace(f, rows, width)
     ref_rank = len(reference_rref(f, rows, width)[0])
-    assert len(null) == width - ref_rank
-    assert null == reference_rref(f, null, width)[0]
-    assert all(not any(apply(f, rows, v)) for v in null)
+    assert null.shape == (width - ref_rank, width)
+    assert null.tolist() == reference_rref(f, null, width)[0]
+    assert all(not any(apply(f, rows, v)) for v in null.tolist())
     if rows and f.q ** width <= ORACLE_SIZE:
         kernel = {x for x in product(f.elements(), repeat=width) if not any(apply(f, rows, x))}
-        assert span_vectors(f, list(null), width) == kernel
+        assert span_vectors(f, null.tolist(), width) == kernel
 
 
 @FUZZ
@@ -187,17 +193,18 @@ def test_solve_matches_reference(case, data):
     aug = [list(r) + [s] for r, s in zip(rows, rhs)]
     consistent = len(reference_rref(f, aug, width + 1)[0]) == m_rank
     if not consistent:
-        assert (x, null) == (None, ())
+        assert x is None and null.shape == (0, width)
         return
     assert apply(f, rows, x) == list(rhs)
     pivots = set(reference_rref(f, rows, width)[1])
     assert all(x[c] == 0 for c in range(width) if c not in pivots)
-    assert null == linalg.nullspace(f, rows, width)
+    assert null.tolist() == linalg.nullspace(f, rows, width).tolist()
 
 
 def test_solve_inconsistent_returns_no_nullspace():
     f = field(4)
-    assert linalg.solve(f, [[1, 2], [1, 2]], 2, [3, 4]) == (None, ())
+    x, null = linalg.solve(f, [[1, 2], [1, 2]], 2, [3, 4])
+    assert x is None and null.shape == (0, 2)
     with pytest.raises(ValueError):
         linalg.solve(f, [[1, 2]], 2, [3, 4])
 
@@ -210,10 +217,26 @@ def test_invert_matrix_matches_reference(case):
         with pytest.raises(ValueError):
             linalg.invert_matrix(f, rows)
         return
-    inv = linalg.invert_matrix(f, rows)
-    cols = list(zip(*inv))
-    assert [tuple(apply(f, rows, c)) for c in cols] == list(zip(*linalg.identity_rows(n)))
-    assert [tuple(apply(f, inv, c)) for c in zip(*rows)] == list(zip(*linalg.identity_rows(n)))
+    inv = linalg.invert_matrix(f, rows).tolist()
+    identity = np.eye(n, dtype=int).tolist()  # symmetric: its columns are its rows
+    assert [apply(f, rows, c) for c in zip(*inv)] == identity
+    assert [apply(f, inv, c) for c in zip(*rows)] == identity
+
+
+def test_returned_matrices_are_read_only():
+    f = field(4)
+    rows = [[1, 2, 3], [2, 4, 6]]
+    matrices = {
+        "rref": linalg.rref(f, rows, 3)[0],
+        "nullspace": linalg.nullspace(f, rows, 3),
+        "solve": linalg.solve(f, rows, 3, [1, 2])[1],
+        "invert_matrix": linalg.invert_matrix(f, [[1, 2], [0, 3]]),
+        "CodeBasis.rows": CodeBasis.from_rows(f, rows).rows,
+    }
+    for name, M in matrices.items():
+        assert M.ndim == 2 and M.dtype == np.uint8, name
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 7
 
 
 # ---------------------------------------------------------------------------
@@ -256,3 +279,22 @@ def test_malformed_rows_name_the_row(rows, message):
     with pytest.raises(ValueError) as info:
         linalg.rref(field(4), rows, 3)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 0, 1], [0, 1, 1]], "not a 2 x 2 matrix: row 0 has length 3, expected 2"),
+    ([[1, 0], [0]], "not a 2 x 2 matrix: row 1 has length 1, expected 2"),
+])
+def test_invert_matrix_names_the_square_shape(rows, message):
+    with pytest.raises(ValueError) as info:
+        linalg.invert_matrix(field(2), rows)
+    assert str(info.value) == message
+
+
+def test_row_in_span_blames_the_query_row():
+    basis = CodeBasis.from_rows(field(2), [[1, 0, 0, 0]])
+    with pytest.raises(ValueError) as info:
+        basis.contains_row([1, 0])
+    assert str(info.value) == "query row 0 has length 2, expected 4"
+    with pytest.raises(ValueError, match="query row 1 has length 5, expected 4"):
+        linalg.row_in_span(basis.field, basis.rows, basis.pivots, [[0, 0, 0, 1], [0] * 5])

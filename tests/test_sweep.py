@@ -37,7 +37,7 @@ def code_pairs(draw):
     if draw(st.booleans()) or C.rank == 0:
         D = CodeBasis.zero(f, width)
     else:
-        D = CodeBasis.from_rows(f, list(C.rows[:-1]), width)
+        D = CodeBasis.from_rows(f, C.rows[:-1], width)
     return C, D
 
 
@@ -45,7 +45,7 @@ def code_pairs(draw):
 @given(code_pairs(), st.integers(1, 4))
 def test_sweep_matches_naive(pair, budget):
     C, D = pair
-    expected = naive_relative_min_weight(C.field, list(C.rows), list(D.rows), C.width)
+    expected = naive_relative_min_weight(C.field, C.rows.tolist(), D.rows.tolist(), C.width)
     res = relative_min_weight(C, D, budget=budget, mode="budget")
     if expected is None:
         assert res.status == "empty"
@@ -72,7 +72,7 @@ def test_sweep_over_gf512():
 @given(code_pairs())
 def test_exact_distance_matches_naive(pair):
     C, D = pair
-    expected = naive_relative_min_weight(C.field, list(C.rows), list(D.rows), C.width)
+    expected = naive_relative_min_weight(C.field, C.rows.tolist(), D.rows.tolist(), C.width)
     res = relative_min_weight(C, D, mode="exact")
     if expected is None:
         assert res.status == "empty"
@@ -102,11 +102,11 @@ def linear_codes(draw):
 @FUZZ
 @given(linear_codes())
 def test_hamming_sweep_matches_naive(C):
-    words = span_vectors(C.field, list(C.rows), C.width) - {(0,) * C.width}
+    words = span_vectors(C.field, C.rows.tolist(), C.width) - {(0,) * C.width}
     expected = min(sum(1 for v in w if v) for w in words)
     assert min_hamming_weight(C) == expected
     # the Hamming weight of y is the symplectic weight of (y | 0)
-    padded = [row + (0,) * C.width for row in C.rows]
+    padded = [row + [0] * C.width for row in C.rows.tolist()]
     assert naive_relative_min_weight(C.field, padded, [], 2 * C.width) == expected
 
 
@@ -131,7 +131,7 @@ def self_dual_codes(draw):
 def test_zero_k_min_weight_matches_naive(C):
     p = stabilizer_params(C)
     assert (p.k, p.empty_difference, p.d) == (0, True, None)
-    assert p.zero_k_min_weight == naive_relative_min_weight(C.field, list(C.rows), [], C.width)
+    assert p.zero_k_min_weight == naive_relative_min_weight(C.field, C.rows.tolist(), [], C.width)
 
 
 def test_exact_distances_over_gf512():
@@ -209,14 +209,14 @@ def _kernel_solutions(search, w, syndrome):
 
 def _brute_solutions(dual, w, syndrome):
     return {v for v in product(dual.field.elements(), repeat=dual.width) if naive_symplectic_weight(v) == w
-            and tuple(naive_symplectic_form(dual.field, v, r) for r in dual.rows) == syndrome}
+            and tuple(naive_symplectic_form(dual.field, v, r) for r in dual.rows.tolist()) == syndrome}
 
 
 @settings(max_examples=40)
 @given(syndrome_problems(), st.integers(1, 4))
 def test_kernel_lists_each_solution_once(case, w):
     dual, syndrome = case
-    found = _kernel_solutions(_SyndromeSearch(dual.field, [swap_halves(r) for r in dual.rows],
+    found = _kernel_solutions(_SyndromeSearch(dual.field, [swap_halves(r) for r in dual.rows.tolist()],
                                               dual.width // 2, 2), w, syndrome)
     assert len(found) == len(set(found)) and set(found) == _brute_solutions(dual, w, syndrome)
 
@@ -289,7 +289,7 @@ def test_sweep_skips_light_vectors_of_d():
 def test_kernel_rejects_fingerprint_collisions(w):
     f = field(2)
     dual = CodeBasis.from_rows(f, [(1, 2, 0, 3, 1, 1), (0, 1, 1, 2, 0, 3)], 6)
-    search = _SyndromeSearch(f, [swap_halves(r) for r in dual.rows], 3, 2)
+    search = _SyndromeSearch(f, [swap_halves(r) for r in dual.rows.tolist()], 3, 2)
     search._mix[:], search._bit_keys[:] = 0, 0   # every fingerprint 0: every pair matches
     found = _kernel_solutions(search, w, (1, 2))
     assert len(found) == len(set(found)) and set(found) == _brute_solutions(dual, w, (1, 2))
@@ -344,7 +344,7 @@ def test_contains_rejects_a_row_one_entry_off_the_span(degree):
     rows = [(1, 0, 3 % f.q, 1, 0, 0), (0, 0, 1, 1, 1, 0), (0, 1, 0, 0, 1, 1)]
     outer = CodeBasis.from_rows(f, rows, 6)
     inside = [0] * 6
-    for c, row in zip((1, 2 % f.q, f.q - 1), outer.rows):
+    for c, row in zip((1, 2 % f.q, f.q - 1), outer.rows.tolist()):
         inside = [a ^ f.mul(c, v) for a, v in zip(inside, row)]
     free = next(c for c in range(6) if c not in outer.pivots)
     off = list(inside)

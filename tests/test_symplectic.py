@@ -31,12 +31,12 @@ def _random_rows(field_obj, rng, count, width):
 
 def test_row_reduce_duplicates():
     basis, rank = row_reduce(field(1), [(1, 1), (1, 1)])
-    assert rank == 1 and basis.rows == ((1, 1),)
+    assert rank == 1 and basis.rows.tolist() == [[1, 1]]
 
 
 def test_row_reduce_empty():
     basis, rank = row_reduce(field(1), [], width=4)
-    assert rank == 0 and basis.rows == ()
+    assert rank == 0 and basis.rows.shape == (0, 4)
 
 
 def test_row_reduce_gf4_dependent_pair():
@@ -60,8 +60,22 @@ def test_row_reduce_canonical_under_row_ops():
             mixed.append(tuple(acc))
         mixed.extend(rows)
         again, _ = row_reduce(f, mixed)
-        assert again.rows == ref.rows
+        assert again == ref and hash(again) == hash(ref)
 
+
+def test_code_basis_equality_and_hash():
+    # two generator sets of one span are one canonical basis
+    f = field(2)
+    a = CodeBasis.from_rows(f, [(1, 2, 0, 3), (0, 1, 1, 1)])
+    b = CodeBasis.from_rows(f, np.array([(1, 3, 1, 2), (2, 2, 1, 0), (0, 0, 0, 0)]))  # a1 + a2, w a1 + a2
+    assert a == b and hash(a) == hash(b)
+    assert a.rows.tolist() == b.rows.tolist() and a.pivots == b.pivots
+    # the same entries over another field, or in another width, are another subspace
+    assert a != CodeBasis.from_rows(field(3), a.rows)
+    assert a != CodeBasis.from_rows(f, [r + [0, 0] for r in a.rows.tolist()]) and a != CodeBasis.zero(f, 4)
+    assert CodeBasis.zero(f, 4) != CodeBasis.zero(f, 6)
+    with pytest.raises(ValueError, match="read-only"):
+        a.rows[0, 0] = 0
 
 # ---------------------------------------------------------------------------
 # form and weight
@@ -120,7 +134,7 @@ def test_dual_trivial_cases():
     zero = CodeBasis.zero(f, 2)
     assert symplectic_dual(zero).rank == 2
     line = CodeBasis.from_rows(f, [(1, 0)], 2)
-    assert symplectic_dual(line).rows == ((1, 0),)
+    assert symplectic_dual(line).rows.tolist() == [[1, 0]]
 
 
 def test_dual_matches_naive_scan():
@@ -132,8 +146,8 @@ def test_dual_matches_naive_scan():
             C = CodeBasis.from_rows(f, rows, width)
             D = symplectic_dual(C)
             assert C.rank + D.rank == width
-            assert span_vectors(f, list(D.rows), width) == naive_symplectic_dual(f, C.rows, width)
-            assert symplectic_dual(D).rows == C.rows  # double dual
+            assert span_vectors(f, D.rows.tolist(), width) == naive_symplectic_dual(f, C.rows.tolist(), width)
+            assert symplectic_dual(D) == C  # double dual
 
 
 def test_contains():
@@ -176,12 +190,12 @@ def test_relative_weight_matches_naive():
     while done < 8:
         c_rows = _random_rows(f, rng, 3, width)
         C = CodeBasis.from_rows(f, c_rows, width)
-        sub = [r for r in C.rows[: max(1, C.rank - 1)]]
+        sub = C.rows[: max(1, C.rank - 1)].tolist()
         D = CodeBasis.from_rows(f, sub, width) if sub else CodeBasis.zero(f, width)
         if C.rank == D.rank:
             continue
         done += 1
-        expected = naive_relative_min_weight(f, list(C.rows), list(D.rows), width)
+        expected = naive_relative_min_weight(f, C.rows.tolist(), D.rows.tolist(), width)
         got = relative_min_weight(C, D)
         assert got.status == "exact" and got.weight == expected
 
@@ -193,7 +207,7 @@ def test_budget_agrees_with_exact():
     done = 0
     while done < 8:
         C = CodeBasis.from_rows(f, _random_rows(f, rng, 4, width), width)
-        D = CodeBasis.from_rows(f, list(C.rows[:2]), width) if C.rank >= 2 else None
+        D = CodeBasis.from_rows(f, C.rows[:2], width) if C.rank >= 2 else None
         if D is None or C.rank == D.rank:
             continue
         done += 1
@@ -219,7 +233,7 @@ def test_min_hamming_weight_matches_naive():
         C = CodeBasis.from_rows(f, _random_rows(f, rng, 2, width), width)
         if C.rank == 0:
             continue
-        words = span_vectors(f, list(C.rows), width) - {(0,) * width}
+        words = span_vectors(f, C.rows.tolist(), width) - {(0,) * width}
         expected = min(sum(1 for v in w if v) for w in words)
         assert min_hamming_weight(C) == expected
 

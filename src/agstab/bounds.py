@@ -20,28 +20,53 @@ pointwise best m (which is m = 2 above the r1 windows and the capped
 m = M_CAP below the smallest window).  Raw line values may be negative;
 they are kept raw here and only clamped to 0 in the emitted table, which
 is a plotting convention, not part of the formulas.
+
+The envelope is computed on arrays: the window endpoints of m = 2..M_CAP
+are tabulated once, and a block of deltas meets all M_CAP - 1 lines at
+once.  The first window holding a delta is an argmax over a boolean
+matrix, and the fallback is an argmax over the line values, which picks
+the first maximum.  The array path and ``r1_of_m``/``alt_of_m`` evaluate
+one shared formula per family, in one operation order, so every value is
+bit-identical to the scalar functions.  ``r1_envelope`` and
+``alt_envelope`` are one-element calls of the same path.  ``emit_curves`` counts its grid before any work and
+refuses more than GRID_CAP points per curve.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 M_CAP = 30
 ALT_DELTA_CAP = 5 / 84
+GRID_CAP = 10**6  # delta grid points per curve that ``emit_curves`` accepts
+_BLOCK = 1 << 14  # deltas that meet the M_CAP - 1 lines at once
+
+_M = np.arange(2, M_CAP + 1)[:, None]  # one row per m, against a row of deltas
+
+
+def _r1(m, delta):
+    return 1.0 - 2.0 / (2**m - 1) - 4.0 * m * delta
+
+
+def _alt(m, delta):
+    return 1.0 - (10.0 / 3.0) * m * delta - 2.0 / (2**m - 1)
 
 
 def r1_of_m(m: int, delta: float) -> float:
     """Tower-family line for parameter m, raw (may be negative)."""
     _check_m_delta(m, delta)
-    return 1.0 - 2.0 / (2**m - 1) - 4.0 * m * delta
+    return _r1(m, delta)
 
 
 def alt_of_m(m: int, delta: float) -> float:
     """Layered-family line for parameter m, raw (may be negative)."""
     _check_m_delta(m, delta)
-    return 1.0 - (10.0 / 3.0) * m * delta - 2.0 / (2**m - 1)
+    return _alt(m, delta)
 
 
 def _check_m_delta(m: int, delta: float) -> None:
@@ -65,26 +90,43 @@ def alt_window(m: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _envelope(delta: float, of_m, window) -> tuple[float, int]:
+def _family(line, window) -> tuple:
+    # the endpoints come from the exact integer quotients, as (M_CAP - 1, 1) columns
+    lo, hi = np.array([window(m) for m in range(2, M_CAP + 1)]).T
+    return line, lo[:, None], hi[:, None]
+
+
+CURVES = {
+    "r1": _family(_r1, r1_window),
+    "alt": _family(_alt, alt_window),
+}
+
+
+def _envelope(name: str, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(raw rate, m) of the named envelope at each entry of a 1-D delta array."""
+    line, lo, hi = CURVES[name]
+    values = line(_M, delta)
+    inside = (lo <= delta) & (delta <= hi)
+    # the first window that holds delta; outside every window the first best line
+    row = np.where(inside.any(axis=0), inside.argmax(axis=0), values.argmax(axis=0))
+    return values[row, np.arange(len(delta))], row + 2
+
+
+def _envelope_at(name: str, delta: float) -> tuple[float, int]:
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    for m in range(2, M_CAP + 1):
-        lo, hi = window(m)
-        if lo <= delta <= hi:
-            return of_m(m, delta), m
-    # outside every window: pointwise best line, m capped
-    best = max(range(2, M_CAP + 1), key=lambda m: of_m(m, delta))
-    return of_m(best, delta), best
+    raw, m = _envelope(name, np.array([delta], dtype=float))
+    return float(raw[0]), int(m[0])
 
 
 def r1_envelope(delta: float) -> tuple[float, int]:
     """(rate, m) of the tower-family envelope at delta > 0."""
-    return _envelope(delta, r1_of_m, r1_window)
+    return _envelope_at("r1", delta)
 
 
 def alt_envelope(delta: float) -> tuple[float, int]:
     """(rate, m) of the layered-family envelope at delta > 0."""
-    return _envelope(delta, alt_of_m, alt_window)
+    return _envelope_at("alt", delta)
 
 
 @dataclass(frozen=True)
@@ -96,32 +138,36 @@ class RatePoint:
     curve: str  # "r1" | "alt"
 
 
-CURVES = {
-    "r1": r1_envelope,
-    "alt": alt_envelope,
-}
-
-
 def emit_curves(
     delta_min: float,
     delta_max: float,
     step: float,
     curves: Sequence[str] = ("r1", "alt"),
 ) -> list[RatePoint]:
-    """Envelope samples on the grid delta_min, delta_min + step, ..., <= delta_max."""
+    """Envelope samples on the grid delta_min, delta_min + step, ..., <= delta_max.
+
+    ValueError on non-finite bounds or step, and on a grid of more than
+    GRID_CAP points per curve, which is counted before any work.
+    """
+    if not all(map(math.isfinite, (delta_min, delta_max, step))):
+        raise ValueError(f"need finite delta bounds and step, got {delta_min}, {delta_max}, {step}")
     if not (0 < delta_min <= delta_max) or step <= 0:
         raise ValueError("need 0 < delta_min <= delta_max and step > 0")
     for c in curves:
         if c not in CURVES:
             raise ValueError(f"unknown curve {c!r}")
-    count = int((delta_max - delta_min) / step + 1e-9) + 1
+    span = (delta_max - delta_min) / step + 1e-9
+    if not span < GRID_CAP:  # span is inf when the quotient overflows
+        count = int(span) + 1 if span < 1e15 else "more than 10^15"
+        raise ValueError(f"the delta grid has {count} points per curve, over the cap {GRID_CAP}")
+    grid = delta_min + np.arange(int(span) + 1) * step
     out = []
     for name in curves:
-        env = CURVES[name]
-        for i in range(count):
-            delta = delta_min + i * step
-            raw, m = env(delta)
-            out.append(RatePoint(delta=delta, rate=max(0.0, raw), raw_rate=raw, m=m, curve=name))
+        for start in range(0, len(grid), _BLOCK):
+            delta = grid[start:start + _BLOCK]
+            raw, m = _envelope(name, delta)
+            out.extend(RatePoint(d, max(0.0, r), r, k, name)
+                       for d, r, k in zip(delta.tolist(), raw.tolist(), m.tolist()))
     return out
 
 
@@ -130,5 +176,4 @@ def write_csv(points: Iterable[RatePoint], path: str) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["delta", "rate", "raw_rate", "m", "curve"])
-        for p in points:
-            w.writerow([f"{p.delta:.12g}", f"{p.rate:.12g}", f"{p.raw_rate:.12g}", p.m, p.curve])
+        w.writerows([f"{p.delta:.12g}", f"{p.rate:.12g}", f"{p.raw_rate:.12g}", p.m, p.curve] for p in points)

@@ -57,6 +57,8 @@ from .gf import GF2m, SubfieldEmbedding, field
 from .linalg import _nullspace_rows, row_in_span
 from .symplectic import CodeBasis
 
+_BLOCK = 1 << 16  # monomial_matrix entries indexed at once
+
 
 @dataclass(frozen=True, order=True)
 class Place:
@@ -262,27 +264,37 @@ def make_backend(kind: str, q: int, gamma: int = 1) -> CurveBackend:
 def monomial_matrix(f: GF2m, exponents: Sequence[tuple[int, ...]], places: Sequence[Place]) -> np.ndarray:
     """Row r holds the monomial with exponents[r] at each place, one factor per coordinate.
 
-    The whole matrix is one gather antilog[sum_k e_k * log c_k mod (q-1)],
+    The matrix is the gather antilog[sum_k e_k * log c_k mod (q-1)],
     returned as it is: a read-only (len(exponents), len(places)) array in
     the field's dtype.  A zero coordinate gives 0 under a positive power
     and 1 under the zeroth; under a negative power it is a pole, and
-    ValueError is raised.
+    ValueError is raised.  The index is formed in uint32, in blocks of
+    rows of about _BLOCK entries, so the peak stays near the result's size.
     """
     log, antilog = f.log_antilog
     period = f.q - 1
-    index = np.zeros((len(exponents), len(places)), dtype=np.int32)
     coords = np.array([p.coords for p in places]).T
-    for e, c in zip(np.array(exponents, dtype=np.int64).T, coords):
-        at_zero = c == 0
-        if at_zero.any() and (e < 0).any():
-            raise ValueError("evaluation at a pole: a zero coordinate under a negative power")
-        term = np.multiply.outer(e % period, log[c])
-        term %= period
-        index += term
-        # at a zero coordinate the term is 0 under e = 0, and e > 0 gives 0: antilog
-        # is 0 from 3(q-1) on, and a later coordinate adds less than q-1
-        index[np.ix_(e > 0, at_zero)] = 3 * period
-    M = antilog[index]
+    E = np.array(exponents, dtype=np.int64).reshape(len(exponents), len(coords))
+    at_zero = coords == 0
+    if ((E < 0).T & at_zero.any(axis=1)[:, None]).any():
+        raise ValueError("evaluation at a pole: a zero coordinate under a negative power")
+    # both factors are below q - 1 <= 2^16 - 1, so their product fits uint32
+    # (log 0 is a sentinel: its term is overwritten below, or multiplied by e = 0)
+    E_mod = (E % period).astype(np.uint32)
+    c_log = (log[coords] % period).astype(np.uint32)
+    M = np.empty((len(E), len(places)), dtype=antilog.dtype)
+    step = max(1, _BLOCK // max(1, len(places)))
+    for r in range(0, len(E), step):
+        block = slice(r, r + step)
+        index = np.zeros(M[block].shape, dtype=np.uint32)
+        for e, positive, c, zero in zip(E_mod[block].T, E[block].T > 0, c_log, at_zero):
+            term = np.multiply.outer(e, c)
+            term %= period
+            index += term
+            # at a zero coordinate the term is 0 under e = 0, and e > 0 gives 0: antilog
+            # is 0 from 3(q-1) on, and a later coordinate adds less than q-1
+            index[np.ix_(positive, zero)] = 3 * period
+        M[block] = antilog.take(index)
     M.setflags(write=False)
     return M
 

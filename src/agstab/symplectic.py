@@ -87,10 +87,11 @@ class CodeBasis:
         # memo for symplectic_dual: verify, the budget sweep and descent ask for the same dual
         if self.width % 2:
             raise ValueError("symplectic dual needs an even ambient length")
-        # <x, h> is the standard product of x with swap_halves(h)
-        R, pivots = linalg.rref(self.field, np.roll(self.rows, self.width // 2, axis=1), self.width)
-        null, null_pivots = linalg._nullspace_of_rref(self.field, R, pivots, self.width)
-        return CodeBasis(self.field, self.width, null, null_pivots)
+        # <x, c> = c . swap_halves(x), so the dual is the swapped Euclidean kernel of the
+        # rows; they are already reduced, so the kernel needs no elimination, and the
+        # swapped kernel is the one reduction
+        kernel = linalg._nullspace_rows(self.rows, self.pivots, self.width)
+        return CodeBasis.from_rows(self.field, np.roll(kernel, self.width // 2, axis=1), self.width)
 
 
 def row_reduce(field: GF2m, rows: Sequence[Sequence[int]], width: int | None = None) -> tuple[CodeBasis, int]:
@@ -140,7 +141,13 @@ def swap_halves(x: Sequence[int]) -> tuple[int, ...]:
 
 
 def symplectic_dual(basis: CodeBasis) -> CodeBasis:
-    """Basis of {x : <x, c> = 0 for all c in the row space}, reduced once per basis."""
+    """Basis of {x : <x, c> = 0 for all c in the row space}, computed once per basis.
+
+    Since <x, c> = c . swap_halves(x), the dual is swap_halves of the
+    Euclidean kernel of the basis rows.  The rows are in rref, so the kernel
+    is read off them with no elimination, and reducing the swapped kernel
+    is the dual's one reduction.
+    """
     return basis._symplectic_dual
 
 

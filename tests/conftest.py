@@ -8,9 +8,12 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
 from hypothesis import settings
 
+from agstab import linalg
 from agstab.gf import GF2m, SubfieldEmbedding
+from agstab.symplectic import CodeBasis
 
 # one profile for every property test: reproducible runs, no example
 # database and no per-example deadline; each test sets its own max_examples
@@ -48,6 +51,13 @@ def naive_symplectic_dual(field: GF2m, rows, width) -> set[tuple[int, ...]]:
     return out
 
 
+def two_reduction_symplectic_dual(C: CodeBasis) -> CodeBasis:
+    """The symplectic dual by its definition, {x : swap_halves(C) x^T = 0}:
+    reduce the swapped rows, then reduce their kernel vectors."""
+    R, pivots = linalg.rref(C.field, np.roll(C.rows, C.width // 2, axis=1), C.width)
+    return CodeBasis.from_rows(C.field, linalg._nullspace_rows(R, pivots, C.width), C.width)
+
+
 def naive_symplectic_weight(x) -> int:
     n = len(x) // 2
     return sum(1 for i in range(n) if x[i] or x[n + i])
@@ -61,6 +71,25 @@ def naive_relative_min_weight(field: GF2m, c_rows, d_rows, width) -> int | None:
     if not diff:
         return None
     return min(naive_symplectic_weight(v) for v in diff)
+
+
+def scalar_r1(m: int, delta: float) -> float:
+    return 1.0 - 2.0 / (2**m - 1) - 4.0 * m * delta
+
+
+def scalar_alt(m: int, delta: float) -> float:
+    return 1.0 - (10.0 / 3.0) * m * delta - 2.0 / (2**m - 1)
+
+
+def scalar_envelope(delta: float, of_m, window, m_cap: int = 30) -> tuple[float, int]:
+    """(raw rate, m) of an envelope by scanning m = 2..m_cap for the first window
+    holding delta, else the first best line; of_m is ``scalar_r1`` or ``scalar_alt``."""
+    for m in range(2, m_cap + 1):
+        lo, hi = window(m)
+        if lo <= delta <= hi:
+            return of_m(m, delta), m
+    best = max(range(2, m_cap + 1), key=lambda m: of_m(m, delta))
+    return of_m(best, delta), best
 
 
 def naive_monomial_matrix(field: GF2m, exponents, places) -> list[list[int]]:

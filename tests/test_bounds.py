@@ -1,9 +1,13 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agstab.bounds import (
     ALT_DELTA_CAP,
+    GRID_CAP,
     M_CAP,
     alt_envelope,
     alt_of_m,
@@ -14,6 +18,8 @@ from agstab.bounds import (
     r1_window,
     write_csv,
 )
+from agstab.cli import main
+from conftest import scalar_alt, scalar_envelope, scalar_r1
 
 
 def test_line_values():
@@ -137,3 +143,106 @@ def test_csv_format(tmp_path):
     fields = lines[1].split(",")
     assert len(fields) == 5
     float(fields[1])  # parsable rates
+
+
+# ---------------------------------------------------------------------------
+# the array envelope against the scalar scan, float for float
+# ---------------------------------------------------------------------------
+
+FAMILIES = (("r1", r1_envelope, scalar_r1, r1_window), ("alt", alt_envelope, scalar_alt, alt_window))
+
+
+def test_lines_match_the_scalar_formulas():
+    for m in range(2, M_CAP + 1):
+        for delta in (0.0, 1e-9, 1 / 21, 0.0307, 0.5):
+            assert r1_of_m(m, delta) == scalar_r1(m, delta) and alt_of_m(m, delta) == scalar_alt(m, delta)
+
+
+def _same_point(got, delta, of_m, window):
+    raw, m = scalar_envelope(delta, of_m, window, M_CAP)
+    # bit-identical floats (struct equality would also tell -0.0 from 0.0)
+    assert (math.copysign(1, got[0]), got[0], got[1]) == (math.copysign(1, raw), raw, m)
+    assert type(got[0]) is float and type(got[1]) is int
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=5e-324, max_value=1.0) | st.floats(min_value=1e-12, max_value=0.12))
+def test_envelopes_match_the_scalar_scan(delta):
+    for _, env, of_m, window in FAMILIES:
+        _same_point(env(delta), delta, of_m, window)
+
+
+def test_envelopes_match_the_scalar_scan_at_every_window_endpoint():
+    for _, env, of_m, window in FAMILIES:
+        for m in range(2, M_CAP + 1):
+            for delta in window(m):
+                for d in (math.nextafter(delta, 0), delta, math.nextafter(delta, 1)):
+                    _same_point(env(d), d, of_m, window)
+
+
+def test_envelopes_match_the_scalar_scan_in_both_fallback_regions():
+    above, below = r1_window(2)[1], r1_window(M_CAP)[0]
+    for _, env, of_m, window in FAMILIES:
+        for delta in (above * 1.0001, 0.4, 0.5, 1.0, 3.0, below / 2, below * 0.999, 1e-15, 1e-300):
+            _same_point(env(delta), delta, of_m, window)
+    assert r1_envelope(0.4)[1] == 2 and r1_envelope(below / 2)[1] == M_CAP
+    assert alt_envelope(0.4)[1] == 2 and alt_envelope(below / 2)[1] == M_CAP
+
+
+@pytest.mark.parametrize("delta_min,delta_max,step", [
+    (0.0001, 0.07, 0.0001), (1e-12, 0.5, 0.0007), (0.0001, 0.07, 0.00001), (0.3, 0.9, 0.05),
+])
+def test_emit_curves_matches_the_scalar_scan(delta_min, delta_max, step):
+    points = emit_curves(delta_min, delta_max, step)
+    count = int((delta_max - delta_min) / step + 1e-9) + 1
+    assert len(points) == 2 * count
+    for i, p in enumerate(points):
+        name, _, of_m, window = FAMILIES[i // count]
+        delta = delta_min + (i % count) * step
+        raw, m = scalar_envelope(delta, of_m, window, M_CAP)
+        assert (p.delta, p.raw_rate, p.rate, p.m, p.curve) == (delta, raw, max(0.0, raw), m, name)
+
+
+# SHA-256 of `bounds --curve both --delta-min 0.0001 --delta-max 0.07 --step STEP`
+CSV_SHA256 = {
+    "0.001": "6cc30fae2d75d2b410790af4df67c79e65333a3839ac35b78ea6e2756997e012",
+    "0.00001": "82498ba88072aa63864d1f4a3bcf53d35bfa6ff2ac9f06f77fcb87f3cdc6714a",
+}
+
+
+@pytest.mark.parametrize("step", sorted(CSV_SHA256))
+def test_csv_bytes_are_pinned(tmp_path, capsys, step):
+    out = tmp_path / "curves.csv"
+    assert main(["bounds", "--curve", "both", "--delta-min", "0.0001", "--delta-max", "0.07",
+                 "--step", step, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[step]
+
+
+@pytest.mark.parametrize("delta_max,step,message", [
+    ("inf", "0.001", "error: need finite delta bounds and step, got 0.0001, inf, 0.001\n"),
+    ("0.07", "inf", "error: need finite delta bounds and step, got 0.0001, 0.07, inf\n"),
+    ("0.07", "nan", "error: need finite delta bounds and step, got 0.0001, 0.07, nan\n"),
+    ("0.07", "1e-300", f"error: the delta grid has more than 10^15 points per curve, over the cap {GRID_CAP}\n"),
+    ("0.07", "5e-324", f"error: the delta grid has more than 10^15 points per curve, over the cap {GRID_CAP}\n"),
+    ("0.2", "1e-7", f"error: the delta grid has 1999001 points per curve, over the cap {GRID_CAP}\n"),
+])
+def test_cli_bounds_refuses_non_finite_and_oversized_grids(tmp_path, capsys, delta_max, step, message):
+    out = tmp_path / "curves.csv"
+    assert main(["bounds", "--curve", "both", "--delta-min", "0.0001", "--delta-max", delta_max,
+                 "--step", step, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_emit_curves_grid_cap_boundary(monkeypatch):
+    from agstab import bounds
+
+    step = 1 / 1024
+    with pytest.raises(ValueError, match=f"has {GRID_CAP + 1} points per curve, over the cap {GRID_CAP}$"):
+        emit_curves(step, step * (GRID_CAP + 1), step)
+    monkeypatch.setattr(bounds, "GRID_CAP", 2000)
+    assert len(emit_curves(step, step * 2000, step)) == 2 * 2000    # exactly the cap
+    with pytest.raises(ValueError, match="the delta grid has 2001 points per curve, over the cap 2000"):
+        emit_curves(step, step * 2001, step)
+    with pytest.raises(ValueError, match="finite"):
+        emit_curves(float("nan"), 0.1, 0.01)

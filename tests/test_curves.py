@@ -190,6 +190,37 @@ def test_monomial_matrix_zero_coordinates_and_large_fields():
     assert monomial_matrix(f, exps, places).tolist() == naive_monomial_matrix(f, exps, places)
 
 
+def test_monomial_matrix_in_row_blocks(monkeypatch):
+    # blocks of one row, of a few rows, and a last block shorter than the rest
+    from agstab import curves
+
+    hb = HermitianBackend(4)
+    places = hb.evaluation_points().point_order
+    for block in (1, 100, 7 * len(places) + 5):
+        monkeypatch.setattr(curves, "_BLOCK", block)
+        for j in (0, 3, hb.max_j):
+            basis = hb.rr_basis(j, "g")
+            assert monomial_matrix(hb.field, basis, places).tolist() == naive_monomial_matrix(hb.field, basis, places)
+
+
+def test_monomial_matrix_peak_memory():
+    # the index is formed in uint32 row blocks: the traced peak of hermitian q=8 j=1
+    # (253 x 504) was 21 bytes per entry with int64 whole-matrix terms
+    import tracemalloc
+
+    hb = HermitianBackend(8)
+    basis, places = hb.rr_basis(1, "g"), hb.evaluation_points().point_order
+    monomial_matrix(hb.field, basis[:1], places)    # the field's tables, built once
+    tracemalloc.start()
+    try:
+        M = monomial_matrix(hb.field, basis, places)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (253, 504)
+    assert peak / M.size < 10
+
+
 def test_evaluation_matrix_is_read_only():
     M = evaluation_matrix(RationalBackend(8), 1, "g")
     with pytest.raises(ValueError, match="read-only"):

@@ -1,6 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from agstab import artifact, linalg
 from agstab.gf import field
 from agstab.symplectic import (
     CodeBasis,
@@ -18,6 +23,7 @@ from conftest import (
     naive_relative_min_weight,
     naive_symplectic_dual,
     span_vectors,
+    two_reduction_symplectic_dual,
 )
 
 
@@ -148,6 +154,55 @@ def test_dual_matches_naive_scan():
             assert C.rank + D.rank == width
             assert span_vectors(f, D.rows.tolist(), width) == naive_symplectic_dual(f, C.rows.tolist(), width)
             assert symplectic_dual(D) == C  # double dual
+
+
+@lru_cache(maxsize=None)
+def _descended_codes() -> tuple[CodeBasis, ...]:
+    """C(G) and C(H) of curve codes descended to GF(2) or GF(4)."""
+    out = []
+    for kind, q, j, base in (("hermitian", 2, 1, 1), ("rational", 4, 1, 1), ("rational", 8, 2, 1),
+                             ("rational", 16, 3, 2), ("hermitian", 4, 1, 1), ("hermitian", 4, 5, 2)):
+        out.extend(artifact.descend_artifact(artifact.construct_artifact(kind, q, j), base).code_pair())
+    return tuple(out)
+
+
+@st.composite
+def dual_inputs(draw):
+    """A basis over GF(2), GF(4), GF(16) or GF(512): random rows of any rank, the
+    zero basis, a full-rank basis, or a descended curve code."""
+    shape = draw(st.sampled_from(("random", "zero", "full", "descended")))
+    if shape == "descended":
+        return draw(st.sampled_from(_descended_codes()))
+    f = field(draw(st.sampled_from((1, 2, 4, 9))))
+    width = 2 * draw(st.integers(1, 6))
+    entry = st.integers(0, f.q - 1)
+    if shape == "zero":
+        return CodeBasis.zero(f, width)
+    if shape == "random":
+        k = draw(st.integers(0, width + 1))
+        rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=k, max_size=k))
+        return CodeBasis.from_rows(f, rows, width)
+    # full rank: unit lower-triangular rows under a column permutation
+    perm = draw(st.permutations(range(width)))
+    rows = [[1 if c == r else draw(entry) if c < r else 0 for c in perm] for r in range(width)]
+    C = CodeBasis.from_rows(f, rows, width)
+    assert C.rank == width
+    return C
+
+
+@settings(max_examples=200)
+@given(dual_inputs())
+def test_one_reduction_dual_matches_its_definition(C):
+    assert symplectic_dual(C) == two_reduction_symplectic_dual(C)
+
+
+def test_dual_differential_tells_the_swap_apart():
+    # the unswapped kernel (the Euclidean dual) differs from the symplectic dual on
+    # most bases; on these the differential above fails for a dual without the swap
+    f = field(2)
+    for C in (CodeBasis.from_rows(f, [(1, 0)], 2), CodeBasis.from_rows(f, [(1, 2, 0, 3)], 4), *_descended_codes()[:2]):
+        euclidean = CodeBasis.from_rows(C.field, linalg._nullspace_rows(C.rows, C.pivots, C.width), C.width)
+        assert euclidean != two_reduction_symplectic_dual(C)
 
 
 def test_contains():

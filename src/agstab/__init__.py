@@ -25,8 +25,6 @@ from .symplectic import (
 from .curves import (
     ClassicalParams,
     HermitianBackend,
-    PairedEvaluationSet,
-    Place,
     RationalBackend,
     build_codes,
     classical_params,
@@ -44,7 +42,6 @@ from .decoder import (
     syndrome_of,
 )
 from .bounds import (
-    RatePoint,
     alt_envelope,
     alt_of_m,
     alt_window,

@@ -20,6 +20,7 @@ from .curves import build_codes, classical_params, evaluation_matrix, make_backe
 from .descent import DescentBasis, descend_code, self_dual_basis
 from .gf import GF2m
 from .symplectic import (
+    ENUMERATION_CAP,
     CodeBasis,
     contains,
     min_hamming_weight,
@@ -50,11 +51,6 @@ class CodeArtifact:
     @property
     def width(self) -> int:
         return 2 * self.n
-
-    def code_pair(self) -> tuple[CodeBasis, CodeBasis]:
-        c_g = CodeBasis.from_rows(self.field, self.c_g_rows, self.width)
-        c_h = CodeBasis.from_rows(self.field, self.c_h_rows, self.width)
-        return c_g, c_h
 
 
 def _field_block(f: GF2m) -> dict[str, int]:
@@ -250,7 +246,6 @@ def load(path: str) -> CodeArtifact:
 
 def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifact:
     backend = make_backend(kind, q, gamma)
-    points = backend.evaluation_points().point_order
     g_rows, h_rows = (evaluation_matrix(backend, j, which) for which in "gh")
     c_g, _ = build_codes(backend, j, g_rows, h_rows)
     return CodeArtifact(
@@ -259,7 +254,7 @@ def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifac
         gamma=gamma,
         j=j,
         field=backend.field,
-        places=[list(p.coords) for p in points],
+        places=backend.places.tolist(),
         c_g_rows=g_rows.tolist(),
         c_h_rows=h_rows.tolist(),
         n=backend.n,
@@ -282,8 +277,7 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
     basis = DescentBasis(sub, art.field)
     if basis.twist is None:
         basis = DescentBasis(sub, art.field, self_dual_basis(sub, art.field))
-    c_g, _ = art.code_pair()
-    down = descend_code(c_g, basis)
+    down = descend_code(CodeBasis.from_rows(art.field, art.c_g_rows, art.width), basis)
     dual = symplectic_dual(down)
     n = down.width // 2
     d_claim = art.d_exact if art.d_exact is not None else art.d_lower
@@ -327,7 +321,6 @@ def verify_artifact(
     art: CodeArtifact,
     exact_distance: bool = False,
     budget: int | None = None,
-    cap: int = 1 << 24,
 ) -> dict[str, Any]:
     """Re-derive and check every claim an artifact makes.
 
@@ -335,12 +328,11 @@ def verify_artifact(
     failed (skipped checks do not fail the report).
     """
     checks: list[dict[str, str]] = []
-    c_g, c_h = art.code_pair()
+    c_g, c_h = (CodeBasis.from_rows(art.field, rows, art.width) for rows in (art.c_g_rows, art.c_h_rows))
 
     if art.backend_kind is not None:
         backend = make_backend(art.backend_kind, art.q, art.gamma)
-        points = backend.evaluation_points().point_order
-        same_places = art.places == [list(p.coords) for p in points]
+        same_places = art.places == backend.places.tolist()
         g_rows, h_rows = (evaluation_matrix(backend, art.j, which) for which in "gh")
         same_g = art.c_g_rows == g_rows.tolist()
         same_rows = same_g and art.c_h_rows == h_rows.tolist()
@@ -381,7 +373,7 @@ def verify_artifact(
     if exact_distance or budget is not None:
         try:
             res = relative_min_weight(
-                c_g, c_h, budget=budget, mode="auto" if exact_distance else "budget", cap=cap
+                c_g, c_h, budget=budget, mode="auto" if exact_distance else "budget"
             )
         except ValueError as exc:
             checks.append(_check("distance-bound", False, f"search failed: {exc}"))
@@ -425,9 +417,9 @@ def verify_artifact(
             )
         )
         dim_ok = cp.dim == art.n + art.j
-        if exact_distance and art.field.q ** cp.dim <= cap:
+        if exact_distance and art.field.q ** cp.dim <= ENUMERATION_CAP:
             try:
-                w = min_hamming_weight(c_g, cap)
+                w = min_hamming_weight(c_g)
             except ValueError as exc:
                 checks.append(_check("hamming-bound", False, f"search failed: {exc}"))
             else:

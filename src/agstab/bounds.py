@@ -28,23 +28,24 @@ matrix, and the fallback is an argmax over the line values, which picks
 the first maximum.  The array path and ``r1_of_m``/``alt_of_m`` evaluate
 one shared formula per family, in one operation order, so every value is
 bit-identical to the scalar functions.  ``r1_envelope`` and
-``alt_envelope`` are one-element calls of the same path.  ``emit_curves`` counts its grid before any work and
-refuses more than GRID_CAP points per curve.
+``alt_envelope`` are one-element calls of the same path.
+
+``emit_curves`` counts its grid before any work, refuses more than
+GRID_CAP points per curve, and returns per curve the columns (delta, raw
+rate, m); ``write_csv`` formats them a block of rows at a time.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 M_CAP = 30
 ALT_DELTA_CAP = 5 / 84
 GRID_CAP = 10**6  # delta grid points per curve that ``emit_curves`` accepts
-_BLOCK = 1 << 14  # deltas that meet the M_CAP - 1 lines at once
+_BLOCK = 1 << 14  # deltas that meet the M_CAP - 1 lines at once, and CSV rows formatted at once
 
 _M = np.arange(2, M_CAP + 1)[:, None]  # one row per m, against a row of deltas
 
@@ -129,25 +130,19 @@ def alt_envelope(delta: float) -> tuple[float, int]:
     return _envelope_at("alt", delta)
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    delta: float
-    rate: float  # clamped at 0 for output
-    raw_rate: float
-    m: int
-    curve: str  # "r1" | "alt"
-
-
 def emit_curves(
     delta_min: float,
     delta_max: float,
     step: float,
     curves: Sequence[str] = ("r1", "alt"),
-) -> list[RatePoint]:
-    """Envelope samples on the grid delta_min, delta_min + step, ..., <= delta_max.
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Envelope columns on the grid delta_min, delta_min + step, ..., <= delta_max.
 
-    ValueError on non-finite bounds or step, and on a grid of more than
-    GRID_CAP points per curve, which is counted before any work.
+    One entry per curve name, in the order given (a repeated name gives
+    one entry): the read-only columns (delta, raw rate, m), one row per
+    grid point; every curve shares the one delta column.  ValueError on
+    non-finite bounds or step, and on a grid of more than GRID_CAP points
+    per curve, which is counted before any work.
     """
     if not all(map(math.isfinite, (delta_min, delta_max, step))):
         raise ValueError(f"need finite delta bounds and step, got {delta_min}, {delta_max}, {step}")
@@ -161,19 +156,27 @@ def emit_curves(
         count = int(span) + 1 if span < 1e15 else "more than 10^15"
         raise ValueError(f"the delta grid has {count} points per curve, over the cap {GRID_CAP}")
     grid = delta_min + np.arange(int(span) + 1) * step
-    out = []
+    grid.setflags(write=False)
+    out = {}
     for name in curves:
+        raw, m = np.empty(len(grid)), np.empty(len(grid), dtype=np.int64)
         for start in range(0, len(grid), _BLOCK):
-            delta = grid[start:start + _BLOCK]
-            raw, m = _envelope(name, delta)
-            out.extend(RatePoint(d, max(0.0, r), r, k, name)
-                       for d, r, k in zip(delta.tolist(), raw.tolist(), m.tolist()))
+            block = slice(start, start + _BLOCK)
+            raw[block], m[block] = _envelope(name, grid[block])
+        raw.setflags(write=False)
+        m.setflags(write=False)
+        out[name] = (grid, raw, m)
     return out
 
 
-def write_csv(points: Iterable[RatePoint], path: str) -> None:
-    """CSV with header delta,rate,raw_rate,m,curve; 12 significant digits."""
+def write_csv(columns: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]], path: str) -> None:
+    """CSV of ``emit_curves``' columns with header delta,rate,raw_rate,m,curve
+    and CRLF line ends; 12 significant digits, and rate is the raw rate clamped at 0."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["delta", "rate", "raw_rate", "m", "curve"])
-        w.writerows([f"{p.delta:.12g}", f"{p.rate:.12g}", f"{p.raw_rate:.12g}", p.m, p.curve] for p in points)
+        fh.write("delta,rate,raw_rate,m,curve\r\n")
+        for name, (delta, raw, m) in columns.items():
+            row = "{:.12g},{:.12g},{:.12g},{}," + name + "\r\n"
+            for start in range(0, len(delta), _BLOCK):
+                d, r, k = (column[start:start + _BLOCK] for column in (delta, raw, m))
+                rate = np.where(r > 0, r, 0.0)  # max(0.0, r), -0.0 and nan included
+                fh.write("".join(map(row.format, d.tolist(), rate.tolist(), r.tolist(), k.tolist())))

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import artifact as artifact_mod
 from .bounds import emit_curves, write_csv
 from .decoder import DecodeResult, SyndromeProblem, symplectic_decode, syndrome_of
-from .symplectic import symplectic_weight
+from .symplectic import CodeBasis, symplectic_weight
 
 
 class Lcg64:
@@ -113,7 +113,7 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
     if art.deg_g is None:
         raise ValueError("decode-sim needs a backend artifact with a recorded deg G")
     field = art.field
-    _, c_h = art.code_pair()
+    c_h = CodeBasis.from_rows(field, art.c_h_rows, art.width)
     rng = Lcg64(args.seed)
     sink = open(args.out, "w") if args.out else sys.stdout
     recovered = 0
@@ -145,9 +145,9 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     curves = ("r1", "alt") if args.curve == "both" else (args.curve,)
-    points = emit_curves(args.delta_min, args.delta_max, args.step, curves)
-    write_csv(points, args.out)
-    print(json.dumps({"written": args.out, "rows": len(points)}))
+    columns = emit_curves(args.delta_min, args.delta_max, args.step, curves)
+    write_csv(columns, args.out)
+    print(json.dumps({"written": args.out, "rows": sum(len(delta) for delta, _, _ in columns.values())}))
     return 0
 
 

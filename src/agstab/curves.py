@@ -40,10 +40,12 @@ Riemann-Roch bases are monomial: the hermitian L(c * P_inf) has basis
 orders q and q+1 at the totally ramified P_inf, and L(G) = x^(-s) *
 L((n + g - 1 + j) P_inf) for the shift s = q^2/2 - 1.  A basis is held
 as its table of exponents, one per place coordinate: (i,) for x^i on the
-rational curve, (i - s, l) for x^(i-s) z^l on the hermitian one.  Which
-orbit member is primary is a free choice; representatives are the
-lexicographically smaller coordinate tuples, and the stabilizer
-parameters do not depend on the choice.
+rational curve, (i - s, l) for x^(i-s) z^l on the hermitian one.  Places
+are rows of a (count, d) array of the same coordinates, sigma maps such an
+array with one XOR, and ``CurveBackend.places`` is the point order as one
+read-only (2n, d) array.  Which orbit member is primary is a free choice;
+representatives are the lexicographically smaller coordinate rows, and the
+stabilizer parameters do not depend on the choice.
 """
 
 from __future__ import annotations
@@ -58,37 +60,6 @@ from .linalg import _nullspace_rows, row_in_span
 from .symplectic import CodeBasis
 
 _BLOCK = 1 << 16  # monomial_matrix entries indexed at once
-
-
-@dataclass(frozen=True, order=True)
-class Place:
-    """A rational affine place, by its coordinates as field-element indices.
-
-    (a,) on the rational backend and (a, b) on the hermitian one; places
-    order lexicographically by coordinates.
-    """
-
-    coords: tuple[int, ...]
-
-    def __repr__(self) -> str:
-        return f"P{self.coords}"
-
-
-@dataclass(frozen=True)
-class PairedEvaluationSet:
-    """Orbit representatives P_1..P_n and their sigma partners, in order."""
-
-    primaries: tuple[Place, ...]
-    partners: tuple[Place, ...]
-    gamma: int
-
-    @property
-    def n(self) -> int:
-        return len(self.primaries)
-
-    @property
-    def point_order(self) -> tuple[Place, ...]:
-        return self.primaries + self.partners
 
 
 @dataclass(frozen=True)
@@ -114,7 +85,8 @@ class CurveBackend:
     """The paired places, the range of j and the Riemann-Roch bases.
 
     A curve supplies its constant field, genus and n, its affine places,
-    sigma, and the monomial exponents of a one-point space L(c * P_inf).
+    the shift of sigma, and the monomial exponents of a one-point space
+    L(c * P_inf).
     """
 
     kind: str
@@ -125,25 +97,35 @@ class CurveBackend:
         self.gamma = gamma
         self.genus = genus
         self.n = n
-        self._points = self._build_points()
+        self.places = self._build_points()
 
     # -- places ----------------------------------------------------------
 
-    def _paired_places(self) -> list[Place]:
+    def _paired_places(self) -> np.ndarray:
         """The affine places off the support of G, which sigma pairs up."""
         return self.enumerate_places()
 
-    def _build_points(self) -> PairedEvaluationSet:
-        primaries = tuple(sorted(p for p in self._paired_places() if p < self.sigma(p)))
-        partners = tuple(self.sigma(p) for p in primaries)
-        if set(primaries) & set(partners):
+    def _build_points(self) -> np.ndarray:
+        paired = self._paired_places()  # enumerated in lexicographic order, as the last check needs
+        # a place's coordinates read as base-q digits order places lexicographically
+        key = self.field.q ** np.arange(paired.shape[1])[::-1]
+        image = self.sigma(paired)
+        primary = paired @ key < image @ key
+        primaries, partners = paired[primary], image[primary]
+        # kind="table": one lookup table of the keys, and no np.unique (which imports np.ma)
+        if np.isin(partners @ key, primaries @ key, kind="table").any():
             raise AssertionError("a sigma partner coincides with a primary place")
-        if any(self.sigma(s) != p for p, s in zip(primaries, partners)):
+        points = np.concatenate([primaries, partners])
+        if not (np.array_equal(np.sort(points @ key), paired @ key)
+                and np.array_equal(self.sigma(partners), primaries)):
             raise AssertionError("sigma is not an involution pairing the place list")
-        return PairedEvaluationSet(primaries, partners, self.gamma)
+        points.setflags(write=False)
+        return points
 
-    def evaluation_points(self) -> PairedEvaluationSet:
-        return self._points
+    def sigma(self, places: np.ndarray) -> np.ndarray:
+        """The order-2 automorphism on an array of places: x -> x + 1 on the
+        rational curve, z -> z + gamma on the hermitian one."""
+        return places ^ self._shift
 
     # -- Riemann-Roch bases ----------------------------------------------
 
@@ -178,18 +160,15 @@ class RationalBackend(CurveBackend):
     def __init__(self, q: int) -> None:
         r = _validate_power_of_two(q, 4)
         # gamma: the additive shift of sigma(x) = x + 1
+        self._shift = np.array([1])
         super().__init__(q, field(r), gamma=1, genus=0, n=q // 2)
 
     def __repr__(self) -> str:
         return f"RationalBackend(q={self.q})"
 
-    def enumerate_places(self) -> list[Place]:
-        """All q degree-one finite places, one per field element."""
-        return [Place((a,)) for a in range(self.q)]
-
-    def sigma(self, place: Place) -> Place:
-        """x -> x + 1, an involution on the finite places."""
-        return Place((place.coords[0] ^ 1,))
+    def enumerate_places(self) -> np.ndarray:
+        """All q degree-one finite places, one per field element, as a (q, 1) array."""
+        return np.arange(self.q)[:, None]
 
     def _monomials(self, pole_cap: int) -> list[tuple[int, ...]]:
         """{x^i : i <= pole_cap}."""
@@ -209,32 +188,24 @@ class HermitianBackend(CurveBackend):
         constants = field(2 * m)  # GF(q^2)
         if not 1 <= gamma < q:
             raise ValueError(f"gamma must be a nonzero GF({q}) element index, got {gamma}")
-        self._gamma_big = SubfieldEmbedding(field(m), constants).embed(gamma)
+        self._shift = np.array([0, SubfieldEmbedding(field(m), constants).embed(gamma)])
         self.x_shift = q * q // 2 - 1
         super().__init__(q, constants, gamma, genus=q * (q - 1) // 2, n=(q * q - 1) * q // 2)
 
     def __repr__(self) -> str:
         return f"HermitianBackend(q={self.q}, gamma={self.gamma})"
 
-    def enumerate_places(self) -> list[Place]:
-        """The q^3 affine points (a, b) with b^q + b = a^(q+1)."""
-        f = self.field
-        out = []
-        for a in range(f.q):
-            norm = f.pow(a, self.q + 1)
-            for b in range(f.q):
-                if f.pow(b, self.q) ^ b == norm:
-                    out.append(Place((a, b)))
-        return out
+    def enumerate_places(self) -> np.ndarray:
+        """The q^3 affine points (a, b) with b^q + b = a^(q+1), as a (q^3, 2)
+        array in lexicographic order."""
+        elements = np.arange(self.field.q)
+        norm, frobenius = monomial_matrix(self.field, [(self.q + 1,), (self.q,)], elements[:, None])
+        return np.argwhere(norm[:, None] == frobenius ^ elements)
 
-    def _paired_places(self) -> list[Place]:
+    def _paired_places(self) -> np.ndarray:
         """The 2n simple zeros of x^(q^2-1) - 1: affine places with x != 0."""
-        return [p for p in self.enumerate_places() if p.coords[0] != 0]
-
-    def sigma(self, place: Place) -> Place:
-        """z -> z + gamma, of order 2 on affine points."""
-        a, b = place.coords
-        return Place((a, b ^ self._gamma_big))
+        places = self.enumerate_places()
+        return places[places[:, 0] != 0]
 
     def _monomials(self, pole_cap: int) -> list[tuple[int, ...]]:
         """x^(-x_shift) * {x^i z^l : i q + l (q+1) <= pole_cap, l < q}."""
@@ -261,19 +232,20 @@ def make_backend(kind: str, q: int, gamma: int = 1) -> CurveBackend:
 # Code construction
 # ---------------------------------------------------------------------------
 
-def monomial_matrix(f: GF2m, exponents: Sequence[tuple[int, ...]], places: Sequence[Place]) -> np.ndarray:
+def monomial_matrix(f: GF2m, exponents: Sequence[tuple[int, ...]], places: np.ndarray) -> np.ndarray:
     """Row r holds the monomial with exponents[r] at each place, one factor per coordinate.
 
+    ``places`` is a (count, d) array of coordinates, one row per place.
     The matrix is the gather antilog[sum_k e_k * log c_k mod (q-1)],
-    returned as it is: a read-only (len(exponents), len(places)) array in
-    the field's dtype.  A zero coordinate gives 0 under a positive power
+    returned as it is: a read-only (len(exponents), count) array in the
+    field's dtype.  A zero coordinate gives 0 under a positive power
     and 1 under the zeroth; under a negative power it is a pole, and
     ValueError is raised.  The index is formed in uint32, in blocks of
     rows of about _BLOCK entries, so the peak stays near the result's size.
     """
     log, antilog = f.log_antilog
     period = f.q - 1
-    coords = np.array([p.coords for p in places]).T
+    coords = np.asarray(places).T
     E = np.array(exponents, dtype=np.int64).reshape(len(exponents), len(coords))
     at_zero = coords == 0
     if ((E < 0).T & at_zero.any(axis=1)[:, None]).any():
@@ -302,9 +274,7 @@ def monomial_matrix(f: GF2m, exponents: Sequence[tuple[int, ...]], places: Seque
 def evaluation_matrix(backend: CurveBackend, j: int, which: str = "g") -> np.ndarray:
     """Evaluations of the L(G) (or L(H)) basis at the point order, one row per
     basis function, as ``monomial_matrix`` returns them."""
-    return monomial_matrix(
-        backend.field, backend.rr_basis(j, which), backend.evaluation_points().point_order
-    )
+    return monomial_matrix(backend.field, backend.rr_basis(j, which), backend.places)
 
 
 def build_codes(

@@ -270,8 +270,10 @@ class GF2m:
     def mul_table(self):
         """q x q numpy multiplication table (uint8), for fields with q <= 256.
 
-        One gather from ``log_antilog``, built lazily; shared read-only by
-        the vectorized enumeration routines.
+        One gather from ``log_antilog``, built lazily and read-only.  Only
+        the exhaustive decoding oracle (``decoder.exhaustive_coset_leaders``,
+        which ``brute_oracle`` calls without a weight cap) uses it.  It
+        stays until ROADMAP item 3, because the benchmark's tracer names it.
         """
         if self._mul_table is None:
             if self.q > 256:

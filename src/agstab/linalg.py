@@ -31,7 +31,7 @@ def _as_array(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> np.ndar
     """The rows as a field-element array; ValueError on ragged, out-of-range or non-integer input.
 
     Shape and range are checked on one array; only a failing input is
-    scanned row by row, to name the offending row.
+    scanned row by row, to name the offending row and value.
     """
     dtype = field.log_antilog[1].dtype
     if not len(rows):
@@ -48,7 +48,9 @@ def _as_array(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> np.ndar
             if len(r) != width:
                 raise ValueError(f"row {i} has length {len(r)}, expected {width}")
             if width and (min(r) < 0 or max(r) >= field.q):
-                raise ValueError(f"row {i} has an entry outside [0, {field.q}) for {field}")
+                bad = next(v for v in r if not 0 <= v < field.q)  # worded as in as_elements
+                raise ValueError(f"row {i}: {bad} is not an element of {field}: "
+                                 f"expected an integer in [0, {field.q})")
         raise ValueError(f"the rows do not form a {len(rows)} x {width} integer matrix")
     return A.astype(dtype, copy=False)
 

@@ -98,14 +98,41 @@ def naive_monomial_matrix(field: GF2m, exponents, places) -> list[list[int]]:
     rows = []
     for exps in exponents:
         row = []
-        for place in places:
+        for place in np.asarray(places).tolist():
             value = 1
-            for e, c in zip(exps, place.coords):
+            for e, c in zip(exps, place):
                 factor = field.pow(c, e) if e >= 0 else field.inv(field.pow(c, -e))
                 value = field.mul(value, factor)
             row.append(value)
         rows.append(row)
     return rows
+
+
+def naive_places(backend) -> list[tuple[int, ...]]:
+    """The point order P_1..P_n, sigma P_1..sigma P_n by scalar arithmetic.
+
+    The places off the divisors' support are every a in GF(q) on the
+    rational curve, and every (a, b) with a != 0 and b^q + b = a^(q+1) by
+    ``field.pow`` on the hermitian one; sigma adds 1 to x, or the embedded
+    gamma to z.  The primaries are the places smaller than their image,
+    sorted, and the partners follow in the same order.
+    """
+    f = backend.field
+    if backend.kind == "rational":
+        paired = [(a,) for a in f.elements()]
+        shift = (1,)
+    else:
+        q = backend.q
+        norms = [f.pow(a, q + 1) for a in f.elements()]
+        traces = [f.pow(b, q) ^ b for b in f.elements()]
+        paired = [(a, b) for a in f.nonzero_elements() for b in f.elements() if traces[b] == norms[a]]
+        shift = (0, SubfieldEmbedding(GF2m(f.degree // 2), f).embed(backend.gamma))
+
+    def sigma(place):
+        return tuple(c ^ s for c, s in zip(place, shift))
+
+    primaries = sorted(p for p in paired if p < sigma(p))
+    return primaries + [sigma(p) for p in primaries]
 
 
 def naive_trace(view: SubfieldEmbedding, y: int) -> int:

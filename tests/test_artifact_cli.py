@@ -135,6 +135,32 @@ def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j):
     assert len(calls) == 4
 
 
+def test_decode_sim_and_descend_reduce_only_the_code_they_use(monkeypatch, tmp_path):
+    import numpy as np
+
+    from agstab import linalg
+
+    shapes = []
+    real = linalg.rref
+
+    def counting(*args):
+        shapes.append(np.shape(args[1]))
+        return real(*args)
+
+    src = str(tmp_path / "h45.json")
+    assert main(["construct", "--backend", "hermitian", "--q", "4", "--j", "5", "--out", src]) == 0
+    monkeypatch.setattr(linalg, "rref", counting)
+    # decode-sim needs C(H) (25 x 60) alone, not C(G) (35 x 60)
+    assert main(["decode-sim", "--artifact", src, "--trials", "2", "--weight", "1", "--seed", "3",
+                 "--out", str(tmp_path / "trials.jsonl")]) == 0
+    assert shapes == [(25, 60)]
+    shapes.clear()
+    # descend needs C(G) alone: two 4 x 8 reductions for the descent basis, C(G), the swapped
+    # kernel of its dual, then the descended code and its dual; the stored C(H) is never reduced
+    assert main(["descend", "--in", src, "--out", str(tmp_path / "down.json")]) == 0
+    assert shapes == [(4, 8), (4, 8), (35, 60), (25, 60), (140, 240), (100, 240)]
+
+
 def test_each_riemann_roch_matrix_is_evaluated_once(monkeypatch):
     from agstab import curves
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,15 +113,17 @@ def test_envelope_monotone_nonincreasing():
 
 
 def test_emit_curves_grid():
-    pts = emit_curves(0.001, 0.07, 0.001)
-    assert len(pts) == 140                      # 70 grid points, two curves
-    assert {p.curve for p in pts} == {"r1", "alt"}
-    single = emit_curves(1 / 21, 1 / 21, 0.001, curves=("r1",))
-    assert len(single) == 1
-    assert abs(single[0].rate - 1 / 7) < 1e-15 and single[0].m == 3
-    for p in pts:
-        assert p.rate == max(0.0, p.raw_rate)   # clamp only for output
-    assert pts == emit_curves(0.001, 0.07, 0.001)   # deterministic
+    columns = emit_curves(0.001, 0.07, 0.001)
+    assert list(columns) == ["r1", "alt"]
+    assert [len(c) for delta, raw, m in columns.values() for c in (delta, raw, m)] == [70] * 6
+    assert columns["r1"][0] is columns["alt"][0]    # one shared delta column
+    (delta, raw, m), = emit_curves(1 / 21, 1 / 21, 0.001, curves=("r1",)).values()
+    assert delta.tolist() == [1 / 21] and abs(raw[0] - 1 / 7) < 1e-15 and m.tolist() == [3]
+    for column in (delta, raw, m):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    again = emit_curves(0.001, 0.07, 0.001)        # deterministic
+    assert all(np.array_equal(a, b) for name in columns for a, b in zip(columns[name], again[name]))
 
 
 def test_emit_curves_validation():
@@ -136,13 +139,32 @@ def test_emit_curves_validation():
 
 def test_csv_format(tmp_path):
     path = tmp_path / "curves.csv"
-    write_csv(emit_curves(0.01, 0.02, 0.01), str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "delta,rate,raw_rate,m,curve"
-    assert len(lines) == 5
-    fields = lines[1].split(",")
-    assert len(fields) == 5
-    float(fields[1])  # parsable rates
+    write_csv(emit_curves(0.01, 0.3, 0.01), str(path))
+    lines = path.read_bytes().decode().split("\r\n")
+    assert lines[0] == "delta,rate,raw_rate,m,curve" and lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert len(rows) == 60 and {len(row) for row in rows} == {5}
+    assert {row[4] for row in rows} == {"r1", "alt"}
+    assert any(float(raw) < 0 for _, _, raw, _, _ in rows)
+    for _, rate, raw, _, _ in rows:
+        assert float(rate) == max(0.0, float(raw))   # clamp only for output
+
+
+def test_emit_and_write_csv_peak_memory(tmp_path):
+    # columns, and text formatted a block at a time, keep the traced peak within twice
+    # the size of the CSV; one object per row would take about four times its size
+    import tracemalloc
+
+    path = tmp_path / "curves.csv"
+    emit_curves(0.001, 0.002, 0.001)
+    tracemalloc.start()
+    try:
+        write_csv(emit_curves(0.0001, 0.07, 3.5e-7), str(path))     # 2 x 10^5 points per curve
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 18 * 10**6
+    assert peak < 2 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +215,15 @@ def test_envelopes_match_the_scalar_scan_in_both_fallback_regions():
     (0.0001, 0.07, 0.0001), (1e-12, 0.5, 0.0007), (0.0001, 0.07, 0.00001), (0.3, 0.9, 0.05),
 ])
 def test_emit_curves_matches_the_scalar_scan(delta_min, delta_max, step):
-    points = emit_curves(delta_min, delta_max, step)
+    columns = emit_curves(delta_min, delta_max, step)
     count = int((delta_max - delta_min) / step + 1e-9) + 1
-    assert len(points) == 2 * count
-    for i, p in enumerate(points):
-        name, _, of_m, window = FAMILIES[i // count]
-        delta = delta_min + (i % count) * step
-        raw, m = scalar_envelope(delta, of_m, window, M_CAP)
-        assert (p.delta, p.raw_rate, p.rate, p.m, p.curve) == (delta, raw, max(0.0, raw), m, name)
+    assert list(columns) == [name for name, _, _, _ in FAMILIES]
+    for name, _, of_m, window in FAMILIES:
+        rows = list(zip(*(column.tolist() for column in columns[name])))
+        assert len(rows) == count
+        for i, row in enumerate(rows):
+            delta = delta_min + i * step
+            assert row == (delta, *scalar_envelope(delta, of_m, window, M_CAP))
 
 
 # SHA-256 of `bounds --curve both --delta-min 0.0001 --delta-max 0.07 --step STEP`
@@ -241,7 +264,7 @@ def test_emit_curves_grid_cap_boundary(monkeypatch):
     with pytest.raises(ValueError, match=f"has {GRID_CAP + 1} points per curve, over the cap {GRID_CAP}$"):
         emit_curves(step, step * (GRID_CAP + 1), step)
     monkeypatch.setattr(bounds, "GRID_CAP", 2000)
-    assert len(emit_curves(step, step * 2000, step)) == 2 * 2000    # exactly the cap
+    assert [len(delta) for delta, _, _ in emit_curves(step, step * 2000, step).values()] == [2000] * 2  # the cap
     with pytest.raises(ValueError, match="the delta grid has 2001 points per curve, over the cap 2000"):
         emit_curves(step, step * 2001, step)
     with pytest.raises(ValueError, match="finite"):

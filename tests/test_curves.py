@@ -3,7 +3,6 @@ import pytest
 
 from agstab.curves import (
     HermitianBackend,
-    Place,
     RationalBackend,
     build_codes,
     classical_params,
@@ -21,7 +20,7 @@ from agstab.symplectic import (
     symplectic_dual,
     symplectic_weight,
 )
-from conftest import naive_monomial_matrix, span_vectors
+from conftest import naive_monomial_matrix, naive_places, span_vectors
 
 BACKENDS = [RationalBackend(8), RationalBackend(16), HermitianBackend(2), HermitianBackend(4)]
 
@@ -32,53 +31,70 @@ BACKENDS = [RationalBackend(8), RationalBackend(16), HermitianBackend(2), Hermit
 
 def test_rational_places():
     rb = RationalBackend(8)
-    assert len(rb.enumerate_places()) == 8
+    assert rb.enumerate_places().tolist() == [[a] for a in range(8)]
     assert rb.n == 4
-    pts = rb.evaluation_points()
-    covered = {p.coords[0] for p in pts.primaries} | {p.coords[0] for p in pts.partners}
-    assert covered == set(range(8))  # the sigma-orbits partition GF(8)
-    assert rb.sigma(Place((0,))) == Place((1,))
+    assert sorted(rb.places[:, 0].tolist()) == list(range(8))  # the sigma-orbits partition GF(8)
+    assert rb.sigma(np.array([[0], [5]])).tolist() == [[1], [4]]
 
 
 def test_hermitian_q2_points():
     hb = HermitianBackend(2)
-    affine = hb.enumerate_places()
+    affine = hb.enumerate_places().tolist()
     assert len(affine) == 8  # q^3
     f = hb.field
-    for p in affine:  # curve equation holds exactly
-        a, b = p.coords
+    for a, b in affine:  # curve equation holds exactly
         assert f.pow(b, 2) ^ b == f.pow(a, 3)
-    assert {p.coords for p in affine if p.coords[0] == 0} == {(0, 0), (0, 1)}
-    zeros = hb.evaluation_points().point_order  # the zeros of x^(q^2-1) - 1
+    assert [p for p in affine if p[0] == 0] == [[0, 0], [0, 1]]
+    zeros = hb.places.tolist()  # the zeros of x^(q^2-1) - 1
     assert len(zeros) == 6
-    assert {p.coords for p in zeros} == {(a, b) for a in (1, 2, 3) for b in (2, 3)}
+    assert {tuple(p) for p in zeros} == {(a, b) for a in (1, 2, 3) for b in (2, 3)}
 
 
 def test_hermitian_q2_sigma_and_pairs():
     hb = HermitianBackend(2)
     # sigma with gamma = 1: (1, w) -> (1, w^2)
-    assert hb.sigma(Place((1, 2))) == Place((1, 3))
-    pts = hb.evaluation_points()
-    assert pts.n == 3
-    assert [p.coords for p in pts.primaries] == [(1, 2), (2, 2), (3, 2)]
-    assert [p.coords for p in pts.partners] == [(1, 3), (2, 3), (3, 3)]
+    assert hb.sigma(np.array([1, 2])).tolist() == [1, 3]
+    assert hb.n == 3
+    assert hb.places.tolist() == [[1, 2], [2, 2], [3, 2], [1, 3], [2, 3], [3, 3]]
 
 
 def test_hermitian_q4_counts():
     hb = HermitianBackend(4)
-    assert len(hb.enumerate_places()) == 64
+    assert hb.enumerate_places().shape == (64, 2)
     assert hb.n == 30       # (q^2 - 1) q / 2 at q = 4
     assert hb.genus == 6
-    assert len(hb.evaluation_points().point_order) == 60
+    assert hb.places.shape == (60, 2)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: f"{b.kind}-q{b.q}")
 def test_sigma_involution_and_disjoint_orbits(backend):
-    pts = backend.evaluation_points()
-    prim = set(pts.primaries)
-    for p, s in zip(pts.primaries, pts.partners):
-        assert backend.sigma(p) == s and backend.sigma(s) == p
-        assert s not in prim
+    primaries, partners = backend.places[:backend.n], backend.places[backend.n:]
+    assert np.array_equal(backend.sigma(primaries), partners)
+    assert np.array_equal(backend.sigma(partners), primaries)
+    assert not {tuple(p) for p in primaries.tolist()} & {tuple(p) for p in partners.tolist()}
+    with pytest.raises(ValueError, match="read-only"):
+        backend.places[0, 0] = 0
+
+
+PLACE_BACKENDS = ([HermitianBackend(q) for q in (2, 4, 8, 16)]
+                  + [HermitianBackend(4, gamma=3), HermitianBackend(16, gamma=11)]
+                  + [RationalBackend(q) for q in (4, 8, 16, 32, 64, 128, 256, 512)])
+
+
+@pytest.mark.parametrize("backend", PLACE_BACKENDS, ids=repr)
+def test_places_match_the_scalar_enumeration(backend):
+    assert backend.places.tolist() == [list(p) for p in naive_places(backend)]
+
+
+@pytest.mark.parametrize("cls, sigma", [
+    (RationalBackend, lambda self, places: places),                           # no shift
+    (HermitianBackend, lambda self, places: places),                          # no gamma
+    (HermitianBackend, lambda self, places: places ^ np.array([1, 0])),       # moves x off the curve
+])
+def test_a_wrong_sigma_trips_the_involution_check(monkeypatch, cls, sigma):
+    monkeypatch.setattr(cls, "sigma", sigma)
+    with pytest.raises(AssertionError, match="sigma is not an involution pairing the place list"):
+        cls(4)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +162,11 @@ def test_evaluation_examples():
     hb = HermitianBackend(2)
     inv_x, one, z_over_x = hb.rr_basis(0)
     for evaluator in (monomial_matrix, naive_monomial_matrix):
-        assert np.asarray(evaluator(hb.field, [z_over_x], [Place((1, 2))])).tolist() == [[2]]  # w / 1
-        assert np.asarray(evaluator(hb.field, [one], [Place((3, 2))])).tolist() == [[1]]
-        assert np.asarray(evaluator(hb.field, [inv_x], [Place((2, 2))])).tolist() == [[3]]     # 1 / w = w^2
+        assert np.asarray(evaluator(hb.field, [z_over_x], [(1, 2)])).tolist() == [[2]]  # w / 1
+        assert np.asarray(evaluator(hb.field, [one], [(3, 2)])).tolist() == [[1]]
+        assert np.asarray(evaluator(hb.field, [inv_x], [(2, 2)])).tolist() == [[3]]     # 1 / w = w^2
         with pytest.raises(ValueError):
-            evaluator(hb.field, [inv_x], [Place((0, 0))])                   # pole of 1/x
+            evaluator(hb.field, [inv_x], [(0, 0)])                   # pole of 1/x
 
 
 EVALUATION_BACKENDS = [RationalBackend(4), RationalBackend(8), RationalBackend(16),
@@ -159,7 +175,7 @@ EVALUATION_BACKENDS = [RationalBackend(4), RationalBackend(8), RationalBackend(1
 
 @pytest.mark.parametrize("backend", EVALUATION_BACKENDS, ids=lambda b: f"{b.kind}-q{b.q}")
 def test_evaluation_matrix_matches_naive(backend):
-    points = backend.evaluation_points().point_order
+    points = backend.places
     for j in range(backend.max_j + 1):
         for which in ("g", "h"):
             basis = backend.rr_basis(j, which)
@@ -186,7 +202,7 @@ def test_monomial_matrix_zero_coordinates_and_large_fields():
     # GF(2^16): products of exponent and log exceed 32 bits before the reduction
     f = field(16)
     exps = [(65534, -65534), (-1, 40000), (0, 0), (65535 * 3 + 7, -65535 * 2 - 1)]
-    places = [Place((a, b)) for a in (1, 2, 40000, 65535) for b in (1, 3, 65534)]
+    places = [(a, b) for a in (1, 2, 40000, 65535) for b in (1, 3, 65534)]
     assert monomial_matrix(f, exps, places).tolist() == naive_monomial_matrix(f, exps, places)
 
 
@@ -195,7 +211,7 @@ def test_monomial_matrix_in_row_blocks(monkeypatch):
     from agstab import curves
 
     hb = HermitianBackend(4)
-    places = hb.evaluation_points().point_order
+    places = hb.places
     for block in (1, 100, 7 * len(places) + 5):
         monkeypatch.setattr(curves, "_BLOCK", block)
         for j in (0, 3, hb.max_j):
@@ -209,7 +225,7 @@ def test_monomial_matrix_peak_memory():
     import tracemalloc
 
     hb = HermitianBackend(8)
-    basis, places = hb.rr_basis(1, "g"), hb.evaluation_points().point_order
+    basis, places = hb.rr_basis(1, "g"), hb.places
     monomial_matrix(hb.field, basis[:1], places)    # the field's tables, built once
     tracemalloc.start()
     try:
@@ -293,11 +309,10 @@ def test_known_exact_distances():
 def test_representative_choice_is_immaterial():
     # exchanging P_i with sigma P_i leaves duality and parameters intact
     hb = HermitianBackend(2)
-    pts = hb.evaluation_points()
-    order = list(pts.point_order)
-    n = pts.n
+    order = hb.places.copy()
+    n = hb.n
     for flip in range(n):
-        order[flip], order[n + flip] = order[n + flip], order[flip]
+        order[[flip, n + flip]] = order[[n + flip, flip]]
         g_rows = monomial_matrix(hb.field, hb.rr_basis(1, "g"), order)
         h_rows = monomial_matrix(hb.field, hb.rr_basis(1, "h"), order)
         cg = CodeBasis.from_rows(hb.field, g_rows, 2 * n)

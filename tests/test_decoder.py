@@ -63,8 +63,8 @@ def test_syndrome_of_matches_the_symplectic_form(degree):
 
 
 @pytest.mark.parametrize("v, rows, message", [
-    ((1, 0, 0, 0), [(0, 0, 0, 9)], "dual row 0 has an entry outside [0, 4)"),   # in a column v misses
-    ((1, 0, 0, 0), [(0, 0, 1, 0), (0, -1, 0, 0)], "dual row 1 has an entry outside [0, 4)"),
+    ((1, 0, 0, 0), [(0, 0, 0, 9)], "dual row 0: 9 is not an element of GF(2^2): expected an integer in [0, 4)"),   # in a column v misses
+    ((1, 0, 0, 0), [(0, 0, 1, 0), (0, -1, 0, 0)], "dual row 1: -1 is not an element of GF(2^2): expected an integer in [0, 4)"),
     ((1, 0, 0, 0), [(0, 0, 1)], "dual row 0 has length 3, expected 4"),
     ((1, 0, 0, 4), [(0, 0, 1, 0)], "4 is not an element of GF(2^2)"),
     ((1, 0, 0), [(0, 0, 1)], "symplectic vectors have even length"),

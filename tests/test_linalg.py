@@ -264,15 +264,18 @@ def test_malformed_rows_rejected(degree, kind):
         linalg.solve(f, rows, 3, [0, 0])
 
 
+NOT_IN_GF16 = "is not an element of GF(2^4): expected an integer in [0, 16)"
+
+
 @pytest.mark.parametrize("rows, message", [
     ([[1, 2, 3], [1, 2]], "row 1 has length 2, expected 3"),
     ([[1, 2, 3, 4]], "row 0 has length 4, expected 3"),
-    ([[1, 2, 3], [0, -1, 0]], "row 1 has an entry outside [0, 16) for GF(2^4)"),
-    ([[1, 2, 3], [16, 0, 0]], "row 1 has an entry outside [0, 16) for GF(2^4)"),
-    ([[0, 0, 0], [1, 2, 3], [0, 2 ** 70, 0]], "row 2 has an entry outside [0, 16) for GF(2^4)"),
-    ([[1, 2, 3], [0, -2 ** 70, 0]], "row 1 has an entry outside [0, 16) for GF(2^4)"),
-    ([[1, 2, 3], [0, 2 ** 63, 0]], "row 1 has an entry outside [0, 16) for GF(2^4)"),
-    ([[-1, 0, 0], [0, 2 ** 63, 0]], "row 0 has an entry outside [0, 16) for GF(2^4)"),
+    ([[1, 2, 3], [0, -1, 0]], f"row 1: -1 {NOT_IN_GF16}"),
+    ([[1, 2, 3], [16, 0, 0]], f"row 1: 16 {NOT_IN_GF16}"),
+    ([[0, 0, 0], [1, 2, 3], [0, 2 ** 70, 0]], f"row 2: 1180591620717411303424 {NOT_IN_GF16}"),
+    ([[1, 2, 3], [0, -2 ** 70, 0]], f"row 1: -1180591620717411303424 {NOT_IN_GF16}"),
+    ([[1, 2, 3], [0, 2 ** 63, 0]], f"row 1: 9223372036854775808 {NOT_IN_GF16}"),
+    ([[-1, 0, 0], [0, 2 ** 63, 0]], f"row 0: -1 {NOT_IN_GF16}"),
     ([[1.5, 0, 0]], "the rows do not form a 1 x 3 integer matrix"),
 ])
 def test_malformed_rows_name_the_row(rows, message):

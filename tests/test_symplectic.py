@@ -162,7 +162,8 @@ def _descended_codes() -> tuple[CodeBasis, ...]:
     out = []
     for kind, q, j, base in (("hermitian", 2, 1, 1), ("rational", 4, 1, 1), ("rational", 8, 2, 1),
                              ("rational", 16, 3, 2), ("hermitian", 4, 1, 1), ("hermitian", 4, 5, 2)):
-        out.extend(artifact.descend_artifact(artifact.construct_artifact(kind, q, j), base).code_pair())
+        down = artifact.descend_artifact(artifact.construct_artifact(kind, q, j), base)
+        out.extend(CodeBasis.from_rows(down.field, rows, down.width) for rows in (down.c_g_rows, down.c_h_rows))
     return tuple(out)
 
 

@@ -16,10 +16,8 @@ from .symplectic import (
     contains,
     min_hamming_weight,
     relative_min_weight,
-    row_reduce,
     stabilizer_params,
     symplectic_dual,
-    symplectic_form,
     symplectic_weight,
 )
 from .curves import (

@@ -15,12 +15,11 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from . import __version__
+from . import __version__, symplectic
 from .curves import build_codes, classical_params, evaluation_matrix, make_backend
 from .descent import DescentBasis, descend_code, self_dual_basis
 from .gf import GF2m
 from .symplectic import (
-    ENUMERATION_CAP,
     CodeBasis,
     contains,
     min_hamming_weight,
@@ -417,7 +416,7 @@ def verify_artifact(
             )
         )
         dim_ok = cp.dim == art.n + art.j
-        if exact_distance and art.field.q ** cp.dim <= ENUMERATION_CAP:
+        if exact_distance and art.field.q ** cp.dim <= symplectic.ENUMERATION_CAP:
             try:
                 w = min_hamming_weight(c_g)
             except ValueError as exc:

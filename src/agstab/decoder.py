@@ -21,11 +21,12 @@ never as a silently wrong certificate.
 
 The Hamming solver runs the meet-in-the-middle kernel of ``symplectic``
 weight by weight and returns the lexicographically least vector of the
-first weight that has any; a weight whose halves exceed ORACLE_CAP rows,
-C(2n, k) * (q - 1)^k, is refused with ValueError.  It is a stand-in with
-the same outside behaviour as a dedicated algebraic-geometry decoder:
-unique minimum-weight recovery inside the guarantee region, and
-deterministic lexicographic tie-breaking outside it.
+first weight that has any; a weight whose halves exceed ENUMERATION_CAP
+rows, C(2n, k) * (q - 1)^k, is refused with ValueError (the cap is the one
+constant of ``symplectic``).  It is a stand-in with the same outside
+behaviour as a dedicated algebraic-geometry decoder: unique minimum-weight
+recovery inside the guarantee region, and deterministic lexicographic
+tie-breaking outside it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import symplectic
 from .gf import GF2m
 from .linalg import _as_array
 from .symplectic import (
@@ -46,8 +48,6 @@ from .symplectic import (
     symplectic_weight,
     syndrome_of,
 )
-
-ORACLE_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,13 @@ class DecodeResult:
     status: str  # "unique-guaranteed" | "found-min" | "budget-exhausted"
 
 
-def _least_solution(
-    search: _SyndromeSearch, target: Sequence[int], budget: int, cap: int
-) -> tuple[tuple[int, ...], int] | None:
+def _least_solution(search: _SyndromeSearch, target: Sequence[int], budget: int) -> tuple[tuple[int, ...], int] | None:
     """(lexicographically least vector, its weight) at the least weight 0 .. budget
     with syndrome ``target``; None when there is none that light."""
     if not any(target):
         return (0,) * (search.group * search.n), 0
     for w in range(1, budget + 1):
-        hits = [search.dense(*block) for block in search.solutions(w, target, cap)]
+        hits = [search.dense(*block) for block in search.solutions(w, target)]
         if hits:
             vecs = np.concatenate(hits)
             return tuple(vecs[np.lexsort(vecs.T[::-1])[0]].tolist()), w
@@ -122,7 +120,7 @@ def hamming_min_solve(
     that syndrome; the lexicographically least one of the first weight that
     has any is returned, None when all weigh more than ``budget``.
     ValueError on ragged rows, entries outside [0, q), and a weight whose
-    halves exceed ORACLE_CAP rows.
+    halves exceed ENUMERATION_CAP rows.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -133,7 +131,7 @@ def hamming_min_solve(
     width = len(rows[0])
     checks = _as_array(field, rows, width)
     search = _hamming_search(field, checks.shape, checks.tobytes())
-    found = _least_solution(search, _as_array(field, [syndrome], len(rows))[0], budget, ORACLE_CAP)
+    found = _least_solution(search, _as_array(field, [syndrome], len(rows))[0], budget)
     return None if found is None else found[0]
 
 
@@ -148,13 +146,17 @@ def symplectic_decode(problem: SyndromeProblem, deg_g: int) -> DecodeResult:
 
     The Hamming budget is 2 * t_cap, covering every error inside the
     guarantee region; the certificate on the result reflects whether the
-    recovered vector itself sits inside that region.
+    recovered vector itself sits inside that region.  With no checks
+    (C^perp = 0) the least vector of the empty syndrome is the zero vector.
     """
     field = problem.field
     n = problem.n
     bound = n - deg_g // 2
     budget = max(0, 2 * guarantee_cap(n, deg_g))
-    y = hamming_min_solve(field, problem.syndrome, problem.dual_basis.rows, budget)
+    if problem.dual_basis.rank:
+        y = hamming_min_solve(field, problem.syndrome, problem.dual_basis.rows, budget)
+    else:
+        y = (0,) * problem.dual_basis.width
     if y is None:
         return DecodeResult(error=None, weight=None, status="budget-exhausted")
     e = swap_halves(y)  # its own inverse in characteristic 2
@@ -175,7 +177,7 @@ def _hold_tile(pattern: np.ndarray, hold: int, tiles: int) -> np.ndarray:
     return np.tile(np.repeat(pattern, hold), tiles)
 
 
-def _all_syndromes(field: GF2m, dual: CodeBasis, cap: int) -> np.ndarray:
+def _all_syndromes(field: GF2m, dual: CodeBasis) -> np.ndarray:
     """Syndrome matrix of every ambient vector, enumerated in index order.
 
     Vectors are enumerated with big-endian digits, so index order is
@@ -185,8 +187,8 @@ def _all_syndromes(field: GF2m, dual: CodeBasis, cap: int) -> np.ndarray:
     q = field.q
     width = dual.width
     total = q ** width
-    if total > cap:
-        raise ValueError(f"q^(2n) = {total} exceeds the oracle cap {cap}")
+    if total > symplectic.ENUMERATION_CAP:
+        raise ValueError(f"q^(2n) = {total} exceeds the enumeration cap {symplectic.ENUMERATION_CAP}")
     mul = field.mul_table
     checks = np.roll(dual.rows, width // 2, axis=1)
     syn = np.zeros((total, dual.rank), dtype=np.uint8)
@@ -211,34 +213,29 @@ def _weights_by_index(q: int, width: int) -> np.ndarray:
     return w
 
 
-def brute_oracle(
-    problem: SyndromeProblem,
-    cap: int = ORACLE_CAP,
-    weight_cap: int | None = None,
-) -> DecodeResult:
+def brute_oracle(problem: SyndromeProblem, weight_cap: int | None = None) -> DecodeResult:
     """Exact coset minimizer by exhaustive enumeration.
 
     Without ``weight_cap`` the syndrome's exhaustive coset leader is
-    returned (requires q^(2n) <= cap); with it, the meet-in-the-middle
-    kernel lists the coset weight by weight up to ``weight_cap`` (ValueError
-    past ``cap`` rows per half), and "budget-exhausted" is returned when the
-    coset has no vector that light.  Ties are broken lexicographically on
-    the entry tuple.
+    returned (requires q^(2n) <= ENUMERATION_CAP); with it, the kernel lists
+    the coset weight by weight up to ``weight_cap`` (ValueError past
+    ENUMERATION_CAP rows per half), and "budget-exhausted" is returned when
+    the coset has no vector that light.  Ties are broken lexicographically
+    on the entry tuple.
     """
     if weight_cap is None:
-        vec, w = exhaustive_coset_leaders(problem.field, problem.dual_basis, cap)[tuple(problem.syndrome)]
+        vec, w = exhaustive_coset_leaders(problem.field, problem.dual_basis)[tuple(problem.syndrome)]
         return DecodeResult(error=vec, weight=w, status="found-min")
-    found = _least_solution(_symplectic_search(problem.dual_basis), problem.syndrome, weight_cap, cap)
+    found = _least_solution(_symplectic_search(problem.dual_basis), problem.syndrome, weight_cap)
     if found is None:
         return DecodeResult(error=None, weight=None, status="budget-exhausted")
     return DecodeResult(error=found[0], weight=found[1], status="found-min")
 
 
-def exhaustive_coset_leaders(
-    field: GF2m, dual: CodeBasis, cap: int = ORACLE_CAP
-) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
-    """Map from every syndrome to its (lexicographic-first) minimum-weight coset vector."""
-    syn = _all_syndromes(field, dual, cap)
+def exhaustive_coset_leaders(field: GF2m, dual: CodeBasis) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
+    """Map from every syndrome to its (lexicographic-first) minimum-weight coset
+    vector; ValueError when q^(2n) exceeds ENUMERATION_CAP."""
+    syn = _all_syndromes(field, dual)
     weights = _weights_by_index(field.q, dual.width)
     r = dual.rank
     powers = field.q ** np.arange(r - 1, -1, -1, dtype=np.int64)

@@ -133,7 +133,6 @@ class GF2m:
         self.degree = degree
         self.modulus = modulus
         self.q = 1 << degree
-        self.characteristic = 2
 
         self._exp: list[int] = [0] * (2 * self.q)
         self._log: list[int] = [0] * self.q
@@ -188,8 +187,6 @@ class GF2m:
     def add(self, a: int, b: int) -> int:
         """Sum of two elements (XOR of coefficient vectors)."""
         return a ^ b
-
-    sub = add  # characteristic 2
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -313,11 +310,14 @@ def as_elements(field: GF2m, values) -> np.ndarray:
 
     ValueError, naming the first offending value and the field, when any
     value is not an integer in [0, q); a table lookup would otherwise wrap
-    a negative index or fail with IndexError.
+    a negative index or fail with IndexError.  Only a failing input is
+    scanned, as the Python values it holds: numpy stores a mix of small
+    integers and 2^63 (or a float) as floats, which would misname the value.
     """
     a = np.asarray(values)
     if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= field.q):
-        bad = next(v for v in a.flat if not (isinstance(v, (int, np.integer)) and 0 <= v < field.q))
+        bad = next(v for v in np.asarray(values, dtype=object).flat if isinstance(v, bool)
+                   or not (isinstance(v, (int, np.integer)) and 0 <= v < field.q))
         raise ValueError(f"{bad} is not an element of {field}: expected an integer in [0, {field.q})")
     return a.astype(np.intp, copy=False)
 

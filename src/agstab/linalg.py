@@ -1,5 +1,5 @@
-"""Dense linear algebra over GF(2^r): reduced row echelon form, rank,
-nullspace, span membership and small solves.
+"""Dense linear algebra over GF(2^r): reduced row echelon form, nullspace,
+span membership and small solves.
 
 A matrix is a 2-D numpy array of field indices in the field's dtype,
 uint8 when q <= 256 and uint16 above, and every matrix returned here is
@@ -140,14 +140,10 @@ def rref(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> tuple[np.nda
     return R, tuple(pivots)
 
 
-def rank(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> int:
-    return len(rref(field, rows, width)[0])
-
-
 def nullspace(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
     """Canonical basis of {x : M x^T = 0}, as rref rows."""
     R, pivots = rref(field, rows, width)
-    return _nullspace_of_rref(field, R, pivots, width)[0]
+    return rref(field, _nullspace_rows(R, pivots, width), width)[0]
 
 
 def _nullspace_rows(R: np.ndarray, pivots: Sequence[int], width: int) -> np.ndarray:
@@ -162,11 +158,6 @@ def _nullspace_rows(R: np.ndarray, pivots: Sequence[int], width: int) -> np.ndar
     N[np.arange(len(free)), free] = 1
     N[:, list(pivots)] = R[:, free].T
     return N
-
-
-def _nullspace_of_rref(field: GF2m, R: np.ndarray, pivots: Sequence[int], width: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Canonical nullspace basis, and its pivots, from rref rows whose pivots all lie below ``width``."""
-    return rref(field, _nullspace_rows(R, pivots, width), width)
 
 
 def row_in_span(field: GF2m, basis: np.ndarray, pivots: Sequence[int], rows: Sequence[Sequence[int]]) -> np.ndarray:
@@ -210,7 +201,7 @@ def solve(
     x = np.zeros(width, dtype=R.dtype)
     x[list(pivots)] = R[:, width]
     # with no pivot in the rhs column, the first ``width`` columns of R are rref(M)
-    return tuple(x.tolist()), _nullspace_of_rref(field, R, pivots, width)[0]
+    return tuple(x.tolist()), rref(field, _nullspace_rows(R, pivots, width), width)[0]
 
 
 def invert_matrix(field: GF2m, rows: Sequence[Sequence[int]]) -> np.ndarray:

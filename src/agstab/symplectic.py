@@ -17,9 +17,11 @@ the weight-budget sweep at its budget.  The kernel also decodes on Hamming
 weight.  The vectors of weight exactly w with syndrome t split after
 s_{w//2} of their support s_1 < ... < s_w; the left parts are held sorted
 by a 64-bit GF(2)-linear fingerprint of their syndromes, the right parts
-stream past them in chunks, and every match is checked exactly.  A weight
-whose halves exceed the cap is refused with ValueError.  Syndromes come
-from the log/antilog arrays, so every GF(2^r), r <= 16, works.
+stream past them in chunks, and every match is checked exactly.  Syndromes
+come from the log/antilog arrays, so every GF(2^r), r <= 16, works.
+ENUMERATION_CAP is the one refusal policy, read when each refusal runs: a
+weight whose halves exceed it, an exact distance with q^dim over it and
+the exhaustive decoding oracle with q^(2n) over it raise ValueError.
 """
 
 from __future__ import annotations
@@ -54,11 +56,7 @@ class CodeBasis:
     pivots: tuple[int, ...]
 
     @classmethod
-    def from_rows(cls, field: GF2m, rows: Sequence[Sequence[int]], width: int | None = None) -> "CodeBasis":
-        if width is None:
-            if not len(rows):
-                raise ValueError("width is required for an empty row list")
-            width = len(rows[0])
+    def from_rows(cls, field: GF2m, rows: Sequence[Sequence[int]], width: int) -> "CodeBasis":
         reduced, pivots = linalg.rref(field, rows, width)
         return cls(field, width, reduced, pivots)
 
@@ -79,9 +77,6 @@ class CodeBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def contains_row(self, row: Sequence[int]) -> bool:
-        return bool(linalg.row_in_span(self.field, self.rows, self.pivots, [row])[0])
-
     @cached_property
     def _symplectic_dual(self) -> "CodeBasis":
         # memo for symplectic_dual: verify, the budget sweep and descent ask for the same dual
@@ -92,17 +87,6 @@ class CodeBasis:
         # swapped kernel is the one reduction
         kernel = linalg._nullspace_rows(self.rows, self.pivots, self.width)
         return CodeBasis.from_rows(self.field, np.roll(kernel, self.width // 2, axis=1), self.width)
-
-
-def row_reduce(field: GF2m, rows: Sequence[Sequence[int]], width: int | None = None) -> tuple[CodeBasis, int]:
-    """Canonical rref basis of the span of ``rows`` and its rank."""
-    basis = CodeBasis.from_rows(field, rows, width)
-    return basis, basis.rank
-
-
-def symplectic_form(field: GF2m, x: Sequence[int], y: Sequence[int]) -> int:
-    """<x, y> = sum x_i y_{n+i} - sum x_{n+i} y_i (signs collapse, char 2)."""
-    return syndrome_of(field, x, [y])[0]
 
 
 def syndrome_of(field: GF2m, v: Sequence[int], dual_rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -260,17 +244,17 @@ class _SyndromeSearch:
             digits, out[:, p] = np.divmod(digits, self.base)
         return out + 1
 
-    def solutions(self, w: int, target: Sequence[int], cap: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def solutions(self, w: int, target: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Blocks (support, values) of every vector of weight exactly w with syndrome ``target``.
 
-        Raises ValueError, before any work, when either half has more than ``cap`` rows.
+        Raises ValueError, before any work, when either half has more than ENUMERATION_CAP rows.
         """
         n, base = self.n, self.base
         k_left, k_right = w // 2, w - w // 2
         for side, k in (("left", k_left), ("right", k_right)):
-            if comb(n, k) * base ** k > cap:
+            if comb(n, k) * base ** k > ENUMERATION_CAP:
                 raise ValueError(f"weight {w}: the {side} half has C({n},{k}) * {base}^{k} = "
-                                 f"{comb(n, k) * base ** k} rows, over the cap {cap}")
+                                 f"{comb(n, k) * base ** k} rows, over the cap {ENUMERATION_CAP}")
         if w > n:
             return
         target = np.asarray(target, dtype=np.int64)
@@ -307,7 +291,7 @@ def _symplectic_search(basis: CodeBasis) -> _SyndromeSearch:
     return _SyndromeSearch(basis.field, np.roll(basis.rows, basis.width // 2, axis=1), basis.width // 2, 2)
 
 
-def _first_weight(C: CodeBasis, D: CodeBasis, budget: int, cap: int) -> int | None:
+def _first_weight(C: CodeBasis, D: CodeBasis, budget: int) -> int | None:
     """The least symplectic weight 1..budget of a vector in C \\ D; None when all are heavier.
 
     The vectors of C are those with zero syndrome against the checks of C
@@ -319,82 +303,75 @@ def _first_weight(C: CodeBasis, D: CodeBasis, budget: int, cap: int) -> int | No
     in_d = _symplectic_search(C if dual_c == D else symplectic_dual(D))
     zero = (0,) * (C.width - C.rank)
     for w in range(1, budget + 1):
-        for support, values in in_c.solutions(w, zero, cap):
+        for support, values in in_c.solutions(w, zero):
             if in_d.syndromes(support, values).any():
                 return w
     return None
 
 
-def _enumerate_min_weight(C: CodeBasis, D: CodeBasis, cap: int) -> int:
+def _enumerate_min_weight(C: CodeBasis, D: CodeBasis) -> int:
     """Exact min symplectic weight over the nonempty C \\ D.
 
     The sweep of every weight 1, 2, .. stops at the first with a hit, so no
     lighter vector was missed; every vector has weight <= n.
     """
-    w = _first_weight(C, D, C.width // 2, cap)
+    w = _first_weight(C, D, C.width // 2)
     if w is None:
         raise AssertionError("C \\ D is nonempty but the sweep found no vector")
     return w
 
 
-def _budget_min_weight(C: CodeBasis, D: CodeBasis, budget: int, cap: int = ENUMERATION_CAP) -> MinWeightResult:
+def _budget_min_weight(C: CodeBasis, D: CodeBasis, budget: int) -> MinWeightResult:
     """Sweep the symplectic weights 1..budget for a vector in C \\ D."""
-    w = _first_weight(C, D, budget, cap)
+    w = _first_weight(C, D, budget)
     if w is None:
         return MinWeightResult(status="at-least", floor=budget + 1)
     return MinWeightResult(status="exact", weight=w)
 
 
-def relative_min_weight(
-    C: CodeBasis,
-    D: CodeBasis,
-    budget: int | None = None,
-    mode: str = "auto",
-    cap: int = ENUMERATION_CAP,
-) -> MinWeightResult:
+def relative_min_weight(C: CodeBasis, D: CodeBasis, budget: int | None = None, mode: str = "auto") -> MinWeightResult:
     """Minimum symplectic weight over C \\ D.
 
     mode "auto" sweeps every weight up to the exact minimum whenever
-    q^dim(C) <= cap and otherwise requires a budget; "exact" (refused past
-    q^dim(C) > cap) and "budget" force one strategy (the latter is how the
-    two are cross-checked against each other).  Either sweep raises
-    ValueError when a weight's halves exceed ``cap`` rows.
+    q^dim(C) <= ENUMERATION_CAP and otherwise requires a budget; "budget"
+    sweeps the weights up to the budget only (which is how the two are
+    cross-checked against each other).  Either sweep raises ValueError when
+    a weight's halves exceed ENUMERATION_CAP rows.
     """
+    if mode not in ("auto", "budget"):
+        raise ValueError(f"unknown mode {mode!r}")
     if not contains(C, D):
         raise ValueError("D must be a subspace of C")
     if C.rank == D.rank:
         return MinWeightResult(status="empty")
-    enumerable = C.field.q ** C.rank <= cap
-    if mode == "exact" or (mode == "auto" and enumerable):
-        if not enumerable:
-            raise ValueError(f"q^dim = {C.field.q ** C.rank} exceeds the enumeration cap {cap}")
-        return MinWeightResult(status="exact", weight=_enumerate_min_weight(C, D, cap))
-    if mode not in ("auto", "budget"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "auto" and C.field.q ** C.rank <= ENUMERATION_CAP:
+        return MinWeightResult(status="exact", weight=_enumerate_min_weight(C, D))
     if budget is None:
         raise ValueError(
             f"q^dim = {C.field.q ** C.rank} exceeds the enumeration cap; a weight budget is required"
         )
-    return _budget_min_weight(C, D, budget, cap)
+    return _budget_min_weight(C, D, budget)
 
 
-def min_hamming_weight(C: CodeBasis, cap: int = ENUMERATION_CAP) -> int:
+def min_hamming_weight(C: CodeBasis) -> int:
     """Exact minimum Hamming weight over the nonzero codewords of C.
 
     The kernel with g = 1 sweeps the Hamming weights 1, 2, .. for a vector
     with zero syndrome against the Euclidean dual of C and stops at the
     first with a hit; the Singleton bound puts one at weight <= width -
-    rank + 1.  ValueError when a weight's halves exceed ``cap`` rows.
+    rank + 1.  Any basis of the dual gives the same codewords, so the checks
+    are its kernel rows read off the rref, unreduced.  ValueError when a
+    weight's halves exceed ENUMERATION_CAP rows.
     """
     if C.rank == 0:
         raise ValueError("the zero code has no nonzero codeword")
     if C.rank == C.width:
         return 1  # no checks: every unit vector is a codeword
-    checks, _ = linalg._nullspace_of_rref(C.field, C.rows, C.pivots, C.width)
+    checks = linalg._nullspace_rows(C.rows, C.pivots, C.width)
     search = _SyndromeSearch(C.field, checks, C.width, 1)
     zero = (0,) * len(checks)
     for w in range(1, C.width - C.rank + 2):
-        if next(search.solutions(w, zero, cap), None) is not None:
+        if next(search.solutions(w, zero), None) is not None:
             return w
     raise AssertionError("no codeword within the Singleton bound")
 
@@ -433,11 +410,7 @@ class StabilizerParams:
 
 
 def stabilizer_params(
-    C: CodeBasis,
-    distance: str = "exact",
-    budget: int | None = None,
-    d_lower: int | None = None,
-    cap: int = ENUMERATION_CAP,
+    C: CodeBasis, distance: str = "exact", budget: int | None = None, d_lower: int | None = None
 ) -> StabilizerParams:
     """Extract [[n, k, d]] from C, which must satisfy C >= C^perp.
 
@@ -456,13 +429,13 @@ def stabilizer_params(
         info = None
         if distance != "none":
             res = relative_min_weight(C, CodeBasis.zero(C.field, C.width), budget=budget,
-                                      mode="auto" if distance == "exact" else "budget", cap=cap)
+                                      mode="auto" if distance == "exact" else "budget")
             info = res.weight
         return StabilizerParams(n=n, k=k, d_lower=d_lower, empty_difference=True,
                                 zero_k_min_weight=info)
     d_exact = None
     if distance == "exact":
-        res = relative_min_weight(C, dual, budget=budget, cap=cap)
+        res = relative_min_weight(C, dual, budget=budget)
         if res.status == "exact":
             d_exact = res.weight
         elif res.status == "at-least":
@@ -470,7 +443,7 @@ def stabilizer_params(
     elif distance == "budget":
         if budget is None:
             raise ValueError("budget distance mode needs a budget")
-        res = relative_min_weight(C, dual, budget=budget, mode="budget", cap=cap)
+        res = relative_min_weight(C, dual, budget=budget, mode="budget")
         if res.status == "exact":
             d_exact = res.weight
         else:

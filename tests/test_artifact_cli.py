@@ -112,8 +112,12 @@ def test_tampered_report_bytes_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == TAMPERED_REPORT_SHA256[name]
 
 
-@pytest.mark.parametrize("kind,q,j", [("rational", 16, 2), ("hermitian", 4, 5)])
-def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j):
+@pytest.mark.parametrize("kind,q,j,exact", [
+    pytest.param("rational", 16, 2, False, id="rational-16-2"),
+    pytest.param("hermitian", 4, 5, False, id="hermitian-4-5"),
+    pytest.param("rational", 8, 1, True, id="rational-8-1-exact-distance"),
+])
+def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j, exact):
     from agstab import linalg
 
     calls = []
@@ -126,12 +130,13 @@ def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j):
     art = artifact_mod.construct_artifact(kind, q, j)
     monkeypatch.setattr(linalg, "rref", counting)
     # C(G), C(H), and the symplectic dual of C(G) (its swapped kernel, read off the
-    # reduced rows); the classical view reuses C(G) and checks the raw Euclidean dual rows
-    assert artifact_mod.verify_artifact(art)["ok"]
+    # reduced rows); the classical view reuses C(G) and checks the raw Euclidean dual rows,
+    # and the exact Hamming search takes its checks from those raw rows too
+    assert artifact_mod.verify_artifact(art, exact_distance=exact)["ok"]
     assert len(calls) == 3
     calls.clear()
     art.c_g_rows[0][0] ^= 1    # the classical view now reduces the fresh L(G) rows
-    assert not artifact_mod.verify_artifact(art)["ok"]
+    assert not artifact_mod.verify_artifact(art, exact_distance=exact)["ok"]
     assert len(calls) == 4
 
 
@@ -428,6 +433,25 @@ def test_cli_decode_sim_reproducible(tmp_path, capsys):
     assert len(records) == 100
     assert all(r["recovered"] for r in records)
     assert all(r["status"] == "unique-guaranteed" for r in records)
+
+
+@pytest.mark.parametrize("weight", [0, 1])
+def test_cli_decode_sim_with_no_checks(tmp_path, capsys, weight):
+    # at j = max_j, C(H) = 0 and C(G) is the whole space: every syndrome is empty, and the
+    # least vector with the empty syndrome is the zero vector (t_cap = 0 here, so a
+    # weight-1 error lies outside the guarantee region)
+    art, out = str(tmp_path / "r8.json"), tmp_path / "trials.jsonl"
+    assert main(["construct", "--backend", "rational", "--q", "8", "--j", "4", "--out", art]) == 0
+    assert main(["decode-sim", "--artifact", art, "--trials", "3", "--weight", str(weight), "--seed", "2",
+                 "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 3
+    for r in records:
+        assert r["planted_weight"] == weight and r["syndrome"] == []
+        assert r["decoded"] == [0] * 8 and r["decoded_weight"] == 0
+        assert r["recovered"] == (weight == 0)
+        if weight == 0:
+            assert r["status"] == "unique-guaranteed"
 
 
 def test_cli_verify_budget_mode(tmp_path, capsys):

@@ -275,8 +275,7 @@ def test_rational_q8_j1_dims():
 def test_shift_symmetry_of_codes(backend):
     for j in (0, 1, backend.max_j):
         cg, _ = build_codes(backend, j)
-        for row in cg.rows:
-            assert cg.contains_row(swap_halves(row))
+        assert contains(cg, CodeBasis.from_rows(cg.field, [swap_halves(row) for row in cg.rows], cg.width))
 
 
 def test_distance_bound_exhaustive_small():

@@ -12,7 +12,7 @@ from agstab.decoder import (
     syndrome_of,
 )
 from agstab.gf import field
-from agstab.symplectic import CodeBasis, swap_halves, symplectic_form, symplectic_weight
+from agstab.symplectic import CodeBasis, swap_halves, symplectic_weight
 from conftest import naive_symplectic_form
 
 
@@ -68,6 +68,9 @@ def test_syndrome_of_matches_the_symplectic_form(degree):
     ((1, 0, 0, 0), [(0, 0, 1)], "dual row 0 has length 3, expected 4"),
     ((1, 0, 0, 4), [(0, 0, 1, 0)], "4 is not an element of GF(2^2)"),
     ((1, 0, 0), [(0, 0, 1)], "symplectic vectors have even length"),
+    # numpy stores these vectors as floats; the message still names the Python value
+    ((0, 2 ** 63, 0, 0), [(0, 0, 1, 0)], "9223372036854775808 is not an element of GF(2^2)"),
+    ((0, 1.0, 0, 0), [(0, 0, 1, 0)], "1.0 is not an element of GF(2^2)"),
 ])
 def test_syndrome_of_validates_the_whole_check_matrix(v, rows, message):
     with pytest.raises(ValueError) as info:
@@ -90,7 +93,7 @@ def test_swap_negate_transfers_the_form():
         for _ in range(60):
             e = tuple(int(v) for v in rng.integers(0, f.q, 8))
             b = tuple(int(v) for v in rng.integers(0, f.q, 8))
-            assert symplectic_form(f, e, b) == _dot(f, swap_halves(e), b)
+            assert syndrome_of(f, e, [b]) == (_dot(f, swap_halves(e), b),)
 
 
 def test_hamming_bound_on_swap():

@@ -14,7 +14,7 @@ from agstab.symplectic import (
     contains,
     relative_min_weight,
     symplectic_dual,
-    symplectic_form,
+    syndrome_of,
 )
 from conftest import naive_descend_vector, naive_symplectic_form, naive_trace
 
@@ -75,9 +75,9 @@ def test_twist_multiplier_identity():
         for _ in range(50):
             u = tuple(int(v) for v in rng.integers(0, ext.q, 2 * n))
             v = tuple(int(v) for v in rng.integers(0, ext.q, 2 * n))
-            lhs = symplectic_form(db.sub, descend_vector(db, u), descend_vector(db, v))
-            rhs = db.view.trace(ext.mul(db.twist, symplectic_form(ext, u, v)))
-            assert lhs == rhs
+            lhs = syndrome_of(db.sub, descend_vector(db, u), [descend_vector(db, v)])
+            rhs = db.view.trace(ext.mul(db.twist, syndrome_of(ext, u, [v])[0]))
+            assert lhs == (rhs,)
 
 
 def test_default_gf16_power_basis_has_no_twist():

@@ -73,7 +73,6 @@ def test_rref_matches_scalar_reference(case):
     f, rows, width = case
     R, pivots = linalg.rref(f, rows, width)
     assert (R.tolist(), pivots) == reference_rref(f, rows, width)
-    assert linalg.rank(f, rows, width) == len(R)
     assert R.shape == (len(pivots), width) and R.dtype == f.log_antilog[1].dtype
     if f.q ** len(rows) <= ORACLE_SIZE:
         assert span_vectors(f, R.tolist(), width) == span_vectors(f, rows, width)
@@ -231,7 +230,7 @@ def test_returned_matrices_are_read_only():
         "nullspace": linalg.nullspace(f, rows, 3),
         "solve": linalg.solve(f, rows, 3, [1, 2])[1],
         "invert_matrix": linalg.invert_matrix(f, [[1, 2], [0, 3]]),
-        "CodeBasis.rows": CodeBasis.from_rows(f, rows).rows,
+        "CodeBasis.rows": CodeBasis.from_rows(f, rows, 3).rows,
     }
     for name, M in matrices.items():
         assert M.ndim == 2 and M.dtype == np.uint8, name
@@ -295,9 +294,9 @@ def test_invert_matrix_names_the_square_shape(rows, message):
 
 
 def test_row_in_span_blames_the_query_row():
-    basis = CodeBasis.from_rows(field(2), [[1, 0, 0, 0]])
+    basis = CodeBasis.from_rows(field(2), [[1, 0, 0, 0]], 4)
     with pytest.raises(ValueError) as info:
-        basis.contains_row([1, 0])
+        linalg.row_in_span(basis.field, basis.rows, basis.pivots, [[1, 0]])
     assert str(info.value) == "query row 0 has length 2, expected 4"
     with pytest.raises(ValueError, match="query row 1 has length 5, expected 4"):
         linalg.row_in_span(basis.field, basis.rows, basis.pivots, [[0, 0, 0, 1], [0] * 5])

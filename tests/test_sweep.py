@@ -5,7 +5,8 @@ Hamming, each a sweep stopped at its first weight) against the naive span
 oracle, the weight-capped decoding oracle against the exhaustive coset
 leaders, the Hamming decoder against a whole-space minimum, and negative
 controls for the D-rejection, fingerprint collisions, the work cap and
-containment."""
+containment.  The cap tests set ``symplectic.ENUMERATION_CAP``, which every
+refusal reads when it runs."""
 
 from itertools import product
 from math import comb
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agstab.decoder import (ORACLE_CAP, SyndromeProblem, _hamming_search, brute_oracle, exhaustive_coset_leaders,
+from agstab import linalg, symplectic
+from agstab.decoder import (SyndromeProblem, _hamming_search, brute_oracle, exhaustive_coset_leaders,
                             hamming_min_solve)
 from agstab.gf import field
 from agstab.symplectic import (ENUMERATION_CAP, CodeBasis, _SyndromeSearch, contains, min_hamming_weight,
@@ -73,12 +75,11 @@ def test_sweep_over_gf512():
 def test_exact_distance_matches_naive(pair):
     C, D = pair
     expected = naive_relative_min_weight(C.field, C.rows.tolist(), D.rows.tolist(), C.width)
-    res = relative_min_weight(C, D, mode="exact")
+    res = relative_min_weight(C, D)      # q^dim <= 8^3: "auto" sweeps to the exact minimum
     if expected is None:
         assert res.status == "empty"
     else:
         assert (res.status, res.weight) == ("exact", expected)
-        assert relative_min_weight(C, D).weight == expected      # "auto" takes the same sweep
 
 
 @st.composite
@@ -134,7 +135,7 @@ def test_zero_k_min_weight_matches_naive(C):
     assert p.zero_k_min_weight == naive_relative_min_weight(C.field, C.rows.tolist(), [], C.width)
 
 
-def test_exact_distances_over_gf512():
+def test_exact_distances_over_gf512(monkeypatch):
     f = field(9)
     # a*r1 + b*r2 = (5a + 7b, 511b | 300a, 2b): symplectic weight 1 at b = 0
     # and 2 otherwise; Hamming weight 2 at b = 0 and 3 otherwise
@@ -142,25 +143,34 @@ def test_exact_distances_over_gf512():
     C = CodeBasis.from_rows(f, rows, 4)
     D = CodeBasis.from_rows(f, rows[:1], 4)
     assert f.q ** C.rank <= ENUMERATION_CAP
-    assert relative_min_weight(C, D, mode="exact").weight == 2
-    assert relative_min_weight(C, CodeBasis.zero(f, 4), mode="exact").weight == 1
+    assert relative_min_weight(C, D).weight == 2
+    assert relative_min_weight(C, CodeBasis.zero(f, 4)).weight == 1
     assert min_hamming_weight(C) == 2
     assert min_hamming_weight(D) == 2
-    with pytest.raises(ValueError, match="q\\^dim = 262144 exceeds the enumeration cap 262143"):
-        relative_min_weight(C, D, mode="exact", cap=f.q ** 2 - 1)
+    # q^dim = 512^2 = 262144: at that cap the gate lets the exact sweep start (its weight-1
+    # half, 2 * 262143 rows, is the next refusal); one below it the gate asks for a budget
+    monkeypatch.setattr(symplectic, "ENUMERATION_CAP", f.q ** 2)
+    with pytest.raises(ValueError, match=r"^weight 1: the right half has C\(2,1\) \* 262143\^1 = 524286 rows"):
+        relative_min_weight(C, D)
+    monkeypatch.setattr(symplectic, "ENUMERATION_CAP", f.q ** 2 - 1)
+    with pytest.raises(ValueError, match="^q\\^dim = 262144 exceeds the enumeration cap; a weight budget is required$"):
+        relative_min_weight(C, D)
 
 
-def test_exact_distances_refuse_past_the_cap():
+def test_exact_distances_refuse_past_the_cap(monkeypatch):
     f = field(2)
     C = CodeBasis.from_rows(f, [(1, 1, 1, 1, 1, 1)], 6)
     # q^dim = 4 passes the gate.  The symplectic weight is 3, and weight 3
     # needs C(3,2) * 15^2 = 675 rows.  The Hamming weight is 6 (the Singleton
     # bound), and weight 5 needs C(6,3) * 3^3 = 540 rows in its right half.
+    monkeypatch.setattr(symplectic, "ENUMERATION_CAP", 45)
     with pytest.raises(ValueError, match=r"C\(3,2\) \* 15\^2 = 675 rows, over the cap 45"):
-        relative_min_weight(C, CodeBasis.zero(f, 6), mode="exact", cap=45)
+        relative_min_weight(C, CodeBasis.zero(f, 6))
+    monkeypatch.setattr(symplectic, "ENUMERATION_CAP", 539)
     with pytest.raises(ValueError, match=r"weight 5: the right half has C\(6,3\) \* 3\^3 = 540 rows, over the cap 539"):
-        min_hamming_weight(C, cap=539)
-    assert min_hamming_weight(C, cap=540) == 6
+        min_hamming_weight(C)
+    monkeypatch.setattr(symplectic, "ENUMERATION_CAP", 540)
+    assert min_hamming_weight(C) == 6
 
 
 def test_hamming_kernel_is_built_once_per_code():
@@ -203,7 +213,7 @@ def test_capped_oracle_matches_coset_leaders(case):
 
 
 def _kernel_solutions(search, w, syndrome):
-    return [tuple(v) for block in search.solutions(w, syndrome, ENUMERATION_CAP)
+    return [tuple(v) for block in search.solutions(w, syndrome)
             for v in search.dense(*block).tolist()]
 
 
@@ -310,32 +320,45 @@ def test_hamming_min_solve_refuses_past_the_cap_naming_its_estimate():
     f = field(4)
     rows = [(1,) * 400, (1,) * 400]     # equal rows: syndrome (1, 0) is never reached
     # weights 1 and 2 need 400 * 15 = 6000 rows per half; weight 3 needs C(400,2) * 15^2
-    assert comb(400, 2) * 15 ** 2 > ORACLE_CAP >= 400 * 15
+    assert comb(400, 2) * 15 ** 2 > ENUMERATION_CAP >= 400 * 15
     assert hamming_min_solve(f, (1, 0), rows, 2) is None
     with pytest.raises(ValueError, match=rf"weight 3: the right half has C\(400,2\) \* 15\^2 = "
-                                         rf"{comb(400, 2) * 225} rows, over the cap {ORACLE_CAP}"):
+                                         rf"{comb(400, 2) * 225} rows, over the cap {ENUMERATION_CAP}"):
         hamming_min_solve(f, (1, 0), rows, 3)
 
 
-def test_sweep_refuses_past_the_cap_naming_its_estimate():
+def test_sweep_refuses_past_the_cap_naming_its_estimate(monkeypatch):
     f = field(2)
     C = CodeBasis.from_rows(f, [(1, 1, 1, 1, 1, 1)], 6)      # weight 3
     D = CodeBasis.zero(f, 6)
     # weights 1 and 2 fit in 45 rows per half; weight 3 needs C(3,2) * 15^2 = 675
+    monkeypatch.setattr(symplectic, "ENUMERATION_CAP", 45)
     with pytest.raises(ValueError, match=r"C\(3,2\) \* 15\^2 = 675 rows, over the cap 45"):
-        relative_min_weight(C, D, budget=3, mode="budget", cap=45)
+        relative_min_weight(C, D, budget=3, mode="budget")
     # a sweep that stops below the refused weight is unaffected
-    res = relative_min_weight(C, D, budget=2, mode="budget", cap=45)
+    res = relative_min_weight(C, D, budget=2, mode="budget")
     assert res.status == "at-least" and res.floor == 3
     light = CodeBasis.from_rows(f, [(1, 0, 0, 0, 0, 0)], 6)
-    assert relative_min_weight(light, D, budget=3, mode="budget", cap=45).weight == 1
+    assert relative_min_weight(light, D, budget=3, mode="budget").weight == 1
 
 
-def test_capped_oracle_refuses_past_the_cap():
+def test_capped_oracle_refuses_past_the_cap(monkeypatch):
     f = field(2)
     dual = CodeBasis.from_rows(f, [(1, 1, 1, 1, 1, 1)], 6)
+    monkeypatch.setattr(symplectic, "ENUMERATION_CAP", 44)
     with pytest.raises(ValueError, match="= 45 rows, over the cap 44"):
-        brute_oracle(SyndromeProblem(dual, (1,)), cap=44, weight_cap=1)
+        brute_oracle(SyndromeProblem(dual, (1,)), weight_cap=1)
+
+
+def test_exhaustive_oracle_refuses_past_the_cap(monkeypatch):
+    # the exhaustive leaders enumerate all q^(2n) = 4^6 = 4096 ambient vectors
+    f = field(2)
+    dual = CodeBasis.from_rows(f, [(1, 1, 1, 1, 1, 1)], 6)
+    monkeypatch.setattr(symplectic, "ENUMERATION_CAP", 4096)
+    assert brute_oracle(SyndromeProblem(dual, (1,))).weight == 1
+    monkeypatch.setattr(symplectic, "ENUMERATION_CAP", 4095)
+    with pytest.raises(ValueError, match=r"^q\^\(2n\) = 4096 exceeds the enumeration cap 4095$"):
+        exhaustive_coset_leaders(f, dual)
 
 
 @pytest.mark.parametrize("degree", [1, 4, 9])
@@ -349,6 +372,6 @@ def test_contains_rejects_a_row_one_entry_off_the_span(degree):
     free = next(c for c in range(6) if c not in outer.pivots)
     off = list(inside)
     off[free] ^= f.q - 1                     # no span vector is zero on every pivot but this
-    assert outer.contains_row(inside) and not outer.contains_row(off)
+    assert list(linalg.row_in_span(f, outer.rows, outer.pivots, [inside, off])) == [True, False]
     assert contains(outer, CodeBasis.from_rows(f, [inside], 6))
     assert not contains(outer, CodeBasis.from_rows(f, [inside, off], 6))

@@ -12,12 +12,11 @@ from agstab.symplectic import (
     contains,
     min_hamming_weight,
     relative_min_weight,
-    row_reduce,
     stabilizer_params,
     swap_halves,
     symplectic_dual,
-    symplectic_form,
     symplectic_weight,
+    syndrome_of,
 )
 from conftest import (
     naive_relative_min_weight,
@@ -36,26 +35,25 @@ def _random_rows(field_obj, rng, count, width):
 # ---------------------------------------------------------------------------
 
 def test_row_reduce_duplicates():
-    basis, rank = row_reduce(field(1), [(1, 1), (1, 1)])
-    assert rank == 1 and basis.rows.tolist() == [[1, 1]]
+    basis = CodeBasis.from_rows(field(1), [(1, 1), (1, 1)], 2)
+    assert basis.rank == 1 and basis.rows.tolist() == [[1, 1]]
 
 
 def test_row_reduce_empty():
-    basis, rank = row_reduce(field(1), [], width=4)
-    assert rank == 0 and basis.rows.shape == (0, 4)
+    basis = CodeBasis.from_rows(field(1), [], 4)
+    assert basis.rank == 0 and basis.rows.shape == (0, 4)
 
 
 def test_row_reduce_gf4_dependent_pair():
     # (1, w^2) = w^2 * (w, 1)
-    basis, rank = row_reduce(field(2), [(2, 1), (1, 3)])
-    assert rank == 1
+    assert CodeBasis.from_rows(field(2), [(2, 1), (1, 3)], 2).rank == 1
 
 
 def test_row_reduce_canonical_under_row_ops():
     f = field(2)
     rng = np.random.default_rng(17)
     rows = _random_rows(f, rng, 3, 6)
-    ref, _ = row_reduce(f, rows)
+    ref = CodeBasis.from_rows(f, rows, 6)
     for _ in range(10):
         mixed = []
         for r in rows:
@@ -65,30 +63,30 @@ def test_row_reduce_canonical_under_row_ops():
                     acc = [a ^ f.mul(int(c), v) for a, v in zip(acc, row)]
             mixed.append(tuple(acc))
         mixed.extend(rows)
-        again, _ = row_reduce(f, mixed)
+        again = CodeBasis.from_rows(f, mixed, 6)
         assert again == ref and hash(again) == hash(ref)
 
 
 def test_code_basis_equality_and_hash():
     # two generator sets of one span are one canonical basis
     f = field(2)
-    a = CodeBasis.from_rows(f, [(1, 2, 0, 3), (0, 1, 1, 1)])
-    b = CodeBasis.from_rows(f, np.array([(1, 3, 1, 2), (2, 2, 1, 0), (0, 0, 0, 0)]))  # a1 + a2, w a1 + a2
+    a = CodeBasis.from_rows(f, [(1, 2, 0, 3), (0, 1, 1, 1)], 4)
+    b = CodeBasis.from_rows(f, np.array([(1, 3, 1, 2), (2, 2, 1, 0), (0, 0, 0, 0)]), 4)  # a1 + a2, w a1 + a2
     assert a == b and hash(a) == hash(b)
     assert a.rows.tolist() == b.rows.tolist() and a.pivots == b.pivots
     # the same entries over another field, or in another width, are another subspace
-    assert a != CodeBasis.from_rows(field(3), a.rows)
-    assert a != CodeBasis.from_rows(f, [r + [0, 0] for r in a.rows.tolist()]) and a != CodeBasis.zero(f, 4)
+    assert a != CodeBasis.from_rows(field(3), a.rows, 4)
+    assert a != CodeBasis.from_rows(f, [r + [0, 0] for r in a.rows.tolist()], 6) and a != CodeBasis.zero(f, 4)
     assert CodeBasis.zero(f, 4) != CodeBasis.zero(f, 6)
     with pytest.raises(ValueError, match="read-only"):
         a.rows[0, 0] = 0
 
 # ---------------------------------------------------------------------------
-# form and weight
+# form and weight: <x, y> is the syndrome of x against the one row y
 # ---------------------------------------------------------------------------
 
 def test_form_single_cross_term():
-    assert symplectic_form(field(1), (1, 0, 0, 0), (0, 0, 1, 0)) == 1
+    assert syndrome_of(field(1), (1, 0, 0, 0), [(0, 0, 1, 0)]) == (1,)
 
 
 def test_form_alternating_random():
@@ -98,19 +96,19 @@ def test_form_alternating_random():
         for _ in range(50):
             x = tuple(int(v) for v in rng.integers(0, f.q, 8))
             y = tuple(int(v) for v in rng.integers(0, f.q, 8))
-            assert symplectic_form(f, x, x) == 0
-            assert symplectic_form(f, x, y) == symplectic_form(f, y, x)  # -1 = 1
+            assert syndrome_of(f, x, [x]) == (0,)
+            assert syndrome_of(f, x, [y]) == syndrome_of(f, y, [x])  # -1 = 1
 
 
 def test_form_gf4_example():
-    assert symplectic_form(field(2), (2, 0), (0, 2)) == 3  # w * w = w^2
+    assert syndrome_of(field(2), (2, 0), [(0, 2)]) == (3,)  # w * w = w^2
 
 
 def test_form_length_checks():
     with pytest.raises(ValueError):
-        symplectic_form(field(1), (1, 0), (1, 0, 0, 0))
+        syndrome_of(field(1), (1, 0), [(1, 0, 0, 0)])
     with pytest.raises(ValueError):
-        symplectic_form(field(1), (1, 0, 0), (1, 0, 0))
+        syndrome_of(field(1), (1, 0, 0), [(1, 0, 0)])
 
 
 def test_weight_examples():
@@ -267,7 +265,7 @@ def test_budget_agrees_with_exact():
         if D is None or C.rank == D.rank:
             continue
         done += 1
-        exact = relative_min_weight(C, D, mode="exact")
+        exact = relative_min_weight(C, D)    # q^dim <= 4^4: "auto" runs the exact sweep
         sweep = relative_min_weight(C, D, budget=width // 2, mode="budget")
         assert sweep.status == "exact" and sweep.weight == exact.weight
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import __version__, symplectic
-from .curves import build_codes, classical_params, evaluation_matrix, make_backend
+from .curves import build_codes, classical_params, evaluation_matrix, make_backend, nested_codes
 from .descent import DescentBasis, descend_code, self_dual_basis
 from .gf import GF2m
 from .symplectic import (
@@ -324,10 +324,16 @@ def verify_artifact(
     """Re-derive and check every claim an artifact makes.
 
     Returns a machine-readable report; overall "ok" is true when no check
-    failed (skipped checks do not fail the report).
+    failed (skipped checks do not fail the report).  C(H) is reduced first
+    and C(G) as its extension by the stored G rows after the prefix they
+    share (``curves.nested_codes``): on an honest curve artifact 2n rows go
+    through elimination, C(H), the 2j new G rows and the swapped kernel of
+    the dual; an edited C(G) prefix reduces every G row.  On a curve
+    artifact ``distance-bound`` also requires the stored deg G to be the
+    backend's, since ``decode-sim`` takes its guarantee region from it.
     """
     checks: list[dict[str, str]] = []
-    c_g, c_h = (CodeBasis.from_rows(art.field, rows, art.width) for rows in (art.c_g_rows, art.c_h_rows))
+    c_g, c_h = nested_codes(art.field, art.c_g_rows, art.c_h_rows, art.width)
 
     if art.backend_kind is not None:
         backend = make_backend(art.backend_kind, art.q, art.gamma)
@@ -361,10 +367,14 @@ def verify_artifact(
     checks.append(_check("k-formula", k_ok, f"rank {c_g.rank} = n + k with k = {art.k}"))
 
     d_exact_found: int | None = None
+    deg_note = ""
     if backend is not None:
         bound = backend.distance_bound(art.j)
-        bound_ok = art.d_lower == bound
+        deg_g = backend.deg_g(art.j)
+        bound_ok = art.d_lower == bound and art.deg_g == deg_g
         bound_detail = f"recorded lower bound {art.d_lower} matches the recomputed {bound}"
+        if art.deg_g != deg_g:  # decode-sim takes its guarantee region from the stored deg G
+            deg_note = f"; recorded deg G {art.deg_g} differs from the recomputed {deg_g}"
     else:
         bound = art.d_lower
         bound_ok = True
@@ -375,34 +385,20 @@ def verify_artifact(
                 c_g, c_h, budget=budget, mode="auto" if exact_distance else "budget"
             )
         except ValueError as exc:
-            checks.append(_check("distance-bound", False, f"search failed: {exc}"))
-            res = None
-        if res is not None:
+            bound_ok, bound_detail = False, f"search failed: {exc}"
+        else:
             if res.status == "exact":
                 d_exact_found = res.weight
-                ok = bound is None or res.weight >= bound
-                checks.append(
-                    _check(
-                        "distance-bound",
-                        bound_ok and ok,
-                        f"exact relative weight {res.weight} >= bound {bound}",
-                    )
-                )
+                bound_ok = bound_ok and (bound is None or res.weight >= bound)
+                bound_detail = f"exact relative weight {res.weight} >= bound {bound}"
             elif res.status == "at-least":
                 # an exhausted sweep establishes d >= budget + 1, which can
                 # support but never refute the recorded bound
-                checks.append(
-                    _check(
-                        "distance-bound",
-                        bound_ok,
-                        f"no vector of weight <= {budget} in C(G) \\ C(H); "
-                        f"recorded bound {art.d_lower} stands",
-                    )
-                )
+                bound_detail = (f"no vector of weight <= {budget} in C(G) \\ C(H); "
+                                f"recorded bound {art.d_lower} stands")
             else:
-                checks.append(_check("distance-bound", bound_ok, "difference set is empty (k = 0)"))
-    else:
-        checks.append(_check("distance-bound", bound_ok, bound_detail))
+                bound_detail = "difference set is empty (k = 0)"
+    checks.append(_check("distance-bound", bound_ok, bound_detail + deg_note))
 
     if backend is not None:
         # when the stored C(G) rows are the fresh ones, c_g is already their reduction

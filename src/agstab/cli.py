@@ -15,6 +15,7 @@ from typing import Sequence
 
 from . import artifact as artifact_mod
 from .bounds import emit_curves, write_csv
+from .curves import make_backend
 from .decoder import DecodeResult, SyndromeProblem, symplectic_decode, syndrome_of
 from .symplectic import CodeBasis, symplectic_weight
 
@@ -112,6 +113,11 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
     art = artifact_mod.load(args.artifact)
     if art.deg_g is None:
         raise ValueError("decode-sim needs a backend artifact with a recorded deg G")
+    if art.backend_kind is not None:  # the guarantee region comes from deg G: never trust it
+        deg_g = make_backend(art.backend_kind, art.q, art.gamma).deg_g(art.j)
+        if art.deg_g != deg_g:
+            raise ValueError(f"artifact: params.deg_g is {art.deg_g}, but the "
+                             f"{art.backend_kind} backend at j = {art.j} has deg G = {deg_g}")
     field = art.field
     c_h = CodeBasis.from_rows(field, art.c_h_rows, art.width)
     rng = Lcg64(args.seed)

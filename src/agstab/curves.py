@@ -31,6 +31,13 @@ symplectic duals of each other, C(G) contains C(H), and the larger space
 yields stabilizer parameters n, k = j (for j up to the supported cap) and
 minimum relative weight at least n - floor(deg G / 2).
 
+The spaces are nested, L(H) <= L(G), and so are their bases: in pole
+order the monomials of L(H) are the first n - j monomials of L(G) (pole
+orders at P_inf are distinct, and L(H) keeps those up to deg H).  So the
+L(H) evaluation matrix is the first n - j rows of the L(G) one, and
+``build_codes`` reduces C(H) once and C(G) as its extension by the other
+2j rows (``nested_codes``).
+
 A note on the divisor inequality that makes C(G) self-orthogonal: it is
 read here as G0 + j*P_inf >= G0 - j*P_inf, which holds exactly when
 j >= 0.
@@ -51,12 +58,13 @@ stabilizer parameters do not depend on the choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .gf import GF2m, SubfieldEmbedding, field
-from .linalg import _nullspace_rows, row_in_span
+from .linalg import _as_array, _nullspace_rows, row_in_span
 from .symplectic import CodeBasis
 
 _BLOCK = 1 << 16  # monomial_matrix entries indexed at once
@@ -97,7 +105,6 @@ class CurveBackend:
         self.gamma = gamma
         self.genus = genus
         self.n = n
-        self.places = self._build_points()
 
     # -- places ----------------------------------------------------------
 
@@ -105,7 +112,11 @@ class CurveBackend:
         """The affine places off the support of G, which sigma pairs up."""
         return self.enumerate_places()
 
-    def _build_points(self) -> np.ndarray:
+    @cached_property
+    def places(self) -> np.ndarray:
+        """The point order P_1..P_n, sigma(P_1)..sigma(P_n) as one read-only
+        (2n, d) array, built and checked on first use: a backend that only
+        answers deg G or the range of j (``decode-sim``) never enumerates it."""
         paired = self._paired_places()  # enumerated in lexicographic order, as the last check needs
         # a place's coordinates read as base-q digits order places lexicographically
         key = self.field.q ** np.arange(paired.shape[1])[::-1]
@@ -277,6 +288,25 @@ def evaluation_matrix(backend: CurveBackend, j: int, which: str = "g") -> np.nda
     return monomial_matrix(backend.field, backend.rr_basis(j, which), backend.places)
 
 
+def nested_codes(f: GF2m, g_rows: Sequence[Sequence[int]], h_rows: Sequence[Sequence[int]],
+                 width: int) -> tuple[CodeBasis, CodeBasis]:
+    """Canonical bases of the spans of ``g_rows`` and ``h_rows``, C(H) reduced first.
+
+    The evaluations of L(H) <= L(G) are nested: the L(H) rows are the first
+    rows of the L(G) ones.  C(G) is C(H) extended by the G rows after the
+    prefix the two share, so only n + j rows go through elimination, not
+    2n.  When ``g_rows`` does not start with ``h_rows`` (an edited or a
+    descended artifact), that prefix is empty and C(G) is the extension of
+    the zero basis by every G row.  Either way the result is the canonical
+    basis of the span.
+    """
+    G, H = (_as_array(f, rows, width) for rows in (g_rows, h_rows))
+    c_h = CodeBasis.from_rows(f, H, width)
+    shared = len(H) if np.array_equal(G[:len(H)], H) else 0
+    c_g = (c_h if shared else CodeBasis.zero(f, width)).extended(G[shared:])
+    return c_g, c_h
+
+
 def build_codes(
     backend: CurveBackend,
     j: int,
@@ -286,15 +316,15 @@ def build_codes(
     """Canonical bases of C(G) and C(H); dims are n + j and n - j.
 
     ``g_rows`` and ``h_rows`` are the evaluations of L(G) and L(H), when the
-    caller already holds them; each one left out is evaluated here.
+    caller already holds them; each one left out is evaluated here.  C(G)
+    is reduced as the extension of C(H) (``nested_codes``).
     """
     width = 2 * backend.n
     if g_rows is None:
         g_rows = evaluation_matrix(backend, j, "g")
     if h_rows is None:
         h_rows = evaluation_matrix(backend, j, "h")
-    c_g = CodeBasis.from_rows(backend.field, g_rows, width)
-    c_h = CodeBasis.from_rows(backend.field, h_rows, width)
+    c_g, c_h = nested_codes(backend.field, g_rows, h_rows, width)
     if c_g.rank != backend.n + j or c_h.rank != backend.n - j:
         raise AssertionError(
             f"unexpected code dimensions {c_g.rank}/{c_h.rank} at j={j} on {backend!r}"

@@ -316,9 +316,11 @@ def as_elements(field: GF2m, values) -> np.ndarray:
     """
     a = np.asarray(values)
     if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= field.q):
-        bad = next(v for v in np.asarray(values, dtype=object).flat if isinstance(v, bool)
-                   or not (isinstance(v, (int, np.integer)) and 0 <= v < field.q))
-        raise ValueError(f"{bad} is not an element of {field}: expected an integer in [0, {field.q})")
+        bad = [v for v in np.asarray(values, dtype=object).flat if isinstance(v, bool)
+               or not (isinstance(v, (int, np.integer)) and 0 <= v < field.q)]
+        if bad:
+            raise ValueError(f"{bad[0]} is not an element of {field}: expected an integer in [0, {field.q})")
+    # an object array of valid Python integers passes the scan and converts here
     return a.astype(np.intp, copy=False)
 
 

@@ -1,5 +1,5 @@
-"""Dense linear algebra over GF(2^r): reduced row echelon form, nullspace,
-span membership and small solves.
+"""Dense linear algebra over GF(2^r): reduced row echelon form and its
+extension, nullspace, span membership and small solves.
 
 A matrix is a 2-D numpy array of field indices in the field's dtype,
 uint8 when q <= 256 and uint16 above, and every matrix returned here is
@@ -14,8 +14,16 @@ with ``[]`` by an integer array of about 10^5 entries, the size of one
 elimination step, runs numpy's general fancy-index path, which is 2-3x
 slower than ``take`` on the same flat table.  Pivoting is leftmost-column,
 first-nonzero-row, which makes every reduced form canonical for its row
-space.  ``_rref_scalar`` is the plain-Python elimination kept as the
-reference the tests compare against.
+space.
+
+There is one elimination kernel, ``_rref_array``, and one loop that
+reduces rows against a canonical basis, ``_reduce``.  ``extend`` joins
+them: the rref of [basis; rows] is the new rows reduced against the basis,
+their leftovers eliminated, the new pivot columns cleared from the basis
+rows and the two sets of rows merged by pivot, so only the new rows go
+through elimination.  ``rref`` is the extension of the zero basis, and
+``row_in_span`` is the first step alone.  ``_rref_scalar`` is the
+plain-Python elimination kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -129,15 +137,53 @@ def _rref_scalar(field: GF2m, rows: list[list[int]], width: int) -> tuple[list[l
     return rows[:r], pivots
 
 
+def _reduce(field: GF2m, V: np.ndarray, basis: np.ndarray, pivots: Sequence[int]) -> None:
+    """Reduce the rows of V in place against a canonical rref basis with these pivots.
+
+    Every row of V ends zero at every pivot column; all rows reduce
+    together, one log/antilog update per pivot.
+    """
+    R_log = field.log_antilog[0].take(basis)
+    for i, p in enumerate(pivots):  # basis row i is zero left of its pivot p
+        _eliminate(field, V, np.flatnonzero(V[:, p]), p, R_log[i, p:])
+
+
+def extend(field: GF2m, basis: np.ndarray, pivots: Sequence[int],
+           rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Canonical rref of [basis; rows], for a canonical rref ``basis`` with these pivots.
+
+    The new rows are reduced against the basis, what is left of them is
+    eliminated, the new pivot columns are cleared from the basis rows, and
+    the rows are merged in pivot order: only ``len(rows)`` rows go through
+    elimination.  Returns a read-only (rank, width) array and the pivot
+    columns, as ``rref`` does.  Raises ValueError on ragged rows, rows not
+    as wide as the basis, or entries outside [0, q).
+    """
+    V = _as_array(field, rows, basis.shape[1])
+    if len(pivots):
+        _reduce(field, V, basis, pivots)
+    new, new_pivots = _rref_array(field, V)
+    if not len(pivots):  # the zero basis: a plain rref, with nothing to clear or merge
+        R, merged = new, new_pivots
+    elif not new_pivots:
+        R, merged = basis.view(), list(pivots)  # a view: the caller's flags stay as they are
+    else:
+        B = basis.copy()
+        _reduce(field, B, new, new_pivots)  # new rows are zero on the old pivots
+        merged = list(pivots) + new_pivots
+        order = np.argsort(merged, kind="stable")
+        R, merged = np.concatenate([B, new])[order], [merged[i] for i in order]
+    R.setflags(write=False)
+    return R, tuple(merged)
+
+
 def rref(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Canonical reduced row echelon form of the row space, as a read-only
-    (rank, width) array, plus the pivot columns.
+    (rank, width) array, plus the pivot columns: the extension of the zero basis.
 
     Raises ValueError on ragged rows or on entries outside [0, q).
     """
-    R, pivots = _rref_array(field, _as_array(field, rows, width))
-    R.setflags(write=False)
-    return R, tuple(pivots)
+    return extend(field, np.zeros((0, width), dtype=field.log_antilog[1].dtype), (), rows)
 
 
 def nullspace(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
@@ -164,9 +210,8 @@ def row_in_span(field: GF2m, basis: np.ndarray, pivots: Sequence[int], rows: Seq
     """For each of ``rows``, whether it reduces to zero against a canonical
     rref basis (an array as ``rref`` returns it).
 
-    All rows reduce together, one log/antilog update per pivot; returns a
-    bool array with one entry per row.  ValueError, naming the query row,
-    when a row is not as wide as the basis.
+    Returns a bool array with one entry per row.  ValueError, naming the
+    query row, when a row is not as wide as the basis.
     """
     if not len(rows):
         return np.ones(0, dtype=bool)
@@ -174,9 +219,7 @@ def row_in_span(field: GF2m, basis: np.ndarray, pivots: Sequence[int], rows: Seq
         V = _as_array(field, rows, basis.shape[1])
     except ValueError as exc:
         raise ValueError(f"query {exc}") from None
-    R_log = field.log_antilog[0].take(basis)
-    for i, p in enumerate(pivots):  # basis row i is zero left of its pivot p
-        _eliminate(field, V, np.flatnonzero(V[:, p]), p, R_log[i, p:])
+    _reduce(field, V, basis, pivots)
     return ~V.any(axis=1)
 
 

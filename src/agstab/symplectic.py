@@ -62,7 +62,15 @@ class CodeBasis:
 
     @classmethod
     def zero(cls, field: GF2m, width: int) -> "CodeBasis":
-        return cls.from_rows(field, (), width)
+        rows = np.zeros((0, width), dtype=field.log_antilog[1].dtype)
+        rows.setflags(write=False)
+        return cls(field, width, rows, ())
+
+    def extended(self, rows: Sequence[Sequence[int]]) -> "CodeBasis":
+        """Canonical basis of the span of this basis and ``rows``; only ``rows``
+        go through elimination (``linalg.extend``)."""
+        reduced, pivots = linalg.extend(self.field, self.rows, self.pivots, rows)
+        return CodeBasis(self.field, self.width, reduced, pivots)
 
     def _key(self) -> tuple:
         return self.field, self.width, self.pivots, self.rows.tobytes()
@@ -340,6 +348,8 @@ def relative_min_weight(C: CodeBasis, D: CodeBasis, budget: int | None = None, m
     """
     if mode not in ("auto", "budget"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "budget" and budget is None:
+        raise ValueError('mode "budget" needs a budget')
     if not contains(C, D):
         raise ValueError("D must be a subspace of C")
     if C.rank == D.rank:

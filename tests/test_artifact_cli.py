@@ -91,6 +91,29 @@ def test_artifact_bytes_are_pinned(name):
     assert hashlib.sha256(artifact_mod.to_json(art).encode()).hexdigest() == ARTIFACT_SHA256[name]
 
 
+# SHA-256 of the files construct writes and the reports verify prints (None: not pinned) for
+# the codes of the benchmark's build workload, as perfbench/pins.json holds them
+BUILD_SHA256 = {
+    ("rational", 256, 4): ("6cb365ea72ce295bd21a4aebc642036d486bc904cff8b573fe0374d5c1f70278",
+                           "c324236fd5816e85fc3fdf0ff851b13dc7262c937d72a498ed5670b8a06186ff"),
+    ("hermitian", 8, 1): ("637df3e3b40d142805b55d1de53e6d8fac7dcd7939341a88ff35b30b0499d4d3",
+                          "05b7965a2200874d5da36fa700cd2c2ba47053262bc9b504468c37d6377b0ca3"),
+    ("rational", 512, 4): ("6a472ad990feb638eab8122a335fe0b84e41b781b300967305e550dbb4626696", None),
+}
+
+
+@pytest.mark.parametrize("kind,q,j", sorted(BUILD_SHA256), ids=str)
+def test_build_outputs_are_pinned(tmp_path, capsys, kind, q, j):
+    artifact_digest, report_digest = BUILD_SHA256[kind, q, j]
+    path = tmp_path / f"{kind}-q{q}-j{j}.json"
+    assert main(["construct", "--backend", kind, "--q", str(q), "--j", str(j), "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == artifact_digest
+    capsys.readouterr()
+    if report_digest is not None:
+        assert main(["verify", str(path)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == report_digest
+
+
 # SHA-256 of the verify report (as the CLI prints it) after row 0 of one matrix is changed
 TAMPERED_REPORT_SHA256 = {
     "tampered-c_g-rational-q8-j2": "75ef3039ba063457654eaad26e6c5cbdea0da7a94e8da88290fac80091deddf6",
@@ -112,32 +135,59 @@ def test_tampered_report_bytes_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == TAMPERED_REPORT_SHA256[name]
 
 
+def record_eliminations(monkeypatch):
+    """The shapes of the matrices that enter ``linalg``'s one elimination kernel, as a list that fills up."""
+    from agstab import linalg
+
+    shapes = []
+    real = linalg._rref_array
+
+    def recording(field, M):
+        shapes.append(M.shape)
+        return real(field, M)
+
+    monkeypatch.setattr(linalg, "_rref_array", recording)
+    return shapes
+
+
 @pytest.mark.parametrize("kind,q,j,exact", [
     pytest.param("rational", 16, 2, False, id="rational-16-2"),
     pytest.param("hermitian", 4, 5, False, id="hermitian-4-5"),
     pytest.param("rational", 8, 1, True, id="rational-8-1-exact-distance"),
 ])
 def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j, exact):
-    from agstab import linalg
-
-    calls = []
-    real = linalg.rref
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
     art = artifact_mod.construct_artifact(kind, q, j)
-    monkeypatch.setattr(linalg, "rref", counting)
-    # C(G), C(H), and the symplectic dual of C(G) (its swapped kernel, read off the
-    # reduced rows); the classical view reuses C(G) and checks the raw Euclidean dual rows,
-    # and the exact Hamming search takes its checks from those raw rows too
+    n, width = art.n, art.width
+    shapes = record_eliminations(monkeypatch)
+    # C(H), the 2j rows of L(G) past L(H) (C(G) is C(H) extended by them), and the swapped
+    # kernel of the dual of C(G), read off its reduced rows: 2n rows, not 3n - j.  The
+    # classical view reuses C(G) and checks the raw Euclidean dual rows, and the exact
+    # Hamming search takes its checks from those raw rows too
     assert artifact_mod.verify_artifact(art, exact_distance=exact)["ok"]
-    assert len(calls) == 3
-    calls.clear()
-    art.c_g_rows[0][0] ^= 1    # the classical view now reduces the fresh L(G) rows
+    assert shapes == [(n - j, width), (2 * j, width), (n - j, width)]
+    shapes.clear()
+    # the stored C(G) no longer starts with C(H), so every G row is reduced, and the
+    # classical view reduces the fresh L(G) rows
+    art.c_g_rows[0][0] ^= 1
     assert not artifact_mod.verify_artifact(art, exact_distance=exact)["ok"]
-    assert len(calls) == 4
+    assert shapes == [(n - j, width), (n + j, width), (n - j, width), (n + j, width)]
+
+
+@pytest.mark.parametrize("kind,q,j", [("rational", 512, 4), ("hermitian", 4, 5), ("rational", 8, 4)])
+def test_construct_reduces_c_h_and_the_new_g_rows(monkeypatch, kind, q, j):
+    from agstab.curves import build_codes, evaluation_matrix, make_backend
+
+    backend = make_backend(kind, q)
+    n, width = backend.n, 2 * backend.n
+    shapes = record_eliminations(monkeypatch)
+    # n + j rows go through elimination, not 2n: 252 + 8 at rational q=512 j=4
+    artifact_mod.construct_artifact(kind, q, j)
+    assert shapes == [(n - j, width), (2 * j, width)]
+    shapes.clear()
+    # G rows that do not start with the H rows are all reduced
+    g, h = (evaluation_matrix(backend, j, which) for which in "gh")
+    build_codes(backend, j, g[::-1], h)
+    assert shapes == [(n - j, width), (n + j, width)]
 
 
 def test_decode_sim_and_descend_reduce_only_the_code_they_use(monkeypatch, tmp_path):
@@ -353,6 +403,27 @@ def test_cli_decode_sim_refuses_past_the_cap(tmp_path, capsys):
     assert code == 2
     assert err == ("error: weight 3: the right half has C(128,2) * 127^2 = 131096512 rows, "
                    "over the cap 16777216\n")
+
+
+def test_cli_decode_sim_refuses_a_forged_deg_g(tmp_path, capsys):
+    # rational q=16 j=1 with deg G set to 1: t_cap would grow from 1 to 3, and 3 of these
+    # 30 weight-3 decodes were marked unique-guaranteed without being the planted error
+    src = tmp_path / "r16.json"
+    assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", str(src)]) == 0
+    doc = json.loads(src.read_text())
+    doc["params"]["deg_g"] = 1
+    forged, out = tmp_path / "forged.json", tmp_path / "trials.jsonl"
+    forged.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["--trials", "30", "--weight", "3", "--seed", "4", "--out", str(out)]
+    assert main(["decode-sim", "--artifact", str(forged), *argv]) == 2
+    assert capsys.readouterr().err == (
+        "error: artifact: params.deg_g is 1, but the rational backend at j = 1 has deg G = 8\n")
+    assert not out.exists()
+    # the control: the honest file decodes the same stream, and beyond t_cap = 1 nothing is guaranteed
+    assert main(["decode-sim", "--artifact", str(src), *argv]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 30 and not any(r["status"] == "unique-guaranteed" for r in records)
 
 
 def test_cli_directory_paths_exit_2(tmp_path, capsys):

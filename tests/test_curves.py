@@ -94,7 +94,7 @@ def test_places_match_the_scalar_enumeration(backend):
 def test_a_wrong_sigma_trips_the_involution_check(monkeypatch, cls, sigma):
     monkeypatch.setattr(cls, "sigma", sigma)
     with pytest.raises(AssertionError, match="sigma is not an involution pairing the place list"):
-        cls(4)
+        cls(4).places    # the places are built, and checked, on first use
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +264,26 @@ def test_dual_identity_and_dimensions(backend):
         assert ch.rank == backend.n - j
         assert symplectic_dual(cg) == ch
         assert contains(cg, ch)
+
+
+@pytest.mark.parametrize("backend", BACKENDS + [RationalBackend(512), HermitianBackend(8)],
+                         ids=lambda b: f"{b.kind}-q{b.q}")
+def test_l_h_rows_are_the_first_rows_of_l_g(backend):
+    # the invariant build_codes and verify rest on: C(G) is C(H) extended by the last 2j rows
+    n = backend.n
+    for j in sorted({0, 1, backend.max_j // 2, backend.max_j}):
+        g, h = (evaluation_matrix(backend, j, which) for which in "gh")
+        assert g.shape == (n + j, 2 * n) and h.shape == (n - j, 2 * n)
+        assert np.array_equal(h, g[:n - j])
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: f"{b.kind}-q{b.q}")
+def test_build_codes_without_a_shared_prefix(backend):
+    # rows that do not start with the L(H) rows reduce from the zero basis, to the same codes
+    j = min(1, backend.max_j)
+    g, h = (evaluation_matrix(backend, j, which) for which in "gh")
+    assert build_codes(backend, j, g[::-1], h) == build_codes(backend, j)
+    assert build_codes(backend, j)[0] == CodeBasis.from_rows(backend.field, g, 2 * backend.n)
 
 
 def test_rational_q8_j1_dims():

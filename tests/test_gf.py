@@ -4,6 +4,7 @@ import pytest
 from agstab.gf import (
     GF2m,
     SubfieldEmbedding,
+    as_elements,
     field,
     is_irreducible_gf2,
 )
@@ -159,6 +160,15 @@ def test_trace_project_embed_reject_values_outside_the_field(bad):
         emb.embed(2)
     with pytest.raises(ValueError, match=r"3 is not in the embedded GF\(2\^1\)"):
         emb.project(3)
+
+
+def test_as_elements_takes_object_arrays():
+    f = field(2)
+    got = as_elements(f, np.array([1, 2], dtype=object))
+    assert got.tolist() == [1, 2] and got.dtype == np.intp
+    for bad, name in ((7, "7"), (True, "True"), (2 ** 70, str(2 ** 70)), (None, "None")):
+        with pytest.raises(ValueError, match=rf"^{name} is not an element of GF\(2\^2\)"):
+            as_elements(f, np.array([1, bad], dtype=object))
 
 
 def test_incompatible_extension_rejected():

@@ -279,6 +279,15 @@ def test_budget_verdict_when_exhausted():
     assert res.status == "at-least" and res.floor == 2
 
 
+def test_budget_mode_needs_a_budget():
+    # q^dim = 4 is far below the cap: the refusal is about the missing budget, not the cap
+    f = field(2)
+    C = CodeBasis.from_rows(f, [(1, 1, 1, 1)], 4)
+    with pytest.raises(ValueError, match='^mode "budget" needs a budget$'):
+        relative_min_weight(C, CodeBasis.zero(f, 4), mode="budget")
+    assert relative_min_weight(C, CodeBasis.zero(f, 4)).weight == 2    # "auto" needs none here
+
+
 def test_min_hamming_weight_matches_naive():
     rng = np.random.default_rng(41)
     f = field(2)

@@ -1,10 +1,10 @@
 """The forgery table: artifacts edited so that exactly one claim is false,
 each with the check of ``agstab verify`` that must catch it.
 
-Every row edits the artifact file of hermitian q=2 j=1 or rational q=8 j=1,
-or of its binary descent, and asserts three things: the named check fails,
-every other check keeps the status it has on the unedited file, and
-``agstab verify`` exits 1.
+Every row edits the artifact file of hermitian q=2 j=1, rational q=8 j=1
+or rational q=16 j=1, or of the binary descent of one of the first two,
+and asserts three things: the named check fails, every other check keeps
+the status it has on the unedited file, and ``agstab verify`` exits 1.
 
 No row targets ``euclidean-dual-containment`` or ``hamming-bound``: both
 are computed from a fresh evaluation of the backend, not from the stored
@@ -26,7 +26,9 @@ from agstab.cli import main
 from agstab.gf import field
 from agstab.symplectic import CodeBasis, contains, symplectic_dual
 
-SOURCES = {"hermitian-q2-j1": ("hermitian", 2, 1), "rational-q8-j1": ("rational", 8, 1)}
+SOURCES = {"hermitian-q2-j1": ("hermitian", 2, 1), "rational-q8-j1": ("rational", 8, 1),
+           "rational-q16-j1": ("rational", 16, 1)}
+DESCENT_SOURCES = ("hermitian-q2-j1", "rational-q8-j1")
 ITEM_1 = "ROADMAP item 1: verify does not re-derive a descended artifact from its source"
 
 
@@ -69,6 +71,11 @@ def _d_lower_plus(step):
     return edit
 
 
+def _deg_g_one(doc, rng):
+    """deg G = 1, which decode-sim would take its guarantee region from."""
+    doc["params"]["deg_g"] = 1
+
+
 def _other_c_h(doc, rng):
     """C(H) replaced by another rank-(n - k) subspace of C(G)."""
     c_g, c_h = _binary_code(doc, "c_g"), _binary_code(doc, "c_h")
@@ -103,6 +110,7 @@ CURVE_ROWS = [
     ("places-permuted", _permute_places, (), "matrices-recompute"),
     ("k-plus-one", _k_plus_one, (), "k-formula"),
     ("d-lower-plus-one", _d_lower_plus(1), (), "distance-bound"),
+    ("deg-g-one", _deg_g_one, (), "distance-bound"),
 ]
 DESCENT_ROWS = [
     ("k-plus-one", _k_plus_one, (), "k-formula"),
@@ -119,6 +127,7 @@ TABLE = [
     for source in SOURCES
     for descended, rows, marks in ((False, CURVE_ROWS, ()), (True, DESCENT_ROWS, ()),
                                    (True, FALSE_PASSES, pytest.mark.xfail(strict=True, reason=ITEM_1)))
+    if source in DESCENT_SOURCES or not descended
     for name, edit, flags, check in rows
 ]
 

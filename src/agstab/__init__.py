@@ -12,11 +12,9 @@ from .gf import GF2m, SubfieldEmbedding, field
 from .symplectic import (
     CodeBasis,
     MinWeightResult,
-    StabilizerParams,
     contains,
     min_hamming_weight,
     relative_min_weight,
-    stabilizer_params,
     symplectic_dual,
     symplectic_weight,
 )
@@ -29,7 +27,7 @@ from .curves import (
     evaluation_matrix,
     make_backend,
 )
-from .descent import DescentBasis, descend_code, descend_vector
+from .descent import DescentBasis, descend_code
 from .decoder import (
     DecodeResult,
     SyndromeProblem,

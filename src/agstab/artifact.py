@@ -402,7 +402,7 @@ def verify_artifact(
 
     if backend is not None:
         # when the stored C(G) rows are the fresh ones, c_g is already their reduction
-        fresh_g = c_g if same_g else CodeBasis.from_rows(art.field, g_rows, art.width)
+        fresh_g = c_g if same_g else CodeBasis.from_rows(art.field, g_rows, 2 * backend.n)
         cp = classical_params(backend, art.j, fresh_g)
         checks.append(
             _check(

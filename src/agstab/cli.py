@@ -2,8 +2,9 @@
 
 Subcommands: construct, verify, descend, decode-sim, bounds.  Exit codes
 are 0 (success / all checks pass), 1 (a verification check failed, and
-nothing else) and 2 (usage, parameter or file error, or an internal
-error).  Reports go to stdout as JSON; diagnostics to stderr.
+nothing else) and 2 (usage, parameter or file error, a file nested too
+deep or too large to hold included, or an internal error).  Reports go
+to stdout as JSON; diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 from . import artifact as artifact_mod
 from .bounds import emit_curves, write_csv
-from .curves import make_backend
+from .curves import evaluation_matrix, make_backend
 from .decoder import DecodeResult, SyndromeProblem, symplectic_decode, syndrome_of
 from .symplectic import CodeBasis, symplectic_weight
 
@@ -111,13 +112,17 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
     _check_count("--trials", args.trials)
     _check_count("--weight", args.weight)
     art = artifact_mod.load(args.artifact)
-    if art.deg_g is None:
+    if art.deg_g is None or art.backend_kind is None:
         raise ValueError("decode-sim needs a backend artifact with a recorded deg G")
-    if art.backend_kind is not None:  # the guarantee region comes from deg G: never trust it
-        deg_g = make_backend(art.backend_kind, art.q, art.gamma).deg_g(art.j)
-        if art.deg_g != deg_g:
-            raise ValueError(f"artifact: params.deg_g is {art.deg_g}, but the "
-                             f"{art.backend_kind} backend at j = {art.j} has deg G = {deg_g}")
+    # the guarantee region comes from deg G and C(H): never trust them
+    backend = make_backend(art.backend_kind, art.q, art.gamma)
+    deg_g = backend.deg_g(art.j)
+    if art.deg_g != deg_g:
+        raise ValueError(f"artifact: params.deg_g is {art.deg_g}, but the "
+                         f"{art.backend_kind} backend at j = {art.j} has deg G = {deg_g}")
+    if art.c_h_rows != evaluation_matrix(backend, art.j, "h").tolist():
+        raise ValueError(f"artifact: matrices.c_h is not the C(H) of the "
+                         f"{art.backend_kind} backend at j = {art.j}")
     field = art.field
     c_h = CodeBasis.from_rows(field, art.c_h_rows, art.width)
     rng = Lcg64(args.seed)
@@ -209,6 +214,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:  # a file nested too deep or too large to hold
+        print(f"error: input too deep or too large: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:  # a broken invariant is not a failed check
         print(f"error: internal error: {exc}", file=sys.stderr)

@@ -14,12 +14,12 @@ gamma applies alpha^-1 blockwise to coordinates 1..n and beta^-1 to
 coordinates n+1..2n, keeping the (left | right) pairing layout, so the
 descended vector is again symplectic with n' = m n.
 
-Both inverse maps are tables built once per basis: alpha is evaluated on
-all q^m coordinate tuples in one log/antilog gather, and scattering each
-tuple to its image gives the (q^m, m) table of alpha^-1 (the elements
-form a basis exactly when that image is a permutation); beta^-1 is M^-1
-applied to it.  Descending a code is then one gather through the two tables and
-one reduction.
+Both inverse maps, the only ones descent needs, are tables built once
+per basis: alpha is evaluated on all q^m coordinate tuples in one
+log/antilog gather, and scattering each tuple to its image gives the
+(q^m, m) table of alpha^-1 (the elements form a basis exactly when that
+image is a permutation); beta^-1 is M^-1 applied to it.  Descending a
+code is then one gather through the two tables and one reduction.
 
 The identity that drives distance and orthogonality preservation is a
 twisted trace compatibility: for the bases handled here there is a fixed
@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import GF2m, SubfieldEmbedding, as_elements
+from .gf import GF2m, SubfieldEmbedding
 from .linalg import invert_matrix
 from .symplectic import CodeBasis, contains, symplectic_dual
 
@@ -50,13 +50,12 @@ from .symplectic import CodeBasis, contains, symplectic_dual
 class DescentBasis:
     """A GF(q)-basis of GF(q^m) with its trace Gram matrix (a tuple of
     rows), the read-only array of its inverse and the tables of the two
-    coordinate maps.
+    inverse coordinate maps.
 
     Row y of the read-only (q^m, m) tables of alpha^-1 and beta^-1 holds
-    the coordinates of y; the tables of alpha and beta hold the image of
-    the tuple c at entry sum c_i q^i.  The four maps are lookups into
-    them.  The default basis is the powers {1, g, .., g^(m-1)} of the
-    extension field's canonical generator.
+    the coordinates of y; ``_gamma`` descends whole arrays through them.
+    The default basis is the powers {1, g, .., g^(m-1)} of the extension
+    field's canonical generator.
     """
 
     def __init__(self, sub: GF2m, ext: GF2m, basis: Sequence[int] | None = None) -> None:
@@ -69,40 +68,13 @@ class DescentBasis:
         self.basis = tuple(basis)
         self.gram = self.view.gram_matrix(self.basis)  # raises on a dependent set
         self.gram_inv = invert_matrix(sub, self.gram)  # raises when degenerate
-        self._place = sub.q ** np.arange(self.m)
-        self._alpha = self.view.combinations(self.basis)  # a permutation of GF(q^m)
+        alpha = self.view.combinations(self.basis)  # a permutation of GF(q^m)
         self._alpha_inv = np.empty((ext.q, self.m), dtype=sub.log_antilog[1].dtype)
-        self._alpha_inv[self._alpha] = self.view.tuples(self.m)
+        self._alpha_inv[alpha] = self.view.tuples(self.m)
         self._beta_inv = _mix(sub, self.gram_inv, self._alpha_inv)
-        self._beta = np.empty_like(self._alpha)
-        self._beta[self._beta_inv @ self._place] = np.arange(ext.q)
-        for table in (self._alpha, self._alpha_inv, self._beta, self._beta_inv):
+        for table in (self._alpha_inv, self._beta_inv):
             table.setflags(write=False)
         self.twist = self._solve_twist()
-
-    # -- the two coordinate maps, as lookups -------------------------------
-
-    def alpha(self, coords: Sequence[int]) -> int:
-        """alpha(x) = sum embed(x_i) * basis_i, a GF(q^m) element index."""
-        return int(self._alpha[self._entry(coords)])
-
-    def alpha_inv(self, y: int) -> tuple[int, ...]:
-        """Coordinates of y in the basis, as subfield element indices."""
-        return tuple(self._alpha_inv[as_elements(self.ext, y)].tolist())
-
-    def beta(self, coords: Sequence[int]) -> int:
-        """beta(x) = alpha(M x), the Gram-twisted companion of alpha."""
-        return int(self._beta[self._entry(coords)])
-
-    def beta_inv(self, y: int) -> tuple[int, ...]:
-        return tuple(self._beta_inv[as_elements(self.ext, y)].tolist())
-
-    def _entry(self, coords: Sequence[int]) -> int:
-        """sum c_i q^i, the table entry of the tuple c; ValueError on a bad count or value."""
-        c = as_elements(self.sub, coords)
-        if c.shape != (self.m,):
-            raise ValueError(f"expected {self.m} coordinates, got {len(coords)}")
-        return int(c @ self._place)
 
     # -- the trace-compatibility multiplier --------------------------------
 
@@ -171,13 +143,6 @@ def _gamma(basis: DescentBasis, V: np.ndarray) -> np.ndarray:
     left = basis._alpha_inv[V[:, :n]].reshape(len(V), -1)
     right = basis._beta_inv[V[:, n:]].reshape(len(V), -1)
     return np.concatenate([left, right], axis=1)
-
-
-def descend_vector(basis: DescentBasis, vec: Sequence[int]) -> tuple[int, ...]:
-    """gamma of one vector: alpha^-1 on the left half, beta^-1 on the right."""
-    if len(vec) % 2:
-        raise ValueError("symplectic vectors have even length")
-    return tuple(_gamma(basis, as_elements(basis.ext, vec).reshape(1, -1))[0].tolist())
 
 
 def descend_code(C: CodeBasis, basis: DescentBasis) -> CodeBasis:

@@ -330,9 +330,9 @@ class SubfieldEmbedding:
     The embedding maps the subfield's canonical generator g to the smallest
     root of g's minimal polynomial among the order-(q-1) elements of the
     extension, which makes it a deterministic ring homomorphism.  The
-    embedding, its inverse and the trace are numpy tables over every
-    element, built once; they are read-only and safe to share between
-    threads.
+    embedding and the trace (``trace_table``, Tr(y) as a subfield index at
+    entry y) are numpy tables over every element, built once; they are
+    read-only and safe to share between threads.
     """
 
     def __init__(self, sub: GF2m, ext: GF2m) -> None:
@@ -344,8 +344,8 @@ class SubfieldEmbedding:
         self.ext = ext
         self.m = ext.degree // sub.degree
         self._embed = np.array(self._build_embedding())
-        self._project = np.full(ext.q, -1)
-        self._project[self._embed] = np.arange(sub.q)
+        project = np.full(ext.q, -1)  # the inverse of the embedding, -1 off the subfield
+        project[self._embed] = np.arange(sub.q)
         # Tr(y) = y + y^q + .. + y^(q^(m-1)); q-th powers by repeated squaring
         # (antilog[2 log 0] is 0, so 0 needs no mask)
         log, antilog = ext.log_antilog
@@ -355,10 +355,10 @@ class SubfieldEmbedding:
             total ^= power
             for _ in range(sub.degree):
                 power = antilog[2 * log[power]]
-        self.trace_table = self._project[total]
+        self.trace_table = project[total]
         if self.trace_table.min() < 0:
             raise AssertionError("a trace fell outside the embedded subfield")
-        for table in (self._embed, self._project, self.trace_table):
+        for table in (self._embed, self.trace_table):
             table.setflags(write=False)
 
     def _build_embedding(self) -> list[int]:
@@ -393,17 +393,6 @@ class SubfieldEmbedding:
     def embed(self, a: int) -> int:
         """Image in GF(q^m) of the subfield element with index a."""
         return int(self._embed[as_elements(self.sub, a)])
-
-    def project(self, y: int) -> int:
-        """Inverse of embed; raises ValueError when y is outside the subfield."""
-        a = int(self._project[as_elements(self.ext, y)])
-        if a < 0:
-            raise ValueError(f"{y} is not in the embedded {self.sub} inside {self.ext}")
-        return a
-
-    def trace(self, y: int) -> int:
-        """Trace down to the subfield, as a subfield index: a lookup in ``trace_table``."""
-        return int(self.trace_table[as_elements(self.ext, y)])
 
     def combinations(self, basis: Sequence[int]) -> np.ndarray:
         """sum embed(c_i) * basis[i] for every c in GF(q)^len(basis).

@@ -22,6 +22,10 @@ come from the log/antilog arrays, so every GF(2^r), r <= 16, works.
 ENUMERATION_CAP is the one refusal policy, read when each refusal runs: a
 weight whose halves exceed it, an exact distance with q^dim over it and
 the exhaustive decoding oracle with q^(2n) over it raise ValueError.
+
+The [[n, k, d]] of a stabilizer code C(G) >= C(H) = C(G)^perp is read
+off in ``artifact.verify_artifact``: n from the width, k from the ranks,
+and d from ``relative_min_weight(C(G), C(H))``.
 """
 
 from __future__ import annotations
@@ -385,83 +389,3 @@ def min_hamming_weight(C: CodeBasis) -> int:
             return w
     raise AssertionError("no codeword within the Singleton bound")
 
-
-# ---------------------------------------------------------------------------
-# Stabilizer parameters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StabilizerParams:
-    """[[n, k, d]] data extracted from a self-orthogonal-containing space.
-
-    d_exact is set when a search established the exact minimum over the
-    difference C \\ C^perp; d_lower carries the best known lower bound.
-    For k = 0 the difference set is empty and d is undefined; the minimum
-    nonzero weight of C itself is reported separately as
-    zero_k_min_weight, which is a reporting convention, not a distance.
-    """
-
-    n: int
-    k: int
-    d_lower: int | None = None
-    d_exact: int | None = None
-    empty_difference: bool = False
-    zero_k_min_weight: int | None = None
-
-    @property
-    def d(self) -> int | None:
-        return self.d_exact if self.d_exact is not None else self.d_lower
-
-    @property
-    def t(self) -> int | None:
-        """Correctable errors, floor((d - 1) / 2)."""
-        d = self.d
-        return None if d is None else (d - 1) // 2
-
-
-def stabilizer_params(
-    C: CodeBasis, distance: str = "exact", budget: int | None = None, d_lower: int | None = None
-) -> StabilizerParams:
-    """Extract [[n, k, d]] from C, which must satisfy C >= C^perp.
-
-    distance selects how d is established: "none" records only the supplied
-    lower bound, "exact" sweeps up to the minimum, "budget" sweeps weights <= budget and
-    upgrades the bound when the sweep comes back empty.
-    """
-    if C.width % 2:
-        raise ValueError("ambient length must be even")
-    dual = symplectic_dual(C)
-    if not contains(C, dual):
-        raise ValueError("not symplectically self-orthogonal-containing: C does not contain its dual")
-    n = C.width // 2
-    k = C.rank - n
-    if k == 0:
-        info = None
-        if distance != "none":
-            res = relative_min_weight(C, CodeBasis.zero(C.field, C.width), budget=budget,
-                                      mode="auto" if distance == "exact" else "budget")
-            info = res.weight
-        return StabilizerParams(n=n, k=k, d_lower=d_lower, empty_difference=True,
-                                zero_k_min_weight=info)
-    d_exact = None
-    if distance == "exact":
-        res = relative_min_weight(C, dual, budget=budget)
-        if res.status == "exact":
-            d_exact = res.weight
-        elif res.status == "at-least":
-            d_lower = max(d_lower or 0, res.floor) or None
-    elif distance == "budget":
-        if budget is None:
-            raise ValueError("budget distance mode needs a budget")
-        res = relative_min_weight(C, dual, budget=budget, mode="budget")
-        if res.status == "exact":
-            d_exact = res.weight
-        else:
-            d_lower = max(d_lower or 0, res.floor) or None
-    elif distance != "none":
-        raise ValueError(f"unknown distance mode {distance!r}")
-    if d_exact is not None and d_lower is not None and d_exact < d_lower:
-        raise ValueError(
-            f"exact distance {d_exact} violates the claimed lower bound {d_lower}"
-        )
-    return StabilizerParams(n=n, k=k, d_lower=d_lower, d_exact=d_exact)

@@ -426,6 +426,89 @@ def test_cli_decode_sim_refuses_a_forged_deg_g(tmp_path, capsys):
     assert len(records) == 30 and not any(r["status"] == "unique-guaranteed" for r in records)
 
 
+def test_cli_decode_sim_refuses_a_forged_c_h(tmp_path, capsys):
+    # rational q=16 j=1 with C(H) cut to its first row: every one of these 5 weight-1
+    # decodes was marked unique-guaranteed, and none of them was the planted error
+    src = tmp_path / "r16.json"
+    assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", str(src)]) == 0
+    doc = json.loads(src.read_text())
+    doc["matrices"]["c_h"] = doc["matrices"]["c_h"][:1]
+    forged, out = tmp_path / "forged.json", tmp_path / "trials.jsonl"
+    forged.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["--trials", "5", "--weight", "1", "--seed", "3", "--out", str(out)]
+    assert main(["decode-sim", "--artifact", str(forged), *argv]) == 2
+    assert capsys.readouterr().err == (
+        "error: artifact: matrices.c_h is not the C(H) of the rational backend at j = 1\n")
+    assert not out.exists()
+    # the control: the honest file certifies and recovers every planted error of the stream
+    assert main(["decode-sim", "--artifact", str(src), *argv]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["status"], r["recovered"]) for r in records] == [("unique-guaranteed", True)] * 5
+    # a descended artifact has no backend to check C(H) against: given a deg G and a C(H)
+    # cut the same way, its 5 decodes were likewise false certificates
+    doc = json.loads(artifact_mod.to_json(artifact_mod.descend_artifact(
+        artifact_mod.construct_artifact("rational", 8, 1))))
+    doc["params"]["deg_g"] = 0
+    doc["matrices"]["c_h"] = doc["matrices"]["c_h"][:1]
+    forged.write_text(json.dumps(doc))
+    out.unlink()
+    capsys.readouterr()
+    assert main(["decode-sim", "--artifact", str(forged), *argv]) == 2
+    assert capsys.readouterr().err == "error: decode-sim needs a backend artifact with a recorded deg G\n"
+    assert not out.exists()
+
+
+def test_cli_verify_reports_a_curve_artifact_of_the_wrong_length(tmp_path, capsys):
+    # rational q=16 j=1 (n = 8) recorded as n = 5, every row cut to 2n = 10 entries: the
+    # fresh C(G) is reduced at the backend's length, so the report runs and fails
+    path = tmp_path / "r16.json"
+    assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["params"]["n"] = 5
+    for key in ("c_g", "c_h"):
+        doc["matrices"][key] = [row[:10] for row in doc["matrices"][key]]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert {c["name"]: c["status"] for c in report["checks"]} == {
+        "matrices-recompute": "fail", "dual-equality": "fail", "containment": "pass", "k-formula": "fail",
+        "distance-bound": "pass", "euclidean-dual-containment": "pass", "hamming-bound": "fail"}
+
+
+def test_cli_too_deep_file_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 400_000)  # json.loads recurses once per bracket
+    assert main(["verify", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: input too deep or too large: maximum recursion depth exceeded "
+        "while decoding a JSON array from a unicode string\n")
+
+
+def test_cli_too_large_file_exits_2(tmp_path, capsys, monkeypatch):
+    from agstab import linalg
+
+    # a descended artifact of n = 2000000 with empty matrices: the dual of its zero C(G)
+    # is a 4000000 x 4000000 kernel, which numpy refuses to allocate; the refusal is simulated
+    doc = json.loads(artifact_mod.to_json(artifact_mod.descend_artifact(
+        artifact_mod.construct_artifact("hermitian", 2, 1))))
+    doc["params"]["n"] = 2_000_000
+    doc["matrices"] = {"c_g": [], "c_h": []}
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+
+    def refuse(rows, pivots, width):
+        raise MemoryError(f"Unable to allocate an array with shape ({width}, {width})")
+
+    monkeypatch.setattr(linalg, "_nullspace_rows", refuse)
+    assert main(["verify", str(huge)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: input too deep or too large: Unable to allocate an array with shape (4000000, 4000000)\n")
+
+
 def test_cli_directory_paths_exit_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")

@@ -138,28 +138,23 @@ EXTENSIONS = [(1, 2), (1, 3), (1, 4), (2, 4), (1, 8), (2, 8), (4, 8)]
 
 def test_trace_gf4_examples():
     emb = SubfieldEmbedding(field(1), field(2))
-    assert emb.trace(0) == 0
-    assert emb.trace(2) == 1    # Tr(w) = w + w^2 = 1
-    assert emb.trace(1) == 0    # 1 + 1
+    assert emb.trace_table[0] == 0
+    assert emb.trace_table[2] == 1    # Tr(w) = w + w^2 = 1
+    assert emb.trace_table[1] == 0    # 1 + 1
 
 
 @pytest.mark.parametrize("sd,ed", EXTENSIONS)
 def test_trace_table_is_the_sum_of_conjugates(sd, ed):
     emb = SubfieldEmbedding(field(sd), field(ed))
-    assert [emb.trace(y) for y in emb.ext.elements()] == [naive_trace(emb, y) for y in emb.ext.elements()]
+    assert emb.trace_table.tolist() == [naive_trace(emb, y) for y in emb.ext.elements()]
     assert not emb.trace_table.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [-1, 4, 2 ** 70])
-def test_trace_project_embed_reject_values_outside_the_field(bad):
+def test_embed_rejects_values_outside_the_field(bad):
     emb = SubfieldEmbedding(field(1), field(2))
-    for lookup in (emb.trace, emb.project):
-        with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\(2\^2\)"):
-            lookup(bad)
-    with pytest.raises(ValueError, match=r"^2 is not an element of GF\(2\^1\)"):
-        emb.embed(2)
-    with pytest.raises(ValueError, match=r"3 is not in the embedded GF\(2\^1\)"):
-        emb.project(3)
+    with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\(2\^1\)"):
+        emb.embed(bad)
 
 
 def test_as_elements_takes_object_arrays():
@@ -185,24 +180,21 @@ def test_embedding_is_ring_homomorphism(sd, ed):
             assert emb.embed(a ^ b) == emb.embed(a) ^ emb.embed(b)
             assert emb.embed(sub.mul(a, b)) == ext.mul(emb.embed(a), emb.embed(b))
     assert emb.embed(0) == 0 and emb.embed(1) == 1
-    for a in sub.elements():
-        assert emb.project(emb.embed(a)) == a
+    assert len({emb.embed(a) for a in sub.elements()}) == sub.q  # injective
 
 
 @pytest.mark.parametrize("sd,ed", EXTENSIONS)
 def test_trace_linear_and_surjective(sd, ed):
     sub, ext = field(sd), field(ed)
     emb = SubfieldEmbedding(sub, ext)
-    image = set()
-    for y in ext.elements():
-        image.add(emb.trace(y))
-    assert image == set(sub.elements())
+    trace = emb.trace_table
+    assert set(trace.tolist()) == set(sub.elements())
     rng = np.random.default_rng(3)
     for _ in range(60):
         y1, y2 = map(int, rng.integers(0, ext.q, 2))
         c = int(rng.integers(0, sub.q))
-        assert emb.trace(y1 ^ y2) == emb.trace(y1) ^ emb.trace(y2)
-        assert emb.trace(ext.mul(emb.embed(c), y1)) == sub.mul(c, emb.trace(y1))
+        assert trace[y1 ^ y2] == trace[y1] ^ trace[y2]
+        assert trace[ext.mul(emb.embed(c), y1)] == sub.mul(c, int(trace[y1]))
 
 
 def test_gram_matrix_examples():

@@ -20,7 +20,7 @@ from agstab.decoder import (SyndromeProblem, _hamming_search, brute_oracle, exha
                             hamming_min_solve)
 from agstab.gf import field
 from agstab.symplectic import (ENUMERATION_CAP, CodeBasis, _SyndromeSearch, contains, min_hamming_weight,
-                                relative_min_weight, stabilizer_params, swap_halves)
+                                relative_min_weight, swap_halves, symplectic_dual)
 from conftest import naive_relative_min_weight, naive_symplectic_form, naive_symplectic_weight, span_vectors
 
 FUZZ = settings(max_examples=60)
@@ -130,9 +130,9 @@ def self_dual_codes(draw):
 @FUZZ
 @given(self_dual_codes())
 def test_zero_k_min_weight_matches_naive(C):
-    p = stabilizer_params(C)
-    assert (p.k, p.empty_difference, p.d) == (0, True, None)
-    assert p.zero_k_min_weight == naive_relative_min_weight(C.field, C.rows.tolist(), [], C.width)
+    assert symplectic_dual(C) == C and relative_min_weight(C, C).status == "empty"
+    zero = CodeBasis.zero(C.field, C.width)
+    assert relative_min_weight(C, zero).weight == naive_relative_min_weight(C.field, C.rows.tolist(), [], C.width)
 
 
 def test_exact_distances_over_gf512(monkeypatch):

@@ -9,10 +9,10 @@ from agstab import artifact, linalg
 from agstab.gf import field
 from agstab.symplectic import (
     CodeBasis,
+    MinWeightResult,
     contains,
     min_hamming_weight,
     relative_min_weight,
-    stabilizer_params,
     swap_halves,
     symplectic_dual,
     symplectic_weight,
@@ -302,58 +302,44 @@ def test_min_hamming_weight_matches_naive():
 
 
 # ---------------------------------------------------------------------------
-# stabilizer parameters
+# [[n, k, d]] as verify_artifact reads it: n and k from the ranks, d as the
+# minimum weight over C \ C^perp
 # ---------------------------------------------------------------------------
 
 def test_params_full_binary_space():
     f = field(1)
     C = CodeBasis.from_rows(f, [(1, 0), (0, 1)], 2)
-    p = stabilizer_params(C)
-    assert (p.n, p.k, p.d_exact, p.t) == (1, 1, 1, 0)
+    dual = symplectic_dual(C)
+    assert (C.width // 2, C.rank - C.width // 2, dual.rank) == (1, 1, 0)
+    assert relative_min_weight(C, dual) == MinWeightResult(status="exact", weight=1)  # [[1, 1, 1]]
 
 
 def test_params_rejects_non_containing():
     f = field(1)
     C = CodeBasis.from_rows(f, [(1, 0, 0, 0), (0, 0, 1, 0)], 4)
-    with pytest.raises(ValueError, match="self-orthogonal"):
-        stabilizer_params(C)
+    assert not contains(C, symplectic_dual(C))
+    with pytest.raises(ValueError, match="^D must be a subspace of C$"):
+        relative_min_weight(C, symplectic_dual(C))
 
 
 def test_params_zero_k_convention():
+    # k = 0: C = C^perp, so C \ C^perp is empty and d is undefined; the minimum
+    # nonzero weight of C itself is the search against the zero code
     f = field(1)
-    C = CodeBasis.from_rows(f, [(1, 0)], 2)  # self-dual line, k = 0
-    p = stabilizer_params(C)
-    assert p.k == 0 and p.empty_difference
-    assert p.zero_k_min_weight == 1
-    assert p.d is None and p.t is None
-
-
-def test_params_exact_bound_consistency():
-    f = field(1)
-    C = CodeBasis.from_rows(f, [(1, 0), (0, 1)], 2)
-    with pytest.raises(ValueError):
-        stabilizer_params(C, d_lower=5)  # claimed bound above the exact minimum
+    C = CodeBasis.from_rows(f, [(1, 0)], 2)
+    assert symplectic_dual(C) == C
+    assert relative_min_weight(C, C).status == "empty"
+    assert relative_min_weight(C, CodeBasis.zero(f, 2)).weight == 1
 
 
 def test_params_distance_modes():
-    f = field(1)
-    C = CodeBasis.from_rows(f, [(1, 0), (0, 1)], 2)
-    p = stabilizer_params(C, distance="none", d_lower=1)
-    assert p.d_exact is None and p.d_lower == 1 and p.t == 0
-    p = stabilizer_params(C, distance="budget", budget=1)
-    assert p.d_exact == 1
-    # an exhausted budget upgrades the lower bound instead
-    f4 = field(2)
+    # rational q=8 j=1, [[4, 1, 2]]: the exact sweep, and the budget sweep below and at d
     from agstab.curves import RationalBackend, build_codes
 
-    backend = RationalBackend(8)
-    cg, _ = build_codes(backend, 1)
-    p = stabilizer_params(cg, distance="budget", budget=1)
-    assert p.d_exact is None and p.d_lower == 2
-    with pytest.raises(ValueError):
-        stabilizer_params(C, distance="budget")  # budget mode without a budget
-    with pytest.raises(ValueError):
-        stabilizer_params(C, distance="sideways")
+    cg, ch = build_codes(RationalBackend(8), 1)
+    assert relative_min_weight(cg, ch) == MinWeightResult(status="exact", weight=2)
+    assert relative_min_weight(cg, ch, budget=1, mode="budget") == MinWeightResult(status="at-least", floor=2)
+    assert relative_min_weight(cg, ch, budget=2, mode="budget") == MinWeightResult(status="exact", weight=2)
 
 
 def test_swap_halves():

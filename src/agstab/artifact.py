@@ -7,6 +7,15 @@ matrices of C(G) and C(H), and the derived parameters.  All numbers are
 exact integers.  Artifacts produced by subfield descent have no places;
 they carry the canonical generator matrix of the descended code plus a
 "descended_from" provenance block instead.
+
+The two matrices are numpy arrays from file to file: ``CodeArtifact``
+holds them as writable (rows, 2n) arrays in the field's dtype, and every
+reduction of them works on a copy.  ``to_json`` lays each one out by a
+table gather of its entries' lines.  ``from_json`` has two paths: a text
+in ``to_json``'s exact layout has its matrix blocks parsed with numpy,
+which is proven exact by laying the result out again and comparing the
+bytes; any other text, a hand-edited file say, goes through json.loads.
+Both give the same artifact, or the same error message.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Any
+
+import numpy as np
 
 from . import __version__, symplectic
 from .curves import build_codes, classical_params, evaluation_matrix, make_backend, nested_codes
@@ -28,9 +39,10 @@ from .symplectic import (
 )
 
 SCHEMA_VERSION = 1
+_BLOCK = 1 << 18  # bytes of matrix text written or read at once
 
 
-@dataclass
+@dataclass(eq=False)  # no field-wise ==: an array comparison has no single truth value
 class CodeArtifact:
     backend_kind: str | None  # None for descended artifacts
     q: int | None
@@ -38,8 +50,8 @@ class CodeArtifact:
     j: int | None
     field: GF2m
     places: list[list[int]] | None
-    c_g_rows: list[list[int]]
-    c_h_rows: list[list[int]]
+    c_g_rows: np.ndarray  # (rows, 2n) in the field's dtype, writable
+    c_h_rows: np.ndarray
     n: int
     k: int
     deg_g: int | None
@@ -65,16 +77,24 @@ def _field_from_block(block: dict[str, int]) -> GF2m:
     return GF2m(block["degree"], block["modulus"])
 
 
-def _layout(value: Any, pad: str, out: list[str], decimals: list[str]) -> None:
+def _layout(value: Any, pad: str, out: Any, decimals: list[str]) -> None:
     """Append to ``out`` the text of ``json.dumps(value, indent=2, sort_keys=True)``,
-    laid out at indent ``pad``.
+    laid out at indent ``pad``, with every numpy array laid out as its ``tolist()``.
 
     Keys (strings here) and scalars go through ``json.dumps``.  A list of
     field-element-sized ints is one join over ``decimals``, the table of
-    str(i) at index i, grown here as needed.  The pieces are joined once,
-    at the end, so no nesting level copies the text below it.
+    str(i) at index i, grown here as needed; a matrix of them is a table
+    gather (``_layout_matrix``).  The pieces are joined once, at the end, so
+    no nesting level copies the text below it.  ``out`` needs only an
+    ``append`` method.
     """
     inner = pad + "  "
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2 and value.size and value.dtype.kind in "iu" and value.min() >= 0 and value.max() < 1 << 16:
+            _layout_matrix(value, pad, out)
+        else:
+            _layout(value.tolist(), pad, out, decimals)
+        return
     if isinstance(value, dict):
         items = [(f"{json.dumps(k)}: ", v) for k, v in sorted(value.items())]
         opening, closing = "{", "}"
@@ -99,6 +119,42 @@ def _layout(value: Any, pad: str, out: list[str], decimals: list[str]) -> None:
         _layout(v, inner, out, decimals)
         sep = ",\n" + inner
     out.append(f"\n{pad}{closing}")
+
+
+def _layout_matrix(M: np.ndarray, pad: str, out: Any) -> None:
+    """Append the text of a non-empty 2-D array of integers in [0, 2^16) at indent
+    ``pad``, as ``_layout`` writes ``M.tolist()``, by one table gather per block of rows.
+
+    The byte table holds, for each value v < size, v on its own line
+    followed by the ",\n" of an entry inside a row (line v) or by nothing
+    (line size + v, a row's last entry), and then the close of a row and
+    the open of the next.  Each row is its entries' lines and those two;
+    every line is gathered padded to the table's width and a mask of its
+    true length drops the padding.  The very last row opens no other row.
+    """
+    inner, indent = pad + "  ", pad + "    "
+    size = int(M.max()) + 1
+    reopen = f",\n{inner}[\n"
+    lines = [f"{indent}{v}{tail}".encode() for tail in (",\n", "") for v in range(size)]
+    lines += [f"\n{inner}]".encode(), reopen.encode()]
+    width = max(map(len, lines))
+    table = np.frombuffer(b"".join(line.ljust(width) for line in lines), np.uint8).reshape(len(lines), width)
+    keep = np.arange(width) < np.array(list(map(len, lines)))[:, None]
+    out.append(f"[\n{inner}[\n")
+    cols = M.shape[1]
+    step = max(1, _BLOCK // ((cols + 2) * width))
+    for r in range(0, len(M), step):
+        block = M[r:r + step]
+        codes = np.empty((len(block), cols + 2), dtype=np.intp)
+        codes[:, :cols] = block
+        codes[:, cols - 1] += size
+        codes[:, cols:] = 2 * size, 2 * size + 1
+        codes = codes.ravel()
+        text = table.take(codes, axis=0)[keep.take(codes, axis=0)]
+        if r + step >= len(M):
+            text = text[:-len(reopen)]
+        out.append(text.tobytes().decode("ascii"))
+    out.append(f"\n{pad}]")
 
 
 def _document(art: CodeArtifact) -> dict[str, Any]:
@@ -171,15 +227,132 @@ def _element_rows(rows: list, path: str, q: int, width: int | None) -> list[list
     return rows
 
 
+def _matrix(matrices: dict, key: str, f: GF2m, width: int) -> np.ndarray:
+    """matrices[key] as a writable (rows, width) array in the field's dtype.
+
+    An array (``_exact_document`` parsed it: rectangular, non-negative
+    integers) needs only its width and range checked; a list is checked
+    row by row (``_element_rows``).  Both name the first offending row in
+    the same words.
+    """
+    path = f"matrices.{key}"
+    rows = matrices.get(key)
+    if isinstance(rows, np.ndarray):
+        if rows.shape[1] != width:
+            raise ValueError(f"artifact: {path}[0] has length {rows.shape[1]}, expected 2n = {width}")
+        if rows.max() >= f.q:
+            i = int(np.argmax(rows.ravel() >= f.q))
+            raise ValueError(f"artifact: {path}[{i // width}] holds {rows.flat[i]}, outside [0, {f.q})")
+    else:
+        rows = _element_rows(_entry(matrices, "matrices", key, list), path, f.q, width)
+    return np.array(rows, dtype=f.log_antilog[1].dtype).reshape(len(rows), width)
+
+
+_MATRICES = '\n  "matrices": {\n    "c_g": '  # the text before the C(G) block in to_json's layout
+_DIGIT = np.zeros(256, dtype=np.uint32)
+_DIGIT[48:58] = np.arange(10)  # the value of each ASCII digit, 0 for every other byte
+
+
+class _Compare:
+    """An ``out`` for ``_layout`` that matches each piece against ``text`` instead of keeping it."""
+
+    def __init__(self, text: str) -> None:
+        self.text, self.pos, self.same = text, 0, True
+
+    def append(self, piece: str) -> None:
+        self.same = self.same and self.text.startswith(piece, self.pos)
+        self.pos += len(piece)
+
+
+def _parse_matrix(text: str, start: int, end: int) -> np.ndarray | None:
+    """The rows of the non-empty matrix block text[start:end], read as to_json lays it out, or None.
+
+    The block is read in pieces of at most _BLOCK bytes, each ending in a
+    newline.  A line's last byte, before a comma if there is one, tells it
+    apart: a digit ends an entry and "]" closes a row.  An entry's value is
+    read from its digits leftwards, one column of all entries at a time,
+    until every entry has met the spaces of its indent.  Only this shape is
+    read here; that the lines hold nothing else is proven by laying the
+    result out again (``_exact_document``).
+    """
+    values, rows = [], 0
+    while start < end:
+        stop = text.rfind("\n", start, start + _BLOCK) + 1 if end - start > _BLOCK else end
+        if stop <= start:
+            return None
+        buf = np.frombuffer(text[start:stop].encode("ascii"), np.uint8)
+        start = stop
+        ends = np.flatnonzero(buf == 10)  # every line but the block's last, "    ]", ends in one
+        last = ends - 1 - (buf.take(ends - 1) == 44)
+        tail = buf.take(last)
+        rows += np.count_nonzero(tail == 93)
+        last = last[(tail >= 48) & (tail <= 57)]
+        value = np.zeros(len(last), dtype=np.uint32)
+        for k in range(10):
+            digits = buf.take(last - k)
+            if digits.max(initial=0) <= 32:
+                break
+            value += _DIGIT.take(digits) * 10 ** k
+        else:  # ten digits: no field element, and past what uint32 holds
+            return None
+        values.append(value)
+    count = sum(map(len, values))
+    if not rows or count % rows:
+        return None
+    return np.concatenate(values).reshape(rows, count // rows)
+
+
+def _exact_document(text: str) -> dict | None:
+    """The document of ``text``, its matrices parsed as arrays, when ``text`` is
+    exactly what ``to_json`` writes for that document; None otherwise.
+
+    Each matrix block is found by the lines around it and parsed with
+    numpy (``_parse_matrix``); the rest of the text, each block replaced by
+    [], goes through json.loads.  The document is then laid out again and
+    compared with ``text`` piece by piece.  Only an exact match returns it,
+    and then it is the document json.loads gives for the whole text; any
+    other text is left to json.loads.
+    """
+    # C(G) ends before the key of C(H) and C(H) before the close of "matrices":
+    # the first '"' and "}" past each block, bytes that no matrix line holds
+    g_start = text.find(_MATRICES) + len(_MATRICES)
+    g_end = text.find('"', g_start) - len(',\n    ')
+    h_start = g_end + len(',\n    "c_h": ')
+    h_end = text.find("}", h_start) - len("\n  ")
+    if g_start < len(_MATRICES) or g_end < g_start or h_end < h_start:
+        return None
+    spans = {"c_g": (g_start, g_end), "c_h": (h_start, h_end)}
+    try:
+        doc = json.loads(text[:g_start] + "[]" + text[g_end:h_start] + "[]" + text[h_end:])
+        if not isinstance(doc, dict) or not isinstance(doc.get("matrices"), dict):
+            return None
+        for key, (start, end) in spans.items():
+            if end - start > 2:
+                doc["matrices"][key] = rows = _parse_matrix(text, start, end)
+                if rows is None:
+                    return None
+        compare = _Compare(text)
+        _layout(doc, "", compare, [])
+    except (ValueError, RecursionError):  # not JSON, not ASCII, or nested past json.loads
+        return None
+    compare.append("\n")
+    return doc if compare.same and compare.pos == len(text) else None
+
+
 def from_json(text: str) -> CodeArtifact:
     """Parse a schema-v1 artifact.
 
-    The structure is checked here: every key present, every value of its
+    A text in ``to_json``'s exact layout has its matrices read with numpy
+    (``_exact_document``); any other text, a hand-edited file say, goes
+    through json.loads, with the same result and the same messages.  The
+    structure is checked here: every key present, every value of its
     type, the matrices rectangular with rows of length 2n and entries in
     [0, q).  ValueError names the first offending key.  What the values
     claim (k, d, the rows themselves) is left to ``verify_artifact``.
     """
-    doc = json.loads(text)
+    doc = _exact_document(text)
+    if doc is None:
+        doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"artifact: the document must be an object, got {_json_kind(doc)}")
     version = doc.get("schema_version")
@@ -208,8 +381,7 @@ def from_json(text: str) -> CodeArtifact:
     if places is not None:
         _element_rows(places, "places", f.q, None)
     matrices = _entry(doc, "", "matrices", dict)
-    rows = {key: _element_rows(_entry(matrices, "matrices", key, list), f"matrices.{key}", f.q, 2 * n)
-            for key in ("c_g", "c_h")}
+    rows = {key: _matrix(matrices, key, f, 2 * n) for key in ("c_g", "c_h")}
     provenance = _entry(doc, "", "provenance", dict)
     return CodeArtifact(
         backend_kind=None if backend is None else backend["kind"],
@@ -254,8 +426,8 @@ def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifac
         j=j,
         field=backend.field,
         places=backend.places.tolist(),
-        c_g_rows=g_rows.tolist(),
-        c_h_rows=h_rows.tolist(),
+        c_g_rows=g_rows.copy(),  # writable copies of the read-only evaluations
+        c_h_rows=h_rows.copy(),
         n=backend.n,
         k=c_g.rank - backend.n,
         deg_g=backend.deg_g(j),
@@ -270,13 +442,17 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
     The default basis (powers of the generator) is used when it satisfies
     the orthogonality-preserving trace identity; otherwise a self-dual
     basis is substituted, and either way the basis used is recorded in the
-    provenance block.
+    provenance block.  A C(G) of rank below n cannot contain its symplectic
+    dual, and is refused with ValueError before any dual is built.
     """
     sub = GF2m(base_degree)
     basis = DescentBasis(sub, art.field)
     if basis.twist is None:
         basis = DescentBasis(sub, art.field, self_dual_basis(sub, art.field))
-    down = descend_code(CodeBasis.from_rows(art.field, art.c_g_rows, art.width), basis)
+    c_g = CodeBasis.from_rows(art.field, art.c_g_rows, art.width)
+    if c_g.rank < art.n:  # dim C + dim C^perp = 2n, so C cannot hold a larger dual
+        raise ValueError("input code does not contain its symplectic dual")
+    down = descend_code(c_g, basis)
     dual = symplectic_dual(down)
     n = down.width // 2
     d_claim = art.d_exact if art.d_exact is not None else art.d_lower
@@ -287,8 +463,8 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
         j=None,
         field=sub,
         places=None,
-        c_g_rows=down.rows.tolist(),
-        c_h_rows=dual.rows.tolist(),
+        c_g_rows=down.rows.copy(),
+        c_h_rows=dual.rows.copy(),
         n=n,
         k=down.rank - n,
         deg_g=None,
@@ -331,6 +507,7 @@ def verify_artifact(
     the dual; an edited C(G) prefix reduces every G row.  On a curve
     artifact ``distance-bound`` also requires the stored deg G to be the
     backend's, since ``decode-sim`` takes its guarantee region from it.
+    ``dual-equality`` builds no dual when rank C(G) + rank C(H) is not 2n.
     """
     checks: list[dict[str, str]] = []
     c_g, c_h = nested_codes(art.field, art.c_g_rows, art.c_h_rows, art.width)
@@ -339,8 +516,8 @@ def verify_artifact(
         backend = make_backend(art.backend_kind, art.q, art.gamma)
         same_places = art.places == backend.places.tolist()
         g_rows, h_rows = (evaluation_matrix(backend, art.j, which) for which in "gh")
-        same_g = art.c_g_rows == g_rows.tolist()
-        same_rows = same_g and art.c_h_rows == h_rows.tolist()
+        same_g = np.array_equal(art.c_g_rows, g_rows)
+        same_rows = same_g and np.array_equal(art.c_h_rows, h_rows)
         checks.append(
             _check(
                 "matrices-recompute",
@@ -352,11 +529,11 @@ def verify_artifact(
         backend = None
         checks.append(_skip("matrices-recompute", "descended artifact carries no places"))
 
-    dual_g = symplectic_dual(c_g)
+    # dim C(G) + dim C(G)^perp = 2n, so any other rank sum is decided without the dual
     checks.append(
         _check(
             "dual-equality",
-            dual_g == c_h,
+            c_g.rank + c_h.rank == art.width and symplectic_dual(c_g) == c_h,
             "canonical rref of the symplectic dual of C(G) equals that of C(H)",
         )
     )

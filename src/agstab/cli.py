@@ -14,6 +14,8 @@ import json
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import artifact as artifact_mod
 from .bounds import emit_curves, write_csv
 from .curves import evaluation_matrix, make_backend
@@ -120,7 +122,7 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
     if art.deg_g != deg_g:
         raise ValueError(f"artifact: params.deg_g is {art.deg_g}, but the "
                          f"{art.backend_kind} backend at j = {art.j} has deg G = {deg_g}")
-    if art.c_h_rows != evaluation_matrix(backend, art.j, "h").tolist():
+    if not np.array_equal(art.c_h_rows, evaluation_matrix(backend, art.j, "h")):
         raise ValueError(f"artifact: matrices.c_h is not the C(H) of the "
                          f"{art.backend_kind} backend at j = {art.j}")
     field = art.field

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,8 @@ def test_round_trip_bit_exact(tmp_path):
     path = tmp_path / "h21.json"
     artifact_mod.save(art, str(path))
     again = artifact_mod.load(str(path))
-    assert again.c_g_rows == art.c_g_rows
-    assert again.c_h_rows == art.c_h_rows
+    assert np.array_equal(again.c_g_rows, art.c_g_rows)
+    assert np.array_equal(again.c_h_rows, art.c_h_rows)
     assert again.places == art.places
     assert again.field == art.field
     assert artifact_mod.to_json(again) == artifact_mod.to_json(art)
@@ -36,8 +37,8 @@ def test_to_json_layout():
             construct("rational", 8, 4), artifact_mod.descend_artifact(construct("hermitian", 4, 1)),
             with_d_exact]
     for art in arts:
-        expected = json.dumps(artifact_mod._document(art), indent=2, sort_keys=True) + "\n"
-        assert artifact_mod.to_json(art) == expected
+        expected = json.dumps(artifact_mod._document(art), indent=2, sort_keys=True, default=np.ndarray.tolist)
+        assert artifact_mod.to_json(art) == expected + "\n"
 
 
 @pytest.mark.parametrize("value", [
@@ -48,6 +49,31 @@ def test_layout_matches_the_encoder(value):
     out = []
     artifact_mod._layout(value, "", out, [])
     assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("rows", [[[0]], [[3, 0, 1], [2, 2, 2]], [[65535, 9, 10]], [[1 << 16, 0]], [[-1, 2]],
+                                  [[5] * 4] * 40, [], [[], []]], ids=str)
+@pytest.mark.parametrize("block", [1 << 20, 16])
+def test_layout_of_an_array_matches_the_encoder(monkeypatch, rows, block):
+    # a small block puts each row in a gather of its own
+    monkeypatch.setattr(artifact_mod, "_BLOCK", block)
+    value = {"m": {"a": np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 0)}}
+    out = []
+    artifact_mod._layout(value, "", out, [])
+    assert "".join(out) == json.dumps({"m": {"a": rows}}, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("block", [1 << 20, 40])
+@pytest.mark.parametrize("code", [("rational", 16, 2), ("hermitian", 4, 5)], ids=str)
+def test_exact_layout_reader_in_small_blocks(monkeypatch, code, block):
+    # a small block cuts each matrix into pieces of a line or two
+    monkeypatch.setattr(artifact_mod, "_BLOCK", block)
+    art = artifact_mod.construct_artifact(*code)
+    text = artifact_mod.to_json(art)
+    assert artifact_mod._exact_document(text) is not None
+    again = artifact_mod.from_json(text)
+    assert np.array_equal(again.c_g_rows, art.c_g_rows) and again.c_g_rows.dtype == art.c_g_rows.dtype
+    assert np.array_equal(again.c_h_rows, art.c_h_rows) and again.c_h_rows.dtype == art.c_h_rows.dtype
 
 
 # SHA-256 of to_json, fixed when the writer was the json module's encoder
@@ -487,26 +513,64 @@ def test_cli_too_deep_file_exits_2(tmp_path, capsys):
         "while decoding a JSON array from a unicode string\n")
 
 
+def _empty_descent(n):
+    """The binary descent of hermitian q=2 j=1 recorded with length n and empty matrices."""
+    doc = json.loads(artifact_mod.to_json(artifact_mod.descend_artifact(
+        artifact_mod.construct_artifact("hermitian", 2, 1))))
+    doc["params"]["n"] = n
+    doc["matrices"] = {"c_g": [], "c_h": []}
+    return json.dumps(doc)
+
+
 def test_cli_too_large_file_exits_2(tmp_path, capsys, monkeypatch):
     from agstab import linalg
 
-    # a descended artifact of n = 2000000 with empty matrices: the dual of its zero C(G)
-    # is a 4000000 x 4000000 kernel, which numpy refuses to allocate; the refusal is simulated
-    doc = json.loads(artifact_mod.to_json(artifact_mod.descend_artifact(
-        artifact_mod.construct_artifact("hermitian", 2, 1))))
-    doc["params"]["n"] = 2_000_000
-    doc["matrices"] = {"c_g": [], "c_h": []}
+    # a descended artifact of n = 2000000 with empty matrices; the refusal of an allocation
+    # is simulated in the first reduction verify makes
     huge = tmp_path / "huge.json"
-    huge.write_text(json.dumps(doc))
+    huge.write_text(_empty_descent(2_000_000))
 
-    def refuse(rows, pivots, width):
+    def refuse(field, rows, width):
         raise MemoryError(f"Unable to allocate an array with shape ({width}, {width})")
 
-    monkeypatch.setattr(linalg, "_nullspace_rows", refuse)
+    monkeypatch.setattr(linalg, "rref", refuse)
     assert main(["verify", str(huge)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
         "error: input too deep or too large: Unable to allocate an array with shape (4000000, 4000000)\n")
+
+
+def test_cli_verify_decides_dual_equality_by_rank_first(tmp_path, capsys):
+    import tracemalloc
+
+    # rank C(G) + rank C(H) = 0, not 2n = 4000: dual-equality fails without the 4000 x 4000
+    # kernel of the zero code's dual, which took peak RSS from 30 to 76 MB
+    path = tmp_path / "empty.json"
+    path.write_text(_empty_descent(2000))
+    tracemalloc.start()
+    try:
+        assert main(["verify", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["dual-equality"] == {
+        "name": "dual-equality", "status": "fail",
+        "detail": "canonical rref of the symplectic dual of C(G) equals that of C(H)"}
+
+
+def test_cli_descend_refuses_a_code_below_rank_n(tmp_path, capsys):
+    # a zero C(G) cannot contain its symplectic dual, the whole space: no artifact of k = -12
+    src, out = tmp_path / "r8.json", tmp_path / "down.json"
+    assert main(["construct", "--backend", "rational", "--q", "8", "--j", "1", "--out", str(src)]) == 0
+    doc = json.loads(src.read_text())
+    doc["matrices"] = {"c_g": [], "c_h": []}
+    src.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["descend", "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: input code does not contain its symplectic dual\n"
+    assert not out.exists()
 
 
 def test_cli_directory_paths_exit_2(tmp_path, capsys):
@@ -721,14 +785,16 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_cli_malformed_artifact_exits_2_naming_the_key(tmp_path, capsys, name):
+@pytest.mark.parametrize("name, exact", [pytest.param(name, exact, id=name + "-exact" * exact)
+                                         for exact in (False, True) for name in sorted(MALFORMED)])
+def test_cli_malformed_artifact_exits_2_naming_the_key(tmp_path, capsys, name, exact):
+    # "-exact" writes to_json's layout, which from_json parses without json.loads when it can
     path = tmp_path / "bad.json"
     assert main(["construct", "--backend", "rational", "--q", "8", "--j", "1", "--out", str(path)]) == 0
     doc = json.loads(path.read_text())
     corrupt, message = MALFORMED[name]
     corrupt(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n" if exact else json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", str(path)]) == 2
     captured = capsys.readouterr()

@@ -14,20 +14,22 @@ reduction of them works on a copy.  ``to_json`` lays each one out by a
 table gather of its entries' lines.  ``from_json`` has two paths: a text
 in ``to_json``'s exact layout has its matrix blocks parsed with numpy,
 which is proven exact by laying the result out again and comparing the
-bytes; any other text, a hand-edited file say, goes through json.loads.
-Both give the same artifact, or the same error message.
+bytes; any other text, a hand-edited file say, goes through json.loads,
+and so does every text shorter than _EXACT_MIN, where json.loads is the
+faster of the two.  Both give the same artifact, or the same error message.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Any
 
 import numpy as np
 
 from . import __version__, symplectic
-from .curves import build_codes, classical_params, evaluation_matrix, make_backend, nested_codes
+from .curves import certify, evaluation_matrix, make_backend, nested_codes
 from .descent import DescentBasis, descend_code, self_dual_basis
 from .gf import GF2m
 from .symplectic import (
@@ -249,6 +251,8 @@ def _matrix(matrices: dict, key: str, f: GF2m, width: int) -> np.ndarray:
 
 
 _MATRICES = '\n  "matrices": {\n    "c_g": '  # the text before the C(G) block in to_json's layout
+# the exact-layout reader has a fixed cost of about 0.3 ms: json.loads reads a shorter text faster
+_EXACT_MIN = 1 << 15
 _DIGIT = np.zeros(256, dtype=np.uint32)
 _DIGIT[48:58] = np.arange(10)  # the value of each ASCII digit, 0 for every other byte
 
@@ -342,15 +346,16 @@ def _exact_document(text: str) -> dict | None:
 def from_json(text: str) -> CodeArtifact:
     """Parse a schema-v1 artifact.
 
-    A text in ``to_json``'s exact layout has its matrices read with numpy
-    (``_exact_document``); any other text, a hand-edited file say, goes
-    through json.loads, with the same result and the same messages.  The
+    A text of at least _EXACT_MIN characters in ``to_json``'s exact layout
+    has its matrices read with numpy (``_exact_document``); any other text,
+    a short file or a hand-edited one say, goes through json.loads, with
+    the same result and the same messages.  The
     structure is checked here: every key present, every value of its
     type, the matrices rectangular with rows of length 2n and entries in
     [0, q).  ValueError names the first offending key.  What the values
     claim (k, d, the rows themselves) is left to ``verify_artifact``.
     """
-    doc = _exact_document(text)
+    doc = _exact_document(text) if len(text) >= _EXACT_MIN else None
     if doc is None:
         doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -416,9 +421,17 @@ def load(path: str) -> CodeArtifact:
 # ---------------------------------------------------------------------------
 
 def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifact:
+    """The artifact of C(G) >= C(H) at j on a curve backend.
+
+    The ranks are certified from the exponent tables (``curves.certify``),
+    with no matrix reduced: each is its table's row count, which the
+    evaluations must keep.  AssertionError when they are not n + j and n - j.
+    """
     backend = make_backend(kind, q, gamma)
     g_rows, h_rows = (evaluation_matrix(backend, j, which) for which in "gh")
-    c_g, _ = build_codes(backend, j, g_rows, h_rows)
+    cert = certify(backend, j)
+    if (len(g_rows), len(h_rows)) != (cert.rank_g, cert.rank_h):
+        raise AssertionError(f"unexpected code dimensions {len(g_rows)}/{len(h_rows)} at j={j} on {backend!r}")
     return CodeArtifact(
         backend_kind=kind,
         q=q,
@@ -429,7 +442,7 @@ def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifac
         c_g_rows=g_rows.copy(),  # writable copies of the read-only evaluations
         c_h_rows=h_rows.copy(),
         n=backend.n,
-        k=c_g.rank - backend.n,
+        k=cert.rank_g - backend.n,
         deg_g=backend.deg_g(j),
         d_lower=backend.distance_bound(j),
         d_exact=None,
@@ -500,24 +513,34 @@ def verify_artifact(
     """Re-derive and check every claim an artifact makes.
 
     Returns a machine-readable report; overall "ok" is true when no check
-    failed (skipped checks do not fail the report).  C(H) is reduced first
-    and C(G) as its extension by the stored G rows after the prefix they
-    share (``curves.nested_codes``): on an honest curve artifact 2n rows go
-    through elimination, C(H), the 2j new G rows and the swapped kernel of
-    the dual; an edited C(G) prefix reduces every G row.  On a curve
-    artifact ``distance-bound`` also requires the stored deg G to be the
-    backend's, since ``decode-sim`` takes its guarantee region from it.
+    failed (skipped checks do not fail the report).
+
+    On a curve artifact whose stored rows are the fresh evaluation, the
+    stored codes are the fresh ones, and ``dual-equality``,
+    ``containment`` and ``k-formula`` are decided from the exponent
+    tables (``curves.certify``) with no matrix reduced: the ranks rest on
+    the degree argument, not on a computed rank.
+    ``euclidean-dual-containment`` and the dimension of ``hamming-bound``
+    read only the fresh code, so every curve artifact takes them from the
+    certificate.  Elimination decides the rest, each basis reduced at most
+    once and only when needed: the checks of an edited or a descended
+    artifact, where C(H) is reduced first and C(G) as its extension by the
+    stored G rows after the prefix they share (``curves.nested_codes``),
+    and the searches of ``--exact-distance`` and ``--budget``.
     ``dual-equality`` builds no dual when rank C(G) + rank C(H) is not 2n.
+    On a curve artifact ``distance-bound`` also requires the stored deg G
+    to be the backend's, since ``decode-sim`` takes its guarantee region
+    from it.
     """
     checks: list[dict[str, str]] = []
-    c_g, c_h = nested_codes(art.field, art.c_g_rows, art.c_h_rows, art.width)
+    reduced = cache(lambda: nested_codes(art.field, art.c_g_rows, art.c_h_rows, art.width))
+    same_rows = False
 
     if art.backend_kind is not None:
         backend = make_backend(art.backend_kind, art.q, art.gamma)
         same_places = art.places == backend.places.tolist()
         g_rows, h_rows = (evaluation_matrix(backend, art.j, which) for which in "gh")
-        same_g = np.array_equal(art.c_g_rows, g_rows)
-        same_rows = same_g and np.array_equal(art.c_h_rows, h_rows)
+        same_rows = np.array_equal(art.c_g_rows, g_rows) and np.array_equal(art.c_h_rows, h_rows)
         checks.append(
             _check(
                 "matrices-recompute",
@@ -525,23 +548,31 @@ def verify_artifact(
                 "stored places and generator rows match a fresh evaluation",
             )
         )
+        cert = certify(backend, art.j)
     else:
         backend = None
         checks.append(_skip("matrices-recompute", "descended artifact carries no places"))
 
-    # dim C(G) + dim C(G)^perp = 2n, so any other rank sum is decided without the dual
+    if same_rows:  # the stored codes are the fresh ones, whatever the stored places
+        rank_g, rank_h, dual_ok, contained = cert.rank_g, cert.rank_h, cert.dual, cert.contained
+    else:
+        c_g, c_h = reduced()
+        rank_g, rank_h = c_g.rank, c_h.rank
+        # dim C(G) + dim C(G)^perp = 2n, so any other rank sum is decided without the dual
+        dual_ok = rank_g + rank_h == art.width and symplectic_dual(c_g) == c_h
+        contained = contains(c_g, c_h)
     checks.append(
         _check(
             "dual-equality",
-            c_g.rank + c_h.rank == art.width and symplectic_dual(c_g) == c_h,
+            dual_ok,
             "canonical rref of the symplectic dual of C(G) equals that of C(H)",
         )
     )
-    checks.append(_check("containment", contains(c_g, c_h), "C(G) contains C(H)"))
-    k_ok = c_g.rank - art.n == art.k and c_h.rank == art.n - art.k
+    checks.append(_check("containment", contained, "C(G) contains C(H)"))
+    k_ok = rank_g - art.n == art.k and rank_h == art.n - art.k
     if backend is not None:
         k_ok = k_ok and art.k == art.j
-    checks.append(_check("k-formula", k_ok, f"rank {c_g.rank} = n + k with k = {art.k}"))
+    checks.append(_check("k-formula", k_ok, f"rank {rank_g} = n + k with k = {art.k}"))
 
     d_exact_found: int | None = None
     deg_note = ""
@@ -559,7 +590,7 @@ def verify_artifact(
     if exact_distance or budget is not None:
         try:
             res = relative_min_weight(
-                c_g, c_h, budget=budget, mode="auto" if exact_distance else "budget"
+                *reduced(), budget=budget, mode="auto" if exact_distance else "budget"
             )
         except ValueError as exc:
             bound_ok, bound_detail = False, f"search failed: {exc}"
@@ -578,9 +609,7 @@ def verify_artifact(
     checks.append(_check("distance-bound", bound_ok, bound_detail + deg_note))
 
     if backend is not None:
-        # when the stored C(G) rows are the fresh ones, c_g is already their reduction
-        fresh_g = c_g if same_g else CodeBasis.from_rows(art.field, g_rows, 2 * backend.n)
-        cp = classical_params(backend, art.j, fresh_g)
+        cp = cert.classical
         checks.append(
             _check(
                 "euclidean-dual-containment",
@@ -591,7 +620,7 @@ def verify_artifact(
         dim_ok = cp.dim == art.n + art.j
         if exact_distance and art.field.q ** cp.dim <= symplectic.ENUMERATION_CAP:
             try:
-                w = min_hamming_weight(c_g)
+                w = min_hamming_weight(reduced()[0])
             except ValueError as exc:
                 checks.append(_check("hamming-bound", False, f"search failed: {exc}"))
             else:

@@ -19,7 +19,7 @@ For a shift j >= 0 both backends use the divisor pair
 where G0 has degree n + g - 1 (rational: G0 = (q/2 - 1) P_inf; hermitian:
 G0 = (q^2/2 - 1) ((x)_0 + P_inf), with (x)_0 the q places above x = 0).
 These closed forms come from halving the divisor (dlog y) + (zeros of y),
-worked out once by hand; the code verifies their consequences (the dual
+worked out once by hand; the code checks their consequences (the dual
 identity below, the dimensions and degrees) rather than re-deriving them.
 
 Evaluating a monomial basis of L(G) at the point order
@@ -34,9 +34,19 @@ minimum relative weight at least n - floor(deg G / 2).
 The spaces are nested, L(H) <= L(G), and so are their bases: in pole
 order the monomials of L(H) are the first n - j monomials of L(G) (pole
 orders at P_inf are distinct, and L(H) keeps those up to deg H).  So the
-L(H) evaluation matrix is the first n - j rows of the L(G) one, and
-``build_codes`` reduces C(H) once and C(G) as its extension by the other
-2j rows (``nested_codes``).
+L(H) evaluation matrix is the first n - j rows of the L(G) one.
+
+The claims about the fresh codes are decided in two ways.  ``certify``
+reads them off the exponent tables and the places, with no matrix
+reduced: the ranks by the degree argument (Stichtenoth, Thm 2.2.2 and
+Cor. 2.2.3), the duality from the moment-table Gram ``CurveBackend.gram``,
+containment from the prefix of the tables and the Euclidean dual from the
+Lucas expansion of h o sigma; ``construct`` and ``verify`` take it for
+every code whose rows are the fresh evaluation.  ``build_codes`` and
+``classical_params`` decide the same by elimination, C(H) reduced once and
+C(G) as its extension by the other 2j rows (``nested_codes``): they are
+the certificate's oracles in the tests, and ``verify`` reduces a stored
+code so when its rows are not the fresh ones, or for a distance search.
 
 A note on the divisor inequality that makes C(G) self-orthogonal: it is
 read here as G0 + j*P_inf >= G0 - j*P_inf, which holds exactly when
@@ -59,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,6 +92,25 @@ class ClassicalParams:
     euclidean_dual_contained: bool
 
 
+class Certificate(NamedTuple):  # a NamedTuple: a frozen dataclass costs about 1 ms of import
+    """The claims about the fresh C(G) >= C(H) at one j, as ``certify`` decides them."""
+
+    rank_g: int
+    rank_h: int
+    dual: bool       # C(H) is the symplectic dual of C(G)
+    contained: bool  # C(H) lies in C(G)
+    classical: ClassicalParams
+
+
+def _submasks(m: int) -> list[int]:
+    """Every t with t & ~m == 0, m first: by Lucas, binomial(m, t) is odd exactly for these."""
+    out, t = [m], m
+    while t:
+        t = (t - 1) & m
+        out.append(t)
+    return out
+
+
 def _validate_power_of_two(q: int, minimum: int) -> int:
     r = q.bit_length() - 1
     if q < minimum or (1 << r) != q:
@@ -93,8 +122,12 @@ class CurveBackend:
     """The paired places, the range of j and the Riemann-Roch bases.
 
     A curve supplies its constant field, genus and n, its affine places,
-    the shift of sigma, and the monomial exponents of a one-point space
-    L(c * P_inf).
+    the shift of sigma, the monomial exponents of a one-point space
+    L(c * P_inf) with their pole orders, and ``gram``: the symplectic form
+    <f, h> on the evaluations of two exponent tables, a (len(left),
+    len(right)) array in the field's dtype.  The form pairs place i with
+    place n + i, which sigma swaps, so <f, h> = sum_P f(P) h(sigma P): the
+    product C(left) . swap(C(right))^T, from power sums of the places.
     """
 
     kind: str
@@ -185,6 +218,27 @@ class RationalBackend(CurveBackend):
         """{x^i : i <= pole_cap}."""
         return [(i,) for i in range(pole_cap + 1)]
 
+    def _pole_orders(self, E: np.ndarray) -> np.ndarray:
+        """The pole order i of x^i at P_inf, for each row (i,) of E; -1 where i < 0."""
+        return np.where(E[:, 0] >= 0, E[:, 0], -1)
+
+    def gram(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Entry (a, c) is sum_{t subset c} S[a + t] for x^a in ``left`` and x^c in ``right``.
+
+        h(sigma P) = (P + 1)^c = sum_{t subset c} P^t (Lucas), and over the
+        places, all of GF(q), the power sum S[e] = sum_P P^e is 1 when e > 0
+        and (q - 1) | e, and 0 otherwise.  So the entry is the parity of the
+        positive multiples e of q - 1 with 0 <= e - a and e - a a bit subset
+        of c: integer arithmetic only.
+        """
+        period = self.q - 1
+        a, c = left[:, :1], right[:, 0]
+        out = np.zeros((len(left), len(right)), dtype=bool)
+        for e in range(period, int(a.max(initial=0)) + int(c.max(initial=0)) + 1, period):
+            t = e - a
+            out ^= (t >= 0) & (t & ~c == 0)
+        return out.astype(self.field.log_antilog[1].dtype)
+
 
 class HermitianBackend(CurveBackend):
     """Hermitian backend z^q + z = x^(q+1) over GF(q^2), q = 2^m."""
@@ -227,6 +281,55 @@ class HermitianBackend(CurveBackend):
             for i in range((pole_cap - l * (q + 1)) // q + 1)
         )
         return [(i - self.x_shift, l) for _, i, l in monos]
+
+    def _pole_orders(self, E: np.ndarray) -> np.ndarray:
+        """The pole order i q + l (q+1) at P_inf of x^i z^l, for each row (i - x_shift, l)
+        of E; -1 where x^i z^l is not a polynomial (i < 0 or l < 0)."""
+        i, l = E[:, 0] + self.x_shift, E[:, 1]
+        return np.where((i >= 0) & (l >= 0), i * self.q + l * (self.q + 1), -1)
+
+    def _moments(self) -> np.ndarray:
+        """S[alpha, beta] = sum_P x^alpha z^beta over the 2n places, for alpha < Q - 1 and
+        beta <= 2q - 2, where Q = q^2: a (Q - 1, 2q - 1) array in the field's dtype.
+
+        x is nonzero at every place, so x^alpha depends on alpha mod Q - 1
+        alone.  The places are grouped by log x: T[k, beta] sums z^beta over
+        those with x = g^k, and S[alpha, beta] = sum_k g^(alpha k) T[k, beta].
+        """
+        log, antilog = self.field.log_antilog
+        period = self.field.q - 1
+        x, z = self.places.T
+        powers = monomial_matrix(self.field, [(b,) for b in range(2 * self.q - 1)], z[:, None])
+        T = np.zeros((period, len(powers)), dtype=antilog.dtype)
+        np.bitwise_xor.at(T, log.take(x), powers.T)
+        k = np.arange(period)
+        logs = np.multiply.outer(k, k) % period  # log of g^(alpha k)
+        return np.bitwise_xor.reduce(antilog.take(logs[:, :, None] + log.take(T)[None]), axis=1)
+
+    def gram(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Entry (f, h) is sum_{t subset m} gamma^(m - t) S[a + c mod (Q - 1), l + t] for
+        f = x^a z^l in ``left`` and h = x^c z^m in ``right``, with S the power sums
+        (``_moments``) and Q = q^2.
+
+        sigma fixes x and sends z to z + gamma, so by Lucas h o sigma is
+        x^c sum_{t subset m} gamma^(m - t) z^t.  The sum over t depends on
+        (a + c mod (Q - 1), l, m) alone: it is tabled once as K, twice over
+        in its first index so that a mod (Q - 1) plus c mod (Q - 1) needs no
+        further reduction, and the Gram is one gather from K.  The z
+        exponents l and m lie in [0, q).
+        """
+        q = self.q
+        log, antilog = self.field.log_antilog
+        period = self.field.q - 1
+        S_log = log.take(self._moments())
+        gamma_log = int(log[self._shift[1]])
+        K = np.zeros((period, q, q), dtype=antilog.dtype)
+        for m in range(q):
+            for t in _submasks(m):
+                K[:, :, m] ^= antilog.take(S_log[:, t:t + q] + gamma_log * (m - t) % period)
+        rows = (left[:, 0] % period * q + left[:, 1]) * q
+        cols = right[:, 0] % period * (q * q) + right[:, 1]
+        return np.concatenate([K, K]).reshape(-1).take(np.add.outer(rows, cols))
 
 
 def make_backend(kind: str, q: int, gamma: int = 1) -> CurveBackend:
@@ -307,17 +410,66 @@ def nested_codes(f: GF2m, g_rows: Sequence[Sequence[int]], h_rows: Sequence[Sequ
     return c_g, c_h
 
 
+def _classical(backend: CurveBackend, j: int, dim: int, contained: bool) -> ClassicalParams:
+    return ClassicalParams(length=2 * backend.n, dim=dim, d_hamming_lower=backend.n - backend.genus + 1 - j,
+                           euclidean_dual_contained=contained)
+
+
+def certify(backend: CurveBackend, j: int) -> Certificate:
+    """Decide the claims about the fresh C(G) >= C(H) at j from the exponent tables
+    of ``rr_basis`` and the places, with no matrix reduced.
+
+    * Ranks, by the degree argument: the pole orders at P_inf of each
+      table are distinct, so its monomials are independent; each is at
+      most deg G <= 2n - 1, and a nonzero function of L(G) vanishes at
+      no more than deg G of the 2n paired places, so evaluation is
+      injective and each rank is its table's row count, n + j and n - j.
+      AssertionError when any of these integer checks fails.
+    * ``dual``: the Gram C(G) Omega C(H)^T (``CurveBackend.gram``) is
+      zero, and the ranks sum to 2n.
+    * ``contained``: the L(H) table is a prefix of the L(G) one, so the
+      rows of C(H) are rows of C(G).
+    * ``classical``: the Euclidean dual of C(G) is swap(C(G)^perp) =
+      swap(C(H)), the evaluations of h o sigma; it lies in C(H) <= C(G)
+      when ``dual`` and ``contained`` hold and the L(H) table is closed
+      under the Lucas expansion of h o sigma (each exponent of the
+      coordinate sigma shifts replaced by its bit subsets).  The
+      dimension is rank C(G).
+    """
+    n, deg_g = backend.n, backend.deg_g(j)
+    G, H = (np.array(backend.rr_basis(j, which), dtype=np.int64).reshape(-1, backend.places.shape[1])
+            for which in "gh")
+    for table, cap in ((G, deg_g), (H, deg_g - 2 * j)):
+        poles = backend._pole_orders(table)
+        if len(poles) and not (poles[0] >= 0 and (np.diff(poles) > 0).all() and poles[-1] <= cap < 2 * n):
+            raise AssertionError(f"the degree argument fails for a table of {len(table)} monomials "
+                                 f"at j={j} on {backend!r}")
+    if (len(G), len(H)) != (n + j, n - j):
+        raise AssertionError(f"unexpected code dimensions {len(G)}/{len(H)} at j={j} on {backend!r}")
+    dual = not backend.gram(G, H).any()
+    # closed under clearing any one set bit of the exponent sigma shifts, and so under every bit subset
+    k = int(np.flatnonzero(backend._shift)[0])
+    table = set(map(tuple, H.tolist()))
+    closed = all(e[:k] + (e[k] ^ 1 << b,) + e[k + 1:] in table
+                 for e in table for b in range(e[k].bit_length()) if e[k] >> b & 1)
+    contained = np.array_equal(G[:len(H)], H)
+    return Certificate(rank_g=len(G), rank_h=len(H), dual=dual, contained=contained,
+                       classical=_classical(backend, j, len(G), dual and contained and closed))
+
+
 def build_codes(
     backend: CurveBackend,
     j: int,
     g_rows: Sequence[Sequence[int]] | None = None,
     h_rows: Sequence[Sequence[int]] | None = None,
 ) -> tuple[CodeBasis, CodeBasis]:
-    """Canonical bases of C(G) and C(H); dims are n + j and n - j.
+    """Canonical bases of C(G) and C(H), by elimination; dims are n + j and n - j.
 
     ``g_rows`` and ``h_rows`` are the evaluations of L(G) and L(H), when the
     caller already holds them; each one left out is evaluated here.  C(G)
-    is reduced as the extension of C(H) (``nested_codes``).
+    is reduced as the extension of C(H) (``nested_codes``).  The ranks are
+    asserted here by computing them; ``certify`` derives them from the
+    exponent tables instead, and this function is its oracle in the tests.
     """
     width = 2 * backend.n
     if g_rows is None:
@@ -333,23 +485,19 @@ def build_codes(
 
 
 def classical_params(backend: CurveBackend, j: int, c_g: CodeBasis | None = None) -> ClassicalParams:
-    """Parameters of C(G) as a classical length-2n code over the code field.
+    """Parameters of C(G) as a classical length-2n code over the code field, by elimination.
 
     ``c_g`` is the canonical basis of C(G), when the caller already holds
     it; otherwise L(G) is evaluated and reduced here.  The dimension comes
     from the rank, the Hamming-distance bound is length/2 - g + 1 - j, and
     containment of the Euclidean dual is checked by reducing a basis of
     the dual, one kernel vector per free column, against C(G).
+    ``certify`` gives the same parameters from the exponent tables, and
+    ``verify`` takes them from there; this is its oracle in the tests.
     """
     f = backend.field
     width = 2 * backend.n
     if c_g is None:
         c_g = CodeBasis.from_rows(f, evaluation_matrix(backend, j, "g"), width)
     dual_rows = _nullspace_rows(c_g.rows, c_g.pivots, width)
-    contained = bool(row_in_span(f, c_g.rows, c_g.pivots, dual_rows).all())
-    return ClassicalParams(
-        length=width,
-        dim=c_g.rank,
-        d_hamming_lower=backend.n - backend.genus + 1 - j,
-        euclidean_dual_contained=contained,
-    )
+    return _classical(backend, j, c_g.rank, bool(row_in_span(f, c_g.rows, c_g.pivots, dual_rows).all()))

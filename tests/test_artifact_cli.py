@@ -185,18 +185,18 @@ def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j, exact):
     art = artifact_mod.construct_artifact(kind, q, j)
     n, width = art.n, art.width
     shapes = record_eliminations(monkeypatch)
-    # C(H), the 2j rows of L(G) past L(H) (C(G) is C(H) extended by them), and the swapped
-    # kernel of the dual of C(G), read off its reduced rows: 2n rows, not 3n - j.  The
-    # classical view reuses C(G) and checks the raw Euclidean dual rows, and the exact
-    # Hamming search takes its checks from those raw rows too
+    # the stored rows are the fresh ones, so the exponent tables decide every check and no
+    # matrix is reduced; the exact search needs the canonical bases: C(H), the 2j rows of L(G)
+    # past L(H) (C(G) is C(H) extended by them) and the swapped kernel of the dual of C(G), its
+    # checks.  The exact Hamming search takes its checks from the raw Euclidean dual rows
     assert artifact_mod.verify_artifact(art, exact_distance=exact)["ok"]
-    assert shapes == [(n - j, width), (2 * j, width), (n - j, width)]
+    assert shapes == ([(n - j, width), (2 * j, width), (n - j, width)] if exact else [])
     shapes.clear()
-    # the stored C(G) no longer starts with C(H), so every G row is reduced, and the
-    # classical view reduces the fresh L(G) rows
+    # the stored C(G) no longer starts with C(H), so every G row is reduced, then the dual;
+    # the classical view reads the fresh code, and takes it from the certificate
     art.c_g_rows[0][0] ^= 1
     assert not artifact_mod.verify_artifact(art, exact_distance=exact)["ok"]
-    assert shapes == [(n - j, width), (n + j, width), (n - j, width), (n + j, width)]
+    assert shapes == [(n - j, width), (n + j, width), (n - j, width)]
 
 
 @pytest.mark.parametrize("kind,q,j", [("rational", 512, 4), ("hermitian", 4, 5), ("rational", 8, 4)])
@@ -206,8 +206,11 @@ def test_construct_reduces_c_h_and_the_new_g_rows(monkeypatch, kind, q, j):
     backend = make_backend(kind, q)
     n, width = backend.n, 2 * backend.n
     shapes = record_eliminations(monkeypatch)
-    # n + j rows go through elimination, not 2n: 252 + 8 at rational q=512 j=4
+    # construct certifies the ranks from the exponent tables and reduces no matrix
     artifact_mod.construct_artifact(kind, q, j)
+    assert shapes == []
+    # the elimination oracle reduces n + j rows, not 2n: 252 + 8 at rational q=512 j=4
+    build_codes(backend, j)
     assert shapes == [(n - j, width), (2 * j, width)]
     shapes.clear()
     # G rows that do not start with the H rows are all reduced

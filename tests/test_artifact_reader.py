@@ -1,11 +1,13 @@
 """The two artifact readers against each other.
 
 ``from_json`` reads a text in ``to_json``'s exact layout with numpy and any
-other text through json.loads.  Every text here, written by ``to_json`` or
-mutated from one, must give both readers the same artifact or the same
-ValueError message.
+other text, or any text shorter than ``_EXACT_MIN``, through json.loads.
+Every text here, written by ``to_json`` or mutated from one, must give both
+readers the same artifact or the same ValueError message, whatever its
+length.
 """
 
+import contextlib
 import json
 import re
 from functools import lru_cache
@@ -39,14 +41,16 @@ def _entries(code: tuple) -> list[tuple[int, int]]:
     return [m.span(1) for m in re.finditer(r"\n {8}(\d+)", _text(code))]
 
 
-def _outcome(text: str, fast: bool):
-    """from_json's artifact, its arrays as (dtype, shape, bytes), or its ValueError message."""
+def _outcome(text: str, fast: bool | None):
+    """from_json's artifact, its arrays as (dtype, shape, bytes), or its ValueError message:
+    with the exact-layout reader tried first on every text (fast), on none (not fast), or
+    on the texts of at least _EXACT_MIN characters, as from_json chooses (None)."""
+    patch = (mock.patch.object(artifact_mod, "_EXACT_MIN", 0) if fast
+             else mock.patch.object(artifact_mod, "_exact_document", lambda text: None) if fast is False
+             else contextlib.nullcontext())
     try:
-        if fast:
+        with patch:
             art = artifact_mod.from_json(text)
-        else:
-            with mock.patch.object(artifact_mod, "_exact_document", lambda text: None):
-                art = artifact_mod.from_json(text)
     except ValueError as exc:
         return "error", str(exc)
     return "artifact", {key: (value.dtype.str, value.shape, value.tobytes()) if isinstance(value, np.ndarray)
@@ -131,6 +135,7 @@ def test_files_to_json_writes_skip_json_loads_for_the_matrices(monkeypatch, code
         return real(s, *args, **kwargs)
 
     monkeypatch.setattr(artifact_mod.json, "loads", recording)
+    monkeypatch.setattr(artifact_mod, "_EXACT_MIN", 0)  # rational q=8 j=4 is shorter
     art = artifact_mod.from_json(text)
     monkeypatch.undo()
     # the C(G) block is at least as long as its rows laid out at no indent
@@ -141,3 +146,24 @@ def test_files_to_json_writes_skip_json_loads_for_the_matrices(monkeypatch, code
     assert artifact_mod.verify_artifact(art)["ok"]
     assert all(np.array_equal(a, b) for a, b in zip((art.c_g_rows, art.c_h_rows), rows))
     assert all(a.flags.writeable for a in (art.c_g_rows, art.c_h_rows))
+
+
+@pytest.mark.parametrize("code", [("rational", 32, 1), ("hermitian", 4, 5)], ids=str)
+@pytest.mark.parametrize("edit", ["none", "equal-to-q", "truncated"])
+def test_short_texts_skip_the_exact_layout_reader(code, edit):
+    """A text shorter than _EXACT_MIN goes straight to json.loads, a longer one to the exact-layout
+    reader first; either way from_json gives what both readers give, artifact or message."""
+    text = _text(code)
+    assert (len(text) < artifact_mod._EXACT_MIN) == (code == ("rational", 32, 1))
+    if edit == "equal-to-q":
+        start, end = _entries(code)[7]
+        text = text[:start] + re.search(r'"size": (\d+)', text)[1] + text[end:]
+    elif edit == "truncated":
+        text = text[:-9]
+    calls = []
+    real = artifact_mod._exact_document
+    with mock.patch.object(artifact_mod, "_exact_document", lambda t: calls.append(t) or real(t)):
+        outcome = _outcome(text, None)
+    assert bool(calls) == (len(text) >= artifact_mod._EXACT_MIN)
+    assert outcome == _outcome(text, fast=True) == _outcome(text, fast=False)
+    assert (outcome[0] == "artifact") == (edit == "none")

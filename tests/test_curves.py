@@ -1,10 +1,17 @@
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from agstab import curves
 from agstab.curves import (
     HermitianBackend,
     RationalBackend,
     build_codes,
+    certify,
     classical_params,
     evaluation_matrix,
     make_backend,
@@ -404,3 +411,119 @@ def test_classical_params_takes_the_reduced_basis(backend):
     width = 2 * backend.n
     cp = classical_params(backend, 0, CodeBasis.from_rows(backend.field, [[1] + [0] * (width - 1)], width))
     assert cp.dim == 1 and not cp.euclidean_dual_contained
+
+
+# ---------------------------------------------------------------------------
+# the certificate: the moment-table Gram and the degree argument
+# ---------------------------------------------------------------------------
+
+def _table(backend, j, which):
+    return np.array(backend.rr_basis(j, which), dtype=np.int64).reshape(-1, backend.places.shape[1])
+
+
+def _direct_gram(backend, left, right):
+    """C(left) . swap(C(right))^T over the field, from the evaluations at the point order."""
+    log, antilog = backend.field.log_antilog
+    A, B = (monomial_matrix(backend.field, table, backend.places) for table in (left, right))
+    B = np.roll(B, backend.n, axis=1)
+    out = np.zeros((len(A), len(B)), dtype=antilog.dtype)
+    for a, b in zip(A.T, B.T):
+        out ^= antilog.take(log.take(a)[:, None] + log.take(b)[None, :])
+    return out
+
+
+def _gram_pairs(backend, j, seed):
+    """(moment Gram, direct product) for G against H, G against G, and two random tables
+    whose x exponents span several periods of the field (the z exponents of a hermitian
+    table stay in [0, q))."""
+    G, H = _table(backend, j, "g"), _table(backend, j, "h")
+    rng = np.random.default_rng(seed)
+    period = backend.field.q - 1
+    if backend.kind == "rational":
+        wide = [rng.integers(0, 3 * period, (5, 1)) for _ in range(2)]
+    else:
+        wide = [np.column_stack([rng.integers(-3 * period, 3 * period, 5), rng.integers(0, backend.q, 5)])
+                for _ in range(2)]
+    return [(backend.gram(left, right), _direct_gram(backend, left, right))
+            for left, right in ((G, H), (G, G), tuple(wide))]
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_moment_gram_matches_the_direct_product(data):
+    kind = data.draw(st.sampled_from(["rational", "hermitian"]))
+    q = data.draw(st.sampled_from([4, 8, 16, 32, 64] if kind == "rational" else [2, 4]))
+    backend = make_backend(kind, q, data.draw(st.integers(1, q - 1)) if kind == "hermitian" else 1)
+    j = data.draw(st.integers(0, backend.max_j))
+    (g_h, g_h_direct), (g_g, g_g_direct), (wide, wide_direct) = _gram_pairs(backend, j, data.draw(st.integers(0, 99)))
+    assert np.array_equal(g_h, g_h_direct) and not g_h.any()       # C(H) is orthogonal to C(G)
+    assert np.array_equal(g_g, g_g_direct) and g_g.any() == (j > 0)  # the control: C(G) is not
+    assert np.array_equal(wide, wide_direct)
+
+
+def _mutant(cls, name, *edits):
+    """``cls.name`` recompiled from its source with each (old, new) edit applied."""
+    source = textwrap.dedent(inspect.getsource(getattr(cls, name)))
+    for old, new in edits:
+        assert old in source, old
+        source = source.replace(old, new)
+    namespace = {}
+    exec(compile(source, f"<mutant of {cls.__name__}.{name}>", "exec"), vars(curves), namespace)
+    return namespace[name]
+
+
+MUTANTS = {
+    "hermitian-drop-a-lucas-term": (HermitianBackend, ("for t in _submasks(m):", "for t in _submasks(m)[1:]:")),
+    "hermitian-drop-the-gamma-power": (HermitianBackend, (" + gamma_log * (m - t) % period)", ")")),
+    "hermitian-no-reduction-mod-q2-1": (HermitianBackend, ("left[:, 0] % period", "left[:, 0]"),
+                                        ("right[:, 0] % period", "right[:, 0]")),
+    "rational-every-t-below-c": (RationalBackend, ("(t & ~c == 0)", "(t <= c)")),
+    "none-hermitian": (HermitianBackend,),  # the controls: recompiled unchanged, nothing to catch
+    "none-rational": (RationalBackend,),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_the_gram_differential_catches_each_mutant(monkeypatch, mutant):
+    cls, *edits = MUTANTS[mutant]
+    monkeypatch.setattr(cls, "gram", _mutant(cls, "gram", *edits))
+    caught = False
+    for backend in (RationalBackend(8), HermitianBackend(2), HermitianBackend(4, gamma=3)):
+        for j in (1, backend.max_j):
+            try:
+                pairs = _gram_pairs(backend, j, seed=j)
+            except IndexError:  # a gather past the end of its table
+                caught = True
+                continue
+            caught = caught or not all(np.array_equal(got, want) for got, want in pairs)
+    assert caught == bool(edits)
+
+
+ORACLE_BACKENDS = ([RationalBackend(q) for q in (4, 8, 16, 32, 64)]
+                   + [HermitianBackend(2), HermitianBackend(4), HermitianBackend(4, gamma=3)])
+
+
+@pytest.mark.parametrize("backend", ORACLE_BACKENDS, ids=repr)
+def test_certificate_matches_the_elimination_oracle(backend):
+    for j in range(backend.max_j + 1):
+        cert = certify(backend, j)
+        c_g, c_h = build_codes(backend, j)
+        assert (cert.rank_g, cert.rank_h) == (c_g.rank, c_h.rank)
+        assert cert.dual == (symplectic_dual(c_g) == c_h)
+        assert cert.contained == contains(c_g, c_h)
+        assert cert.dual and cert.contained
+        assert cert.classical == classical_params(backend, j)
+
+
+def test_certificate_refuses_a_failed_degree_argument(monkeypatch):
+    backend = RationalBackend(8)
+    real = backend._monomials
+    # a repeated pole order: the monomials are not independent
+    monkeypatch.setattr(backend, "_monomials", lambda cap: real(cap) + real(cap)[-1:])
+    with pytest.raises(AssertionError, match="the degree argument fails"):
+        certify(backend, 1)
+    # j = n + 1 gives deg G = 2n: a function of L(G) may vanish at every paired place
+    monkeypatch.setattr(backend, "_monomials", real)
+    monkeypatch.setattr(RationalBackend, "max_j", property(lambda self: self.n + 1))
+    with pytest.raises(AssertionError, match="the degree argument fails"):
+        certify(backend, backend.n + 1)

@@ -78,6 +78,9 @@ from .linalg import _as_array, _nullspace_rows, row_in_span
 from .symplectic import CodeBasis
 
 _BLOCK = 1 << 16  # monomial_matrix entries indexed at once
+# the most place pairs a backend accepts: rational q <= 8192 and hermitian q <= 16 (n = 2040);
+# rational q = 65536 would hold a 4 GiB evaluation matrix
+MAX_PLACE_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -132,9 +135,13 @@ class CurveBackend:
 
     kind: str
 
-    def __init__(self, q: int, constants: GF2m, gamma: int, genus: int, n: int) -> None:
+    def __init__(self, q: int, degree: int, gamma: int, genus: int, n: int) -> None:
+        # checked before the field is built: every later array grows with n
+        if n > MAX_PLACE_PAIRS:
+            raise ValueError(f"{self.kind} q={q} has n = {n} place pairs, "
+                             f"more than the {MAX_PLACE_PAIRS} a code may have")
         self.q = q
-        self.field = constants
+        self.field = field(degree)  # the constant field GF(2^degree)
         self.gamma = gamma
         self.genus = genus
         self.n = n
@@ -203,9 +210,9 @@ class RationalBackend(CurveBackend):
 
     def __init__(self, q: int) -> None:
         r = _validate_power_of_two(q, 4)
+        super().__init__(q, r, gamma=1, genus=0, n=q // 2)
         # gamma: the additive shift of sigma(x) = x + 1
         self._shift = np.array([1])
-        super().__init__(q, field(r), gamma=1, genus=0, n=q // 2)
 
     def __repr__(self) -> str:
         return f"RationalBackend(q={self.q})"
@@ -247,15 +254,11 @@ class HermitianBackend(CurveBackend):
 
     def __init__(self, q: int, gamma: int = 1) -> None:
         m = _validate_power_of_two(q, 2)
-        if m > 4:
-            raise ValueError(f"hermitian q must be at most 16, got {q} "
-                             f"(n = {(q * q - 1) * q // 2} place pairs)")
-        constants = field(2 * m)  # GF(q^2)
+        super().__init__(q, 2 * m, gamma, genus=q * (q - 1) // 2, n=(q * q - 1) * q // 2)  # over GF(q^2)
         if not 1 <= gamma < q:
             raise ValueError(f"gamma must be a nonzero GF({q}) element index, got {gamma}")
-        self._shift = np.array([0, SubfieldEmbedding(field(m), constants).embed(gamma)])
+        self._shift = np.array([0, SubfieldEmbedding(field(m), self.field).embed(gamma)])
         self.x_shift = q * q // 2 - 1
-        super().__init__(q, constants, gamma, genus=q * (q - 1) // 2, n=(q * q - 1) * q // 2)
 
     def __repr__(self) -> str:
         return f"HermitianBackend(q={self.q}, gamma={self.gamma})"

@@ -4,26 +4,47 @@ extension, nullspace, span membership and small solves.
 A matrix is a 2-D numpy array of field indices in the field's dtype,
 uint8 when q <= 256 and uint16 above, and every matrix returned here is
 read-only.  Inputs may be any rectangular sequence of integer rows; they
-are checked on entry.  For every field, 1 <= r <= 16, the elimination
-runs on one such array and multiplies through the field's log/antilog
-arrays (``GF2m.log_antilog``): a row update is one gather
-``antilog[log[column] + log[pivot row]]``, or, when a pivot hits more rows
-than the field has nonzero multipliers, a gather from the pivot row's q - 1
-multiples, formed once.  Every such gather is ``ndarray.take``: indexing
-with ``[]`` by an integer array of about 10^5 entries, the size of one
-elimination step, runs numpy's general fancy-index path, which is 2-3x
-slower than ``take`` on the same flat table.  Pivoting is leftmost-column,
-first-nonzero-row, which makes every reduced form canonical for its row
-space.
+are checked on entry.  Pivoting is leftmost-column, first-nonzero-row,
+which makes every reduced form canonical for its row space.
 
-There is one elimination kernel, ``_rref_array``, and one loop that
-reduces rows against a canonical basis, ``_reduce``.  ``extend`` joins
-them: the rref of [basis; rows] is the new rows reduced against the basis,
-their leftovers eliminated, the new pivot columns cleared from the basis
-rows and the two sets of rows merged by pivot, so only the new rows go
-through elimination.  ``rref`` is the extension of the zero basis, and
-``row_in_span`` is the first step alone.  ``_rref_scalar`` is the
-plain-Python elimination kept as the reference the tests compare against.
+There is one elimination kernel, ``_rref_array``, and one routine that
+reduces rows against a canonical basis, ``_reduce``.  Each has two arms,
+and the field picks the arm, with no flag:
+
+* GF(2^r), r > 1: the elimination runs on one array and multiplies
+  through the field's log/antilog arrays (``GF2m.log_antilog``): a row
+  update is one gather ``antilog[log[column] + log[pivot row]]``, or,
+  when a pivot hits more rows than the field has nonzero multipliers, a
+  gather from the pivot row's q - 1 multiples, formed once.  Every such
+  gather is ``ndarray.take``: indexing with ``[]`` by an integer array of
+  about 10^5 entries, the size of one elimination step, runs numpy's
+  general fancy-index path, which is 2-3x slower than ``take`` on the
+  same flat table.  ``_reduce`` makes one such update per pivot.
+* GF(2): a row update is an XOR.  ``_rref_bits`` packs each row once
+  into a Python int, column 0 the top bit, inserts the rows into an XOR
+  basis keyed by leading bit (the leading bit is the pivot column, so no
+  column is scanned), back-substitutes from the rightmost pivot and
+  unpacks once.  The rref of a row space is unique, so the rows and
+  pivots are those the log/antilog loop would give.  ``_reduce`` reduces
+  every row at once, V ^= (V[:, pivots] @ basis) & 1, as one float32
+  product.  It equals the sequential loop because a canonical basis is
+  zero at every pivot but its own: no step changes another pivot's
+  column, so each row's coefficient on basis row i is its own entry at
+  pivot i.  The product is exact because each sum counts at most rank
+  ones, and float32 holds every integer up to 2^24: a canonical basis of
+  rank 2^24 would be a 2^24 x 2^24 byte array, and the widest binary code
+  the curves give, a descent of rational q = 8192, is 106496 wide.  The
+  product runs in numpy's BLAS, which may
+  start threads unless ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` say
+  otherwise; the result does not depend on them.
+
+``extend`` joins the two routines: the rref of [basis; rows] is the new
+rows reduced against the basis, their leftovers eliminated, the new pivot
+columns cleared from the basis rows and the two sets of rows merged by
+pivot, so only the new rows go through elimination.  ``rref`` is the
+extension of the zero basis, and ``row_in_span`` is the first step alone.
+``_rref_scalar`` is the plain-Python elimination kept as the reference
+the tests compare both arms against.
 """
 
 from __future__ import annotations
@@ -84,7 +105,13 @@ def _eliminate(field: GF2m, M: np.ndarray, hit: np.ndarray, c: int, row_log: np.
 
 
 def _rref_array(field: GF2m, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduce M in place; returns its nonzero rows and the pivot columns."""
+    """Reduce M; returns its nonzero rows and the pivot columns.
+
+    Over GF(2) the rows go through ``_rref_bits`` and M is left alone;
+    over every larger field M is reduced in place.
+    """
+    if field.q == 2:
+        return _rref_bits(M)
     log, antilog = field.log_antilog
     period = field.q - 1
     nrows, width = M.shape
@@ -110,6 +137,43 @@ def _rref_array(field: GF2m, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return M[:r], pivots
+
+
+def _rref_bits(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The rref of a 0/1 matrix on its rows packed into Python ints, column 0 the top bit.
+
+    Each row is reduced into an XOR basis keyed by leading bit, which is
+    its pivot column; then, from the rightmost pivot leftwards, each basis
+    row is cleared by the already reduced rows whose pivots it holds.
+    """
+    nrows, width = M.shape
+    nbytes = -(-width // 8)
+    if not nrows or not width:
+        return M[:0], []
+    data = np.packbits(M, axis=1).tobytes()
+    basis: dict[int, int] = {}  # leading bit -> row
+    for i in range(0, len(data), nbytes):
+        v = int.from_bytes(data[i:i + nbytes], "big")
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = v
+                break
+            v ^= basis[lead]
+    mask = 0  # the pivot bits of the rows reduced so far, each zero at every other pivot
+    for lead in sorted(basis):
+        v = basis[lead]
+        hits = v & mask
+        while hits:
+            bit = hits.bit_length() - 1
+            v ^= basis[bit]
+            hits ^= 1 << bit
+        basis[lead] = v
+        mask |= 1 << lead
+    leads = sorted(basis, reverse=True)
+    packed = b"".join(basis[lead].to_bytes(nbytes, "big") for lead in leads)
+    R = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(leads), nbytes), axis=1, count=width)
+    return R, [8 * nbytes - 1 - lead for lead in leads]
 
 
 def _rref_scalar(field: GF2m, rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int]]:
@@ -141,8 +205,14 @@ def _reduce(field: GF2m, V: np.ndarray, basis: np.ndarray, pivots: Sequence[int]
     """Reduce the rows of V in place against a canonical rref basis with these pivots.
 
     Every row of V ends zero at every pivot column; all rows reduce
-    together, one log/antilog update per pivot.
+    together, over GF(2) by one exact float32 product (see the module
+    docstring), otherwise by one log/antilog update per pivot.
     """
+    if field.q == 2:
+        # row v's coefficient on basis row i is v[p_i], as no other basis row touches column p_i
+        P = V[:, list(pivots)].astype(np.float32) @ basis.astype(np.float32)
+        V ^= (P.astype(np.int32) & 1).astype(V.dtype)
+        return
     R_log = field.log_antilog[0].take(basis)
     for i, p in enumerate(pivots):  # basis row i is zero left of its pivot p
         _eliminate(field, V, np.flatnonzero(V[:, p]), p, R_log[i, p:])

@@ -162,7 +162,11 @@ def test_tampered_report_bytes_are_pinned(name):
 
 
 def record_eliminations(monkeypatch):
-    """The shapes of the matrices that enter ``linalg``'s one elimination kernel, as a list that fills up."""
+    """The shapes of the matrices that enter ``linalg``'s one elimination kernel, as a list that fills up.
+
+    ``_rref_array`` picks its arm from the field, so this counts binary
+    (packed-row) and log/antilog eliminations alike.
+    """
     from agstab import linalg
 
     shapes = []
@@ -418,6 +422,26 @@ def test_cli_names_the_backend_in_errors(tmp_path, capsys):
     assert capsys.readouterr().err == "error: j must be in [0, 8] for RationalBackend(q=16), got 99\n"
     assert main(["construct", "--backend", "hermitian", "--q", "4", "--j", "99", "--out", out]) == 2
     assert "for HermitianBackend(q=4, gamma=1), got 99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,q,n", [("rational", 16384, 8192), ("rational", 65536, 32768),
+                                      ("hermitian", 32, 16368)])
+def test_construct_refuses_more_place_pairs_than_the_bound(tmp_path, capsys, kind, q, n):
+    # refused before any place or matrix is built: rational q=65536 would hold a 4 GiB matrix
+    import time
+    import tracemalloc
+
+    out = tmp_path / "x.json"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["construct", "--backend", kind, "--q", str(q), "--j", "1", "--out", str(out)])
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and elapsed < 1 and peak < 1 << 20 and not out.exists()
+    assert capsys.readouterr().err == (f"error: {kind} q={q} has n = {n} place pairs, "
+                                       "more than the 4096 a code may have\n")
 
 
 def test_cli_decode_sim_refuses_past_the_cap(tmp_path, capsys):

@@ -370,6 +370,13 @@ def test_backend_validation():
         make_backend("rational", 8, gamma=3)
     with pytest.raises(ValueError):
         make_backend("elliptic", 8)
+    # the bound on n: rational q = 8192 (n = 4096) is the largest rational code, hermitian q = 16 the
+    # largest hermitian one (n = 2040; q = 32 has n = 16368)
+    assert RationalBackend(8192).n == curves.MAX_PLACE_PAIRS == 4096 and HermitianBackend(16).n == 2040
+    with pytest.raises(ValueError, match="^rational q=16384 has n = 8192 place pairs"):
+        RationalBackend(16384)
+    with pytest.raises(ValueError, match="^hermitian q=32 has n = 16368 place pairs"):
+        HermitianBackend(32)
 
 
 # ---------------------------------------------------------------------------

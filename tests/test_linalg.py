@@ -1,7 +1,10 @@
-"""Differential tests for linalg: the log/antilog elimination kernel against
-the plain-Python reference elimination ``linalg._rref_scalar`` and the
-brute-force span oracle, on random small matrices over GF(2^r)."""
+"""Differential tests for linalg: both elimination arms, log/antilog over
+GF(2^r) with r > 1 and packed rows over GF(2), against the plain-Python
+reference elimination ``linalg._rref_scalar`` and the brute-force span
+oracle, on random small matrices over GF(2^r) and random binary matrices
+up to 130 columns wide."""
 
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -242,6 +245,160 @@ def test_rref_q512_evaluation_slice():
     rows = evaluation_matrix(backend, 4, "g")[:40]
     width = len(rows[0])
     assert as_lists(linalg.rref(backend.field, rows, width)) == reference_rref(backend.field, rows, width)
+
+
+# ---------------------------------------------------------------------------
+# GF(2): the packed-row arm
+# ---------------------------------------------------------------------------
+
+GF2 = field(1)
+# widths on both sides of the byte and word boundaries the packed rows cross
+BOUNDARY_WIDTHS = (7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129)
+BINARY_SHAPES = ("random", "sparse", "zero-row", "repeat", "all-zero", "full-rank")
+
+
+@st.composite
+def binary_matrices(draw):
+    """(rows, width) over GF(2): widths 0..130, up to 20 rows, of one of BINARY_SHAPES.
+
+    The entries come from a numpy generator seeded by the draw, as drawing
+    thousands of bits one by one would dominate the test.
+    """
+    width = draw(st.one_of(st.sampled_from(BOUNDARY_WIDTHS), st.integers(0, 130)))
+    shape = draw(st.sampled_from(BINARY_SHAPES))
+    nrows = draw(st.integers(0, min(20, width) if shape == "full-rank" else 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = (rng.random((nrows, width)) < (0.1 if shape == "sparse" else 0.5)).astype(np.uint8)
+    if nrows and shape == "zero-row":
+        M[rng.integers(nrows)] = 0
+    elif nrows >= 2 and shape == "repeat":
+        M[rng.integers(1, nrows)] = M[0]
+    elif shape == "all-zero":
+        M[:] = 0
+    elif shape == "full-rank":
+        # a 1 at a distinct lead column per row, nothing left of it, rows in any order
+        for row, lead in zip(M, rng.permutation(width)[:nrows]):
+            row[:lead] = 0
+            row[lead] = 1
+        M = rng.permutation(M)
+    return M.tolist(), width
+
+
+def binary_in_span(R, probes):
+    """Span membership by rank: p lies in the span of R exactly when it adds no rank."""
+    width = R.shape[1]
+    rank = len(reference_rref(GF2, R.tolist(), width)[1])
+    return [len(reference_rref(GF2, R.tolist() + [list(p)], width)[1]) == rank for p in probes]
+
+
+@FUZZ
+@given(binary_matrices())
+def test_binary_rref_matches_scalar_reference(case):
+    rows, width = case
+    R, pivots = linalg.rref(GF2, rows, width)
+    assert (R.tolist(), pivots) == reference_rref(GF2, rows, width)
+    assert R.shape == (len(pivots), width) and R.dtype == np.uint8 and not R.flags.writeable
+    if 2 ** len(rows) <= 256:
+        assert span_vectors(GF2, R.tolist(), width) == span_vectors(GF2, rows, width)
+
+
+@FUZZ
+@given(binary_matrices(), st.data())
+def test_binary_extension_is_the_rref_of_the_stacked_rows(case, data):
+    rows, width = case
+    cut = data.draw(st.integers(0, len(rows)))
+    base, new = rows[:cut], rows[cut:]
+    B, pivots = linalg.rref(GF2, base, width)
+    R, got = linalg.extend(GF2, B, pivots, new)
+    assert (R.tolist(), got) == as_lists(linalg.rref(GF2, rows, width)) == reference_rref(GF2, rows, width)
+    assert R.dtype == np.uint8 and not R.flags.writeable
+
+
+@FUZZ
+@given(binary_matrices(), st.data())
+def test_binary_row_in_span_matches_the_span(case, data):
+    rows, width = case
+    R, pivots = linalg.rref(GF2, rows, width)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    # the rows themselves, random vectors, and sums of two basis rows (in the span) with and
+    # without one bit flipped
+    probes = [list(r) for r in rows] + rng.integers(0, 2, (3, width)).tolist()
+    for a, b in zip(R, R[1:]):
+        total = a ^ b
+        probes.append(total.tolist())
+        total[rng.integers(width)] ^= 1
+        probes.append(total.tolist())
+    got = linalg.row_in_span(GF2, R, pivots, probes)
+    assert got.shape == (len(probes),) and got[:len(rows)].all()
+    if 2 ** len(R) <= 64:
+        span = span_vectors(GF2, R.tolist(), width)
+        assert list(got) == [tuple(p) in span for p in probes]
+    else:
+        assert list(got) == binary_in_span(R, probes)
+
+
+@pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+def test_binary_rank_zero_and_full_rank(width):
+    assert linalg.rref(GF2, [[0] * width] * 3, width)[1] == ()
+    # the reversed identity: every row a pivot, the rows put back in pivot order
+    rows = np.eye(width, dtype=np.uint8)[::-1]
+    R, pivots = linalg.rref(GF2, rows, width)
+    assert pivots == tuple(range(width)) and np.array_equal(R, np.eye(width))
+    # ones on and above the diagonal reduce to the identity by back-substitution alone
+    R, pivots = linalg.rref(GF2, np.triu(np.ones((width, width), dtype=np.uint8)), width)
+    assert pivots == tuple(range(width)) and np.array_equal(R, np.eye(width))
+    assert linalg.row_in_span(GF2, R, pivots, [[1] * width]).all()
+
+
+def _hermitian_descent_eliminations(monkeypatch):
+    """Every GF(2) matrix ``linalg`` reduces in the descent of hermitian q=4 j=5 and its verification."""
+    from agstab import artifact
+
+    art = artifact.construct_artifact("hermitian", 4, 5)
+    seen = []
+    real = linalg._rref_array
+
+    def recording(f, M):
+        if f.q == 2:
+            seen.append(M.copy())
+        return real(f, M)
+
+    monkeypatch.setattr(linalg, "_rref_array", recording)
+    down = artifact.descend_artifact(art)
+    assert artifact.verify_artifact(down)["ok"]
+    return down, seen
+
+
+def test_binary_descent_matrices_match_scalar_reference(monkeypatch):
+    # the n=120 descent: its gamma image (rank 140), the swapped kernel of its dual (rank 100),
+    # and in verify, C(H), C(G) and the swapped kernel again
+    down, seen = _hermitian_descent_eliminations(monkeypatch)
+    assert down.n == 120 and [M.shape for M in seen if M.shape[0] > 8] == [
+        (140, 240), (100, 240), (100, 240), (140, 240), (100, 240)]
+    monkeypatch.undo()
+    for M in seen:
+        assert as_lists(linalg.rref(GF2, M, M.shape[1])) == reference_rref(GF2, M.tolist(), M.shape[1])
+
+
+def test_binary_work_never_reaches_the_log_antilog_kernel(monkeypatch):
+    # every output would stay right on the log/antilog loop, so count the calls by field
+    calls = Counter()
+    real = linalg._eliminate
+
+    def counting(f, *args):
+        calls[f.q] += 1
+        return real(f, *args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    rows = [[1, 0, 1, 1, 0, 1, 1, 0, 1], [0, 1, 1, 0, 1, 1, 0, 1, 1], [1, 1, 0, 1, 1, 0, 1, 1, 0]]
+    R, pivots = linalg.rref(GF2, rows, 9)
+    linalg.extend(GF2, R[:1], pivots[:1], rows[1:])
+    assert linalg.row_in_span(GF2, R, pivots, rows).all()
+    _hermitian_descent_eliminations(monkeypatch)
+    assert calls[2] == 0 and calls[16] > 0  # the descent still reduces the GF(16) code itself
+    calls.clear()
+    linalg.rref(field(4), [[3, 1, 7], [5, 2, 0]], 3)
+    assert calls == {16: 2}
 
 
 # ---------------------------------------------------------------------------

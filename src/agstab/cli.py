@@ -127,17 +127,23 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
                          f"{art.backend_kind} backend at j = {art.j}")
     field = art.field
     c_h = CodeBasis.from_rows(field, art.c_h_rows, art.width)
+    # on the rational curve C(H) is spanned by x^i, i < rank, at the places: the checks are power sums
+    points = tuple(backend.places[:, 0].tolist()) if art.backend_kind == "rational" else None
     rng = Lcg64(args.seed)
     sink = open(args.out, "w") if args.out else sys.stdout
     recovered = 0
+    statuses = dict.fromkeys(("unique-guaranteed", "found-min", "budget-exhausted"), 0)
+    decoders: dict[str, int] = {}
     try:
         for t in range(args.trials):
             planted = sample_symplectic_error(rng, art.n, field.q, args.weight)
             syn = syndrome_of(field, planted, c_h.rows)
-            problem = SyndromeProblem(dual_basis=c_h, syndrome=syn)
+            problem = SyndromeProblem(dual_basis=c_h, syndrome=syn, points=points)
             res: DecodeResult = symplectic_decode(problem, art.deg_g)
             ok = res.error == planted
             recovered += ok
+            statuses[res.status] += 1
+            decoders[res.decoder] = decoders.get(res.decoder, 0) + 1
             record = {
                 "trial": t,
                 "planted": list(planted),
@@ -152,8 +158,13 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
     finally:
         if args.out:
             sink.close()
-    print(f"recovered {recovered}/{args.trials}", file=sys.stderr)
+    print(f"recovered {recovered}/{args.trials}; status {_tally(statuses)}; decoder {_tally(decoders)}",
+          file=sys.stderr)
     return 0
+
+
+def _tally(counts: dict[str, int]) -> str:
+    return ", ".join(f"{name} {count}" for name, count in counts.items()) or "-"
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:

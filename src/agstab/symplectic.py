@@ -76,14 +76,16 @@ class CodeBasis:
         reduced, pivots = linalg.extend(self.field, self.rows, self.pivots, rows)
         return CodeBasis(self.field, self.width, reduced, pivots)
 
+    @cached_property
     def _key(self) -> tuple:
+        # formed once: a memo keyed on a basis (the decoder's) hashes it at every lookup
         return self.field, self.width, self.pivots, self.rows.tobytes()
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CodeBasis) and self._key() == other._key()
+        return isinstance(other, CodeBasis) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key)
 
     @property
     def rank(self) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -445,17 +446,63 @@ def test_construct_refuses_more_place_pairs_than_the_bound(tmp_path, capsys, kin
 
 
 def test_cli_decode_sim_refuses_past_the_cap(tmp_path, capsys):
-    art = str(tmp_path / "r128.json")
-    assert main(["construct", "--backend", "rational", "--q", "128", "--j", "1", "--out", art]) == 0
+    art = str(tmp_path / "h8.json")
+    assert main(["construct", "--backend", "hermitian", "--q", "8", "--j", "1", "--out", art]) == 0
     capsys.readouterr()
-    # a weight-2 error inside the guarantee region (t_cap = 15) has Hamming weight 3 or 4
-    # after the swap; the Hamming sweep refuses weight 3 instead of running for minutes
+    # hermitian checks are not power sums, so the Hamming search decodes them: a weight-2 error
+    # inside the guarantee region (t_cap = 55) has Hamming weight 3 or 4 after the swap, and the
+    # search refuses weight 3 instead of running for hours
     code = main(["decode-sim", "--artifact", art, "--trials", "1", "--weight", "2", "--seed", "1",
                  "--out", str(tmp_path / "trials.jsonl")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == ("error: weight 3: the right half has C(128,2) * 127^2 = 131096512 rows, "
+    assert err == ("error: weight 3: the right half has C(504,2) * 63^2 = 503094564 rows, "
                    "over the cap 16777216\n")
+
+
+@pytest.mark.parametrize("q, j", [(64, 4), (128, 1)])
+def test_cli_decode_sim_power_sums_decode_past_the_search(tmp_path, capsys, q, j):
+    # weight 2 is inside the region (t_cap = 13 and 15); the search took about 18 s a trial at
+    # q=64 and refused q=128, and the power sums take milliseconds
+    art, out = str(tmp_path / "r.json"), tmp_path / "trials.jsonl"
+    assert main(["construct", "--backend", "rational", "--q", str(q), "--j", str(j), "--out", art]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["decode-sim", "--artifact", art, "--trials", "5", "--weight", "2", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 5
+    assert all(r["status"] == "unique-guaranteed" and r["recovered"] for r in records)
+    assert capsys.readouterr().err == ("recovered 5/5; status unique-guaranteed 5, found-min 0, "
+                                       "budget-exhausted 0; decoder power-sums 5\n")
+
+
+@pytest.mark.parametrize("q, j, weights", [(16, 1, (1, 2, 3)), (32, 12, (1, 2)), (8, 2, (1, 2))])
+def test_cli_decode_sim_streams_are_the_same_without_points(tmp_path, capsys, monkeypatch, q, j, weights):
+    # inside the region (t_cap = 1 at each) and beyond it the power sums answer as the search does
+    import dataclasses
+
+    from agstab import cli
+
+    art = str(tmp_path / "r.json")
+    assert main(["construct", "--backend", "rational", "--q", str(q), "--j", str(j), "--out", art]) == 0
+    real = cli.symplectic_decode
+
+    def stream(weight: int, decode) -> tuple[bytes, str]:
+        monkeypatch.setattr(cli, "symplectic_decode", decode)
+        out = tmp_path / "trials.jsonl"
+        assert main(["decode-sim", "--artifact", art, "--trials", "12", "--weight", str(weight),
+                     "--seed", "9", "--out", str(out)]) == 0
+        return out.read_bytes(), capsys.readouterr().err
+
+    for weight in weights:
+        ours, ours_err = stream(weight, real)
+        search, search_err = stream(weight, lambda problem, deg_g: real(
+            dataclasses.replace(problem, points=None), deg_g))
+        assert ours == search
+        assert ours_err.endswith("; decoder power-sums 12\n")
+        assert ours_err.replace("power-sums", "search") == search_err
 
 
 def test_cli_decode_sim_refuses_a_forged_deg_g(tmp_path, capsys):
@@ -687,8 +734,12 @@ def test_cli_decode_sim_with_no_checks(tmp_path, capsys, weight):
     # weight-1 error lies outside the guarantee region)
     art, out = str(tmp_path / "r8.json"), tmp_path / "trials.jsonl"
     assert main(["construct", "--backend", "rational", "--q", "8", "--j", "4", "--out", art]) == 0
+    capsys.readouterr()
     assert main(["decode-sim", "--artifact", art, "--trials", "3", "--weight", str(weight), "--seed", "2",
                  "--out", str(out)]) == 0
+    # the zero vector weighs 0, inside the region: a true certificate of the least preimage
+    assert capsys.readouterr().err == (f"recovered {3 if weight == 0 else 0}/3; status unique-guaranteed 3, "
+                                       "found-min 0, budget-exhausted 0; decoder none 3\n")
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 3
     for r in records:

@@ -1,13 +1,20 @@
+import dataclasses
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agstab.curves import HermitianBackend, RationalBackend, build_codes
+from agstab import decoder
+from agstab.curves import MAX_PLACE_PAIRS, HermitianBackend, RationalBackend, build_codes
 from agstab.decoder import (
     SyndromeProblem,
     brute_oracle,
     exhaustive_coset_leaders,
     guarantee_cap,
     hamming_min_solve,
+    power_sum_solve,
     symplectic_decode,
     syndrome_of,
 )
@@ -176,6 +183,133 @@ def test_hamming_solver_monotone_in_budget():
                 assert got == found     # enlarging the budget never changes a minimum
             if got is not None and found is None:
                 found = got
+
+
+# ---------------------------------------------------------------------------
+# the power-sum solver, against the kernel
+# ---------------------------------------------------------------------------
+
+# the largest Hamming weight the differential plants per q: the kernel's halves stay small
+FAST_WEIGHT = {4: 4, 8: 4, 16: 3, 32: 2, 64: 2}
+
+
+@lru_cache(maxsize=None)
+def _rational_checks(q: int, j: int):
+    """C(H) of rational q at j, and the x-coordinate of each of its columns."""
+    backend = RationalBackend(q)
+    return build_codes(backend, j)[1], tuple(backend.places[:, 0].tolist())
+
+
+def _check_products(f, y, rows) -> tuple[int, ...]:
+    return tuple(_dot(f, y, row) for row in rows.tolist())
+
+
+def _both_solvers(q: int, j: int, budget: int, y) -> tuple:
+    """(power_sum_solve, the kernel) on the checks y . C(H) rows of rational q at j;
+    with no checks the kernel's answer is the zero vector, as in symplectic_decode."""
+    checks, points = _rational_checks(q, j)
+    s = _check_products(checks.field, y, checks.rows)
+    kernel = hamming_min_solve(checks.field, s, checks.rows, budget) if checks.rank else (0,) * q
+    return power_sum_solve(checks, points, s, budget), kernel
+
+
+@st.composite
+def _planted(draw):
+    """(q, j, budget, y): a rational code at any j, a budget with 2 budget <= rank, and a
+    vector of weight up to one past the budget, sometimes on the column of the point 0."""
+    q = draw(st.sampled_from(sorted(FAST_WEIGHT)))
+    j = draw(st.integers(0, q // 2))
+    checks, points = _rational_checks(q, j)
+    budget = draw(st.integers(0, min(checks.rank // 2, FAST_WEIGHT[q])))
+    weight = draw(st.integers(0, min(budget + 1, FAST_WEIGHT[q])))
+    support = draw(st.lists(st.integers(0, q - 1), min_size=weight, max_size=weight, unique=True))
+    if support and draw(st.booleans()):
+        zero = points.index(0)
+        support = [zero] + [c for c in support if c != zero][:weight - 1]
+    y = [0] * q
+    for c in support:
+        y[c] = draw(st.integers(1, q - 1))
+    return q, j, budget, tuple(y)
+
+
+@settings(max_examples=400)
+@given(_planted())
+def test_power_sum_solve_matches_the_kernel(case):
+    ours, kernel = _both_solvers(*case)
+    assert ours == kernel
+
+
+def test_power_sum_solve_edge_cases():
+    # the zero syndrome, rank 0 (j = n: no checks) and an error on the point 0 alone
+    checks, points = _rational_checks(16, 3)
+    assert power_sum_solve(checks, points, (0,) * checks.rank, 2) == (0,) * 16
+    none, points8 = _rational_checks(8, 4)
+    assert none.rank == 0 and power_sum_solve(none, points8, (), 0) == (0,) * 8
+    y = [0] * 16
+    y[points.index(0)] = 7
+    assert _both_solvers(16, 3, 2, tuple(y)) == (tuple(y), tuple(y))
+    with pytest.raises(ValueError, match="budget 3 is outside"):
+        power_sum_solve(checks, points, (0,) * checks.rank, 3)   # rank 5: the answer need not be unique
+    with pytest.raises(ValueError, match="syndrome length 4 != 5"):
+        power_sum_solve(checks, points, (0,) * 4, 2)
+
+
+def test_power_sum_budget_fits_every_rational_code():
+    # 2 budget <= rank makes a vector of weight <= budget unique (the checked code is MDS of
+    # distance rank + 1), so symplectic_decode takes the power sums at every rational (q, j)
+    pairs = tight = 0
+    q = 4
+    while q // 2 <= MAX_PLACE_PAIRS:
+        backend = RationalBackend(q)
+        for j in range(backend.max_j + 1):
+            budget = max(0, 2 * guarantee_cap(backend.n, backend.deg_g(j)))
+            rank = backend.n - j
+            assert 2 * budget <= rank, (q, j)
+            pairs += 1
+            tight += 2 * budget == rank
+        q *= 2
+    assert (pairs, tight) == (8202, 2059)
+
+
+def test_mutation_without_the_point_zero_fails_the_differential(monkeypatch):
+    # decoding as if no column had the point 0 loses every error there
+    real = decoder._power_sums.__wrapped__
+    monkeypatch.setattr(decoder, "_power_sums", lambda basis, points: real(basis, points)._replace(zero=None))
+    with pytest.raises(AssertionError):
+        test_power_sum_solve_matches_the_kernel()
+
+
+def test_mutation_without_forneys_factor_fails_the_differential(monkeypatch):
+    # the power sums start at p_0, so each value carries a factor X; without it they are wrong
+    real = decoder._error_values
+
+    def mutated(field, lam, omega, x_logs):
+        log, antilog = field.log_antilog
+        return antilog.take((log.take(real(field, lam, omega, x_logs)) - x_logs) % (field.q - 1))
+
+    monkeypatch.setattr(decoder, "_error_values", mutated)
+    with pytest.raises(AssertionError):
+        test_power_sum_solve_matches_the_kernel()
+
+
+@pytest.mark.parametrize("q, j", [(8, 1), (16, 1), (16, 5), (32, 12)])
+def test_symplectic_decode_is_the_same_with_and_without_points(q, j):
+    # in the region and one weight past it, where the kernel runs in milliseconds
+    backend = RationalBackend(q)
+    checks, points = _rational_checks(q, j)
+    rng = np.random.default_rng(q + j)
+    t_cap = guarantee_cap(backend.n, backend.deg_g(j))
+    for weight in range(t_cap + 2):
+        for _ in range(6):
+            e = [0] * q
+            for i in map(int, rng.choice(backend.n, size=weight, replace=False)):
+                v = int(rng.integers(1, q * q))
+                e[i], e[backend.n + i] = v // q, v % q
+            problem = SyndromeProblem(checks, syndrome_of(backend.field, tuple(e), checks.rows), points)
+            ours = symplectic_decode(problem, backend.deg_g(j))
+            kernel = symplectic_decode(dataclasses.replace(problem, points=None), backend.deg_g(j))
+            assert (ours.decoder, kernel.decoder) == ("power-sums", "search")
+            assert dataclasses.replace(ours, decoder="search") == kernel
 
 
 # ---------------------------------------------------------------------------

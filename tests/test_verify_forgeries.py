@@ -142,3 +142,92 @@ def test_verify_catches_each_forgery(tmp_path, capsys, source, descended, edit, 
     got = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert got == {**_statuses(source, descended, flags), check: "fail"}
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# the decode certificate
+# ---------------------------------------------------------------------------
+# "unique-guaranteed" claims that the decoded vector is the one of least symplectic
+# weight with its syndrome, and that it lies in the guarantee region.  Each row hands
+# the decoder syndromes that no planted error in the region need explain, on both
+# solvers (the power sums with the points, the search without them), and checks every
+# certificate against the weight-capped oracle: a certificate exactly when the oracle
+# finds a vector in the region, and then the oracle's vector.
+
+DECODE_CODES = {"rational-q16-j0": (16, 0), "rational-q16-j1": (16, 1)}  # t_cap 2 (2 budget = rank) and 1
+
+
+def _planted_syndrome(backend, c_h, weight, lcg):
+    from agstab.cli import sample_symplectic_error
+    from agstab.decoder import syndrome_of
+
+    return syndrome_of(c_h.field, sample_symplectic_error(lcg, backend.n, backend.q, weight), c_h.rows)
+
+
+def _tampered_syndrome(backend, c_h, t_cap, lcg, rng):
+    """The syndrome of an error in the region, one entry changed."""
+    s = list(_planted_syndrome(backend, c_h, t_cap, lcg))
+    s[int(rng.integers(len(s)))] ^= int(rng.integers(1, backend.q))
+    return tuple(s)
+
+
+def _one_outside(backend, c_h, t_cap, lcg, rng):
+    """The syndrome of an error one weight past the region."""
+    return _planted_syndrome(backend, c_h, t_cap + 1, lcg)
+
+
+@pytest.mark.parametrize("solver", ["power-sums", "search"])
+@pytest.mark.parametrize("edit", [_tampered_syndrome, _one_outside], ids=["tampered-syndrome", "one-outside"])
+@pytest.mark.parametrize("source", DECODE_CODES)
+def test_decode_never_certifies_falsely(source, edit, solver):
+    from agstab.cli import Lcg64
+    from agstab.curves import RationalBackend, build_codes
+    from agstab.decoder import SyndromeProblem, brute_oracle, guarantee_cap, symplectic_decode
+
+    q, j = DECODE_CODES[source]
+    backend = RationalBackend(q)
+    c_h = build_codes(backend, j)[1]
+    points = tuple(backend.places[:, 0].tolist()) if solver == "power-sums" else None
+    deg_g = backend.deg_g(j)
+    t_cap = guarantee_cap(backend.n, deg_g)
+    rng, lcg = np.random.default_rng(11), Lcg64(11)
+    certified = 0
+    for _ in range(40):
+        problem = SyndromeProblem(c_h, edit(backend, c_h, t_cap, lcg, rng), points)
+        res = symplectic_decode(problem, deg_g)
+        assert res.decoder == solver
+        oracle = brute_oracle(problem, weight_cap=t_cap)
+        assert (res.status == "unique-guaranteed") == (oracle.status != "budget-exhausted")
+        if res.status == "unique-guaranteed":
+            certified += 1
+            assert (res.error, res.weight) == (oracle.error, oracle.weight)
+    assert certified < 40  # the edits do leave the region
+
+
+def _swap_two_points(points):
+    """Two columns' points exchanged.  (Not every permutation is a forgery: an affine
+    map x -> a x + b keeps the span of x^i, i < rank, and so states the same checks.)"""
+    p = list(points)
+    p[1], p[2] = p[2], p[1]
+    return tuple(p)
+
+
+def _repeat_a_point(points):
+    return (points[1],) + tuple(points[1:])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_swap_two_points, "the rows x^i, i < rank, at the points do not span the checks"),
+    (_repeat_a_point, "the points are not distinct"),
+    (lambda points: points[:-1], "15 points for 16 columns"),
+], ids=["points-permuted", "points-duplicated", "points-cut"])
+@pytest.mark.parametrize("j", [0, 1])
+def test_decode_refuses_forged_points(edit, message, j):
+    from agstab.curves import RationalBackend, build_codes
+    from agstab.decoder import SyndromeProblem, symplectic_decode
+
+    backend = RationalBackend(16)
+    c_h = build_codes(backend, j)[1]
+    problem = SyndromeProblem(c_h, (0,) * c_h.rank, edit(tuple(backend.places[:, 0].tolist())))
+    with pytest.raises(ValueError, match=message.replace("^", r"\^")):
+        symplectic_decode(problem, backend.deg_g(j))

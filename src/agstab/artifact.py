@@ -10,9 +10,11 @@ they carry the canonical generator matrix of the descended code plus a
 
 The two matrices are numpy arrays from file to file: ``CodeArtifact``
 holds them as writable (rows, 2n) arrays in the field's dtype, and every
-reduction of them works on a copy.  ``to_json`` lays each one out by a
-table gather of its entries' lines.  ``from_json`` has two paths: a text
-in ``to_json``'s exact layout has its matrix blocks parsed with numpy,
+reduction of them works on a copy.  ``to_json`` lays each one out, and
+the places, by a table gather of its entries' lines.  A curve artifact's
+C(H) is the first n - j rows of its C(G), so it is evaluated, written
+and read as that prefix.  ``from_json`` has two paths: a text in
+``to_json``'s exact layout has its matrix blocks parsed with numpy,
 which is proven exact by laying the result out again and comparing the
 bytes; any other text, a hand-edited file say, goes through json.loads,
 and so does every text shorter than _EXACT_MIN, where json.loads is the
@@ -24,12 +26,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
 from . import __version__, symplectic
-from .curves import certify, evaluation_matrix, make_backend, nested_codes
+from .curves import Certificate, CurveBackend, certify, evaluation_matrix, make_backend, nested_codes
 from .descent import DescentBasis, descend_code, self_dual_basis
 from .gf import GF2m
 from .symplectic import (
@@ -79,24 +82,26 @@ def _field_from_block(block: dict[str, int]) -> GF2m:
     return GF2m(block["degree"], block["modulus"])
 
 
-def _layout(value: Any, pad: str, out: Any, decimals: list[str]) -> None:
+def _layout(value: Any, pad: str, out: Any, decimals: list[str], memo: list) -> None:
     """Append to ``out`` the text of ``json.dumps(value, indent=2, sort_keys=True)``,
     laid out at indent ``pad``, with every numpy array laid out as its ``tolist()``.
 
     Keys (strings here) and scalars go through ``json.dumps``.  A list of
     field-element-sized ints is one join over ``decimals``, the table of
-    str(i) at index i, grown here as needed; a matrix of them is a table
-    gather (``_layout_matrix``).  The pieces are joined once, at the end, so
-    no nesting level copies the text below it.  ``out`` needs only an
-    ``append`` method.
+    str(i) at index i, grown here as needed; a matrix of them (an array or
+    a rectangular list) is a table gather (``_layout_matrix``).  The pieces
+    are joined once, at the end, so no nesting level copies the text below
+    it.  ``out`` needs ``append``, ``mark`` and ``repeat`` (``_Pieces``, ``_Compare``).
     """
     inner = pad + "  "
+    if (isinstance(value, list) and value and set(map(type, value)) == {list} and len(set(map(len, value))) == 1
+            and set(map(type, chain.from_iterable(value))) == {int} and _is_table(table := np.array(value))):
+        value = table
     if isinstance(value, np.ndarray):
-        if value.ndim == 2 and value.size and value.dtype.kind in "iu" and value.min() >= 0 and value.max() < 1 << 16:
-            _layout_matrix(value, pad, out)
-        else:
-            _layout(value.tolist(), pad, out, decimals)
-        return
+        if _is_table(value):
+            _layout_matrix(value, pad, out, memo)
+            return
+        value = value.tolist()
     if isinstance(value, dict):
         items = [(f"{json.dumps(k)}: ", v) for k, v in sorted(value.items())]
         opening, closing = "{", "}"
@@ -118,12 +123,17 @@ def _layout(value: Any, pad: str, out: Any, decimals: list[str]) -> None:
     sep = opening + "\n" + inner
     for key, v in items:
         out.append(sep + key)
-        _layout(v, inner, out, decimals)
+        _layout(v, inner, out, decimals, memo)
         sep = ",\n" + inner
     out.append(f"\n{pad}{closing}")
 
 
-def _layout_matrix(M: np.ndarray, pad: str, out: Any) -> None:
+def _is_table(M: np.ndarray) -> bool:
+    """Whether ``_layout_matrix`` lays out M: a non-empty 2-D array of integers in [0, 2^16)."""
+    return M.ndim == 2 and M.size > 0 and M.dtype.kind in "iu" and M.min() >= 0 and M.max() < 1 << 16
+
+
+def _layout_matrix(M: np.ndarray, pad: str, out: Any, memo: list) -> None:
     """Append the text of a non-empty 2-D array of integers in [0, 2^16) at indent
     ``pad``, as ``_layout`` writes ``M.tolist()``, by one table gather per block of rows.
 
@@ -133,16 +143,35 @@ def _layout_matrix(M: np.ndarray, pad: str, out: Any) -> None:
     the open of the next.  Each row is its entries' lines and those two;
     every line is gathered padded to the table's width and a mask of its
     true length drops the padding.  The very last row opens no other row.
+
+    ``memo`` keeps the indent, rows and ``out.mark()`` of the last matrix
+    gathered.  A matrix equal to its first r rows at that indent (C(H) to
+    C(G) on a curve) is its text cut after row r and closed: ``out.repeat``.
     """
     inner, indent = pad + "  ", pad + "    "
+    opening, reopen = f"[\n{inner}[\n", f",\n{inner}[\n"
+    if memo:
+        last_pad, last, first = memo[0]
+        if last_pad == pad and M.shape[1] == last.shape[1] and len(M) <= len(last) \
+                and np.array_equal(M, last[:len(M)]):
+            # each entry's digits (at most five) on a line; each row closed, and reopened but the last
+            rows, cols = M.shape
+            digits = M.size + sum(int(np.count_nonzero(M >= 10 ** k)) for k in range(1, 5))
+            row = cols * len(indent + ",\n") - len(",\n") + len(f"\n{inner}]") + len(reopen)
+            out.repeat(first, len(opening) + digits + rows * row - len(reopen))
+            out.append(f"\n{pad}]")
+            return
     size = int(M.max()) + 1
-    reopen = f",\n{inner}[\n"
-    lines = [f"{indent}{v}{tail}".encode() for tail in (",\n", "") for v in range(size)]
-    lines += [f"\n{inner}]".encode(), reopen.encode()]
-    width = max(map(len, lines))
-    table = np.frombuffer(b"".join(line.ljust(width) for line in lines), np.uint8).reshape(len(lines), width)
-    keep = np.arange(width) < np.array(list(map(len, lines)))[:, None]
-    out.append(f"[\n{inner}[\n")
+    lines = [f"{indent}{v},\n" for v in range(size)]
+    closing = [f"\n{inner}]", reopen]
+    width = len(lines[-1])  # the most digits, and longer than either closing line
+    padded = [line.ljust(width) for line in lines]
+    table = np.frombuffer("".join(padded + padded + [c.ljust(width) for c in closing]).encode(), np.uint8)
+    table = table.reshape(-1, width)
+    lengths = np.fromiter(map(len, lines), np.intp, size)
+    keep = np.arange(width) < np.concatenate([lengths, lengths - 2, list(map(len, closing))])[:, None]
+    memo[:] = [(pad, M, out.mark())]
+    out.append(opening)
     cols = M.shape[1]
     step = max(1, _BLOCK // ((cols + 2) * width))
     for r in range(0, len(M), step):
@@ -157,6 +186,22 @@ def _layout_matrix(M: np.ndarray, pad: str, out: Any) -> None:
             text = text[:-len(reopen)]
         out.append(text.tobytes().decode("ascii"))
     out.append(f"\n{pad}]")
+
+
+class _Pieces(list):
+    """``_layout``'s ``out`` for writing: the text as a list of pieces."""
+
+    def mark(self) -> int:
+        return len(self)
+
+    def repeat(self, first: int, length: int) -> None:
+        """Append the first ``length`` characters from piece ``first`` on, by reference but the last."""
+        for piece in self[first:]:
+            if len(piece) >= length:
+                self.append(piece[:length])
+                return
+            self.append(piece)
+            length -= len(piece)
 
 
 def _document(art: CodeArtifact) -> dict[str, Any]:
@@ -182,8 +227,8 @@ def _document(art: CodeArtifact) -> dict[str, Any]:
 
 def to_json(art: CodeArtifact) -> str:
     """The artifact file: indent 2, sorted keys and a final newline, stable byte for byte."""
-    out: list[str] = []
-    _layout(_document(art), "", out, [])
+    out = _Pieces()
+    _layout(_document(art), "", out, [], [])
     out.append("\n")
     return "".join(out)
 
@@ -251,10 +296,20 @@ def _matrix(matrices: dict, key: str, f: GF2m, width: int) -> np.ndarray:
 
 
 _MATRICES = '\n  "matrices": {\n    "c_g": '  # the text before the C(G) block in to_json's layout
-# the exact-layout reader has a fixed cost of about 0.3 ms: json.loads reads a shorter text faster
-_EXACT_MIN = 1 << 15
+_PLACES, _PROVENANCE = '\n  "places": ', ',\n  "provenance": '  # the text around the places block
+# the exact-layout reader has a fixed cost of about 0.4 ms: json.loads reads a text of less than
+# about 24 KB faster
+_EXACT_MIN = 1 << 14
 _DIGIT = np.zeros(256, dtype=np.uint32)
 _DIGIT[48:58] = np.arange(10)  # the value of each ASCII digit, 0 for every other byte
+
+
+def _same_spans(text: str, a: int, b: int, length: int) -> bool:
+    """Whether text[a:a + length] == text[b:b + length], compared in pieces of 64 KiB: a
+    descent's two blocks often have one length and differ early, so copy little of them."""
+    step = 1 << 16
+    return all(text[a + i:a + min(i + step, length)] == text[b + i:b + min(i + step, length)]
+               for i in range(0, length, step))
 
 
 class _Compare:
@@ -267,9 +322,17 @@ class _Compare:
         self.same = self.same and self.text.startswith(piece, self.pos)
         self.pos += len(piece)
 
+    def mark(self) -> int:
+        return self.pos
 
-def _parse_matrix(text: str, start: int, end: int) -> np.ndarray | None:
-    """The rows of the non-empty matrix block text[start:end], read as to_json lays it out, or None.
+    def repeat(self, first: int, length: int) -> None:  # text[first:] is matched already
+        self.same = self.same and _same_spans(self.text, first, self.pos, length)
+        self.pos += length
+
+
+def _parse_matrix(text: str, start: int, end: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of the non-empty matrix block text[start:end], read as to_json lays it out,
+    and the position in ``text`` where each row's "]" ends; or None.
 
     The block is read in pieces of at most _BLOCK bytes, each ending in a
     newline.  A line's last byte, before a comma if there is one, tells it
@@ -279,17 +342,17 @@ def _parse_matrix(text: str, start: int, end: int) -> np.ndarray | None:
     read here; that the lines hold nothing else is proven by laying the
     result out again (``_exact_document``).
     """
-    values, rows = [], 0
+    values, ends = [], []
     while start < end:
         stop = text.rfind("\n", start, start + _BLOCK) + 1 if end - start > _BLOCK else end
         if stop <= start:
             return None
         buf = np.frombuffer(text[start:stop].encode("ascii"), np.uint8)
-        start = stop
-        ends = np.flatnonzero(buf == 10)  # every line but the block's last, "    ]", ends in one
-        last = ends - 1 - (buf.take(ends - 1) == 44)
+        newlines = np.flatnonzero(buf == 10)  # every line but the block's last, "    ]", ends in one
+        last = newlines - 1 - (buf.take(newlines - 1) == 44)
         tail = buf.take(last)
-        rows += np.count_nonzero(tail == 93)
+        ends.append(last[tail == 93] + (start + 1))
+        start = stop
         last = last[(tail >= 48) & (tail <= 57)]
         value = np.zeros(len(last), dtype=np.uint32)
         for k in range(10):
@@ -300,22 +363,32 @@ def _parse_matrix(text: str, start: int, end: int) -> np.ndarray | None:
         else:  # ten digits: no field element, and past what uint32 holds
             return None
         values.append(value)
-    count = sum(map(len, values))
+    count, rows = sum(map(len, values)), sum(map(len, ends))
     if not rows or count % rows:
         return None
-    return np.concatenate(values).reshape(rows, count // rows)
+    return np.concatenate(values).reshape(rows, count // rows), np.concatenate(ends)
+
+
+def _prefix_rows(text: str, g_start: int, g_ends: np.ndarray, h_start: int, h_end: int) -> int:
+    """r when the block text[h_start:h_end], less its closing "\\n    ]", is the block at
+    ``g_start`` up to where its row r ends (``g_ends``, as ``_parse_matrix`` gives them); else 0."""
+    end = g_start + h_end - h_start - len("\n    ]")
+    r = int(np.searchsorted(g_ends, end))
+    return r + 1 if r < len(g_ends) and g_ends[r] == end and _same_spans(text, g_start, h_start, end - g_start) else 0
 
 
 def _exact_document(text: str) -> dict | None:
     """The document of ``text``, its matrices parsed as arrays, when ``text`` is
     exactly what ``to_json`` writes for that document; None otherwise.
 
-    Each matrix block is found by the lines around it and parsed with
-    numpy (``_parse_matrix``); the rest of the text, each block replaced by
-    [], goes through json.loads.  The document is then laid out again and
-    compared with ``text`` piece by piece.  Only an exact match returns it,
-    and then it is the document json.loads gives for the whole text; any
-    other text is left to json.loads.
+    Each block, C(G), C(H) and the places, is found by the lines around
+    it and parsed with numpy (``_parse_matrix``), but a C(H) whose text is
+    C(G)'s cut after row r is C(G)'s first r rows.  The rest of the text,
+    each block replaced by [], goes through json.loads.  The document is
+    then laid out again and compared with ``text`` piece by piece.  Only an
+    exact match returns it, and then it is the document json.loads gives
+    for the whole text, but for the arrays; any other text is left to
+    json.loads.
     """
     # C(G) ends before the key of C(H) and C(H) before the close of "matrices":
     # the first '"' and "}" past each block, bytes that no matrix line holds
@@ -323,20 +396,33 @@ def _exact_document(text: str) -> dict | None:
     g_end = text.find('"', g_start) - len(',\n    ')
     h_start = g_end + len(',\n    "c_h": ')
     h_end = text.find("}", h_start) - len("\n  ")
-    if g_start < len(_MATRICES) or g_end < g_start or h_end < h_start:
+    p_start = text.find(_PLACES, h_end) + len(_PLACES)
+    p_end = text.find(_PROVENANCE, p_start)
+    if g_start < len(_MATRICES) or g_end < g_start or h_end < h_start or p_start < len(_PLACES) or p_end < p_start:
         return None
-    spans = {"c_g": (g_start, g_end), "c_h": (h_start, h_end)}
+    # a block that is not a non-empty list ("[]" or null, say) is read by json.loads
+    spans = {key: (start, end) for key, start, end in (("c_g", g_start, g_end), ("c_h", h_start, h_end),
+                                                       ("places", p_start, p_end))
+             if end - start > 2 and text.startswith("[", start)}
+    rest, at = [], 0
+    for start, end in spans.values():
+        rest += text[at:start], "[]"
+        at = end
+    rest.append(text[at:])
     try:
-        doc = json.loads(text[:g_start] + "[]" + text[g_end:h_start] + "[]" + text[h_end:])
+        doc = json.loads("".join(rest))
         if not isinstance(doc, dict) or not isinstance(doc.get("matrices"), dict):
             return None
+        tables = {}  # key: (rows, where each row ends)
         for key, (start, end) in spans.items():
-            if end - start > 2:
-                doc["matrices"][key] = rows = _parse_matrix(text, start, end)
-                if rows is None:
-                    return None
+            g = tables.get("c_g")
+            r = key == "c_h" and g is not None and _prefix_rows(text, g_start, g[1], start, end)
+            tables[key] = (g[0][:r], None) if r else _parse_matrix(text, start, end)
+            if tables[key] is None:
+                return None
+            (doc if key == "places" else doc["matrices"])[key] = tables[key][0]
         compare = _Compare(text)
-        _layout(doc, "", compare, [])
+        _layout(doc, "", compare, [], [])
     except (ValueError, RecursionError):  # not JSON, not ASCII, or nested past json.loads
         return None
     compare.append("\n")
@@ -382,8 +468,11 @@ def from_json(text: str) -> CodeArtifact:
     k = _entry(params, "params", "k", int)
     deg_g, d_lower, d_exact = (_entry(params, "params", key, int, nullable=True)
                                for key in ("deg_g", "d_lower", "d_exact"))
+    table = doc.get("places")
+    if isinstance(table, np.ndarray):  # from _exact_document: rectangular non-negative integers
+        doc["places"] = table.tolist()
     places = _entry(doc, "", "places", list, nullable=True)
-    if places is not None:
+    if places is not None and not (isinstance(table, np.ndarray) and table.max(initial=0) < f.q):
         _element_rows(places, "places", f.q, None)
     matrices = _entry(doc, "", "matrices", dict)
     rows = {key: _matrix(matrices, key, f, 2 * n) for key in ("c_g", "c_h")}
@@ -420,6 +509,13 @@ def load(path: str) -> CodeArtifact:
 # Construction and descent
 # ---------------------------------------------------------------------------
 
+def _evaluations(backend: CurveBackend, j: int, cert: Certificate) -> tuple[np.ndarray, np.ndarray]:
+    """The fresh C(G) and C(H) rows at j: C(H) is the first rank_h rows of C(G) when
+    the L(H) table is a prefix of the L(G) one (``cert.contained``), and is evaluated otherwise."""
+    g_rows = evaluation_matrix(backend, j, "g")
+    return g_rows, g_rows[:cert.rank_h] if cert.contained else evaluation_matrix(backend, j, "h")
+
+
 def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifact:
     """The artifact of C(G) >= C(H) at j on a curve backend.
 
@@ -428,8 +524,8 @@ def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifac
     evaluations must keep.  AssertionError when they are not n + j and n - j.
     """
     backend = make_backend(kind, q, gamma)
-    g_rows, h_rows = (evaluation_matrix(backend, j, which) for which in "gh")
     cert = certify(backend, j)
+    g_rows, h_rows = _evaluations(backend, j, cert)
     if (len(g_rows), len(h_rows)) != (cert.rank_g, cert.rank_h):
         raise AssertionError(f"unexpected code dimensions {len(g_rows)}/{len(h_rows)} at j={j} on {backend!r}")
     return CodeArtifact(
@@ -538,8 +634,9 @@ def verify_artifact(
 
     if art.backend_kind is not None:
         backend = make_backend(art.backend_kind, art.q, art.gamma)
+        cert = certify(backend, art.j)
         same_places = art.places == backend.places.tolist()
-        g_rows, h_rows = (evaluation_matrix(backend, art.j, which) for which in "gh")
+        g_rows, h_rows = _evaluations(backend, art.j, cert)
         same_rows = np.array_equal(art.c_g_rows, g_rows) and np.array_equal(art.c_h_rows, h_rows)
         checks.append(
             _check(
@@ -548,7 +645,6 @@ def verify_artifact(
                 "stored places and generator rows match a fresh evaluation",
             )
         )
-        cert = certify(backend, art.j)
     else:
         backend = None
         checks.append(_skip("matrices-recompute", "descended artifact carries no places"))

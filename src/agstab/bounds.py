@@ -175,8 +175,10 @@ def write_csv(columns: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]], pat
     with open(path, "w", newline="") as fh:
         fh.write("delta,rate,raw_rate,m,curve\r\n")
         for name, (delta, raw, m) in columns.items():
-            row = "{:.12g},{:.12g},{:.12g},{}," + name + "\r\n"
+            row = "{:.12g},{},{},{}," + name + "\r\n"
             for start in range(0, len(delta), _BLOCK):
                 d, r, k = (column[start:start + _BLOCK] for column in (delta, raw, m))
-                rate = np.where(r > 0, r, 0.0)  # max(0.0, r), -0.0 and nan included
-                fh.write("".join(map(row.format, d.tolist(), rate.tolist(), r.tolist(), k.tolist())))
+                texts = list(map("{:.12g}".format, r.tolist()))
+                # rate = max(0.0, raw), -0.0 and nan included: raw's text where raw > 0, else that of 0.0
+                rates = [text if positive else "0" for text, positive in zip(texts, (r > 0).tolist())]
+                fh.write("".join(map(row.format, d.tolist(), rates, texts, k.tolist())))

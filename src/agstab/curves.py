@@ -34,7 +34,8 @@ minimum relative weight at least n - floor(deg G / 2).
 The spaces are nested, L(H) <= L(G), and so are their bases: in pole
 order the monomials of L(H) are the first n - j monomials of L(G) (pole
 orders at P_inf are distinct, and L(H) keeps those up to deg H).  So the
-L(H) evaluation matrix is the first n - j rows of the L(G) one.
+L(H) evaluation matrix is the first n - j rows of the L(G) one, and
+``construct`` and ``verify`` take it so (``Certificate.contained``).
 
 The claims about the fresh codes are decided in two ways.  ``certify``
 reads them off the exponent tables and the places, with no matrix

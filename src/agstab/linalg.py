@@ -60,13 +60,14 @@ def _as_array(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> np.ndar
     """The rows as a field-element array; ValueError on ragged, out-of-range or non-integer input.
 
     Shape and range are checked on one array; only a failing input is
-    scanned row by row, to name the offending row and value.
+    scanned row by row, to name the offending row and value.  An array
+    already in the field's dtype and shape is returned as it is, not copied.
     """
     dtype = field.log_antilog[1].dtype
     if not len(rows):
         return np.zeros((0, width), dtype=dtype)
     try:
-        A = np.array(rows)
+        A = np.asarray(rows)
     except ValueError:  # ragged
         A = None
     # one reduction checks the range: the OR of the entries lies in [0, q = 2^r) exactly
@@ -230,6 +231,7 @@ def extend(field: GF2m, basis: np.ndarray, pivots: Sequence[int],
     as wide as the basis, or entries outside [0, q).
     """
     V = _as_array(field, rows, basis.shape[1])
+    V = V.copy() if V is rows else V  # reduced in place below
     if len(pivots):
         _reduce(field, V, basis, pivots)
     new, new_pivots = _rref_array(field, V)
@@ -289,6 +291,7 @@ def row_in_span(field: GF2m, basis: np.ndarray, pivots: Sequence[int], rows: Seq
         V = _as_array(field, rows, basis.shape[1])
     except ValueError as exc:
         raise ValueError(f"query {exc}") from None
+    V = V.copy() if V is rows else V  # reduced in place below
     _reduce(field, V, basis, pivots)
     return ~V.any(axis=1)
 

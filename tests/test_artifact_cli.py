@@ -45,10 +45,13 @@ def test_to_json_layout():
 @pytest.mark.parametrize("value", [
     [], {}, [[]], [{}], {"a": []}, [0], [[0, 1], []], (1, 2), [True, 0], [None, 1], [-1, 0, 3],
     [1 << 16, 0], [2 ** 70], [1.5, 2], ["x", "\u00e9"], {"b": {"a": [[3, 4]]}, "a": None}, 7, None, "s",
+    [[1, 2], [3, 4]], [[1 << 16, 1]], [[2 ** 64, 1]], [[-1, 2 ** 63]], [[2 ** 63, 1]], [[True, 1]], [[1, 2.0]],
+    [[], []], [[0], [1, 2]], [[[0]]], {"p": [[5, 0]], "q": [[5]]},
+    {"a": [[5, 10], [1, 2]], "b": [[5, 10]], "c": [[1, 2]]}, [[[5, 10], [1, 2]], [[5, 10]], [[5, 10], [1, 2]]],
 ])
 def test_layout_matches_the_encoder(value):
-    out = []
-    artifact_mod._layout(value, "", out, [])
+    out = artifact_mod._Pieces()
+    artifact_mod._layout(value, "", out, [], [])
     assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
 
 
@@ -59,8 +62,8 @@ def test_layout_of_an_array_matches_the_encoder(monkeypatch, rows, block):
     # a small block puts each row in a gather of its own
     monkeypatch.setattr(artifact_mod, "_BLOCK", block)
     value = {"m": {"a": np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 0)}}
-    out = []
-    artifact_mod._layout(value, "", out, [])
+    out = artifact_mod._Pieces()
+    artifact_mod._layout(value, "", out, [], [])
     assert "".join(out) == json.dumps({"m": {"a": rows}}, indent=2, sort_keys=True)
 
 
@@ -262,11 +265,14 @@ def test_each_riemann_roch_matrix_is_evaluated_once(monkeypatch):
 
     for owner in (curves, artifact_mod):
         monkeypatch.setattr(owner, "evaluation_matrix", counting)
-    art = artifact_mod.construct_artifact("rational", 16, 2)
-    assert sorted(calls) == ["g", "h"]
-    calls.clear()
-    assert artifact_mod.verify_artifact(art)["ok"]
-    assert sorted(calls) == ["g", "h"]
+    # the L(H) rows are the first n - j rows of the L(G) ones: L(H) is never evaluated
+    for kind, q, j in (("rational", 16, 2), ("hermitian", 4, 1), ("hermitian", 4, 3)):
+        calls.clear()
+        art = artifact_mod.construct_artifact(kind, q, j)
+        assert calls == ["g"]
+        calls.clear()
+        assert artifact_mod.verify_artifact(art)["ok"]
+        assert calls == ["g"]
 
 
 def test_verify_budget_reduces_each_dual_once(monkeypatch):
@@ -671,7 +677,7 @@ def test_cli_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
     real = curves.evaluation_matrix
     monkeypatch.setattr(artifact_mod, "evaluation_matrix", lambda *args: real(*args)[1:])
     assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", art]) == 2
-    assert capsys.readouterr().err == ("error: internal error: unexpected code dimensions 8/6 "
+    assert capsys.readouterr().err == ("error: internal error: unexpected code dimensions 8/7 "
                                        "at j=1 on RationalBackend(q=16)\n")
 
 

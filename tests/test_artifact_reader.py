@@ -32,6 +32,10 @@ CODES = [("rational", q, 1) for q in (4, 8, 16, 32, 64, 128, 256, 512)] + [
 def _text(code: tuple) -> str:
     if code[0] == "descended":
         return artifact_mod.to_json(artifact_mod.descend_artifact(artifact_mod.construct_artifact(*code[1:])))
+    if code[0] == "cut":  # the first rows of each matrix: a file of any size between two codes'
+        art = artifact_mod.construct_artifact(*code[1:-1])
+        art.c_g_rows, art.c_h_rows = art.c_g_rows[:code[-1]], art.c_h_rows[:code[-1] - 1]
+        return artifact_mod.to_json(art)
     return artifact_mod.to_json(artifact_mod.construct_artifact(*code))
 
 
@@ -148,13 +152,14 @@ def test_files_to_json_writes_skip_json_loads_for_the_matrices(monkeypatch, code
     assert all(a.flags.writeable for a in (art.c_g_rows, art.c_h_rows))
 
 
-@pytest.mark.parametrize("code", [("rational", 32, 1), ("hermitian", 4, 5)], ids=str)
+@pytest.mark.parametrize("code", [("rational", 32, 1), ("cut", "rational", 64, 1, 12), ("hermitian", 4, 5)], ids=str)
 @pytest.mark.parametrize("edit", ["none", "equal-to-q", "truncated"])
 def test_short_texts_skip_the_exact_layout_reader(code, edit):
     """A text shorter than _EXACT_MIN goes straight to json.loads, a longer one to the exact-layout
     reader first; either way from_json gives what both readers give, artifact or message."""
     text = _text(code)
-    assert (len(text) < artifact_mod._EXACT_MIN) == (code == ("rational", 32, 1))
+    # 13.6, 19.6 and 44 KB: the constant lies between the first two, below where the readers cross over
+    assert len(_text(("rational", 32, 1))) < artifact_mod._EXACT_MIN <= len(_text(("cut", "rational", 64, 1, 12)))
     if edit == "equal-to-q":
         start, end = _entries(code)[7]
         text = text[:start] + re.search(r'"size": (\d+)', text)[1] + text[end:]
@@ -167,3 +172,129 @@ def test_short_texts_skip_the_exact_layout_reader(code, edit):
     assert bool(calls) == (len(text) >= artifact_mod._EXACT_MIN)
     assert outcome == _outcome(text, fast=True) == _outcome(text, fast=False)
     assert (outcome[0] == "artifact") == (edit == "none")
+
+
+# every curve artifact's C(H) is the first n - j rows of its C(G), and its places one table;
+# a descent's C(H) is no prefix of its C(G), and it has no places
+NESTED = [("rational", q, j, 1) for q in (4, 8, 16, 32, 64) for j in sorted({0, 1, q // 4, q // 2})] + [
+    ("hermitian", 2, j, 1) for j in (0, 1, 2)] + [
+    ("hermitian", 4, j, gamma) for gamma in (1, 3) for j in (0, 1, 5, 12, 24)]
+
+
+@lru_cache(maxsize=None)
+def _nested_artifacts():
+    arts = [artifact_mod.construct_artifact(*code) for code in NESTED]
+    return arts + [artifact_mod.descend_artifact(art) for art in arts]
+
+
+def _list_document(art) -> str:
+    return json.dumps(artifact_mod._document(art), indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+
+
+def _check_layouts(arts):
+    for art in arts:
+        assert artifact_mod.to_json(art) == _list_document(art)
+
+
+def test_nested_codes_are_laid_out_and_read_exactly():
+    arts = _nested_artifacts()
+    _check_layouts(arts)
+    for art in arts:
+        text = _list_document(art)
+        doc = artifact_mod._exact_document(text)
+        assert doc is not None
+        if art.places is not None:
+            doc["places"] = doc["places"].tolist()
+        doc["matrices"] = {key: rows.tolist() if isinstance(rows, np.ndarray) else rows
+                           for key, rows in doc["matrices"].items()}
+        assert doc == json.loads(text)
+
+
+def test_mutation_reusing_a_prefix_unchecked_fails_the_layouts(monkeypatch):
+    # a writer that took any shorter matrix of the same width for a prefix of the one before
+    arts = _nested_artifacts()
+    monkeypatch.setattr(np, "array_equal", lambda a, b: True)
+    with pytest.raises(AssertionError):
+        _check_layouts(arts)
+
+
+def _spans(text):
+    """The (start, end) of the C(G), C(H) and places blocks of a to_json text."""
+    return {key: (start + len(prefix), text.index(suffix, start + len(prefix)))
+            for key, prefix, suffix in (("c_g", '"c_g": ', ',\n    "c_h"'), ("c_h", '"c_h": ', "\n  },"),
+                                        ("places", '"places": ', ',\n  "provenance"'))
+            for start in [text.index(prefix)]}
+
+
+def _parsed_blocks(monkeypatch, text):
+    """The blocks from_json's exact-layout reader hands to _parse_matrix, by name."""
+    calls = []
+    real = artifact_mod._parse_matrix
+    monkeypatch.setattr(artifact_mod, "_parse_matrix", lambda t, *span: calls.append(span) or real(t, *span))
+    monkeypatch.setattr(artifact_mod, "_EXACT_MIN", 0)
+    with contextlib.suppress(ValueError):
+        artifact_mod.from_json(text)
+    monkeypatch.undo()
+    names = {span: key for key, span in _spans(text).items()}
+    return sorted(names[span] for span in calls)
+
+
+@pytest.mark.parametrize("code", [("rational", 64, 3, 1), ("hermitian", 4, 5, 3), ("rational", 8, 4, 1)], ids=str)
+def test_an_honest_file_parses_places_and_c_g_only(monkeypatch, code):
+    text = artifact_mod.to_json(artifact_mod.construct_artifact(*code))
+    assert _parsed_blocks(monkeypatch, text) == ["c_g", "places"]
+
+
+def _with_block(text, key, value):
+    """``text`` with the block of ``key`` replaced by ``value``, laid out at that block's indent."""
+    start, end = _spans(text)[key]
+    return text[:start] + json.dumps(value, indent=2).replace("\n", "\n  " if key == "places" else "\n    ") + text[end:]
+
+
+def _c_h_entry(doc, q, row):
+    rows = doc["matrices"]["c_h"]
+    rows[row][1] = (rows[row][1] + 1) % q if rows[row][1] + 1 < q else rows[row][1] - 1
+    return rows
+
+
+C_H_EDITS = {
+    "one-entry": lambda doc, q: _c_h_entry(doc, q, 0),
+    "last-row": lambda doc, q: _c_h_entry(doc, q, -1),
+    "one-row-too-many": lambda doc, q: doc["matrices"]["c_h"] + doc["matrices"]["c_h"][-1:],
+    # the text of C(G) up to part of a row: no row boundary of C(G) there
+    "inside-a-row": lambda doc, q: doc["matrices"]["c_h"] + [doc["matrices"]["c_g"][len(doc["matrices"]["c_h"])][:3]],
+}
+PLACES_EDITS = {
+    "ragged": lambda places, q: places[:1] + [places[1] + [0]] + places[2:],
+    "out-of-range": lambda places, q: places[:2] + [[q] * len(places[2])] + places[3:],
+    "null": lambda places, q: None,
+    "empty-rows": lambda places, q: [[] for _ in places],
+}
+
+
+@pytest.mark.parametrize("code", [("rational", 64, 3, 1), ("hermitian", 4, 5, 3)], ids=str)
+@pytest.mark.parametrize("edit", sorted(C_H_EDITS) + sorted(PLACES_EDITS))
+def test_edits_off_the_prefix_take_the_full_parse(monkeypatch, code, edit):
+    art = artifact_mod.construct_artifact(*code)
+    text = artifact_mod.to_json(art)
+    doc, q = json.loads(text), art.field.q
+    if edit in C_H_EDITS:
+        text = _with_block(text, "c_h", C_H_EDITS[edit](doc, q))
+    else:
+        text = _with_block(text, "places", PLACES_EDITS[edit](doc["places"], q))
+    assert text != artifact_mod.to_json(art)
+    outcome = _outcome(text, fast=True)
+    assert outcome == _outcome(text, fast=False)
+    # from_json checks the structure only: the ragged places are left to verify
+    assert (outcome[0] == "artifact") == (edit not in ("inside-a-row", "out-of-range"))
+    # C(H) parsed in full (the ragged one ends the exact-layout reader there); null places are not parsed
+    parsed = ["c_g", "c_h"] if edit == "inside-a-row" else ["c_g", "c_h", "places"] if edit in C_H_EDITS \
+        else ["c_g"] if edit == "null" else ["c_g", "places"]
+    assert _parsed_blocks(monkeypatch, text) == parsed
+
+
+def test_mutation_taking_a_prefix_unchecked_fails_the_edits(monkeypatch):
+    # a reader that took a C(H) block for C(G)'s prefix on its length alone
+    monkeypatch.setattr(artifact_mod, "_same_spans", lambda *args: True)
+    with pytest.raises(AssertionError):
+        test_edits_off_the_prefix_take_the_full_parse(monkeypatch, ("rational", 64, 3, 1), "one-entry")

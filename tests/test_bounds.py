@@ -150,6 +150,30 @@ def test_csv_format(tmp_path):
         assert float(rate) == max(0.0, float(raw))   # clamp only for output
 
 
+def _reference_csv(columns) -> bytes:
+    """The CSV row by row, every float through "{:.12g}" and rate as max(0.0, raw)."""
+    lines = ["delta,rate,raw_rate,m,curve"]
+    for name, (delta, raw, m) in columns.items():
+        for d, r, k in zip(delta.tolist(), raw.tolist(), m.tolist()):
+            lines.append(f"{d:.12g},{r if r > 0 else 0.0:.12g},{r:.12g},{k},{name}")
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+@pytest.mark.parametrize("curves", [("r1", "alt"), ("alt",)])
+def test_csv_rows_match_the_row_format(tmp_path, curves):
+    path = tmp_path / "curves.csv"
+    columns = emit_curves(0.0001, 0.3, 0.0007, curves)
+    assert any((raw < 0).any() for _, raw, _ in columns.values())
+    write_csv(columns, str(path))
+    assert path.read_bytes() == _reference_csv(columns)
+    # raw rates of every sign and kind: -0.0 and nan give rate 0, as max(0.0, raw) does
+    raw = np.array([-0.0, 0.0, np.nan, -np.nan, -1e-300, 5e-324, 1 / 3, -2.5, np.inf, -np.inf, 1e21, 0.1 + 0.2])
+    delta = np.linspace(0.001, 0.5, len(raw))
+    columns = {"r1": (delta, raw, np.arange(len(raw)))}
+    write_csv(columns, str(path))
+    assert path.read_bytes() == _reference_csv(columns)
+
+
 def test_emit_and_write_csv_peak_memory(tmp_path):
     # columns, and text formatted a block at a time, keep the traced peak within twice
     # the size of the CSV; one object per row would take about four times its size

@@ -110,6 +110,13 @@ def test_rref_leaves_input_alone():
     snapshot = [list(r) for r in rows]
     linalg.rref(f, rows, 3)
     assert rows == snapshot
+    # an array in the field's dtype reaches the elimination uncopied by _as_array
+    for f, rows in ((f, rows), (field(1), [[1, 1, 0], [0, 1, 1]])):
+        A = np.array(rows, dtype=f.log_antilog[1].dtype)
+        R, pivots = linalg.rref(f, A[:1], 3)
+        linalg.rref(f, A, 3)
+        linalg.row_in_span(f, R, pivots, A)
+        assert A.tolist() == rows
 
 
 @FUZZ

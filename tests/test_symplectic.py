@@ -111,6 +111,33 @@ def test_form_length_checks():
         syndrome_of(field(1), (1, 0, 0), [(1, 0, 0)])
 
 
+def test_syndrome_of_typed_and_untyped_rows():
+    # a check matrix already in the field's dtype is read as it is; any other form is
+    # converted first, and every form gives the same syndrome or the same ValueError
+    f = field(2)
+    rng = np.random.default_rng(8)
+    B = rng.integers(0, f.q, (5, 8)).astype(f.log_antilog[1].dtype)
+    B.setflags(write=False)
+    assert linalg._as_array(f, B, 8) is B
+    v = tuple(int(x) for x in rng.integers(0, f.q, 8))
+    expected = tuple(
+        np.bitwise_xor.reduce([f.mul(v[i], int(b[(i + 4) % 8])) for i in range(8)]).item() for b in B)
+    for rows in (B, B.astype(np.int64), B.tolist(), [tuple(r) for r in B.tolist()], list(B)):
+        assert syndrome_of(f, v, rows) == expected
+    bad = B.copy()
+    bad[3, 6] = 4
+    for rows in (bad, bad.astype(np.int64), bad.tolist()):
+        with pytest.raises(ValueError, match=r"^dual row 3: 4 is not an element of GF\(2\^2\): "
+                                             r"expected an integer in \[0, 4\)$"):
+            syndrome_of(f, v, rows)
+    with pytest.raises(ValueError, match=r"^dual row 0: -1 is not an element"):
+        syndrome_of(f, v, [[-1] + [0] * 7])
+    with pytest.raises(ValueError, match=r"^dual row 2 has length 7, expected 8$"):
+        syndrome_of(f, v, B.tolist()[:2] + [B.tolist()[2][:7]])
+    with pytest.raises(ValueError, match=r"^dual the rows do not form a 5 x 8 integer matrix$"):
+        syndrome_of(f, v, B.astype(np.float64))
+
+
 def test_weight_examples():
     assert symplectic_weight((0, 0, 0, 0, 0, 0)) == 0
     assert symplectic_weight((1, 0, 0, 0, 1, 0)) == 2

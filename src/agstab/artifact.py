@@ -8,17 +8,19 @@ exact integers.  Artifacts produced by subfield descent have no places;
 they carry the canonical generator matrix of the descended code plus a
 "descended_from" provenance block instead.
 
-The two matrices are numpy arrays from file to file: ``CodeArtifact``
-holds them as writable (rows, 2n) arrays in the field's dtype, and every
-reduction of them works on a copy.  ``to_json`` lays each one out, and
-the places, by a table gather of its entries' lines.  A curve artifact's
-C(H) is the first n - j rows of its C(G), so it is evaluated, written
-and read as that prefix.  ``from_json`` has two paths: a text in
-``to_json``'s exact layout has its matrix blocks parsed with numpy,
-which is proven exact by laying the result out again and comparing the
-bytes; any other text, a hand-edited file say, goes through json.loads,
-and so does every text shorter than _EXACT_MIN, where json.loads is the
-faster of the two.  Both give the same artifact, or the same error message.
+The file is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.  Its
+three tables, C(G), C(H) and the places, are numpy arrays from file to
+file (``CodeArtifact`` holds the matrices as writable (rows, 2n) arrays
+in the field's dtype).  ``to_json`` dumps the document with each table
+slot emptied to [], the skeleton, and splices in each table's text, laid
+out by a table gather; a curve artifact's C(H) is the first n - j rows of
+its C(G), so it is evaluated, written and read as that prefix.
+``from_json`` reads a text in that layout by the same slots, the tables
+with numpy and the skeleton with json.loads, and keeps the result only
+when the skeleton is what json.dumps writes for it and each table lays
+out to exactly its block.  Any other text, and any text shorter than
+_EXACT_MIN, goes through json.loads.  Both give the same artifact, or
+the same error message.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .symplectic import (
 )
 
 SCHEMA_VERSION = 1
-_BLOCK = 1 << 18  # bytes of matrix text written or read at once
+_BLOCK = 1 << 18  # bytes of table text written or read at once
 
 
 @dataclass(eq=False)  # no field-wise ==: an array comparison has no single truth value
@@ -82,60 +84,21 @@ def _field_from_block(block: dict[str, int]) -> GF2m:
     return GF2m(block["degree"], block["modulus"])
 
 
-def _layout(value: Any, pad: str, out: Any, decimals: list[str], memo: list) -> None:
-    """Append to ``out`` the text of ``json.dumps(value, indent=2, sort_keys=True)``,
-    laid out at indent ``pad``, with every numpy array laid out as its ``tolist()``.
-
-    Keys (strings here) and scalars go through ``json.dumps``.  A list of
-    field-element-sized ints is one join over ``decimals``, the table of
-    str(i) at index i, grown here as needed; a matrix of them (an array or
-    a rectangular list) is a table gather (``_layout_matrix``).  The pieces
-    are joined once, at the end, so no nesting level copies the text below
-    it.  ``out`` needs ``append``, ``mark`` and ``repeat`` (``_Pieces``, ``_Compare``).
-    """
-    inner = pad + "  "
+def _table(value: Any) -> np.ndarray | None:
+    """``value`` as an array that ``_layout_matrix`` lays out, or None: a non-empty 2-D
+    array, or a rectangular list of ints (not bools), with entries in [0, 2^16)."""
     if (isinstance(value, list) and value and set(map(type, value)) == {list} and len(set(map(len, value))) == 1
-            and set(map(type, chain.from_iterable(value))) == {int} and _is_table(table := np.array(value))):
-        value = table
-    if isinstance(value, np.ndarray):
-        if _is_table(value):
-            _layout_matrix(value, pad, out, memo)
-            return
-        value = value.tolist()
-    if isinstance(value, dict):
-        items = [(f"{json.dumps(k)}: ", v) for k, v in sorted(value.items())]
-        opening, closing = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {int} and min(value) >= 0 and (top := max(value)) < 1 << 16:
-            if top >= len(decimals):
-                decimals.extend(map(str, range(len(decimals), top + 1)))
-            sep = ",\n" + inner
-            out.append(f"[\n{inner}{sep.join(map(decimals.__getitem__, value))}\n{pad}]")
-            return
-        items = [("", v) for v in value]
-        opening, closing = "[", "]"
-    else:
-        out.append(json.dumps(value))
-        return
-    if not items:
-        out.append(opening + closing)
-        return
-    sep = opening + "\n" + inner
-    for key, v in items:
-        out.append(sep + key)
-        _layout(v, inner, out, decimals, memo)
-        sep = ",\n" + inner
-    out.append(f"\n{pad}{closing}")
+            and set(map(type, chain.from_iterable(value))) == {int}):
+        value = np.array(value)
+    if (isinstance(value, np.ndarray) and value.ndim == 2 and value.size > 0 and value.dtype.kind in "iu"
+            and value.min() >= 0 and value.max() < 1 << 16):
+        return value
+    return None
 
 
-def _is_table(M: np.ndarray) -> bool:
-    """Whether ``_layout_matrix`` lays out M: a non-empty 2-D array of integers in [0, 2^16)."""
-    return M.ndim == 2 and M.size > 0 and M.dtype.kind in "iu" and M.min() >= 0 and M.max() < 1 << 16
-
-
-def _layout_matrix(M: np.ndarray, pad: str, out: Any, memo: list) -> None:
-    """Append the text of a non-empty 2-D array of integers in [0, 2^16) at indent
-    ``pad``, as ``_layout`` writes ``M.tolist()``, by one table gather per block of rows.
+def _layout_matrix(M: np.ndarray, pad: str) -> Iterator[str]:
+    """The text of ``M.tolist()`` as json.dumps lays it out at indent ``pad``, in pieces:
+    one table gather per block of rows, for M as ``_table`` gives it.
 
     The byte table holds, for each value v < size, v on its own line
     followed by the ",\n" of an entry inside a row (line v) or by nothing
@@ -143,24 +106,9 @@ def _layout_matrix(M: np.ndarray, pad: str, out: Any, memo: list) -> None:
     the open of the next.  Each row is its entries' lines and those two;
     every line is gathered padded to the table's width and a mask of its
     true length drops the padding.  The very last row opens no other row.
-
-    ``memo`` keeps the indent, rows and ``out.mark()`` of the last matrix
-    gathered.  A matrix equal to its first r rows at that indent (C(H) to
-    C(G) on a curve) is its text cut after row r and closed: ``out.repeat``.
     """
     inner, indent = pad + "  ", pad + "    "
-    opening, reopen = f"[\n{inner}[\n", f",\n{inner}[\n"
-    if memo:
-        last_pad, last, first = memo[0]
-        if last_pad == pad and M.shape[1] == last.shape[1] and len(M) <= len(last) \
-                and np.array_equal(M, last[:len(M)]):
-            # each entry's digits (at most five) on a line; each row closed, and reopened but the last
-            rows, cols = M.shape
-            digits = M.size + sum(int(np.count_nonzero(M >= 10 ** k)) for k in range(1, 5))
-            row = cols * len(indent + ",\n") - len(",\n") + len(f"\n{inner}]") + len(reopen)
-            out.repeat(first, len(opening) + digits + rows * row - len(reopen))
-            out.append(f"\n{pad}]")
-            return
+    reopen = f",\n{inner}[\n"
     size = int(M.max()) + 1
     lines = [f"{indent}{v},\n" for v in range(size)]
     closing = [f"\n{inner}]", reopen]
@@ -170,8 +118,7 @@ def _layout_matrix(M: np.ndarray, pad: str, out: Any, memo: list) -> None:
     table = table.reshape(-1, width)
     lengths = np.fromiter(map(len, lines), np.intp, size)
     keep = np.arange(width) < np.concatenate([lengths, lengths - 2, list(map(len, closing))])[:, None]
-    memo[:] = [(pad, M, out.mark())]
-    out.append(opening)
+    yield f"[\n{inner}[\n"
     cols = M.shape[1]
     step = max(1, _BLOCK // ((cols + 2) * width))
     for r in range(0, len(M), step):
@@ -184,24 +131,18 @@ def _layout_matrix(M: np.ndarray, pad: str, out: Any, memo: list) -> None:
         text = table.take(codes, axis=0)[keep.take(codes, axis=0)]
         if r + step >= len(M):
             text = text[:-len(reopen)]
-        out.append(text.tobytes().decode("ascii"))
-    out.append(f"\n{pad}]")
+        yield text.tobytes().decode("ascii")
+    yield f"\n{pad}]"
 
 
-class _Pieces(list):
-    """``_layout``'s ``out`` for writing: the text as a list of pieces."""
-
-    def mark(self) -> int:
-        return len(self)
-
-    def repeat(self, first: int, length: int) -> None:
-        """Append the first ``length`` characters from piece ``first`` on, by reference but the last."""
-        for piece in self[first:]:
-            if len(piece) >= length:
-                self.append(piece[:length])
-                return
-            self.append(piece)
-            length -= len(piece)
+def _rows_length(M: np.ndarray, pad: str) -> int:
+    """The length of ``_layout_matrix(M, pad)``'s text up to the "]" that closes M's last row:
+    each entry's digits (at most five) on a line; each row closed, and reopened but the last."""
+    inner, reopen = pad + "  ", f",\n{pad}  [\n"
+    rows, cols = M.shape
+    digits = M.size + sum(int(np.count_nonzero(M >= 10 ** k)) for k in range(1, 5))
+    row = cols * len(pad + "    ,\n") - len(",\n") + len(f"\n{inner}]") + len(reopen)
+    return len(f"[\n{inner}[\n") + digits + rows * row - len(reopen)
 
 
 def _document(art: CodeArtifact) -> dict[str, Any]:
@@ -225,11 +166,58 @@ def _document(art: CodeArtifact) -> dict[str, Any]:
     }
 
 
+# the three table slots, in the file's order: the key, the text just before its block and the
+# block's indent.  In a canonical skeleton C(G)'s is the first key of "matrices", and "places" is
+# a top-level key; C(H)'s is the next "c_h" at that depth, which is "matrices"' when it has one.
+_SLOTS = (("c_g", '\n  "matrices": {\n    "c_g": ', "    "), ("c_h", ',\n    "c_h": ', "    "),
+          ("places", '\n  "places": ', "  "))
+
+
+def _parent(doc: dict, key: str) -> dict:
+    return doc if key == "places" else doc["matrices"]
+
+
 def to_json(art: CodeArtifact) -> str:
-    """The artifact file: indent 2, sorted keys and a final newline, stable byte for byte."""
-    out = _Pieces()
-    _layout(_document(art), "", out, [], [])
-    out.append("\n")
+    """The artifact file: ``json.dumps(_document(art), indent=2, sort_keys=True) + "\\n"``, with
+    the arrays as lists, and so stable byte for byte.
+
+    The document is dumped with each table slot that holds a table
+    (``_table``) emptied to [] (the skeleton), and each table's text is
+    spliced in at its slot.  A C(H) equal to the first r rows of C(G) is
+    C(G)'s text cut after row r and closed, its pieces taken by reference.
+    """
+    doc = _document(art)
+    tables = {}
+    for key, _, _ in _SLOTS:
+        parent = _parent(doc, key)
+        tables[key] = _table(parent[key])
+        if tables[key] is not None:
+            parent[key] = []
+        elif isinstance(parent[key], np.ndarray):
+            parent[key] = parent[key].tolist()
+    skeleton = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out, at, g_pieces = [], 0, []
+    for key, before, pad in _SLOTS:
+        M = tables[key]
+        if M is None:
+            continue
+        start = skeleton.index(before + "[]", at) + len(before)
+        out.append(skeleton[at:start])
+        at = start + len("[]")
+        if key == "c_h" and g_pieces and np.array_equal(M, tables["c_g"][:len(M)]):
+            length = _rows_length(M, pad)
+            for piece in g_pieces:
+                out.append(piece[:length])  # the whole piece, not a copy, but for the last
+                length -= len(piece)
+                if length <= 0:
+                    break
+            out.append(f"\n{pad}]")
+            continue
+        pieces = list(_layout_matrix(M, pad))
+        out += pieces
+        if key == "c_g":
+            g_pieces = pieces
+    out.append(skeleton[at:])
     return "".join(out)
 
 
@@ -295,8 +283,6 @@ def _matrix(matrices: dict, key: str, f: GF2m, width: int) -> np.ndarray:
     return np.array(rows, dtype=f.log_antilog[1].dtype).reshape(len(rows), width)
 
 
-_MATRICES = '\n  "matrices": {\n    "c_g": '  # the text before the C(G) block in to_json's layout
-_PLACES, _PROVENANCE = '\n  "places": ', ',\n  "provenance": '  # the text around the places block
 # the exact-layout reader has a fixed cost of about 0.4 ms: json.loads reads a text of less than
 # about 24 KB faster
 _EXACT_MIN = 1 << 14
@@ -310,24 +296,6 @@ def _same_spans(text: str, a: int, b: int, length: int) -> bool:
     step = 1 << 16
     return all(text[a + i:a + min(i + step, length)] == text[b + i:b + min(i + step, length)]
                for i in range(0, length, step))
-
-
-class _Compare:
-    """An ``out`` for ``_layout`` that matches each piece against ``text`` instead of keeping it."""
-
-    def __init__(self, text: str) -> None:
-        self.text, self.pos, self.same = text, 0, True
-
-    def append(self, piece: str) -> None:
-        self.same = self.same and self.text.startswith(piece, self.pos)
-        self.pos += len(piece)
-
-    def mark(self) -> int:
-        return self.pos
-
-    def repeat(self, first: int, length: int) -> None:  # text[first:] is matched already
-        self.same = self.same and _same_spans(self.text, first, self.pos, length)
-        self.pos += length
 
 
 def _parse_matrix(text: str, start: int, end: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -378,55 +346,62 @@ def _prefix_rows(text: str, g_start: int, g_ends: np.ndarray, h_start: int, h_en
 
 
 def _exact_document(text: str) -> dict | None:
-    """The document of ``text``, its matrices parsed as arrays, when ``text`` is
-    exactly what ``to_json`` writes for that document; None otherwise.
+    """The document of ``text``, its tables parsed as arrays, when ``text`` is exactly what
+    ``to_json`` writes for that document; None otherwise.
 
-    Each block, C(G), C(H) and the places, is found by the lines around
-    it and parsed with numpy (``_parse_matrix``), but a C(H) whose text is
-    C(G)'s cut after row r is C(G)'s first r rows.  The rest of the text,
-    each block replaced by [], goes through json.loads.  The document is
-    then laid out again and compared with ``text`` piece by piece.  Only an
-    exact match returns it, and then it is the document json.loads gives
-    for the whole text, but for the arrays; any other text is left to
-    json.loads.
+    Each slot that holds a non-empty list is cut out of the text, and what
+    is left, each cut replaced by [], is the skeleton.  Two things prove
+    the parse: the skeleton is what json.dumps writes for its own
+    json.loads, with [] at each cut slot's key, and each table, parsed with
+    numpy (``_parse_matrix``), lays out to exactly its block.  A C(H) block
+    that is C(G)'s text cut after row r and closed is C(G)'s first r rows.
+    The document is then the one json.loads gives for the whole text, but
+    for the arrays; any other text is left to json.loads.
     """
-    # C(G) ends before the key of C(H) and C(H) before the close of "matrices":
-    # the first '"' and "}" past each block, bytes that no matrix line holds
-    g_start = text.find(_MATRICES) + len(_MATRICES)
-    g_end = text.find('"', g_start) - len(',\n    ')
-    h_start = g_end + len(',\n    "c_h": ')
-    h_end = text.find("}", h_start) - len("\n  ")
-    p_start = text.find(_PLACES, h_end) + len(_PLACES)
-    p_end = text.find(_PROVENANCE, p_start)
-    if g_start < len(_MATRICES) or g_end < g_start or h_end < h_start or p_start < len(_PLACES) or p_end < p_start:
-        return None
-    # a block that is not a non-empty list ("[]" or null, say) is read by json.loads
-    spans = {key: (start, end) for key, start, end in (("c_g", g_start, g_end), ("c_h", h_start, h_end),
-                                                       ("places", p_start, p_end))
-             if end - start > 2 and text.startswith("[", start)}
-    rest, at = [], 0
-    for start, end in spans.values():
-        rest += text[at:start], "[]"
-        at = end
-    rest.append(text[at:])
-    try:
-        doc = json.loads("".join(rest))
-        if not isinstance(doc, dict) or not isinstance(doc.get("matrices"), dict):
+    cuts, at = [], 0  # (key, indent, start, end) of each table block
+    for key, before, pad in _SLOTS:
+        at = text.find(before, at) + len(before)
+        if at < len(before):
             return None
-        tables = {}  # key: (rows, where each row ends)
-        for key, (start, end) in spans.items():
-            g = tables.get("c_g")
-            r = key == "c_h" and g is not None and _prefix_rows(text, g_start, g[1], start, end)
-            tables[key] = (g[0][:r], None) if r else _parse_matrix(text, start, end)
-            if tables[key] is None:
+        if text.startswith("[\n", at):  # a table: its block closes at its indent before the next key
+            start, stop = at, text.find('"', at)
+            at = text.rfind(f"\n{pad}]", start, stop) + len(f"\n{pad}]")
+            if stop < 0 or at < start:
                 return None
-            (doc if key == "places" else doc["matrices"])[key] = tables[key][0]
-        compare = _Compare(text)
-        _layout(doc, "", compare, [], [])
+            cuts.append((key, pad, start, at))
+    skeleton, at = [], 0
+    for _, _, start, end in cuts:
+        skeleton += text[at:start], "[]"
+        at = end
+    skeleton = "".join(skeleton) + text[at:]
+    try:
+        doc = json.loads(skeleton)
+        if json.dumps(doc, indent=2, sort_keys=True) + "\n" != skeleton:
+            return None
+        g = None  # C(G)'s rows, where each row ends, and where its block starts
+        for key, pad, start, end in cuts:
+            if _parent(doc, key).get(key) != []:
+                return None
+            r = key == "c_h" and g is not None and _prefix_rows(text, g[2], g[1], start, end)
+            if r:  # the block ends in "\n    ]" as every cut does
+                table = g[0][:r]
+            else:
+                parsed = _parse_matrix(text, start, end)
+                if parsed is None or not parsed[0].size or parsed[0].max() >= 1 << 16:
+                    return None
+                table, at = parsed[0], start
+                for piece in _layout_matrix(table, pad):
+                    if not text.startswith(piece, at):
+                        return None
+                    at += len(piece)
+                if at != end:
+                    return None
+                if key == "c_g":
+                    g = *parsed, start
+            _parent(doc, key)[key] = table
     except (ValueError, RecursionError):  # not JSON, not ASCII, or nested past json.loads
         return None
-    compare.append("\n")
-    return doc if compare.same and compare.pos == len(text) else None
+    return doc
 
 
 def from_json(text: str) -> CodeArtifact:
@@ -564,7 +539,6 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
     down = descend_code(c_g, basis)
     dual = symplectic_dual(down)
     n = down.width // 2
-    d_claim = art.d_exact if art.d_exact is not None else art.d_lower
     return CodeArtifact(
         backend_kind=None,
         q=None,
@@ -577,7 +551,7 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
         n=n,
         k=down.rank - n,
         deg_g=None,
-        d_lower=d_claim,
+        d_lower=art.d_lower,  # a stored d_exact is a claim, not a bound: only verify derives one
         d_exact=None,
         descended_from={
             "backend": {"kind": art.backend_kind, "q": art.q, "gamma": art.gamma, "j": art.j},
@@ -611,8 +585,8 @@ def verify_artifact(
     Returns a machine-readable report; overall "ok" is true when no check
     failed (skipped checks do not fail the report).
 
-    On a curve artifact whose stored rows are the fresh evaluation, the
-    stored codes are the fresh ones, and ``dual-equality``,
+    On a curve artifact whose field and stored rows are the fresh
+    evaluation's, the stored codes are the fresh ones, and ``dual-equality``,
     ``containment`` and ``k-formula`` are decided from the exponent
     tables (``curves.certify``) with no matrix reduced: the ranks rest on
     the degree argument, not on a computed rank.
@@ -626,7 +600,8 @@ def verify_artifact(
     ``dual-equality`` builds no dual when rank C(G) + rank C(H) is not 2n.
     On a curve artifact ``distance-bound`` also requires the stored deg G
     to be the backend's, since ``decode-sim`` takes its guarantee region
-    from it.
+    from it; on any artifact it fails a stored ``d_exact`` that this run
+    did not derive.
     """
     checks: list[dict[str, str]] = []
     reduced = cache(lambda: nested_codes(art.field, art.c_g_rows, art.c_h_rows, art.width))
@@ -637,7 +612,9 @@ def verify_artifact(
         cert = certify(backend, art.j)
         same_places = art.places == backend.places.tolist()
         g_rows, h_rows = _evaluations(backend, art.j, cert)
-        same_rows = np.array_equal(art.c_g_rows, g_rows) and np.array_equal(art.c_h_rows, h_rows)
+        # indices over another modulus are other elements: those rows are not the fresh code
+        same_rows = (art.field == backend.field and np.array_equal(art.c_g_rows, g_rows)
+                     and np.array_equal(art.c_h_rows, h_rows))
         checks.append(
             _check(
                 "matrices-recompute",
@@ -671,14 +648,14 @@ def verify_artifact(
     checks.append(_check("k-formula", k_ok, f"rank {rank_g} = n + k with k = {art.k}"))
 
     d_exact_found: int | None = None
-    deg_note = ""
+    note = ""
     if backend is not None:
         bound = backend.distance_bound(art.j)
         deg_g = backend.deg_g(art.j)
         bound_ok = art.d_lower == bound and art.deg_g == deg_g
         bound_detail = f"recorded lower bound {art.d_lower} matches the recomputed {bound}"
         if art.deg_g != deg_g:  # decode-sim takes its guarantee region from the stored deg G
-            deg_note = f"; recorded deg G {art.deg_g} differs from the recomputed {deg_g}"
+            note = f"; recorded deg G {art.deg_g} differs from the recomputed {deg_g}"
     else:
         bound = art.d_lower
         bound_ok = True
@@ -702,7 +679,11 @@ def verify_artifact(
                                 f"recorded bound {art.d_lower} stands")
             else:
                 bound_detail = "difference set is empty (k = 0)"
-    checks.append(_check("distance-bound", bound_ok, bound_detail + deg_note))
+    if art.d_exact is not None and art.d_exact != d_exact_found:  # no command writes one
+        bound_ok = False
+        note += f"; recorded d_exact {art.d_exact} " + ("is not derived by this run" if d_exact_found is None
+                                                         else f"differs from the derived {d_exact_found}")
+    checks.append(_check("distance-bound", bound_ok, bound_detail + note))
 
     if backend is not None:
         cp = cert.classical

@@ -122,6 +122,9 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
     if art.deg_g != deg_g:
         raise ValueError(f"artifact: params.deg_g is {art.deg_g}, but the "
                          f"{art.backend_kind} backend at j = {art.j} has deg G = {deg_g}")
+    if art.field != backend.field:  # the same indices over another modulus are other elements
+        raise ValueError(f"artifact: field.modulus is {art.field.modulus}, but the {art.backend_kind} "
+                         f"backend at q = {art.q} has modulus {backend.field.modulus}")
     if not np.array_equal(art.c_h_rows, evaluation_matrix(backend, art.j, "h")):
         raise ValueError(f"artifact: matrices.c_h is not the C(H) of the "
                          f"{art.backend_kind} backend at j = {art.j}")

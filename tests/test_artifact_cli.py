@@ -42,29 +42,54 @@ def test_to_json_layout():
         assert artifact_mod.to_json(art) == expected + "\n"
 
 
+def _as_lists(doc):
+    """A document from the exact-layout reader with its arrays as lists, as json.loads gives it."""
+    doc["places"] = doc["places"].tolist() if isinstance(doc["places"], np.ndarray) else doc["places"]
+    doc["matrices"] = {key: rows.tolist() if isinstance(rows, np.ndarray) else rows
+                       for key, rows in doc["matrices"].items()}
+    return doc
+
+
+# values for the places slot: a table (a non-empty rectangular list of ints in [0, 2^16)) is laid
+# out by the table gather, and every other value, tables nested in it included, by json.dumps
 @pytest.mark.parametrize("value", [
     [], {}, [[]], [{}], {"a": []}, [0], [[0, 1], []], (1, 2), [True, 0], [None, 1], [-1, 0, 3],
     [1 << 16, 0], [2 ** 70], [1.5, 2], ["x", "\u00e9"], {"b": {"a": [[3, 4]]}, "a": None}, 7, None, "s",
     [[1, 2], [3, 4]], [[1 << 16, 1]], [[2 ** 64, 1]], [[-1, 2 ** 63]], [[2 ** 63, 1]], [[True, 1]], [[1, 2.0]],
     [[], []], [[0], [1, 2]], [[[0]]], {"p": [[5, 0]], "q": [[5]]},
     {"a": [[5, 10], [1, 2]], "b": [[5, 10]], "c": [[1, 2]]}, [[[5, 10], [1, 2]], [[5, 10]], [[5, 10], [1, 2]]],
+    [[1 << 16, 0]], [[-1, 2]],
 ])
 def test_layout_matches_the_encoder(value):
-    out = artifact_mod._Pieces()
-    artifact_mod._layout(value, "", out, [], [])
-    assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
+    # to_json with ``value`` in the places slot is json.dumps of the document; the exact-layout
+    # reader gives json.loads's document, or leaves the text to json.loads
+    art = artifact_mod.construct_artifact("rational", 4, 1)
+    art.places = value
+    text = artifact_mod.to_json(art)
+    expected = json.dumps(artifact_mod._document(art), indent=2, sort_keys=True, default=np.ndarray.tolist)
+    assert text == expected + "\n"
+    doc = artifact_mod._exact_document(text)
+    assert doc is None or _as_lists(doc) == json.loads(text)
 
 
 @pytest.mark.parametrize("rows", [[[0]], [[3, 0, 1], [2, 2, 2]], [[65535, 9, 10]], [[1 << 16, 0]], [[-1, 2]],
                                   [[5] * 4] * 40, [], [[], []]], ids=str)
 @pytest.mark.parametrize("block", [1 << 20, 16])
 def test_layout_of_an_array_matches_the_encoder(monkeypatch, rows, block):
-    # a small block puts each row in a gather of its own
+    # a small block puts each row in a gather of its own; an array that is no table (an entry
+    # past 2^16 or negative, or no entries) goes through json.dumps as its tolist()
     monkeypatch.setattr(artifact_mod, "_BLOCK", block)
-    value = {"m": {"a": np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 0)}}
-    out = artifact_mod._Pieces()
-    artifact_mod._layout(value, "", out, [], [])
-    assert "".join(out) == json.dumps({"m": {"a": rows}}, indent=2, sort_keys=True)
+    M = np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 0)
+    eligible = M.size > 0 and M.min() >= 0 and M.max() < 1 << 16
+    assert (artifact_mod._table(M) is M) == eligible
+    if eligible:
+        for pad in ("", "    "):
+            expected = json.dumps(rows, indent=2).replace("\n", "\n" + pad)
+            assert "".join(artifact_mod._layout_matrix(M, pad)) == expected
+    art = artifact_mod.construct_artifact("rational", 4, 1)
+    art.c_h_rows = M
+    expected = json.dumps(artifact_mod._document(art), indent=2, sort_keys=True, default=np.ndarray.tolist)
+    assert artifact_mod.to_json(art) == expected + "\n"
 
 
 @pytest.mark.parametrize("block", [1 << 20, 40])
@@ -530,6 +555,39 @@ def test_cli_decode_sim_refuses_a_forged_deg_g(tmp_path, capsys):
     assert main(["decode-sim", "--artifact", str(src), *argv]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 30 and not any(r["status"] == "unique-guaranteed" for r in records)
+
+
+def test_cli_decode_sim_refuses_a_forged_field_modulus(tmp_path, capsys):
+    # hermitian q=4 j=5 read over x^4+x^3+1 (25), not x^4+x+1 (19): the same indices are other
+    # elements, and no guarantee was ever established over that field
+    src = tmp_path / "h4.json"
+    assert main(["construct", "--backend", "hermitian", "--q", "4", "--j", "5", "--out", str(src)]) == 0
+    doc = json.loads(src.read_text())
+    assert doc["field"]["modulus"] == 19
+    doc["field"]["modulus"] = 25
+    forged, out = tmp_path / "forged.json", tmp_path / "trials.jsonl"
+    forged.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["--trials", "5", "--weight", "1", "--seed", "4", "--out", str(out)]
+    assert main(["decode-sim", "--artifact", str(forged), *argv]) == 2
+    assert capsys.readouterr().err == (
+        "error: artifact: field.modulus is 25, but the hermitian backend at q = 4 has modulus 19\n")
+    assert not out.exists()
+    assert main(["decode-sim", "--artifact", str(src), *argv]) == 0
+
+
+def test_cli_descend_inherits_d_lower_only(tmp_path, capsys):
+    # a stored d_exact is a claim verify has not derived: the descent keeps the source's d_lower
+    src, forged, down = tmp_path / "r16.json", tmp_path / "forged.json", tmp_path / "down.json"
+    assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", str(src)]) == 0
+    doc = json.loads(src.read_text())
+    assert doc["params"]["d_lower"] == 4
+    doc["params"]["d_exact"] = 7
+    forged.write_text(json.dumps(doc))
+    for path in (src, forged):
+        assert main(["descend", "--in", str(path), "--out", str(down)]) == 0
+        params = json.loads(down.read_text())["params"]
+        assert (params["d_lower"], params["d_exact"]) == (4, None)
 
 
 def test_cli_decode_sim_refuses_a_forged_c_h(tmp_path, capsys):

@@ -11,6 +11,7 @@ import contextlib
 import json
 import re
 from functools import lru_cache
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -107,6 +108,7 @@ MUTATIONS = {
     "minus-zero": _replace(lambda text: "-0"),
     "float": _replace(lambda text: "1.0"),
     "true": _replace(lambda text: "true"),
+    "non-ascii": _replace(lambda text: "\u00e9"),
     "equal-to-q": _replace(lambda text: re.search(r'"size": (\d+)', text)[1]),
     "row-one-short": _row_one_short,
     "extra-row": _extra_row,
@@ -298,3 +300,79 @@ def test_mutation_taking_a_prefix_unchecked_fails_the_edits(monkeypatch):
     monkeypatch.setattr(artifact_mod, "_same_spans", lambda *args: True)
     with pytest.raises(AssertionError):
         test_edits_off_the_prefix_take_the_full_parse(monkeypatch, ("rational", 64, 3, 1), "one-entry")
+
+
+# texts that are to_json's output but outside the tables: each skeleton reads with json.loads, but
+# is not what json.dumps writes for it, so the exact-layout reader leaves the text to json.loads
+def _after_matrices(text, insert):
+    at = text.index('\n  },\n  "params"') + len("\n  }")
+    return text[:at] + insert + text[at:]
+
+
+SKELETON_EDITS = {
+    "space-before-colon": lambda text: text.replace('\n    "n": ', '\n    "n" : '),
+    "field-keys-out-of-order": lambda text: re.sub(r'("characteristic": 2,)\n    ("degree": \d+,)', r"\2\n    \1",
+                                                   text),
+    "escaped-name": lambda text: text.replace('"name": "agstab"', '"name": "\\u0061gstab"'),
+    # json.loads keeps the last of two keys: here matrices with no rows
+    "duplicated-key": lambda text: _after_matrices(text, ',\n  "matrices": {\n    "c_g": [],\n    "c_h": []\n  }'),
+    "crlf-in-the-skeleton": lambda text: text.replace('\n  "params"', '\r\n  "params"'),
+}
+SKELETON_CODES = [("rational", 64, 3, 1), ("hermitian", 4, 5, 3)]
+
+
+@lru_cache(maxsize=None)
+def _curve_text(code: tuple) -> str:
+    return artifact_mod.to_json(artifact_mod.construct_artifact(*code))
+
+
+@pytest.mark.parametrize("code", SKELETON_CODES, ids=str)
+@pytest.mark.parametrize("edit", sorted(SKELETON_EDITS))
+def test_edits_outside_the_tables_take_json_loads(code, edit):
+    text = SKELETON_EDITS[edit](_curve_text(code))
+    assert text != _curve_text(code)
+    assert json.loads(text)  # still JSON
+    assert artifact_mod._exact_document(text) is None
+    assert _outcome(text, fast=True) == _outcome(text, fast=False)
+
+
+def test_mutation_skipping_the_skeleton_comparison_fails(monkeypatch):
+    # a reader that took every skeleton json.loads reads for what json.dumps writes of it
+    for code in SKELETON_CODES:
+        _curve_text(code)  # written before json is patched
+    loaded = []
+
+    def loads(s, *args, **kwargs):
+        loaded.append(s)
+        return json.loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(artifact_mod, "json", SimpleNamespace(loads=loads, dumps=lambda *args, **kwargs: loaded[-1][:-1]))
+    for code in SKELETON_CODES:
+        for edit in SKELETON_EDITS:
+            with pytest.raises(AssertionError):
+                test_edits_outside_the_tables_take_json_loads(code, edit)
+
+
+def test_a_table_at_another_key_takes_json_loads():
+    # C(H) moved from "matrices" to a later "c_h" key at the same depth: the skeleton is what
+    # json.dumps writes, but "matrices" holds no C(H) for the block to fill
+    doc = json.loads(_curve_text(SKELETON_CODES[0]))
+    doc["params"].update(a=0, c_h=doc["matrices"].pop("c_h"))
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert artifact_mod._exact_document(text) is None
+    assert _outcome(text, fast=True) == _outcome(text, fast=False) == ("error", "artifact: missing key 'matrices.c_h'")
+
+
+@pytest.mark.parametrize("junk", ["", "x"])
+@pytest.mark.parametrize("key", ["c_g", "places"])
+def test_a_close_past_a_table_takes_json_loads(key, junk):
+    # text and a second close line after a table's block, before the next key: not JSON.  The block
+    # cut up to the last close has one row too many for _parse_matrix, or, after an "x" that closes no
+    # row and holds no entry, the rows of the table, whose layout then ends before the cut does
+    text = _curve_text(SKELETON_CODES[0])
+    end = _spans(text)[key][1]
+    close = "\n    ]" if key == "c_g" else "\n  ]"
+    text = text[:end] + junk + close + text[end:]
+    assert artifact_mod._exact_document(text) is None
+    outcome = _outcome(text, fast=True)
+    assert outcome == _outcome(text, fast=False) and outcome[0] == "error"

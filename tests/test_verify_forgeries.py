@@ -71,6 +71,12 @@ def _d_lower_plus(step):
     return edit
 
 
+def _d_exact(value):
+    def edit(doc, rng):
+        doc["params"]["d_exact"] = value(doc["params"])
+    return edit
+
+
 def _deg_g_one(doc, rng):
     """deg G = 1, which decode-sim would take its guarantee region from."""
     doc["params"]["deg_g"] = 1
@@ -111,12 +117,17 @@ CURVE_ROWS = [
     ("k-plus-one", _k_plus_one, (), "k-formula"),
     ("d-lower-plus-one", _d_lower_plus(1), (), "distance-bound"),
     ("deg-g-one", _deg_g_one, (), "distance-bound"),
+    # a stored d_exact that this run does not derive (no command writes one): 7 on rational q=16 j=1
+    ("d-exact-d-lower-plus-three", _d_exact(lambda params: params["d_lower"] + 3), (), "distance-bound"),
 ]
 DESCENT_ROWS = [
     ("k-plus-one", _k_plus_one, (), "k-formula"),
     ("c_h-another-subspace", _other_c_h, (), "dual-equality"),
     ("c_g-random", _random_c_g, (), "containment"),
     ("d-lower-plus-five-exact", _d_lower_plus(5), ("--exact-distance",), "distance-bound"),
+    ("d-exact-d-lower", _d_exact(lambda params: params["d_lower"]), (), "distance-bound"),
+    # one the search derives otherwise: no weight exceeds n
+    ("d-exact-past-n-exact", _d_exact(lambda params: params["n"] + 1), ("--exact-distance",), "distance-bound"),
 ]
 FALSE_PASSES = [
     ("unit-stabilizer", _unit_stabilizer, (), "matrices-recompute"),
@@ -142,6 +153,20 @@ def test_verify_catches_each_forgery(tmp_path, capsys, source, descended, edit, 
     got = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert got == {**_statuses(source, descended, flags), check: "fail"}
     assert code == 1
+
+
+@pytest.mark.parametrize("code", [("hermitian", 4, 5), ("rational", 16, 1)], ids=str)
+def test_verify_fails_a_forged_field_modulus(tmp_path, capsys, code):
+    # the rows read over x^4+x^3+1 (25), not x^4+x+1 (19): over that field C(H) is not the
+    # symplectic dual of the stored C(G), so more checks than matrices-recompute may fail
+    doc = json.loads(artifact_mod.to_json(artifact_mod.construct_artifact(*code)))
+    assert doc["field"]["modulus"] == 19
+    doc["field"]["modulus"] = 25
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    got = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert got["matrices-recompute"] == "fail"
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ Two solvers answer the Hamming problem, and the problem's data picks one.
   column of the point 0 enters p_0 alone; an error there shows as
   deg Lambda = L - 1, and its value is what p_0 leaves over.  The points
   are checked once per (basis, points): distinct, one per column, and the
-  rows x^i spanning the checks, or ValueError.  With 2 budget <= rank
+  basis the closed-form rref of their rows x^i, or ValueError.  With 2 budget <= rank
   (which holds for every rational code, with equality in about a quarter
   of them) a vector of weight <= budget is the only one, so the answer is
   the kernel's.
@@ -47,7 +47,11 @@ Two solvers answer the Hamming problem, and the problem's data picks one.
 Both recover the unique minimum inside the guarantee region and break
 ties outside it lexicographically (the power-sum solver has no ties: it
 answers only where the minimum is unique).  ``DecodeResult.decoder``
-names the solver that answered.
+names the solver that answered.  ``decode_syndromes`` decodes a block of
+syndromes, and ``symplectic_decode`` and ``power_sum_solve`` are its
+one-row case: the power sums, roots, error values and the final syndrome
+check of a block are one gather each, and the kernel, memoised on the
+check basis, keeps its halves from one syndrome to the next.
 """
 
 from __future__ import annotations
@@ -59,17 +63,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import symplectic
-from .curves import monomial_matrix
+from .curves import monomial_matrix, power_basis
 from .gf import GF2m, as_elements
-from .linalg import _as_array, rref
-from .symplectic import (
-    CodeBasis,
-    _SyndromeSearch,
-    _symplectic_search,
-    swap_halves,
-    symplectic_weight,
-    syndrome_of,
-)
+from .linalg import _as_array
+from .symplectic import CodeBasis, _SyndromeSearch, _symplectic_search, _syndromes, syndrome_of
 
 
 @dataclass(frozen=True)
@@ -125,13 +122,14 @@ def _least_solution(search: _SyndromeSearch, target: Sequence[int], budget: int)
 
 
 @lru_cache(maxsize=8)
-def _hamming_search(field: GF2m, shape: tuple[int, int], rows: bytes) -> _SyndromeSearch:
-    """The Hamming-weight kernel on the check rows whose element array has this shape and these bytes.
+def _hamming_search(basis: CodeBasis) -> _SyndromeSearch:
+    """The Hamming-weight kernel on the rows of ``basis``.
 
-    Memoised: decode-sim decodes every trial of a code against the same rows.
+    Memoised on the basis: decode-sim decodes every trial of a code against
+    it, and the kernel keeps its halves (at most HELD_BYTES) from one trial
+    to the next.
     """
-    checks = np.frombuffer(rows, dtype=field.log_antilog[1].dtype).reshape(shape)
-    return _SyndromeSearch(field, checks, shape[1], 1)
+    return _SyndromeSearch(basis.field, basis.rows, basis.width, 1)
 
 
 def hamming_min_solve(
@@ -154,9 +152,8 @@ def hamming_min_solve(
         raise ValueError("need at least one check row")
     if len(syndrome) != len(rows):
         raise ValueError(f"syndrome length {len(syndrome)} != {len(rows)} check rows")
-    width = len(rows[0])
-    checks = _as_array(field, rows, width)
-    search = _hamming_search(field, checks.shape, checks.tobytes())
+    checks = _as_array(field, rows, len(rows[0]))
+    search = _SyndromeSearch(field, checks, checks.shape[1], 1)
     found = _least_solution(search, _as_array(field, [syndrome], len(rows))[0], budget)
     return None if found is None else found[0]
 
@@ -175,13 +172,11 @@ def _power_sums(basis: CodeBasis, points: tuple[int, ...]) -> _PowerSums:
     """The power-sum data of ``basis`` at ``points``, once the points are proved to fit it.
 
     V is the rows x^i, i < rank, at the points.  ValueError unless the
-    points are distinct field elements, one per column, and the rref of V
-    is the basis R, which holds exactly when V reduces to zero against R
-    and rank V = rank R (one elimination of V costs half as much as that
-    reduction and the rank of V[:, pivots]).  Then R = T V with T
-    invertible, and as R[:, pivots] = I, V[:, pivots] = T^-1 maps the
-    syndrome R y to the power sums V y.  Memoised: decode-sim decodes
-    every trial of a code against the same basis and points.
+    points are distinct field elements, one per column, and the basis is
+    the rref of V, which ``power_basis`` gives in closed form.  Then R = T V
+    with T invertible, and as R[:, pivots] = I, V[:, pivots] = T^-1 maps the
+    syndrome R y to the power sums V y.  Memoised: decode-sim decodes every
+    trial of a code against the same basis and points.
     """
     f = basis.field
     P = as_elements(f, points)
@@ -189,24 +184,21 @@ def _power_sums(basis: CodeBasis, points: tuple[int, ...]) -> _PowerSums:
         raise ValueError(f"{P.size} points for {basis.width} columns")
     if basis.width and np.bincount(P, minlength=f.q).max() > 1:
         raise ValueError("the points are not distinct")
-    V = monomial_matrix(f, [(i,) for i in range(basis.rank)], P[:, None])
-    reduced, pivots = rref(f, V, basis.width)
-    if pivots != basis.pivots or not np.array_equal(reduced, basis.rows):
+    if basis != power_basis(f, P, basis.rank):
         raise ValueError("the rows x^i, i < rank, at the points do not span the checks")
-    M = V[:, list(pivots)]
+    M = monomial_matrix(f, [(i,) for i in range(basis.rank)], P[:basis.rank, None])
     log = f.log_antilog[0]
     nonzero = np.flatnonzero(P)
     zero = np.flatnonzero(P == 0)
     return _PowerSums(log.take(M), log.take(P[nonzero]), nonzero, int(zero[0]) if zero.size else None)
 
 
-def _poly_at(field: GF2m, coeffs: Sequence[int], x_logs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] x^k at each nonzero x, given by its log: one gather."""
+def _poly_at(field: GF2m, coeffs: np.ndarray, x_logs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[..., k] x^k at each nonzero x, given by its log, in one gather;
+    the coefficient rows broadcast against x_logs."""
     log, antilog = field.log_antilog
-    powers = np.multiply.outer(np.arange(len(coeffs)), x_logs) % (field.q - 1)
-    return np.bitwise_xor.reduce(antilog.take(log.take(coeffs)[:, None] + powers), axis=0)
-
-
+    powers = np.multiply.outer(x_logs, np.arange(coeffs.shape[-1])) % (field.q - 1)
+    return np.bitwise_xor.reduce(antilog.take(log.take(coeffs) + powers), axis=-1)
 def _berlekamp_massey(field: GF2m, seq: Sequence[int], budget: int) -> tuple[list[int], int] | None:
     """(Lambda, L): the shortest recurrence seq[i] = sum_{k=1..L} Lambda[k] seq[i-k], L <= i,
     with Lambda[0] = 1 and no trailing zero; None as soon as L exceeds ``budget``."""
@@ -235,17 +227,56 @@ def _berlekamp_massey(field: GF2m, seq: Sequence[int], budget: int) -> tuple[lis
     return lam, L
 
 
-def _error_values(field: GF2m, lam: Sequence[int], omega: Sequence[int], x_logs: np.ndarray) -> np.ndarray:
-    """Forney: the value X Omega(X^-1) / Lambda'(X^-1) at each error locator X, given by its log.
+def _error_values(field: GF2m, lam: np.ndarray, omega: np.ndarray, x_logs: np.ndarray) -> np.ndarray:
+    """Forney: the value X Omega(X^-1) / Lambda'(X^-1) at each error locator X, given by its log,
+    with the coefficients of Lambda and Omega in the locator's row of ``lam`` and ``omega``.
 
     The factor X is there because the power sums start at p_0.
     """
     log, antilog = field.log_antilog
     period = field.q - 1
     inverse = (period - x_logs) % period
-    derivative = [c if k % 2 else 0 for k, c in enumerate(lam)][1:]  # characteristic 2
+    derivative = np.where(np.arange(lam.shape[-1]) % 2, lam, 0)[:, 1:]  # characteristic 2
     num, den = (log.take(_poly_at(field, poly, inverse)) for poly in (omega, derivative))
     return antilog.take((x_logs + num - den) % period)
+
+
+def _power_sum_block(basis: CodeBasis, points: tuple[int, ...], S: np.ndarray,
+                     budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, found): row t of Y is the y of Hamming weight <= ``budget`` with the syndrome S[t],
+    where found[t]; ``power_sum_solve`` of each row, Berlekamp-Massey per row and one gather for
+    the power sums, the roots and the error values of the whole block."""
+    f = basis.field
+    data = _power_sums(basis, points)
+    log, antilog = f.log_antilog
+    sums = np.bitwise_xor.reduce(antilog.take(data.to_sums + log.take(S)[:, None, :]), axis=2)
+    found = np.zeros(len(S), dtype=bool)
+    lam = np.zeros((len(S), budget + 1), dtype=antilog.dtype)
+    omega, degree, at_zero = np.zeros_like(lam), np.zeros(len(S), dtype=np.int64), np.zeros(len(S), dtype=bool)
+    for t, p in enumerate(sums.tolist()):
+        got = _berlekamp_massey(f, p, budget)
+        if got is None:
+            continue
+        coeffs, L = got
+        deg = len(coeffs) - 1
+        # an error at the point 0 adds to p_0 alone: one more step of recurrence, no root
+        at_zero[t] = deg == L - 1
+        if deg not in (L, L - 1) or (at_zero[t] and data.zero is None):
+            continue
+        found[t], degree[t], lam[t, :deg + 1] = True, deg, coeffs
+        for i in range(L):
+            for k in range(min(i, deg) + 1):
+                omega[t, i] ^= f.mul(coeffs[k], p[i - k])
+    K = int(degree.max(initial=0)) + 1  # the longest Lambda of the block
+    roots = _poly_at(f, lam[:, None, :K], (f.q - 1 - data.logs) % (f.q - 1)) == 0
+    found &= roots.sum(axis=1) == degree
+    t, c = np.nonzero(roots & found[:, None])
+    Y = np.zeros((len(S), basis.width), dtype=antilog.dtype)
+    Y[t, data.columns[c]] = _error_values(f, lam[t, :K], omega[t, :K], data.logs[c])
+    zero = found & at_zero
+    if zero.any():
+        Y[zero, data.zero] = sums[zero, 0] ^ np.bitwise_xor.reduce(Y[zero], axis=1)
+    return Y, found
 
 
 def power_sum_solve(
@@ -266,33 +297,8 @@ def power_sum_solve(
         raise ValueError(f"budget {budget} is outside [0, rank / 2] for rank {basis.rank}")
     if len(syndrome) != basis.rank:
         raise ValueError(f"syndrome length {len(syndrome)} != {basis.rank} check rows")
-    f = basis.field
-    data = _power_sums(basis, tuple(points))
-    log, antilog = f.log_antilog
-    sums = np.bitwise_xor.reduce(antilog.take(data.to_sums + log.take(as_elements(f, syndrome))), axis=1)
-    p = sums.tolist()
-    found = _berlekamp_massey(f, p, budget)
-    if found is None:
-        return None
-    lam, L = found
-    deg = len(lam) - 1
-    # an error at the point 0 adds to p_0 alone: one more step of recurrence, no root
-    at_zero = deg == L - 1
-    if deg not in (L, L - 1) or (at_zero and data.zero is None):
-        return None
-    roots = np.flatnonzero(_poly_at(f, lam, (f.q - 1 - data.logs) % (f.q - 1)) == 0)
-    if len(roots) != deg:
-        return None
-    omega = [0] * L
-    for i in range(L):
-        for k in range(min(i, deg) + 1):
-            omega[i] ^= f.mul(lam[k], p[i - k])
-    values = _error_values(f, lam, omega, data.logs[roots])
-    y = np.zeros(basis.width, dtype=values.dtype)
-    y[data.columns[roots]] = values
-    if at_zero:
-        y[data.zero] = p[0] ^ int(np.bitwise_xor.reduce(values, initial=0))
-    return tuple(y.tolist())
+    Y, found = _power_sum_block(basis, tuple(points), as_elements(basis.field, syndrome)[None], budget)
+    return tuple(Y[0].tolist()) if found[0] else None
 
 
 def guarantee_cap(n: int, deg_g: int) -> int:
@@ -301,34 +307,43 @@ def guarantee_cap(n: int, deg_g: int) -> int:
     return (bound - 1) // 2
 
 
-def symplectic_decode(problem: SyndromeProblem, deg_g: int) -> DecodeResult:
-    """Decode one syndrome through the swap reduction.
+def decode_syndromes(basis: CodeBasis, points: tuple[int, ...] | None, syndromes: Sequence[Sequence[int]],
+                     deg_g: int) -> list[DecodeResult]:
+    """Decode a block of syndromes against the checks ``basis`` through the swap reduction.
 
-    The Hamming budget is 2 * t_cap, covering every error inside the
-    guarantee region; the certificate on the result reflects whether the
-    recovered vector itself sits inside that region.  With no checks
-    (C^perp = 0) the least vector of the empty syndrome is the zero vector.
+    The Hamming budget is 2 * t_cap, covering every error inside the guarantee
+    region; each certificate reflects whether the recovered vector itself sits
+    inside it.  The power sums answer given ``points`` and 2 budget <= rank, else
+    the kernel; with no checks (C^perp = 0) the answer is the zero vector.
     """
-    field = problem.field
-    n = problem.n
-    bound = n - deg_g // 2
+    f, n = basis.field, basis.width // 2
+    S = as_elements(f, syndromes).reshape(len(syndromes), basis.rank)
     budget = max(0, 2 * guarantee_cap(n, deg_g))
-    basis = problem.dual_basis
+    Y, found = np.zeros((len(S), basis.width), dtype=f.log_antilog[1].dtype), np.ones(len(S), dtype=bool)
     if not basis.rank:
-        y, decoder = (0,) * basis.width, "none"
-    elif problem.points is not None and 2 * budget <= basis.rank:
-        y, decoder = power_sum_solve(basis, problem.points, problem.syndrome, budget), "power-sums"
+        decoder = "none"
+    elif points is not None and 2 * budget <= basis.rank:
+        (Y, found), decoder = _power_sum_block(basis, points, S, budget), "power-sums"
     else:
-        y, decoder = hamming_min_solve(field, problem.syndrome, basis.rows, budget), "search"
-    if y is None:
-        return DecodeResult(error=None, weight=None, status="budget-exhausted", decoder=decoder)
-    e = swap_halves(y)  # its own inverse in characteristic 2
-    got = syndrome_of(field, e, problem.dual_basis.rows)
-    if got != tuple(problem.syndrome):
+        search, decoder = _hamming_search(basis), "search"
+        for t, s in enumerate(S):
+            got = _least_solution(search, s, budget)
+            found[t] = got is not None
+            Y[t] = got[0] if got else 0
+    E = np.roll(Y, n, axis=1)  # swap_halves, its own inverse in characteristic 2
+    if not np.array_equal(_syndromes(f, E[found], basis.rows), S[found]):
         raise AssertionError("swap reduction produced a wrong syndrome")
-    w = symplectic_weight(e)
-    status = "unique-guaranteed" if 2 * w + 1 <= bound else "found-min"
-    return DecodeResult(error=e, weight=w, status=status, decoder=decoder)
+    weights = ((E[:, :n] != 0) | (E[:, n:] != 0)).sum(axis=1).tolist()
+    bound = n - deg_g // 2
+    return [DecodeResult(error=tuple(e), weight=w, decoder=decoder,
+                         status="unique-guaranteed" if 2 * w + 1 <= bound else "found-min")
+            if ok else DecodeResult(error=None, weight=None, status="budget-exhausted", decoder=decoder)
+            for e, w, ok in zip(E.tolist(), weights, found.tolist())]
+
+
+def symplectic_decode(problem: SyndromeProblem, deg_g: int) -> DecodeResult:
+    """Decode one syndrome: the one-row case of ``decode_syndromes``."""
+    return decode_syndromes(problem.dual_basis, problem.points, [problem.syndrome], deg_g)[0]
 
 
 # ---------------------------------------------------------------------------

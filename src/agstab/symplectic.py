@@ -104,12 +104,10 @@ class CodeBasis:
 
 
 def syndrome_of(field: GF2m, v: Sequence[int], dual_rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """s_i = <v, b_i> for each dual-basis row b_i.
+    """s_i = <v, b_i> for each dual-basis row b_i: the one-row case of ``_syndromes``.
 
-    <v, b> = v . swap_halves(b), in one log/antilog pass over the nonzero
-    coordinates of v and the columns of the rows they meet.  ValueError on
-    odd or unequal lengths and on entries outside [0, q), in v or anywhere
-    in the rows.
+    ValueError on odd or unequal lengths and on entries outside [0, q), in
+    v or anywhere in the rows.
     """
     if len(v) % 2:
         raise ValueError(f"symplectic vectors have even length, got {len(v)}")
@@ -117,11 +115,18 @@ def syndrome_of(field: GF2m, v: Sequence[int], dual_rows: Sequence[Sequence[int]
         B = linalg._as_array(field, dual_rows, len(v))
     except ValueError as exc:
         raise ValueError(f"dual {exc}") from None
-    y = as_elements(field, v)
-    on = np.flatnonzero(y)
+    return tuple(_syndromes(field, as_elements(field, v)[None], B)[0].tolist())
+
+
+def _syndromes(field: GF2m, vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row t is (<vectors[t], b_i>)_i for the rows b_i: <v, b> = v . swap_halves(b), in one
+    log/antilog gather over the nonzero entries of the block and the columns they meet."""
     log, antilog = field.log_antilog
-    partner = log[B[:, (on + len(v) // 2) % len(v)]]
-    return tuple(np.bitwise_xor.reduce(antilog[log[y[on]] + partner], axis=1).tolist())
+    t, c = np.nonzero(vectors)
+    partner = log.take(rows[:, (c + rows.shape[1] // 2) % rows.shape[1]].T)
+    out = np.zeros((len(vectors), len(rows)), dtype=antilog.dtype)
+    np.bitwise_xor.at(out, t, antilog.take(log.take(vectors[t, c])[:, None] + partner))
+    return out
 
 
 def symplectic_weight(x: Sequence[int]) -> int:
@@ -193,6 +198,7 @@ class _SyndromeSearch:
     """
 
     CHUNK = 1 << 16  # right-half rows streamed, and matches expanded, at once
+    HELD_BYTES = 1 << 24  # the halves a kernel keeps for its next joins, at 16 bytes a row
 
     def __init__(self, field: GF2m, checks: Sequence[Sequence[int]], positions: int, group: int):
         log, _ = field.log_antilog
@@ -202,12 +208,17 @@ class _SyndromeSearch:
         self._log = log[np.ascontiguousarray(H.T)].reshape(group, positions, len(H))
         mix = random.Random(0)  # a fixed random GF(2)-linear map from syndrome bits to 64 bits
         self._mix = np.array([mix.getrandbits(64) for _ in range(len(H) * field.degree)], dtype=np.uint64)
-        # fingerprints of the single-bit position values 1, 2, 4, .. at each position (m, g r);
-        # a syndrome is GF(2)-linear in the bits of v, so these give every v
-        nbits = group * field.degree
-        position = np.repeat(np.arange(positions), nbits)[:, None]
-        unit = np.tile(1 << np.arange(nbits), positions)[:, None]
-        self._bit_keys = self._fingerprints(self.syndromes(position, unit)).reshape(positions, nbits)
+        self._held: dict[tuple[str, int], object] = {}  # ("left" | "right", k) -> the half kept
+        self._held_bytes = 0
+
+    @cached_property
+    def _bit_keys(self) -> np.ndarray:
+        """Fingerprints of the single-bit position values 1, 2, 4, .. at each position (m, g r);
+        a syndrome is GF(2)-linear in the bits of v, so these give every v.  Built on the first join."""
+        nbits = self.group * self.field.degree
+        position = np.repeat(np.arange(self.n), nbits)[:, None]
+        unit = np.tile(1 << np.arange(nbits), self.n)[:, None]
+        return self._fingerprints(self.syndromes(position, unit)).reshape(self.n, nbits)
 
     def _digits(self, values: np.ndarray) -> list[np.ndarray]:
         """The g base-q digits of position values, most significant first."""
@@ -258,6 +269,28 @@ class _SyndromeSearch:
             digits, out[:, p] = np.divmod(digits, self.base)
         return out + 1
 
+    def _hold(self, side: str, k: int, build):
+        """The size-k half of ``side``, from ``build``: kept for the next joins while the kept
+        halves fit HELD_BYTES, else built afresh each time (a right half then streams past)."""
+        key, size = (side, k), 16 * comb(self.n, k) * self.base ** k
+        if key not in self._held and self._held_bytes + size <= self.HELD_BYTES:
+            self._held_bytes += size
+            self._held[key] = build() if side == "left" else list(build())  # a right half is chunks
+        return self._held.get(key) or build()
+
+    def _left(self, k: int, shift: np.uint64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(supports, sorted join keys, order) of the left half: all vectors of weight k."""
+        support = np.concatenate(list(_supports(self.n, k, self.CHUNK)))
+        end = support[:, -1] + 1 if k else np.zeros(1, dtype=np.int64)
+        keys = self._half(support) >> shift << shift | np.repeat(end, self.base ** k).astype(np.uint64)
+        order = np.argsort(keys)
+        return support, keys[order], order
+
+    def _right(self, k: int, shift: np.uint64) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(supports, fingerprints with the low bits cleared) of the right half, in chunks."""
+        for support in _supports(self.n, k, max(1, self.CHUNK // self.base ** k)):
+            yield support, self._half(support) >> shift << shift
+
     def solutions(self, w: int, target: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Blocks (support, values) of every vector of weight exactly w with syndrome ``target``.
 
@@ -277,22 +310,22 @@ class _SyndromeSearch:
         # left position: the left rows that match a right row and end before
         # its first position are one run of the sorted keys.
         shift = np.uint64((n + 1).bit_length())
-        left_support = np.concatenate(list(_supports(n, k_left, self.CHUNK)))
-        left_end = left_support[:, -1] + 1 if k_left else np.zeros(1, dtype=np.int64)
-        left = self._half(left_support) >> shift << shift | np.repeat(left_end, per_left).astype(np.uint64)
-        order = np.argsort(left)
-        left = left[order]
-        want = self._fingerprints(target[None, :])[0]
-        for right_support in _supports(n, k_right, max(1, self.CHUNK // per_right)):
-            keys = (self._half(right_support) ^ want) >> shift << shift
+        left_support, left, order = self._hold("left", k_left, lambda: self._left(k_left, shift))
+        want = self._fingerprints(target[None, :])[0] >> shift << shift
+        for right_support, right in self._hold("right", k_right, lambda: self._right(k_right, shift)):
+            keys = right ^ want
             first = np.searchsorted(left, keys)
             start = np.repeat(right_support[:, 0] + 1, per_right).astype(np.uint64)
-            count = np.searchsorted(left, keys | start) - first
+            # the right rows whose run of left matches may be nonempty (it is when the first
+            # left key >= keys lies below keys | start), and the length of each run
+            rows = np.flatnonzero(left.take(first, mode="clip") < (keys | start))
+            count = np.searchsorted(left, keys[rows] | start[rows]) - first[rows]
             ends = np.cumsum(count)
-            for lo in range(0, int(ends[-1]), self.CHUNK):
+            for lo in range(0, int(ends[-1]) if len(ends) else 0, self.CHUNK):
                 pair = np.arange(lo, min(lo + self.CHUNK, int(ends[-1])))
-                ri = np.searchsorted(ends, pair, "right")
-                li = order[first[ri] + pair - (ends[ri] - count[ri])]
+                at = np.searchsorted(ends, pair, "right")
+                ri = rows[at]
+                li = order[first[ri] + pair - (ends[at] - count[at])]
                 support = np.hstack([left_support[li // per_left], right_support[ri // per_right]])
                 values = np.hstack([self._values(li % per_left, k_left), self._values(ri % per_right, k_right)])
                 exact = (self.syndromes(support, values) == target).all(axis=1)

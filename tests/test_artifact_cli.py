@@ -512,16 +512,14 @@ def test_cli_decode_sim_power_sums_decode_past_the_search(tmp_path, capsys, q, j
 @pytest.mark.parametrize("q, j, weights", [(16, 1, (1, 2, 3)), (32, 12, (1, 2)), (8, 2, (1, 2))])
 def test_cli_decode_sim_streams_are_the_same_without_points(tmp_path, capsys, monkeypatch, q, j, weights):
     # inside the region (t_cap = 1 at each) and beyond it the power sums answer as the search does
-    import dataclasses
-
     from agstab import cli
 
     art = str(tmp_path / "r.json")
     assert main(["construct", "--backend", "rational", "--q", str(q), "--j", str(j), "--out", art]) == 0
-    real = cli.symplectic_decode
+    real = cli.decode_syndromes
 
     def stream(weight: int, decode) -> tuple[bytes, str]:
-        monkeypatch.setattr(cli, "symplectic_decode", decode)
+        monkeypatch.setattr(cli, "decode_syndromes", decode)
         out = tmp_path / "trials.jsonl"
         assert main(["decode-sim", "--artifact", art, "--trials", "12", "--weight", str(weight),
                      "--seed", "9", "--out", str(out)]) == 0
@@ -529,8 +527,8 @@ def test_cli_decode_sim_streams_are_the_same_without_points(tmp_path, capsys, mo
 
     for weight in weights:
         ours, ours_err = stream(weight, real)
-        search, search_err = stream(weight, lambda problem, deg_g: real(
-            dataclasses.replace(problem, points=None), deg_g))
+        search, search_err = stream(weight, lambda basis, points, syndromes, deg_g: real(
+            basis, None, syndromes, deg_g))
         assert ours == search
         assert ours_err.endswith("; decoder power-sums 12\n")
         assert ours_err.replace("power-sums", "search") == search_err
@@ -725,9 +723,9 @@ def test_cli_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
     art = str(tmp_path / "r16.json")
     assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", art]) == 0
     capsys.readouterr()
-    # a wrong syndrome after the swap reduction breaks symplectic_decode's invariant
+    # a wrong syndrome after the swap reduction breaks decode_syndromes' invariant
     with monkeypatch.context() as m:
-        m.setattr(decoder, "syndrome_of", lambda field, e, rows: ())
+        m.setattr(decoder, "_syndromes", lambda field, vectors, rows: vectors[:, :0])
         assert main(["decode-sim", "--artifact", art, "--trials", "1", "--weight", "1",
                      "--seed", "1", "--out", str(tmp_path / "t.jsonl")]) == 2
     assert capsys.readouterr().err == "error: internal error: swap reduction produced a wrong syndrome\n"
@@ -755,6 +753,29 @@ def test_cli_negative_counts_exit_2(tmp_path, capsys, flag, value):
     assert run(value) == 2
     assert capsys.readouterr().err == f"error: {flag} must be >= 0, got {value}\n"
     assert run(0) == 0  # zero stays valid
+
+
+def test_cli_calls_in_one_process_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; each call parses into its own namespace
+    from agstab import cli
+
+    art, out = str(tmp_path / "r16.json"), tmp_path / "trials.jsonl"
+    assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", art]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["decode-sim", "--artifact", art, "--trials", "3", "--weight", "1", "--seed", "2"]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0   # no --out now: the records go to stdout, and the file is not rewritten
+    assert capsys.readouterr().out == out.read_text() != ""
+    out.unlink()
+    assert main(argv) == 0 and not out.exists()
+    capsys.readouterr()
+    assert main(["verify", art, "--budget", "2"]) == 0
+    budget = json.loads(capsys.readouterr().out)
+    assert main(["verify", art]) == 0   # no budget now: the recorded bound is recomputed, not swept
+    exact = json.loads(capsys.readouterr().out)
+    assert budget != exact and main(["verify", art]) == 0 and json.loads(capsys.readouterr().out) == exact
 
 
 def test_cli_usage_error_exit_2():

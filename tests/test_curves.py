@@ -16,6 +16,7 @@ from agstab.curves import (
     evaluation_matrix,
     make_backend,
     monomial_matrix,
+    power_basis,
 )
 from agstab.gf import field
 from agstab.symplectic import (
@@ -534,3 +535,67 @@ def test_certificate_refuses_a_failed_degree_argument(monkeypatch):
     monkeypatch.setattr(RationalBackend, "max_j", property(lambda self: self.n + 1))
     with pytest.raises(AssertionError, match="the degree argument fails"):
         certify(backend, backend.n + 1)
+
+
+# ---------------------------------------------------------------------------
+# canonical bases of the power rows in closed form
+# ---------------------------------------------------------------------------
+
+def _rational_power_bases(qs):
+    """(field, points, rank, the rref of C(H)) of rational q at every j: C(H) is the rows x^i,
+    i < n - j, at the places."""
+    for q in qs:
+        backend = RationalBackend(q)
+        for j in range(backend.max_j + 1):
+            V = evaluation_matrix(backend, j, "h")
+            yield backend.field, backend.places[:, 0], len(V), CodeBasis.from_rows(backend.field, V, q)
+
+
+def test_power_basis_is_the_rref_of_every_rational_c_h():
+    for f, points, rank, want in _rational_power_bases([4, 8, 16, 32, 64, 128, 256]):
+        got = power_basis(f, points, rank)
+        assert got == want and got.pivots == tuple(range(rank)) and not got.rows.flags.writeable
+    # q = 512: rref at four j, and every rank as the previous rref extended by the next row x^i
+    backend = RationalBackend(512)
+    points, V = backend.places[:, 0], evaluation_matrix(backend, 0, "h")
+    for j in (0, 1, backend.max_j // 2, backend.max_j):
+        assert power_basis(backend.field, points, backend.n - j) == CodeBasis.from_rows(
+            backend.field, V[:backend.n - j], 512)
+    basis = CodeBasis.zero(backend.field, 512)
+    for rank in range(backend.n + 1):
+        basis = basis.extended(V[rank - 1:rank]) if rank else basis
+        assert power_basis(backend.field, points, rank) == basis
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5, 8, 10])
+def test_power_basis_at_random_distinct_points(degree):
+    f = field(degree)
+    rng = np.random.default_rng(degree)
+    for _ in range(12):
+        points = rng.choice(f.q, int(rng.integers(1, min(f.q, 200) + 1)), replace=False)
+        rank = int(rng.integers(0, len(points) + 1))
+        V = monomial_matrix(f, [(i,) for i in range(rank)], points[:, None])
+        assert power_basis(f, points, rank) == CodeBasis.from_rows(f, V, len(points))
+
+
+CLOSED_FORM_MUTANTS = {
+    # w_0 off by a factor g: row 0 is scaled off the pivots
+    "wrong-w0": ("L -= s[:rank, None]", "L -= s[:rank, None] + (np.arange(rank)[:, None] == 0)"),
+    # the same row space, with its pivots (the interpolation points) in the sigma-partner half
+    "partner-pivots": ("P[:rank, None]", "P[len(P) // 2:][:rank, None]"),
+}
+
+
+@pytest.mark.parametrize("mutant", [*sorted(CLOSED_FORM_MUTANTS), "none"])
+def test_the_closed_form_differential_catches_each_mutant(mutant):
+    edits = []
+    if mutant == "partner-pivots":
+        edits = [CLOSED_FORM_MUTANTS[mutant], ("s[:rank, None]", "s[len(P) // 2:][:rank, None]"),
+                 ("R[:, :rank]", "R[:, len(P) // 2:][:, :rank]"),
+                 ("tuple(range(rank))", "tuple(range(len(P) // 2, len(P) // 2 + rank))")]
+    elif mutant != "none":
+        edits = [CLOSED_FORM_MUTANTS[mutant]]
+    build = _mutant(curves, "power_basis", *edits)
+    caught = [rank for f, points, rank, want in _rational_power_bases([4, 8, 16, 32]) if build(f, points, rank) != want]
+    # every nonzero rank is caught (the mutants leave the zero basis alone); the control catches none
+    assert caught == ([] if mutant == "none" else [r for *_, r, _ in _rational_power_bases([4, 8, 16, 32]) if r])

@@ -1,8 +1,8 @@
-"""decode-sim streams pinned byte for byte: the SHA-256 of stdout and the exact stderr.
+"""decode-sim streams pinned byte for byte, and decoded in blocks of trials.
 
-The digests were taken from the per-trial decoder, before decode-sim
-decoded its trials in blocks; any change to a record, the summary line or
-an exit code shows here.
+The digests (SHA-256 of stdout) and stderr lines were taken from the
+per-trial decoder, before decode-sim decoded its trials in blocks; any
+change to a record, the summary line or an exit code shows here.
 """
 
 import hashlib
@@ -10,7 +10,9 @@ import json
 
 import pytest
 
+from agstab import cli, decoder
 from agstab.cli import main
+from agstab.symplectic import _SyndromeSearch
 
 # (backend, q, j, trials, weight, seed) -> (SHA-256 of stdout, stderr)
 STREAMS = {
@@ -76,3 +78,49 @@ def test_decode_sim_refusals_are_pinned(tmp_path, capsys):
     forged.write_text(json.dumps(doc))
     assert _decode_sim(capsys, str(forged), 5, 1, 3) == (
         2, EMPTY, "error: artifact: matrices.c_h is not the C(H) of the rational backend at j = 1\n")
+
+
+@pytest.mark.parametrize("kind, q, j, weight", [("rational", 16, 1, 1), ("rational", 16, 1, 2),
+                                                ("rational", 64, 4, 3), ("hermitian", 4, 5, 1)])
+def test_blocks_of_trials_write_the_same_stream(tmp_path, capsys, monkeypatch, kind, q, j, weight):
+    # trials = B - 1, B and B + 1 with B = 4, against the same calls in one block each
+    path = _construct(tmp_path, kind, q, j)
+    whole = {trials: _decode_sim(capsys, path, trials, weight, 8) for trials in (3, 4, 5)}
+    monkeypatch.setattr(cli, "_TRIALS", 4)
+    assert {trials: _decode_sim(capsys, path, trials, weight, 8) for trials in (3, 4, 5)} == whole
+    monkeypatch.setattr(cli, "_TRIALS", 1)
+    assert _decode_sim(capsys, path, 5, weight, 8) == whole[5]
+
+
+def test_a_hermitian_stream_builds_each_half_once(tmp_path, capsys, monkeypatch):
+    # weight 1 decodes at Hamming weight 1 or 2: the halves of sizes 0 and 1, each built on the
+    # first trial that needs it and kept on the kernel for every later trial
+    path = _construct(tmp_path, "hermitian", 4, 5)
+    built = []
+    real = _SyndromeSearch._half
+    monkeypatch.setattr(_SyndromeSearch, "_half", lambda self, support: built.append(support.shape) or real(self, support))
+    decoder._hamming_search.cache_clear()
+    assert _decode_sim(capsys, path, 6, 1, 3) == (0, *STREAMS["hermitian", 4, 5, 6, 1, 3])
+    # the left half of size 0, the right half of size 1, the left half of size 1
+    assert built == [(1, 0), (60, 1), (60, 1)]
+    # the control: with no half kept, each trial builds its halves again
+    decoder._hamming_search.cache_clear()
+    monkeypatch.setattr(_SyndromeSearch, "HELD_BYTES", 0)
+    built.clear()
+    assert _decode_sim(capsys, path, 6, 1, 3) == (0, *STREAMS["hermitian", 4, 5, 6, 1, 3])
+    assert len(built) > 6
+    decoder._hamming_search.cache_clear()
+
+
+@pytest.mark.parametrize("q, j, weight", [(16, 1, 2), (64, 4, 3)])
+def test_a_rational_stream_runs_no_elimination(tmp_path, capsys, monkeypatch, q, j, weight):
+    # C(H) is the closed-form rref of its power rows, and the power sums are checked against it
+    from agstab import linalg
+
+    path = _construct(tmp_path, "rational", q, j)
+    eliminated = []
+    real = linalg._rref_array
+    monkeypatch.setattr(linalg, "_rref_array", lambda field, M: eliminated.append(M.shape) or real(field, M))
+    decoder._power_sums.cache_clear()
+    assert _decode_sim(capsys, path, 5, weight, 4)[0] == 0
+    assert eliminated == []

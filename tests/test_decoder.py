@@ -372,6 +372,38 @@ def test_decode_never_mislabels_heavy_errors():
             assert res.error is None
 
 
+@pytest.mark.parametrize("backend, j, heaviest, random_syndromes, with_points", [
+    (RationalBackend(16), 1, 3, True, True), (RationalBackend(64), 4, 9, True, True),
+    (RationalBackend(16), 1, 2, True, False), (RationalBackend(8), 4, 1, False, True),
+    (HermitianBackend(2), 1, 2, True, False), (HermitianBackend(4), 5, 1, False, False)], ids=repr)
+def test_a_block_decodes_as_each_of_its_rows(backend, j, heaviest, random_syndromes, with_points):
+    # planted errors of every weight up to ``heaviest``, some on the column of the point 0, and
+    # random syndromes: unique-guaranteed, found-min and budget-exhausted rows in one block,
+    # through the power sums, the search and (with no checks) neither
+    checks = build_codes(backend, j)[1]
+    points = tuple(backend.places[:, 0].tolist()) if with_points else None
+    q, n, rng = backend.field.q, backend.n, np.random.default_rng(j)
+    syndromes = []
+    for weight in range(heaviest + 1):
+        for _ in range(4):
+            e = [0] * (2 * n)
+            support = list(map(int, rng.choice(n, size=weight, replace=False)))
+            if support and rng.integers(2):
+                support[0] = 0
+            for i in support:  # half of the pairs nonzero in their first half only
+                v = int(rng.integers(1, q * q))
+                e[i], e[n + i] = (v // q or 1, 0) if rng.integers(2) else (v // q, v % q)
+            syndromes.append(syndrome_of(backend.field, tuple(e), checks.rows))
+    if random_syndromes:
+        syndromes += [tuple(map(int, rng.integers(0, q, checks.rank))) for _ in range(8)]
+    block = decoder.decode_syndromes(checks, points, syndromes, backend.deg_g(j))
+    assert block == [symplectic_decode(SyndromeProblem(checks, s, points), backend.deg_g(j)) for s in syndromes]
+    statuses = {r.status for r in block}
+    assert "unique-guaranteed" in statuses
+    if heaviest > 1 and backend.kind == "rational":
+        assert statuses == {"unique-guaranteed", "found-min", "budget-exhausted"}
+
+
 # ---------------------------------------------------------------------------
 # the exhaustive oracle
 # ---------------------------------------------------------------------------

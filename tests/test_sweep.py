@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agstab import linalg, symplectic
+from agstab.curves import RationalBackend, build_codes
 from agstab.decoder import (SyndromeProblem, _hamming_search, brute_oracle, exhaustive_coset_leaders,
-                            hamming_min_solve)
+                            hamming_min_solve, symplectic_decode)
 from agstab.gf import field
 from agstab.symplectic import (ENUMERATION_CAP, CodeBasis, _SyndromeSearch, contains, min_hamming_weight,
                                 relative_min_weight, swap_halves, symplectic_dual)
@@ -174,14 +175,33 @@ def test_exact_distances_refuse_past_the_cap(monkeypatch):
 
 
 def test_hamming_kernel_is_built_once_per_code():
+    # the decoder's kernel is memoised on the check basis, so an equal basis built again hits it
     f = field(2)
-    rows = [(1, 2, 0, 3, 1), (0, 1, 1, 2, 3)]
+    rows = [(1, 2, 0, 3, 1, 1), (0, 1, 1, 2, 0, 3)]
     _hamming_search.cache_clear()
-    first = hamming_min_solve(f, (1, 2), rows, 3)
-    again = hamming_min_solve(f, (1, 2), [list(r) for r in rows], 3)    # equal rows, other container
-    assert first == again and _hamming_search.cache_info()[:2] == (1, 1)
-    hamming_min_solve(f, (1, 2), [rows[1], rows[0]], 3)
+    first = symplectic_decode(SyndromeProblem(CodeBasis.from_rows(f, rows, 6), (1, 2)), deg_g=0)
+    again = symplectic_decode(SyndromeProblem(CodeBasis.from_rows(f, rows[::-1], 6), (1, 2)), deg_g=0)
+    assert first == again and first.decoder == "search" and _hamming_search.cache_info()[:2] == (1, 1)
+    symplectic_decode(SyndromeProblem(CodeBasis.from_rows(f, rows[:1], 6), (1,)), deg_g=0)
     assert _hamming_search.cache_info()[:2] == (1, 2)
+
+
+def test_a_sweep_builds_each_left_half_once_and_no_unused_fingerprints(monkeypatch):
+    # the exact sweep of rational q=8 j=2 runs weights 1 and 2 (d = 2); the budget-3 sweep of a
+    # code of distance 4 runs 1, 2, 3, and weights 2 and 3 share the left half of size 1
+    lefts, kernels = [], []
+    real_left, real_search = _SyndromeSearch._left, symplectic._symplectic_search
+    monkeypatch.setattr(_SyndromeSearch, "_left", lambda self, k, shift: lefts.append((self, k)) or real_left(self, k, shift))
+    monkeypatch.setattr(symplectic, "_symplectic_search", lambda basis: kernels.append(real_search(basis)) or kernels[-1])
+    c_g, c_h = build_codes(RationalBackend(8), 2)
+    assert relative_min_weight(c_g, c_h).weight == 2
+    assert [k for _, k in lefts] == [0, 1]
+    lefts.clear()
+    c_g, c_h = build_codes(RationalBackend(16), 1)
+    assert relative_min_weight(c_g, c_h, budget=3, mode="budget").status == "at-least"
+    assert [k for _, k in lefts] == [0, 1] and len(set(lefts)) == len(lefts)
+    # the checks of D only test the hits: their fingerprint tables are never built
+    assert len(kernels) == 4 and ["_bit_keys" in vars(k) for k in kernels] == [True, False, True, False]
 
 
 @st.composite

@@ -98,7 +98,8 @@ def test_a_hermitian_stream_builds_each_half_once(tmp_path, capsys, monkeypatch)
     path = _construct(tmp_path, "hermitian", 4, 5)
     built = []
     real = _SyndromeSearch._half
-    monkeypatch.setattr(_SyndromeSearch, "_half", lambda self, support: built.append(support.shape) or real(self, support))
+    monkeypatch.setattr(_SyndromeSearch, "_half",
+                        lambda self, support: built.append(support.shape) or real(self, support))
     decoder._hamming_search.cache_clear()
     assert _decode_sim(capsys, path, 6, 1, 3) == (0, *STREAMS["hermitian", 4, 5, 6, 1, 3])
     # the left half of size 0, the right half of size 1, the left half of size 1

@@ -191,8 +191,10 @@ def test_a_sweep_builds_each_left_half_once_and_no_unused_fingerprints(monkeypat
     # code of distance 4 runs 1, 2, 3, and weights 2 and 3 share the left half of size 1
     lefts, kernels = [], []
     real_left, real_search = _SyndromeSearch._left, symplectic._symplectic_search
-    monkeypatch.setattr(_SyndromeSearch, "_left", lambda self, k, shift: lefts.append((self, k)) or real_left(self, k, shift))
-    monkeypatch.setattr(symplectic, "_symplectic_search", lambda basis: kernels.append(real_search(basis)) or kernels[-1])
+    monkeypatch.setattr(_SyndromeSearch, "_left",
+                        lambda self, k, shift: lefts.append((self, k)) or real_left(self, k, shift))
+    monkeypatch.setattr(symplectic, "_symplectic_search",
+                        lambda basis: kernels.append(real_search(basis)) or kernels[-1])
     c_g, c_h = build_codes(RationalBackend(8), 2)
     assert relative_min_weight(c_g, c_h).weight == 2
     assert [k for _, k in lefts] == [0, 1]

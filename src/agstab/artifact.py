@@ -11,20 +11,24 @@ they carry the canonical generator matrix of the descended code plus a
 The file is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.  Its
 three tables, C(G), C(H) and the places, are numpy arrays from file to
 file (``CodeArtifact`` holds the matrices as writable (rows, 2n) arrays
-in the field's dtype).  ``to_json`` dumps the document with each table
-slot emptied to [], the skeleton, and splices in each table's text, laid
-out by a table gather; a curve artifact's C(H) is the first n - j rows of
-its C(G), so it is evaluated, written and read as that prefix.
-``from_json`` reads a text in that layout by the same slots, the tables
-with numpy and the skeleton with json.loads, and keeps the result only
-when the skeleton is what json.dumps writes for it and each table lays
-out to exactly its block.  Any other text, and any text shorter than
-_EXACT_MIN, goes through json.loads.  Both give the same artifact, or
-the same error message.
+in the field's dtype).  The writer, ``_pieces``, dumps the document with
+each table slot emptied to [], the skeleton, and yields its segments
+with each table's bytes at its slot, laid out by a table gather; a curve
+artifact's C(H) is the first n - j rows of its C(G), so it is evaluated,
+written and read as that prefix.  ``save`` writes the pieces as they are
+made, and ``to_json`` is their join.  ``load`` reads the file as bytes:
+the exact-layout reader cuts them by the same slots, parses each table
+in place with numpy, decodes only the skeleton, and keeps the result
+only when the skeleton is what json.dumps writes for it and each table
+lays out to exactly its block.  Any other file, and any file shorter
+than _EXACT_MIN, is decoded as text mode decodes it and goes through
+json.loads; ``from_json`` reads a text the same two ways.  Every reader
+gives the same artifact, or the same error message.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from functools import cache
@@ -96,9 +100,9 @@ def _table(value: Any) -> np.ndarray | None:
     return None
 
 
-def _layout_matrix(M: np.ndarray, pad: str) -> Iterator[str]:
-    """The text of ``M.tolist()`` as json.dumps lays it out at indent ``pad``, in pieces:
-    one table gather per block of rows, for M as ``_table`` gives it.
+def _layout_matrix(M: np.ndarray, pad: str) -> Iterator[bytes]:
+    """The text of ``M.tolist()`` as json.dumps lays it out at indent ``pad``, as ASCII bytes in
+    pieces: one table gather per block of rows, for M as ``_table`` gives it.
 
     The byte table holds, for each value v < size, v on its own line
     followed by the ",\n" of an entry inside a row (line v) or by nothing
@@ -118,7 +122,7 @@ def _layout_matrix(M: np.ndarray, pad: str) -> Iterator[str]:
     table = table.reshape(-1, width)
     lengths = np.fromiter(map(len, lines), np.intp, size)
     keep = np.arange(width) < np.concatenate([lengths, lengths - 2, list(map(len, closing))])[:, None]
-    yield f"[\n{inner}[\n"
+    yield f"[\n{inner}[\n".encode()
     cols = M.shape[1]
     step = max(1, _BLOCK // ((cols + 2) * width))
     for r in range(0, len(M), step):
@@ -131,8 +135,8 @@ def _layout_matrix(M: np.ndarray, pad: str) -> Iterator[str]:
         text = table.take(codes, axis=0)[keep.take(codes, axis=0)]
         if r + step >= len(M):
             text = text[:-len(reopen)]
-        yield text.tobytes().decode("ascii")
-    yield f"\n{pad}]"
+        yield text.tobytes()
+    yield f"\n{pad}]".encode()
 
 
 def _rows_length(M: np.ndarray, pad: str) -> int:
@@ -169,22 +173,23 @@ def _document(art: CodeArtifact) -> dict[str, Any]:
 # the three table slots, in the file's order: the key, the text just before its block and the
 # block's indent.  In a canonical skeleton C(G)'s is the first key of "matrices", and "places" is
 # a top-level key; C(H)'s is the next "c_h" at that depth, which is "matrices"' when it has one.
-_SLOTS = (("c_g", '\n  "matrices": {\n    "c_g": ', "    "), ("c_h", ',\n    "c_h": ', "    "),
-          ("places", '\n  "places": ', "  "))
+_SLOTS = (("c_g", b'\n  "matrices": {\n    "c_g": ', "    "), ("c_h", b',\n    "c_h": ', "    "),
+          ("places", b'\n  "places": ', "  "))
 
 
 def _parent(doc: dict, key: str) -> dict:
     return doc if key == "places" else doc["matrices"]
 
 
-def to_json(art: CodeArtifact) -> str:
-    """The artifact file: ``json.dumps(_document(art), indent=2, sort_keys=True) + "\\n"``, with
-    the arrays as lists, and so stable byte for byte.
+def _pieces(art: CodeArtifact) -> Iterator[bytes]:
+    """The artifact file, ``json.dumps(_document(art), indent=2, sort_keys=True) + "\\n"`` with
+    the arrays as lists, as ASCII bytes in pieces, each made when it is asked for.
 
     The document is dumped with each table slot that holds a table
-    (``_table``) emptied to [] (the skeleton), and each table's text is
-    spliced in at its slot.  A C(H) equal to the first r rows of C(G) is
-    C(G)'s text cut after row r and closed, its pieces taken by reference.
+    (``_table``) emptied to [] (the skeleton), and each table's pieces
+    (``_layout_matrix``) come at its slot, between the skeleton's.  A C(H)
+    equal to the first r rows of C(G) is C(G)'s pieces cut after row r and
+    closed: only then are C(G)'s pieces kept, taken by reference.
     """
     doc = _document(art)
     tables = {}
@@ -195,30 +200,36 @@ def to_json(art: CodeArtifact) -> str:
             parent[key] = []
         elif isinstance(parent[key], np.ndarray):
             parent[key] = parent[key].tolist()
-    skeleton = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    out, at, g_pieces = [], 0, []
+    skeleton = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("ascii")
+    g, h = tables["c_g"], tables["c_h"]
+    prefix = g is not None and h is not None and np.array_equal(h, g[:len(h)])
+    at, g_pieces = 0, []
     for key, before, pad in _SLOTS:
         M = tables[key]
         if M is None:
             continue
-        start = skeleton.index(before + "[]", at) + len(before)
-        out.append(skeleton[at:start])
-        at = start + len("[]")
-        if key == "c_h" and g_pieces and np.array_equal(M, tables["c_g"][:len(M)]):
+        start = skeleton.index(before + b"[]", at) + len(before)
+        yield skeleton[at:start]
+        at = start + len(b"[]")
+        if key == "c_h" and prefix:
             length = _rows_length(M, pad)
             for piece in g_pieces:
-                out.append(piece[:length])  # the whole piece, not a copy, but for the last
+                yield piece[:length]  # the whole piece, not a copy, but for the last
                 length -= len(piece)
                 if length <= 0:
                     break
-            out.append(f"\n{pad}]")
+            yield f"\n{pad}]".encode()
             continue
-        pieces = list(_layout_matrix(M, pad))
-        out += pieces
-        if key == "c_g":
-            g_pieces = pieces
-    out.append(skeleton[at:])
-    return "".join(out)
+        for piece in _layout_matrix(M, pad):
+            if key == "c_g" and prefix:
+                g_pieces.append(piece)
+            yield piece
+    yield skeleton[at:]
+
+
+def to_json(art: CodeArtifact) -> str:
+    """The artifact file as one text: the join of ``_pieces(art)``, stable byte for byte."""
+    return b"".join(_pieces(art)).decode("ascii")
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
@@ -290,32 +301,33 @@ _DIGIT = np.zeros(256, dtype=np.uint32)
 _DIGIT[48:58] = np.arange(10)  # the value of each ASCII digit, 0 for every other byte
 
 
-def _same_spans(text: str, a: int, b: int, length: int) -> bool:
-    """Whether text[a:a + length] == text[b:b + length], compared in pieces of 64 KiB: a
+def _same_spans(raw: bytes, a: int, b: int, length: int) -> bool:
+    """Whether raw[a:a + length] == raw[b:b + length], compared in pieces of 64 KiB: a
     descent's two blocks often have one length and differ early, so copy little of them."""
     step = 1 << 16
-    return all(text[a + i:a + min(i + step, length)] == text[b + i:b + min(i + step, length)]
+    return all(raw[a + i:a + min(i + step, length)] == raw[b + i:b + min(i + step, length)]
                for i in range(0, length, step))
 
 
-def _parse_matrix(text: str, start: int, end: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows of the non-empty matrix block text[start:end], read as to_json lays it out,
-    and the position in ``text`` where each row's "]" ends; or None.
+def _parse_matrix(raw: bytes, start: int, end: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of the non-empty matrix block raw[start:end], read as ``_pieces`` lays it out,
+    as a uint16 array, and the position in ``raw`` where each row's "]" ends; or None.
 
-    The block is read in pieces of at most _BLOCK bytes, each ending in a
-    newline.  A line's last byte, before a comma if there is one, tells it
-    apart: a digit ends an entry and "]" closes a row.  An entry's value is
-    read from its digits leftwards, one column of all entries at a time,
-    until every entry has met the spaces of its indent.  Only this shape is
-    read here; that the lines hold nothing else is proven by laying the
-    result out again (``_exact_document``).
+    The block is read in place, in pieces of at most _BLOCK bytes, each
+    ending in a newline.  A line's last byte, before a comma if there is
+    one, tells it apart: a digit ends an entry and "]" closes a row.  An
+    entry's value is read from its digits leftwards, one column of all
+    entries at a time, until every entry has met the spaces of its indent;
+    a value of 2^16 or more is no table's.  Only this shape is read here;
+    that the lines hold nothing else is proven by laying the result out
+    again (``_exact_document``).
     """
     values, ends = [], []
     while start < end:
-        stop = text.rfind("\n", start, start + _BLOCK) + 1 if end - start > _BLOCK else end
+        stop = raw.rfind(b"\n", start, start + _BLOCK) + 1 if end - start > _BLOCK else end
         if stop <= start:
             return None
-        buf = np.frombuffer(text[start:stop].encode("ascii"), np.uint8)
+        buf = np.frombuffer(raw, np.uint8, stop - start, start)
         newlines = np.flatnonzero(buf == 10)  # every line but the block's last, "    ]", ends in one
         last = newlines - 1 - (buf.take(newlines - 1) == 44)
         tail = buf.take(last)
@@ -323,58 +335,62 @@ def _parse_matrix(text: str, start: int, end: int) -> tuple[np.ndarray, np.ndarr
         start = stop
         last = last[(tail >= 48) & (tail <= 57)]
         value = np.zeros(len(last), dtype=np.uint32)
-        for k in range(10):
+        for k in range(6):
             digits = buf.take(last - k)
             if digits.max(initial=0) <= 32:
                 break
             value += _DIGIT.take(digits) * 10 ** k
-        else:  # ten digits: no field element, and past what uint32 holds
+        else:  # six digits: no table's
             return None
-        values.append(value)
+        if value.max(initial=0) >= 1 << 16:
+            return None
+        values.append(value.astype(np.uint16))
     count, rows = sum(map(len, values)), sum(map(len, ends))
     if not rows or count % rows:
         return None
     return np.concatenate(values).reshape(rows, count // rows), np.concatenate(ends)
 
 
-def _prefix_rows(text: str, g_start: int, g_ends: np.ndarray, h_start: int, h_end: int) -> int:
-    """r when the block text[h_start:h_end], less its closing "\\n    ]", is the block at
+def _prefix_rows(raw: bytes, g_start: int, g_ends: np.ndarray, h_start: int, h_end: int) -> int:
+    """r when the block raw[h_start:h_end], less its closing "\\n    ]", is the block at
     ``g_start`` up to where its row r ends (``g_ends``, as ``_parse_matrix`` gives them); else 0."""
     end = g_start + h_end - h_start - len("\n    ]")
     r = int(np.searchsorted(g_ends, end))
-    return r + 1 if r < len(g_ends) and g_ends[r] == end and _same_spans(text, g_start, h_start, end - g_start) else 0
+    return r + 1 if r < len(g_ends) and g_ends[r] == end and _same_spans(raw, g_start, h_start, end - g_start) else 0
 
 
-def _exact_document(text: str) -> dict | None:
-    """The document of ``text``, its tables parsed as arrays, when ``text`` is exactly what
-    ``to_json`` writes for that document; None otherwise.
+def _exact_document(raw: bytes) -> dict | None:
+    """The document of the file ``raw``, its tables parsed as arrays, when ``raw`` is exactly
+    what ``_pieces`` writes for that document; None otherwise.
 
-    Each slot that holds a non-empty list is cut out of the text, and what
-    is left, each cut replaced by [], is the skeleton.  Two things prove
-    the parse: the skeleton is what json.dumps writes for its own
-    json.loads, with [] at each cut slot's key, and each table, parsed with
-    numpy (``_parse_matrix``), lays out to exactly its block.  A C(H) block
-    that is C(G)'s text cut after row r and closed is C(G)'s first r rows.
-    The document is then the one json.loads gives for the whole text, but
-    for the arrays; any other text is left to json.loads.
+    Each slot that holds a non-empty list is cut out of the bytes, and what
+    is left, each cut replaced by [], is the skeleton, the only part decoded
+    (as ASCII).  Two things prove the parse: the skeleton is what json.dumps
+    writes for its own json.loads, with [] at each cut slot's key, and each
+    table, parsed with numpy in place (``_parse_matrix``), lays out to
+    exactly its block.  A C(H) block that is C(G)'s bytes cut after row r
+    and closed is C(G)'s first r rows.  The document is then the one
+    json.loads gives for the whole file, but for the arrays; any other file
+    is left to json.loads.
     """
     cuts, at = [], 0  # (key, indent, start, end) of each table block
     for key, before, pad in _SLOTS:
-        at = text.find(before, at) + len(before)
+        at = raw.find(before, at) + len(before)
         if at < len(before):
             return None
-        if text.startswith("[\n", at):  # a table: its block closes at its indent before the next key
-            start, stop = at, text.find('"', at)
-            at = text.rfind(f"\n{pad}]", start, stop) + len(f"\n{pad}]")
+        if raw.startswith(b"[\n", at):  # a table: its block closes at its indent before the next key
+            close = f"\n{pad}]".encode()
+            start, stop = at, raw.find(b'"', at)
+            at = raw.rfind(close, start, stop) + len(close)
             if stop < 0 or at < start:
                 return None
             cuts.append((key, pad, start, at))
     skeleton, at = [], 0
     for _, _, start, end in cuts:
-        skeleton += text[at:start], "[]"
+        skeleton += raw[at:start], b"[]"
         at = end
-    skeleton = "".join(skeleton) + text[at:]
     try:
+        skeleton = (b"".join(skeleton) + raw[at:]).decode("ascii")
         doc = json.loads(skeleton)
         if json.dumps(doc, indent=2, sort_keys=True) + "\n" != skeleton:
             return None
@@ -382,16 +398,16 @@ def _exact_document(text: str) -> dict | None:
         for key, pad, start, end in cuts:
             if _parent(doc, key).get(key) != []:
                 return None
-            r = key == "c_h" and g is not None and _prefix_rows(text, g[2], g[1], start, end)
+            r = key == "c_h" and g is not None and _prefix_rows(raw, g[2], g[1], start, end)
             if r:  # the block ends in "\n    ]" as every cut does
                 table = g[0][:r]
             else:
-                parsed = _parse_matrix(text, start, end)
-                if parsed is None or not parsed[0].size or parsed[0].max() >= 1 << 16:
+                parsed = _parse_matrix(raw, start, end)
+                if parsed is None or not parsed[0].size:
                     return None
                 table, at = parsed[0], start
                 for piece in _layout_matrix(table, pad):
-                    if not text.startswith(piece, at):
+                    if not raw.startswith(piece, at):
                         return None
                     at += len(piece)
                 if at != end:
@@ -399,26 +415,30 @@ def _exact_document(text: str) -> dict | None:
                 if key == "c_g":
                     g = *parsed, start
             _parent(doc, key)[key] = table
-    except (ValueError, RecursionError):  # not JSON, not ASCII, or nested past json.loads
+    except (ValueError, RecursionError):  # not ASCII, not JSON, or nested past json.loads
         return None
     return doc
 
 
 def from_json(text: str) -> CodeArtifact:
-    """Parse a schema-v1 artifact.
+    """Parse a schema-v1 artifact from its text, as ``load`` parses its file.
 
     A text of at least _EXACT_MIN characters in ``to_json``'s exact layout
     has its matrices read with numpy (``_exact_document``); any other text,
     a short file or a hand-edited one say, goes through json.loads, with
-    the same result and the same messages.  The
-    structure is checked here: every key present, every value of its
-    type, the matrices rectangular with rows of length 2n and entries in
-    [0, q).  ValueError names the first offending key.  What the values
-    claim (k, d, the rows themselves) is left to ``verify_artifact``.
+    the same result and the same messages.
     """
-    doc = _exact_document(text) if len(text) >= _EXACT_MIN else None
-    if doc is None:
-        doc = json.loads(text)
+    doc = _exact_document(text.encode("ascii")) if len(text) >= _EXACT_MIN and text.isascii() else None
+    return _from_document(json.loads(text) if doc is None else doc)
+
+
+def _from_document(doc: Any) -> CodeArtifact:
+    """The artifact of a parsed document, its structure checked: every key
+    present, every value of its type, the matrices rectangular with rows of
+    length 2n and entries in [0, q).  ValueError names the first offending
+    key.  What the values claim (k, d, the rows themselves) is left to
+    ``verify_artifact``.
+    """
     if not isinstance(doc, dict):
         raise ValueError(f"artifact: the document must be an object, got {_json_kind(doc)}")
     version = doc.get("schema_version")
@@ -471,13 +491,33 @@ def from_json(text: str) -> CodeArtifact:
 
 
 def save(art: CodeArtifact, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_json(art))
+    """Write the artifact file (``to_json``'s text) piece by piece, as ``_pieces`` makes them:
+    the whole text is never held, only C(G)'s pieces when C(H) is their prefix."""
+    with open(path, "wb") as fh:
+        fh.writelines(_pieces(art))
 
 
 def load(path: str) -> CodeArtifact:
-    with open(path) as fh:
-        return from_json(fh.read())
+    """Read an artifact file, as ``from_json`` reads its text.
+
+    The file is read as bytes, which the exact-layout reader parses in
+    place (``_exact_document``).  Any other file is decoded as text mode
+    decodes it, "\\r\\n" and "\\r" read as "\\n", and goes through
+    json.loads, so each file gives the artifact or the message it gives
+    when read as text.
+    """
+    return _from_document(_file_document(path))
+
+
+def _file_document(path: str) -> Any:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    doc = _exact_document(raw) if len(raw) >= _EXACT_MIN else None
+    if doc is None:
+        text = io.TextIOWrapper(io.BytesIO(raw)).read()
+        del raw  # json.loads holds only the text, as when the file was read as text
+        doc = json.loads(text)
+    return doc  # its tables are no views of the bytes, which go when this returns
 
 
 # ---------------------------------------------------------------------------

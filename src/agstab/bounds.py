@@ -32,7 +32,8 @@ bit-identical to the scalar functions.  ``r1_envelope`` and
 
 ``emit_curves`` counts its grid before any work, refuses more than
 GRID_CAP points per curve, and returns per curve the columns (delta, raw
-rate, m); ``write_csv`` formats them a block of rows at a time.
+rate, m); ``write_csv`` formats them a block of rows at a time, and a
+delta column the curves share once.
 """
 
 from __future__ import annotations
@@ -171,14 +172,22 @@ def emit_curves(
 
 def write_csv(columns: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]], path: str) -> None:
     """CSV of ``emit_curves``' columns with header delta,rate,raw_rate,m,curve
-    and CRLF line ends; 12 significant digits, and rate is the raw rate clamped at 0."""
+    and CRLF line ends; 12 significant digits, and rate is the raw rate clamped at 0.
+
+    A delta column that several curves share (``emit_curves`` gives them
+    one) is formatted once, and kept as one text a block of rows."""
+    deltas = {}  # (id of a delta column, block start) -> the block's texts, joined by newlines
     with open(path, "w", newline="") as fh:
         fh.write("delta,rate,raw_rate,m,curve\r\n")
         for name, (delta, raw, m) in columns.items():
-            row = "{:.12g},{},{},{}," + name + "\r\n"
+            tail = f",{name}\r\n"
             for start in range(0, len(delta), _BLOCK):
                 d, r, k = (column[start:start + _BLOCK] for column in (delta, raw, m))
+                key = id(delta), start  # ``columns`` holds every column, so no id is reused here
+                if key not in deltas:
+                    deltas[key] = "\n".join(map("{:.12g}".format, d.tolist()))
                 texts = list(map("{:.12g}".format, r.tolist()))
                 # rate = max(0.0, raw), -0.0 and nan included: raw's text where raw > 0, else that of 0.0
                 rates = [text if positive else "0" for text, positive in zip(texts, (r > 0).tolist())]
-                fh.write("".join(map(row.format, d.tolist(), rates, texts, k.tolist())))
+                fh.write("".join([f"{a},{b},{c},{e}{tail}"
+                                  for a, b, c, e in zip(deltas[key].split("\n"), rates, texts, k.tolist())]))

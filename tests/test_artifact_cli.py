@@ -68,7 +68,7 @@ def test_layout_matches_the_encoder(value):
     text = artifact_mod.to_json(art)
     expected = json.dumps(artifact_mod._document(art), indent=2, sort_keys=True, default=np.ndarray.tolist)
     assert text == expected + "\n"
-    doc = artifact_mod._exact_document(text)
+    doc = artifact_mod._exact_document(text.encode())
     assert doc is None or _as_lists(doc) == json.loads(text)
 
 
@@ -85,7 +85,7 @@ def test_layout_of_an_array_matches_the_encoder(monkeypatch, rows, block):
     if eligible:
         for pad in ("", "    "):
             expected = json.dumps(rows, indent=2).replace("\n", "\n" + pad)
-            assert "".join(artifact_mod._layout_matrix(M, pad)) == expected
+            assert b"".join(artifact_mod._layout_matrix(M, pad)).decode() == expected
     art = artifact_mod.construct_artifact("rational", 4, 1)
     art.c_h_rows = M
     expected = json.dumps(artifact_mod._document(art), indent=2, sort_keys=True, default=np.ndarray.tolist)
@@ -99,7 +99,7 @@ def test_exact_layout_reader_in_small_blocks(monkeypatch, code, block):
     monkeypatch.setattr(artifact_mod, "_BLOCK", block)
     art = artifact_mod.construct_artifact(*code)
     text = artifact_mod.to_json(art)
-    assert artifact_mod._exact_document(text) is not None
+    assert artifact_mod._exact_document(text.encode()) is not None
     again = artifact_mod.from_json(text)
     assert np.array_equal(again.c_g_rows, art.c_g_rows) and again.c_g_rows.dtype == art.c_g_rows.dtype
     assert np.array_equal(again.c_h_rows, art.c_h_rows) and again.c_h_rows.dtype == art.c_h_rows.dtype
@@ -137,13 +137,43 @@ ARTIFACT_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
-def test_artifact_bytes_are_pinned(name):
+def test_artifact_bytes_are_pinned(tmp_path, name):
+    # the file save writes piece by piece is to_json's text, byte for byte
     descended = name.startswith("descended-")
     kind, q, j = name.removeprefix("descended-").split("-")
     art = artifact_mod.construct_artifact(kind, int(q[1:]), int(j[1:]))
     if descended:
         art = artifact_mod.descend_artifact(art)
-    assert hashlib.sha256(artifact_mod.to_json(art).encode()).hexdigest() == ARTIFACT_SHA256[name]
+    text = artifact_mod.to_json(art)
+    assert hashlib.sha256(text.encode()).hexdigest() == ARTIFACT_SHA256[name]
+    path = tmp_path / f"{name}.json"
+    artifact_mod.save(art, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ARTIFACT_SHA256[name]
+    assert path.read_bytes().decode("ascii") == text
+
+
+@pytest.mark.parametrize("code", [("rational", 512, 4), ("hermitian", 8, 1)], ids=str)
+def test_save_and_load_hold_no_second_copy_of_the_file(tmp_path, code):
+    # save keeps only C(G)'s pieces, which C(H) reuses as its prefix, and load the file's bytes,
+    # the parsed tables and their temporaries: a whole text beside the pieces or beside the
+    # bytes would put either at twice the file's size
+    import tracemalloc
+
+    art = artifact_mod.construct_artifact(*code)
+    path = tmp_path / "a.json"
+    artifact_mod.save(art, str(path))  # the first call builds the field's tables
+    artifact_mod.load(str(path))
+    peaks = []
+    for call in (lambda: artifact_mod.save(art, str(path)), lambda: artifact_mod.load(str(path))):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 3 * 10**6
+    assert peaks[0] < size and peaks[1] < 1.8 * size
 
 
 # SHA-256 of the files construct writes and the reports verify prints (None: not pinned) for

@@ -8,6 +8,7 @@ length.
 """
 
 import contextlib
+import io
 import json
 import re
 from functools import lru_cache
@@ -53,9 +54,14 @@ def _outcome(text: str, fast: bool | None):
     patch = (mock.patch.object(artifact_mod, "_EXACT_MIN", 0) if fast
              else mock.patch.object(artifact_mod, "_exact_document", lambda text: None) if fast is False
              else contextlib.nullcontext())
+    with patch:
+        return _result(lambda: artifact_mod.from_json(text))
+
+
+def _result(read):
+    """``read()``'s artifact, its arrays as (dtype, shape, bytes), or its ValueError message."""
     try:
-        with patch:
-            art = artifact_mod.from_json(text)
+        art = read()
     except ValueError as exc:
         return "error", str(exc)
     return "artifact", {key: (value.dtype.str, value.shape, value.tobytes()) if isinstance(value, np.ndarray)
@@ -203,7 +209,7 @@ def test_nested_codes_are_laid_out_and_read_exactly():
     _check_layouts(arts)
     for art in arts:
         text = _list_document(art)
-        doc = artifact_mod._exact_document(text)
+        doc = artifact_mod._exact_document(text.encode())
         assert doc is not None
         if art.places is not None:
             doc["places"] = doc["places"].tolist()
@@ -332,7 +338,7 @@ def test_edits_outside_the_tables_take_json_loads(code, edit):
     text = SKELETON_EDITS[edit](_curve_text(code))
     assert text != _curve_text(code)
     assert json.loads(text)  # still JSON
-    assert artifact_mod._exact_document(text) is None
+    assert artifact_mod._exact_document(text.encode()) is None
     assert _outcome(text, fast=True) == _outcome(text, fast=False)
 
 
@@ -359,7 +365,7 @@ def test_a_table_at_another_key_takes_json_loads():
     doc = json.loads(_curve_text(SKELETON_CODES[0]))
     doc["params"].update(a=0, c_h=doc["matrices"].pop("c_h"))
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert artifact_mod._exact_document(text) is None
+    assert artifact_mod._exact_document(text.encode()) is None
     assert _outcome(text, fast=True) == _outcome(text, fast=False) == ("error", "artifact: missing key 'matrices.c_h'")
 
 
@@ -373,6 +379,89 @@ def test_a_close_past_a_table_takes_json_loads(key, junk):
     end = _spans(text)[key][1]
     close = "\n    ]" if key == "c_g" else "\n  ]"
     text = text[:end] + junk + close + text[end:]
-    assert artifact_mod._exact_document(text) is None
+    assert artifact_mod._exact_document(text.encode()) is None
     outcome = _outcome(text, fast=True)
     assert outcome == _outcome(text, fast=False) and outcome[0] == "error"
+
+
+# ---------------------------------------------------------------------------
+# files: load reads the bytes, and gives what the file read as text gives
+# ---------------------------------------------------------------------------
+
+def _file_outcome(path):
+    """load's artifact or ValueError message, as ``_outcome`` gives them."""
+    with mock.patch.object(artifact_mod, "from_json", lambda text: pytest.fail("load parses no text")):
+        return _result(lambda: artifact_mod.load(str(path)))
+
+
+def _text_outcome(path):
+    """What from_json gives for the file read in text mode: decoded as UTF-8 (a file that is not
+    gives the decoder's message), with "\\r\\n" and "\\r" read as "\\n"."""
+    return _result(lambda: artifact_mod.from_json(path.read_text()))
+
+
+def _same_from_the_cli(path, outcome):
+    """verify on the file exits 2 with the one error line of ``outcome``'s message, or exits 0 or 1
+    as the checks of its artifact pass or fail."""
+    from agstab.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    if outcome[0] == "error":
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {outcome[1]}\n")
+    else:
+        assert err.getvalue() == "" and code == (0 if json.loads(out.getvalue())["ok"] else 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_load_reads_each_text_as_from_json_does(tmp_path_factory, data):
+    code = data.draw(st.sampled_from(CODES))
+    name = data.draw(st.sampled_from(sorted(MUTATIONS)))
+    text = MUTATIONS[name](_text(code), code, data.draw)
+    path = tmp_path_factory.mktemp("mutation") / "a.json"
+    path.write_bytes(text.encode())
+    outcome = _file_outcome(path)
+    assert outcome == _outcome(text, None) == _text_outcome(path)
+    _same_from_the_cli(path, outcome)
+
+
+def _cut_inside_c_g(raw):
+    return raw[:raw.index(b'"c_g": ') + 400]
+
+
+# bytes only a file holds: each is read as text mode reads it, which the exact-layout reader leaves to
+# json.loads (the prefix of the message, or None for an artifact)
+FILE_BYTES = {
+    "crlf": (lambda raw: raw.replace(b"\n", b"\r\n"), None),
+    "lone-cr": (lambda raw: raw.replace(b"\n", b"\r", 1), None),
+    "lone-cr-in-a-block": (lambda raw: raw.replace(b",\n        ", b",\r        ", 3), None),
+    "bom": (lambda raw: b"\xef\xbb\xbf" + raw, "Unexpected UTF-8 BOM"),
+    "invalid-utf-8": (lambda raw: re.sub(rb"\n {8}\d", b"\n        \xff", raw, count=1),
+                      "'utf-8' codec can't decode byte 0xff in position "),
+    "cut-inside-a-block": (_cut_inside_c_g, "Expecting "),
+    # json.loads counts lines and characters after the translation
+    "crlf-cut-inside-a-block": (lambda raw: _cut_inside_c_g(raw.replace(b"\n", b"\r\n")), "Expecting "),
+    "lone-cr-cut-inside-a-block": (lambda raw: _cut_inside_c_g(raw.replace(b"\n", b"\r", 1)), "Expecting "),
+}
+
+
+@pytest.mark.parametrize("code", [("rational", 64, 1), ("hermitian", 4, 5), ("descended", "hermitian", 4, 1)],
+                         ids=str)
+@pytest.mark.parametrize("case", sorted(FILE_BYTES))
+def test_load_reads_file_bytes_as_text_mode_does(tmp_path, code, case):
+    edit, message = FILE_BYTES[case]
+    raw = _text(code).encode()
+    path = tmp_path / "a.json"
+    path.write_bytes(edit(raw))
+    assert path.read_bytes() != raw and len(raw) >= artifact_mod._EXACT_MIN
+    outcome = _file_outcome(path)
+    assert outcome == _text_outcome(path)
+    if message is None:
+        path.write_bytes(raw)
+        assert outcome == _file_outcome(path) and outcome[0] == "artifact"
+    else:
+        assert outcome[0] == "error" and outcome[1].startswith(message)
+    path.write_bytes(edit(raw))
+    _same_from_the_cli(path, outcome)

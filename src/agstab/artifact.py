@@ -38,7 +38,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from . import __version__, symplectic
-from .curves import Certificate, CurveBackend, certify, evaluation_matrix, make_backend, nested_codes
+from .curves import Certificate, CurveBackend, certify, evaluation_matrix, make_backend
 from .descent import DescentBasis, descend_code, self_dual_basis
 from .gf import GF2m
 from .symplectic import (
@@ -302,11 +302,9 @@ _DIGIT[48:58] = np.arange(10)  # the value of each ASCII digit, 0 for every othe
 
 
 def _same_spans(raw: bytes, a: int, b: int, length: int) -> bool:
-    """Whether raw[a:a + length] == raw[b:b + length], compared in pieces of 64 KiB: a
-    descent's two blocks often have one length and differ early, so copy little of them."""
-    step = 1 << 16
-    return all(raw[a + i:a + min(i + step, length)] == raw[b + i:b + min(i + step, length)]
-               for i in range(0, length, step))
+    """Whether raw[a:a + length] == raw[b:b + length]: one comparison in place, with no
+    copy, that stops at the first difference (a descent's two blocks often differ early)."""
+    return raw.startswith(memoryview(raw)[a:a + length], b)
 
 
 def _parse_matrix(raw: bytes, start: int, end: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -633,10 +631,9 @@ def verify_artifact(
     ``euclidean-dual-containment`` and the dimension of ``hamming-bound``
     read only the fresh code, so every curve artifact takes them from the
     certificate.  Elimination decides the rest, each basis reduced at most
-    once and only when needed: the checks of an edited or a descended
-    artifact, where C(H) is reduced first and C(G) as its extension by the
-    stored G rows after the prefix they share (``curves.nested_codes``),
-    and the searches of ``--exact-distance`` and ``--budget``.
+    once, C(H) first, and only when needed: the checks of an edited or a
+    descended artifact, and the searches of ``--exact-distance`` and
+    ``--budget``.
     ``dual-equality`` builds no dual when rank C(G) + rank C(H) is not 2n.
     On a curve artifact ``distance-bound`` also requires the stored deg G
     to be the backend's, since ``decode-sim`` takes its guarantee region
@@ -644,7 +641,12 @@ def verify_artifact(
     did not derive.
     """
     checks: list[dict[str, str]] = []
-    reduced = cache(lambda: nested_codes(art.field, art.c_g_rows, art.c_h_rows, art.width))
+
+    @cache
+    def reduced() -> tuple[CodeBasis, CodeBasis]:
+        c_h = CodeBasis.from_rows(art.field, art.c_h_rows, art.width)  # C(H) first
+        return CodeBasis.from_rows(art.field, art.c_g_rows, art.width), c_h
+
     same_rows = False
 
     if art.backend_kind is not None:

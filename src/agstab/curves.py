@@ -44,10 +44,10 @@ Cor. 2.2.3), the duality from the moment-table Gram ``CurveBackend.gram``,
 containment from the prefix of the tables and the Euclidean dual from the
 Lucas expansion of h o sigma; ``construct`` and ``verify`` take it for
 every code whose rows are the fresh evaluation.  ``build_codes`` and
-``classical_params`` decide the same by elimination, C(H) reduced once and
-C(G) as its extension by the other 2j rows (``nested_codes``): they are
-the certificate's oracles in the tests, and ``verify`` reduces a stored
-code so when its rows are not the fresh ones, or for a distance search.
+``classical_params`` decide the same by elimination, each code reduced
+once: they are the certificate's oracles in the tests, and ``verify``
+reduces a stored code so when its rows are not the fresh ones, or for a
+distance search.
 
 A note on the divisor inequality that makes C(G) self-orthogonal: it is
 read here as G0 + j*P_inf >= G0 - j*P_inf, which holds exactly when
@@ -75,7 +75,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gf import GF2m, SubfieldEmbedding, as_elements, field
-from .linalg import _as_array, _nullspace_rows, row_in_span
+from .linalg import _nullspace_rows, row_in_span
 from .symplectic import CodeBasis
 
 _BLOCK = 1 << 16  # monomial_matrix entries indexed at once
@@ -418,25 +418,6 @@ def evaluation_matrix(backend: CurveBackend, j: int, which: str = "g") -> np.nda
     return monomial_matrix(backend.field, backend.rr_basis(j, which), backend.places)
 
 
-def nested_codes(f: GF2m, g_rows: Sequence[Sequence[int]], h_rows: Sequence[Sequence[int]],
-                 width: int) -> tuple[CodeBasis, CodeBasis]:
-    """Canonical bases of the spans of ``g_rows`` and ``h_rows``, C(H) reduced first.
-
-    The evaluations of L(H) <= L(G) are nested: the L(H) rows are the first
-    rows of the L(G) ones.  C(G) is C(H) extended by the G rows after the
-    prefix the two share, so only n + j rows go through elimination, not
-    2n.  When ``g_rows`` does not start with ``h_rows`` (an edited or a
-    descended artifact), that prefix is empty and C(G) is the extension of
-    the zero basis by every G row.  Either way the result is the canonical
-    basis of the span.
-    """
-    G, H = (_as_array(f, rows, width) for rows in (g_rows, h_rows))
-    c_h = CodeBasis.from_rows(f, H, width)
-    shared = len(H) if np.array_equal(G[:len(H)], H) else 0
-    c_g = (c_h if shared else CodeBasis.zero(f, width)).extended(G[shared:])
-    return c_g, c_h
-
-
 def _classical(backend: CurveBackend, j: int, dim: int, contained: bool) -> ClassicalParams:
     return ClassicalParams(length=2 * backend.n, dim=dim, d_hamming_lower=backend.n - backend.genus + 1 - j,
                            euclidean_dual_contained=contained)
@@ -484,26 +465,17 @@ def certify(backend: CurveBackend, j: int) -> Certificate:
                        classical=_classical(backend, j, len(G), dual and contained and closed))
 
 
-def build_codes(
-    backend: CurveBackend,
-    j: int,
-    g_rows: Sequence[Sequence[int]] | None = None,
-    h_rows: Sequence[Sequence[int]] | None = None,
-) -> tuple[CodeBasis, CodeBasis]:
+def build_codes(backend: CurveBackend, j: int) -> tuple[CodeBasis, CodeBasis]:
     """Canonical bases of C(G) and C(H), by elimination; dims are n + j and n - j.
 
-    ``g_rows`` and ``h_rows`` are the evaluations of L(G) and L(H), when the
-    caller already holds them; each one left out is evaluated here.  C(G)
-    is reduced as the extension of C(H) (``nested_codes``).  The ranks are
-    asserted here by computing them; ``certify`` derives them from the
-    exponent tables instead, and this function is its oracle in the tests.
+    L(H) and L(G) are each evaluated and reduced once, C(H) first.  The
+    ranks are asserted here by computing them; ``certify`` derives them
+    from the exponent tables instead, and this function is its oracle in
+    the tests.
     """
     width = 2 * backend.n
-    if g_rows is None:
-        g_rows = evaluation_matrix(backend, j, "g")
-    if h_rows is None:
-        h_rows = evaluation_matrix(backend, j, "h")
-    c_g, c_h = nested_codes(backend.field, g_rows, h_rows, width)
+    c_h, c_g = (CodeBasis.from_rows(backend.field, evaluation_matrix(backend, j, which), width)
+                for which in "hg")
     if c_g.rank != backend.n + j or c_h.rank != backend.n - j:
         raise AssertionError(
             f"unexpected code dimensions {c_g.rank}/{c_h.rank} at j={j} on {backend!r}"

@@ -15,9 +15,12 @@ basis, and w_H(e') <= 2 w(e).  Whenever the true error satisfies
 
 the Hamming problem has a unique answer of weight at most twice that, the
 solver is run with exactly that budget, and the recovered vector is
-certified ("unique-guaranteed").  Heavier errors come back either as a
-best-effort minimum ("found-min") or as an explicit "budget-exhausted",
-never as a silently wrong certificate.
+certified ("unique-guaranteed").  The status certifies the decoded vector,
+not the planted one: it is the only vector inside that region with the
+measured syndrome.  An error planted outside the region can decode to a
+lighter vector inside it, certified and not the error; otherwise a
+heavier answer comes back as a best-effort minimum ("found-min") or as an
+explicit "budget-exhausted".
 
 Two solvers answer the Hamming problem, and the problem's data picks one.
 

@@ -1,5 +1,5 @@
-"""Dense linear algebra over GF(2^r): reduced row echelon form and its
-extension, nullspace, span membership and small solves.
+"""Dense linear algebra over GF(2^r): reduced row echelon form, nullspace,
+span membership and small solves.
 
 A matrix is a 2-D numpy array of field indices in the field's dtype,
 uint8 when q <= 256 and uint16 above, and every matrix returned here is
@@ -38,13 +38,10 @@ and the field picks the arm, with no flag:
   start threads unless ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` say
   otherwise; the result does not depend on them.
 
-``extend`` joins the two routines: the rref of [basis; rows] is the new
-rows reduced against the basis, their leftovers eliminated, the new pivot
-columns cleared from the basis rows and the two sets of rows merged by
-pivot, so only the new rows go through elimination.  ``rref`` is the
-extension of the zero basis, and ``row_in_span`` is the first step alone.
-``_rref_scalar`` is the plain-Python elimination kept as the reference
-the tests compare both arms against.
+Every code is reduced by one call of ``rref``, the elimination alone;
+``row_in_span`` is the reduction alone.  ``_rref_scalar`` is the
+plain-Python elimination kept as the reference the tests compare both
+arms against.
 """
 
 from __future__ import annotations
@@ -219,43 +216,17 @@ def _reduce(field: GF2m, V: np.ndarray, basis: np.ndarray, pivots: Sequence[int]
         _eliminate(field, V, np.flatnonzero(V[:, p]), p, R_log[i, p:])
 
 
-def extend(field: GF2m, basis: np.ndarray, pivots: Sequence[int],
-           rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Canonical rref of [basis; rows], for a canonical rref ``basis`` with these pivots.
-
-    The new rows are reduced against the basis, what is left of them is
-    eliminated, the new pivot columns are cleared from the basis rows, and
-    the rows are merged in pivot order: only ``len(rows)`` rows go through
-    elimination.  Returns a read-only (rank, width) array and the pivot
-    columns, as ``rref`` does.  Raises ValueError on ragged rows, rows not
-    as wide as the basis, or entries outside [0, q).
-    """
-    V = _as_array(field, rows, basis.shape[1])
-    V = V.copy() if V is rows else V  # reduced in place below
-    if len(pivots):
-        _reduce(field, V, basis, pivots)
-    new, new_pivots = _rref_array(field, V)
-    if not len(pivots):  # the zero basis: a plain rref, with nothing to clear or merge
-        R, merged = new, new_pivots
-    elif not new_pivots:
-        R, merged = basis.view(), list(pivots)  # a view: the caller's flags stay as they are
-    else:
-        B = basis.copy()
-        _reduce(field, B, new, new_pivots)  # new rows are zero on the old pivots
-        merged = list(pivots) + new_pivots
-        order = np.argsort(merged, kind="stable")
-        R, merged = np.concatenate([B, new])[order], [merged[i] for i in order]
-    R.setflags(write=False)
-    return R, tuple(merged)
-
-
 def rref(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Canonical reduced row echelon form of the row space, as a read-only
-    (rank, width) array, plus the pivot columns: the extension of the zero basis.
+    (rank, width) array, plus the pivot columns.
 
     Raises ValueError on ragged rows or on entries outside [0, q).
     """
-    return extend(field, np.zeros((0, width), dtype=field.log_antilog[1].dtype), (), rows)
+    M = _as_array(field, rows, width)
+    M = M.copy() if M is rows else M  # reduced in place below
+    R, pivots = _rref_array(field, M)
+    R.setflags(write=False)
+    return R, tuple(pivots)
 
 
 def nullspace(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> np.ndarray:

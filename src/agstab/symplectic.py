@@ -70,12 +70,6 @@ class CodeBasis:
         rows.setflags(write=False)
         return cls(field, width, rows, ())
 
-    def extended(self, rows: Sequence[Sequence[int]]) -> "CodeBasis":
-        """Canonical basis of the span of this basis and ``rows``; only ``rows``
-        go through elimination (``linalg.extend``)."""
-        reduced, pivots = linalg.extend(self.field, self.rows, self.pivots, rows)
-        return CodeBasis(self.field, self.width, reduced, pivots)
-
     @cached_property
     def _key(self) -> tuple:
         # formed once: a memo keyed on a basis (the decoder's) hashes it at every lookup

@@ -249,14 +249,14 @@ def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j, exact):
     n, width = art.n, art.width
     shapes = record_eliminations(monkeypatch)
     # the stored rows are the fresh ones, so the exponent tables decide every check and no
-    # matrix is reduced; the exact search needs the canonical bases: C(H), the 2j rows of L(G)
-    # past L(H) (C(G) is C(H) extended by them) and the swapped kernel of the dual of C(G), its
-    # checks.  The exact Hamming search takes its checks from the raw Euclidean dual rows
+    # matrix is reduced; the exact search needs the canonical bases: C(H), C(G) and the swapped
+    # kernel of the dual of C(G), its checks.  The exact Hamming search takes its checks from
+    # the raw Euclidean dual rows
     assert artifact_mod.verify_artifact(art, exact_distance=exact)["ok"]
-    assert shapes == ([(n - j, width), (2 * j, width), (n - j, width)] if exact else [])
+    assert shapes == ([(n - j, width), (n + j, width), (n - j, width)] if exact else [])
     shapes.clear()
-    # the stored C(G) no longer starts with C(H), so every G row is reduced, then the dual;
-    # the classical view reads the fresh code, and takes it from the certificate
+    # an edited C(G) is reduced the same way, then the dual; the classical view reads the
+    # fresh code, and takes it from the certificate
     art.c_g_rows[0][0] ^= 1
     assert not artifact_mod.verify_artifact(art, exact_distance=exact)["ok"]
     assert shapes == [(n - j, width), (n + j, width), (n - j, width)]
@@ -264,7 +264,7 @@ def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j, exact):
 
 @pytest.mark.parametrize("kind,q,j", [("rational", 512, 4), ("hermitian", 4, 5), ("rational", 8, 4)])
 def test_construct_reduces_c_h_and_the_new_g_rows(monkeypatch, kind, q, j):
-    from agstab.curves import build_codes, evaluation_matrix, make_backend
+    from agstab.curves import build_codes, make_backend
 
     backend = make_backend(kind, q)
     n, width = backend.n, 2 * backend.n
@@ -272,14 +272,45 @@ def test_construct_reduces_c_h_and_the_new_g_rows(monkeypatch, kind, q, j):
     # construct certifies the ranks from the exponent tables and reduces no matrix
     artifact_mod.construct_artifact(kind, q, j)
     assert shapes == []
-    # the elimination oracle reduces n + j rows, not 2n: 252 + 8 at rational q=512 j=4
+    # the elimination oracle reduces each code once, C(H) first
     build_codes(backend, j)
-    assert shapes == [(n - j, width), (2 * j, width)]
-    shapes.clear()
-    # G rows that do not start with the H rows are all reduced
-    g, h = (evaluation_matrix(backend, j, which) for which in "gh")
-    build_codes(backend, j, g[::-1], h)
     assert shapes == [(n - j, width), (n + j, width)]
+
+
+def test_every_elimination_goes_through_rref(monkeypatch, tmp_path):
+    from agstab import linalg
+
+    shapes = record_eliminations(monkeypatch)
+    calls = []
+    real = linalg.rref
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+
+    def run(*argv, status=0):
+        shapes.clear()
+        calls.clear()
+        assert main(list(argv)) == status
+        assert len(shapes) == len(calls)
+        return len(shapes)
+
+    # one rref call per elimination, so a wrapper of linalg.rref sees every reduction
+    r81, edited, h45, down = (str(tmp_path / f"{name}.json") for name in ("r81", "edited", "h45", "down"))
+    assert run("construct", "--backend", "rational", "--q", "8", "--j", "1", "--out", r81) == 0
+    # C(H), C(G) and the swapped kernel of the dual of C(G), whether fresh or edited
+    assert run("verify", r81, "--exact-distance") == 3
+    art = artifact_mod.load(r81)
+    art.c_g_rows[0][0] ^= 1
+    artifact_mod.save(art, edited)
+    assert run("verify", edited, "--exact-distance", status=1) == 3
+    run("construct", "--backend", "hermitian", "--q", "4", "--j", "5", "--out", h45)
+    assert run("descend", "--in", h45, "--out", down) == 6
+    assert run("verify", down) > 0
+    assert run("decode-sim", "--artifact", h45, "--trials", "2", "--weight", "1", "--seed", "3",
+               "--out", str(tmp_path / "trials.jsonl")) == 1
 
 
 def test_decode_sim_and_descend_reduce_only_the_code_they_use(monkeypatch, tmp_path):

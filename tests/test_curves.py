@@ -19,6 +19,7 @@ from agstab.curves import (
     power_basis,
 )
 from agstab.gf import field
+from agstab.linalg import row_in_span
 from agstab.symplectic import (
     CodeBasis,
     contains,
@@ -277,7 +278,7 @@ def test_dual_identity_and_dimensions(backend):
 @pytest.mark.parametrize("backend", BACKENDS + [RationalBackend(512), HermitianBackend(8)],
                          ids=lambda b: f"{b.kind}-q{b.q}")
 def test_l_h_rows_are_the_first_rows_of_l_g(backend):
-    # the invariant build_codes and verify rest on: C(G) is C(H) extended by the last 2j rows
+    # the invariant construct and verify rest on (Certificate.contained): C(H) <= C(G) by prefix
     n = backend.n
     for j in sorted({0, 1, backend.max_j // 2, backend.max_j}):
         g, h = (evaluation_matrix(backend, j, which) for which in "gh")
@@ -287,11 +288,11 @@ def test_l_h_rows_are_the_first_rows_of_l_g(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: f"{b.kind}-q{b.q}")
 def test_build_codes_without_a_shared_prefix(backend):
-    # rows that do not start with the L(H) rows reduce from the zero basis, to the same codes
+    # each code is the rref of its own evaluation, whatever prefix the two share
     j = min(1, backend.max_j)
     g, h = (evaluation_matrix(backend, j, which) for which in "gh")
-    assert build_codes(backend, j, g[::-1], h) == build_codes(backend, j)
-    assert build_codes(backend, j)[0] == CodeBasis.from_rows(backend.field, g, 2 * backend.n)
+    assert build_codes(backend, j) == tuple(CodeBasis.from_rows(backend.field, rows, 2 * backend.n)
+                                            for rows in (g, h))
 
 
 def test_rational_q8_j1_dims():
@@ -555,16 +556,19 @@ def test_power_basis_is_the_rref_of_every_rational_c_h():
     for f, points, rank, want in _rational_power_bases([4, 8, 16, 32, 64, 128, 256]):
         got = power_basis(f, points, rank)
         assert got == want and got.pivots == tuple(range(rank)) and not got.rows.flags.writeable
-    # q = 512: rref at four j, and every rank as the previous rref extended by the next row x^i
+    # q = 512: rref at four j; at every rank, a basis that is the identity on its first rank
+    # columns and spans every row x^i, i < rank, of V (which has that rank, the points being
+    # distinct) is rref(V[:rank])
     backend = RationalBackend(512)
-    points, V = backend.places[:, 0], evaluation_matrix(backend, 0, "h")
+    f, points, V = backend.field, backend.places[:, 0], evaluation_matrix(backend, 0, "h")
     for j in (0, 1, backend.max_j // 2, backend.max_j):
-        assert power_basis(backend.field, points, backend.n - j) == CodeBasis.from_rows(
-            backend.field, V[:backend.n - j], 512)
-    basis = CodeBasis.zero(backend.field, 512)
+        assert power_basis(f, points, backend.n - j) == CodeBasis.from_rows(f, V[:backend.n - j], 512)
+    assert len(set(points.tolist())) == len(points) == 512
     for rank in range(backend.n + 1):
-        basis = basis.extended(V[rank - 1:rank]) if rank else basis
-        assert power_basis(backend.field, points, rank) == basis
+        got = power_basis(f, points, rank)
+        assert got.rows.shape == (rank, 512) and got.pivots == tuple(range(rank))
+        assert np.array_equal(got.rows[:, :rank], np.eye(rank))
+        assert row_in_span(f, got.rows, got.pivots, V[:rank]).all()
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8, 10])

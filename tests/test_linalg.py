@@ -135,84 +135,8 @@ def test_row_in_span_matches_the_span(case, data):
 
 
 # ---------------------------------------------------------------------------
-# extension: rref of [basis; rows] from a reduced basis
+# tall matrices and evaluation slices
 # ---------------------------------------------------------------------------
-
-EXTENSIONS = ("empty-basis", "no-rows", "in-span", "full-rank", "rank-deficient")
-
-
-def combine(f, coefficients, rows, width):
-    """sum_i c_i rows[i] by scalar arithmetic."""
-    out = [0] * width
-    for c, row in zip(coefficients, rows):
-        out = [v ^ f.mul(c, r) for v, r in zip(out, row)]
-    return out
-
-
-@st.composite
-def extensions(draw, kind):
-    """(field, basis rows, new rows, width) for one kind of extension over GF(2/4/16/512)."""
-    f = field(draw(st.sampled_from((1, 2, 4, 9))))
-    width = draw(st.integers(1, 6))
-    entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
-    row = st.lists(entry, min_size=width, max_size=width)
-    base = [] if kind == "empty-basis" else draw(st.lists(row, max_size=5))
-
-    def combinations(gens, count):
-        return [combine(f, draw(st.lists(st.integers(0, f.q - 1), min_size=len(gens), max_size=len(gens))),
-                        gens, width) for _ in range(count)]
-
-    if kind == "no-rows":
-        new = []
-    elif kind == "in-span":
-        new = combinations(base, draw(st.integers(1, 4)))
-    elif kind == "full-rank":
-        # scaled unit rows in any order, among random ones
-        units = [[draw(st.integers(1, f.q - 1)) if c == i else 0 for c in range(width)] for i in range(width)]
-        new = draw(st.permutations(units + draw(st.lists(row, max_size=2))))
-    elif kind == "rank-deficient":
-        # more rows than the rank they add: combinations of the basis and at most two new vectors
-        gens = base + draw(st.lists(row, min_size=1, max_size=2))
-        new = combinations(gens, draw(st.integers(len(gens) - len(base) + 1, 5)))
-    else:
-        new = draw(st.lists(row, min_size=1, max_size=5))
-    return f, base, new, width
-
-
-@pytest.mark.parametrize("kind", EXTENSIONS)
-@settings(max_examples=60)
-@given(data=st.data())
-def test_extension_is_the_rref_of_the_stacked_rows(kind, data):
-    f, base, new, width = data.draw(extensions(kind))
-    B, pivots = linalg.rref(f, base, width)
-    R, got = linalg.extend(f, B, pivots, new)
-    assert (R.tolist(), got) == as_lists(linalg.rref(f, base + new, width)) == reference_rref(f, base + new, width)
-    assert R.dtype == B.dtype and not R.flags.writeable
-    if kind in ("no-rows", "in-span"):
-        assert (R.tolist(), got) == as_lists((B, pivots))
-    if kind == "full-rank":
-        assert got == tuple(range(width))
-    assert CodeBasis.from_rows(f, base, width).extended(new) == CodeBasis.from_rows(f, base + new, width)
-
-
-def test_extension_clears_the_new_pivots_and_merges_by_pivot():
-    f = field(2)
-    B, pivots = linalg.rref(f, [[0, 1, 2, 0]], 4)
-    # new pivot 0 goes before the old pivot 1, and new pivot column 2 is cleared from the old row
-    R, got = linalg.extend(f, B, pivots, [[0, 0, 1, 0], [1, 0, 0, 3]])
-    assert (R.tolist(), got) == ([[1, 0, 0, 3], [0, 1, 0, 0], [0, 0, 1, 0]], (0, 1, 2))
-    assert B.tolist() == [[0, 1, 2, 0]]
-
-
-def test_extension_leaves_a_writable_basis_writable():
-    f = field(4)
-    B = np.array([[1, 0, 5], [0, 1, 7]], dtype=np.uint8)
-    R, got = linalg.extend(f, B, (0, 1), [[1, 1, 2]])    # the sum of the rows: no new pivot
-    assert (R.tolist(), got) == ([[1, 0, 5], [0, 1, 7]], (0, 1))
-    assert B.flags.writeable and not R.flags.writeable
-    with pytest.raises(ValueError, match="^row 0 has length 2, expected 3$"):
-        linalg.extend(f, B, (0, 1), [[1, 2]])
-
 
 @st.composite
 def tall_matrices(draw):
@@ -311,18 +235,6 @@ def test_binary_rref_matches_scalar_reference(case):
 
 @FUZZ
 @given(binary_matrices(), st.data())
-def test_binary_extension_is_the_rref_of_the_stacked_rows(case, data):
-    rows, width = case
-    cut = data.draw(st.integers(0, len(rows)))
-    base, new = rows[:cut], rows[cut:]
-    B, pivots = linalg.rref(GF2, base, width)
-    R, got = linalg.extend(GF2, B, pivots, new)
-    assert (R.tolist(), got) == as_lists(linalg.rref(GF2, rows, width)) == reference_rref(GF2, rows, width)
-    assert R.dtype == np.uint8 and not R.flags.writeable
-
-
-@FUZZ
-@given(binary_matrices(), st.data())
 def test_binary_row_in_span_matches_the_span(case, data):
     rows, width = case
     R, pivots = linalg.rref(GF2, rows, width)
@@ -399,7 +311,6 @@ def test_binary_work_never_reaches_the_log_antilog_kernel(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counting)
     rows = [[1, 0, 1, 1, 0, 1, 1, 0, 1], [0, 1, 1, 0, 1, 1, 0, 1, 1], [1, 1, 0, 1, 1, 0, 1, 1, 0]]
     R, pivots = linalg.rref(GF2, rows, 9)
-    linalg.extend(GF2, R[:1], pivots[:1], rows[1:])
     assert linalg.row_in_span(GF2, R, pivots, rows).all()
     _hermitian_descent_eliminations(monkeypatch)
     assert calls[2] == 0 and calls[16] > 0  # the descent still reduces the GF(16) code itself

@@ -14,16 +14,17 @@ file (``CodeArtifact`` holds the matrices as writable (rows, 2n) arrays
 in the field's dtype).  The writer, ``_pieces``, dumps the document with
 each table slot emptied to [], the skeleton, and yields its segments
 with each table's bytes at its slot, laid out by a table gather; a curve
-artifact's C(H) is the first n - j rows of its C(G), so it is evaluated,
-written and read as that prefix.  ``save`` writes the pieces as they are
-made, and ``to_json`` is their join.  ``load`` reads the file as bytes:
-the exact-layout reader cuts them by the same slots, parses each table
-in place with numpy, decodes only the skeleton, and keeps the result
-only when the skeleton is what json.dumps writes for it and each table
-lays out to exactly its block.  Any other file, and any file shorter
-than _EXACT_MIN, is decoded as text mode decodes it and goes through
-json.loads; ``from_json`` reads a text the same two ways.  Every reader
-gives the same artifact, or the same error message.
+artifact's C(H) is the first n - j rows of its C(G), so it is evaluated
+and read as that prefix, and its rows are laid out once for both slots.
+``save`` writes the pieces as they are made, and ``to_json`` is their
+join.  ``load`` reads the file as bytes: the exact-layout reader cuts
+them by the same slots, parses each table in place with numpy, decodes
+only the skeleton, and keeps the result only when the skeleton is what
+json.dumps writes for it and each table lays out to exactly its block.
+Any other file, and any file shorter than _EXACT_MIN, is decoded as text
+mode decodes it and goes through json.loads; ``from_json`` reads a text
+the same two ways.  Every reader gives the same artifact, or the same
+error message.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from . import __version__, symplectic
 from .curves import Certificate, CurveBackend, certify, evaluation_matrix, make_backend
 from .descent import DescentBasis, descend_code, self_dual_basis
-from .gf import GF2m
+from .gf import GF2m, field
 from .symplectic import (
     CodeBasis,
     contains,
@@ -82,10 +83,6 @@ def _field_block(f: GF2m) -> dict[str, int]:
         "modulus": f.modulus,
         "size": f.q,
     }
-
-
-def _field_from_block(block: dict[str, int]) -> GF2m:
-    return GF2m(block["degree"], block["modulus"])
 
 
 def _table(value: Any) -> np.ndarray | None:
@@ -139,16 +136,6 @@ def _layout_matrix(M: np.ndarray, pad: str) -> Iterator[bytes]:
     yield f"\n{pad}]".encode()
 
 
-def _rows_length(M: np.ndarray, pad: str) -> int:
-    """The length of ``_layout_matrix(M, pad)``'s text up to the "]" that closes M's last row:
-    each entry's digits (at most five) on a line; each row closed, and reopened but the last."""
-    inner, reopen = pad + "  ", f",\n{pad}  [\n"
-    rows, cols = M.shape
-    digits = M.size + sum(int(np.count_nonzero(M >= 10 ** k)) for k in range(1, 5))
-    row = cols * len(pad + "    ,\n") - len(",\n") + len(f"\n{inner}]") + len(reopen)
-    return len(f"[\n{inner}[\n") + digits + rows * row - len(reopen)
-
-
 def _document(art: CodeArtifact) -> dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -188,8 +175,9 @@ def _pieces(art: CodeArtifact) -> Iterator[bytes]:
     The document is dumped with each table slot that holds a table
     (``_table``) emptied to [] (the skeleton), and each table's pieces
     (``_layout_matrix``) come at its slot, between the skeleton's.  A C(H)
-    equal to the first r rows of C(G) is C(G)'s pieces cut after row r and
-    closed: only then are C(G)'s pieces kept, taken by reference.
+    equal to the first r rows of C(G) is laid out once and its pieces kept:
+    C(G) is then those pieces without their close, and the layout of the
+    rows after r with its opening "[" made the "," that continues the table.
     """
     doc = _document(art)
     tables = {}
@@ -201,29 +189,20 @@ def _pieces(art: CodeArtifact) -> Iterator[bytes]:
         elif isinstance(parent[key], np.ndarray):
             parent[key] = parent[key].tolist()
     skeleton = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("ascii")
+    pieces = {key: _layout_matrix(tables[key], pad) for key, _, pad in _SLOTS if tables[key] is not None}
     g, h = tables["c_g"], tables["c_h"]
-    prefix = g is not None and h is not None and np.array_equal(h, g[:len(h)])
-    at, g_pieces = 0, []
-    for key, before, pad in _SLOTS:
-        M = tables[key]
-        if M is None:
-            continue
-        start = skeleton.index(before + b"[]", at) + len(before)
-        yield skeleton[at:start]
-        at = start + len(b"[]")
-        if key == "c_h" and prefix:
-            length = _rows_length(M, pad)
-            for piece in g_pieces:
-                yield piece[:length]  # the whole piece, not a copy, but for the last
-                length -= len(piece)
-                if length <= 0:
-                    break
-            yield f"\n{pad}]".encode()
-            continue
-        for piece in _layout_matrix(M, pad):
-            if key == "c_g" and prefix:
-                g_pieces.append(piece)
-            yield piece
+    if g is not None and h is not None and np.array_equal(h, g[:len(h)]):
+        pieces["c_g"] = pieces["c_h"] = kept = list(pieces["c_h"])
+        if len(g) > len(h):
+            rest = _layout_matrix(g[len(h):], "    ")
+            pieces["c_g"] = chain(kept[:-1], [b"," + next(rest)[1:]], rest)
+    at = 0
+    for key, before, _ in _SLOTS:
+        if key in pieces:
+            start = skeleton.index(before + b"[]", at) + len(before)
+            yield skeleton[at:start]
+            yield from pieces[key]
+            at = start + len(b"[]")
     yield skeleton[at:]
 
 
@@ -450,7 +429,7 @@ def _from_document(doc: Any) -> CodeArtifact:
     block = _entry(doc, "", "field", dict)
     for key in ("characteristic", "degree", "modulus", "size"):
         _entry(block, "field", key, int)
-    f = _field_from_block(block)
+    f = field(block["degree"], block["modulus"])
     if (block["characteristic"], block["size"]) != (2, f.q):
         raise ValueError(f"artifact: field.characteristic and field.size must be 2 and {f.q} "
                          f"for degree {f.degree}, got {block['characteristic']} and {block['size']}")
@@ -490,7 +469,7 @@ def _from_document(doc: Any) -> CodeArtifact:
 
 def save(art: CodeArtifact, path: str) -> None:
     """Write the artifact file (``to_json``'s text) piece by piece, as ``_pieces`` makes them:
-    the whole text is never held, only C(G)'s pieces when C(H) is their prefix."""
+    the whole text is never held, only C(H)'s pieces when its rows are C(G)'s first."""
     with open(path, "wb") as fh:
         fh.writelines(_pieces(art))
 
@@ -567,7 +546,7 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
     provenance block.  A C(G) of rank below n cannot contain its symplectic
     dual, and is refused with ValueError before any dual is built.
     """
-    sub = GF2m(base_degree)
+    sub = field(base_degree)
     basis = DescentBasis(sub, art.field)
     if basis.twist is None:
         basis = DescentBasis(sub, art.field, self_dual_basis(sub, art.field))
@@ -633,7 +612,8 @@ def verify_artifact(
     certificate.  Elimination decides the rest, each basis reduced at most
     once, C(H) first, and only when needed: the checks of an edited or a
     descended artifact, and the searches of ``--exact-distance`` and
-    ``--budget``.
+    ``--budget``.  A search that ``symplectic.search_refusal`` refuses on
+    the certified ranks alone fails ``distance-bound`` with no reduction.
     ``dual-equality`` builds no dual when rank C(G) + rank C(H) is not 2n.
     On a curve artifact ``distance-bound`` also requires the stored deg G
     to be the backend's, since ``decode-sim`` takes its guarantee region
@@ -703,10 +683,14 @@ def verify_artifact(
         bound_ok = True
         bound_detail = f"inherited lower bound {art.d_lower} (descent does not decrease it)"
     if exact_distance or budget is not None:
+        mode = "auto" if exact_distance else "budget"
+        # certified ranks and containment: a refusal that rests on them comes before any reduction
+        refused = (same_rows and contained and rank_g > rank_h
+                   and symplectic.search_refusal(art.field.q, art.n, rank_g, budget, mode))
         try:
-            res = relative_min_weight(
-                *reduced(), budget=budget, mode="auto" if exact_distance else "budget"
-            )
+            if refused:
+                raise ValueError(refused)
+            res = relative_min_weight(*reduced(), budget=budget, mode=mode)
         except ValueError as exc:
             bound_ok, bound_detail = False, f"search failed: {exc}"
         else:

@@ -69,7 +69,7 @@ stabilizer parameters do not depend on the choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -390,7 +390,15 @@ def monomial_matrix(f: GF2m, exponents: Sequence[tuple[int, ...]], places: np.nd
 
 
 def power_basis(f: GF2m, points: Sequence[int], rank: int) -> CodeBasis:
-    """The canonical basis of the rows x^i, i < rank, at distinct ``points``, with no elimination.
+    """The canonical basis of the rows x^i, i < rank, at distinct ``points``, with no elimination
+    (``_power_basis``), built once per (f, points, rank): decode-sim decodes against it, and the
+    decoder proves the basis it is given to be this very one (``decoder._power_sums``)."""
+    return _power_basis(f, tuple(as_elements(f, points).tolist()), rank)
+
+
+@lru_cache(maxsize=8)
+def _power_basis(f: GF2m, points: tuple[int, ...], rank: int) -> CodeBasis:
+    """``power_basis``, the points as a tuple, the key of the memo.
 
     Any rank columns of V = (P_c^i) are an invertible Vandermonde matrix, so the
     pivots are the first rank columns and the basis is V_P^-1 V (Roth-Seroussi

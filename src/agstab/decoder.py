@@ -187,7 +187,7 @@ def _power_sums(basis: CodeBasis, points: tuple[int, ...]) -> _PowerSums:
         raise ValueError(f"{P.size} points for {basis.width} columns")
     if basis.width and np.bincount(P, minlength=f.q).max() > 1:
         raise ValueError("the points are not distinct")
-    if basis != power_basis(f, P, basis.rank):
+    if basis != power_basis(f, points, basis.rank):  # the same object as decode-sim's
         raise ValueError("the rows x^i, i < rank, at the points do not span the checks")
     M = monomial_matrix(f, [(i,) for i in range(basis.rank)], P[:basis.rank, None])
     log = f.log_antilog[0]
@@ -333,7 +333,7 @@ def decode_syndromes(basis: CodeBasis, points: tuple[int, ...] | None, syndromes
             got = _least_solution(search, s, budget)
             found[t] = got is not None
             Y[t] = got[0] if got else 0
-    E = np.roll(Y, n, axis=1)  # swap_halves, its own inverse in characteristic 2
+    E = np.roll(Y, n, axis=1)  # the swap of the halves, its own inverse in characteristic 2
     if not np.array_equal(_syndromes(f, E[found], basis.rows), S[found]):
         raise AssertionError("swap reduction produced a wrong syndrome")
     weights = ((E[:, :n] != 0) | (E[:, n:] != 0)).sum(axis=1).tolist()

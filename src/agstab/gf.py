@@ -28,6 +28,8 @@ the same thing in every run and in every file written by different runs:
 
 The constructor re-verifies irreducibility of the modulus by exhaustive
 trial division, so a custom modulus cannot silently corrupt a field.
+The library takes every field from ``field(degree, modulus)``, which
+builds each one, and its tables, once per process.
 
 ``SubfieldEmbedding`` places GF(q) inside GF(q^m) and holds the embedding,
 its inverse and the trace as lookup tables over every element; it also
@@ -184,10 +186,6 @@ class GF2m:
 
     # -- arithmetic ------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        """Sum of two elements (XOR of coefficient vectors)."""
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -209,12 +207,6 @@ class GF2m:
                 raise ValueError("division by zero in " + repr(self))
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.q)
 
     def min_poly(self, a: int) -> int:
         """Minimal polynomial of element a over GF(2), as a bit mask."""
@@ -299,10 +291,13 @@ class GF2m:
         return f"GF(2^{self.degree})"
 
 
-@lru_cache(maxsize=None)
-def field(degree: int) -> GF2m:
-    """Shared GF(2^degree) instance with the default modulus."""
-    return GF2m(degree)
+def field(degree: int, modulus: int | None = None) -> GF2m:
+    """The shared GF(2^degree) over ``modulus`` (the documented one when None): one instance, and one
+    set of tables, per (degree, modulus).  ``GF2m`` validates both; a failed construction is not kept."""
+    return _fields(degree, _DEFAULT_MODULUS.get(degree) if modulus is None else modulus)
+
+
+_fields = lru_cache(maxsize=None)(GF2m)  # the only place the library constructs a field
 
 
 def as_elements(field: GF2m, values) -> np.ndarray:

@@ -4,7 +4,8 @@ The form pairs coordinate i with coordinate n+i:
 
     <x, y> = sum_i x_i y_{n+i} - sum_i x_{n+i} y_i
 
-(the subtraction is addition here, everything is characteristic 2), and the
+(the subtraction is addition here, everything is characteristic 2), so
+<x, y> = x . swap(y), where swap exchanges the halves (``np.roll`` by n); the
 weight of a vector counts the pairs (x_i, x_{n+i}) that are not both zero.
 A basis is always kept in canonical reduced row echelon form so that any
 two equal subspaces compare bit for bit.
@@ -90,7 +91,7 @@ class CodeBasis:
         # memo for symplectic_dual: verify, the budget sweep and descent ask for the same dual
         if self.width % 2:
             raise ValueError("symplectic dual needs an even ambient length")
-        # <x, c> = c . swap_halves(x), so the dual is the swapped Euclidean kernel of the
+        # <x, c> = c . swap(x), so the dual is the swapped Euclidean kernel of the
         # rows; they are already reduced, so the kernel needs no elimination, and the
         # swapped kernel is the one reduction
         kernel = linalg._nullspace_rows(self.rows, self.pivots, self.width)
@@ -113,7 +114,7 @@ def syndrome_of(field: GF2m, v: Sequence[int], dual_rows: Sequence[Sequence[int]
 
 
 def _syndromes(field: GF2m, vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row t is (<vectors[t], b_i>)_i for the rows b_i: <v, b> = v . swap_halves(b), in one
+    """Row t is (<vectors[t], b_i>)_i for the rows b_i: <v, b> = v . swap(b), in one
     log/antilog gather over the nonzero entries of the block and the columns they meet."""
     log, antilog = field.log_antilog
     t, c = np.nonzero(vectors)
@@ -131,16 +132,10 @@ def symplectic_weight(x: Sequence[int]) -> int:
     return sum(1 for i in range(n) if x[i] or x[n + i])
 
 
-def swap_halves(x: Sequence[int]) -> tuple[int, ...]:
-    """(x_1..x_n | x_{n+1}..x_{2n}) -> (x_{n+1}..x_{2n} | x_1..x_n)."""
-    n = len(x) // 2
-    return tuple(x[n:]) + tuple(x[:n])
-
-
 def symplectic_dual(basis: CodeBasis) -> CodeBasis:
     """Basis of {x : <x, c> = 0 for all c in the row space}, computed once per basis.
 
-    Since <x, c> = c . swap_halves(x), the dual is swap_halves of the
+    Since <x, c> = c . swap(x), the dual is the swap of the
     Euclidean kernel of the basis rows.  The rows are in rref, so the kernel
     is read off them with no elimination, and reducing the swapped kernel
     is the dual's one reduction.
@@ -185,7 +180,7 @@ class _SyndromeSearch:
 
     The g m coordinates form m positions: position p holds coordinates p,
     m + p, .., (g - 1) m + p, and the weight counts the nonzero positions.
-    g = 1 is the Hamming weight; g = 2 against the swap_halves of symplectic
+    g = 1 is the Hamming weight; g = 2 against the swap of symplectic
     rows is the symplectic weight.  A vector of weight w is held as its
     support (w sorted positions) and its position values v in 1 .. q^g - 1,
     whose base-q digits, most significant first, are the coordinates.
@@ -292,10 +287,8 @@ class _SyndromeSearch:
         """
         n, base = self.n, self.base
         k_left, k_right = w // 2, w - w // 2
-        for side, k in (("left", k_left), ("right", k_right)):
-            if comb(n, k) * base ** k > ENUMERATION_CAP:
-                raise ValueError(f"weight {w}: the {side} half has C({n},{k}) * {base}^{k} = "
-                                 f"{comb(n, k) * base ** k} rows, over the cap {ENUMERATION_CAP}")
+        if refused := _weight_refusal(w, n, base):
+            raise ValueError(refused)
         if w > n:
             return
         target = np.asarray(target, dtype=np.int64)
@@ -327,8 +320,29 @@ class _SyndromeSearch:
                     yield support[exact], values[exact]
 
 
+def _weight_refusal(w: int, n: int, base: int) -> str | None:
+    """Why the kernel refuses weight w over n positions of ``base`` nonzero values each: the
+    first half with more than ENUMERATION_CAP rows; None when both halves fit."""
+    for side, k in (("left", w // 2), ("right", w - w // 2)):
+        if comb(n, k) * base ** k > ENUMERATION_CAP:
+            return (f"weight {w}: the {side} half has C({n},{k}) * {base}^{k} = "
+                    f"{comb(n, k) * base ** k} rows, over the cap {ENUMERATION_CAP}")
+    return None
+
+
+def search_refusal(q: int, n: int, rank: int, budget: int | None, mode: str) -> str | None:
+    """The message with which ``relative_min_weight`` refuses C \\ D, C of ``rank`` > dim D in
+    F_q^(2n), before it searches any weight; None when it searches one.  It rests on q, n and
+    the rank alone (a sweep with no budget needs q^rank <= ENUMERATION_CAP, and every sweep
+    starts at weight 1), so a caller that knows the rank can refuse before reducing any basis."""
+    exact = mode == "auto" and q ** rank <= ENUMERATION_CAP
+    if not exact and budget is None:
+        return f"q^dim = {q ** rank} exceeds the enumeration cap; a weight budget is required"
+    return _weight_refusal(1, n, q * q - 1) if exact or budget >= 1 else None
+
+
 def _symplectic_search(basis: CodeBasis) -> _SyndromeSearch:
-    """The kernel on symplectic weight, checking <x, b> = x . swap_halves(b) for the rows b of ``basis``."""
+    """The kernel on symplectic weight, checking <x, b> = x . swap(b) for the rows b of ``basis``."""
     return _SyndromeSearch(basis.field, np.roll(basis.rows, basis.width // 2, axis=1), basis.width // 2, 2)
 
 
@@ -387,12 +401,10 @@ def relative_min_weight(C: CodeBasis, D: CodeBasis, budget: int | None = None, m
         raise ValueError("D must be a subspace of C")
     if C.rank == D.rank:
         return MinWeightResult(status="empty")
+    if refused := search_refusal(C.field.q, C.width // 2, C.rank, budget, mode):
+        raise ValueError(refused)
     if mode == "auto" and C.field.q ** C.rank <= ENUMERATION_CAP:
         return MinWeightResult(status="exact", weight=_enumerate_min_weight(C, D))
-    if budget is None:
-        raise ValueError(
-            f"q^dim = {C.field.q ** C.rank} exceeds the enumeration cap; a weight budget is required"
-        )
     return _budget_min_weight(C, D, budget)
 
 

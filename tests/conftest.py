@@ -24,7 +24,7 @@ settings.load_profile("agstab")
 def span_vectors(field: GF2m, rows: list[tuple[int, ...]], width: int) -> set[tuple[int, ...]]:
     """Every linear combination of the rows, as a set of tuples."""
     out = set()
-    for coeffs in product(field.elements(), repeat=len(rows)):
+    for coeffs in product(range(field.q), repeat=len(rows)):
         v = [0] * width
         for c, row in zip(coeffs, rows):
             if c:
@@ -45,14 +45,14 @@ def naive_symplectic_form(field: GF2m, x, y) -> int:
 def naive_symplectic_dual(field: GF2m, rows, width) -> set[tuple[int, ...]]:
     """All ambient vectors orthogonal to every row (whole-space scan)."""
     out = set()
-    for v in product(field.elements(), repeat=width):
+    for v in product(range(field.q), repeat=width):
         if all(naive_symplectic_form(field, v, r) == 0 for r in rows):
             out.add(v)
     return out
 
 
 def two_reduction_symplectic_dual(C: CodeBasis) -> CodeBasis:
-    """The symplectic dual by its definition, {x : swap_halves(C) x^T = 0}:
+    """The symplectic dual by its definition, {x : swap(C) x^T = 0}, the halves of C's rows exchanged:
     reduce the swapped rows, then reduce their kernel vectors."""
     R, pivots = linalg.rref(C.field, np.roll(C.rows, C.width // 2, axis=1), C.width)
     return CodeBasis.from_rows(C.field, linalg._nullspace_rows(R, pivots, C.width), C.width)
@@ -119,13 +119,13 @@ def naive_places(backend) -> list[tuple[int, ...]]:
     """
     f = backend.field
     if backend.kind == "rational":
-        paired = [(a,) for a in f.elements()]
+        paired = [(a,) for a in range(f.q)]
         shift = (1,)
     else:
         q = backend.q
-        norms = [f.pow(a, q + 1) for a in f.elements()]
-        traces = [f.pow(b, q) ^ b for b in f.elements()]
-        paired = [(a, b) for a in f.nonzero_elements() for b in f.elements() if traces[b] == norms[a]]
+        norms = [f.pow(a, q + 1) for a in range(f.q)]
+        traces = [f.pow(b, q) ^ b for b in range(f.q)]
+        paired = [(a, b) for a in range(1, f.q) for b in range(f.q) if traces[b] == norms[a]]
         shift = (0, SubfieldEmbedding(GF2m(f.degree // 2), f).embed(backend.gamma))
 
     def sigma(place):
@@ -140,7 +140,7 @@ def naive_trace(view: SubfieldEmbedding, y: int) -> int:
     acc = 0
     for i in range(view.m):
         acc ^= view.ext.pow(y, view.sub.q ** i)
-    return next(a for a in view.sub.elements() if view.embed(a) == acc)
+    return next(a for a in range(view.sub.q) if view.embed(a) == acc)
 
 
 def naive_descend_vector(view: SubfieldEmbedding, basis, vec) -> tuple[int, ...]:
@@ -167,7 +167,7 @@ def naive_descend_vector(view: SubfieldEmbedding, basis, vec) -> tuple[int, ...]
             mixed.append(acc)
         return alpha(mixed)
 
-    tuples = list(product(sub.elements(), repeat=m))
+    tuples = list(product(range(sub.q), repeat=m))
     n = len(vec) // 2
     left = [next(c for c in tuples if alpha(c) == y) for y in vec[:n]]
     right = [next(c for c in tuples if beta(c) == y) for y in vec[n:]]

@@ -391,6 +391,36 @@ def test_verify_budget_reduces_each_dual_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("flags", [{"budget": 1}, {"budget": 3}, {"exact_distance": True},
+                                   {"exact_distance": True, "budget": 1}], ids=str)
+def test_a_certified_search_is_refused_before_any_reduction(monkeypatch, flags):
+    from agstab import linalg, symplectic
+
+    calls = []
+    real = linalg.rref
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    art = artifact_mod.construct_artifact("hermitian", 4, 5)
+    monkeypatch.setattr(linalg, "rref", counting)
+    # weight 1's right half holds C(30,1) * 255 = 7650 rows, and q^dim is 16^35
+    monkeypatch.setattr(symplectic, "ENUMERATION_CAP", 7649)
+    report = artifact_mod.verify_artifact(art, **flags)
+    assert calls == []
+    detail = next(c["detail"] for c in report["checks"] if c["name"] == "distance-bound")
+    assert detail.startswith("search failed: ") and not report["ok"]
+    # the elimination path: C(G)'s rows reversed span the same code, but are not the fresh
+    # rows, so every basis is reduced and the search itself refuses, in the same words
+    reversed_rows = artifact_mod.construct_artifact("hermitian", 4, 5)
+    reversed_rows.c_g_rows = reversed_rows.c_g_rows[::-1].copy()
+    eliminated = artifact_mod.verify_artifact(reversed_rows, **flags)
+    assert calls
+    assert [c for c in eliminated["checks"] if c["name"] != "matrices-recompute"] == \
+        [c for c in report["checks"] if c["name"] != "matrices-recompute"]
+
+
 def test_verify_passes_and_reports_all_checks(tmp_path):
     art = artifact_mod.construct_artifact("rational", 8, 1)
     report = artifact_mod.verify_artifact(art, exact_distance=True)
@@ -614,6 +644,20 @@ def test_cli_decode_sim_refuses_a_forged_deg_g(tmp_path, capsys):
     assert main(["decode-sim", "--artifact", str(src), *argv]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 30 and not any(r["status"] == "unique-guaranteed" for r in records)
+
+
+def test_cli_exits_2_on_a_reducible_field_modulus(tmp_path, capsys):
+    src = str(tmp_path / "h41.json")
+    assert main(["construct", "--backend", "hermitian", "--q", "4", "--j", "1", "--out", src]) == 0
+    doc = json.loads((tmp_path / "h41.json").read_text())
+    doc["field"]["modulus"] = 0b10101  # (x^2 + x + 1)^2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["verify", str(bad)], ["descend", "--in", str(bad), "--out", str(tmp_path / "down.json")],
+                 ["decode-sim", "--artifact", str(bad), "--trials", "1", "--weight", "1", "--seed", "1"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: modulus 0b10101 is not irreducible of degree 4 over GF(2)\n")
 
 
 def test_cli_decode_sim_refuses_a_forged_field_modulus(tmp_path, capsys):

@@ -226,6 +226,48 @@ def test_mutation_reusing_a_prefix_unchecked_fails_the_layouts(monkeypatch):
         _check_layouts(arts)
 
 
+@pytest.mark.parametrize("kind, q", [("rational", 16), ("hermitian", 4)])
+def test_the_writer_lays_each_row_of_c_g_out_once(monkeypatch, kind, q):
+    # C(H)'s rows are C(G)'s first ones, laid out once for both slots: the matrix rows that go
+    # through _layout_matrix are C(G)'s, at j = 0 (C(H) = C(G)), 1 and max_j (C(H) empty)
+    from agstab.curves import make_backend
+
+    rows = []
+    real = artifact_mod._layout_matrix
+
+    def recording(M, pad):  # counted when the layout starts, not when it is asked for
+        rows.append((len(M), pad))
+        yield from real(M, pad)
+
+    monkeypatch.setattr(artifact_mod, "_layout_matrix", recording)
+    for j in (0, 1, make_backend(kind, q).max_j):
+        art = artifact_mod.construct_artifact(kind, q, j)
+        rows.clear()
+        assert artifact_mod.to_json(art) == _list_document(art)
+        assert sum(count for count, pad in rows if pad == "    ") == len(art.c_g_rows)
+    # the control: a descended C(H) is no prefix of its C(G), and is laid out on its own
+    down = artifact_mod.descend_artifact(artifact_mod.construct_artifact(kind, q, 1))
+    rows.clear()
+    assert artifact_mod.to_json(down) == _list_document(down)
+    assert rows == [(len(down.c_g_rows), "    "), (len(down.c_h_rows), "    ")]
+
+
+def test_loads_and_descents_share_one_field(tmp_path):
+    from agstab.gf import field
+
+    path = str(tmp_path / "h41.json")
+    artifact_mod.save(artifact_mod.construct_artifact("hermitian", 4, 1), path)
+    first, second = artifact_mod.load(path), artifact_mod.load(path)
+    assert first.field is second.field is field(4) is field(4, 0b10011)
+    assert artifact_mod.descend_artifact(first).field is field(1)
+    # a modulus a file names is still validated, and a failure is not kept
+    doc = json.loads((tmp_path / "h41.json").read_text())
+    doc["field"]["modulus"] = 0b10101  # (x^2 + x + 1)^2
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^modulus 0b10101 is not irreducible of degree 4 over GF\(2\)$"):
+            artifact_mod.from_json(json.dumps(doc))
+
+
 def _spans(text):
     """The (start, end) of the C(G), C(H) and places blocks of a to_json text."""
     return {key: (start + len(prefix), text.index(suffix, start + len(prefix)))

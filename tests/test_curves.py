@@ -19,13 +19,11 @@ from agstab.curves import (
     power_basis,
 )
 from agstab.gf import field
-from agstab.linalg import row_in_span
 from agstab.symplectic import (
     CodeBasis,
     contains,
     min_hamming_weight,
     relative_min_weight,
-    swap_halves,
     symplectic_dual,
     symplectic_weight,
 )
@@ -304,7 +302,7 @@ def test_rational_q8_j1_dims():
 def test_shift_symmetry_of_codes(backend):
     for j in (0, 1, backend.max_j):
         cg, _ = build_codes(backend, j)
-        assert contains(cg, CodeBasis.from_rows(cg.field, [swap_halves(row) for row in cg.rows], cg.width))
+        assert contains(cg, CodeBasis.from_rows(cg.field, np.roll(cg.rows, cg.width // 2, axis=1), cg.width))
 
 
 def test_distance_bound_exhaustive_small():
@@ -552,23 +550,64 @@ def _rational_power_bases(qs):
             yield backend.field, backend.places[:, 0], len(V), CodeBasis.from_rows(backend.field, V, q)
 
 
+def _power_basis_faults(f, points, V, build):
+    """The ranks r at which ``build(f, points, r)`` fails to be shown rref(V[:r]), V the rows
+    x^i at the distinct points, by induction on r.
+
+    B_r must be the identity on its first r columns (so it has rank r and
+    those pivots), B_{r-1} must be B_r[:r-1] + B_{r-1}[:, r-1] (x) B_r[r-1],
+    and V[r-1] must reduce to zero against B_r: on those pivots that is
+    V[r-1] = V[r-1, :r] B_r, all in field products.  The identity puts every
+    row of B_{r-1}, and so (inductively) V[:r-1], in the span of B_r, and
+    the reduction puts V[r-1] there: B_r spans V[:r], which has rank r, and
+    the rref of a space is unique.
+    """
+    log, antilog = f.log_antilog
+    prev, faults = build(f, points, 0), []
+    if prev.rows.shape != (0, len(points)) or prev.pivots:
+        faults.append(0)
+    for r in range(1, len(V) + 1):
+        got = build(f, points, r)
+        rows = got.rows
+        ok = rows.shape == (r, len(points)) and got.pivots == tuple(range(r)) and np.array_equal(rows[:, :r], np.eye(r))
+        if ok:
+            step = antilog[log[prev.rows[:, r - 1]][:, None] + log[rows[r - 1]]]  # the outer field product
+            span = np.bitwise_xor.reduce(antilog[log[V[r - 1, :r]][:, None] + log[rows]], axis=0)
+            ok = np.array_equal(prev.rows, rows[:r - 1] ^ step) and np.array_equal(V[r - 1], span)
+        if not ok:
+            faults.append(r)
+        prev = got
+    return faults
+
+
 def test_power_basis_is_the_rref_of_every_rational_c_h():
     for f, points, rank, want in _rational_power_bases([4, 8, 16, 32, 64, 128, 256]):
         got = power_basis(f, points, rank)
         assert got == want and got.pivots == tuple(range(rank)) and not got.rows.flags.writeable
-    # q = 512: rref at four j; at every rank, a basis that is the identity on its first rank
-    # columns and spans every row x^i, i < rank, of V (which has that rank, the points being
-    # distinct) is rref(V[:rank])
+    # q = 512: rref at four j, and at every rank by induction
     backend = RationalBackend(512)
     f, points, V = backend.field, backend.places[:, 0], evaluation_matrix(backend, 0, "h")
     for j in (0, 1, backend.max_j // 2, backend.max_j):
         assert power_basis(f, points, backend.n - j) == CodeBasis.from_rows(f, V[:backend.n - j], 512)
     assert len(set(points.tolist())) == len(points) == 512
-    for rank in range(backend.n + 1):
-        got = power_basis(f, points, rank)
-        assert got.rows.shape == (rank, 512) and got.pivots == tuple(range(rank))
-        assert np.array_equal(got.rows[:, :rank], np.eye(rank))
-        assert row_in_span(f, got.rows, got.pivots, V[:rank]).all()
+    assert _power_basis_faults(f, points, V, power_basis) == []
+
+
+@pytest.mark.parametrize("row", ["inner", "last", "none"])
+def test_the_power_basis_induction_catches_one_changed_entry(row):
+    # one entry of B_20 changed, off the identity: B_20 fails against B_19, and B_21 against it
+    backend = RationalBackend(64)
+    f, points, V = backend.field, backend.places[:, 0], evaluation_matrix(backend, 0, "h")
+
+    def build(f, points, rank):
+        basis = power_basis(f, points, rank)
+        if rank != 20 or row == "none":
+            return basis
+        rows = basis.rows.copy()
+        rows[3 if row == "inner" else 19, 40] ^= 1
+        return CodeBasis(f, basis.width, rows, basis.pivots)
+
+    assert _power_basis_faults(f, points, V, build) == ([] if row == "none" else [20, 21])
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8, 10])
@@ -599,8 +638,8 @@ def test_the_closed_form_differential_catches_each_mutant(mutant):
                  ("tuple(range(rank))", "tuple(range(len(P) // 2, len(P) // 2 + rank))")]
     elif mutant != "none":
         edits = [CLOSED_FORM_MUTANTS[mutant]]
-    build = _mutant(curves, "power_basis", *edits)
+    build = _mutant(curves, "_power_basis", *edits)
     cases = list(_rational_power_bases([4, 8, 16, 32]))
-    caught = [rank for f, points, rank, want in cases if build(f, points, rank) != want]
+    caught = [rank for f, points, rank, want in cases if build(f, tuple(points.tolist()), rank) != want]
     # every nonzero rank is caught (the mutants leave the zero basis alone); the control catches none
     assert caught == ([] if mutant == "none" else [rank for _, _, rank, _ in cases if rank])

@@ -47,22 +47,15 @@ def test_irreducibility_checker():
 def test_gf4_examples():
     f = field(2)
     omega, omega2 = 2, 3
-    assert f.add(omega, omega2) == 1            # w + w^2 = 1 (w^2 = w + 1)
+    assert omega ^ omega2 == 1                  # w + w^2 = 1 (w^2 = w + 1)
     assert f.mul(omega, omega2) == 1            # w^3 = 1
-    assert f.add(omega, 1) == omega2
-
-
-def test_char2_addition():
-    for r in (1, 2, 3, 4, 8):
-        f = field(r)
-        for a in f.elements():
-            assert f.add(a, a) == 0
+    assert omega ^ 1 == omega2
 
 
 def test_inverses_exhaustive():
     for r in (2, 3, 4, 6, 8):
         f = field(r)
-        for a in f.nonzero_elements():
+        for a in range(1, f.q):
             assert f.mul(a, f.inv(a)) == 1
         with pytest.raises(ValueError):
             f.inv(0)
@@ -74,7 +67,7 @@ def test_multiplicative_group_order():
     for r in (2, 3, 4, 6, 8, 12, 16):
         f = field(r)
         rng = np.random.default_rng(11)
-        sample = f.nonzero_elements() if f.q <= 256 else rng.integers(1, f.q, 200)
+        sample = range(1, f.q) if f.q <= 256 else rng.integers(1, f.q, 200)
         for a in sample:
             assert f.pow(int(a), f.q - 1) == 1
 
@@ -85,15 +78,15 @@ def test_frobenius_additivity():
         f = field(r)
         for _ in range(100):
             a, b = map(int, rng.integers(0, f.q, 2))
-            assert f.mul(f.add(a, b), f.add(a, b)) == f.add(f.mul(a, a), f.mul(b, b))
+            assert f.mul(a ^ b, a ^ b) == f.mul(a, a) ^ f.mul(b, b)
 
 
 def test_distributivity_small():
     f = field(2)
-    for a in f.elements():
-        for b in f.elements():
-            for c in f.elements():
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    for a in range(f.q):
+        for b in range(f.q):
+            for c in range(f.q):
+                assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
 
 
 def test_field_identity():
@@ -105,8 +98,8 @@ def test_field_identity():
 def test_mul_table_matches_scalar():
     f = field(3)
     t = f.mul_table
-    for a in f.elements():
-        for b in f.elements():
+    for a in range(f.q):
+        for b in range(f.q):
             assert int(t[a, b]) == f.mul(a, b)
     with pytest.raises(ValueError):
         field(16).mul_table
@@ -146,7 +139,7 @@ def test_trace_gf4_examples():
 @pytest.mark.parametrize("sd,ed", EXTENSIONS)
 def test_trace_table_is_the_sum_of_conjugates(sd, ed):
     emb = SubfieldEmbedding(field(sd), field(ed))
-    assert emb.trace_table.tolist() == [naive_trace(emb, y) for y in emb.ext.elements()]
+    assert emb.trace_table.tolist() == [naive_trace(emb, y) for y in range(emb.ext.q)]
     assert not emb.trace_table.flags.writeable
 
 
@@ -175,12 +168,12 @@ def test_incompatible_extension_rejected():
 def test_embedding_is_ring_homomorphism(sd, ed):
     sub, ext = field(sd), field(ed)
     emb = SubfieldEmbedding(sub, ext)
-    for a in sub.elements():
-        for b in sub.elements():
+    for a in range(sub.q):
+        for b in range(sub.q):
             assert emb.embed(a ^ b) == emb.embed(a) ^ emb.embed(b)
             assert emb.embed(sub.mul(a, b)) == ext.mul(emb.embed(a), emb.embed(b))
     assert emb.embed(0) == 0 and emb.embed(1) == 1
-    assert len({emb.embed(a) for a in sub.elements()}) == sub.q  # injective
+    assert len({emb.embed(a) for a in range(sub.q)}) == sub.q  # injective
 
 
 @pytest.mark.parametrize("sd,ed", EXTENSIONS)
@@ -188,7 +181,7 @@ def test_trace_linear_and_surjective(sd, ed):
     sub, ext = field(sd), field(ed)
     emb = SubfieldEmbedding(sub, ext)
     trace = emb.trace_table
-    assert set(trace.tolist()) == set(sub.elements())
+    assert set(trace.tolist()) == set(range(sub.q))
     rng = np.random.default_rng(3)
     for _ in range(60):
         y1, y2 = map(int, rng.integers(0, ext.q, 2))

@@ -333,7 +333,7 @@ def test_nullspace_is_the_canonical_kernel(case):
     assert null.tolist() == reference_rref(f, null, width)[0]
     assert all(not any(apply(f, rows, v)) for v in null.tolist())
     if rows and f.q ** width <= ORACLE_SIZE:
-        kernel = {x for x in product(f.elements(), repeat=width) if not any(apply(f, rows, x))}
+        kernel = {x for x in product(range(f.q), repeat=width) if not any(apply(f, rows, x))}
         assert span_vectors(f, null.tolist(), width) == kernel
 
 

@@ -11,6 +11,7 @@ refusal reads when it runs."""
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from agstab.decoder import (SyndromeProblem, _hamming_search, brute_oracle, exha
                             hamming_min_solve, symplectic_decode)
 from agstab.gf import field
 from agstab.symplectic import (ENUMERATION_CAP, CodeBasis, _SyndromeSearch, contains, min_hamming_weight,
-                                relative_min_weight, swap_halves, symplectic_dual)
+                                relative_min_weight, symplectic_dual)
 from conftest import naive_relative_min_weight, naive_symplectic_form, naive_symplectic_weight, span_vectors
 
 FUZZ = settings(max_examples=60)
@@ -240,7 +241,7 @@ def _kernel_solutions(search, w, syndrome):
 
 
 def _brute_solutions(dual, w, syndrome):
-    return {v for v in product(dual.field.elements(), repeat=dual.width) if naive_symplectic_weight(v) == w
+    return {v for v in product(range(dual.field.q), repeat=dual.width) if naive_symplectic_weight(v) == w
             and tuple(naive_symplectic_form(dual.field, v, r) for r in dual.rows.tolist()) == syndrome}
 
 
@@ -248,7 +249,7 @@ def _brute_solutions(dual, w, syndrome):
 @given(syndrome_problems(), st.integers(1, 4))
 def test_kernel_lists_each_solution_once(case, w):
     dual, syndrome = case
-    found = _kernel_solutions(_SyndromeSearch(dual.field, [swap_halves(r) for r in dual.rows.tolist()],
+    found = _kernel_solutions(_SyndromeSearch(dual.field, np.roll(dual.rows, dual.width // 2, axis=1),
                                               dual.width // 2, 2), w, syndrome)
     assert len(found) == len(set(found)) and set(found) == _brute_solutions(dual, w, syndrome)
 
@@ -273,7 +274,7 @@ def _dot(f, x, y):
 
 def _hamming_brute(f, rows, syndrome):
     """Every vector y with y . rows[i] = syndrome[i], by a whole-space scan."""
-    return {v for v in product(f.elements(), repeat=len(rows[0]))
+    return {v for v in product(range(f.q), repeat=len(rows[0]))
             if tuple(_dot(f, v, r) for r in rows) == syndrome}
 
 
@@ -321,7 +322,7 @@ def test_sweep_skips_light_vectors_of_d():
 def test_kernel_rejects_fingerprint_collisions(w):
     f = field(2)
     dual = CodeBasis.from_rows(f, [(1, 2, 0, 3, 1, 1), (0, 1, 1, 2, 0, 3)], 6)
-    search = _SyndromeSearch(f, [swap_halves(r) for r in dual.rows.tolist()], 3, 2)
+    search = _SyndromeSearch(f, np.roll(dual.rows, 3, axis=1), 3, 2)
     search._mix[:], search._bit_keys[:] = 0, 0   # every fingerprint 0: every pair matches
     found = _kernel_solutions(search, w, (1, 2))
     assert len(found) == len(set(found)) and set(found) == _brute_solutions(dual, w, (1, 2))

@@ -13,7 +13,6 @@ from agstab.symplectic import (
     contains,
     min_hamming_weight,
     relative_min_weight,
-    swap_halves,
     symplectic_dual,
     symplectic_weight,
     syndrome_of,
@@ -367,7 +366,3 @@ def test_params_distance_modes():
     assert relative_min_weight(cg, ch) == MinWeightResult(status="exact", weight=2)
     assert relative_min_weight(cg, ch, budget=1, mode="budget") == MinWeightResult(status="at-least", floor=2)
     assert relative_min_weight(cg, ch, budget=2, mode="budget") == MinWeightResult(status="exact", weight=2)
-
-
-def test_swap_halves():
-    assert swap_halves((1, 2, 3, 4)) == (3, 4, 1, 2)

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__, symplectic
 from .curves import Certificate, CurveBackend, certify, evaluation_matrix, make_backend
-from .descent import DescentBasis, descend_code, self_dual_basis
+from .descent import DescentBasis, _descend, descend_code, self_dual_basis
 from .gf import GF2m, field
 from .symplectic import (
     CodeBasis,
@@ -540,12 +540,16 @@ def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifac
 def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
     """Descend the artifact's G-code to GF(2^base_degree).
 
-    The default basis (powers of the generator) is used when it satisfies
-    the orthogonality-preserving trace identity; otherwise a self-dual
-    basis is substituted, and either way the basis used is recorded in the
-    provenance block.  A C(G) of rank below n cannot contain its symplectic
-    dual, and is refused with ValueError before any dual is built.
+    The default basis (powers of the generator) is used when it has a
+    twist, else a self-dual basis, and the provenance records it.  C(H)
+    is the descent of C(G)'s dual, which the twist makes the descended
+    C(G)'s dual.  ValueError for a descended artifact (its source would be
+    lost) before any reduction, and for a C(G) of rank below n (it cannot
+    contain its dual) before any dual is built.
     """
+    if art.backend_kind is None:
+        raise ValueError("cannot descend a descended artifact, whose source backend would be lost; "
+                         "descend its source")
     sub = field(base_degree)
     basis = DescentBasis(sub, art.field)
     if basis.twist is None:
@@ -554,7 +558,7 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
     if c_g.rank < art.n:  # dim C + dim C^perp = 2n, so C cannot hold a larger dual
         raise ValueError("input code does not contain its symplectic dual")
     down = descend_code(c_g, basis)
-    dual = symplectic_dual(down)
+    dual = _descend(symplectic_dual(c_g), basis)  # the dual descend_code built for its check
     n = down.width // 2
     return CodeArtifact(
         backend_kind=None,

@@ -71,16 +71,12 @@ class CodeBasis:
         rows.setflags(write=False)
         return cls(field, width, rows, ())
 
-    @cached_property
-    def _key(self) -> tuple:
-        # formed once: a memo keyed on a basis (the decoder's) hashes it at every lookup
-        return self.field, self.width, self.pivots, self.rows.tobytes()
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CodeBasis) and self._key == other._key
+        return isinstance(other, CodeBasis) and (self.field, self.width, self.pivots) == (
+            other.field, other.width, other.pivots) and np.array_equal(self.rows, other.rows)
 
-    def __hash__(self) -> int:
-        return hash(self._key)
+    def __hash__(self) -> int:  # no copy of the rows: equal pivots collide, and __eq__ tells them apart
+        return hash((self.field, self.width, self.pivots))
 
     @property
     def rank(self) -> int:

@@ -334,9 +334,38 @@ def test_decode_sim_and_descend_reduce_only_the_code_they_use(monkeypatch, tmp_p
     assert shapes == [(25, 60)]
     shapes.clear()
     # descend needs C(G) alone: two 4 x 8 reductions for the descent basis, C(G), the swapped
-    # kernel of its dual, then the descended code and its dual; the stored C(H) is never reduced
+    # kernel of its dual, then the descended code and the descent of that dual, the descended
+    # C(H); the stored C(H) is never reduced
     assert main(["descend", "--in", src, "--out", str(tmp_path / "down.json")]) == 0
     assert shapes == [(4, 8), (4, 8), (35, 60), (25, 60), (140, 240), (100, 240)]
+
+
+def test_descend_builds_one_kernel_and_one_containment_check(monkeypatch, tmp_path):
+    # both for the source: the descended C(H) is the descent of the source's dual, and the
+    # descended containment follows from the twist, so no kernel or check over GF(2)
+    from agstab import linalg
+
+    calls = []
+    src = str(tmp_path / "h45.json")
+    assert main(["construct", "--backend", "hermitian", "--q", "4", "--j", "5", "--out", src]) == 0
+    for name in ("_nullspace_rows", "row_in_span"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, name=name, real=real: calls.append(
+            (name, np.shape(args[1] if name == "row_in_span" else args[0]))) or real(*args))
+    assert main(["descend", "--in", src, "--out", str(tmp_path / "down.json")]) == 0
+    assert calls == [("_nullspace_rows", (35, 60)), ("row_in_span", (35, 60))]
+
+
+def test_cli_descend_refuses_a_descended_artifact(tmp_path, capsys):
+    # its output would record a source backend of nulls: refused before any reduction
+    src, down, again = (str(tmp_path / name) for name in ("h21.json", "down.json", "again.json"))
+    assert main(["construct", "--backend", "hermitian", "--q", "2", "--j", "1", "--out", src]) == 0
+    assert main(["descend", "--in", src, "--out", down]) == 0
+    capsys.readouterr()
+    assert main(["descend", "--in", down, "--out", again]) == 2
+    assert capsys.readouterr().err == ("error: cannot descend a descended artifact, whose source "
+                                       "backend would be lost; descend its source\n")
+    assert not (tmp_path / "again.json").exists()
 
 
 def test_each_riemann_roch_matrix_is_evaluated_once(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agstab import artifact
 from agstab.curves import HermitianBackend, RationalBackend, build_codes
 from agstab.descent import DescentBasis, _gamma, descend_code, self_dual_basis
 from agstab.gf import SubfieldEmbedding, field
@@ -133,6 +134,21 @@ def test_descend_rejects_non_self_orthogonal(gf4_basis):
         descend_code(C, gf4_basis)
 
 
+def test_descend_refuses_a_basis_without_a_twist(monkeypatch):
+    # the default basis of GF(16) over GF(2) has no twist: refused before any reduction
+    from agstab import linalg
+
+    cg, _ = build_codes(RationalBackend(16), 1)
+    C = CodeBasis(cg.field, cg.width, cg.rows, cg.pivots)  # no dual memoised yet
+    basis = DescentBasis(field(1), field(4))
+    calls = []
+    for name in ("rref", "_nullspace_rows", "row_in_span"):
+        monkeypatch.setattr(linalg, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(ValueError, match=r"^basis \[1, 2, 4, 8\] has no twist"):
+        descend_code(C, basis)
+    assert calls == []
+
+
 def test_descend_rejects_field_mismatch(gf4_basis):
     C = CodeBasis.from_rows(field(3), [(1, 0)], 2)
     with pytest.raises(ValueError, match="over"):
@@ -167,6 +183,52 @@ def test_distance_monotone_on_gf16_codes():
     down = descend_code(cg, db)
     assert down.width == 32 and down.rank == 18
     assert contains(down, symplectic_dual(down))
+
+
+# the descents tier-1 makes: the curve codes the artifact tests build, at GF(2) (the default
+# basis where it has a twist, the self-dual fallback where not, no C(H) at j = max_j) and GF(4)
+DESCENTS = [("rational", q, j, 1, 1) for q in (4, 8, 16, 32, 64) for j in sorted({0, 1, 2, q // 4, q // 2})] + [
+    ("hermitian", 2, j, 1, 1) for j in (0, 1, 2)] + [
+    ("hermitian", 4, j, gamma, 1) for gamma in (1, 3) for j in (0, 1, 5, 12, 24)] + [
+    ("rational", 16, 1, 1, 2), ("rational", 16, 3, 1, 2), ("hermitian", 4, 5, 1, 2)]
+
+
+def _eliminated_dual(down):
+    """The old descended C(H): the symplectic dual of a fresh basis of the descended C(G)."""
+    return symplectic_dual(CodeBasis.from_rows(down.field, down.c_g_rows, down.width)).rows
+
+
+def test_the_descended_c_h_is_the_eliminated_dual():
+    kinds = set()
+    for kind, q, j, gamma_, base in DESCENTS:
+        down = artifact.descend_artifact(artifact.construct_artifact(kind, q, j, gamma_), base)
+        assert np.array_equal(down.c_h_rows, _eliminated_dual(down)), (kind, q, j, gamma_, base)
+        m = len(down.descended_from["gram"])
+        identity = down.descended_from["gram"] == np.eye(m, dtype=int).tolist()
+        kinds.add(("self-dual" if identity else "twisted", base, len(down.c_h_rows) == 0))
+    # the default twisted bases and the self-dual fallback (the only basis at GF(16) over GF(4)),
+    # with and without a dual
+    assert {kind[:2] for kind in kinds} == {("twisted", 1), ("self-dual", 1), ("self-dual", 2)}
+    assert {kind[2] for kind in kinds} == {True, False}
+
+
+def test_mutation_beta_as_alpha_fails_the_differential_and_verify(monkeypatch):
+    # beta^-1 replaced by alpha^-1 on the default basis of GF(8), whose Gram matrix is no identity,
+    # its twist kept: descend_code's source checks pass, and the written C(H) is wrong
+    real, used = artifact.DescentBasis, []
+
+    def beta_as_alpha(*args):
+        basis = real(*args)
+        basis._beta_inv = basis._alpha_inv
+        used.append(basis)
+        return basis
+
+    monkeypatch.setattr(artifact, "DescentBasis", beta_as_alpha)
+    down = artifact.descend_artifact(artifact.construct_artifact("rational", 8, 1))
+    assert [(b.gram, b.twist) for b in used] == [(((1, 0, 0), (0, 0, 1), (0, 1, 0)), 1)]
+    assert not np.array_equal(down.c_h_rows, _eliminated_dual(down))
+    checks = {c["name"]: c["status"] for c in artifact.verify_artifact(down)["checks"]}
+    assert checks["dual-equality"] == "fail"
 
 
 def test_maps_accept_numpy_integers(gf4_basis):
@@ -282,12 +344,13 @@ def test_descend_code_matches_the_tuple_scan(db, data):
         if all(naive_symplectic_form(ext, v, u) == 0 for u in isotropic):
             isotropic.append(v)
     C = symplectic_dual(CodeBasis.from_rows(ext, isotropic, width))
+    if db.twist is None:  # refused before any reduction, whether or not this C would survive
+        with pytest.raises(ValueError, match="has no twist"):
+            descend_code(C, db)
+        return
     spanning = [naive_descend_vector(db.view, db.basis, [ext.mul(a, v) for v in row])
                 for row in C.rows.tolist() for a in db.basis]
     expected = CodeBasis.from_rows(db.sub, spanning, db.m * width)
-    if expected.rank == db.m * C.rank and contains(expected, symplectic_dual(expected)):
-        assert descend_code(C, db) == expected
-    else:
-        assert db.twist is None
-        with pytest.raises(ValueError, match="does not contain its symplectic dual"):
-            descend_code(C, db)
+    # the twist identity: the scan's image keeps its rank and contains its dual
+    assert expected.rank == db.m * C.rank and contains(expected, symplectic_dual(expected))
+    assert descend_code(C, db) == expected

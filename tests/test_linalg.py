@@ -289,7 +289,7 @@ def _hermitian_descent_eliminations(monkeypatch):
 
 
 def test_binary_descent_matrices_match_scalar_reference(monkeypatch):
-    # the n=120 descent: its gamma image (rank 140), the swapped kernel of its dual (rank 100),
+    # the n=120 descent: its gamma image (rank 140), the gamma image of the source's dual (rank 100),
     # and in verify, C(H), C(G) and the swapped kernel again
     down, seen = _hermitian_descent_eliminations(monkeypatch)
     assert down.n == 120 and [M.shape for M in seen if M.shape[0] > 8] == [

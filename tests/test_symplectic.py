@@ -79,6 +79,35 @@ def test_code_basis_equality_and_hash():
     assert CodeBasis.zero(f, 4) != CodeBasis.zero(f, 6)
     with pytest.raises(ValueError, match="read-only"):
         a.rows[0, 0] = 0
+    # equal pivots hash alike, and the rows tell the bases apart
+    c = CodeBasis.from_rows(f, [(1, 0, 0, 3), (0, 1, 1, 1)], 4)
+    assert a.pivots == c.pivots and hash(a) == hash(c) and a != c
+
+
+def test_hashing_and_comparing_a_basis_holds_no_copy_of_its_rows():
+    # the closed-form C(H) of rational q=512 j=4, and an equal basis that shares no array with it
+    import tracemalloc
+
+    from agstab import decoder
+    from agstab.curves import make_backend, power_basis
+
+    backend = make_backend("rational", 512)
+    points = tuple(backend.places[:, 0].tolist())
+    a = power_basis(backend.field, points, backend.n - 4)
+    b = CodeBasis(a.field, a.width, a.rows.copy(), a.pivots)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert hash(a) == hash(b) and a == b and {a: "memo"}[b] == "memo"
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert a.rows.nbytes == 252 * 512 * 2 and held < a.rows.nbytes // 16
+    # the decoder's memo keyed on the basis still hits for the equal copy
+    decoder._power_sums.cache_clear()
+    assert decoder._power_sums(a, points) is decoder._power_sums(b, points)
+    assert decoder._power_sums.cache_info()[:2] == (1, 1)
+    decoder._power_sums.cache_clear()
 
 # ---------------------------------------------------------------------------
 # form and weight: <x, y> is the syndrome of x against the one row y

@@ -202,6 +202,8 @@ def _poly_at(field: GF2m, coeffs: np.ndarray, x_logs: np.ndarray) -> np.ndarray:
     log, antilog = field.log_antilog
     powers = np.multiply.outer(x_logs, np.arange(coeffs.shape[-1])) % (field.q - 1)
     return np.bitwise_xor.reduce(antilog.take(log.take(coeffs) + powers), axis=-1)
+
+
 def _berlekamp_massey(field: GF2m, seq: Sequence[int], budget: int) -> tuple[list[int], int] | None:
     """(Lambda, L): the shortest recurrence seq[i] = sum_{k=1..L} Lambda[k] seq[i-k], L <= i,
     with Lambda[0] = 1 and no trailing zero; None as soon as L exceeds ``budget``."""

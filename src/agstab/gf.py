@@ -4,7 +4,10 @@ Field elements are bare integers in [0, 2^r); bit i holds the coefficient
 of x^i in the polynomial-basis representation, so 0 and 1 are the additive
 and multiplicative identities of every field and addition is plain XOR.
 Multiplication, inversion and division run on log/antilog tables built
-once per field from a fixed primitive element.
+once per field from its least primitive element: the constructor walks
+the powers of 2, 3, .. until a walk returns to 1 only after q - 1 steps,
+and that walk is the antilog table.  Every default modulus below has x
+(= 2) primitive, so there the first walk is the table.
 
 One modulus polynomial is fixed per degree so that element indices mean
 the same thing in every run and in every file written by different runs:
@@ -96,21 +99,6 @@ def is_irreducible_gf2(poly: int, degree: int) -> bool:
     return True
 
 
-def _factor(n: int) -> list[int]:
-    """Prime factors of n (each once), by trial division."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class GF2m:
     """The finite field GF(2^r) with a fixed modulus polynomial.
 
@@ -136,16 +124,20 @@ class GF2m:
         self.modulus = modulus
         self.q = 1 << degree
 
-        self._exp: list[int] = [0] * (2 * self.q)
-        self._log: list[int] = [0] * self.q
-        self.generator = self._find_generator()
-        val = 1
-        for i in range(self.q - 1):
-            self._exp[i] = val
+        # the least g whose walk g, g^2, .. returns to 1 only after q - 1 steps generates
+        # the multiplicative group (for q = 2, g = 1); that walk is the antilog table
+        for g in range(1, self.q):
+            walk, val = [1], g
+            while val != 1:
+                walk.append(val)
+                val = self._mul_raw(val, g)
+            if len(walk) == self.q - 1:
+                break
+        self.generator = g
+        self._exp = walk * 2  # mul reads up to index 2(q - 2) unreduced
+        self._log = [0] * self.q
+        for i, val in enumerate(walk):
             self._log[val] = i
-            val = self._mul_raw(val, self.generator)
-        for i in range(self.q - 1, 2 * self.q):
-            self._exp[i] = self._exp[i - (self.q - 1)]
 
         self._log_antilog = None
         self._mul_table = None
@@ -163,26 +155,6 @@ class GF2m:
                 a ^= self.modulus
             b >>= 1
         return p
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
-
-    def _find_generator(self) -> int:
-        """Smallest element index that generates the multiplicative group."""
-        order = self.q - 1
-        if order == 1:
-            return 1
-        primes = _factor(order)
-        for cand in range(2, self.q):
-            if all(self._pow_raw(cand, order // p) != 1 for p in primes):
-                return cand
-        raise AssertionError("no generator found (unreachable for a field)")
 
     # -- arithmetic ------------------------------------------------------
 
@@ -207,27 +179,6 @@ class GF2m:
                 raise ValueError("division by zero in " + repr(self))
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def min_poly(self, a: int) -> int:
-        """Minimal polynomial of element a over GF(2), as a bit mask."""
-        conjugates = []
-        c = a
-        while c not in conjugates:
-            conjugates.append(c)
-            c = self.mul(c, c)
-        coeffs = [1]  # constant polynomial 1, little-endian field coefficients
-        for c in conjugates:
-            nxt = [0] * (len(coeffs) + 1)
-            for i, co in enumerate(coeffs):
-                nxt[i + 1] ^= co
-                nxt[i] ^= self.mul(co, c)
-            coeffs = nxt
-        mask = 0
-        for i, co in enumerate(coeffs):
-            if co not in (0, 1):
-                raise AssertionError("minimal polynomial has a coefficient outside GF(2)")
-            mask |= co << i
-        return mask
 
     # -- bulk tables -----------------------------------------------------
 
@@ -322,9 +273,13 @@ def as_elements(field: GF2m, values) -> np.ndarray:
 class SubfieldEmbedding:
     """The subfield GF(q) inside GF(q^m), with trace and Gram-matrix support.
 
-    The embedding maps the subfield's canonical generator g to the smallest
-    root of g's minimal polynomial among the order-(q-1) elements of the
-    extension, which makes it a deterministic ring homomorphism.  The
+    The embedding sends x, the subfield's polynomial variable, to the least
+    root of the subfield's modulus in the extension, and each element, a
+    sum of powers x^i, to the same sum of root^i: a deterministic ring
+    homomorphism.  This is the map that sends the subfield's generator g to
+    the least root of g's minimal polynomial whenever g is x, for then that
+    polynomial is the modulus; every default modulus has x primitive, so
+    the two rules agree on every subfield the library builds.  The
     embedding and the trace (``trace_table``, Tr(y) as a subfield index at
     entry y) are numpy tables over every element, built once; they are
     read-only and safe to share between threads.
@@ -338,7 +293,7 @@ class SubfieldEmbedding:
         self.sub = sub
         self.ext = ext
         self.m = ext.degree // sub.degree
-        self._embed = np.array(self._build_embedding())
+        self._embed = self._build_embedding()
         project = np.full(ext.q, -1)  # the inverse of the embedding, -1 off the subfield
         project[self._embed] = np.arange(sub.q)
         # Tr(y) = y + y^q + .. + y^(q^(m-1)); q-th powers by repeated squaring
@@ -356,33 +311,24 @@ class SubfieldEmbedding:
         for table in (self._embed, self.trace_table):
             table.setflags(write=False)
 
-    def _build_embedding(self) -> list[int]:
+    def _build_embedding(self) -> np.ndarray:
         sub, ext = self.sub, self.ext
-        if self.m == 1:
-            if sub.modulus != ext.modulus:
-                raise ValueError("same-size fields with different moduli cannot embed")
-            return list(range(sub.q))
-        mp = sub.min_poly(sub.generator)
-        step = (ext.q - 1) // (sub.q - 1)
-        base = ext.pow(ext.generator, step)
-        roots = []
-        z = 1
-        for _ in range(sub.q - 1):
-            # evaluate the GF(2)-coefficient minimal polynomial at z
-            acc = 0
-            for i in range(mp.bit_length() - 1, -1, -1):
-                acc = ext.mul(acc, z) ^ ((mp >> i) & 1)
-            if acc == 0:
-                roots.append(z)
-            z = ext.mul(z, base)
-        if not roots:
-            raise AssertionError("no root of the subfield minimal polynomial found")
-        image = min(roots)
-        emb = [0] * sub.q
-        cur = 1
-        for i in range(sub.q - 1):
-            emb[sub._exp[i]] = cur
-            cur = ext.mul(cur, image)
+        if self.m == 1 and sub.modulus != ext.modulus:
+            raise ValueError("same-size fields with different moduli cannot embed")
+        log, antilog = ext.log_antilog
+        period = ext.q - 1
+        # the modulus at the q - 1 nonzero elements of order dividing q - 1, in one gather: they
+        # hold every root but 0, which only x (over GF(2)) has
+        logs = period // (sub.q - 1) * np.arange(sub.q - 1)
+        exponents = np.flatnonzero((sub.modulus >> np.arange(sub.degree + 1)) & 1)
+        at = np.bitwise_xor.reduce(antilog[np.multiply.outer(logs, exponents) % period], axis=1)
+        roots = antilog[logs[at == 0]]
+        root = roots.min() if roots.size else 0
+        # a = sum of its set bits x^i goes to the sum of root^i: the images below 2^(i+1)
+        # are those below 2^i, then each of them plus root^i
+        emb = np.zeros(1, dtype=np.intp)
+        for i in range(sub.degree):
+            emb = np.concatenate((emb, emb ^ antilog[log[root] * i % period]))
         return emb
 
     def embed(self, a: int) -> int:

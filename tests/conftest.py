@@ -21,6 +21,28 @@ settings.register_profile("agstab", deadline=None, derandomize=True, database=No
 settings.load_profile("agstab")
 
 
+def clmul(a, b, modulus: int) -> np.ndarray:
+    """a * b in GF(2)[x]/(modulus), elementwise over arrays: the carry-less product, then its
+    remainder by long division; it shares no code with ``GF2m``'s interleaved reduction."""
+    degree = modulus.bit_length() - 1
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    p = np.zeros(a.shape, dtype=np.int64)
+    for i in range(degree):
+        p ^= np.where((b >> i) & 1, a << i, 0)
+    for k in range(2 * degree - 2, degree - 1, -1):
+        p ^= np.where((p >> k) & 1, modulus << (k - degree), 0)
+    return p
+
+
+def naive_powers(g: int, modulus: int, count: int) -> np.ndarray:
+    """g^0 .. g^(count - 1) by ``clmul``, doubling the run of known powers at each step."""
+    powers, step = np.array([1], dtype=np.int64), g  # step is g^len(powers)
+    while len(powers) < count:
+        powers = np.concatenate((powers, clmul(powers, step, modulus)))
+        step = int(clmul(step, step, modulus))
+    return powers[:count]
+
+
 def span_vectors(field: GF2m, rows: list[tuple[int, ...]], width: int) -> set[tuple[int, ...]]:
     """Every linear combination of the rows, as a set of tuples."""
     out = set()

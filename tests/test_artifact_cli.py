@@ -152,6 +152,25 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
     assert path.read_bytes().decode("ascii") == text
 
 
+# SHA-256 of to_json where the subfield embedding's choice of root shows: a gamma outside GF(2)
+# on the hermitian curve, and descents to GF(4); fixed when the embedding sent the subfield's
+# generator to the least root of its minimal polynomial
+EMBEDDING_SHA256 = {
+    ("hermitian", 4, 1, 3, None): "3fedea2d52dfb484f9b5aa8d73a63f940d227cb5b9cf64220a5b087e937806f6",
+    ("hermitian", 4, 1, 3, 2): "50c355db7aeabc55aebf1e009470da197245fcc28e0858ad302e977784284198",
+    ("rational", 16, 1, 1, 2): "d055ae09dda0db8ac36a0e88faba0d58e10d4ffc8e83e25e60327f080084eb36",
+}
+
+
+@pytest.mark.parametrize("kind, q, j, gamma, base_degree", sorted(EMBEDDING_SHA256, key=str), ids=str)
+def test_artifacts_that_depend_on_the_embedding_are_pinned(kind, q, j, gamma, base_degree):
+    art = artifact_mod.construct_artifact(kind, q, j, gamma)
+    if base_degree:
+        art = artifact_mod.descend_artifact(art, base_degree)
+    digest = hashlib.sha256(artifact_mod.to_json(art).encode()).hexdigest()
+    assert digest == EMBEDDING_SHA256[kind, q, j, gamma, base_degree]
+
+
 @pytest.mark.parametrize("code", [("rational", 512, 4), ("hermitian", 8, 1)], ids=str)
 def test_save_and_load_hold_no_second_copy_of_the_file(tmp_path, code):
     # save keeps only C(G)'s pieces, which C(H) reuses as its prefix, and load the file's bytes,

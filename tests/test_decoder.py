@@ -430,19 +430,17 @@ def test_decode_agrees_with_oracle_hermitian_q2_j1():
 
 
 def test_oracle_matches_decode_inside_guarantee():
+    # rational q=8 j=0 has t_cap 1: every syndrome with a leader of weight <= 1 (253 of 8^8),
+    # decoded as one block through the power sums and through the search
     rb = RationalBackend(8)
-    cg, ch = build_codes(rb, 1)
-    leaders = exhaustive_coset_leaders(rb.field, ch)
-    t_cap = guarantee_cap(rb.n, rb.deg_g(1))
-    checked = 0
-    for syn, (vec, w) in leaders.items():
-        if w > t_cap:
-            continue
-        checked += 1
-        res = symplectic_decode(SyndromeProblem(ch, syn), rb.deg_g(1))
-        assert res.status == "unique-guaranteed"
-        assert res.error == vec and res.weight == w
-    assert checked > 0
+    ch = build_codes(rb, 0)[1]
+    t_cap = guarantee_cap(rb.n, rb.deg_g(0))
+    inside = {syn: vec for syn, (vec, w) in exhaustive_coset_leaders(rb.field, ch).items() if w <= t_cap}
+    assert t_cap == 1 and len(inside) == 1 + rb.n * (rb.field.q ** 2 - 1) == 253
+    for points, solver in ((tuple(rb.places[:, 0].tolist()), "power-sums"), (None, "search")):
+        block = decoder.decode_syndromes(ch, points, list(inside), rb.deg_g(0))
+        assert [r.error for r in block] == list(inside.values())
+        assert {(r.status, r.decoder) for r in block} == {("unique-guaranteed", solver)}
 
 
 def test_weight_capped_oracle_matches_full():

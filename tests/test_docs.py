@@ -1,8 +1,11 @@
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from agstab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("artifact", "bounds", "cli", "curves", "decoder", "descent", "gf", "linalg", "symplectic")
@@ -44,3 +47,14 @@ def test_the_scan_sees_a_missing_name():
     text = ("``linalg.rref`` and ``agstab.symplectic.CodeBasis.from_rows``; linalg.no_such_kernel, "
             "symplectic.CodeBasis.no_such_method; gf.py, curves.csv")
     assert missing_names(text) == ["linalg.no_such_kernel", "symplectic.CodeBasis.no_such_method"]
+
+
+def test_the_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # each line of README's *Command line* block, in order, in one directory: every file it reads,
+    # an earlier line writes
+    block = ROOT.joinpath("README.md").read_text().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines()]
+    assert lines and all(line[0] == "agstab" for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(line[1:]) == 0, f"{shlex.join(line)}: {capsys.readouterr().err}"

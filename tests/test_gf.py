@@ -1,6 +1,12 @@
+import inspect
+import types
+from functools import reduce
+from operator import xor
+
 import numpy as np
 import pytest
 
+from agstab import gf
 from agstab.gf import (
     GF2m,
     SubfieldEmbedding,
@@ -8,7 +14,7 @@ from agstab.gf import (
     field,
     is_irreducible_gf2,
 )
-from conftest import naive_trace
+from conftest import clmul, naive_powers, naive_trace
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +46,43 @@ def test_irreducibility_checker():
     assert not is_irreducible_gf2(0b111, 3)     # wrong degree
 
 
+# x^4+x^3+x^2+x+1, x^6+x^3+1 and x^8+x^4+x^3+x+1 (the AES modulus): irreducible, and x is not primitive
+X_NOT_PRIMITIVE = [(4, 0b11111), (6, 0b1001001), (8, 0b100011011)]
+
+
+def _check_walk(f):
+    """``generator`` is the least element of order q - 1, by brute force, and the tables are its walk."""
+    def order(c):
+        return 1 + int(np.flatnonzero(naive_powers(c, f.modulus, f.q)[1:] == 1)[0])
+
+    assert order(f.generator) == f.q - 1
+    assert all(order(c) < f.q - 1 for c in range(1, f.generator))
+    walk = naive_powers(f.generator, f.modulus, f.q - 1).tolist()
+    assert f._exp[:2 * (f.q - 1)] == walk * 2
+    assert [f._log[v] for v in walk] == list(range(f.q - 1))
+
+
+@pytest.mark.parametrize("degree,modulus", [(r, None) for r in range(1, 17)] + X_NOT_PRIMITIVE)
+def test_generator_is_the_least_element_of_order_q_minus_1(degree, modulus):
+    f = GF2m(degree, modulus)
+    _check_walk(f)
+    assert f.generator == (1 if degree == 1 else 2 if modulus is None else 3)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("degree,modulus", [(r, None) for r in (1, 2, 3, 4, 5, 8, 13, 16)] + X_NOT_PRIMITIVE)
+def test_mul_matches_the_carry_less_reference(degree, modulus):
+    # every pair up to q = 64, else 10^4 random pairs
+    f = GF2m(degree, modulus)
+    if f.q <= 64:
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(f.q), np.arange(f.q)))
+    else:
+        a, b = np.random.default_rng(degree).integers(0, f.q, (2, 10_000))
+    assert [f.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == clmul(a, b, f.modulus).tolist()
+
 
 def test_gf4_examples():
     f = field(2)
@@ -141,6 +181,57 @@ def test_trace_table_is_the_sum_of_conjugates(sd, ed):
     emb = SubfieldEmbedding(field(sd), field(ed))
     assert emb.trace_table.tolist() == [naive_trace(emb, y) for y in range(emb.ext.q)]
     assert not emb.trace_table.flags.writeable
+
+
+def _check_least_root(emb):
+    """``_embed`` sends x to the least root in the extension of the subfield's modulus, and each
+    element to the sum of root^i over its set bits; the roots found by ``clmul`` at every element."""
+    sub, ext = emb.sub, emb.ext
+    powers = [np.ones(ext.q, dtype=np.int64)]  # z^i at every z, 0^0 = 1
+    for _ in range(sub.degree):
+        powers.append(clmul(powers[-1], np.arange(ext.q), ext.modulus))
+    value = np.bitwise_xor.reduce([powers[i] for i in range(sub.degree + 1) if sub.modulus >> i & 1])
+    root = int(np.flatnonzero(value == 0)[0])
+    assert emb._embed[2 if sub.degree > 1 else 1] == root  # x, which is 1 in GF(2)
+    images = [reduce(xor, (int(powers[i][root]) for i in range(sub.degree) if a >> i & 1), 0)
+              for a in range(sub.q)]
+    assert emb._embed.tolist() == images
+
+
+AES = GF2m(8, 0b100011011)
+
+
+@pytest.mark.parametrize("sub,ext", [(field(sd), field(ed)) for sd, ed in EXTENSIONS]
+                         + [(field(1), field(16)), (field(4), field(16))]
+                         + [(field(sd), AES) for sd in (1, 2, 4)] + [(GF2m(4, 0b11111), field(8))],
+                         ids=lambda f: f"{f}:{f.modulus:#x}")
+def test_embedding_sends_x_to_the_least_root_of_the_modulus(sub, ext):
+    _check_least_root(SubfieldEmbedding(sub, ext))
+
+
+def test_the_subfield_whose_modulus_is_x_embeds():
+    # GF(2) over the modulus x, where x is 0: the least root is 0, and 1 still goes to 1
+    assert SubfieldEmbedding(GF2m(1, 0b10), field(3))._embed.tolist() == [0, 1]
+
+
+def _mutant(old, new):
+    """``gf`` with one piece of its source replaced, as a module of its own."""
+    source = inspect.getsource(gf)
+    assert source.count(old) == 1
+    module = types.ModuleType("gf_mutant")
+    exec(compile(source.replace(old, new), gf.__file__, "exec"), module.__dict__)
+    return module
+
+
+def test_a_walk_from_3_or_the_largest_root_fails_the_checks():
+    # negative controls: each mutant builds a field, or an embedding, that the checks reject
+    walk_from_3 = _mutant("for g in range(1, self.q):", "for g in [1, *range(3, self.q)]:")
+    with pytest.raises(AssertionError):
+        _check_walk(walk_from_3.GF2m(2))
+    largest_root = _mutant("root = roots.min() if", "root = roots.max() if")
+    for sd, ed in [(2, 4), (4, 16)]:  # over GF(2) every root gives the same embedding
+        with pytest.raises(AssertionError):
+            _check_least_root(largest_root.SubfieldEmbedding(field(sd), field(ed)))
 
 
 @pytest.mark.parametrize("bad", [-1, 4, 2 ** 70])

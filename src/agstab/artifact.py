@@ -615,9 +615,12 @@ def verify_artifact(
     read only the fresh code, so every curve artifact takes them from the
     certificate.  Elimination decides the rest, each basis reduced at most
     once, C(H) first, and only when needed: the checks of an edited or a
-    descended artifact, and the searches of ``--exact-distance`` and
-    ``--budget``.  A search that ``symplectic.search_refusal`` refuses on
-    the certified ranks alone fails ``distance-bound`` with no reduction.
+    descended artifact, and its searches under ``--exact-distance`` and
+    ``--budget``.  A certified code is searched on its rows: the C(H) rows
+    check C(G), the C(G) rows check C(H), and swap(C(H)), the Euclidean
+    dual of C(G), checks the Hamming search.  A search that
+    ``symplectic.search_refusal`` refuses on the certified ranks alone
+    fails ``distance-bound`` before it starts.
     ``dual-equality`` builds no dual when rank C(G) + rank C(H) is not 2n.
     On a curve artifact ``distance-bound`` also requires the stored deg G
     to be the backend's, since ``decode-sim`` takes its guarantee region
@@ -668,6 +671,7 @@ def verify_artifact(
         )
     )
     checks.append(_check("containment", contained, "C(G) contains C(H)"))
+    certified = same_rows and dual_ok and contained  # the searches need no elimination
     k_ok = rank_g - art.n == art.k and rank_h == art.n - art.k
     if backend is not None:
         k_ok = k_ok and art.k == art.j
@@ -688,13 +692,15 @@ def verify_artifact(
         bound_detail = f"inherited lower bound {art.d_lower} (descent does not decrease it)"
     if exact_distance or budget is not None:
         mode = "auto" if exact_distance else "budget"
-        # certified ranks and containment: a refusal that rests on them comes before any reduction
-        refused = (same_rows and contained and rank_g > rank_h
-                   and symplectic.search_refusal(art.field.q, art.n, rank_g, budget, mode))
         try:
-            if refused:
+            if not certified:
+                res = relative_min_weight(*reduced(), budget=budget, mode=mode)
+            elif rank_g == rank_h:
+                res = symplectic.MinWeightResult(status="empty")
+            elif refused := symplectic.search_refusal(art.field.q, art.n, rank_g, budget, mode):
                 raise ValueError(refused)
-            res = relative_min_weight(*reduced(), budget=budget, mode=mode)
+            else:  # C(H) = C(G)^perp: the checks of C(G) are the C(H) rows, and vice versa
+                res = symplectic.sweep_min_weight(art.field, h_rows, g_rows, art.width, rank_g, budget, mode)
         except ValueError as exc:
             bound_ok, bound_detail = False, f"search failed: {exc}"
         else:
@@ -727,7 +733,9 @@ def verify_artifact(
         dim_ok = cp.dim == art.n + art.j
         if exact_distance and art.field.q ** cp.dim <= symplectic.ENUMERATION_CAP:
             try:
-                w = min_hamming_weight(reduced()[0])
+                # the Euclidean dual of the certified C(G) is swap(C(H))
+                w = (symplectic.sweep_min_hamming_weight(art.field, np.roll(h_rows, art.n, axis=1), art.width, rank_g)
+                     if certified else min_hamming_weight(reduced()[0]))
             except ValueError as exc:
                 checks.append(_check("hamming-bound", False, f"search failed: {exc}"))
             else:

@@ -74,7 +74,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .gf import GF2m, SubfieldEmbedding, as_elements, field
+from .gf import GF2m, as_elements, embedding, field
 from .linalg import _nullspace_rows, row_in_span
 from .symplectic import CodeBasis
 
@@ -258,7 +258,7 @@ class HermitianBackend(CurveBackend):
         super().__init__(q, 2 * m, gamma, genus=q * (q - 1) // 2, n=(q * q - 1) * q // 2)  # over GF(q^2)
         if not 1 <= gamma < q:
             raise ValueError(f"gamma must be a nonzero GF({q}) element index, got {gamma}")
-        self._shift = np.array([0, SubfieldEmbedding(field(m), self.field).embed(gamma)])
+        self._shift = np.array([0, embedding(field(m), self.field).embed(gamma)])
         self.x_shift = q * q // 2 - 1
 
     def __repr__(self) -> str:

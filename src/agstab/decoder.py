@@ -409,7 +409,8 @@ def brute_oracle(problem: SyndromeProblem, weight_cap: int | None = None) -> Dec
     if weight_cap is None:
         vec, w = exhaustive_coset_leaders(problem.field, problem.dual_basis)[tuple(problem.syndrome)]
         return DecodeResult(error=vec, weight=w, status="found-min")
-    found = _least_solution(_symplectic_search(problem.dual_basis), problem.syndrome, weight_cap)
+    dual = problem.dual_basis
+    found = _least_solution(_symplectic_search(dual.field, dual.rows, dual.width), problem.syndrome, weight_cap)
     if found is None:
         return DecodeResult(error=None, weight=None, status="budget-exhausted")
     return DecodeResult(error=found[0], weight=found[1], status="found-min")

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import GF2m, SubfieldEmbedding
+from .gf import GF2m, embedding
 from .linalg import invert_matrix
 from .symplectic import CodeBasis, contains, symplectic_dual
 
@@ -59,7 +59,7 @@ class DescentBasis:
     """
 
     def __init__(self, sub: GF2m, ext: GF2m, basis: Sequence[int] | None = None) -> None:
-        self.view = SubfieldEmbedding(sub, ext)
+        self.view = embedding(sub, ext)
         self.sub = sub
         self.ext = ext
         self.m = self.view.m
@@ -114,7 +114,7 @@ def self_dual_basis(sub: GF2m, ext: GF2m) -> tuple[int, ...]:
     provably inherits self-orthogonality (twist 1).  Found by depth-first
     search over element indices.
     """
-    view = SubfieldEmbedding(sub, ext)
+    view = embedding(sub, ext)
     m, trace = view.m, view.trace_table.tolist()
 
     def extend(chosen: list[int]) -> list[int] | None:

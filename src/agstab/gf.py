@@ -372,3 +372,6 @@ class SubfieldEmbedding:
         log, antilog = self.ext.log_antilog
         b = log[as_elements(self.ext, basis)]
         return tuple(map(tuple, self.trace_table[antilog[b[:, None] + b[None, :]]].tolist()))
+
+
+embedding = lru_cache(maxsize=None)(SubfieldEmbedding)  # embedding(sub, ext): one shared instance per pair

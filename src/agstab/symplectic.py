@@ -15,18 +15,23 @@ w = 1, 2, .. on one meet-in-the-middle kernel (Stern 1988),
 ``_SyndromeSearch``: the exact distances (symplectic, for q^dim <=
 ENUMERATION_CAP, and Hamming) stop at the first weight with a codeword,
 the weight-budget sweep at its budget.  The kernel also decodes on Hamming
-weight.  The vectors of weight exactly w with syndrome t split after
-s_{w//2} of their support s_1 < ... < s_w; the left parts are held sorted
-by a 64-bit GF(2)-linear fingerprint of their syndromes, the right parts
-stream past them in chunks, and every match is checked exactly.  Syndromes
-come from the log/antilog arrays, so every GF(2^r), r <= 16, works.
+weight.  The checks may be any rows that span the dual of the code
+searched, for hits and weights do not depend on the basis: the sweeps
+``sweep_min_weight`` and ``sweep_min_hamming_weight`` take them as given,
+and ``relative_min_weight`` and ``min_hamming_weight`` read them off a
+canonical basis.  The vectors of weight exactly w with syndrome t split
+after s_{w//2} of their support s_1 < ... < s_w; the left parts are held
+sorted by a 64-bit GF(2)-linear fingerprint of their syndromes, the right
+parts stream past them in chunks, looked up in sorted order past a small
+left half, and every match is checked exactly.  Syndromes come from the log/antilog
+arrays, so every GF(2^r), r <= 16, works.
 ENUMERATION_CAP is the one refusal policy, read when each refusal runs: a
 weight whose halves exceed it, an exact distance with q^dim over it and
 the exhaustive decoding oracle with q^(2n) over it raise ValueError.
 
 The [[n, k, d]] of a stabilizer code C(G) >= C(H) = C(G)^perp is read
 off in ``artifact.verify_artifact``: n from the width, k from the ranks,
-and d from ``relative_min_weight(C(G), C(H))``.
+and d from ``relative_min_weight(C(G), C(H))`` or, certified, its sweep.
 """
 
 from __future__ import annotations
@@ -184,6 +189,7 @@ class _SyndromeSearch:
 
     CHUNK = 1 << 16  # right-half rows streamed, and matches expanded, at once
     HELD_BYTES = 1 << 24  # the halves a kernel keeps for its next joins, at 16 bytes a row
+    SORTED_LOOKUP = 256  # left keys past which a chunk's argsort costs less than its unsorted lookup
 
     def __init__(self, field: GF2m, checks: Sequence[Sequence[int]], positions: int, group: int):
         log, _ = field.log_antilog
@@ -297,7 +303,10 @@ class _SyndromeSearch:
         want = self._fingerprints(target[None, :])[0] >> shift << shift
         for right_support, right in self._hold("right", k_right, lambda: self._right(k_right, shift)):
             keys = right ^ want
-            first = np.searchsorted(left, keys)
+            # looked up in sorted order, which walks the left keys once, when the sort pays for itself
+            sort = np.argsort(keys) if len(left) > self.SORTED_LOOKUP else slice(None)
+            first = np.empty(len(keys), dtype=np.intp)
+            first[sort] = np.searchsorted(left, keys[sort])
             start = np.repeat(right_support[:, 0] + 1, per_right).astype(np.uint64)
             # the right rows whose run of left matches may be nonempty (it is when the first
             # left key >= keys lies below keys | start), and the length of each run
@@ -337,22 +346,19 @@ def search_refusal(q: int, n: int, rank: int, budget: int | None, mode: str) -> 
     return _weight_refusal(1, n, q * q - 1) if exact or budget >= 1 else None
 
 
-def _symplectic_search(basis: CodeBasis) -> _SyndromeSearch:
-    """The kernel on symplectic weight, checking <x, b> = x . swap(b) for the rows b of ``basis``."""
-    return _SyndromeSearch(basis.field, np.roll(basis.rows, basis.width // 2, axis=1), basis.width // 2, 2)
+def _symplectic_search(field: GF2m, rows: np.ndarray, width: int) -> _SyndromeSearch:
+    """The kernel on symplectic weight, checking <x, b> = x . swap(b) for the ``rows`` b."""
+    return _SyndromeSearch(field, np.roll(rows, width // 2, axis=1), width // 2, 2)
 
 
-def _first_weight(C: CodeBasis, D: CodeBasis, budget: int) -> int | None:
+def _first_weight(field: GF2m, c_checks: np.ndarray, d_checks: np.ndarray, width: int, budget: int) -> int | None:
     """The least symplectic weight 1..budget of a vector in C \\ D; None when all are heavier.
 
-    The vectors of C are those with zero syndrome against the checks of C
-    (the rows of its symplectic dual); a hit lies in D exactly when every
-    check of D vanishes on it too.  The checks of D = C^perp are the rows of C.
+    The vectors of C are those with zero syndrome against its checks; a hit
+    lies in D exactly when every check of D vanishes on it too.
     """
-    dual_c = symplectic_dual(C)
-    in_c = _symplectic_search(dual_c)
-    in_d = _symplectic_search(C if dual_c == D else symplectic_dual(D))
-    zero = (0,) * (C.width - C.rank)
+    in_c, in_d = (_symplectic_search(field, rows, width) for rows in (c_checks, d_checks))
+    zero = (0,) * len(c_checks)
     for w in range(1, budget + 1):
         for support, values in in_c.solutions(w, zero):
             if in_d.syndromes(support, values).any():
@@ -360,24 +366,34 @@ def _first_weight(C: CodeBasis, D: CodeBasis, budget: int) -> int | None:
     return None
 
 
-def _enumerate_min_weight(C: CodeBasis, D: CodeBasis) -> int:
+def _enumerate_min_weight(field: GF2m, c_checks: np.ndarray, d_checks: np.ndarray, width: int) -> int:
     """Exact min symplectic weight over the nonempty C \\ D.
 
     The sweep of every weight 1, 2, .. stops at the first with a hit, so no
-    lighter vector was missed; every vector has weight <= n.
+    lighter vector was missed; every vector has weight <= width / 2.
     """
-    w = _first_weight(C, D, C.width // 2)
+    w = _first_weight(field, c_checks, d_checks, width, width // 2)
     if w is None:
         raise AssertionError("C \\ D is nonempty but the sweep found no vector")
     return w
 
 
-def _budget_min_weight(C: CodeBasis, D: CodeBasis, budget: int) -> MinWeightResult:
+def _budget_min_weight(field: GF2m, c_checks: np.ndarray, d_checks: np.ndarray, width: int,
+                       budget: int) -> MinWeightResult:
     """Sweep the symplectic weights 1..budget for a vector in C \\ D."""
-    w = _first_weight(C, D, budget)
+    w = _first_weight(field, c_checks, d_checks, width, budget)
     if w is None:
         return MinWeightResult(status="at-least", floor=budget + 1)
     return MinWeightResult(status="exact", weight=w)
+
+
+def sweep_min_weight(field: GF2m, c_checks: np.ndarray, d_checks: np.ndarray, width: int, rank: int,
+                     budget: int | None = None, mode: str = "auto") -> MinWeightResult:
+    """``relative_min_weight`` over C \\ D, D < C in F_q^width with C of ``rank``, on rows that span
+    C^perp (``c_checks``) and D^perp (``d_checks``); the caller has ruled out D = C and ``search_refusal``."""
+    if mode == "auto" and field.q ** rank <= ENUMERATION_CAP:
+        return MinWeightResult(status="exact", weight=_enumerate_min_weight(field, c_checks, d_checks, width))
+    return _budget_min_weight(field, c_checks, d_checks, width, budget)
 
 
 def relative_min_weight(C: CodeBasis, D: CodeBasis, budget: int | None = None, mode: str = "auto") -> MinWeightResult:
@@ -399,9 +415,10 @@ def relative_min_weight(C: CodeBasis, D: CodeBasis, budget: int | None = None, m
         return MinWeightResult(status="empty")
     if refused := search_refusal(C.field.q, C.width // 2, C.rank, budget, mode):
         raise ValueError(refused)
-    if mode == "auto" and C.field.q ** C.rank <= ENUMERATION_CAP:
-        return MinWeightResult(status="exact", weight=_enumerate_min_weight(C, D))
-    return _budget_min_weight(C, D, budget)
+    # the checks of C are the rows of its dual, and those of D = C^perp the rows of C
+    dual_c = symplectic_dual(C)
+    dual_d = C if dual_c == D else symplectic_dual(D)
+    return sweep_min_weight(C.field, dual_c.rows, dual_d.rows, C.width, C.rank, budget, mode)
 
 
 def min_hamming_weight(C: CodeBasis) -> int:
@@ -410,19 +427,22 @@ def min_hamming_weight(C: CodeBasis) -> int:
     The kernel with g = 1 sweeps the Hamming weights 1, 2, .. for a vector
     with zero syndrome against the Euclidean dual of C and stops at the
     first with a hit; the Singleton bound puts one at weight <= width -
-    rank + 1.  Any basis of the dual gives the same codewords, so the checks
-    are its kernel rows read off the rref, unreduced.  ValueError when a
-    weight's halves exceed ENUMERATION_CAP rows.
+    rank + 1.  The checks are the kernel rows read off the rref, unreduced.
+    ValueError when a weight's halves exceed ENUMERATION_CAP rows.
     """
     if C.rank == 0:
         raise ValueError("the zero code has no nonzero codeword")
     if C.rank == C.width:
         return 1  # no checks: every unit vector is a codeword
-    checks = linalg._nullspace_rows(C.rows, C.pivots, C.width)
-    search = _SyndromeSearch(C.field, checks, C.width, 1)
+    return sweep_min_hamming_weight(C.field, linalg._nullspace_rows(C.rows, C.pivots, C.width), C.width, C.rank)
+
+
+def sweep_min_hamming_weight(field: GF2m, checks: np.ndarray, width: int, rank: int) -> int:
+    """The sweep of ``min_hamming_weight`` over the nonzero x in F_q^width with x . b = 0 for
+    the rows b of ``checks``, which span the Euclidean dual of a code of ``rank`` < width."""
+    search = _SyndromeSearch(field, checks, width, 1)
     zero = (0,) * len(checks)
-    for w in range(1, C.width - C.rank + 2):
+    for w in range(1, width - rank + 2):
         if next(search.solutions(w, zero), None) is not None:
             return w
     raise AssertionError("no codeword within the Singleton bound")
-

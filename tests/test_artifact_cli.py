@@ -258,26 +258,28 @@ def record_eliminations(monkeypatch):
     return shapes
 
 
-@pytest.mark.parametrize("kind,q,j,exact", [
-    pytest.param("rational", 16, 2, False, id="rational-16-2"),
-    pytest.param("hermitian", 4, 5, False, id="hermitian-4-5"),
-    pytest.param("rational", 8, 1, True, id="rational-8-1-exact-distance"),
+@pytest.mark.parametrize("kind,q,j,options", [
+    pytest.param("rational", 16, 2, {}, id="rational-16-2"),
+    pytest.param("hermitian", 4, 5, {}, id="hermitian-4-5"),
+    pytest.param("rational", 8, 1, {"exact_distance": True}, id="rational-8-1-exact-distance"),
+    pytest.param("hermitian", 4, 5, {"budget": 2}, id="hermitian-4-5-budget-2"),
+    pytest.param("rational", 16, 1, {"budget": 2}, id="rational-16-1-budget-2"),
+    pytest.param("hermitian", 8, 1, {"budget": 2}, id="hermitian-8-1-budget-2"),
 ])
-def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j, exact):
+def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j, options):
     art = artifact_mod.construct_artifact(kind, q, j)
     n, width = art.n, art.width
     shapes = record_eliminations(monkeypatch)
     # the stored rows are the fresh ones, so the exponent tables decide every check and no
-    # matrix is reduced; the exact search needs the canonical bases: C(H), C(G) and the swapped
-    # kernel of the dual of C(G), its checks.  The exact Hamming search takes its checks from
-    # the raw Euclidean dual rows
-    assert artifact_mod.verify_artifact(art, exact_distance=exact)["ok"]
-    assert shapes == ([(n - j, width), (n + j, width), (n - j, width)] if exact else [])
-    shapes.clear()
-    # an edited C(G) is reduced the same way, then the dual; the classical view reads the
-    # fresh code, and takes it from the certificate
+    # matrix is reduced; the searches take their checks from the evaluation rows: those of
+    # C(H) for C(G), those of C(G) for C(H), and the swapped C(H) rows for the Hamming search
+    assert artifact_mod.verify_artifact(art, **options)["ok"]
+    assert shapes == []
+    # an edited C(G) is reduced, C(H) first, then the swapped kernel of the dual of C(G), which
+    # also checks the search; the classical view reads the fresh code, and takes it from the
+    # certificate
     art.c_g_rows[0][0] ^= 1
-    assert not artifact_mod.verify_artifact(art, exact_distance=exact)["ok"]
+    assert not artifact_mod.verify_artifact(art, **options)["ok"]
     assert shapes == [(n - j, width), (n + j, width), (n - j, width)]
 
 
@@ -319,8 +321,8 @@ def test_every_elimination_goes_through_rref(monkeypatch, tmp_path):
     # one rref call per elimination, so a wrapper of linalg.rref sees every reduction
     r81, edited, h45, down = (str(tmp_path / f"{name}.json") for name in ("r81", "edited", "h45", "down"))
     assert run("construct", "--backend", "rational", "--q", "8", "--j", "1", "--out", r81) == 0
-    # C(H), C(G) and the swapped kernel of the dual of C(G), whether fresh or edited
-    assert run("verify", r81, "--exact-distance") == 3
+    # none for the certified code; C(H), C(G) and the swapped kernel of the dual of C(G) once edited
+    assert run("verify", r81, "--exact-distance") == 0
     art = artifact_mod.load(r81)
     art.c_g_rows[0][0] ^= 1
     artifact_mod.save(art, edited)

@@ -1,0 +1,141 @@
+"""Certified curve codes are searched on their evaluation rows: differentials
+against the searches on the reduced bases, which edited and descended
+artifacts still take, and mutation controls for the rows each search checks.
+
+When the stored rows are the fresh evaluation, ``curves.certify`` has proved
+C(H) = C(G)^perp and C(H) <= C(G), so the checks of C(G) are the C(H) rows,
+those of C(H) the C(G) rows, and the Euclidean dual of C(G) is swap(C(H)).
+"""
+
+import inspect
+import json
+import textwrap
+from functools import cache
+from itertools import count
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from agstab import artifact as artifact_mod
+from agstab import linalg, symplectic
+from agstab.curves import make_backend
+from agstab.symplectic import ENUMERATION_CAP, CodeBasis, min_hamming_weight, relative_min_weight
+
+# every curve code that tier-1 constructs: rational q <= 16, hermitian q = 2, and hermitian
+# q = 4 with each gamma in GF(4)*; j = 0 (k = 0) has no search
+FAMILIES = [("rational", 4, 1), ("rational", 8, 1), ("rational", 16, 1), ("hermitian", 2, 1),
+            ("hermitian", 4, 1), ("hermitian", 4, 2), ("hermitian", 4, 3)]
+CODES = [(kind, q, j, gamma) for kind, q, gamma in FAMILIES for j in range(1, make_backend(kind, q, gamma).max_j + 1)]
+
+
+def outcome(search, *args, **kwargs):
+    """What a search gives: its result, or the message of the ValueError with which it refuses."""
+    try:
+        return search(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("code", CODES, ids=str)
+def test_the_evaluation_rows_give_the_reduced_results(code):
+    art = artifact_mod.construct_artifact(*code)
+    f, width, rank = art.field, art.width, len(art.c_g_rows)
+    c_g, c_h = (CodeBasis.from_rows(f, rows, width) for rows in (art.c_g_rows, art.c_h_rows))
+    # the checks as verify passes them: C(H) rows for C(G), C(G) rows for D = C(H)
+    rows = (f, art.c_h_rows, art.c_g_rows, width, rank)
+    # every budget up to the first that ends the sweep, with a weight or a refusal
+    for budget in count(1):
+        want = outcome(relative_min_weight, c_g, c_h, budget=budget, mode="budget")
+        assert outcome(symplectic.sweep_min_weight, *rows, budget, "budget") == want
+        if isinstance(want, str) or want.status == "exact":
+            break
+    if f.q ** rank <= ENUMERATION_CAP:
+        assert symplectic.sweep_min_weight(*rows) == relative_min_weight(c_g, c_h)
+        swapped = np.roll(art.c_h_rows, art.n, axis=1)
+        assert symplectic.sweep_min_hamming_weight(f, swapped, width, rank) == min_hamming_weight(c_g)
+
+
+def eliminating(monkeypatch, art):
+    """Send verify's two sweeps to the searches on the reduced stored bases, the path of an
+    edited or a descended artifact."""
+    c_g, c_h = (CodeBasis.from_rows(art.field, rows, art.width) for rows in (art.c_g_rows, art.c_h_rows))
+    shim = SimpleNamespace(**vars(symplectic))  # artifact's view of the module; the module is unchanged
+    shim.sweep_min_weight = (lambda field, c_checks, d_checks, width, rank, budget, mode:
+                             relative_min_weight(c_g, c_h, budget=budget, mode=mode))
+    shim.sweep_min_hamming_weight = lambda field, checks, width, rank: min_hamming_weight(c_g)
+    monkeypatch.setattr(artifact_mod, "symplectic", shim)
+
+
+def report_of(art, **options):
+    """The verify report as the command line prints it, or the AssertionError it raises."""
+    try:
+        return json.dumps(artifact_mod.verify_artifact(art, **options), indent=2)
+    except AssertionError as exc:
+        return f"AssertionError: {exc}"
+
+
+def options_reached(art):
+    """``--exact-distance``, then ``--budget b`` for b = 1, 2, .. up to the first budget that
+    ends the sweep with a weight, a refusal or the empty set."""
+    yield {"exact_distance": True}
+    for budget in count(1):
+        yield {"budget": budget}
+        report = artifact_mod.verify_artifact(art, budget=budget)
+        bound = next(check for check in report["checks"] if check["name"] == "distance-bound")
+        if not bound["detail"].startswith("no vector of weight"):
+            return
+
+
+@pytest.mark.parametrize("code", [(kind, q, 0, gamma) for kind, q, gamma in FAMILIES] + CODES, ids=str)
+def test_certified_reports_match_the_elimination_path(monkeypatch, code):
+    art = artifact_mod.construct_artifact(*code)
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(1) or real(*args))
+    for options in list(options_reached(art)):
+        calls.clear()
+        certified = report_of(art, **options)
+        assert calls == [], f"{options}: the certified code was reduced"
+        with monkeypatch.context() as m:
+            eliminating(m, art)
+            assert certified == report_of(art, **options), options
+
+
+def _mutant(*edits):
+    """``artifact.verify_artifact`` recompiled from its source with each (old, new) edit applied."""
+    source = textwrap.dedent(inspect.getsource(artifact_mod.verify_artifact))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = {}
+    exec(compile(source, "<mutant of artifact.verify_artifact>", "exec"), vars(artifact_mod), namespace)
+    return namespace["verify_artifact"]
+
+
+SWEEP = "symplectic.sweep_min_weight(art.field, h_rows, g_rows,"
+HAMMING = "np.roll(h_rows, art.n, axis=1)"
+MUTANTS = {
+    "d-checks-from-c-h": ((SWEEP, SWEEP.replace("g_rows", "h_rows")),),
+    "hamming-checks-from-c-g": ((HAMMING, HAMMING.replace("h_rows", "g_rows")),),
+    "none": (),  # the control: recompiled unchanged, nothing to catch
+    # no mutant either: swap permutes the coordinates, so the unswapped C(H) rows check
+    # swap(C(G)), which has the Hamming weights of C(G), and no report can change
+    "hamming-swap-dropped": ((HAMMING, "h_rows"),),
+}
+
+
+@cache
+def reference_reports():
+    """{(code, options): report} over every code and every option ``options_reached`` gives it."""
+    return {(code, tuple(options.items())): report_of(art, **options)
+            for code in CODES for art in [artifact_mod.construct_artifact(*code)] for options in options_reached(art)}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_the_report_differential_catches_each_mutant(monkeypatch, mutant):
+    reference = reference_reports()
+    monkeypatch.setattr(artifact_mod, "verify_artifact", _mutant(*MUTANTS[mutant]))
+    caught = any(report_of(artifact_mod.construct_artifact(*code), **dict(options)) != want
+                 for (code, options), want in reference.items())
+    assert caught == (mutant in ("d-checks-from-c-h", "hamming-checks-from-c-g"))

@@ -1,3 +1,4 @@
+import functools
 from itertools import product
 
 import numpy as np
@@ -297,6 +298,31 @@ def test_twist_and_is_basis_on_random_gf16_sets(sd):
     check_against_oracles(view, bases + dependent)
     assert any(DescentBasis(view.sub, view.ext, b).twist is None for b in bases)
     assert any(DescentBasis(view.sub, view.ext, b).twist is not None for b in bases)
+
+
+def test_each_embedding_is_built_once_and_shared(monkeypatch):
+    from agstab import curves, descent, gf
+
+    built = []
+    real = SubfieldEmbedding.__init__
+    monkeypatch.setattr(SubfieldEmbedding, "__init__",
+                        lambda self, sub, ext: built.append((sub.q, ext.q)) or real(self, sub, ext))
+    monkeypatch.setattr(gf, "embedding", functools.lru_cache(maxsize=None)(SubfieldEmbedding))
+    monkeypatch.setattr(descent, "embedding", gf.embedding)
+    monkeypatch.setattr(curves, "embedding", gf.embedding)
+    sub, ext = field(1), field(4)
+    assert gf.embedding(sub, ext) is gf.embedding(sub, ext)
+    # the descent basis, the self-dual basis search and the hermitian backend take the shared one
+    assert DescentBasis(sub, ext).view is gf.embedding(sub, ext)
+    DescentBasis(sub, ext, self_dual_basis(sub, ext))
+    HermitianBackend(4, gamma=3)
+    HermitianBackend(4, gamma=2)
+    assert built == [(2, 16), (4, 16)]
+    # a failed construction is not kept
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not an extension of"):
+            gf.embedding(field(2), field(3))
+    assert built[2:] == [(4, 8), (4, 8)]
 
 
 def test_is_basis_rejects_wrong_sizes():

@@ -195,7 +195,7 @@ def test_a_sweep_builds_each_left_half_once_and_no_unused_fingerprints(monkeypat
     monkeypatch.setattr(_SyndromeSearch, "_left",
                         lambda self, k, shift: lefts.append((self, k)) or real_left(self, k, shift))
     monkeypatch.setattr(symplectic, "_symplectic_search",
-                        lambda basis: kernels.append(real_search(basis)) or kernels[-1])
+                        lambda *args: kernels.append(real_search(*args)) or kernels[-1])
     c_g, c_h = build_codes(RationalBackend(8), 2)
     assert relative_min_weight(c_g, c_h).weight == 2
     assert [k for _, k in lefts] == [0, 1]
@@ -246,11 +246,13 @@ def _brute_solutions(dual, w, syndrome):
 
 
 @settings(max_examples=40)
-@given(syndrome_problems(), st.integers(1, 4))
-def test_kernel_lists_each_solution_once(case, w):
+@given(syndrome_problems(), st.integers(1, 4), st.booleans())
+def test_kernel_lists_each_solution_once(case, w, sort):
     dual, syndrome = case
-    found = _kernel_solutions(_SyndromeSearch(dual.field, np.roll(dual.rows, dual.width // 2, axis=1),
-                                              dual.width // 2, 2), w, syndrome)
+    search = _SyndromeSearch(dual.field, np.roll(dual.rows, dual.width // 2, axis=1), dual.width // 2, 2)
+    if sort:  # every right chunk looked up in sorted order, as past SORTED_LOOKUP left keys
+        search.SORTED_LOOKUP = 0
+    found = _kernel_solutions(search, w, syndrome)
     assert len(found) == len(set(found)) and set(found) == _brute_solutions(dual, w, syndrome)
 
 
@@ -283,10 +285,13 @@ def _hamming_weight(v):
 
 
 @settings(max_examples=40)
-@given(hamming_problems(), st.integers(1, 4))
-def test_hamming_kernel_lists_each_solution_once(case, w):
+@given(hamming_problems(), st.integers(1, 4), st.booleans())
+def test_hamming_kernel_lists_each_solution_once(case, w, sort):
     f, rows, syndrome = case
-    found = _kernel_solutions(_SyndromeSearch(f, rows, len(rows[0]), 1), w, syndrome)
+    search = _SyndromeSearch(f, rows, len(rows[0]), 1)
+    if sort:
+        search.SORTED_LOOKUP = 0
+    found = _kernel_solutions(search, w, syndrome)
     expected = {v for v in _hamming_brute(f, rows, syndrome) if _hamming_weight(v) == w}
     assert len(found) == len(set(found)) and set(found) == expected
 
@@ -322,21 +327,25 @@ def test_sweep_skips_light_vectors_of_d():
 def test_kernel_rejects_fingerprint_collisions(w):
     f = field(2)
     dual = CodeBasis.from_rows(f, [(1, 2, 0, 3, 1, 1), (0, 1, 1, 2, 0, 3)], 6)
-    search = _SyndromeSearch(f, np.roll(dual.rows, 3, axis=1), 3, 2)
-    search._mix[:], search._bit_keys[:] = 0, 0   # every fingerprint 0: every pair matches
-    found = _kernel_solutions(search, w, (1, 2))
-    assert len(found) == len(set(found)) and set(found) == _brute_solutions(dual, w, (1, 2))
+    for sorted_lookup in (0, _SyndromeSearch.SORTED_LOOKUP):  # 0: the tied keys looked up in sorted order
+        search = _SyndromeSearch(f, np.roll(dual.rows, 3, axis=1), 3, 2)
+        search._mix[:], search._bit_keys[:] = 0, 0   # every fingerprint 0: every pair matches
+        search.SORTED_LOOKUP = sorted_lookup
+        found = _kernel_solutions(search, w, (1, 2))
+        assert len(found) == len(set(found)) and set(found) == _brute_solutions(dual, w, (1, 2))
 
 
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_hamming_kernel_rejects_fingerprint_collisions(w):
     f = field(2)
     rows = [(1, 2, 0, 3, 1), (0, 1, 1, 2, 3)]
-    search = _SyndromeSearch(f, rows, 5, 1)
-    search._mix[:], search._bit_keys[:] = 0, 0   # every fingerprint 0: every pair matches
-    found = _kernel_solutions(search, w, (1, 2))
     expected = {v for v in _hamming_brute(f, rows, (1, 2)) if _hamming_weight(v) == w}
-    assert len(found) == len(set(found)) and set(found) == expected
+    for sorted_lookup in (0, _SyndromeSearch.SORTED_LOOKUP):
+        search = _SyndromeSearch(f, rows, 5, 1)
+        search._mix[:], search._bit_keys[:] = 0, 0   # every fingerprint 0: every pair matches
+        search.SORTED_LOOKUP = sorted_lookup
+        found = _kernel_solutions(search, w, (1, 2))
+        assert len(found) == len(set(found)) and set(found) == expected
 
 
 def test_hamming_min_solve_refuses_past_the_cap_naming_its_estimate():

@@ -32,23 +32,16 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 from typing import Any, Iterator
 
 import numpy as np
 
 from . import __version__, symplectic
-from .curves import Certificate, CurveBackend, certify, evaluation_matrix, make_backend
+from .curves import certify, make_backend
 from .descent import DescentBasis, _descend, descend_code, self_dual_basis
 from .gf import GF2m, field
-from .symplectic import (
-    CodeBasis,
-    contains,
-    min_hamming_weight,
-    relative_min_weight,
-    symplectic_dual,
-)
+from .symplectic import CodeBasis, contains, relative_min_weight, symplectic_dual
 
 SCHEMA_VERSION = 1
 _BLOCK = 1 << 18  # bytes of table text written or read at once
@@ -273,8 +266,10 @@ def _matrix(matrices: dict, key: str, f: GF2m, width: int) -> np.ndarray:
     return np.array(rows, dtype=f.log_antilog[1].dtype).reshape(len(rows), width)
 
 
-# the exact-layout reader has a fixed cost of about 0.4 ms: json.loads reads a text of less than
-# about 24 KB faster
+# the exact-layout reader has a fixed cost of about 0.5 ms, so json.loads reads a short text faster;
+# the two cross near 13.6 KB, below this threshold.  Parsed and checked (``_from_document``) on an
+# Intel Xeon core: rational q=16 j=1 (4.0 KB) in 0.54 ms against 0.22 ms by json.loads, q=32 j=1
+# and j=4 (13.6 KB) in 0.58 and 0.59 ms against 0.60 and 0.50 ms, q=64 j=2 (51 KB) 0.57 against 1.36 ms
 _EXACT_MIN = 1 << 14
 _DIGIT = np.zeros(256, dtype=np.uint32)
 _DIGIT[48:58] = np.arange(10)  # the value of each ASCII digit, 0 for every other byte
@@ -501,25 +496,12 @@ def _file_document(path: str) -> Any:
 # Construction and descent
 # ---------------------------------------------------------------------------
 
-def _evaluations(backend: CurveBackend, j: int, cert: Certificate) -> tuple[np.ndarray, np.ndarray]:
-    """The fresh C(G) and C(H) rows at j: C(H) is the first rank_h rows of C(G) when
-    the L(H) table is a prefix of the L(G) one (``cert.contained``), and is evaluated otherwise."""
-    g_rows = evaluation_matrix(backend, j, "g")
-    return g_rows, g_rows[:cert.rank_h] if cert.contained else evaluation_matrix(backend, j, "h")
-
-
 def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifact:
-    """The artifact of C(G) >= C(H) at j on a curve backend.
-
-    The ranks are certified from the exponent tables (``curves.certify``),
-    with no matrix reduced: each is its table's row count, which the
-    evaluations must keep.  AssertionError when they are not n + j and n - j.
-    """
+    """The artifact of C(G) >= C(H) at j on a curve backend: the rows ``curves.certify``
+    returns once it has proved the ranks, the duality and containment, with no matrix
+    reduced, and C(H) their first n - j."""
     backend = make_backend(kind, q, gamma)
-    cert = certify(backend, j)
-    g_rows, h_rows = _evaluations(backend, j, cert)
-    if (len(g_rows), len(h_rows)) != (cert.rank_g, cert.rank_h):
-        raise AssertionError(f"unexpected code dimensions {len(g_rows)}/{len(h_rows)} at j={j} on {backend!r}")
+    g_rows = certify(backend, j)
     return CodeArtifact(
         backend_kind=kind,
         q=q,
@@ -527,10 +509,10 @@ def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifac
         j=j,
         field=backend.field,
         places=backend.places.tolist(),
-        c_g_rows=g_rows.copy(),  # writable copies of the read-only evaluations
-        c_h_rows=h_rows.copy(),
+        c_g_rows=g_rows.copy(),  # writable copies of the read-only evaluation
+        c_h_rows=g_rows[:backend.n - j].copy(),
         n=backend.n,
-        k=cert.rank_g - backend.n,
+        k=j,
         deg_g=backend.deg_g(j),
         d_lower=backend.distance_bound(j),
         d_exact=None,
@@ -543,13 +525,15 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
     The default basis (powers of the generator) is used when it has a
     twist, else a self-dual basis, and the provenance records it.  C(H)
     is the descent of C(G)'s dual, which the twist makes the descended
-    C(G)'s dual.  ValueError for a descended artifact (its source would be
-    lost) before any reduction, and for a C(G) of rank below n (it cannot
+    C(G)'s dual.  ValueError before any reduction for a descended artifact
+    (its source would be lost) and for a backend block that names no curve
+    code, in ``verify``'s words; and for a C(G) of rank below n (it cannot
     contain its dual) before any dual is built.
     """
     if art.backend_kind is None:
         raise ValueError("cannot descend a descended artifact, whose source backend would be lost; "
                          "descend its source")
+    make_backend(art.backend_kind, art.q, art.gamma)._check_j(art.j)
     sub = field(base_degree)
     basis = DescentBasis(sub, art.field)
     if basis.twist is None:
@@ -606,21 +590,21 @@ def verify_artifact(
     Returns a machine-readable report; overall "ok" is true when no check
     failed (skipped checks do not fail the report).
 
-    On a curve artifact whose field and stored rows are the fresh
-    evaluation's, the stored codes are the fresh ones, and ``dual-equality``,
-    ``containment`` and ``k-formula`` are decided from the exponent
-    tables (``curves.certify``) with no matrix reduced: the ranks rest on
-    the degree argument, not on a computed rank.
-    ``euclidean-dual-containment`` and the dimension of ``hamming-bound``
-    read only the fresh code, so every curve artifact takes them from the
-    certificate.  Elimination decides the rest, each basis reduced at most
-    once, C(H) first, and only when needed: the checks of an edited or a
-    descended artifact, and its searches under ``--exact-distance`` and
-    ``--budget``.  A certified code is searched on its rows: the C(H) rows
-    check C(G), the C(G) rows check C(H), and swap(C(H)), the Euclidean
-    dual of C(G), checks the Hamming search.  A search that
-    ``symplectic.search_refusal`` refuses on the certified ranks alone
-    fails ``distance-bound`` before it starts.
+    On a curve artifact the fresh rows are the ones ``curves.certify``
+    returns once it has proved, from the exponent tables and with no matrix
+    reduced, the ranks n + j and n - j, C(H) = C(G)^perp, C(H) <= C(G) and
+    the containment of the Euclidean dual; a failed proof is an
+    AssertionError, not a failed check.  When the field and the stored
+    rows are the fresh ones, the stored codes are the proved ones, so
+    ``dual-equality``, ``containment`` and ``k-formula`` need no reduction,
+    and the searches run on the rows: the C(H) rows check C(G) and the C(G)
+    rows check C(H).  A search that ``symplectic.search_refusal`` refuses
+    on the proved ranks alone fails ``distance-bound`` before it starts.
+    An edited or a descended artifact is reduced by elimination, each basis
+    once, C(H) first, for its checks and its searches.
+    ``euclidean-dual-containment`` and ``hamming-bound`` read only the
+    fresh code, so they take the proof, and the Hamming search runs on
+    swap(fresh C(H)), the Euclidean dual of C(G), over the backend's field.
     ``dual-equality`` builds no dual when rank C(G) + rank C(H) is not 2n.
     On a curve artifact ``distance-bound`` also requires the stored deg G
     to be the backend's, since ``decode-sim`` takes its guarantee region
@@ -628,19 +612,13 @@ def verify_artifact(
     did not derive.
     """
     checks: list[dict[str, str]] = []
-
-    @cache
-    def reduced() -> tuple[CodeBasis, CodeBasis]:
-        c_h = CodeBasis.from_rows(art.field, art.c_h_rows, art.width)  # C(H) first
-        return CodeBasis.from_rows(art.field, art.c_g_rows, art.width), c_h
-
     same_rows = False
 
     if art.backend_kind is not None:
         backend = make_backend(art.backend_kind, art.q, art.gamma)
-        cert = certify(backend, art.j)
+        g_rows = certify(backend, art.j)
+        h_rows = g_rows[:backend.n - art.j]
         same_places = art.places == backend.places.tolist()
-        g_rows, h_rows = _evaluations(backend, art.j, cert)
         # indices over another modulus are other elements: those rows are not the fresh code
         same_rows = (art.field == backend.field and np.array_equal(art.c_g_rows, g_rows)
                      and np.array_equal(art.c_h_rows, h_rows))
@@ -656,9 +634,10 @@ def verify_artifact(
         checks.append(_skip("matrices-recompute", "descended artifact carries no places"))
 
     if same_rows:  # the stored codes are the fresh ones, whatever the stored places
-        rank_g, rank_h, dual_ok, contained = cert.rank_g, cert.rank_h, cert.dual, cert.contained
+        rank_g, rank_h, dual_ok, contained = len(g_rows), len(h_rows), True, True
     else:
-        c_g, c_h = reduced()
+        c_h = CodeBasis.from_rows(art.field, art.c_h_rows, art.width)  # C(H) first
+        c_g = CodeBasis.from_rows(art.field, art.c_g_rows, art.width)
         rank_g, rank_h = c_g.rank, c_h.rank
         # dim C(G) + dim C(G)^perp = 2n, so any other rank sum is decided without the dual
         dual_ok = rank_g + rank_h == art.width and symplectic_dual(c_g) == c_h
@@ -671,7 +650,6 @@ def verify_artifact(
         )
     )
     checks.append(_check("containment", contained, "C(G) contains C(H)"))
-    certified = same_rows and dual_ok and contained  # the searches need no elimination
     k_ok = rank_g - art.n == art.k and rank_h == art.n - art.k
     if backend is not None:
         k_ok = k_ok and art.k == art.j
@@ -693,8 +671,8 @@ def verify_artifact(
     if exact_distance or budget is not None:
         mode = "auto" if exact_distance else "budget"
         try:
-            if not certified:
-                res = relative_min_weight(*reduced(), budget=budget, mode=mode)
+            if not same_rows:
+                res = relative_min_weight(c_g, c_h, budget=budget, mode=mode)
             elif rank_g == rank_h:
                 res = symplectic.MinWeightResult(status="empty")
             elif refused := symplectic.search_refusal(art.field.q, art.n, rank_g, budget, mode):
@@ -722,28 +700,23 @@ def verify_artifact(
     checks.append(_check("distance-bound", bound_ok, bound_detail + note))
 
     if backend is not None:
-        cp = cert.classical
-        checks.append(
-            _check(
-                "euclidean-dual-containment",
-                cp.euclidean_dual_contained,
-                "the Euclidean dual of C(G) lies inside C(G)",
-            )
-        )
-        dim_ok = cp.dim == art.n + art.j
-        if exact_distance and art.field.q ** cp.dim <= symplectic.ENUMERATION_CAP:
+        # certify proved it, and the fresh code is all these two checks read
+        checks.append(_check("euclidean-dual-containment", True, "the Euclidean dual of C(G) lies inside C(G)"))
+        dim, d_hamming = len(g_rows), backend.hamming_bound(art.j)
+        dim_ok = dim == art.n + art.j
+        if exact_distance and backend.field.q ** dim <= symplectic.ENUMERATION_CAP:
             try:
-                # the Euclidean dual of the certified C(G) is swap(C(H))
-                w = (symplectic.sweep_min_hamming_weight(art.field, np.roll(h_rows, art.n, axis=1), art.width, rank_g)
-                     if certified else min_hamming_weight(reduced()[0]))
+                # the Euclidean dual of the fresh C(G) is swap(C(H))
+                w = symplectic.sweep_min_hamming_weight(backend.field, np.roll(h_rows, backend.n, axis=1),
+                                                        2 * backend.n, dim)
             except ValueError as exc:
                 checks.append(_check("hamming-bound", False, f"search failed: {exc}"))
             else:
                 checks.append(
                     _check(
                         "hamming-bound",
-                        dim_ok and w >= cp.d_hamming_lower,
-                        f"classical dim {cp.dim} = n + j and min Hamming weight {w} >= {cp.d_hamming_lower}",
+                        dim_ok and w >= d_hamming,
+                        f"classical dim {dim} = n + j and min Hamming weight {w} >= {d_hamming}",
                     )
                 )
         else:
@@ -751,7 +724,7 @@ def verify_artifact(
                 _check(
                     "hamming-bound",
                     dim_ok,
-                    f"classical dim {cp.dim} = n + j; bound {cp.d_hamming_lower} not enumerated",
+                    f"classical dim {dim} = n + j; bound {d_hamming} not enumerated",
                 )
             )
     else:

@@ -34,20 +34,20 @@ minimum relative weight at least n - floor(deg G / 2).
 The spaces are nested, L(H) <= L(G), and so are their bases: in pole
 order the monomials of L(H) are the first n - j monomials of L(G) (pole
 orders at P_inf are distinct, and L(H) keeps those up to deg H).  So the
-L(H) evaluation matrix is the first n - j rows of the L(G) one, and
-``construct`` and ``verify`` take it so (``Certificate.contained``).
+L(H) evaluation matrix is the first n - j rows of the L(G) one.
 
-The claims about the fresh codes are decided in two ways.  ``certify``
-reads them off the exponent tables and the places, with no matrix
-reduced: the ranks by the degree argument (Stichtenoth, Thm 2.2.2 and
-Cor. 2.2.3), the duality from the moment-table Gram ``CurveBackend.gram``,
-containment from the prefix of the tables and the Euclidean dual from the
-Lucas expansion of h o sigma; ``construct`` and ``verify`` take it for
-every code whose rows are the fresh evaluation.  ``build_codes`` and
-``classical_params`` decide the same by elimination, each code reduced
-once: they are the certificate's oracles in the tests, and ``verify``
-reduces a stored code so when its rows are not the fresh ones, or for a
-distance search.
+The claims about the fresh codes are theorems, proved in two ways.
+``certify`` reads them off the exponent tables and the places, with no
+matrix reduced: the ranks by the degree argument (Stichtenoth, Thm 2.2.2
+and Cor. 2.2.3), containment from the prefix of the tables, the Euclidean
+dual from the Lucas expansion of h o sigma and the duality from the
+moment-table Gram ``CurveBackend.gram``.  It returns the fresh C(G),
+whose first n - j rows are C(H), and raises AssertionError when a proof
+fails; ``construct`` and ``verify`` take every fresh row from it.
+``build_codes`` and ``classical_params`` decide the same by elimination,
+each code reduced once: they are ``certify``'s oracles in the tests,
+and ``verify`` reduces a stored code so when its rows are not the fresh
+ones.
 
 A note on the divisor inequality that makes C(G) self-orthogonal: it is
 read here as G0 + j*P_inf >= G0 - j*P_inf, which holds exactly when
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,24 +86,12 @@ MAX_PLACE_PAIRS = 4096
 
 @dataclass(frozen=True)
 class ClassicalParams:
-    """Length-2n classical view of the G-code: used by the binary-descent
-    pipeline that consumes these codes as Euclidean dual-containing
-    ingredients."""
+    """Length-2n classical view of the G-code, as ``classical_params`` derives it by elimination."""
 
     length: int
     dim: int
     d_hamming_lower: int
     euclidean_dual_contained: bool
-
-
-class Certificate(NamedTuple):  # a NamedTuple: a frozen dataclass costs about 1 ms of import
-    """The claims about the fresh C(G) >= C(H) at one j, as ``certify`` decides them."""
-
-    rank_g: int
-    rank_h: int
-    dual: bool       # C(H) is the symplectic dual of C(G)
-    contained: bool  # C(H) lies in C(G)
-    classical: ClassicalParams
 
 
 def _submasks(m: int) -> list[int]:
@@ -196,6 +184,10 @@ class CurveBackend:
     def distance_bound(self, j: int) -> int:
         """n - floor(deg G / 2), the relative minimum-weight guarantee."""
         return self.n - self.deg_g(j) // 2
+
+    def hamming_bound(self, j: int) -> int:
+        """n - g + 1 - j, the Hamming-distance guarantee of C(G) as a length-2n classical code."""
+        return self.n - self.genus + 1 - j
 
     def rr_basis(self, j: int, which: str = "g") -> list[tuple[int, ...]]:
         """Exponent table of the monomial basis of L(G) (or L(H) for which="h"),
@@ -426,51 +418,48 @@ def evaluation_matrix(backend: CurveBackend, j: int, which: str = "g") -> np.nda
     return monomial_matrix(backend.field, backend.rr_basis(j, which), backend.places)
 
 
-def _classical(backend: CurveBackend, j: int, dim: int, contained: bool) -> ClassicalParams:
-    return ClassicalParams(length=2 * backend.n, dim=dim, d_hamming_lower=backend.n - backend.genus + 1 - j,
-                           euclidean_dual_contained=contained)
-
-
-def certify(backend: CurveBackend, j: int) -> Certificate:
-    """Decide the claims about the fresh C(G) >= C(H) at j from the exponent tables
-    of ``rr_basis`` and the places, with no matrix reduced.
+def certify(backend: CurveBackend, j: int) -> np.ndarray:
+    """The fresh C(G) at j, ``evaluation_matrix(backend, j)``: a read-only (n + j, 2n) array
+    whose first n - j rows are C(H), returned once every claim about the pair is proved from
+    the exponent tables of ``rr_basis`` and the places, with no matrix reduced.  Each proof
+    is integer or table arithmetic, and AssertionError is raised when one fails:
 
     * Ranks, by the degree argument: the pole orders at P_inf of each
       table are distinct, so its monomials are independent; each is at
       most deg G <= 2n - 1, and a nonzero function of L(G) vanishes at
       no more than deg G of the 2n paired places, so evaluation is
       injective and each rank is its table's row count, n + j and n - j.
-      AssertionError when any of these integer checks fails.
-    * ``dual``: the Gram C(G) Omega C(H)^T (``CurveBackend.gram``) is
-      zero, and the ranks sum to 2n.
-    * ``contained``: the L(H) table is a prefix of the L(G) one, so the
-      rows of C(H) are rows of C(G).
-    * ``classical``: the Euclidean dual of C(G) is swap(C(G)^perp) =
-      swap(C(H)), the evaluations of h o sigma; it lies in C(H) <= C(G)
-      when ``dual`` and ``contained`` hold and the L(H) table is closed
-      under the Lucas expansion of h o sigma (each exponent of the
-      coordinate sigma shifts replaced by its bit subsets).  The
-      dimension is rank C(G).
+    * Containment: the L(H) table is a prefix of the L(G) one, so the
+      rows of C(H) are the first rows of C(G).
+    * The Euclidean dual of C(G) is swap(C(G)^perp) = swap(C(H)), the
+      evaluations of h o sigma; it lies in C(H) <= C(G) because the L(H)
+      table is closed under the Lucas expansion of h o sigma (each
+      exponent of the coordinate sigma shifts replaced by its bit
+      subsets), once the duality below holds.
+    * Duality: the Gram C(G) Omega C(H)^T (``CurveBackend.gram``) is zero
+      and the ranks sum to 2n, so C(H) = C(G)^perp.
     """
     n, deg_g = backend.n, backend.deg_g(j)
     G, H = (np.array(backend.rr_basis(j, which), dtype=np.int64).reshape(-1, backend.places.shape[1])
             for which in "gh")
+    at = f"at j={j} on {backend!r}"
     for table, cap in ((G, deg_g), (H, deg_g - 2 * j)):
         poles = backend._pole_orders(table)
         if len(poles) and not (poles[0] >= 0 and (np.diff(poles) > 0).all() and poles[-1] <= cap < 2 * n):
-            raise AssertionError(f"the degree argument fails for a table of {len(table)} monomials "
-                                 f"at j={j} on {backend!r}")
+            raise AssertionError(f"the degree argument fails for a table of {len(table)} monomials {at}")
     if (len(G), len(H)) != (n + j, n - j):
-        raise AssertionError(f"unexpected code dimensions {len(G)}/{len(H)} at j={j} on {backend!r}")
-    dual = not backend.gram(G, H).any()
+        raise AssertionError(f"unexpected code dimensions {len(G)}/{len(H)} {at}")
+    if not np.array_equal(G[:len(H)], H):
+        raise AssertionError(f"the L(H) table is not a prefix of the L(G) one {at}")
     # closed under clearing any one set bit of the exponent sigma shifts, and so under every bit subset
     k = int(np.flatnonzero(backend._shift)[0])
     table = set(map(tuple, H.tolist()))
-    closed = all(e[:k] + (e[k] ^ 1 << b,) + e[k + 1:] in table
-                 for e in table for b in range(e[k].bit_length()) if e[k] >> b & 1)
-    contained = np.array_equal(G[:len(H)], H)
-    return Certificate(rank_g=len(G), rank_h=len(H), dual=dual, contained=contained,
-                       classical=_classical(backend, j, len(G), dual and contained and closed))
+    if not all(e[:k] + (e[k] ^ 1 << b,) + e[k + 1:] in table
+               for e in table for b in range(e[k].bit_length()) if e[k] >> b & 1):
+        raise AssertionError(f"the L(H) table is not closed under the Lucas expansion of h o sigma {at}")
+    if backend.gram(G, H).any():
+        raise AssertionError(f"the Gram of C(G) and C(H) is not zero {at}")
+    return evaluation_matrix(backend, j, "g")
 
 
 def build_codes(backend: CurveBackend, j: int) -> tuple[CodeBasis, CodeBasis]:
@@ -499,12 +488,14 @@ def classical_params(backend: CurveBackend, j: int, c_g: CodeBasis | None = None
     from the rank, the Hamming-distance bound is length/2 - g + 1 - j, and
     containment of the Euclidean dual is checked by reducing a basis of
     the dual, one kernel vector per free column, against C(G).
-    ``certify`` gives the same parameters from the exponent tables, and
-    ``verify`` takes them from there; this is its oracle in the tests.
+    ``certify`` proves the same of the fresh code from the exponent tables,
+    and ``verify`` reports its dimension n + j, ``CurveBackend.hamming_bound``
+    and the containment so; this is its oracle in the tests.
     """
     f = backend.field
     width = 2 * backend.n
     if c_g is None:
         c_g = CodeBasis.from_rows(f, evaluation_matrix(backend, j, "g"), width)
     dual_rows = _nullspace_rows(c_g.rows, c_g.pivots, width)
-    return _classical(backend, j, c_g.rank, bool(row_in_span(f, c_g.rows, c_g.pivots, dual_rows).all()))
+    return ClassicalParams(length=width, dim=c_g.rank, d_hamming_lower=backend.hamming_bound(j),
+                           euclidean_dual_contained=bool(row_in_span(f, c_g.rows, c_g.pivots, dual_rows).all()))

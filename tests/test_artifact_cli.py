@@ -276,8 +276,7 @@ def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j, options):
     assert artifact_mod.verify_artifact(art, **options)["ok"]
     assert shapes == []
     # an edited C(G) is reduced, C(H) first, then the swapped kernel of the dual of C(G), which
-    # also checks the search; the classical view reads the fresh code, and takes it from the
-    # certificate
+    # also checks the search; the classical view reads only the fresh code, which certify returns
     art.c_g_rows[0][0] ^= 1
     assert not artifact_mod.verify_artifact(art, **options)["ok"]
     assert shapes == [(n - j, width), (n + j, width), (n - j, width)]
@@ -399,9 +398,8 @@ def test_each_riemann_roch_matrix_is_evaluated_once(monkeypatch):
         calls.append(args[2])
         return real(*args)
 
-    for owner in (curves, artifact_mod):
-        monkeypatch.setattr(owner, "evaluation_matrix", counting)
-    # the L(H) rows are the first n - j rows of the L(G) ones: L(H) is never evaluated
+    monkeypatch.setattr(curves, "evaluation_matrix", counting)
+    # certify returns the L(G) rows, whose first n - j are the L(H) ones: L(H) is never evaluated
     for kind, q, j in (("rational", 16, 2), ("hermitian", 4, 1), ("hermitian", 4, 3)):
         calls.clear()
         art = artifact_mod.construct_artifact(kind, q, j)
@@ -486,6 +484,35 @@ def test_verify_passes_and_reports_all_checks(tmp_path):
         "hamming-bound",
     }
     assert report["d_exact"] == 2
+
+
+def test_hamming_bound_reads_the_fresh_code():
+    # an all-ones first row gives the stored C(G) a minimum Hamming weight of 4, but the classical
+    # claim is about the fresh code, of weight 2; the edit fails matrices-recompute and the checks
+    # of the stored codes
+    art = artifact_mod.construct_artifact("hermitian", 2, 1)
+    art.c_g_rows[0] = 1
+    report = artifact_mod.verify_artifact(art, exact_distance=True)
+    hamming = next(c for c in report["checks"] if c["name"] == "hamming-bound")
+    assert hamming == {"name": "hamming-bound", "status": "pass",
+                       "detail": "classical dim 4 = n + j and min Hamming weight 2 >= 2"}
+    assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == {
+        "matrices-recompute", "dual-equality", "containment", "k-formula", "distance-bound"}
+
+
+@pytest.mark.parametrize("edit", [("kind", "elliptic"), ("q", 6), ("j", 99), ("gamma", 0)], ids=str)
+def test_cli_descend_refuses_a_backend_block_that_names_no_code(tmp_path, capsys, edit):
+    # descend checks the backend block before it reduces anything, and says what verify says
+    src, out = tmp_path / "r81.json", tmp_path / "down.json"
+    doc = json.loads(artifact_mod.to_json(artifact_mod.construct_artifact("rational", 8, 1)))
+    doc["backend"][edit[0]] = edit[1]
+    src.write_text(json.dumps(doc))
+    assert main(["verify", str(src)]) == 2
+    error = capsys.readouterr().err
+    assert error.startswith("error: ") and "internal" not in error
+    assert main(["descend", "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", error)
+    assert not out.exists()
 
 
 def test_tampered_matrix_fails_verification():
@@ -873,7 +900,7 @@ def test_cli_directory_paths_exit_2(tmp_path, capsys):
 
 
 def test_cli_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
-    from agstab import curves, decoder
+    from agstab import decoder
 
     art = str(tmp_path / "r16.json")
     assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", art]) == 0
@@ -884,12 +911,49 @@ def test_cli_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert main(["decode-sim", "--artifact", art, "--trials", "1", "--weight", "1",
                      "--seed", "1", "--out", str(tmp_path / "t.jsonl")]) == 2
     assert capsys.readouterr().err == "error: internal error: swap reduction produced a wrong syndrome\n"
-    # a lost basis row breaks build_codes' dimension check
-    real = curves.evaluation_matrix
-    monkeypatch.setattr(artifact_mod, "evaluation_matrix", lambda *args: real(*args)[1:])
-    assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", art]) == 2
-    assert capsys.readouterr().err == ("error: internal error: unexpected code dimensions 8/7 "
-                                       "at j=1 on RationalBackend(q=16)\n")
+
+
+# x^6 z and x z^5 (exponent rows (6 - 7, 1) and (1 - 7, 5), x shifted by q^2/2 - 1 = 7) have the
+# same pole order 29 at hermitian q = 4, so a table with one in place of the other keeps the degree
+# argument; the Lucas expansion of x z^5 o sigma needs x z^4, which L(H) does not hold
+SAME_POLE = {(-1, 1): (-6, 5)}
+
+
+@pytest.mark.parametrize("mutant,message", [
+    ("gram", "the Gram of C(G) and C(H) is not zero"),
+    ("prefix", "the L(H) table is not a prefix of the L(G) one"),
+    ("closure", "the L(H) table is not closed under the Lucas expansion of h o sigma"),
+])
+def test_a_failed_proof_is_an_internal_error(tmp_path, capsys, monkeypatch, mutant, message):
+    from agstab.curves import HermitianBackend, certify
+
+    src, out = str(tmp_path / "h41.json"), tmp_path / "again.json"
+    assert main(["construct", "--backend", "hermitian", "--q", "4", "--j", "1", "--out", src]) == 0
+    capsys.readouterr()
+    if mutant == "gram":  # one nonzero entry
+        real_gram = HermitianBackend.gram
+
+        def gram(self, left, right):
+            out = real_gram(self, left, right)
+            out[0, -1] ^= 1
+            return out
+
+        monkeypatch.setattr(HermitianBackend, "gram", gram)
+    else:  # the L(H) table alone, or both tables, with x z^5 in place of x^6 z
+        real_basis = HermitianBackend.rr_basis
+        monkeypatch.setattr(HermitianBackend, "rr_basis", lambda self, j, which="g": (
+            real_basis(self, j, which) if mutant == "prefix" and which == "g"
+            else [SAME_POLE.get(e, e) for e in real_basis(self, j, which)]))
+    error = f"{message} at j=1 on HermitianBackend(q=4, gamma=1)"
+    with pytest.raises(AssertionError) as raised:
+        certify(HermitianBackend(4), 1)
+    assert str(raised.value) == error
+    # a broken theorem is no failed check: construct writes nothing, and verify reports nothing
+    for argv in (["construct", "--backend", "hermitian", "--q", "4", "--j", "1", "--out", str(out)],
+                 ["verify", src]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: internal error: {error}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--weight", -1), ("--trials", -3), ("--budget", -2)])

@@ -2,9 +2,11 @@
 against the searches on the reduced bases, which edited and descended
 artifacts still take, and mutation controls for the rows each search checks.
 
-When the stored rows are the fresh evaluation, ``curves.certify`` has proved
-C(H) = C(G)^perp and C(H) <= C(G), so the checks of C(G) are the C(H) rows,
-those of C(H) the C(G) rows, and the Euclidean dual of C(G) is swap(C(H)).
+``curves.certify`` returns the fresh rows only once it has proved
+C(H) = C(G)^perp and C(H) <= C(G), so when the stored rows are those, the
+checks of C(G) are the C(H) rows and those of C(H) the C(G) rows.  The
+Hamming search of every curve artifact reads the fresh code: the Euclidean
+dual of the fresh C(G) is swap(C(H)).
 """
 
 import inspect
@@ -57,8 +59,8 @@ def test_the_evaluation_rows_give_the_reduced_results(code):
 
 
 def eliminating(monkeypatch, art):
-    """Send verify's two sweeps to the searches on the reduced stored bases, the path of an
-    edited or a descended artifact."""
+    """Send verify's two sweeps to the searches on the reduced stored bases: the symplectic one
+    to the path of an edited or a descended artifact, the Hamming one to the search of C(G)."""
     c_g, c_h = (CodeBasis.from_rows(art.field, rows, art.width) for rows in (art.c_g_rows, art.c_h_rows))
     shim = SimpleNamespace(**vars(symplectic))  # artifact's view of the module; the module is unchanged
     shim.sweep_min_weight = (lambda field, c_checks, d_checks, width, rank, budget, mode:
@@ -114,7 +116,7 @@ def _mutant(*edits):
 
 
 SWEEP = "symplectic.sweep_min_weight(art.field, h_rows, g_rows,"
-HAMMING = "np.roll(h_rows, art.n, axis=1)"
+HAMMING = "np.roll(h_rows, backend.n, axis=1)"
 MUTANTS = {
     "d-checks-from-c-h": ((SWEEP, SWEEP.replace("g_rows", "h_rows")),),
     "hamming-checks-from-c-g": ((HAMMING, HAMMING.replace("h_rows", "g_rows")),),
@@ -139,3 +141,18 @@ def test_the_report_differential_catches_each_mutant(monkeypatch, mutant):
     caught = any(report_of(artifact_mod.construct_artifact(*code), **dict(options)) != want
                  for (code, options), want in reference.items())
     assert caught == (mutant in ("d-checks-from-c-h", "hamming-checks-from-c-g"))
+
+
+def test_the_weight_1_refusal_at_hermitian_q16_reduces_nothing(monkeypatch):
+    # the right half of weight 1 holds 2040 * 65535 rows, over the cap: the refusal rests on n, q
+    # and the proved rank alone, and comes before any elimination (about 0.3 s in all)
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(1) or real(*args))
+    art = artifact_mod.construct_artifact("hermitian", 16, 1)
+    report = artifact_mod.verify_artifact(art, budget=1)
+    assert calls == []
+    assert [c for c in report["checks"] if c["status"] == "fail"] == [{
+        "name": "distance-bound", "status": "fail",
+        "detail": "search failed: weight 1: the right half has C(2040,1) * 65535^1 = 133691400 rows, "
+                  "over the cap 16777216"}]

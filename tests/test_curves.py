@@ -276,7 +276,7 @@ def test_dual_identity_and_dimensions(backend):
 @pytest.mark.parametrize("backend", BACKENDS + [RationalBackend(512), HermitianBackend(8)],
                          ids=lambda b: f"{b.kind}-q{b.q}")
 def test_l_h_rows_are_the_first_rows_of_l_g(backend):
-    # the invariant construct and verify rest on (Certificate.contained): C(H) <= C(G) by prefix
+    # the invariant construct and verify rest on, which certify proves: C(H) <= C(G) by prefix
     n = backend.n
     for j in sorted({0, 1, backend.max_j // 2, backend.max_j}):
         g, h = (evaluation_matrix(backend, j, which) for which in "gh")
@@ -512,14 +512,19 @@ ORACLE_BACKENDS = ([RationalBackend(q) for q in (4, 8, 16, 32, 64)]
 
 @pytest.mark.parametrize("backend", ORACLE_BACKENDS, ids=repr)
 def test_certificate_matches_the_elimination_oracle(backend):
+    n, width = backend.n, 2 * backend.n
     for j in range(backend.max_j + 1):
-        cert = certify(backend, j)
+        rows = certify(backend, j)
         c_g, c_h = build_codes(backend, j)
-        assert (cert.rank_g, cert.rank_h) == (c_g.rank, c_h.rank)
-        assert cert.dual == (symplectic_dual(c_g) == c_h)
-        assert cert.contained == contains(c_g, c_h)
-        assert cert.dual and cert.contained
-        assert cert.classical == classical_params(backend, j)
+        # the returned rows are the fresh evaluation, of full rank, and their prefix is C(H)
+        assert rows.shape == (n + j, width) and not rows.flags.writeable
+        assert np.array_equal(rows, evaluation_matrix(backend, j, "g"))
+        assert CodeBasis.from_rows(backend.field, rows, width) == c_g and c_g.rank == n + j
+        assert CodeBasis.from_rows(backend.field, rows[:n - j], width) == c_h and c_h.rank == n - j
+        # what certify proved holds by elimination, as verify reports it for every curve artifact
+        assert symplectic_dual(c_g) == c_h and contains(c_g, c_h)
+        assert classical_params(backend, j) == curves.ClassicalParams(
+            length=width, dim=n + j, d_hamming_lower=backend.hamming_bound(j), euclidean_dual_contained=True)
 
 
 def test_certificate_refuses_a_failed_degree_argument(monkeypatch):

@@ -13,6 +13,8 @@ MODULES = ("artifact", "bounds", "cli", "curves", "decoder", "descent", "gf", "l
 REFERENCE = re.compile(r"(?<![\w.])(?:agstab\.)?(" + "|".join(MODULES) + r")((?:\.[A-Za-z_]\w*)+)")
 FILE_SUFFIXES = {"py", "csv", "json", "jsonl"}
 SOURCES = sorted((ROOT / "src" / "agstab").glob("*.py")) + [ROOT / "README.md"]
+# and the tests, but for this file, whose negative control names what does not exist
+SOURCES += [path for path in sorted((ROOT / "tests").glob("*.py")) if path.name != Path(__file__).name]
 
 
 def references(text):

@@ -7,8 +7,9 @@ and asserts three things: the named check fails, every other check keeps
 the status it has on the unedited file, and ``agstab verify`` exits 1.
 
 No row targets ``euclidean-dual-containment`` or ``hamming-bound``: both
-are computed from a fresh evaluation of the backend, not from the stored
-matrices, so no edit to the artifact fails either of them alone.
+read only the fresh code that ``curves.certify`` proves and returns, under
+``--exact-distance`` too, not the stored matrices, so no edit to the
+artifact fails either of them alone.
 
 The two ``xfail(strict=True)`` rows are false claims that ``verify`` passes
 today, because it does not re-derive a descended artifact from its source

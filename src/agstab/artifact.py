@@ -33,13 +33,13 @@ import io
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
 from . import __version__, symplectic
-from .curves import certify, make_backend
-from .descent import DescentBasis, _descend, descend_code, self_dual_basis
+from .curves import CurveBackend, certify, evaluation_matrix, make_backend
+from .descent import DescentBasis, _descend, self_dual_basis
 from .gf import GF2m, field
 from .symplectic import CodeBasis, contains, relative_min_weight, symplectic_dual
 
@@ -493,8 +493,44 @@ def _file_document(path: str) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Construction and descent
+# The fresh code, construction and descent
 # ---------------------------------------------------------------------------
+
+class Fresh(NamedTuple):
+    """A curve artifact's backend and the fresh code at its j, from one evaluation of L(G), and
+    the first stored part ("field", "c_h", "c_g") that is not that code, or None, and why."""
+
+    backend: CurveBackend
+    g_rows: np.ndarray  # C(G), read-only, as ``curves.evaluation_matrix`` returns it
+    h_rows: np.ndarray  # its first n - j rows, C(H)
+    stale: str | None
+    reason: str | None
+
+
+def fresh(art: CodeArtifact, prove: bool = True) -> Fresh | None:
+    """The fresh code of a curve artifact's backend block, and whether the stored field and
+    rows are that code; None for a descended artifact.  ValueError when the block names no
+    code (an unknown kind, q or gamma, or j out of range).  With ``prove`` the rows are
+    ``curves.certify``'s, returned once it has proved C(H) = C(G)^perp and C(H) <= C(G) for
+    the callers that rely on that; without it, the evaluation alone, for one that only
+    compares (``decode-sim``).  Indices over another modulus are other elements, so the
+    stored field is checked first."""
+    if art.backend_kind is None:
+        return None
+    backend = make_backend(art.backend_kind, art.q, art.gamma)
+    g_rows = certify(backend, art.j) if prove else evaluation_matrix(backend, art.j)
+    h_rows, at = g_rows[:backend.n - art.j], f"the {art.backend_kind} backend at"
+    if art.field != backend.field:
+        stale = "field", (f"field.modulus is {art.field.modulus}, but {at} q = {art.q} "
+                          f"has modulus {backend.field.modulus}")
+    elif not np.array_equal(art.c_h_rows, h_rows):
+        stale = "c_h", f"matrices.c_h is not the C(H) of {at} j = {art.j}"
+    elif not np.array_equal(art.c_g_rows, g_rows):
+        stale = "c_g", f"matrices.c_g is not the C(G) of {at} j = {art.j}"
+    else:
+        return Fresh(backend, g_rows, h_rows, None, None)
+    return Fresh(backend, g_rows, h_rows, stale[0], "artifact: " + stale[1])
+
 
 def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifact:
     """The artifact of C(G) >= C(H) at j on a curve backend: the rows ``curves.certify``
@@ -503,19 +539,9 @@ def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifac
     backend = make_backend(kind, q, gamma)
     g_rows = certify(backend, j)
     return CodeArtifact(
-        backend_kind=kind,
-        q=q,
-        gamma=gamma,
-        j=j,
-        field=backend.field,
-        places=backend.places.tolist(),
-        c_g_rows=g_rows.copy(),  # writable copies of the read-only evaluation
-        c_h_rows=g_rows[:backend.n - j].copy(),
-        n=backend.n,
-        k=j,
-        deg_g=backend.deg_g(j),
-        d_lower=backend.distance_bound(j),
-        d_exact=None,
+        backend_kind=kind, q=q, gamma=gamma, j=j, field=backend.field, places=backend.places.tolist(),
+        c_g_rows=g_rows.copy(), c_h_rows=g_rows[:backend.n - j].copy(),  # writable copies of the evaluation
+        n=backend.n, k=j, deg_g=backend.deg_g(j), d_lower=backend.distance_bound(j), d_exact=None,
     )
 
 
@@ -523,39 +549,31 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
     """Descend the artifact's G-code to GF(2^base_degree).
 
     The default basis (powers of the generator) is used when it has a
-    twist, else a self-dual basis, and the provenance records it.  C(H)
-    is the descent of C(G)'s dual, which the twist makes the descended
-    C(G)'s dual.  ValueError before any reduction for a descended artifact
-    (its source would be lost) and for a backend block that names no curve
-    code, in ``verify``'s words; and for a C(G) of rank below n (it cannot
-    contain its dual) before any dual is built.
+    twist, else a self-dual basis, and the provenance records it.  The
+    source must be the fresh code (``fresh``), whose C(H) ``curves.certify``
+    has proved to be C(G)'s symplectic dual, inside C(G): the descents of the
+    two, C(H)'s the dual of C(G)'s by the twist, need no dual built and no
+    containment checked.  ValueError before any reduction for a descended
+    artifact (its source would be lost), for a backend block that names no
+    curve code, in ``verify``'s words, and for a stored field or rows that
+    are not the fresh code, in ``decode-sim``'s.
     """
-    if art.backend_kind is None:
+    source = fresh(art)
+    if source is None:
         raise ValueError("cannot descend a descended artifact, whose source backend would be lost; "
                          "descend its source")
-    make_backend(art.backend_kind, art.q, art.gamma)._check_j(art.j)
+    if source.stale:
+        raise ValueError(source.reason)
     sub = field(base_degree)
     basis = DescentBasis(sub, art.field)
     if basis.twist is None:
         basis = DescentBasis(sub, art.field, self_dual_basis(sub, art.field))
-    c_g = CodeBasis.from_rows(art.field, art.c_g_rows, art.width)
-    if c_g.rank < art.n:  # dim C + dim C^perp = 2n, so C cannot hold a larger dual
-        raise ValueError("input code does not contain its symplectic dual")
-    down = descend_code(c_g, basis)
-    dual = _descend(symplectic_dual(c_g), basis)  # the dual descend_code built for its check
+    c_g, c_h = (CodeBasis.from_rows(art.field, rows, art.width) for rows in (source.g_rows, source.h_rows))
+    down, dual = _descend(c_g, basis), _descend(c_h, basis)
     n = down.width // 2
     return CodeArtifact(
-        backend_kind=None,
-        q=None,
-        gamma=None,
-        j=None,
-        field=sub,
-        places=None,
-        c_g_rows=down.rows.copy(),
-        c_h_rows=dual.rows.copy(),
-        n=n,
-        k=down.rank - n,
-        deg_g=None,
+        backend_kind=None, q=None, gamma=None, j=None, field=sub, places=None,
+        c_g_rows=down.rows.copy(), c_h_rows=dual.rows.copy(), n=n, k=down.rank - n, deg_g=None,
         d_lower=art.d_lower,  # a stored d_exact is a claim, not a bound: only verify derives one
         d_exact=None,
         descended_from={
@@ -590,8 +608,9 @@ def verify_artifact(
     Returns a machine-readable report; overall "ok" is true when no check
     failed (skipped checks do not fail the report).
 
-    On a curve artifact the fresh rows are the ones ``curves.certify``
-    returns once it has proved, from the exponent tables and with no matrix
+    On a curve artifact the fresh code and whether the stored field and
+    rows are it come from ``fresh``, whose rows ``curves.certify`` returns
+    once it has proved, from the exponent tables and with no matrix
     reduced, the ranks n + j and n - j, C(H) = C(G)^perp, C(H) <= C(G) and
     the containment of the Euclidean dual; a failed proof is an
     AssertionError, not a failed check.  When the field and the stored
@@ -612,26 +631,14 @@ def verify_artifact(
     did not derive.
     """
     checks: list[dict[str, str]] = []
-    same_rows = False
-
-    if art.backend_kind is not None:
-        backend = make_backend(art.backend_kind, art.q, art.gamma)
-        g_rows = certify(backend, art.j)
-        h_rows = g_rows[:backend.n - art.j]
-        same_places = art.places == backend.places.tolist()
-        # indices over another modulus are other elements: those rows are not the fresh code
-        same_rows = (art.field == backend.field and np.array_equal(art.c_g_rows, g_rows)
-                     and np.array_equal(art.c_h_rows, h_rows))
-        checks.append(
-            _check(
-                "matrices-recompute",
-                same_places and same_rows,
-                "stored places and generator rows match a fresh evaluation",
-            )
-        )
-    else:
-        backend = None
+    source = fresh(art)
+    same_rows = source is not None and source.stale is None
+    if source is None:
         checks.append(_skip("matrices-recompute", "descended artifact carries no places"))
+    else:
+        backend, g_rows, h_rows = source.backend, source.g_rows, source.h_rows
+        checks.append(_check("matrices-recompute", same_rows and art.places == backend.places.tolist(),
+                             "stored places and generator rows match a fresh evaluation"))
 
     if same_rows:  # the stored codes are the fresh ones, whatever the stored places
         rank_g, rank_h, dual_ok, contained = len(g_rows), len(h_rows), True, True
@@ -642,22 +649,15 @@ def verify_artifact(
         # dim C(G) + dim C(G)^perp = 2n, so any other rank sum is decided without the dual
         dual_ok = rank_g + rank_h == art.width and symplectic_dual(c_g) == c_h
         contained = contains(c_g, c_h)
-    checks.append(
-        _check(
-            "dual-equality",
-            dual_ok,
-            "canonical rref of the symplectic dual of C(G) equals that of C(H)",
-        )
-    )
+    checks.append(_check("dual-equality", dual_ok,
+                         "canonical rref of the symplectic dual of C(G) equals that of C(H)"))
     checks.append(_check("containment", contained, "C(G) contains C(H)"))
-    k_ok = rank_g - art.n == art.k and rank_h == art.n - art.k
-    if backend is not None:
-        k_ok = k_ok and art.k == art.j
+    k_ok = rank_g - art.n == art.k and rank_h == art.n - art.k and (source is None or art.k == art.j)
     checks.append(_check("k-formula", k_ok, f"rank {rank_g} = n + k with k = {art.k}"))
 
     d_exact_found: int | None = None
     note = ""
-    if backend is not None:
+    if source is not None:
         bound = backend.distance_bound(art.j)
         deg_g = backend.deg_g(art.j)
         bound_ok = art.d_lower == bound and art.deg_g == deg_g
@@ -665,8 +665,7 @@ def verify_artifact(
         if art.deg_g != deg_g:  # decode-sim takes its guarantee region from the stored deg G
             note = f"; recorded deg G {art.deg_g} differs from the recomputed {deg_g}"
     else:
-        bound = art.d_lower
-        bound_ok = True
+        bound, bound_ok = art.d_lower, True
         bound_detail = f"inherited lower bound {art.d_lower} (descent does not decrease it)"
     if exact_distance or budget is not None:
         mode = "auto" if exact_distance else "budget"
@@ -699,34 +698,23 @@ def verify_artifact(
                                                          else f"differs from the derived {d_exact_found}")
     checks.append(_check("distance-bound", bound_ok, bound_detail + note))
 
-    if backend is not None:
+    if source is not None:
         # certify proved it, and the fresh code is all these two checks read
         checks.append(_check("euclidean-dual-containment", True, "the Euclidean dual of C(G) lies inside C(G)"))
         dim, d_hamming = len(g_rows), backend.hamming_bound(art.j)
         dim_ok = dim == art.n + art.j
         if exact_distance and backend.field.q ** dim <= symplectic.ENUMERATION_CAP:
-            try:
-                # the Euclidean dual of the fresh C(G) is swap(C(H))
+            try:  # the Euclidean dual of the fresh C(G) is swap(C(H))
                 w = symplectic.sweep_min_hamming_weight(backend.field, np.roll(h_rows, backend.n, axis=1),
                                                         2 * backend.n, dim)
             except ValueError as exc:
                 checks.append(_check("hamming-bound", False, f"search failed: {exc}"))
             else:
-                checks.append(
-                    _check(
-                        "hamming-bound",
-                        dim_ok and w >= d_hamming,
-                        f"classical dim {dim} = n + j and min Hamming weight {w} >= {d_hamming}",
-                    )
-                )
+                checks.append(_check("hamming-bound", dim_ok and w >= d_hamming,
+                                     f"classical dim {dim} = n + j and min Hamming weight {w} >= {d_hamming}"))
         else:
-            checks.append(
-                _check(
-                    "hamming-bound",
-                    dim_ok,
-                    f"classical dim {dim} = n + j; bound {d_hamming} not enumerated",
-                )
-            )
+            checks.append(_check("hamming-bound", dim_ok,
+                                 f"classical dim {dim} = n + j; bound {d_hamming} not enumerated"))
     else:
         checks.append(_skip("euclidean-dual-containment", "descended artifact"))
         checks.append(_skip("hamming-bound", "descended artifact"))

@@ -43,11 +43,10 @@ and Cor. 2.2.3), containment from the prefix of the tables, the Euclidean
 dual from the Lucas expansion of h o sigma and the duality from the
 moment-table Gram ``CurveBackend.gram``.  It returns the fresh C(G),
 whose first n - j rows are C(H), and raises AssertionError when a proof
-fails; ``construct`` and ``verify`` take every fresh row from it.
-``build_codes`` and ``classical_params`` decide the same by elimination,
-each code reduced once: they are ``certify``'s oracles in the tests,
-and ``verify`` reduces a stored code so when its rows are not the fresh
-ones.
+fails; ``construct`` takes every fresh row from it, and ``verify`` and
+``descend`` through ``artifact.fresh``.  ``build_codes`` and
+``classical_params`` decide the same by elimination, each code reduced
+once: they are ``certify``'s oracles in the tests.
 
 A note on the divisor inequality that makes C(G) self-orthogonal: it is
 read here as G0 + j*P_inf >= G0 - j*P_inf, which holds exactly when
@@ -145,7 +144,7 @@ class CurveBackend:
     def places(self) -> np.ndarray:
         """The point order P_1..P_n, sigma(P_1)..sigma(P_n) as one read-only
         (2n, d) array, built and checked on first use: a backend that only
-        answers deg G or the range of j (``decode-sim``) never enumerates it."""
+        answers deg G or the range of j never enumerates it."""
         paired = self._paired_places()  # enumerated in lexicographic order, as the last check needs
         # a place's coordinates read as base-q digits order places lexicographically
         key = self.field.q ** np.arange(paired.shape[1])[::-1]
@@ -174,10 +173,6 @@ class CurveBackend:
         # cap where the code dimension equals n + j exactly
         return self.n - self.genus
 
-    def _check_j(self, j: int) -> None:
-        if not 0 <= j <= self.max_j:
-            raise ValueError(f"j must be in [0, {self.max_j}] for {self!r}, got {j}")
-
     def deg_g(self, j: int) -> int:
         return self.n + self.genus - 1 + j
 
@@ -192,7 +187,8 @@ class CurveBackend:
     def rr_basis(self, j: int, which: str = "g") -> list[tuple[int, ...]]:
         """Exponent table of the monomial basis of L(G) (or L(H) for which="h"),
         in pole order at P_inf."""
-        self._check_j(j)
+        if not 0 <= j <= self.max_j:
+            raise ValueError(f"j must be in [0, {self.max_j}] for {self!r}, got {j}")
         return self._monomials(self.deg_g(0) + (j if which == "g" else -j))
 
 

@@ -342,7 +342,11 @@ def search_refusal(q: int, n: int, rank: int, budget: int | None, mode: str) -> 
     starts at weight 1), so a caller that knows the rank can refuse before reducing any basis."""
     exact = mode == "auto" and q ** rank <= ENUMERATION_CAP
     if not exact and budget is None:
-        return f"q^dim = {q ** rank} exceeds the enumeration cap; a weight budget is required"
+        try:
+            dim = str(q ** rank)
+        except ValueError:  # more digits than an int converts to (sys.get_int_max_str_digits)
+            dim = f"{q}^{rank}"
+        return f"q^dim = {dim} exceeds the enumeration cap; a weight budget is required"
     return _weight_refusal(1, n, q * q - 1) if exact or budget >= 1 else None
 
 

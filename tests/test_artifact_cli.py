@@ -353,16 +353,17 @@ def test_decode_sim_and_descend_reduce_only_the_code_they_use(monkeypatch, tmp_p
                  "--out", str(tmp_path / "trials.jsonl")]) == 0
     assert shapes == [(25, 60)]
     shapes.clear()
-    # descend needs C(G) alone: two 4 x 8 reductions for the descent basis, C(G), the swapped
-    # kernel of its dual, then the descended code and the descent of that dual, the descended
-    # C(H); the stored C(H) is never reduced
+    # descend reduces the proved pair: two 4 x 8 reductions for the descent basis, the fresh C(G)
+    # and C(H), then their descents, the descended C(G) and C(H); the stored rows, equal to the
+    # fresh ones, are compared and never reduced
     assert main(["descend", "--in", src, "--out", str(tmp_path / "down.json")]) == 0
     assert shapes == [(4, 8), (4, 8), (35, 60), (25, 60), (140, 240), (100, 240)]
 
 
-def test_descend_builds_one_kernel_and_one_containment_check(monkeypatch, tmp_path):
-    # both for the source: the descended C(H) is the descent of the source's dual, and the
-    # descended containment follows from the twist, so no kernel or check over GF(2)
+def test_descend_of_a_fresh_source_builds_no_kernel_and_no_containment_check(monkeypatch, tmp_path):
+    # certify proved the source's C(H) to be its C(G)'s dual, inside C(G): the descended C(H) is
+    # the descent of that C(H), and the descended containment follows from the twist, so no
+    # kernel or check over GF(2^m) or GF(2)
     from agstab import linalg
 
     calls = []
@@ -373,7 +374,7 @@ def test_descend_builds_one_kernel_and_one_containment_check(monkeypatch, tmp_pa
         monkeypatch.setattr(linalg, name, lambda *args, name=name, real=real: calls.append(
             (name, np.shape(args[1] if name == "row_in_span" else args[0]))) or real(*args))
     assert main(["descend", "--in", src, "--out", str(tmp_path / "down.json")]) == 0
-    assert calls == [("_nullspace_rows", (35, 60)), ("row_in_span", (35, 60))]
+    assert calls == []
 
 
 def test_cli_descend_refuses_a_descended_artifact(tmp_path, capsys):
@@ -510,9 +511,91 @@ def test_cli_descend_refuses_a_backend_block_that_names_no_code(tmp_path, capsys
     assert main(["verify", str(src)]) == 2
     error = capsys.readouterr().err
     assert error.startswith("error: ") and "internal" not in error
+    for argv in (["descend", "--in", str(src), "--out", str(out)],
+                 ["decode-sim", "--artifact", str(src), "--trials", "1", "--weight", "1", "--seed", "1",
+                  "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", error)
+        assert not out.exists()
+
+
+def _not_fresh(doc, *parts):
+    """The document with each named part edited: rational q=8 j=1 read over x^3+x^2+1 (13), not
+    x^3+x+1 (11); one entry of the last C(G) row, outside the C(H) prefix; one of the first C(H) row."""
+    if "field" in parts:
+        doc["field"]["modulus"] = 13
+    if "c_g" in parts:
+        doc["matrices"]["c_g"][-1][0] ^= 1
+    if "c_h" in parts:
+        doc["matrices"]["c_h"][0][0] ^= 1
+    return doc
+
+
+NOT_FRESH = {
+    "field": "artifact: field.modulus is 13, but the rational backend at q = 8 has modulus 11",
+    "c_g": "artifact: matrices.c_g is not the C(G) of the rational backend at j = 1",
+    "c_h": "artifact: matrices.c_h is not the C(H) of the rational backend at j = 1",
+}
+
+
+@pytest.mark.parametrize("part", sorted(NOT_FRESH))
+def test_cli_descend_refuses_a_source_that_is_not_the_fresh_code(tmp_path, capsys, part):
+    # the inherited bound holds for the backend's own code alone, so no descent of another code is
+    # written, a forged field included, whose descent would verify "ok": true.  verify fails each
+    # source, and decode-sim refuses it in the same words unless only C(G), which it does not read,
+    # is edited
+    honest, src, out = tmp_path / "r81.json", tmp_path / "edited.json", tmp_path / "down.json"
+    text = artifact_mod.to_json(artifact_mod.construct_artifact("rational", 8, 1))
+    honest.write_text(text)
+    error = NOT_FRESH[part]
+    src.write_text(json.dumps(_not_fresh(json.loads(text), part)))
     assert main(["descend", "--in", str(src), "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", error)
+    assert capsys.readouterr() == ("", f"error: {error}\n")
     assert not out.exists()
+    assert main(["verify", str(src)]) == 1
+    assert {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}["matrices-recompute"] == "fail"
+
+    def decode(path):
+        code = main(["decode-sim", "--artifact", str(path), "--trials", "3", "--weight", "1", "--seed", "1"])
+        return code, *capsys.readouterr()
+
+    assert decode(src) == (decode(honest) if part == "c_g" else (2, "", f"error: {error}\n"))
+
+
+def test_fresh_names_the_first_stale_part():
+    # the field first, for indices over another modulus are other elements, then C(H), then C(G);
+    # compared alone or proved, the fresh code is the same
+    text = artifact_mod.to_json(artifact_mod.construct_artifact("rational", 8, 1))
+    for parts, first in ((("field", "c_h", "c_g"), "field"), (("c_h", "c_g"), "c_h"), (("c_g",), "c_g"), ((), None)):
+        art = artifact_mod.from_json(json.dumps(_not_fresh(json.loads(text), *parts)))
+        proved, compared = artifact_mod.fresh(art), artifact_mod.fresh(art, prove=False)
+        assert (proved.stale, proved.reason) == (compared.stale, compared.reason) == (first, NOT_FRESH.get(first))
+        assert np.array_equal(proved.g_rows, compared.g_rows) and np.array_equal(proved.h_rows, proved.g_rows[:3])
+    assert artifact_mod.fresh(artifact_mod.descend_artifact(art)) is None
+
+
+def test_only_the_commands_that_rely_on_a_proof_run_certify(monkeypatch, tmp_path):
+    # decode-sim compares C(H) with the fresh code and reads no proved fact: no proof; verify and
+    # descend rely on the proved pair.  Each evaluates L(G) once
+    from agstab import curves
+
+    proofs, evaluations = [], []
+    real_certify, real_evaluation = curves.certify, curves.evaluation_matrix
+    src = str(tmp_path / "h45.json")
+    assert main(["construct", "--backend", "hermitian", "--q", "4", "--j", "5", "--out", src]) == 0
+    monkeypatch.setattr(artifact_mod, "certify", lambda *args: proofs.append(args[1]) or real_certify(*args))
+    counting = lambda *args: evaluations.append(args[1]) or real_evaluation(*args)  # noqa: E731
+    monkeypatch.setattr(curves, "evaluation_matrix", counting)
+    monkeypatch.setattr(artifact_mod, "evaluation_matrix", counting)
+    for argv, proved in (
+            (["decode-sim", "--artifact", src, "--trials", "2", "--weight", "1", "--seed", "3",
+              "--out", str(tmp_path / "trials.jsonl")], []),
+            (["verify", src], [5]),
+            (["descend", "--in", src, "--out", str(tmp_path / "down.json")], [5])):
+        proofs.clear()
+        evaluations.clear()
+        assert main(argv) == 0
+        assert (proofs, evaluations) == (proved, [5]), argv[0]
 
 
 def test_tampered_matrix_fails_verification():
@@ -840,6 +923,16 @@ def _empty_descent(n):
     return json.dumps(doc)
 
 
+def test_cli_a_bare_memory_error_is_named(tmp_path, capsys, monkeypatch):
+    # numpy and the allocator may raise MemoryError with no text: its type is the reason
+    def refuse(path):
+        raise MemoryError()
+
+    monkeypatch.setattr(artifact_mod, "load", refuse)
+    assert main(["verify", str(tmp_path / "any.json")]) == 2
+    assert capsys.readouterr() == ("", "error: input too deep or too large: MemoryError\n")
+
+
 def test_cli_too_large_file_exits_2(tmp_path, capsys, monkeypatch):
     from agstab import linalg
 
@@ -879,7 +972,8 @@ def test_cli_verify_decides_dual_equality_by_rank_first(tmp_path, capsys):
 
 
 def test_cli_descend_refuses_a_code_below_rank_n(tmp_path, capsys):
-    # a zero C(G) cannot contain its symplectic dual, the whole space: no artifact of k = -12
+    # a zero C(G) cannot contain its symplectic dual, the whole space: no artifact of k = -12.  It
+    # is refused as a code that is not the fresh one, at C(H), which is checked before C(G)
     src, out = tmp_path / "r8.json", tmp_path / "down.json"
     assert main(["construct", "--backend", "rational", "--q", "8", "--j", "1", "--out", str(src)]) == 0
     doc = json.loads(src.read_text())
@@ -887,7 +981,7 @@ def test_cli_descend_refuses_a_code_below_rank_n(tmp_path, capsys):
     src.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["descend", "--in", str(src), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: input code does not contain its symplectic dual\n"
+    assert capsys.readouterr().err == "error: artifact: matrices.c_h is not the C(H) of the rational backend at j = 1\n"
     assert not out.exists()
 
 

@@ -156,3 +156,28 @@ def test_the_weight_1_refusal_at_hermitian_q16_reduces_nothing(monkeypatch):
         "name": "distance-bound", "status": "fail",
         "detail": "search failed: weight 1: the right half has C(2040,1) * 65535^1 = 133691400 rows, "
                   "over the cap 16777216"}]
+
+
+def test_the_exact_refusal_at_hermitian_q16_writes_the_power_it_cannot_convert(monkeypatch):
+    # 256^2041 has 4916 digits, past the 4300 that an int converts to, which used to be the
+    # reason ("Exceeds the limit (4300 digits) ..."): the refusal writes q^rank instead, on the
+    # proved rank alone and before any elimination
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(1) or real(*args))
+    art = artifact_mod.construct_artifact("hermitian", 16, 1)
+    report = artifact_mod.verify_artifact(art, exact_distance=True)
+    assert calls == []
+    assert [c for c in report["checks"] if c["status"] == "fail"] == [{
+        "name": "distance-bound", "status": "fail",
+        "detail": "search failed: q^dim = 256^2041 exceeds the enumeration cap; a weight budget is required"}]
+
+
+@pytest.mark.parametrize("q, rank, dim", [
+    (8, 20, str(8 ** 20)),
+    (2048, 1028, str(2048 ** 1028)),  # 3405 digits: written in full, as before
+    (4096, 2052, "4096^2052"),  # 7413 digits: rational q=4096 j=4
+])
+def test_the_refusal_writes_q_to_the_rank_only_past_the_digit_limit(q, rank, dim):
+    assert symplectic.search_refusal(q, q // 2, rank, None, "auto") == (
+        f"q^dim = {dim} exceeds the enumeration cap; a weight budget is required")

@@ -1,4 +1,6 @@
 import functools
+import inspect
+import textwrap
 from itertools import product
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from agstab import artifact
 from agstab.curves import HermitianBackend, RationalBackend, build_codes
-from agstab.descent import DescentBasis, _gamma, descend_code, self_dual_basis
+from agstab.descent import DescentBasis, _descend, _gamma, descend_code, self_dual_basis
 from agstab.gf import SubfieldEmbedding, field
 from agstab.linalg import invert_matrix
 from agstab.symplectic import (
@@ -230,6 +232,43 @@ def test_mutation_beta_as_alpha_fails_the_differential_and_verify(monkeypatch):
     assert not np.array_equal(down.c_h_rows, _eliminated_dual(down))
     checks = {c["name"]: c["status"] for c in artifact.verify_artifact(down)["checks"]}
     assert checks["dual-equality"] == "fail"
+
+
+def _old_descent(art, down):
+    """The descent as it was made from the stored source: ``descend_code`` of its canonical C(G),
+    which checks that C(G) holds its symplectic dual, and the descent of that dual, in the basis
+    that ``down`` records."""
+    basis = DescentBasis(down.field, art.field, down.descended_from["basis"])
+    c_g = CodeBasis.from_rows(art.field, art.c_g_rows, art.width)
+    return descend_code(c_g, basis).rows, _descend(symplectic_dual(c_g), basis).rows
+
+
+def _off_the_old_descent(descend):
+    """The DESCENTS whose rows, as ``descend`` makes them, are not the old descent's row for row."""
+    off = []
+    for kind, q, j, gamma_, base in DESCENTS:
+        art = artifact.construct_artifact(kind, q, j, gamma_)
+        down = descend(art, base)
+        g, h = _old_descent(art, down)
+        if not (np.array_equal(down.c_g_rows, g) and np.array_equal(down.c_h_rows, h)):
+            off.append((kind, q, j, gamma_, base))
+    return off
+
+
+def test_the_descent_of_the_proved_pair_is_the_old_descent():
+    # the fresh C(G) and its proved dual C(H), descended with no dual built, give the rows
+    # that the stored C(G), its eliminated dual and descend_code's checks gave
+    assert _off_the_old_descent(artifact.descend_artifact) == []
+
+
+def test_descending_c_g_as_the_dual_fails_the_differential():
+    source = textwrap.dedent(inspect.getsource(artifact.descend_artifact))
+    assert source.count("_descend(c_h, basis)") == 1
+    namespace = {}
+    exec(compile(source.replace("_descend(c_h, basis)", "_descend(c_g, basis)"), "<mutant>", "exec"),
+         vars(artifact), namespace)
+    # C(H) is C(G) at j = 0 alone, so the mutant is caught at every other j
+    assert _off_the_old_descent(namespace["descend_artifact"]) == [d for d in DESCENTS if d[2]]
 
 
 def test_maps_accept_numpy_integers(gf4_basis):

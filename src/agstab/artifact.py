@@ -15,31 +15,38 @@ in the field's dtype).  The writer, ``_pieces``, dumps the document with
 each table slot emptied to [], the skeleton, and yields its segments
 with each table's bytes at its slot, laid out by a table gather; a curve
 artifact's C(H) is the first n - j rows of its C(G), so it is evaluated
-and read as that prefix, and its rows are laid out once for both slots.
-``save`` writes the pieces as they are made, and ``to_json`` is their
-join.  ``load`` reads the file as bytes: the exact-layout reader cuts
-them by the same slots, parses each table in place with numpy, decodes
-only the skeleton, and keeps the result only when the skeleton is what
-json.dumps writes for it and each table lays out to exactly its block.
-Any other file, and any file shorter than _EXACT_MIN, is decoded as text
-mode decodes it and goes through json.loads; ``from_json`` reads a text
-the same two ways.  Every reader gives the same artifact, or the same
-error message.
+as that prefix, and its rows are laid out once for both slots.  ``save``
+writes the pieces as they are made, and ``to_json`` is their join.
+
+Each code is fixed by its recipe: a curve artifact by its backend block
+(kind, q, gamma, j), a descent by its source's backend block, its field
+and the basis it records.  So an honest file is exactly the bytes
+``_pieces`` writes for the artifact its recipe makes, and ``load`` proves
+a file by writing it again (``_regenerated``): it reads the recipe at the
+file's head, or a descent's provenance at its tail, makes that artifact
+and compares the file with its pieces as they are made, up to the first
+difference.  A match is that artifact, and the fresh code it was made
+from goes with it to ``fresh``.  Any other file, and any file shorter
+than _EXACT_MIN, is decoded as text mode decodes it and goes through
+json.loads; ``from_json`` reads a text the same two ways.  Every reader
+gives the same artifact, or the same error message.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import weakref
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Iterator, NamedTuple
+from typing import Any, BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
 from . import __version__, symplectic
 from .curves import CurveBackend, certify, evaluation_matrix, make_backend
-from .descent import DescentBasis, _descend, self_dual_basis
+from .descent import DescentBasis, _descend, self_dual_basis, shared_basis
 from .gf import GF2m, field
 from .symplectic import CodeBasis, contains, relative_min_weight, symplectic_dual
 
@@ -246,162 +253,27 @@ def _element_rows(rows: list, path: str, q: int, width: int | None) -> list[list
 
 
 def _matrix(matrices: dict, key: str, f: GF2m, width: int) -> np.ndarray:
-    """matrices[key] as a writable (rows, width) array in the field's dtype.
-
-    An array (``_exact_document`` parsed it: rectangular, non-negative
-    integers) needs only its width and range checked; a list is checked
-    row by row (``_element_rows``).  Both name the first offending row in
-    the same words.
-    """
-    path = f"matrices.{key}"
-    rows = matrices.get(key)
-    if isinstance(rows, np.ndarray):
-        if rows.shape[1] != width:
-            raise ValueError(f"artifact: {path}[0] has length {rows.shape[1]}, expected 2n = {width}")
-        if rows.max() >= f.q:
-            i = int(np.argmax(rows.ravel() >= f.q))
-            raise ValueError(f"artifact: {path}[{i // width}] holds {rows.flat[i]}, outside [0, {f.q})")
-    else:
-        rows = _element_rows(_entry(matrices, "matrices", key, list), path, f.q, width)
+    """matrices[key], checked row by row (``_element_rows``), as a writable (rows, width) array
+    in the field's dtype."""
+    rows = _element_rows(_entry(matrices, "matrices", key, list), f"matrices.{key}", f.q, width)
     return np.array(rows, dtype=f.log_antilog[1].dtype).reshape(len(rows), width)
 
 
-# the exact-layout reader has a fixed cost of about 0.5 ms, so json.loads reads a short text faster;
-# the two cross near 13.6 KB, below this threshold.  Parsed and checked (``_from_document``) on an
-# Intel Xeon core: rational q=16 j=1 (4.0 KB) in 0.54 ms against 0.22 ms by json.loads, q=32 j=1
-# and j=4 (13.6 KB) in 0.58 and 0.59 ms against 0.60 and 0.50 ms, q=64 j=2 (51 KB) 0.57 against 1.36 ms
-_EXACT_MIN = 1 << 14
-_DIGIT = np.zeros(256, dtype=np.uint32)
-_DIGIT[48:58] = np.arange(10)  # the value of each ASCII digit, 0 for every other byte
-
-
-def _same_spans(raw: bytes, a: int, b: int, length: int) -> bool:
-    """Whether raw[a:a + length] == raw[b:b + length]: one comparison in place, with no
-    copy, that stops at the first difference (a descent's two blocks often differ early)."""
-    return raw.startswith(memoryview(raw)[a:a + length], b)
-
-
-def _parse_matrix(raw: bytes, start: int, end: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows of the non-empty matrix block raw[start:end], read as ``_pieces`` lays it out,
-    as a uint16 array, and the position in ``raw`` where each row's "]" ends; or None.
-
-    The block is read in place, in pieces of at most _BLOCK bytes, each
-    ending in a newline.  A line's last byte, before a comma if there is
-    one, tells it apart: a digit ends an entry and "]" closes a row.  An
-    entry's value is read from its digits leftwards, one column of all
-    entries at a time, until every entry has met the spaces of its indent;
-    a value of 2^16 or more is no table's.  Only this shape is read here;
-    that the lines hold nothing else is proven by laying the result out
-    again (``_exact_document``).
-    """
-    values, ends = [], []
-    while start < end:
-        stop = raw.rfind(b"\n", start, start + _BLOCK) + 1 if end - start > _BLOCK else end
-        if stop <= start:
-            return None
-        buf = np.frombuffer(raw, np.uint8, stop - start, start)
-        newlines = np.flatnonzero(buf == 10)  # every line but the block's last, "    ]", ends in one
-        last = newlines - 1 - (buf.take(newlines - 1) == 44)
-        tail = buf.take(last)
-        ends.append(last[tail == 93] + (start + 1))
-        start = stop
-        last = last[(tail >= 48) & (tail <= 57)]
-        value = np.zeros(len(last), dtype=np.uint32)
-        for k in range(6):
-            digits = buf.take(last - k)
-            if digits.max(initial=0) <= 32:
-                break
-            value += _DIGIT.take(digits) * 10 ** k
-        else:  # six digits: no table's
-            return None
-        if value.max(initial=0) >= 1 << 16:
-            return None
-        values.append(value.astype(np.uint16))
-    count, rows = sum(map(len, values)), sum(map(len, ends))
-    if not rows or count % rows:
-        return None
-    return np.concatenate(values).reshape(rows, count // rows), np.concatenate(ends)
-
-
-def _prefix_rows(raw: bytes, g_start: int, g_ends: np.ndarray, h_start: int, h_end: int) -> int:
-    """r when the block raw[h_start:h_end], less its closing "\\n    ]", is the block at
-    ``g_start`` up to where its row r ends (``g_ends``, as ``_parse_matrix`` gives them); else 0."""
-    end = g_start + h_end - h_start - len("\n    ]")
-    r = int(np.searchsorted(g_ends, end))
-    return r + 1 if r < len(g_ends) and g_ends[r] == end and _same_spans(raw, g_start, h_start, end - g_start) else 0
-
-
-def _exact_document(raw: bytes) -> dict | None:
-    """The document of the file ``raw``, its tables parsed as arrays, when ``raw`` is exactly
-    what ``_pieces`` writes for that document; None otherwise.
-
-    Each slot that holds a non-empty list is cut out of the bytes, and what
-    is left, each cut replaced by [], is the skeleton, the only part decoded
-    (as ASCII).  Two things prove the parse: the skeleton is what json.dumps
-    writes for its own json.loads, with [] at each cut slot's key, and each
-    table, parsed with numpy in place (``_parse_matrix``), lays out to
-    exactly its block.  A C(H) block that is C(G)'s bytes cut after row r
-    and closed is C(G)'s first r rows.  The document is then the one
-    json.loads gives for the whole file, but for the arrays; any other file
-    is left to json.loads.
-    """
-    cuts, at = [], 0  # (key, indent, start, end) of each table block
-    for key, before, pad in _SLOTS:
-        at = raw.find(before, at) + len(before)
-        if at < len(before):
-            return None
-        if raw.startswith(b"[\n", at):  # a table: its block closes at its indent before the next key
-            close = f"\n{pad}]".encode()
-            start, stop = at, raw.find(b'"', at)
-            at = raw.rfind(close, start, stop) + len(close)
-            if stop < 0 or at < start:
-                return None
-            cuts.append((key, pad, start, at))
-    skeleton, at = [], 0
-    for _, _, start, end in cuts:
-        skeleton += raw[at:start], b"[]"
-        at = end
-    try:
-        skeleton = (b"".join(skeleton) + raw[at:]).decode("ascii")
-        doc = json.loads(skeleton)
-        if json.dumps(doc, indent=2, sort_keys=True) + "\n" != skeleton:
-            return None
-        g = None  # C(G)'s rows, where each row ends, and where its block starts
-        for key, pad, start, end in cuts:
-            if _parent(doc, key).get(key) != []:
-                return None
-            r = key == "c_h" and g is not None and _prefix_rows(raw, g[2], g[1], start, end)
-            if r:  # the block ends in "\n    ]" as every cut does
-                table = g[0][:r]
-            else:
-                parsed = _parse_matrix(raw, start, end)
-                if parsed is None or not parsed[0].size:
-                    return None
-                table, at = parsed[0], start
-                for piece in _layout_matrix(table, pad):
-                    if not raw.startswith(piece, at):
-                        return None
-                    at += len(piece)
-                if at != end:
-                    return None
-                if key == "c_g":
-                    g = *parsed, start
-            _parent(doc, key)[key] = table
-    except (ValueError, RecursionError):  # not ASCII, not JSON, or nested past json.loads
-        return None
-    return doc
+def _backend(block: dict, path: str) -> tuple[str, int, int, int]:
+    """The kind, q, gamma and j of a backend block, each checked to be of its type."""
+    return _entry(block, path, "kind", str), *(_entry(block, path, key, int) for key in ("q", "gamma", "j"))
 
 
 def from_json(text: str) -> CodeArtifact:
-    """Parse a schema-v1 artifact from its text, as ``load`` parses its file.
-
-    A text of at least _EXACT_MIN characters in ``to_json``'s exact layout
-    has its matrices read with numpy (``_exact_document``); any other text,
-    a short file or a hand-edited one say, goes through json.loads, with
-    the same result and the same messages.
-    """
-    doc = _exact_document(text.encode("ascii")) if len(text) >= _EXACT_MIN and text.isascii() else None
-    return _from_document(json.loads(text) if doc is None else doc)
+    """Parse a schema-v1 artifact from its text, as ``load`` parses its file: a text of at least
+    _EXACT_MIN characters that is what ``to_json`` writes for its recipe is that artifact, and any
+    other text goes through json.loads, with the same result and the same messages."""
+    code = None
+    if len(text) >= _EXACT_MIN and text.isascii():
+        art, code = _regenerated(io.BytesIO(text.encode("ascii")))
+        if art is not None:
+            return art
+    return _keeping(code, _from_document(json.loads(text)))
 
 
 def _from_document(doc: Any) -> CodeArtifact:
@@ -417,10 +289,7 @@ def _from_document(doc: Any) -> CodeArtifact:
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version!r}")
     backend = _entry(doc, "", "backend", dict, nullable=True)
-    if backend is not None:
-        _entry(backend, "backend", "kind", str)
-        for key in ("q", "gamma", "j"):
-            _entry(backend, "backend", key, int)
+    recipe = (None,) * 4 if backend is None else _backend(backend, "backend")  # kind, q, gamma, j
     block = _entry(doc, "", "field", dict)
     for key in ("characteristic", "degree", "modulus", "size"):
         _entry(block, "field", key, int)
@@ -435,31 +304,14 @@ def _from_document(doc: Any) -> CodeArtifact:
     k = _entry(params, "params", "k", int)
     deg_g, d_lower, d_exact = (_entry(params, "params", key, int, nullable=True)
                                for key in ("deg_g", "d_lower", "d_exact"))
-    table = doc.get("places")
-    if isinstance(table, np.ndarray):  # from _exact_document: rectangular non-negative integers
-        doc["places"] = table.tolist()
     places = _entry(doc, "", "places", list, nullable=True)
-    if places is not None and not (isinstance(table, np.ndarray) and table.max(initial=0) < f.q):
+    if places is not None:
         _element_rows(places, "places", f.q, None)
     matrices = _entry(doc, "", "matrices", dict)
     rows = {key: _matrix(matrices, key, f, 2 * n) for key in ("c_g", "c_h")}
     provenance = _entry(doc, "", "provenance", dict)
-    return CodeArtifact(
-        backend_kind=None if backend is None else backend["kind"],
-        q=None if backend is None else backend["q"],
-        gamma=None if backend is None else backend["gamma"],
-        j=None if backend is None else backend["j"],
-        field=f,
-        places=places,
-        c_g_rows=rows["c_g"],
-        c_h_rows=rows["c_h"],
-        n=n,
-        k=k,
-        deg_g=deg_g,
-        d_lower=d_lower,
-        d_exact=d_exact,
-        descended_from=_entry(provenance, "provenance", "descended_from", dict, nullable=True),
-    )
+    return CodeArtifact(*recipe, f, places, rows["c_g"], rows["c_h"], n, k, deg_g, d_lower, d_exact,
+                        _entry(provenance, "provenance", "descended_from", dict, nullable=True))
 
 
 def save(art: CodeArtifact, path: str) -> None:
@@ -472,24 +324,73 @@ def save(art: CodeArtifact, path: str) -> None:
 def load(path: str) -> CodeArtifact:
     """Read an artifact file, as ``from_json`` reads its text.
 
-    The file is read as bytes, which the exact-layout reader parses in
-    place (``_exact_document``).  Any other file is decoded as text mode
-    decodes it, "\\r\\n" and "\\r" read as "\\n", and goes through
-    json.loads, so each file gives the artifact or the message it gives
-    when read as text.
+    A file of at least _EXACT_MIN bytes that is what ``save`` writes for
+    its recipe is that artifact (``_regenerated``), with its fresh code
+    kept for ``fresh``.  Any other file is decoded as text mode decodes
+    it, "\\r\\n" and "\\r" read as "\\n", and goes through json.loads, so
+    each file gives the artifact or the message it gives when read as
+    text; one larger than the host's memory is refused unread.
     """
-    return _from_document(_file_document(path))
-
-
-def _file_document(path: str) -> Any:
+    code = None
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size >= _EXACT_MIN:
+            art, code = _regenerated(fh)
+            if art is not None:
+                return art
+            fh.seek(0)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if size > memory:
+            raise ValueError(f"artifact: {path} is {size} bytes, more than the {memory} bytes of memory "
+                             "on this host, and not the file its recipe writes: it cannot be read")
         raw = fh.read()
-    doc = _exact_document(raw) if len(raw) >= _EXACT_MIN else None
-    if doc is None:
-        text = io.TextIOWrapper(io.BytesIO(raw)).read()
-        del raw  # json.loads holds only the text, as when the file was read as text
-        doc = json.loads(text)
-    return doc  # its tables are no views of the bytes, which go when this returns
+    text = io.TextIOWrapper(io.BytesIO(raw)).read()
+    del raw  # json.loads holds only the text, as when the file was read as text
+    return _keeping(code, _from_document(json.loads(text)))
+
+
+# regeneration costs one evaluation, which fresh then reuses, and one layout; json.loads and a later
+# evaluation cost less below about 8 KB.  load plus fresh, best of 40 on an Intel Xeon core: rational q=16
+# j=1 (3.9 KB) 0.34 ms against 0.26 ms by json.loads, q=32 j=1 (13.3 KB) 0.40 against 0.47 ms, q=64 j=2
+# (50 KB) 0.50 against 1.08 ms, q=256 j=4 (812 KB) 2.6 against 14.6 ms.  A recipe lies within this of an end
+_EXACT_MIN = 1 << 14
+
+
+def _regenerated(fh: BinaryIO) -> tuple[CodeArtifact | None, tuple | None]:
+    """The artifact that the recipe of the file ``fh`` makes, if the file is exactly its pieces,
+    else None; and the fresh code of the recipe, if one could be read.  The recipe is the backend
+    and field blocks within _EXACT_MIN bytes of the head, and for a descent (a null backend) its
+    provenance within _EXACT_MIN bytes of the tail; the comparison stops at the first difference."""
+    try:
+        head = fh.read(_EXACT_MIN)
+        doc = json.loads(head[:head.index(b',\n  "matrices": ')] + b"\n}")  # an object, as it ends in "}"
+        if doc.get("backend", 0) is None:  # a descent: its provenance is at the tail
+            fh.seek(max(0, fh.seek(0, io.SEEK_END) - _EXACT_MIN))
+            tail = fh.read()
+            doc.update(json.loads(b"{" + tail[tail.rindex(b'\n  "provenance": '):]))
+        recipe = _recipe(doc)
+        code = recipe, *_code(recipe)
+    except (ValueError, RecursionError):  # no recipe, or one that names no code
+        return None, None
+    _, backend, g_rows, h_rows, basis = code
+    j = recipe[3]
+    if basis is None:
+        art = _curve_artifact(backend, j, g_rows)
+    else:
+        art = _descended(backend, j, {"n": backend.n, "k": j, "d_lower": backend.distance_bound(j), "d_exact": None},
+                         basis, g_rows, h_rows)
+    fh.seek(0)
+    if all(fh.read(len(piece)) == piece for piece in _pieces(art)) and not fh.read(1):
+        return _keeping(code, art), code
+    return None, code
+
+
+def _keeping(code: tuple | None, art: CodeArtifact) -> CodeArtifact:
+    """``art``, with ``code`` kept as the fresh code of its recipe: ``fresh`` takes it when the
+    artifact's recipe is still the one it was made for."""
+    if code is not None:
+        _FRESH[art] = code
+    return art
 
 
 # ---------------------------------------------------------------------------
@@ -497,52 +398,135 @@ def _file_document(path: str) -> Any:
 # ---------------------------------------------------------------------------
 
 class Fresh(NamedTuple):
-    """A curve artifact's backend and the fresh code at its j, from one evaluation of L(G), and
-    the first stored part ("field", "c_h", "c_g") that is not that code, or None, and why."""
+    """An artifact's fresh code, as its recipe makes it, and the first stored part that is not
+    that code ("field", "gram", "c_h", "c_g"), or None, and why.  For a descent the backend and
+    j are its source's, and the rows are the source's evaluation descended with its basis."""
 
     backend: CurveBackend
-    g_rows: np.ndarray  # C(G), read-only, as ``curves.evaluation_matrix`` returns it
-    h_rows: np.ndarray  # its first n - j rows, C(H)
+    j: int
+    g_rows: np.ndarray  # C(G): the evaluation of L(G), read-only, or its descent, canonical
+    h_rows: np.ndarray  # C(H): the evaluation's first n - j rows, or their descent, canonical
     stale: str | None
     reason: str | None
 
 
-def fresh(art: CodeArtifact, prove: bool = True) -> Fresh | None:
-    """The fresh code of a curve artifact's backend block, and whether the stored field and
-    rows are that code; None for a descended artifact.  ValueError when the block names no
-    code (an unknown kind, q or gamma, or j out of range).  With ``prove`` the rows are
-    ``curves.certify``'s, returned once it has proved C(H) = C(G)^perp and C(H) <= C(G) for
-    the callers that rely on that; without it, the evaluation alone, for one that only
-    compares (``decode-sim``).  Indices over another modulus are other elements, so the
-    stored field is checked first."""
-    if art.backend_kind is None:
-        return None
-    backend = make_backend(art.backend_kind, art.q, art.gamma)
-    g_rows = certify(backend, art.j) if prove else evaluation_matrix(backend, art.j)
-    h_rows, at = g_rows[:backend.n - art.j], f"the {art.backend_kind} backend at"
-    if art.field != backend.field:
-        stale = "field", (f"field.modulus is {art.field.modulus}, but {at} q = {art.q} "
-                          f"has modulus {backend.field.modulus}")
+_FRESH: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # artifact -> (recipe, *_code(recipe))
+
+
+def _recipe(doc: dict) -> tuple:
+    """The recipe of a document: the kind, q, gamma and j of its backend block, or for a descent of
+    its source's, then for a descent the degree of its field and its basis, else None and None.
+    ValueError, in ``_from_document``'s words, for a block that is missing or not of its type."""
+    backend, path, descent = _entry(doc, "", "backend", dict, nullable=True), "backend", (None, None)
+    if backend is None:
+        path = "provenance.descended_from"
+        source = _entry(_entry(doc, "", "provenance", dict), "provenance", "descended_from", dict)
+        basis = _entry(source, path, "basis", list)
+        if set(map(type, basis)) - {int}:
+            bad = next(v for v in basis if type(v) is not int)
+            raise ValueError(f"artifact: {path}.basis holds {_json_kind(bad)}, expected field-element integers")
+        backend, path = _entry(source, path, "backend", dict), path + ".backend"
+        descent = _entry(_entry(doc, "", "field", dict), "field", "degree", int), tuple(basis)
+    return *_backend(backend, path), *descent
+
+
+def _code(recipe: tuple) -> tuple:
+    """The fresh code of a recipe, from one evaluation of L(G): its backend, C(G), C(H) and, for a
+    descent, its basis (else None).  ValueError when the recipe names no code: an unknown kind, q
+    or gamma, j out of range, or a descent basis that is no basis or has no twist."""
+    kind, q, gamma, j, degree, basis = recipe
+    backend = make_backend(kind, q, gamma)
+    g_rows = evaluation_matrix(backend, j, "g")
+    if degree is None:
+        return backend, g_rows, g_rows[:backend.n - j], None
+    basis = shared_basis(field(degree), backend.field, basis)
+    if basis.twist is None:
+        raise ValueError(f"artifact: provenance.descended_from.basis {list(basis.basis)} has no twist, "
+                         "so its descent need not keep the dual")
+    return backend, *_descend_pair(g_rows, g_rows[:backend.n - j], basis), basis
+
+
+def _descend_pair(g_rows: np.ndarray, h_rows: np.ndarray, basis: DescentBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical rows of the descents of C(G) and C(H), each reduced over the extension field
+    first, whose gamma image then reduces fast.  C(H) is C(G)'s symplectic dual (``curves.certify``),
+    so by the twist its descent is the dual of C(G)'s descent, and no dual is built."""
+    c_g, c_h = (CodeBasis.from_rows(basis.ext, rows, g_rows.shape[1]) for rows in (g_rows, h_rows))
+    return _descend(c_g, basis).rows, _descend(c_h, basis).rows
+
+
+def fresh(art: CodeArtifact) -> Fresh:
+    """The fresh code of an artifact's recipe, and whether the stored parts are that code.
+
+    For a curve artifact it is the backend's evaluation of L(G), compared
+    with the stored field, C(H) and C(G); for a descent, the source's
+    evaluation descended with the recorded basis, whose twist must exist,
+    compared with the stored field and the source's, the Gram matrix, C(H)
+    and C(G).  Indices over another modulus are other elements, so the
+    fields come first.  The code is made once per artifact and recipe
+    (``load`` hands over the one it compared with), and the stored parts
+    are compared on every call, so an artifact edited after it was read is
+    still caught.  ValueError when the recipe names no code.  Nothing is
+    proved here: ``curves.certify`` proves it for the callers that rely on it.
+    """
+    recipe = _recipe(_document(art))
+    code = _FRESH.get(art)
+    if code is None or code[0] != recipe:
+        code = _FRESH[art] = recipe, *_code(recipe)
+    _, backend, g_rows, h_rows, basis = code
+    kind, q, _, j = recipe[:4]
+    at, what = f"the {kind} backend at", "" if basis is None else "descended "
+    stale = None
+    if basis is None and art.field != backend.field:
+        stale = "field", f"field.modulus is {art.field.modulus}, but {at} q = {q} has modulus {backend.field.modulus}"
+    elif basis is not None and art.field != basis.sub:
+        stale = "field", (f"field.modulus is {art.field.modulus}, but a descent to GF(2^{basis.sub.degree}) "
+                          f"is over modulus {basis.sub.modulus}")
+    elif basis is not None and art.descended_from.get("field") != _field_block(backend.field):
+        stale = "field", f"provenance.descended_from.field is not the field of {at} q = {q}"
+    elif basis is not None and art.descended_from.get("gram") != [list(r) for r in basis.gram]:
+        stale = "gram", "provenance.descended_from.gram is not the Gram matrix of its basis"
     elif not np.array_equal(art.c_h_rows, h_rows):
-        stale = "c_h", f"matrices.c_h is not the C(H) of {at} j = {art.j}"
+        stale = "c_h", f"matrices.c_h is not the {what}C(H) of {at} j = {j}"
     elif not np.array_equal(art.c_g_rows, g_rows):
-        stale = "c_g", f"matrices.c_g is not the C(G) of {at} j = {art.j}"
-    else:
-        return Fresh(backend, g_rows, h_rows, None, None)
-    return Fresh(backend, g_rows, h_rows, stale[0], "artifact: " + stale[1])
+        stale = "c_g", f"matrices.c_g is not the {what}C(G) of {at} j = {j}"
+    if stale is None:
+        return Fresh(backend, j, g_rows, h_rows, None, None)
+    return Fresh(backend, j, g_rows, h_rows, stale[0], "artifact: " + stale[1])
+
+
+def _curve_artifact(backend: CurveBackend, j: int, g_rows: np.ndarray) -> CodeArtifact:
+    """The artifact of C(G) >= C(H) at j on ``backend``, from the evaluation ``g_rows`` of L(G):
+    C(H) is its first n - j rows, and each matrix a writable copy."""
+    return CodeArtifact(
+        backend_kind=backend.kind, q=backend.q, gamma=backend.gamma, j=j, field=backend.field,
+        places=backend.places.tolist(), c_g_rows=g_rows.copy(), c_h_rows=g_rows[:backend.n - j].copy(),
+        n=backend.n, k=j, deg_g=backend.deg_g(j), d_lower=backend.distance_bound(j), d_exact=None,
+    )
+
+
+def _descended(backend: CurveBackend, j: int, params: dict, basis: DescentBasis, g_rows: np.ndarray,
+               h_rows: np.ndarray) -> CodeArtifact:
+    """The artifact of a descent with ``basis`` of the code at j on ``backend``, whose artifact
+    records ``params``, from the descended C(G) and C(H) rows."""
+    n = g_rows.shape[1] // 2
+    return CodeArtifact(
+        backend_kind=None, q=None, gamma=None, j=None, field=basis.sub, places=None,
+        c_g_rows=g_rows.copy(), c_h_rows=h_rows.copy(), n=n, k=len(g_rows) - n, deg_g=None,
+        d_lower=params["d_lower"],  # a stored d_exact is a claim, not a bound: only verify derives one
+        d_exact=None,
+        descended_from={"backend": {"kind": backend.kind, "q": backend.q, "gamma": backend.gamma, "j": j},
+                        "field": _field_block(backend.field), "basis": list(basis.basis),
+                        "gram": [list(r) for r in basis.gram], "params": params},
+    )
 
 
 def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifact:
-    """The artifact of C(G) >= C(H) at j on a curve backend: the rows ``curves.certify``
-    returns once it has proved the ranks, the duality and containment, with no matrix
-    reduced, and C(H) their first n - j."""
+    """The artifact of C(G) >= C(H) at j on a curve backend, once ``curves.certify`` has proved
+    the ranks, the duality and containment with no matrix reduced: the evaluation of L(G), and
+    C(H) its first n - j rows."""
     backend = make_backend(kind, q, gamma)
-    g_rows = certify(backend, j)
-    return CodeArtifact(
-        backend_kind=kind, q=q, gamma=gamma, j=j, field=backend.field, places=backend.places.tolist(),
-        c_g_rows=g_rows.copy(), c_h_rows=g_rows[:backend.n - j].copy(),  # writable copies of the evaluation
-        n=backend.n, k=j, deg_g=backend.deg_g(j), d_lower=backend.distance_bound(j), d_exact=None,
-    )
+    certify(backend, j)
+    return _curve_artifact(backend, j, evaluation_matrix(backend, j, "g"))
 
 
 def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
@@ -551,39 +535,26 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
     The default basis (powers of the generator) is used when it has a
     twist, else a self-dual basis, and the provenance records it.  The
     source must be the fresh code (``fresh``), whose C(H) ``curves.certify``
-    has proved to be C(G)'s symplectic dual, inside C(G): the descents of the
+    proves to be C(G)'s symplectic dual, inside C(G): the descents of the
     two, C(H)'s the dual of C(G)'s by the twist, need no dual built and no
     containment checked.  ValueError before any reduction for a descended
     artifact (its source would be lost), for a backend block that names no
     curve code, in ``verify``'s words, and for a stored field or rows that
     are not the fresh code, in ``decode-sim``'s.
     """
-    source = fresh(art)
-    if source is None:
+    if art.backend_kind is None:
         raise ValueError("cannot descend a descended artifact, whose source backend would be lost; "
                          "descend its source")
+    source = fresh(art)
     if source.stale:
         raise ValueError(source.reason)
+    certify(source.backend, art.j)
     sub = field(base_degree)
-    basis = DescentBasis(sub, art.field)
+    basis = shared_basis(sub, art.field)
     if basis.twist is None:
-        basis = DescentBasis(sub, art.field, self_dual_basis(sub, art.field))
-    c_g, c_h = (CodeBasis.from_rows(art.field, rows, art.width) for rows in (source.g_rows, source.h_rows))
-    down, dual = _descend(c_g, basis), _descend(c_h, basis)
-    n = down.width // 2
-    return CodeArtifact(
-        backend_kind=None, q=None, gamma=None, j=None, field=sub, places=None,
-        c_g_rows=down.rows.copy(), c_h_rows=dual.rows.copy(), n=n, k=down.rank - n, deg_g=None,
-        d_lower=art.d_lower,  # a stored d_exact is a claim, not a bound: only verify derives one
-        d_exact=None,
-        descended_from={
-            "backend": {"kind": art.backend_kind, "q": art.q, "gamma": art.gamma, "j": art.j},
-            "field": _field_block(art.field),
-            "basis": list(basis.basis),
-            "gram": [list(r) for r in basis.gram],
-            "params": {"n": art.n, "k": art.k, "d_lower": art.d_lower, "d_exact": art.d_exact},
-        },
-    )
+        basis = shared_basis(sub, art.field, self_dual_basis(sub, art.field))
+    params = {"n": art.n, "k": art.k, "d_lower": art.d_lower, "d_exact": art.d_exact}
+    return _descended(source.backend, art.j, params, basis, *_descend_pair(source.g_rows, source.h_rows, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -608,37 +579,41 @@ def verify_artifact(
     Returns a machine-readable report; overall "ok" is true when no check
     failed (skipped checks do not fail the report).
 
-    On a curve artifact the fresh code and whether the stored field and
-    rows are it come from ``fresh``, whose rows ``curves.certify`` returns
-    once it has proved, from the exponent tables and with no matrix
-    reduced, the ranks n + j and n - j, C(H) = C(G)^perp, C(H) <= C(G) and
-    the containment of the Euclidean dual; a failed proof is an
-    AssertionError, not a failed check.  When the field and the stored
-    rows are the fresh ones, the stored codes are the proved ones, so
-    ``dual-equality``, ``containment`` and ``k-formula`` need no reduction,
-    and the searches run on the rows: the C(H) rows check C(G) and the C(G)
-    rows check C(H).  A search that ``symplectic.search_refusal`` refuses
-    on the proved ranks alone fails ``distance-bound`` before it starts.
-    An edited or a descended artifact is reduced by elimination, each basis
-    once, C(H) first, for its checks and its searches.
-    ``euclidean-dual-containment`` and ``hamming-bound`` read only the
-    fresh code, so they take the proof, and the Hamming search runs on
-    swap(fresh C(H)), the Euclidean dual of C(G), over the backend's field.
-    ``dual-equality`` builds no dual when rank C(G) + rank C(H) is not 2n.
-    On a curve artifact ``distance-bound`` also requires the stored deg G
-    to be the backend's, since ``decode-sim`` takes its guarantee region
-    from it; on any artifact it fails a stored ``d_exact`` that this run
-    did not derive.
+    The fresh code and whether the stored parts are it come from
+    ``fresh``, and ``curves.certify`` proves, from the exponent tables of
+    the backend (a descent's source's) with no matrix reduced, the ranks
+    n + j and n - j, C(H) = C(G)^perp, C(H) <= C(G) and the containment of
+    the Euclidean dual; a failed proof is an AssertionError, not a failed
+    check.  When the stored field and rows are the fresh ones, the stored
+    codes are the proved ones (for a descent their descents, which keep
+    all three by the twist identity), so ``dual-equality``, ``containment``
+    and ``k-formula`` need no reduction, and the searches run on the rows:
+    the C(H) rows check C(G) and the C(G) rows check C(H).  A search that
+    ``symplectic.search_refusal`` refuses on the proved ranks alone fails
+    ``distance-bound`` before it starts.  An edited artifact is reduced by
+    elimination, each basis once, C(H) first, and ``dual-equality`` builds
+    no dual when rank C(G) + rank C(H) is not 2n.  A descent that is not
+    the fresh one fails ``matrices-recompute`` with ``fresh``'s reason; an
+    honest one skips it, as it has no places.  ``euclidean-dual-containment``
+    and ``hamming-bound`` read only a curve artifact's fresh code: they
+    take the proof, and the Hamming search runs on swap(fresh C(H)), the
+    Euclidean dual of C(G).  ``distance-bound`` requires the stored lower
+    bound to be the backend's (the source's, for a descent), on a curve
+    artifact the stored deg G too, since ``decode-sim`` takes its guarantee
+    region from it, and it fails a stored ``d_exact`` this run did not derive.
     """
     checks: list[dict[str, str]] = []
     source = fresh(art)
-    same_rows = source is not None and source.stale is None
-    if source is None:
-        checks.append(_skip("matrices-recompute", "descended artifact carries no places"))
-    else:
-        backend, g_rows, h_rows = source.backend, source.g_rows, source.h_rows
+    backend, g_rows, h_rows = source.backend, source.g_rows, source.h_rows
+    certify(backend, source.j)
+    same_rows, descended = source.stale is None, art.backend_kind is None
+    if not descended:
         checks.append(_check("matrices-recompute", same_rows and art.places == backend.places.tolist(),
                              "stored places and generator rows match a fresh evaluation"))
+    elif same_rows:
+        checks.append(_skip("matrices-recompute", "descended artifact carries no places"))
+    else:
+        checks.append(_check("matrices-recompute", False, source.reason))
 
     if same_rows:  # the stored codes are the fresh ones, whatever the stored places
         rank_g, rank_h, dual_ok, contained = len(g_rows), len(h_rows), True, True
@@ -652,21 +627,23 @@ def verify_artifact(
     checks.append(_check("dual-equality", dual_ok,
                          "canonical rref of the symplectic dual of C(G) equals that of C(H)"))
     checks.append(_check("containment", contained, "C(G) contains C(H)"))
-    k_ok = rank_g - art.n == art.k and rank_h == art.n - art.k and (source is None or art.k == art.j)
+    k_ok = rank_g - art.n == art.k and rank_h == art.n - art.k and (descended or art.k == art.j)
     checks.append(_check("k-formula", k_ok, f"rank {rank_g} = n + k with k = {art.k}"))
 
     d_exact_found: int | None = None
     note = ""
-    if source is not None:
-        bound = backend.distance_bound(art.j)
+    bound = backend.distance_bound(source.j)
+    bound_ok = art.d_lower == bound
+    if descended:
+        bound_detail = f"inherited lower bound {art.d_lower} (descent does not decrease it)"
+        if not bound_ok:
+            note = f"; recorded lower bound {art.d_lower} differs from the source's recomputed {bound}"
+    else:
         deg_g = backend.deg_g(art.j)
-        bound_ok = art.d_lower == bound and art.deg_g == deg_g
+        bound_ok = bound_ok and art.deg_g == deg_g
         bound_detail = f"recorded lower bound {art.d_lower} matches the recomputed {bound}"
         if art.deg_g != deg_g:  # decode-sim takes its guarantee region from the stored deg G
             note = f"; recorded deg G {art.deg_g} differs from the recomputed {deg_g}"
-    else:
-        bound, bound_ok = art.d_lower, True
-        bound_detail = f"inherited lower bound {art.d_lower} (descent does not decrease it)"
     if exact_distance or budget is not None:
         mode = "auto" if exact_distance else "budget"
         try:
@@ -683,7 +660,7 @@ def verify_artifact(
         else:
             if res.status == "exact":
                 d_exact_found = res.weight
-                bound_ok = bound_ok and (bound is None or res.weight >= bound)
+                bound_ok = bound_ok and res.weight >= bound
                 bound_detail = f"exact relative weight {res.weight} >= bound {bound}"
             elif res.status == "at-least":
                 # an exhausted sweep establishes d >= budget + 1, which can
@@ -698,7 +675,7 @@ def verify_artifact(
                                                          else f"differs from the derived {d_exact_found}")
     checks.append(_check("distance-bound", bound_ok, bound_detail + note))
 
-    if source is not None:
+    if not descended:
         # certify proved it, and the fresh code is all these two checks read
         checks.append(_check("euclidean-dual-containment", True, "the Euclidean dual of C(G) lies inside C(G)"))
         dim, d_hamming = len(g_rows), backend.hamming_bound(art.j)

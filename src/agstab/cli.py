@@ -122,7 +122,7 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
         raise ValueError("decode-sim needs a backend artifact with a recorded deg G")
     # the guarantee region comes from deg G, the field and C(H): never trust them.  They are
     # compared with the fresh code, not proved: decoding reads no claim of the proofs
-    source = artifact_mod.fresh(art, prove=False)
+    source = artifact_mod.fresh(art)
     backend = source.backend
     deg_g = backend.deg_g(art.j)
     if art.deg_g != deg_g:

@@ -41,10 +41,11 @@ The claims about the fresh codes are theorems, proved in two ways.
 matrix reduced: the ranks by the degree argument (Stichtenoth, Thm 2.2.2
 and Cor. 2.2.3), containment from the prefix of the tables, the Euclidean
 dual from the Lucas expansion of h o sigma and the duality from the
-moment-table Gram ``CurveBackend.gram``.  It returns the fresh C(G),
-whose first n - j rows are C(H), and raises AssertionError when a proof
-fails; ``construct`` takes every fresh row from it, and ``verify`` and
-``descend`` through ``artifact.fresh``.  ``build_codes`` and
+moment-table Gram ``CurveBackend.gram``.  It returns nothing, and raises
+AssertionError when a proof fails; ``construct``, ``verify`` and
+``descend`` run it, and take the fresh rows, the evaluation of L(G) whose
+first n - j rows are C(H), from ``evaluation_matrix`` (``verify`` and
+``descend`` through ``artifact.fresh``).  ``build_codes`` and
 ``classical_params`` decide the same by elimination, each code reduced
 once: they are ``certify``'s oracles in the tests.
 
@@ -414,11 +415,11 @@ def evaluation_matrix(backend: CurveBackend, j: int, which: str = "g") -> np.nda
     return monomial_matrix(backend.field, backend.rr_basis(j, which), backend.places)
 
 
-def certify(backend: CurveBackend, j: int) -> np.ndarray:
-    """The fresh C(G) at j, ``evaluation_matrix(backend, j)``: a read-only (n + j, 2n) array
-    whose first n - j rows are C(H), returned once every claim about the pair is proved from
-    the exponent tables of ``rr_basis`` and the places, with no matrix reduced.  Each proof
-    is integer or table arithmetic, and AssertionError is raised when one fails:
+def certify(backend: CurveBackend, j: int) -> None:
+    """Prove every claim about the pair C(G) >= C(H) at j, the evaluations of ``rr_basis``, from
+    its exponent tables and the places, with no matrix reduced and none evaluated; return once
+    each proof holds.  Each proof is integer or table arithmetic, and AssertionError is raised
+    when one fails:
 
     * Ranks, by the degree argument: the pole orders at P_inf of each
       table are distinct, so its monomials are independent; each is at
@@ -455,7 +456,6 @@ def certify(backend: CurveBackend, j: int) -> np.ndarray:
         raise AssertionError(f"the L(H) table is not closed under the Lucas expansion of h o sigma {at}")
     if backend.gram(G, H).any():
         raise AssertionError(f"the Gram of C(G) and C(H) is not zero {at}")
-    return evaluation_matrix(backend, j, "g")
 
 
 def build_codes(backend: CurveBackend, j: int) -> tuple[CodeBasis, CodeBasis]:

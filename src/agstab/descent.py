@@ -38,6 +38,7 @@ refused.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +94,20 @@ class DescentBasis:
         target = self.gram_inv
         (mu,) = np.flatnonzero((trace[antilog[log[:, None] + products[0]]] == target[0]).all(axis=1))
         return int(mu) if (trace[antilog[log[mu] + products]] == target).all() else None
+
+
+@lru_cache(maxsize=None)
+def _shared_basis(sub: GF2m, ext: GF2m, basis: tuple[int, ...]) -> DescentBasis:
+    return DescentBasis(sub, ext, basis)
+
+
+def shared_basis(sub: GF2m, ext: GF2m, basis: Sequence[int] | None = None) -> DescentBasis:
+    """One DescentBasis per (sub, ext) and basis, as ``gf.embedding`` is one per (sub, ext): the
+    default basis (the powers of the generator) is named by its elements, so a descent and the
+    regeneration of its file share it.  A basis that is not one raises, and is not kept."""
+    if basis is None:
+        basis = [ext.pow(ext.generator, i) for i in range(embedding(sub, ext).m)]
+    return _shared_basis(sub, ext, tuple(basis))
 
 
 def _mix(sub: GF2m, matrix: np.ndarray, X: np.ndarray) -> np.ndarray:

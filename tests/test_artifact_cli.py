@@ -42,14 +42,6 @@ def test_to_json_layout():
         assert artifact_mod.to_json(art) == expected + "\n"
 
 
-def _as_lists(doc):
-    """A document from the exact-layout reader with its arrays as lists, as json.loads gives it."""
-    doc["places"] = doc["places"].tolist() if isinstance(doc["places"], np.ndarray) else doc["places"]
-    doc["matrices"] = {key: rows.tolist() if isinstance(rows, np.ndarray) else rows
-                       for key, rows in doc["matrices"].items()}
-    return doc
-
-
 # values for the places slot: a table (a non-empty rectangular list of ints in [0, 2^16)) is laid
 # out by the table gather, and every other value, tables nested in it included, by json.dumps
 @pytest.mark.parametrize("value", [
@@ -61,15 +53,12 @@ def _as_lists(doc):
     [[1 << 16, 0]], [[-1, 2]],
 ])
 def test_layout_matches_the_encoder(value):
-    # to_json with ``value`` in the places slot is json.dumps of the document; the exact-layout
-    # reader gives json.loads's document, or leaves the text to json.loads
+    # to_json with ``value`` in the places slot is json.dumps of the document
     art = artifact_mod.construct_artifact("rational", 4, 1)
     art.places = value
     text = artifact_mod.to_json(art)
     expected = json.dumps(artifact_mod._document(art), indent=2, sort_keys=True, default=np.ndarray.tolist)
     assert text == expected + "\n"
-    doc = artifact_mod._exact_document(text.encode())
-    assert doc is None or _as_lists(doc) == json.loads(text)
 
 
 @pytest.mark.parametrize("rows", [[[0]], [[3, 0, 1], [2, 2, 2]], [[65535, 9, 10]], [[1 << 16, 0]], [[-1, 2]],
@@ -93,14 +82,17 @@ def test_layout_of_an_array_matches_the_encoder(monkeypatch, rows, block):
 
 
 @pytest.mark.parametrize("block", [1 << 20, 40])
-@pytest.mark.parametrize("code", [("rational", 16, 2), ("hermitian", 4, 5)], ids=str)
-def test_exact_layout_reader_in_small_blocks(monkeypatch, code, block):
-    # a small block cuts each matrix into pieces of a line or two
+@pytest.mark.parametrize("code", [("rational", 64, 2), ("hermitian", 4, 5)], ids=str)
+def test_regeneration_in_small_blocks(monkeypatch, code, block):
+    # a small block cuts each matrix into pieces of a line or two, each compared on its own
     monkeypatch.setattr(artifact_mod, "_BLOCK", block)
     art = artifact_mod.construct_artifact(*code)
     text = artifact_mod.to_json(art)
-    assert artifact_mod._exact_document(text.encode()) is not None
+    real = json.loads  # the recipe is read with it, the matrices never
+    monkeypatch.setattr(artifact_mod.json, "loads", lambda s: pytest.fail("a file to_json writes is regenerated")
+                        if '"matrices"' in str(s) else real(s))
     again = artifact_mod.from_json(text)
+    monkeypatch.undo()
     assert np.array_equal(again.c_g_rows, art.c_g_rows) and again.c_g_rows.dtype == art.c_g_rows.dtype
     assert np.array_equal(again.c_h_rows, art.c_h_rows) and again.c_h_rows.dtype == art.c_h_rows.dtype
 
@@ -276,7 +268,7 @@ def test_verify_reduces_each_basis_once(monkeypatch, kind, q, j, options):
     assert artifact_mod.verify_artifact(art, **options)["ok"]
     assert shapes == []
     # an edited C(G) is reduced, C(H) first, then the swapped kernel of the dual of C(G), which
-    # also checks the search; the classical view reads only the fresh code, which certify returns
+    # also checks the search; the classical view reads only the fresh code, which certify proves
     art.c_g_rows[0][0] ^= 1
     assert not artifact_mod.verify_artifact(art, **options)["ok"]
     assert shapes == [(n - j, width), (n + j, width), (n - j, width)]
@@ -298,7 +290,7 @@ def test_construct_reduces_c_h_and_the_new_g_rows(monkeypatch, kind, q, j):
 
 
 def test_every_elimination_goes_through_rref(monkeypatch, tmp_path):
-    from agstab import linalg
+    from agstab import descent, linalg
 
     shapes = record_eliminations(monkeypatch)
     calls = []
@@ -327,6 +319,7 @@ def test_every_elimination_goes_through_rref(monkeypatch, tmp_path):
     artifact_mod.save(art, edited)
     assert run("verify", edited, "--exact-distance", status=1) == 3
     run("construct", "--backend", "hermitian", "--q", "4", "--j", "5", "--out", h45)
+    descent._shared_basis.cache_clear()  # two reductions for the basis, then the code and its descent twice
     assert run("descend", "--in", h45, "--out", down) == 6
     assert run("verify", down) > 0
     assert run("decode-sim", "--artifact", h45, "--trials", "2", "--weight", "1", "--seed", "3",
@@ -336,7 +329,7 @@ def test_every_elimination_goes_through_rref(monkeypatch, tmp_path):
 def test_decode_sim_and_descend_reduce_only_the_code_they_use(monkeypatch, tmp_path):
     import numpy as np
 
-    from agstab import linalg
+    from agstab import descent, linalg
 
     shapes = []
     real = linalg.rref
@@ -347,6 +340,7 @@ def test_decode_sim_and_descend_reduce_only_the_code_they_use(monkeypatch, tmp_p
 
     src = str(tmp_path / "h45.json")
     assert main(["construct", "--backend", "hermitian", "--q", "4", "--j", "5", "--out", src]) == 0
+    descent._shared_basis.cache_clear()  # the basis reductions are counted as if first made here
     monkeypatch.setattr(linalg, "rref", counting)
     # decode-sim needs C(H) (25 x 60) alone, not C(G) (35 x 60)
     assert main(["decode-sim", "--artifact", src, "--trials", "2", "--weight", "1", "--seed", "3",
@@ -400,7 +394,8 @@ def test_each_riemann_roch_matrix_is_evaluated_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(curves, "evaluation_matrix", counting)
-    # certify returns the L(G) rows, whose first n - j are the L(H) ones: L(H) is never evaluated
+    monkeypatch.setattr(artifact_mod, "evaluation_matrix", counting)
+    # the L(G) rows' first n - j are the L(H) ones: L(H) is never evaluated
     for kind, q, j in (("rational", 16, 2), ("hermitian", 4, 1), ("hermitian", 4, 3)):
         calls.clear()
         art = artifact_mod.construct_artifact(kind, q, j)
@@ -429,9 +424,14 @@ def test_verify_budget_reduces_each_dual_once(monkeypatch):
 
     down = artifact_mod.descend_artifact(artifact_mod.construct_artifact("hermitian", 2, 1))
     monkeypatch.setattr(linalg, "rref", counting)
-    # dual-equality reduces the dual of C(G); the sweep reuses it, and takes
-    # the checks of C(H) = C(G)^perp from C(G) itself (three reductions before)
+    # the fresh descent is searched on its rows, with no dual built
     assert artifact_mod.verify_artifact(down, budget=2)["ok"]
+    assert calls == []
+    # C(G)'s rows reversed: the same code, by elimination.  dual-equality reduces the dual of
+    # C(G); the sweep reuses it, and takes the checks of C(H) = C(G)^perp from C(G) itself
+    down.c_g_rows = down.c_g_rows[::-1].copy()
+    report = artifact_mod.verify_artifact(down, budget=2)
+    assert [c["name"] for c in report["checks"] if c["status"] == "fail"] == ["matrices-recompute"]
     assert len(calls) == 1
     calls.clear()
     down.c_h_rows = down.c_h_rows[1:]    # no longer the dual: its own checks are reduced
@@ -564,14 +564,17 @@ def test_cli_descend_refuses_a_source_that_is_not_the_fresh_code(tmp_path, capsy
 
 def test_fresh_names_the_first_stale_part():
     # the field first, for indices over another modulus are other elements, then C(H), then C(G);
-    # compared alone or proved, the fresh code is the same
+    # the fresh code is made once per artifact, and the stored parts compared on every call
     text = artifact_mod.to_json(artifact_mod.construct_artifact("rational", 8, 1))
     for parts, first in ((("field", "c_h", "c_g"), "field"), (("c_h", "c_g"), "c_h"), (("c_g",), "c_g"), ((), None)):
         art = artifact_mod.from_json(json.dumps(_not_fresh(json.loads(text), *parts)))
-        proved, compared = artifact_mod.fresh(art), artifact_mod.fresh(art, prove=False)
-        assert (proved.stale, proved.reason) == (compared.stale, compared.reason) == (first, NOT_FRESH.get(first))
-        assert np.array_equal(proved.g_rows, compared.g_rows) and np.array_equal(proved.h_rows, proved.g_rows[:3])
-    assert artifact_mod.fresh(artifact_mod.descend_artifact(art)) is None
+        source = artifact_mod.fresh(art)
+        assert (source.stale, source.reason) == (first, NOT_FRESH.get(first))
+        assert np.array_equal(source.h_rows, source.g_rows[:3]) and source.j == 1
+    again = artifact_mod.fresh(art)
+    assert again.g_rows is source.g_rows and again.stale is None
+    art.c_g_rows[-1, 0] ^= 1
+    assert artifact_mod.fresh(art)[4:] == ("c_g", NOT_FRESH["c_g"])
 
 
 def test_only_the_commands_that_rely_on_a_proof_run_certify(monkeypatch, tmp_path):
@@ -937,11 +940,15 @@ def test_cli_too_large_file_exits_2(tmp_path, capsys, monkeypatch):
     from agstab import linalg
 
     # a descended artifact of n = 2000000 with empty matrices; the refusal of an allocation
-    # is simulated in the first reduction verify makes
+    # is simulated in the first reduction verify makes of them
     huge = tmp_path / "huge.json"
     huge.write_text(_empty_descent(2_000_000))
 
-    def refuse(field, rows, width):
+    real = linalg.rref
+
+    def refuse(field, rows, width):  # the stored codes' reductions; the fresh descent's are small
+        if width < 4_000_000:
+            return real(field, rows, width)
         raise MemoryError(f"Unable to allocate an array with shape ({width}, {width})")
 
     monkeypatch.setattr(linalg, "rref", refuse)
@@ -949,6 +956,24 @@ def test_cli_too_large_file_exits_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
         "error: input too deep or too large: Unable to allocate an array with shape (4000000, 4000000)\n")
+
+
+def test_cli_refuses_a_file_larger_than_memory_unread(tmp_path, capsys, monkeypatch):
+    import os
+
+    # a sparse file a byte larger than the host's memory, with no recipe at its head: it cannot be
+    # proven by writing it again, and json.loads would need more memory than the host has
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    huge = tmp_path / "huge.json"
+    with open(huge, "wb") as fh:
+        fh.truncate(memory + 1)
+    monkeypatch.setattr(artifact_mod.json, "loads", lambda *args: pytest.fail("nothing past the head is read"))
+    for argv in (["verify", str(huge)], ["descend", "--in", str(huge), "--out", str(tmp_path / "down.json")]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: artifact: {huge} is {memory + 1} bytes, more than the "
+                                           f"{memory} bytes of memory on this host, and not the file its "
+                                           "recipe writes: it cannot be read\n")
+    assert os.stat(huge).st_blocks == 0  # still sparse: nothing was written
 
 
 def test_cli_verify_decides_dual_equality_by_rank_first(tmp_path, capsys):

@@ -1,18 +1,22 @@
-"""The two artifact readers against each other.
+"""Regeneration against json.loads.
 
-``from_json`` reads a text in ``to_json``'s exact layout with numpy and any
-other text, or any text shorter than ``_EXACT_MIN``, through json.loads.
-Every text here, written by ``to_json`` or mutated from one, must give both
-readers the same artifact or the same ValueError message, whatever its
-length.
+An honest artifact file is exactly the bytes the writer writes for the
+artifact its recipe makes, so ``load`` and ``from_json`` read a file of at
+least ``_EXACT_MIN`` bytes by writing it again (``_regenerated``): the
+recipe, at the file's head or at a descent's tail, makes the artifact, and
+the file must be its pieces byte for byte.  Any other file, and any shorter
+one, goes through json.loads.  Every text here, written by ``to_json`` or
+mutated from one, must give both paths the same artifact or the same
+ValueError message, whatever its length.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import re
+import textwrap
 from functools import lru_cache
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -47,15 +51,22 @@ def _entries(code: tuple) -> list[tuple[int, int]]:
     return [m.span(1) for m in re.finditer(r"\n {8}(\d+)", _text(code))]
 
 
+def _json_path(text: str):
+    return artifact_mod._from_document(json.loads(text))
+
+
+def _regenerates(text: str) -> bool:
+    """Whether ``text``, of any length, is what the writer writes for its recipe."""
+    return artifact_mod._regenerated(io.BytesIO(text.encode()))[0] is not None
+
+
 def _outcome(text: str, fast: bool | None):
     """from_json's artifact, its arrays as (dtype, shape, bytes), or its ValueError message:
-    with the exact-layout reader tried first on every text (fast), on none (not fast), or
-    on the texts of at least _EXACT_MIN characters, as from_json chooses (None)."""
-    patch = (mock.patch.object(artifact_mod, "_EXACT_MIN", 0) if fast
-             else mock.patch.object(artifact_mod, "_exact_document", lambda text: None) if fast is False
-             else contextlib.nullcontext())
-    with patch:
-        return _result(lambda: artifact_mod.from_json(text))
+    with regeneration tried first on every text (fast), on none (not fast), or on the texts
+    of at least _EXACT_MIN characters, as from_json chooses (None)."""
+    if fast:
+        return _result(lambda: artifact_mod._regenerated(io.BytesIO(text.encode()))[0] or _json_path(text))
+    return _result(lambda: _json_path(text) if fast is False else artifact_mod.from_json(text))
 
 
 def _result(read):
@@ -134,25 +145,27 @@ def test_both_readers_agree(data):
     assert _outcome(text, fast=True) == _outcome(text, fast=False)
 
 
-@pytest.mark.parametrize("code", [("rational", 512, 4), ("hermitian", 4, 5), ("descended", "hermitian", 4, 1),
-                                  ("rational", 8, 4)], ids=str)
-def test_files_to_json_writes_skip_json_loads_for_the_matrices(monkeypatch, code):
-    """No matrix block of a to_json text reaches json.loads, and verify leaves the rows as it found them."""
-    text = _text(code)
-    lengths = []
+@pytest.mark.parametrize("code", [("rational", 512, 4, 1), ("hermitian", 4, 5, 3), ("hermitian", 4, 1, 1, 1),
+                                  ("hermitian", 4, 5, 1, 2)], ids=str)
+def test_an_honest_file_sends_no_table_to_json_loads(monkeypatch, tmp_path, code):
+    """json.loads reads the recipe alone, and verify leaves the rows as it found them."""
+    text = _written(code)
+    assert len(text) >= artifact_mod._EXACT_MIN
+    path = tmp_path / "a.json"
+    path.write_text(text)
+    loaded = []
     real = json.loads
 
     def recording(s, *args, **kwargs):
-        lengths.append(len(s))
+        loaded.append(s)
         return real(s, *args, **kwargs)
 
     monkeypatch.setattr(artifact_mod.json, "loads", recording)
-    monkeypatch.setattr(artifact_mod, "_EXACT_MIN", 0)  # rational q=8 j=4 is shorter
-    art = artifact_mod.from_json(text)
+    art = artifact_mod.load(str(path))
     monkeypatch.undo()
-    # the C(G) block is at least as long as its rows laid out at no indent
-    block = len(json.dumps(art.c_g_rows.tolist(), indent=2))
-    assert lengths and max(lengths) <= len(text) - block
+    # the backend and field blocks at the head, and a descent's provenance at the tail
+    assert len(loaded) == 1 + (len(code) > 4)
+    assert all(len(s) < artifact_mod._EXACT_MIN and b'"c_g"' not in s and b'"places": [' not in s for s in loaded)
     assert artifact_mod.to_json(art) == text
     rows = art.c_g_rows.copy(), art.c_h_rows.copy()
     assert artifact_mod.verify_artifact(art)["ok"]
@@ -162,11 +175,11 @@ def test_files_to_json_writes_skip_json_loads_for_the_matrices(monkeypatch, code
 
 @pytest.mark.parametrize("code", [("rational", 32, 1), ("cut", "rational", 64, 1, 12), ("hermitian", 4, 5)], ids=str)
 @pytest.mark.parametrize("edit", ["none", "equal-to-q", "truncated"])
-def test_short_texts_skip_the_exact_layout_reader(code, edit):
-    """A text shorter than _EXACT_MIN goes straight to json.loads, a longer one to the exact-layout
-    reader first; either way from_json gives what both readers give, artifact or message."""
+def test_short_texts_skip_regeneration(code, edit):
+    """A text shorter than _EXACT_MIN goes straight to json.loads, a longer one to regeneration
+    first; either way from_json gives what both paths give, artifact or message."""
     text = _text(code)
-    # 13.6, 19.6 and 44 KB: the constant lies between the first two, below where the readers cross over
+    # 13.6, 19.6 and 44 KB: the constant lies between the first two
     assert len(_text(("rational", 32, 1))) < artifact_mod._EXACT_MIN <= len(_text(("cut", "rational", 64, 1, 12)))
     if edit == "equal-to-q":
         start, end = _entries(code)[7]
@@ -174,8 +187,8 @@ def test_short_texts_skip_the_exact_layout_reader(code, edit):
     elif edit == "truncated":
         text = text[:-9]
     calls = []
-    real = artifact_mod._exact_document
-    with mock.patch.object(artifact_mod, "_exact_document", lambda t: calls.append(t) or real(t)):
+    real = artifact_mod._regenerated
+    with mock.patch.object(artifact_mod, "_regenerated", lambda fh: calls.append(fh) or real(fh)):
         outcome = _outcome(text, None)
     assert bool(calls) == (len(text) >= artifact_mod._EXACT_MIN)
     assert outcome == _outcome(text, fast=True) == _outcome(text, fast=False)
@@ -204,18 +217,28 @@ def _check_layouts(arts):
         assert artifact_mod.to_json(art) == _list_document(art)
 
 
-def test_nested_codes_are_laid_out_and_read_exactly():
-    arts = _nested_artifacts()
-    _check_layouts(arts)
-    for art in arts:
-        text = _list_document(art)
-        doc = artifact_mod._exact_document(text.encode())
-        assert doc is not None
-        if art.places is not None:
-            doc["places"] = doc["places"].tolist()
-        doc["matrices"] = {key: rows.tolist() if isinstance(rows, np.ndarray) else rows
-                           for key, rows in doc["matrices"].items()}
-        assert doc == json.loads(text)
+# every file tier-1 writes: the curve codes the tests build, rational q = 4 .. 512 and hermitian q = 2
+# and 4 (gamma 1 and 3) from j = 0 to max_j, and their descents to GF(2) and, from GF(16), to GF(4)
+WRITTEN = NESTED + [("rational", q, j, 1) for q in (128, 256, 512) for j in (1, 4)]
+DESCENDED = [code + (1,) for code in NESTED] + [code + (2,) for code in NESTED if code[:2] in
+                                                  (("rational", 16), ("hermitian", 4))]
+
+
+@lru_cache(maxsize=None)
+def _written(code: tuple) -> str:
+    art = artifact_mod.construct_artifact(*code[:4])
+    return artifact_mod.to_json(art if len(code) == 4 else artifact_mod.descend_artifact(art, code[4]))
+
+
+@pytest.mark.parametrize("code", WRITTEN + DESCENDED, ids=str)
+def test_regeneration_is_json_loads_on_every_written_file(code):
+    text = _written(code)
+    assert _regenerates(text)
+    assert _outcome(text, fast=True) == _outcome(text, fast=False)
+
+
+def test_nested_codes_are_laid_out_exactly():
+    _check_layouts(_nested_artifacts())
 
 
 def test_mutation_reusing_a_prefix_unchecked_fails_the_layouts(monkeypatch):
@@ -276,25 +299,6 @@ def _spans(text):
             for start in [text.index(prefix)]}
 
 
-def _parsed_blocks(monkeypatch, text):
-    """The blocks from_json's exact-layout reader hands to _parse_matrix, by name."""
-    calls = []
-    real = artifact_mod._parse_matrix
-    monkeypatch.setattr(artifact_mod, "_parse_matrix", lambda t, *span: calls.append(span) or real(t, *span))
-    monkeypatch.setattr(artifact_mod, "_EXACT_MIN", 0)
-    with contextlib.suppress(ValueError):
-        artifact_mod.from_json(text)
-    monkeypatch.undo()
-    names = {span: key for key, span in _spans(text).items()}
-    return sorted(names[span] for span in calls)
-
-
-@pytest.mark.parametrize("code", [("rational", 64, 3, 1), ("hermitian", 4, 5, 3), ("rational", 8, 4, 1)], ids=str)
-def test_an_honest_file_parses_places_and_c_g_only(monkeypatch, code):
-    text = artifact_mod.to_json(artifact_mod.construct_artifact(*code))
-    assert _parsed_blocks(monkeypatch, text) == ["c_g", "places"]
-
-
 def _with_block(text, key, value):
     """``text`` with the block of ``key`` replaced by ``value``, laid out at that block's indent."""
     start, end = _spans(text)[key]
@@ -324,7 +328,7 @@ PLACES_EDITS = {
 
 @pytest.mark.parametrize("code", [("rational", 64, 3, 1), ("hermitian", 4, 5, 3)], ids=str)
 @pytest.mark.parametrize("edit", sorted(C_H_EDITS) + sorted(PLACES_EDITS))
-def test_edits_off_the_prefix_take_the_full_parse(monkeypatch, code, edit):
+def test_edits_to_a_table_take_json_loads(code, edit):
     art = artifact_mod.construct_artifact(*code)
     text = artifact_mod.to_json(art)
     doc, q = json.loads(text), art.field.q
@@ -332,22 +336,70 @@ def test_edits_off_the_prefix_take_the_full_parse(monkeypatch, code, edit):
         text = _with_block(text, "c_h", C_H_EDITS[edit](doc, q))
     else:
         text = _with_block(text, "places", PLACES_EDITS[edit](doc["places"], q))
-    assert text != artifact_mod.to_json(art)
-    outcome = _outcome(text, fast=True)
+    assert text != artifact_mod.to_json(art) and not _regenerates(text)
+    outcome = _outcome(text, None)
     assert outcome == _outcome(text, fast=False)
     # from_json checks the structure only: the ragged places are left to verify
     assert (outcome[0] == "artifact") == (edit not in ("inside-a-row", "out-of-range"))
-    # C(H) parsed in full (the ragged one ends the exact-layout reader there); null places are not parsed
-    parsed = ["c_g", "c_h"] if edit == "inside-a-row" else ["c_g", "c_h", "places"] if edit in C_H_EDITS \
-        else ["c_g"] if edit == "null" else ["c_g", "places"]
-    assert _parsed_blocks(monkeypatch, text) == parsed
 
 
-def test_mutation_taking_a_prefix_unchecked_fails_the_edits(monkeypatch):
-    # a reader that took a C(H) block for C(G)'s prefix on its length alone
-    monkeypatch.setattr(artifact_mod, "_same_spans", lambda *args: True)
+def _flip(text: str, at: int) -> str:
+    """``text`` with the digit at ``at`` changed by one: no other length, and no value past q."""
+    return text[:at] + chr(ord(text[at]) ^ 1) + text[at + 1:]
+
+
+def _last_digit(text: str, before: str, last: bool = False) -> int:
+    """The position of the last digit of the first (or last) entry of the block after ``before``."""
+    start = text.index(before) + len(before)
+    block = text[start:text.index("\n  " + ("]" if before.startswith('"places') else "  ]"), start)]
+    spans = [m.end(1) - 1 for m in re.finditer(r"\n {6,8}(\d+)", block)]
+    return start + spans[-1 if last else 0]
+
+
+# one byte changed in each table, in the skeleton and in params, and bytes only a file could hold a
+# line end of two bytes, or a byte past the end: each file takes json.loads and gets its result
+BYTE_EDITS = {
+    "c_g-first-entry": lambda text: _flip(text, _last_digit(text, '"c_g": ')),
+    "c_g-last-entry": lambda text: _flip(text, _last_digit(text, '"c_g": ', last=True)),
+    "c_h-entry": lambda text: _flip(text, _last_digit(text, '"c_h": ')),
+    "places-entry": lambda text: _flip(text, _last_digit(text, '"places": ')),
+    "skeleton": lambda text: text.replace('"name": "agstab"', '"name": "agstaB"'),
+    "params": lambda text: _flip(text, re.search(r'"d_lower": (\d+)', text).end(1) - 1),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "trailing-bytes": lambda text: text + "\n",
+}
+BYTE_CODES = [("rational", 64, 3, 1), ("hermitian", 4, 5, 3), ("hermitian", 4, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("code, edit", [(code, edit) for code in BYTE_CODES for edit in sorted(BYTE_EDITS)
+                                        if len(code) == 4 or edit != "places-entry"], ids=str)  # no descent's
+def test_one_changed_byte_takes_json_loads(tmp_path, code, edit):
+    honest = _written(code)
+    text = BYTE_EDITS[edit](honest)
+    assert text != honest and len(text) >= artifact_mod._EXACT_MIN
+    assert not _regenerates(text)
+    outcome = _outcome(text, None)
+    assert outcome == _outcome(text, fast=False)
+    # a table entry edited off the fresh code is still an artifact: verify, not the reader, fails it
+    assert outcome[0] == "artifact"
+    path = tmp_path / "a.json"
+    path.write_bytes(text.encode())
+    assert _file_outcome(path) == outcome
+
+
+@pytest.mark.parametrize("mutant, edit", [
+    (("fh.read(len(piece)) == piece", "len(fh.read(len(piece))) == len(piece)"), "c_g-last-entry"),
+    ((" and not fh.read(1)", ""), "trailing-bytes"),
+], ids=["lengths-alone", "no-end-check"])
+def test_mutation_comparing_less_fails_the_byte_edits(monkeypatch, tmp_path, mutant, edit):
+    # a regeneration that compared the lengths of the pieces alone, or did not check where the file ends
+    source = textwrap.dedent(inspect.getsource(artifact_mod._regenerated))
+    assert source.count(mutant[0]) == 1
+    namespace = {}
+    exec(compile(source.replace(*mutant), "<mutant>", "exec"), vars(artifact_mod), namespace)
+    monkeypatch.setattr(artifact_mod, "_regenerated", namespace["_regenerated"])
     with pytest.raises(AssertionError):
-        test_edits_off_the_prefix_take_the_full_parse(monkeypatch, ("rational", 64, 3, 1), "one-entry")
+        test_one_changed_byte_takes_json_loads(tmp_path, BYTE_CODES[0], edit)
 
 
 # texts that are to_json's output but outside the tables: each skeleton reads with json.loads, but
@@ -380,49 +432,30 @@ def test_edits_outside_the_tables_take_json_loads(code, edit):
     text = SKELETON_EDITS[edit](_curve_text(code))
     assert text != _curve_text(code)
     assert json.loads(text)  # still JSON
-    assert artifact_mod._exact_document(text.encode()) is None
-    assert _outcome(text, fast=True) == _outcome(text, fast=False)
-
-
-def test_mutation_skipping_the_skeleton_comparison_fails(monkeypatch):
-    # a reader that took every skeleton json.loads reads for what json.dumps writes of it
-    for code in SKELETON_CODES:
-        _curve_text(code)  # written before json is patched
-    loaded = []
-
-    def loads(s, *args, **kwargs):
-        loaded.append(s)
-        return json.loads(s, *args, **kwargs)
-
-    monkeypatch.setattr(artifact_mod, "json", SimpleNamespace(loads=loads, dumps=lambda *args, **kwargs: loaded[-1][:-1]))
-    for code in SKELETON_CODES:
-        for edit in SKELETON_EDITS:
-            with pytest.raises(AssertionError):
-                test_edits_outside_the_tables_take_json_loads(code, edit)
+    assert not _regenerates(text)
+    assert _outcome(text, None) == _outcome(text, fast=False)
 
 
 def test_a_table_at_another_key_takes_json_loads():
-    # C(H) moved from "matrices" to a later "c_h" key at the same depth: the skeleton is what
-    # json.dumps writes, but "matrices" holds no C(H) for the block to fill
+    # C(H) moved from "matrices" to a later "c_h" key at the same depth: the recipe is the file's,
+    # but "matrices" holds no C(H)
     doc = json.loads(_curve_text(SKELETON_CODES[0]))
     doc["params"].update(a=0, c_h=doc["matrices"].pop("c_h"))
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert artifact_mod._exact_document(text.encode()) is None
-    assert _outcome(text, fast=True) == _outcome(text, fast=False) == ("error", "artifact: missing key 'matrices.c_h'")
+    assert not _regenerates(text)
+    assert _outcome(text, None) == _outcome(text, fast=False) == ("error", "artifact: missing key 'matrices.c_h'")
 
 
 @pytest.mark.parametrize("junk", ["", "x"])
 @pytest.mark.parametrize("key", ["c_g", "places"])
 def test_a_close_past_a_table_takes_json_loads(key, junk):
-    # text and a second close line after a table's block, before the next key: not JSON.  The block
-    # cut up to the last close has one row too many for _parse_matrix, or, after an "x" that closes no
-    # row and holds no entry, the rows of the table, whose layout then ends before the cut does
+    # text and a second close line after a table's block, before the next key: not JSON
     text = _curve_text(SKELETON_CODES[0])
     end = _spans(text)[key][1]
     close = "\n    ]" if key == "c_g" else "\n  ]"
     text = text[:end] + junk + close + text[end:]
-    assert artifact_mod._exact_document(text.encode()) is None
-    outcome = _outcome(text, fast=True)
+    assert not _regenerates(text)
+    outcome = _outcome(text, None)
     assert outcome == _outcome(text, fast=False) and outcome[0] == "error"
 
 

@@ -2,8 +2,8 @@
 against the searches on the reduced bases, which edited and descended
 artifacts still take, and mutation controls for the rows each search checks.
 
-``curves.certify`` returns the fresh rows only once it has proved
-C(H) = C(G)^perp and C(H) <= C(G), so when the stored rows are those, the
+``curves.certify`` proves C(H) = C(G)^perp and C(H) <= C(G) of the fresh
+rows, the evaluation of L(G), so when the stored rows are those, the
 checks of C(G) are the C(H) rows and those of C(H) the C(G) rows.  The
 Hamming search of every curve artifact reads the fresh code: the Euclidean
 dual of the fresh C(G) is swap(C(H)).

@@ -217,8 +217,10 @@ def test_the_descended_c_h_is_the_eliminated_dual():
 
 def test_mutation_beta_as_alpha_fails_the_differential_and_verify(monkeypatch):
     # beta^-1 replaced by alpha^-1 on the default basis of GF(8), whose Gram matrix is no identity,
-    # its twist kept: descend_code's source checks pass, and the written C(H) is wrong
-    real, used = artifact.DescentBasis, []
+    # its twist kept: the written C(H) is wrong
+    from agstab import descent
+
+    real, used = descent.DescentBasis, []
 
     def beta_as_alpha(*args):
         basis = real(*args)
@@ -226,12 +228,21 @@ def test_mutation_beta_as_alpha_fails_the_differential_and_verify(monkeypatch):
         used.append(basis)
         return basis
 
-    monkeypatch.setattr(artifact, "DescentBasis", beta_as_alpha)
-    down = artifact.descend_artifact(artifact.construct_artifact("rational", 8, 1))
+    descent._shared_basis.cache_clear()
+    monkeypatch.setattr(descent, "DescentBasis", beta_as_alpha)
+    try:
+        down = artifact.descend_artifact(artifact.construct_artifact("rational", 8, 1))
+    finally:
+        monkeypatch.undo()
+        descent._shared_basis.cache_clear()  # the mutant basis is not kept for later descents
     assert [(b.gram, b.twist) for b in used] == [(((1, 0, 0), (0, 0, 1), (0, 1, 0)), 1)]
     assert not np.array_equal(down.c_h_rows, _eliminated_dual(down))
-    checks = {c["name"]: c["status"] for c in artifact.verify_artifact(down)["checks"]}
-    assert checks["dual-equality"] == "fail"
+    # verify descends the source again, with the real maps, and finds the stored C(H) not that descent
+    checks = {c["name"]: c for c in artifact.verify_artifact(down)["checks"]}
+    assert checks["matrices-recompute"] == {
+        "name": "matrices-recompute", "status": "fail",
+        "detail": "artifact: matrices.c_h is not the descended C(H) of the rational backend at j = 1"}
+    assert checks["dual-equality"]["status"] == "fail"
 
 
 def _old_descent(art, down):
@@ -261,14 +272,15 @@ def test_the_descent_of_the_proved_pair_is_the_old_descent():
     assert _off_the_old_descent(artifact.descend_artifact) == []
 
 
-def test_descending_c_g_as_the_dual_fails_the_differential():
-    source = textwrap.dedent(inspect.getsource(artifact.descend_artifact))
+def test_descending_c_g_as_the_dual_fails_the_differential(monkeypatch):
+    source = textwrap.dedent(inspect.getsource(artifact._descend_pair))
     assert source.count("_descend(c_h, basis)") == 1
     namespace = {}
     exec(compile(source.replace("_descend(c_h, basis)", "_descend(c_g, basis)"), "<mutant>", "exec"),
          vars(artifact), namespace)
+    monkeypatch.setattr(artifact, "_descend_pair", namespace["_descend_pair"])
     # C(H) is C(G) at j = 0 alone, so the mutant is caught at every other j
-    assert _off_the_old_descent(namespace["descend_artifact"]) == [d for d in DESCENTS if d[2]]
+    assert _off_the_old_descent(artifact.descend_artifact) == [d for d in DESCENTS if d[2]]
 
 
 def test_maps_accept_numpy_integers(gf4_basis):

@@ -3,17 +3,18 @@ each with the check of ``agstab verify`` that must catch it.
 
 Every row edits the artifact file of hermitian q=2 j=1, rational q=8 j=1
 or rational q=16 j=1, or of the binary descent of one of the first two,
-and asserts three things: the named check fails, every other check keeps
+and asserts three things: the named checks fail, every other check keeps
 the status it has on the unedited file, and ``agstab verify`` exits 1.
 
 No row targets ``euclidean-dual-containment`` or ``hamming-bound``: both
-read only the fresh code that ``curves.certify`` proves and returns, under
+read only the fresh code, which ``curves.certify`` proves, under
 ``--exact-distance`` too, not the stored matrices, so no edit to the
 artifact fails either of them alone.
 
-The two ``xfail(strict=True)`` rows are false claims that ``verify`` passes
-today, because it does not re-derive a descended artifact from its source
-(ROADMAP item 1).  They flip to passing when that item lands.
+A descent is re-derived from its recipe, the source backend and basis that
+its provenance records: a row that edits its matrices, field, basis or Gram
+matrix fails ``matrices-recompute`` as well as the check it names, and a
+lower bound other than the source's fails ``distance-bound``.
 """
 
 import json
@@ -30,7 +31,6 @@ from agstab.symplectic import CodeBasis, contains, symplectic_dual
 SOURCES = {"hermitian-q2-j1": ("hermitian", 2, 1), "rational-q8-j1": ("rational", 8, 1),
            "rational-q16-j1": ("rational", 16, 1)}
 DESCENT_SOURCES = ("hermitian-q2-j1", "rational-q8-j1")
-ITEM_1 = "ROADMAP item 1: verify does not re-derive a descended artifact from its source"
 
 
 @lru_cache(maxsize=None)
@@ -113,6 +113,42 @@ def _unit_stabilizer(doc, rng):
     doc["matrices"]["c_h"] = c_h.rows.tolist()
 
 
+def _c_g_reversed(doc, rng):
+    """C(G)'s rows in reverse order: the same code, but not the fresh descent's rows."""
+    doc["matrices"]["c_g"] = doc["matrices"]["c_g"][::-1]
+
+
+def _provenance(edit):
+    def edit_provenance(doc, rng):
+        edit(doc["provenance"]["descended_from"])
+    return edit_provenance
+
+
+def _source_j_plus_one(source):
+    """j = 2 at both sources, whose lower bound stays what it is at j = 1."""
+    source["backend"]["j"] += 1
+
+
+def _basis_reversed(source):
+    """A basis with a twist (any order of one has it), its Gram matrix left as recorded."""
+    source["basis"].reverse()
+
+
+def _basis_and_gram_reversed(source):
+    """The same, its Gram matrix reversed too: a consistent recipe, whose descent the rows are not."""
+    source["basis"].reverse()
+    source["gram"] = [row[::-1] for row in source["gram"][::-1]]
+
+
+def _gram_entry(source):
+    source["gram"][0][0] ^= 1
+
+
+def _source_modulus(source):
+    """GF(4) has one irreducible modulus, x^2 + x + 1; GF(8) two, 11 and 13."""
+    source["field"]["modulus"] = {7: 5, 11: 13}[source["field"]["modulus"]]
+
+
 CURVE_ROWS = [
     ("places-permuted", _permute_places, (), "matrices-recompute"),
     ("k-plus-one", _k_plus_one, (), "k-formula"),
@@ -121,24 +157,28 @@ CURVE_ROWS = [
     # a stored d_exact that this run does not derive (no command writes one): 7 on rational q=16 j=1
     ("d-exact-d-lower-plus-three", _d_exact(lambda params: params["d_lower"] + 3), (), "distance-bound"),
 ]
+RECOMPUTE = "matrices-recompute"
 DESCENT_ROWS = [
     ("k-plus-one", _k_plus_one, (), "k-formula"),
-    ("c_h-another-subspace", _other_c_h, (), "dual-equality"),
-    ("c_g-random", _random_c_g, (), "containment"),
+    ("c_h-another-subspace", _other_c_h, (), (RECOMPUTE, "dual-equality")),
+    ("c_g-random", _random_c_g, (), (RECOMPUTE, "containment")),
+    ("unit-stabilizer", _unit_stabilizer, (), RECOMPUTE),
+    ("c_g-rows-reversed", _c_g_reversed, (), RECOMPUTE),
+    ("source-j-plus-one", _provenance(_source_j_plus_one), (), RECOMPUTE),
+    ("basis-reversed", _provenance(_basis_reversed), (), RECOMPUTE),
+    ("basis-and-gram-reversed", _provenance(_basis_and_gram_reversed), (), RECOMPUTE),
+    ("gram-entry", _provenance(_gram_entry), (), RECOMPUTE),
+    ("source-field-modulus", _provenance(_source_modulus), (), RECOMPUTE),
+    ("d-lower-plus-five", _d_lower_plus(5), (), "distance-bound"),
     ("d-lower-plus-five-exact", _d_lower_plus(5), ("--exact-distance",), "distance-bound"),
     ("d-exact-d-lower", _d_exact(lambda params: params["d_lower"]), (), "distance-bound"),
     # one the search derives otherwise: no weight exceeds n
     ("d-exact-past-n-exact", _d_exact(lambda params: params["n"] + 1), ("--exact-distance",), "distance-bound"),
 ]
-FALSE_PASSES = [
-    ("unit-stabilizer", _unit_stabilizer, (), "matrices-recompute"),
-    ("d-lower-plus-five", _d_lower_plus(5), (), "distance-bound"),
-]
 TABLE = [
-    pytest.param(source, descended, edit, flags, check, id=f"{'descended-' * descended}{source}-{name}", marks=marks)
+    pytest.param(source, descended, edit, flags, check, id=f"{'descended-' * descended}{source}-{name}")
     for source in SOURCES
-    for descended, rows, marks in ((False, CURVE_ROWS, ()), (True, DESCENT_ROWS, ()),
-                                   (True, FALSE_PASSES, pytest.mark.xfail(strict=True, reason=ITEM_1)))
+    for descended, rows in ((False, CURVE_ROWS), (True, DESCENT_ROWS))
     if source in DESCENT_SOURCES or not descended
     for name, edit, flags, check in rows
 ]
@@ -152,7 +192,8 @@ def test_verify_catches_each_forgery(tmp_path, capsys, source, descended, edit, 
     path.write_text(json.dumps(doc))
     code = main(["verify", str(path), *flags])
     got = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert got == {**_statuses(source, descended, flags), check: "fail"}
+    assert got == {**_statuses(source, descended, flags), **dict.fromkeys((check,) if isinstance(check, str) else check,
+                                                                             "fail")}
     assert code == 1
 
 

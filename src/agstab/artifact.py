@@ -373,12 +373,7 @@ def _regenerated(fh: BinaryIO) -> tuple[CodeArtifact | None, tuple | None]:
     except (ValueError, RecursionError):  # no recipe, or one that names no code
         return None, None
     _, backend, g_rows, h_rows, basis = code
-    j = recipe[3]
-    if basis is None:
-        art = _curve_artifact(backend, j, g_rows)
-    else:
-        art = _descended(backend, j, {"n": backend.n, "k": j, "d_lower": backend.distance_bound(j), "d_exact": None},
-                         basis, g_rows, h_rows)
+    art = _artifact(backend, recipe[3], g_rows, h_rows, basis)
     fh.seek(0)
     if all(fh.read(len(piece)) == piece for piece in _pieces(art)) and not fh.read(1):
         return _keeping(code, art), code
@@ -398,9 +393,10 @@ def _keeping(code: tuple | None, art: CodeArtifact) -> CodeArtifact:
 # ---------------------------------------------------------------------------
 
 class Fresh(NamedTuple):
-    """An artifact's fresh code, as its recipe makes it, and the first stored part that is not
-    that code ("field", "gram", "c_h", "c_g"), or None, and why.  For a descent the backend and
-    j are its source's, and the rows are the source's evaluation descended with its basis."""
+    """An artifact's fresh code and the rest of its fresh artifact, as its recipe makes them, and
+    the first stored part that is not theirs ("field", "gram", "c_h", "c_g", "places", "params",
+    "provenance"), or None, and why.  For a descent the backend and j are its source's, and the
+    rows are the source's evaluation descended with its basis."""
 
     backend: CurveBackend
     j: int
@@ -408,6 +404,7 @@ class Fresh(NamedTuple):
     h_rows: np.ndarray  # C(H): the evaluation's first n - j rows, or their descent, canonical
     stale: str | None
     reason: str | None
+    parts: dict[str, Any]  # every field of the fresh artifact but its tables (``_parts``)
 
 
 _FRESH: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # artifact -> (recipe, *_code(recipe))
@@ -455,18 +452,20 @@ def _descend_pair(g_rows: np.ndarray, h_rows: np.ndarray, basis: DescentBasis) -
 
 
 def fresh(art: CodeArtifact) -> Fresh:
-    """The fresh code of an artifact's recipe, and whether the stored parts are that code.
+    """The fresh code of an artifact's recipe, the rest of its fresh artifact (``_parts``), and
+    whether the stored parts are theirs.
 
-    For a curve artifact it is the backend's evaluation of L(G), compared
-    with the stored field, C(H) and C(G); for a descent, the source's
-    evaluation descended with the recorded basis, whose twist must exist,
-    compared with the stored field and the source's, the Gram matrix, C(H)
-    and C(G).  Indices over another modulus are other elements, so the
-    fields come first.  The code is made once per artifact and recipe
-    (``load`` hands over the one it compared with), and the stored parts
-    are compared on every call, so an artifact edited after it was read is
-    still caught.  ValueError when the recipe names no code.  Nothing is
-    proved here: ``curves.certify`` proves it for the callers that rely on it.
+    The code is the backend's evaluation of L(G), or for a descent the
+    source's evaluation descended with the recorded basis, whose twist must
+    exist.  The stored parts are compared in order, records as the writer
+    writes them (1 is not true or 1.0): the field, a descent's source field
+    and Gram matrix, C(H), C(G), the places, a descent's source params and
+    the whole provenance.  Indices over another modulus are other elements,
+    so the fields come first; a stale part past C(G) leaves the rows fresh.
+    The code is made once per artifact and recipe (``load`` hands over its
+    own), and the stored parts are compared on every call, so an artifact
+    edited after it was read is still caught.  ValueError when the recipe
+    names no code.  Nothing is proved here: ``curves.certify`` proves it.
     """
     recipe = _recipe(_document(art))
     code = _FRESH.get(art)
@@ -474,50 +473,53 @@ def fresh(art: CodeArtifact) -> Fresh:
         code = _FRESH[art] = recipe, *_code(recipe)
     _, backend, g_rows, h_rows, basis = code
     kind, q, _, j = recipe[:4]
-    at, what = f"the {kind} backend at", "" if basis is None else "descended "
-    stale = None
-    if basis is None and art.field != backend.field:
-        stale = "field", f"field.modulus is {art.field.modulus}, but {at} q = {q} has modulus {backend.field.modulus}"
-    elif basis is not None and art.field != basis.sub:
-        stale = "field", (f"field.modulus is {art.field.modulus}, but a descent to GF(2^{basis.sub.degree}) "
-                          f"is over modulus {basis.sub.modulus}")
-    elif basis is not None and art.descended_from.get("field") != _field_block(backend.field):
-        stale = "field", f"provenance.descended_from.field is not the field of {at} q = {q}"
-    elif basis is not None and art.descended_from.get("gram") != [list(r) for r in basis.gram]:
-        stale = "gram", "provenance.descended_from.gram is not the Gram matrix of its basis"
-    elif not np.array_equal(art.c_h_rows, h_rows):
-        stale = "c_h", f"matrices.c_h is not the {what}C(H) of {at} j = {j}"
-    elif not np.array_equal(art.c_g_rows, g_rows):
-        stale = "c_g", f"matrices.c_g is not the {what}C(G) of {at} j = {j}"
-    if stale is None:
-        return Fresh(backend, j, g_rows, h_rows, None, None)
-    return Fresh(backend, j, g_rows, h_rows, stale[0], "artifact: " + stale[1])
+    parts = _parts(backend, j, basis)
+    at, what, ours = f"the {kind} backend at", "" if basis is None else "descended ", parts["descended_from"]
+    modulus = (f"{at} q = {q} has modulus {backend.field.modulus}" if basis is None
+               else f"a descent to GF(2^{basis.sub.degree}) is over modulus {basis.sub.modulus}")
+
+    def records(*named: tuple[str, str]) -> list[tuple[str, bool, str]]:  # a descent's records of its source
+        return [] if basis is None else [
+            (key, json.dumps(art.descended_from.get(key), sort_keys=True) == json.dumps(ours[key], sort_keys=True),
+             f"provenance.descended_from.{key} is not {record}") for key, record in named]
+
+    compared = [
+        ("field", art.field == parts["field"], f"field.modulus is {art.field.modulus}, but {modulus}"),
+        *records(("field", f"the field of {at} q = {q}"), ("gram", "the Gram matrix of its basis")),
+        ("c_h", np.array_equal(art.c_h_rows, h_rows), f"matrices.c_h is not the {what}C(H) of {at} j = {j}"),
+        ("c_g", np.array_equal(art.c_g_rows, g_rows), f"matrices.c_g is not the {what}C(G) of {at} j = {j}"),
+        ("places", art.places == parts["places"],
+         f"places is not the place order of {at} q = {q}" if basis is None else "places is not null on a descent"),
+        *records(("params", f"the params of {at} j = {j}")),
+        ("provenance", json.dumps(art.descended_from, sort_keys=True) == json.dumps(ours, sort_keys=True),
+         "provenance.descended_from is not " + ("null on a curve artifact" if basis is None
+                                                else "the record its recipe writes")),
+    ]
+    stale, reason = next(((part, "artifact: " + why) for part, same, why in compared if not same), (None, None))
+    return Fresh(backend, j, g_rows, h_rows, stale, reason, parts)
 
 
-def _curve_artifact(backend: CurveBackend, j: int, g_rows: np.ndarray) -> CodeArtifact:
-    """The artifact of C(G) >= C(H) at j on ``backend``, from the evaluation ``g_rows`` of L(G):
-    C(H) is its first n - j rows, and each matrix a writable copy."""
-    return CodeArtifact(
-        backend_kind=backend.kind, q=backend.q, gamma=backend.gamma, j=j, field=backend.field,
-        places=backend.places.tolist(), c_g_rows=g_rows.copy(), c_h_rows=g_rows[:backend.n - j].copy(),
-        n=backend.n, k=j, deg_g=backend.deg_g(j), d_lower=backend.distance_bound(j), d_exact=None,
-    )
+def _parts(backend: CurveBackend, j: int, basis: DescentBasis | None) -> dict[str, Any]:
+    """Every field but the tables of the artifact of C(G) >= C(H) at j on ``backend``, or of its descent
+    with ``basis``, as ``CodeArtifact`` keywords: what the recipe fixes, and no claim it does not prove."""
+    d_lower = backend.distance_bound(j)
+    if basis is None:
+        return dict(backend_kind=backend.kind, q=backend.q, gamma=backend.gamma, j=j, field=backend.field,
+                    places=backend.places.tolist(), n=backend.n, k=j, deg_g=backend.deg_g(j), d_lower=d_lower,
+                    d_exact=None, descended_from=None)
+    return dict(backend_kind=None, q=None, gamma=None, j=None, field=basis.sub, places=None, n=basis.m * backend.n,
+                k=basis.m * j, deg_g=None, d_lower=d_lower, d_exact=None,
+                descended_from={"backend": {"kind": backend.kind, "q": backend.q, "gamma": backend.gamma, "j": j},
+                                "field": _field_block(backend.field), "basis": list(basis.basis),
+                                "gram": [list(r) for r in basis.gram],
+                                "params": {"n": backend.n, "k": j, "d_lower": d_lower, "d_exact": None}})
 
 
-def _descended(backend: CurveBackend, j: int, params: dict, basis: DescentBasis, g_rows: np.ndarray,
-               h_rows: np.ndarray) -> CodeArtifact:
-    """The artifact of a descent with ``basis`` of the code at j on ``backend``, whose artifact
-    records ``params``, from the descended C(G) and C(H) rows."""
-    n = g_rows.shape[1] // 2
-    return CodeArtifact(
-        backend_kind=None, q=None, gamma=None, j=None, field=basis.sub, places=None,
-        c_g_rows=g_rows.copy(), c_h_rows=h_rows.copy(), n=n, k=len(g_rows) - n, deg_g=None,
-        d_lower=params["d_lower"],  # a stored d_exact is a claim, not a bound: only verify derives one
-        d_exact=None,
-        descended_from={"backend": {"kind": backend.kind, "q": backend.q, "gamma": backend.gamma, "j": j},
-                        "field": _field_block(backend.field), "basis": list(basis.basis),
-                        "gram": [list(r) for r in basis.gram], "params": params},
-    )
+def _artifact(backend: CurveBackend, j: int, g_rows: np.ndarray, h_rows: np.ndarray,
+              basis: DescentBasis | None) -> CodeArtifact:
+    """The artifact of the code at j on ``backend``, or of its descent with ``basis``, from its fresh
+    C(G) and C(H) rows: ``_parts``, and a writable copy of each matrix."""
+    return CodeArtifact(c_g_rows=g_rows.copy(), c_h_rows=h_rows.copy(), **_parts(backend, j, basis))
 
 
 def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifact:
@@ -526,7 +528,8 @@ def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifac
     C(H) its first n - j rows."""
     backend = make_backend(kind, q, gamma)
     certify(backend, j)
-    return _curve_artifact(backend, j, evaluation_matrix(backend, j, "g"))
+    g_rows = evaluation_matrix(backend, j, "g")
+    return _artifact(backend, j, g_rows, g_rows[:backend.n - j], None)
 
 
 def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
@@ -534,13 +537,14 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
 
     The default basis (powers of the generator) is used when it has a
     twist, else a self-dual basis, and the provenance records it.  The
-    source must be the fresh code (``fresh``), whose C(H) ``curves.certify``
-    proves to be C(G)'s symplectic dual, inside C(G): the descents of the
-    two, C(H)'s the dual of C(G)'s by the twist, need no dual built and no
-    containment checked.  ValueError before any reduction for a descended
-    artifact (its source would be lost), for a backend block that names no
-    curve code, in ``verify``'s words, and for a stored field or rows that
-    are not the fresh code, in ``decode-sim``'s.
+    source must be its recipe's fresh artifact (``fresh``), whose C(H)
+    ``curves.certify`` proves to be C(G)'s symplectic dual, inside C(G):
+    the descents of the two, C(H)'s the dual of C(G)'s by the twist, need
+    no dual built and no containment checked, and the rest of the descent
+    comes from the recipe (``_parts``), no claim of the source's.
+    ValueError before any reduction for a descended artifact (its source
+    would be lost), for a backend block that names no curve code, in
+    ``verify``'s words, and for a stale part, in ``fresh``'s.
     """
     if art.backend_kind is None:
         raise ValueError("cannot descend a descended artifact, whose source backend would be lost; "
@@ -553,8 +557,7 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
     basis = shared_basis(sub, art.field)
     if basis.twist is None:
         basis = shared_basis(sub, art.field, self_dual_basis(sub, art.field))
-    params = {"n": art.n, "k": art.k, "d_lower": art.d_lower, "d_exact": art.d_exact}
-    return _descended(source.backend, art.j, params, basis, *_descend_pair(source.g_rows, source.h_rows, basis))
+    return _artifact(source.backend, art.j, *_descend_pair(source.g_rows, source.h_rows, basis), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +582,7 @@ def verify_artifact(
     Returns a machine-readable report; overall "ok" is true when no check
     failed (skipped checks do not fail the report).
 
-    The fresh code and whether the stored parts are it come from
+    The fresh artifact and whether the stored parts are it come from
     ``fresh``, and ``curves.certify`` proves, from the exponent tables of
     the backend (a descent's source's) with no matrix reduced, the ranks
     n + j and n - j, C(H) = C(G)^perp, C(H) <= C(G) and the containment of
@@ -592,30 +595,29 @@ def verify_artifact(
     ``symplectic.search_refusal`` refuses on the proved ranks alone fails
     ``distance-bound`` before it starts.  An edited artifact is reduced by
     elimination, each basis once, C(H) first, and ``dual-equality`` builds
-    no dual when rank C(G) + rank C(H) is not 2n.  A descent that is not
-    the fresh one fails ``matrices-recompute`` with ``fresh``'s reason; an
-    honest one skips it, as it has no places.  ``euclidean-dual-containment``
-    and ``hamming-bound`` read only a curve artifact's fresh code: they
-    take the proof, and the Hamming search runs on swap(fresh C(H)), the
-    Euclidean dual of C(G).  ``distance-bound`` requires the stored lower
-    bound to be the backend's (the source's, for a descent), on a curve
-    artifact the stored deg G too, since ``decode-sim`` takes its guarantee
-    region from it, and it fails a stored ``d_exact`` this run did not derive.
+    no dual when rank C(G) + rank C(H) is not 2n.  ``matrices-recompute``
+    is ``fresh`` alone: any stale part fails it, with ``fresh``'s reason on
+    a descent, and an honest descent skips it, as it has no places.
+    ``euclidean-dual-containment`` and ``hamming-bound`` read only a curve
+    artifact's fresh code: they take the proof, and the Hamming search runs
+    on swap(fresh C(H)), the Euclidean dual of C(G).  ``distance-bound``
+    requires the stored lower bound and deg G to be the fresh artifact's
+    (null for a descent), since ``decode-sim`` takes its guarantee region
+    from deg G, and it fails a stored ``d_exact`` this run did not derive.
     """
     checks: list[dict[str, str]] = []
     source = fresh(art)
-    backend, g_rows, h_rows = source.backend, source.g_rows, source.h_rows
+    backend, g_rows, h_rows, parts = source.backend, source.g_rows, source.h_rows, source.parts
     certify(backend, source.j)
-    same_rows, descended = source.stale is None, art.backend_kind is None
-    if not descended:
-        checks.append(_check("matrices-recompute", same_rows and art.places == backend.places.tolist(),
-                             "stored places and generator rows match a fresh evaluation"))
-    elif same_rows:
+    descended = art.backend_kind is None
+    if descended and source.stale is None:
         checks.append(_skip("matrices-recompute", "descended artifact carries no places"))
     else:
-        checks.append(_check("matrices-recompute", False, source.reason))
+        checks.append(_check("matrices-recompute", source.stale is None, source.reason if descended
+                             else "stored places and generator rows match a fresh evaluation"))
 
-    if same_rows:  # the stored codes are the fresh ones, whatever the stored places
+    same_rows = source.stale in (None, "places", "params", "provenance")  # records past C(G): fresh codes
+    if same_rows:
         rank_g, rank_h, dual_ok, contained = len(g_rows), len(h_rows), True, True
     else:
         c_h = CodeBasis.from_rows(art.field, art.c_h_rows, art.width)  # C(H) first
@@ -632,18 +634,16 @@ def verify_artifact(
 
     d_exact_found: int | None = None
     note = ""
-    bound = backend.distance_bound(source.j)
-    bound_ok = art.d_lower == bound
+    bound, deg_g = parts["d_lower"], parts["deg_g"]
+    bound_ok = art.d_lower == bound and art.deg_g == deg_g
     if descended:
         bound_detail = f"inherited lower bound {art.d_lower} (descent does not decrease it)"
-        if not bound_ok:
+        if art.d_lower != bound:
             note = f"; recorded lower bound {art.d_lower} differs from the source's recomputed {bound}"
     else:
-        deg_g = backend.deg_g(art.j)
-        bound_ok = bound_ok and art.deg_g == deg_g
         bound_detail = f"recorded lower bound {art.d_lower} matches the recomputed {bound}"
-        if art.deg_g != deg_g:  # decode-sim takes its guarantee region from the stored deg G
-            note = f"; recorded deg G {art.deg_g} differs from the recomputed {deg_g}"
+    if art.deg_g != deg_g:  # decode-sim takes its guarantee region from the stored deg G
+        note += f"; recorded deg G {art.deg_g} differs from the recomputed {deg_g}"
     if exact_distance or budget is not None:
         mode = "auto" if exact_distance else "budget"
         try:

@@ -123,8 +123,7 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
     # the guarantee region comes from deg G, the field and C(H): never trust them.  They are
     # compared with the fresh code, not proved: decoding reads no claim of the proofs
     source = artifact_mod.fresh(art)
-    backend = source.backend
-    deg_g = backend.deg_g(art.j)
+    backend, deg_g = source.backend, source.parts["deg_g"]
     if art.deg_g != deg_g:
         raise ValueError(f"artifact: params.deg_g is {art.deg_g}, but the "
                          f"{art.backend_kind} backend at j = {art.j} has deg G = {deg_g}")

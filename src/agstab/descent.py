@@ -55,8 +55,7 @@ class DescentBasis:
 
     Row y of the read-only (q^m, m) tables of alpha^-1 and beta^-1 holds
     the coordinates of y; ``_gamma`` descends whole arrays through them.
-    The default basis is the powers {1, g, .., g^(m-1)} of the extension
-    field's canonical generator.
+    The default basis is ``_generator_powers``.
     """
 
     def __init__(self, sub: GF2m, ext: GF2m, basis: Sequence[int] | None = None) -> None:
@@ -64,9 +63,7 @@ class DescentBasis:
         self.sub = sub
         self.ext = ext
         self.m = self.view.m
-        if basis is None:
-            basis = [ext.pow(ext.generator, i) for i in range(self.m)]
-        self.basis = tuple(basis)
+        self.basis = _generator_powers(ext, self.m) if basis is None else tuple(basis)
         self.gram = self.view.gram_matrix(self.basis)  # raises on a dependent set
         self.gram_inv = invert_matrix(sub, self.gram)  # raises when degenerate
         alpha = self.view.combinations(self.basis)  # a permutation of GF(q^m)
@@ -105,9 +102,12 @@ def shared_basis(sub: GF2m, ext: GF2m, basis: Sequence[int] | None = None) -> De
     """One DescentBasis per (sub, ext) and basis, as ``gf.embedding`` is one per (sub, ext): the
     default basis (the powers of the generator) is named by its elements, so a descent and the
     regeneration of its file share it.  A basis that is not one raises, and is not kept."""
-    if basis is None:
-        basis = [ext.pow(ext.generator, i) for i in range(embedding(sub, ext).m)]
-    return _shared_basis(sub, ext, tuple(basis))
+    return _shared_basis(sub, ext, _generator_powers(ext, embedding(sub, ext).m) if basis is None else tuple(basis))
+
+
+def _generator_powers(ext: GF2m, m: int) -> tuple[int, ...]:
+    """The default basis {1, g, .., g^(m-1)}: the powers of the extension field's canonical generator."""
+    return tuple(ext.pow(ext.generator, i) for i in range(m))
 
 
 def _mix(sub: GF2m, matrix: np.ndarray, X: np.ndarray) -> np.ndarray:

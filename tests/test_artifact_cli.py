@@ -521,29 +521,37 @@ def test_cli_descend_refuses_a_backend_block_that_names_no_code(tmp_path, capsys
 
 def _not_fresh(doc, *parts):
     """The document with each named part edited: rational q=8 j=1 read over x^3+x^2+1 (13), not
-    x^3+x+1 (11); one entry of the last C(G) row, outside the C(H) prefix; one of the first C(H) row."""
+    x^3+x+1 (11); one entry of the last C(G) row, outside the C(H) prefix; one of the first C(H) row;
+    the places reversed; a provenance that names the artifact's own backend."""
     if "field" in parts:
         doc["field"]["modulus"] = 13
     if "c_g" in parts:
         doc["matrices"]["c_g"][-1][0] ^= 1
     if "c_h" in parts:
         doc["matrices"]["c_h"][0][0] ^= 1
+    if "places" in parts:
+        doc["places"].reverse()
+    if "provenance" in parts:
+        doc["provenance"]["descended_from"] = {"backend": doc["backend"]}
     return doc
 
 
+# in the order fresh compares them
 NOT_FRESH = {
     "field": "artifact: field.modulus is 13, but the rational backend at q = 8 has modulus 11",
-    "c_g": "artifact: matrices.c_g is not the C(G) of the rational backend at j = 1",
     "c_h": "artifact: matrices.c_h is not the C(H) of the rational backend at j = 1",
+    "c_g": "artifact: matrices.c_g is not the C(G) of the rational backend at j = 1",
+    "places": "artifact: places is not the place order of the rational backend at q = 8",
+    "provenance": "artifact: provenance.descended_from is not null on a curve artifact",
 }
 
 
 @pytest.mark.parametrize("part", sorted(NOT_FRESH))
 def test_cli_descend_refuses_a_source_that_is_not_the_fresh_code(tmp_path, capsys, part):
     # the inherited bound holds for the backend's own code alone, so no descent of another code is
-    # written, a forged field included, whose descent would verify "ok": true.  verify fails each
-    # source, and decode-sim refuses it in the same words unless only C(G), which it does not read,
-    # is edited
+    # written, a forged field included, whose descent would verify "ok": true, nor of a file whose
+    # records are not its recipe's.  verify fails each source, and decode-sim refuses it in the same
+    # words when the field or C(H) is edited; it reads neither C(G) nor the records
     honest, src, out = tmp_path / "r81.json", tmp_path / "edited.json", tmp_path / "down.json"
     text = artifact_mod.to_json(artifact_mod.construct_artifact("rational", 8, 1))
     honest.write_text(text)
@@ -559,22 +567,25 @@ def test_cli_descend_refuses_a_source_that_is_not_the_fresh_code(tmp_path, capsy
         code = main(["decode-sim", "--artifact", str(path), "--trials", "3", "--weight", "1", "--seed", "1"])
         return code, *capsys.readouterr()
 
-    assert decode(src) == (decode(honest) if part == "c_g" else (2, "", f"error: {error}\n"))
+    assert decode(src) == (decode(honest) if part not in ("field", "c_h") else (2, "", f"error: {error}\n"))
 
 
 def test_fresh_names_the_first_stale_part():
-    # the field first, for indices over another modulus are other elements, then C(H), then C(G);
-    # the fresh code is made once per artifact, and the stored parts compared on every call
+    # the field first, for indices over another modulus are other elements, then C(H), C(G), the
+    # places and the provenance; the fresh code is made once per artifact, and the stored parts
+    # compared on every call
     text = artifact_mod.to_json(artifact_mod.construct_artifact("rational", 8, 1))
-    for parts, first in ((("field", "c_h", "c_g"), "field"), (("c_h", "c_g"), "c_h"), (("c_g",), "c_g"), ((), None)):
-        art = artifact_mod.from_json(json.dumps(_not_fresh(json.loads(text), *parts)))
+    order = list(NOT_FRESH)
+    for at in range(len(order) + 1):
+        art = artifact_mod.from_json(json.dumps(_not_fresh(json.loads(text), *order[at:])))
         source = artifact_mod.fresh(art)
+        first = order[at] if at < len(order) else None
         assert (source.stale, source.reason) == (first, NOT_FRESH.get(first))
         assert np.array_equal(source.h_rows, source.g_rows[:3]) and source.j == 1
     again = artifact_mod.fresh(art)
     assert again.g_rows is source.g_rows and again.stale is None
     art.c_g_rows[-1, 0] ^= 1
-    assert artifact_mod.fresh(art)[4:] == ("c_g", NOT_FRESH["c_g"])
+    assert artifact_mod.fresh(art)[4:6] == ("c_g", NOT_FRESH["c_g"])
 
 
 def test_only_the_commands_that_rely_on_a_proof_run_certify(monkeypatch, tmp_path):
@@ -842,18 +853,27 @@ def test_cli_decode_sim_refuses_a_forged_field_modulus(tmp_path, capsys):
     assert main(["decode-sim", "--artifact", str(src), *argv]) == 0
 
 
-def test_cli_descend_inherits_d_lower_only(tmp_path, capsys):
-    # a stored d_exact is a claim verify has not derived: the descent keeps the source's d_lower
-    src, forged, down = tmp_path / "r16.json", tmp_path / "forged.json", tmp_path / "down.json"
+def test_cli_descend_derives_its_params_from_the_recipe(tmp_path, capsys):
+    # the stored k, d_lower and d_exact are claims, which verify fails here: the descent derives its
+    # own params and its record of the source's from the recipe, so it is the honest source's, byte
+    # for byte, and verifies
+    src, forged = tmp_path / "r16.json", tmp_path / "forged.json"
     assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", str(src)]) == 0
     doc = json.loads(src.read_text())
-    assert doc["params"]["d_lower"] == 4
-    doc["params"]["d_exact"] = 7
+    n, params = doc["params"]["n"], doc["params"]
+    assert (params["k"], params["d_lower"], params["d_exact"]) == (1, 4, None)
+    params.update(k=2, d_lower=7, d_exact=7)
     forged.write_text(json.dumps(doc))
-    for path in (src, forged):
+    assert main(["verify", str(forged)]) == 1
+    downs = [tmp_path / "down.json", tmp_path / "forged-down.json"]
+    for path, down in zip((src, forged), downs):
         assert main(["descend", "--in", str(path), "--out", str(down)]) == 0
-        params = json.loads(down.read_text())["params"]
-        assert (params["d_lower"], params["d_exact"]) == (4, None)
+    assert downs[0].read_bytes() == downs[1].read_bytes()
+    down = json.loads(downs[1].read_text())
+    assert (down["params"]["d_lower"], down["params"]["d_exact"]) == (4, None)
+    assert down["provenance"]["descended_from"]["params"] == {"n": n, "k": 1, "d_lower": 4, "d_exact": None}
+    capsys.readouterr()
+    assert main(["verify", str(downs[1])]) == 0
 
 
 def test_cli_decode_sim_refuses_a_forged_c_h(tmp_path, capsys):

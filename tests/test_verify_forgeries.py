@@ -14,7 +14,10 @@ artifact fails either of them alone.
 A descent is re-derived from its recipe, the source backend and basis that
 its provenance records: a row that edits its matrices, field, basis or Gram
 matrix fails ``matrices-recompute`` as well as the check it names, and a
-lower bound other than the source's fails ``distance-bound``.
+lower bound other than the source's fails ``distance-bound``.  Every record
+the recipe fixes is compared with the fresh artifact too: a descent's source
+params, a key its provenance should not hold and places (null on a descent)
+fail ``matrices-recompute``, as a curve artifact's non-null provenance does.
 """
 
 import json
@@ -78,9 +81,20 @@ def _d_exact(value):
     return edit
 
 
-def _deg_g_one(doc, rng):
-    """deg G = 1, which decode-sim would take its guarantee region from."""
-    doc["params"]["deg_g"] = 1
+def _deg_g(value):
+    """deg G = ``value``, which decode-sim would take its guarantee region from (a descent's is null)."""
+    def edit(doc, rng):
+        doc["params"]["deg_g"] = value
+    return edit
+
+
+def _places_on_a_descent(doc, rng):
+    doc["places"] = [[0], [1]]
+
+
+def _curve_provenance(doc, rng):
+    """A curve artifact that claims to descend from its own backend."""
+    doc["provenance"]["descended_from"] = {"backend": doc["backend"]}
 
 
 def _other_c_h(doc, rng):
@@ -149,11 +163,29 @@ def _source_modulus(source):
     source["field"]["modulus"] = {7: 5, 11: 13}[source["field"]["modulus"]]
 
 
+def _gram_as_booleans(source):
+    """The same Gram matrix with true and false for 1 and 0, which Python compares equal."""
+    source["gram"] = [[bool(v) for v in row] for row in source["gram"]]
+
+
+def _source_d_lower_plus_one(source):
+    source["params"]["d_lower"] += 1
+
+
+def _source_k(source):
+    source["params"]["k"] = 99
+
+
+def _extra_key(source):
+    source["note"] = "an extra key"
+
+
 CURVE_ROWS = [
     ("places-permuted", _permute_places, (), "matrices-recompute"),
     ("k-plus-one", _k_plus_one, (), "k-formula"),
     ("d-lower-plus-one", _d_lower_plus(1), (), "distance-bound"),
-    ("deg-g-one", _deg_g_one, (), "distance-bound"),
+    ("deg-g-one", _deg_g(1), (), "distance-bound"),
+    ("provenance-not-null", _curve_provenance, (), "matrices-recompute"),
     # a stored d_exact that this run does not derive (no command writes one): 7 on rational q=16 j=1
     ("d-exact-d-lower-plus-three", _d_exact(lambda params: params["d_lower"] + 3), (), "distance-bound"),
 ]
@@ -169,6 +201,12 @@ DESCENT_ROWS = [
     ("basis-and-gram-reversed", _provenance(_basis_and_gram_reversed), (), RECOMPUTE),
     ("gram-entry", _provenance(_gram_entry), (), RECOMPUTE),
     ("source-field-modulus", _provenance(_source_modulus), (), RECOMPUTE),
+    ("gram-as-booleans", _provenance(_gram_as_booleans), (), RECOMPUTE),
+    ("source-d-lower-plus-one", _provenance(_source_d_lower_plus_one), (), RECOMPUTE),
+    ("source-k", _provenance(_source_k), (), RECOMPUTE),
+    ("provenance-extra-key", _provenance(_extra_key), (), RECOMPUTE),
+    ("places", _places_on_a_descent, (), RECOMPUTE),
+    ("deg-g-five", _deg_g(5), (), "distance-bound"),
     ("d-lower-plus-five", _d_lower_plus(5), (), "distance-bound"),
     ("d-lower-plus-five-exact", _d_lower_plus(5), ("--exact-distance",), "distance-bound"),
     ("d-exact-d-lower", _d_exact(lambda params: params["d_lower"]), (), "distance-bound"),

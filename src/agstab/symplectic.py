@@ -89,7 +89,7 @@ class CodeBasis:
 
     @cached_property
     def _symplectic_dual(self) -> "CodeBasis":
-        # memo for symplectic_dual: verify, the budget sweep and descent ask for the same dual
+        # memo for symplectic_dual: relative_min_weight and descent.descend_code ask for the same dual
         if self.width % 2:
             raise ValueError("symplectic dual needs an even ambient length")
         # <x, c> = c . swap(x), so the dual is the swapped Euclidean kernel of the

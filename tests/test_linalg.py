@@ -285,18 +285,15 @@ def _hermitian_descent_eliminations(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_array", recording)
     down = artifact.descend_artifact(art)
     assert artifact.verify_artifact(down)["ok"]
-    down.c_g_rows = down.c_g_rows[::-1].copy()  # the same code, not the fresh rows: by elimination
-    assert not artifact.verify_artifact(down)["ok"]
     return down, seen
 
 
 def test_binary_descent_matrices_match_scalar_reference(monkeypatch):
     # the n=120 descent: its gamma image (rank 140) and the gamma image of the source's dual (rank
-    # 100); in verify, the same two for the fresh descent, and once its C(G) rows are reversed,
-    # C(H), C(G) and the swapped kernel by elimination
+    # 100), and in verify the same two for the fresh descent
     down, seen = _hermitian_descent_eliminations(monkeypatch)
     assert down.n == 120 and [M.shape for M in seen if M.shape[0] > 8] == [
-        (140, 240), (100, 240), (140, 240), (100, 240), (100, 240), (140, 240), (100, 240)]
+        (140, 240), (100, 240), (140, 240), (100, 240)]
     monkeypatch.undo()
     for M in seen:
         assert as_lists(linalg.rref(GF2, M, M.shape[1])) == reference_rref(GF2, M.tolist(), M.shape[1])

@@ -117,24 +117,20 @@ def _cmd_descend(args: argparse.Namespace) -> int:
 def _cmd_decode_sim(args: argparse.Namespace) -> int:
     _check_count("--trials", args.trials)
     _check_count("--weight", args.weight)
-    art = artifact_mod.load(args.artifact)
-    if art.deg_g is None or art.backend_kind is None:
-        raise ValueError("decode-sim needs a backend artifact with a recorded deg G")
-    # the guarantee region comes from deg G, the field and C(H): never trust them.  They are
-    # compared with the fresh code, not proved: decoding reads no claim of the proofs
-    source = artifact_mod.fresh(art)
-    backend, deg_g = source.backend, source.parts["deg_g"]
-    if art.deg_g != deg_g:
-        raise ValueError(f"artifact: params.deg_g is {art.deg_g}, but the "
-                         f"{art.backend_kind} backend at j = {art.j} has deg G = {deg_g}")
-    if source.stale in ("field", "c_h"):  # a stale C(G) plays no part in decoding
+    # deg G, the field and C(H) set the guarantee region, so they come from the fresh artifact, and
+    # any stale part is refused; they are compared, not proved: decoding reads no claim of the proofs
+    source = artifact_mod.fresh(artifact_mod.load(args.artifact))
+    if source.stale:
         raise ValueError(source.reason)
-    field = art.field
+    backend, n, deg_g = source.backend, source.parts["n"], source.parts["deg_g"]
+    if deg_g is None:
+        raise ValueError("decode-sim needs a backend artifact with a recorded deg G")
+    field, width = backend.field, 2 * n
     # on the rational curve C(H) is the rows x^i, i < rank, at the places: a closed-form rref, power-sum checks
-    points = tuple(backend.places[:, 0].tolist()) if art.backend_kind == "rational" else None
-    c_h = (power_basis(field, points, len(art.c_h_rows)) if points
-           else CodeBasis.from_rows(field, art.c_h_rows, art.width))
-    block = max(1, min(_TRIALS, _ENTRIES // max(1, c_h.rank * art.width)))
+    points = tuple(backend.places[:, 0].tolist()) if backend.kind == "rational" else None
+    c_h = (power_basis(field, points, len(source.h_rows)) if points
+           else CodeBasis.from_rows(field, source.h_rows, width))
+    block = max(1, min(_TRIALS, _ENTRIES // max(1, c_h.rank * width)))
     rng = Lcg64(args.seed)
     sink = open(args.out, "w") if args.out else sys.stdout
     recovered = 0
@@ -142,13 +138,13 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
     decoders: dict[str, int] = {}
     try:
         for first in range(0, args.trials, block):
-            planted = [sample_symplectic_error(rng, art.n, field.q, args.weight)
+            planted = [sample_symplectic_error(rng, n, field.q, args.weight)
                        for _ in range(min(block, args.trials - first))]
             syn = _syndromes(field, np.array(planted, dtype=np.intp), c_h.rows)
             try:
-                results = decode_syndromes(c_h, points, syn, art.deg_g)
+                results = decode_syndromes(c_h, points, syn, deg_g)
             except (ValueError, AssertionError):  # write the records before the trial that fails, then fail
-                results = (decode_syndromes(c_h, points, s[None], art.deg_g)[0] for s in syn)
+                results = (decode_syndromes(c_h, points, s[None], deg_g)[0] for s in syn)
             for t, (e, s, res) in enumerate(zip(planted, syn.tolist(), results), first):
                 ok = res.error == e
                 recovered += ok

@@ -7,9 +7,8 @@ read-only.  Inputs may be any rectangular sequence of integer rows; they
 are checked on entry.  Pivoting is leftmost-column, first-nonzero-row,
 which makes every reduced form canonical for its row space.
 
-There is one elimination kernel, ``_rref_array``, and one routine that
-reduces rows against a canonical basis, ``_reduce``.  Each has two arms,
-and the field picks the arm, with no flag:
+There is one elimination kernel, ``_rref_array``.  It has two arms, and
+the field picks the arm, with no flag:
 
 * GF(2^r), r > 1: the elimination runs on one array and multiplies
   through the field's log/antilog arrays (``GF2m.log_antilog``): a row
@@ -19,27 +18,17 @@ and the field picks the arm, with no flag:
   gather is ``ndarray.take``: indexing with ``[]`` by an integer array of
   about 10^5 entries, the size of one elimination step, runs numpy's
   general fancy-index path, which is 2-3x slower than ``take`` on the
-  same flat table.  ``_reduce`` makes one such update per pivot.
+  same flat table.
 * GF(2): a row update is an XOR.  ``_rref_bits`` packs each row once
   into a Python int, column 0 the top bit, inserts the rows into an XOR
   basis keyed by leading bit (the leading bit is the pivot column, so no
   column is scanned), back-substitutes from the rightmost pivot and
   unpacks once.  The rref of a row space is unique, so the rows and
-  pivots are those the log/antilog loop would give.  ``_reduce`` reduces
-  every row at once, V ^= (V[:, pivots] @ basis) & 1, as one float32
-  product.  It equals the sequential loop because a canonical basis is
-  zero at every pivot but its own: no step changes another pivot's
-  column, so each row's coefficient on basis row i is its own entry at
-  pivot i.  The product is exact because each sum counts at most rank
-  ones, and float32 holds every integer up to 2^24: a canonical basis of
-  rank 2^24 would be a 2^24 x 2^24 byte array, and the widest binary code
-  the curves give, a descent of rational q = 8192, is 106496 wide.  The
-  product runs in numpy's BLAS, which may
-  start threads unless ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` say
-  otherwise; the result does not depend on them.
+  pivots are those the log/antilog loop would give.
 
 Every code is reduced by one call of ``rref``, the elimination alone;
-``row_in_span`` is the reduction alone.  ``_rref_scalar`` is the
+``row_in_span`` is the reduction alone, one log/antilog update per pivot
+over every field, GF(2) included.  ``_rref_scalar`` is the
 plain-Python elimination kept as the reference the tests compare both
 arms against.
 """
@@ -199,23 +188,6 @@ def _rref_scalar(field: GF2m, rows: list[list[int]], width: int) -> tuple[list[l
     return rows[:r], pivots
 
 
-def _reduce(field: GF2m, V: np.ndarray, basis: np.ndarray, pivots: Sequence[int]) -> None:
-    """Reduce the rows of V in place against a canonical rref basis with these pivots.
-
-    Every row of V ends zero at every pivot column; all rows reduce
-    together, over GF(2) by one exact float32 product (see the module
-    docstring), otherwise by one log/antilog update per pivot.
-    """
-    if field.q == 2:
-        # row v's coefficient on basis row i is v[p_i], as no other basis row touches column p_i
-        P = V[:, list(pivots)].astype(np.float32) @ basis.astype(np.float32)
-        V ^= (P.astype(np.int32) & 1).astype(V.dtype)
-        return
-    R_log = field.log_antilog[0].take(basis)
-    for i, p in enumerate(pivots):  # basis row i is zero left of its pivot p
-        _eliminate(field, V, np.flatnonzero(V[:, p]), p, R_log[i, p:])
-
-
 def rref(field: GF2m, rows: Sequence[Sequence[int]], width: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Canonical reduced row echelon form of the row space, as a read-only
     (rank, width) array, plus the pivot columns.
@@ -263,7 +235,9 @@ def row_in_span(field: GF2m, basis: np.ndarray, pivots: Sequence[int], rows: Seq
     except ValueError as exc:
         raise ValueError(f"query {exc}") from None
     V = V.copy() if V is rows else V  # reduced in place below
-    _reduce(field, V, basis, pivots)
+    R_log = field.log_antilog[0].take(basis)
+    for i, p in enumerate(pivots):  # basis row i is zero left of its pivot p
+        _eliminate(field, V, np.flatnonzero(V[:, p]), p, R_log[i, p:])
     return ~V.any(axis=1)
 
 

@@ -212,9 +212,9 @@ def test_build_outputs_are_pinned(tmp_path, capsys, kind, q, j):
 
 # SHA-256 of the verify report (as the CLI prints it) after row 0 of one matrix is changed
 TAMPERED_REPORT_SHA256 = {
-    "tampered-c_g-rational-q8-j2": "3c2a4d8223c654b617e5e5d355b0be6bdf72334a6d27dd0e825ecee68bb846c5",
-    "tampered-c_g-hermitian-q4-j5": "d839c77722bc8ec2e79a0b224e2fd5497171c4cc029f348c5bbd04b96f4c492e",
-    "tampered-c_h-rational-q8-j2": "7c4a2b6c287f78b11da8ade7b6283511542728f27992818d483d1bbd49f4507e",
+    "tampered-c_g-rational-q8-j2": "5b5fb0eb865e2d045d833a45b4a91d8072a0ac4bed5be9be7deb473dcd8f9f4f",
+    "tampered-c_g-hermitian-q4-j5": "82737a3521eba02e821d0d8b8a1399bdc10d53a21d8bc9632c25272607b87a4f",
+    "tampered-c_h-rational-q8-j2": "2adb5df0a82e0526f9937c865c5efc2c8c56027218bf575cc2833517288f1089",
 }
 
 
@@ -267,13 +267,11 @@ def test_verify_reduces_no_matrix(monkeypatch, kind, q, j, options):
     # C(H) for C(G), those of C(G) for C(H), and the swapped C(H) rows for the Hamming search
     assert artifact_mod.verify_artifact(art, **options)["ok"]
     assert shapes == []
-    # an edited C(G) is no code the recipe proves: matrices-recompute fails, the checks of the
-    # stored rows are skipped and no search runs; the classical view reads only the fresh code
+    # an edited C(G) is no code the recipe proves: matrices-recompute fails, every other check is
+    # skipped and no search runs
     art.c_g_rows[0][0] ^= 1
     report = artifact_mod.verify_artifact(art, **options)
-    unread = ("dual-equality", "containment", "k-formula") + (("distance-bound",) if options else ())
-    assert {c["name"]: c["status"] for c in report["checks"] if c["status"] != "pass"} == {
-        "matrices-recompute": "fail", **dict.fromkeys(unread, "skipped")}
+    assert [c["status"] for c in report["checks"]] == ["fail"] + ["skipped"] * 6
     assert "d_exact" not in report
     assert shapes == []
 
@@ -319,6 +317,37 @@ def test_no_command_module_names_an_elimination_oracle(module):
     # control: the import that verify's elimination branch needed is seen
     assert _names("from .symplectic import CodeBasis, contains, relative_min_weight, symplectic_dual\n"
                   "linalg.row_in_span") & ELIMINATION_ORACLES == ELIMINATION_ORACLES
+
+
+STORED_RECORDS = {"k", "d_lower", "deg_g", "d_exact", "c_g_rows", "c_h_rows", "places", "descended_from"}
+
+
+def _stored_reads(source: str) -> set[str]:
+    """The stored records that the function defined in ``source`` reads from its first argument: as
+    an attribute, or by getattr with a constant name."""
+    import ast
+
+    function = ast.parse(source).body[0]
+    art = function.args.args[0].arg
+    reads = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == art:
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr" and len(node.args) > 1
+              and getattr(node.args[0], "id", None) == art and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+    return reads & STORED_RECORDS
+
+
+def test_verify_reads_no_stored_record():
+    import inspect
+    import textwrap
+
+    # fresh is the one reader of the stored records: verify builds its report from fresh's verdict
+    source = textwrap.dedent(inspect.getsource(artifact_mod.verify_artifact))
+    assert _stored_reads(source) == set()
+    # control: one read put back is seen
+    assert _stored_reads(source + "    return art.d_lower\n") == {"d_lower"}
 
 
 @pytest.mark.parametrize("kind,q,j", [("rational", 512, 4), ("hermitian", 4, 5), ("rational", 8, 4)])
@@ -419,7 +448,7 @@ def test_descend_of_a_fresh_source_builds_no_kernel_and_no_containment_check(mon
 
 
 def test_cli_descend_refuses_a_descended_artifact(tmp_path, capsys):
-    # its output would record a source backend of nulls: refused before any reduction
+    # its output would record a source backend of nulls: refused, once fresh finds no stale part
     src, down, again = (str(tmp_path / name) for name in ("h21.json", "down.json", "again.json"))
     assert main(["construct", "--backend", "hermitian", "--q", "2", "--j", "1", "--out", src]) == 0
     assert main(["descend", "--in", src, "--out", down]) == 0
@@ -478,8 +507,7 @@ def test_a_certified_search_is_refused_before_any_reduction(monkeypatch, flags):
     reversed_rows.c_g_rows = reversed_rows.c_g_rows[::-1].copy()
     detail = next(c["detail"] for c in artifact_mod.verify_artifact(reversed_rows, **flags)["checks"]
                   if c["name"] == "distance-bound")
-    assert detail == ("recorded lower bound 10 matches the recomputed 10; "
-                      "no search ran: the stored c_g is not the recipe's")
+    assert detail == "the stored c_g is not the recipe's: nothing else is checked"
     assert calls == []
 
 
@@ -501,18 +529,16 @@ def test_verify_passes_and_reports_all_checks(tmp_path):
 
 
 def test_hamming_bound_reads_the_fresh_code():
-    # an all-ones first row gives the stored C(G) a minimum Hamming weight of 4, but the classical
-    # claim is about the fresh code, of weight 2; the edit fails matrices-recompute alone and skips
-    # the checks of the stored codes, the relative search included
+    # the classical claim is about the fresh code, of minimum Hamming weight 2.  An all-ones first
+    # row would give the stored C(G) a weight of 4: that file is no code the recipe makes, so no
+    # search runs on it, the Hamming search included
     art = artifact_mod.construct_artifact("hermitian", 2, 1)
-    art.c_g_rows[0] = 1
-    report = artifact_mod.verify_artifact(art, exact_distance=True)
-    hamming = next(c for c in report["checks"] if c["name"] == "hamming-bound")
+    hamming = artifact_mod.verify_artifact(art, exact_distance=True)["checks"][-1]
     assert hamming == {"name": "hamming-bound", "status": "pass",
                        "detail": "classical dim 4 = n + j and min Hamming weight 2 >= 2"}
-    assert {c["name"]: c["status"] for c in report["checks"] if c["status"] != "pass"} == {
-        "matrices-recompute": "fail", "dual-equality": "skipped", "containment": "skipped", "k-formula": "skipped",
-        "distance-bound": "skipped"}
+    art.c_g_rows[0] = 1
+    report = artifact_mod.verify_artifact(art, exact_distance=True)
+    assert [c["status"] for c in report["checks"]] == ["fail"] + ["skipped"] * 6 and "d_exact" not in report
 
 
 @pytest.mark.parametrize("edit", [("kind", "elliptic"), ("q", 6), ("j", 99), ("gamma", 0)], ids=str)
@@ -536,7 +562,9 @@ def test_cli_descend_refuses_a_backend_block_that_names_no_code(tmp_path, capsys
 def _not_fresh(doc, *parts):
     """The document with each named part edited: rational q=8 j=1 read over x^3+x^2+1 (13), not
     x^3+x+1 (11); one entry of the last C(G) row, outside the C(H) prefix; one of the first C(H) row;
-    the places reversed; a provenance that names the artifact's own backend."""
+    the places reversed; the lower bound one more; a provenance that names the artifact's own backend.
+    On its descent: one entry of the Gram matrix, and the source's lower bound one more."""
+    source = doc["provenance"]["descended_from"]
     if "field" in parts:
         doc["field"]["modulus"] = 13
     if "c_g" in parts:
@@ -545,8 +573,14 @@ def _not_fresh(doc, *parts):
         doc["matrices"]["c_h"][0][0] ^= 1
     if "places" in parts:
         doc["places"].reverse()
+    if "params" in parts:
+        doc["params"]["d_lower"] += 1
     if "provenance" in parts:
         doc["provenance"]["descended_from"] = {"backend": doc["backend"]}
+    if "gram" in parts:
+        source["gram"][0][0] ^= 1
+    if "source_params" in parts:
+        source["params"]["d_lower"] += 1
     return doc
 
 
@@ -556,38 +590,42 @@ NOT_FRESH = {
     "c_h": "artifact: matrices.c_h is not the C(H) of the rational backend at j = 1",
     "c_g": "artifact: matrices.c_g is not the C(G) of the rational backend at j = 1",
     "places": "artifact: places is not the place order of the rational backend at q = 8",
+    "params": "artifact: params.d_lower is 3, but the rational backend at j = 1 gives 2",
     "provenance": "artifact: provenance.descended_from is not null on a curve artifact",
+}
+# a descent's records of its source, on the descent of rational q=8 j=1
+DESCENT_NOT_FRESH = {
+    "gram": "artifact: provenance.descended_from.gram is not the Gram matrix of its basis",
+    "source_params": "artifact: provenance.descended_from.params.d_lower is 3, but the rational backend at j = 1 "
+                     "gives 2",
 }
 
 
-@pytest.mark.parametrize("part", sorted(NOT_FRESH))
-def test_cli_descend_refuses_a_source_that_is_not_the_fresh_code(tmp_path, capsys, part):
-    # the inherited bound holds for the backend's own code alone, so no descent of another code is
-    # written, a forged field included, whose descent would verify "ok": true, nor of a file whose
-    # records are not its recipe's.  verify fails each source, and decode-sim refuses it in the same
-    # words when the field or C(H) is edited; it reads neither C(G) nor the records
-    honest, src, out = tmp_path / "r81.json", tmp_path / "edited.json", tmp_path / "down.json"
-    text = artifact_mod.to_json(artifact_mod.construct_artifact("rational", 8, 1))
-    honest.write_text(text)
-    error = NOT_FRESH[part]
+@pytest.mark.parametrize("part", [*NOT_FRESH, *DESCENT_NOT_FRESH])
+def test_every_command_refuses_a_stale_part_in_fresh_words(tmp_path, capsys, part):
+    # fresh alone reads the stored parts, and every command acts only on a file with no stale part:
+    # verify fails it, and descend and decode-sim refuse it in fresh's words, writing no file and no
+    # record.  The inherited bound holds for the backend's own code alone, and the guarantee region
+    # for the fresh deg G, field and C(H).  An edited descent is refused so before it is refused as
+    # a descent
+    art = artifact_mod.construct_artifact("rational", 8, 1)
+    error = NOT_FRESH.get(part) or DESCENT_NOT_FRESH[part]
+    text = artifact_mod.to_json(art if part in NOT_FRESH else artifact_mod.descend_artifact(art))
+    src, out = tmp_path / "edited.json", tmp_path / "down.json"
     src.write_text(json.dumps(_not_fresh(json.loads(text), part)))
-    assert main(["descend", "--in", str(src), "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"error: {error}\n")
-    assert not out.exists()
     assert main(["verify", str(src)]) == 1
-    assert {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}["matrices-recompute"] == "fail"
-
-    def decode(path):
-        code = main(["decode-sim", "--artifact", str(path), "--trials", "3", "--weight", "1", "--seed", "1"])
-        return code, *capsys.readouterr()
-
-    assert decode(src) == (decode(honest) if part not in ("field", "c_h") else (2, "", f"error: {error}\n"))
+    assert json.loads(capsys.readouterr().out)["checks"][0]["detail"] == error
+    for argv in (["descend", "--in", str(src), "--out", str(out)],
+                 ["decode-sim", "--artifact", str(src), "--trials", "3", "--weight", "1", "--seed", "1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not out.exists()
 
 
 def test_fresh_names_the_first_stale_part():
     # the field first, for indices over another modulus are other elements, then C(H), C(G), the
-    # places and the provenance; the fresh code is made once per artifact, and the stored parts
-    # compared on every call
+    # places, the params and the provenance; the fresh code is made once per artifact, and the
+    # stored parts compared on every call
     text = artifact_mod.to_json(artifact_mod.construct_artifact("rational", 8, 1))
     order = list(NOT_FRESH)
     for at in range(len(order) + 1):
@@ -825,8 +863,7 @@ def test_cli_decode_sim_refuses_a_forged_deg_g(tmp_path, capsys):
     capsys.readouterr()
     argv = ["--trials", "30", "--weight", "3", "--seed", "4", "--out", str(out)]
     assert main(["decode-sim", "--artifact", str(forged), *argv]) == 2
-    assert capsys.readouterr().err == (
-        "error: artifact: params.deg_g is 1, but the rational backend at j = 1 has deg G = 8\n")
+    assert capsys.readouterr().err == "error: artifact: params.deg_g is 1, but the rational backend at j = 1 gives 8\n"
     assert not out.exists()
     # the control: the honest file decodes the same stream, and beyond t_cap = 1 nothing is guaranteed
     assert main(["decode-sim", "--artifact", str(src), *argv]) == 0
@@ -868,26 +905,27 @@ def test_cli_decode_sim_refuses_a_forged_field_modulus(tmp_path, capsys):
 
 
 def test_cli_descend_derives_its_params_from_the_recipe(tmp_path, capsys):
-    # the stored k, d_lower and d_exact are claims, which verify fails here: the descent derives its
-    # own params and its record of the source's from the recipe, so it is the honest source's, byte
-    # for byte, and verifies
-    src, forged = tmp_path / "r16.json", tmp_path / "forged.json"
+    # the stored k, d_lower and d_exact are claims, which fresh compares with the recipe: a forged
+    # source is refused in its words, and the descent of the honest one derives its own params and
+    # its record of the source's from the recipe, and verifies
+    src, forged, down = tmp_path / "r16.json", tmp_path / "forged.json", tmp_path / "down.json"
     assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", str(src)]) == 0
     doc = json.loads(src.read_text())
     n, params = doc["params"]["n"], doc["params"]
     assert (params["k"], params["d_lower"], params["d_exact"]) == (1, 4, None)
     params.update(k=2, d_lower=7, d_exact=7)
     forged.write_text(json.dumps(doc))
-    assert main(["verify", str(forged)]) == 1
-    downs = [tmp_path / "down.json", tmp_path / "forged-down.json"]
-    for path, down in zip((src, forged), downs):
-        assert main(["descend", "--in", str(path), "--out", str(down)]) == 0
-    assert downs[0].read_bytes() == downs[1].read_bytes()
-    down = json.loads(downs[1].read_text())
-    assert (down["params"]["d_lower"], down["params"]["d_exact"]) == (4, None)
-    assert down["provenance"]["descended_from"]["params"] == {"n": n, "k": 1, "d_lower": 4, "d_exact": None}
     capsys.readouterr()
-    assert main(["verify", str(downs[1])]) == 0
+    assert main(["verify", str(forged)]) == 1
+    assert main(["descend", "--in", str(forged), "--out", str(down)]) == 2
+    assert capsys.readouterr().err == "error: artifact: params.k is 2, but the rational backend at j = 1 gives 1\n"
+    assert not down.exists()
+    assert main(["descend", "--in", str(src), "--out", str(down)]) == 0
+    descended = json.loads(down.read_text())
+    assert (descended["params"]["d_lower"], descended["params"]["d_exact"]) == (4, None)
+    assert descended["provenance"]["descended_from"]["params"] == {"n": n, "k": 1, "d_lower": 4, "d_exact": None}
+    capsys.readouterr()
+    assert main(["verify", str(down)]) == 0
 
 
 def test_cli_decode_sim_refuses_a_forged_c_h(tmp_path, capsys):
@@ -909,23 +947,27 @@ def test_cli_decode_sim_refuses_a_forged_c_h(tmp_path, capsys):
     assert main(["decode-sim", "--artifact", str(src), *argv]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [(r["status"], r["recovered"]) for r in records] == [("unique-guaranteed", True)] * 5
-    # a descended artifact has no backend to check C(H) against: given a deg G and a C(H)
-    # cut the same way, its 5 decodes were likewise false certificates
-    doc = json.loads(artifact_mod.to_json(artifact_mod.descend_artifact(
-        artifact_mod.construct_artifact("rational", 8, 1))))
+    # a descent given a deg G and a C(H) cut the same way gave 5 likewise false certificates: it
+    # is refused in fresh's words, and its honest file, which has no deg G, is refused as a descent
+    honest = artifact_mod.to_json(artifact_mod.descend_artifact(artifact_mod.construct_artifact("rational", 8, 1)))
+    doc = json.loads(honest)
     doc["params"]["deg_g"] = 0
     doc["matrices"]["c_h"] = doc["matrices"]["c_h"][:1]
-    forged.write_text(json.dumps(doc))
     out.unlink()
-    capsys.readouterr()
-    assert main(["decode-sim", "--artifact", str(forged), *argv]) == 2
-    assert capsys.readouterr().err == "error: decode-sim needs a backend artifact with a recorded deg G\n"
-    assert not out.exists()
+    for text, error in ((json.dumps(doc), "artifact: matrices.c_h is not the descended C(H) of the rational backend "
+                                          "at j = 1"),
+                        (honest, "decode-sim needs a backend artifact with a recorded deg G")):
+        forged.write_text(text)
+        capsys.readouterr()
+        assert main(["decode-sim", "--artifact", str(forged), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
 
 
 def test_cli_verify_reports_a_curve_artifact_of_the_wrong_length(tmp_path, capsys):
     # rational q=16 j=1 (n = 8) recorded as n = 5, every row cut to 2n = 10 entries: the fresh
-    # code is made at the backend's length, so the report runs, and fails on the stored C(H)
+    # code is made at the backend's length, so the report runs, fails on the stored C(H) and
+    # checks nothing else
     path = tmp_path / "r16.json"
     assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", str(path)]) == 0
     doc = json.loads(path.read_text())
@@ -936,9 +978,7 @@ def test_cli_verify_reports_a_curve_artifact_of_the_wrong_length(tmp_path, capsy
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert {c["name"]: c["status"] for c in report["checks"]} == {
-        "matrices-recompute": "fail", "dual-equality": "skipped", "containment": "skipped", "k-formula": "skipped",
-        "distance-bound": "pass", "euclidean-dual-containment": "pass", "hamming-bound": "fail"}
+    assert [c["status"] for c in report["checks"]] == ["fail"] + ["skipped"] * 6
     assert report["checks"][0]["detail"] == "artifact: matrices.c_h is not the C(H) of the rational backend at j = 1"
 
 
@@ -1008,7 +1048,7 @@ def test_cli_verify_of_an_empty_descent_reduces_nothing(tmp_path, capsys):
         "artifact: matrices.c_h is not the descended C(H) of the hermitian backend at j = 1")
     assert checks["dual-equality"] == {
         "name": "dual-equality", "status": "skipped",
-        "detail": "the stored c_h is not the recipe's; the stored rows are not checked"}
+        "detail": "the stored c_h is not the recipe's: nothing else is checked"}
 
 
 def test_cli_descend_refuses_a_code_below_rank_n(tmp_path, capsys):

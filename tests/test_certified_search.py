@@ -115,8 +115,8 @@ def _mutant(*edits):
     return namespace["verify_artifact"]
 
 
-SWEEP = "symplectic.sweep_min_weight(art.field, h_rows, g_rows,"
-HAMMING = "np.roll(h_rows, backend.n, axis=1)"
+SWEEP = "symplectic.sweep_min_weight(f, h_rows, g_rows,"
+HAMMING = "np.roll(h_rows, n, axis=1)"
 MUTANTS = {
     "d-checks-from-c-h": ((SWEEP, SWEEP.replace("g_rows", "h_rows")),),
     "hamming-checks-from-c-g": ((HAMMING, HAMMING.replace("h_rows", "g_rows")),),

@@ -1,26 +1,24 @@
 """The forgery table: artifacts edited so that exactly one claim is false,
-each with the check of ``agstab verify`` that must catch it.
+each with the part of the file that ``agstab verify`` must name.
 
 Every row edits the artifact file of hermitian q=2 j=1, rational q=8 j=1
-or rational q=16 j=1, or of the binary descent of one of the first two,
-and asserts three things: the named checks fail, every other check keeps
-the status it has on the unedited file, and ``agstab verify`` exits 1.
-
-No row targets ``euclidean-dual-containment`` or ``hamming-bound``: both
-read only the fresh code, which ``curves.certify`` proves, under
-``--exact-distance`` too, not the stored matrices, so no edit to the
-artifact fails either of them alone.
+or rational q=16 j=1, or of the binary descent of one of the first two.
+``artifact.fresh`` is the one reader of the stored parts, so every row has
+one expectation: ``matrices-recompute`` fails with ``fresh``'s reason,
+which names the edited key (a params record its first key that differs,
+with both values), every other check is skipped with one detail that names
+the stale part, no search runs, and ``agstab verify`` exits 1.
 
 A descent is re-derived from its recipe, the source backend and basis that
-its provenance records: a row that edits a table (its matrices, field, basis
-or Gram matrix) fails ``matrices-recompute`` alone, and the checks of the
-stored rows, ``dual-equality``, ``containment`` and ``k-formula``, are
-skipped, as the stored rows are then no code the recipe proves; ``verify``
-reduces none of them.  A lower bound other than the source's fails
-``distance-bound``.  Every record the recipe fixes is compared with the fresh
-artifact too: a descent's source params, a key its provenance should not hold
-and places (null on a descent) fail ``matrices-recompute``, as a curve
-artifact's non-null provenance does.
+its provenance records, so an edit of its tables, basis or Gram matrix is
+named where the fresh descent first differs.  The params rows, of the
+artifact's own record and of a descent's record of its source's, are
+caught by ``fresh``'s params comparison alone: a control deletes it and
+sees each of them pass, or be named otherwise.
+
+No row targets ``euclidean-dual-containment`` or ``hamming-bound``: both
+read only the fresh code, which ``curves.certify`` proves, so on a file with
+no stale part nothing the file holds can fail them.
 """
 
 import json
@@ -45,20 +43,8 @@ def _text(source: str, descended: bool) -> str:
     return artifact_mod.to_json(artifact_mod.descend_artifact(art) if descended else art)
 
 
-@lru_cache(maxsize=None)
-def _statuses(source: str, descended: bool, flags: tuple[str, ...]) -> dict[str, str]:
-    report = artifact_mod.verify_artifact(artifact_mod.from_json(_text(source, descended)),
-                                          exact_distance="--exact-distance" in flags)
-    assert report["ok"]
-    return {c["name"]: c["status"] for c in report["checks"]}
-
-
 def _binary_code(doc: dict, key: str) -> CodeBasis:
     return CodeBasis.from_rows(field(1), doc["matrices"][key], 2 * doc["params"]["n"])
-
-
-def _rank(rows: np.ndarray) -> int:
-    return CodeBasis.from_rows(field(1), rows, rows.shape[1]).rank
 
 
 # each edit takes the parsed document and a seeded generator; the descended
@@ -183,60 +169,100 @@ def _extra_key(source):
     source["note"] = "an extra key"
 
 
+# (name, edit, flags, the stale part, the key its reason names)
 CURVE_ROWS = [
-    ("places-permuted", _permute_places, (), "matrices-recompute"),
-    ("k-plus-one", _k_plus_one, (), "k-formula"),
-    ("d-lower-plus-one", _d_lower_plus(1), (), "distance-bound"),
-    ("deg-g-one", _deg_g(1), (), "distance-bound"),
-    ("provenance-not-null", _curve_provenance, (), "matrices-recompute"),
-    # a stored d_exact that this run does not derive (no command writes one): 7 on rational q=16 j=1
-    ("d-exact-d-lower-plus-three", _d_exact(lambda params: params["d_lower"] + 3), (), "distance-bound"),
+    ("places-permuted", _permute_places, (), "places", "places"),
+    ("k-plus-one", _k_plus_one, (), "params", "params.k"),
+    ("d-lower-plus-one", _d_lower_plus(1), (), "params", "params.d_lower"),
+    ("deg-g-one", _deg_g(1), (), "params", "params.deg_g"),
+    ("provenance-not-null", _curve_provenance, (), "provenance", "provenance.descended_from"),
+    # a stored d_exact (no command writes one): 7 on rational q=16 j=1
+    ("d-exact-d-lower-plus-three", _d_exact(lambda params: params["d_lower"] + 3), (), "params", "params.d_exact"),
 ]
-RECOMPUTE = "matrices-recompute"
-# a stale table fails matrices-recompute, and the checks of the stored rows are not run
-STALE_TABLE = {RECOMPUTE: "fail", **dict.fromkeys(("dual-equality", "containment", "k-formula"), "skipped")}
+SOURCE = "provenance.descended_from"
 DESCENT_ROWS = [
-    ("k-plus-one", _k_plus_one, (), "k-formula"),
-    ("c_h-another-subspace", _other_c_h, (), STALE_TABLE),
-    ("c_g-random", _random_c_g, (), STALE_TABLE),
-    ("unit-stabilizer", _unit_stabilizer, (), STALE_TABLE),
-    ("c_g-rows-reversed", _c_g_reversed, (), STALE_TABLE),
-    ("source-j-plus-one", _provenance(_source_j_plus_one), (), STALE_TABLE),
-    ("basis-reversed", _provenance(_basis_reversed), (), STALE_TABLE),
-    ("basis-and-gram-reversed", _provenance(_basis_and_gram_reversed), (), STALE_TABLE),
-    ("gram-entry", _provenance(_gram_entry), (), STALE_TABLE),
-    ("source-field-modulus", _provenance(_source_modulus), (), STALE_TABLE),
-    ("gram-as-booleans", _provenance(_gram_as_booleans), (), STALE_TABLE),
-    ("source-d-lower-plus-one", _provenance(_source_d_lower_plus_one), (), RECOMPUTE),
-    ("source-k", _provenance(_source_k), (), RECOMPUTE),
-    ("provenance-extra-key", _provenance(_extra_key), (), RECOMPUTE),
-    ("places", _places_on_a_descent, (), RECOMPUTE),
-    ("deg-g-five", _deg_g(5), (), "distance-bound"),
-    ("d-lower-plus-five", _d_lower_plus(5), (), "distance-bound"),
-    ("d-lower-plus-five-exact", _d_lower_plus(5), ("--exact-distance",), "distance-bound"),
-    ("d-exact-d-lower", _d_exact(lambda params: params["d_lower"]), (), "distance-bound"),
-    # one the search derives otherwise: no weight exceeds n
-    ("d-exact-past-n-exact", _d_exact(lambda params: params["n"] + 1), ("--exact-distance",), "distance-bound"),
+    ("k-plus-one", _k_plus_one, (), "params", "params.k"),
+    ("c_h-another-subspace", _other_c_h, (), "c_h", "matrices.c_h"),
+    # its C(H), the dual of a random C(G), is named first
+    ("c_g-random", _random_c_g, (), "c_h", "matrices.c_h"),
+    ("unit-stabilizer", _unit_stabilizer, (), "c_h", "matrices.c_h"),
+    ("c_g-rows-reversed", _c_g_reversed, (), "c_g", "matrices.c_g"),
+    # the recipe at j = 2, whose params the record of the source's (those at j = 1) is not
+    ("source-j-plus-one", _provenance(_source_j_plus_one), (), "source_params", f"{SOURCE}.params.k"),
+    ("basis-reversed", _provenance(_basis_reversed), (), "gram", f"{SOURCE}.gram"),
+    ("basis-and-gram-reversed", _provenance(_basis_and_gram_reversed), (), "c_h", "matrices.c_h"),
+    ("gram-entry", _provenance(_gram_entry), (), "gram", f"{SOURCE}.gram"),
+    ("source-field-modulus", _provenance(_source_modulus), (), "source_field", f"{SOURCE}.field"),
+    ("gram-as-booleans", _provenance(_gram_as_booleans), (), "gram", f"{SOURCE}.gram"),
+    ("source-d-lower-plus-one", _provenance(_source_d_lower_plus_one), (), "source_params",
+     f"{SOURCE}.params.d_lower"),
+    ("source-k", _provenance(_source_k), (), "source_params", f"{SOURCE}.params.k"),
+    ("provenance-extra-key", _provenance(_extra_key), (), "provenance", SOURCE),
+    ("places", _places_on_a_descent, (), "places", "places"),
+    ("deg-g-five", _deg_g(5), (), "params", "params.deg_g"),
+    ("d-lower-plus-five", _d_lower_plus(5), (), "params", "params.d_lower"),
+    ("d-lower-plus-five-exact", _d_lower_plus(5), ("--exact-distance",), "params", "params.d_lower"),
+    ("d-exact-d-lower", _d_exact(lambda params: params["d_lower"]), (), "params", "params.d_exact"),
+    # one a search would derive otherwise: no weight exceeds n
+    ("d-exact-past-n-exact", _d_exact(lambda params: params["n"] + 1), ("--exact-distance",), "params",
+     "params.d_exact"),
 ]
 TABLE = [
-    pytest.param(source, descended, edit, flags, check, id=f"{'descended-' * descended}{source}-{name}")
+    pytest.param(source, descended, edit, flags, part, named, id=f"{'descended-' * descended}{source}-{name}")
     for source in SOURCES
     for descended, rows in ((False, CURVE_ROWS), (True, DESCENT_ROWS))
     if source in DESCENT_SOURCES or not descended
-    for name, edit, flags, check in rows
+    for name, edit, flags, part, named in rows
 ]
+CHECKS = ["matrices-recompute", "dual-equality", "containment", "k-formula", "distance-bound",
+          "euclidean-dual-containment", "hamming-bound"]
 
 
-@pytest.mark.parametrize("source, descended, edit, flags, check", TABLE)
-def test_verify_catches_each_forgery(tmp_path, capsys, source, descended, edit, flags, check):
+def _forged(source: str, descended: bool, edit) -> str:
     doc = json.loads(_text(source, descended))
     edit(doc, np.random.default_rng(5))
+    return json.dumps(doc)
+
+
+def _verify(tmp_path, capsys, text: str, flags: tuple[str, ...]) -> tuple[int, dict]:
+    """``agstab verify``'s exit code and report on a file that holds ``text``."""
     path = tmp_path / "forged.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     code = main(["verify", str(path), *flags])
-    got = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert got == {**_statuses(source, descended, flags), **({check: "fail"} if isinstance(check, str) else check)}
-    assert code == 1
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _named(code: int, report: dict, named: str) -> bool:
+    """Whether verify failed the file with a reason that names the key ``named``."""
+    return code == 1 and report["checks"][0]["detail"].startswith(f"artifact: {named} ")
+
+
+@pytest.mark.parametrize("source, descended, edit, flags, part, named", TABLE)
+def test_verify_catches_each_forgery(tmp_path, capsys, source, descended, edit, flags, part, named):
+    text = _forged(source, descended, edit)
+    code, report = _verify(tmp_path, capsys, text, flags)
+    assert _named(code, report, named), report["checks"][0]
+    verdict = artifact_mod.fresh(artifact_mod.from_json(text))
+    assert verdict.stale == part
+    assert report == {"ok": False, "checks": [
+        {"name": CHECKS[0], "status": "fail", "detail": verdict.reason},
+        *({"name": name, "status": "skipped", "detail": f"the stored {part} is not the recipe's: "
+                                                        "nothing else is checked"} for name in CHECKS[1:])]}
+
+
+PARAMS_ROWS = [row for row in TABLE if row.values[4] in ("params", "source_params")]
+
+
+def test_the_params_rows_rest_on_the_params_comparison(tmp_path, capsys, monkeypatch):
+    # the control: with the params comparison deleted from fresh, no params row is named as it
+    # is: its own params pass verify, and a descent's record of its source's falls to the
+    # comparison of the whole provenance, or to the rows of the recipe it names
+    monkeypatch.setattr(artifact_mod, "_params", lambda part, *args: (part, True, None))
+    for row in PARAMS_ROWS:
+        source, descended, edit, flags, part, named = row.values
+        code, report = _verify(tmp_path, capsys, _forged(source, descended, edit), flags)
+        assert not _named(code, report, named), row.id
+        assert code == (0 if part == "params" else 1), row.id
 
 
 def _reduced(monkeypatch, run) -> bool:
@@ -259,12 +285,9 @@ def _reduced(monkeypatch, run) -> bool:
     return False
 
 
-@pytest.mark.parametrize("source, descended, edit, flags, check",
-                         [row for row in TABLE if row.values[4] is STALE_TABLE])
-def test_verify_reduces_no_stored_row_of_a_stale_table(monkeypatch, source, descended, edit, flags, check):
-    doc = json.loads(_text(source, descended))
-    edit(doc, np.random.default_rng(5))
-    art = artifact_mod.from_json(json.dumps(doc))
+@pytest.mark.parametrize("source, descended, edit, flags, part, named", TABLE)
+def test_verify_reduces_no_stored_row_of_a_stale_table(monkeypatch, source, descended, edit, flags, part, named):
+    art = artifact_mod.from_json(_forged(source, descended, edit))
     artifact_mod.fresh(art)  # the recipe's descent, made once per artifact, as load makes it for a whole file
     for options in ({}, {"exact_distance": True}, {"budget": 2}):
         assert not _reduced(monkeypatch, lambda: artifact_mod.verify_artifact(art, **options))

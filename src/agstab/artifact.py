@@ -28,8 +28,9 @@ and compares the file with its pieces as they are made, up to the first
 difference.  A match is that artifact, and the fresh code it was made
 from goes with it to ``fresh``.  Any other file, and any file shorter
 than _EXACT_MIN, is decoded as text mode decodes it and goes through
-json.loads; ``from_json`` reads a text the same two ways.  Every reader
-gives the same artifact, or the same error message.
+json.loads, which refuses a key ``_document`` does not write.  ``from_json``
+reads a text the same two ways.  Every reader gives the same artifact, or
+the same error message.
 """
 
 from __future__ import annotations
@@ -279,9 +280,9 @@ def from_json(text: str) -> CodeArtifact:
 def _from_document(doc: Any) -> CodeArtifact:
     """The artifact of a parsed document, its structure checked: every key
     present, every value of its type, the matrices rectangular with rows of
-    length 2n and entries in [0, q).  ValueError names the first offending
-    key.  Whether the values are the recipe's (k, d, the rows themselves)
-    is left to ``fresh``.
+    length 2n and entries in [0, q), and no key the writer does not write
+    (``_known``).  ValueError names the first offending key.  Whether the
+    values are the recipe's (k, d, the rows themselves) is left to ``fresh``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"artifact: the document must be an object, got {_json_kind(doc)}")
@@ -310,8 +311,20 @@ def _from_document(doc: Any) -> CodeArtifact:
     matrices = _entry(doc, "", "matrices", dict)
     rows = {key: _matrix(matrices, key, f, 2 * n) for key in ("c_g", "c_h")}
     provenance = _entry(doc, "", "provenance", dict)
-    return CodeArtifact(*recipe, f, places, rows["c_g"], rows["c_h"], n, k, deg_g, d_lower, d_exact,
-                        _entry(provenance, "provenance", "descended_from", dict, nullable=True))
+    art = CodeArtifact(*recipe, f, places, rows["c_g"], rows["c_h"], n, k, deg_g, d_lower, d_exact,
+                       _entry(provenance, "provenance", "descended_from", dict, nullable=True))
+    _known(doc, _document(art))
+    return art
+
+
+def _known(doc: dict, written: dict, path: str = "") -> None:
+    """ValueError for the first key in ``doc``, in sorted order, that the writer's document ``written``
+    lacks.  ``tool`` is informational, and a descent's provenance is ``doc``'s own."""
+    for key in sorted(doc):
+        if key not in written:
+            raise ValueError(f"artifact: unknown key {path + key!r}")
+        if isinstance(written[key], dict) and path + key != "tool":
+            _known(doc[key], written[key], f"{path}{key}.")
 
 
 def save(art: CodeArtifact, path: str) -> None:
@@ -393,11 +406,10 @@ def _keeping(code: tuple | None, art: CodeArtifact) -> CodeArtifact:
 # ---------------------------------------------------------------------------
 
 class Fresh(NamedTuple):
-    """An artifact's fresh code and the rest of its fresh artifact, as its recipe makes them, and
-    the first stored part that is not theirs ("field", "source_field", "gram", "source_params",
-    "c_h", "c_g", "places", "params", "provenance"), or None, and why.  For a descent the
-    backend and j are its source's, and the rows are the source's evaluation descended with its
-    basis."""
+    """An artifact's fresh code and the rest of its fresh artifact, as its recipe makes them, the key
+    path of the first stored record that the writer does not write for them ("field.modulus",
+    "params.d_lower", "provenance.descended_from.gram"), or None, and why.  For a descent the backend
+    and j are its source's, and the rows are the source's evaluation descended with its basis."""
 
     backend: CurveBackend
     j: int
@@ -405,7 +417,7 @@ class Fresh(NamedTuple):
     h_rows: np.ndarray  # C(H): the evaluation's first n - j rows, or their descent, canonical
     stale: str | None
     reason: str | None
-    parts: dict[str, Any]  # every field of the fresh artifact but its tables (``_parts``)
+    parts: dict[str, Any]  # every field of the fresh artifact but its matrices (``_parts``)
 
 
 _FRESH: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # artifact -> (recipe, *_code(recipe))
@@ -457,78 +469,63 @@ def _dump(value: Any) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-def _params(part: str, path: str, stored: Any, ours: dict[str, Any], who: str) -> tuple[str, bool, str | None]:
-    """A compared part: whether the params record ``stored`` at ``path`` is ``ours``, which ``who``
-    gives, and else why: its first key that differs, with both values, or the whole record when it is
-    no object.  A key that ours lacks is left to the comparison of the whole provenance."""
-    if not isinstance(stored, dict):
-        return part, False, f"{path} is {_dump(stored)}, but {who} gives {_dump(ours)}"
-    key = next((key for key in ours if key not in stored or _dump(stored[key]) != _dump(ours[key])), None)
-    value = _dump(stored[key]) if key in stored else "missing"
-    return part, key is None, f"{path}.{key} is {value}, but {who} gives {_dump(ours.get(key))}"
+_NO_KEY = object()  # the value at a key that one document lacks
+
+
+def _differences(stored: Any, ours: Any, path: tuple[str, ...] = ()) -> Iterator[tuple[str, list[str] | None]]:
+    """The key path of each record of the document ``stored`` that is not ``ours``'s, in the writer's
+    sorted-key order, with both as the writer writes them (``_dump``; one object is not dumped), or None
+    for a table, an array in ours compared by value.  Of two key sets, the first key one lacks differs."""
+    if isinstance(stored, dict) and isinstance(ours, dict):
+        for key in sorted(stored.keys() ^ ours.keys())[:1] or sorted(ours):
+            yield from _differences(stored.get(key, _NO_KEY), ours.get(key, _NO_KEY), path + (key,))
+    elif isinstance(ours, np.ndarray):  # a stored list compares faster than it becomes an array
+        if not (stored == ours.tolist() if isinstance(stored, list) else np.array_equal(stored, ours)):
+            yield ".".join(path), None
+    elif stored is not ours:
+        shown = ["no key" if value is _NO_KEY else _dump(value) for value in (stored, ours)]
+        if shown[0] != shown[1]:
+            yield ".".join(path), shown
 
 
 def fresh(art: CodeArtifact) -> Fresh:
     """The fresh code of an artifact's recipe, the rest of its fresh artifact (``_parts``), and
-    whether the stored parts are theirs.  This is the one reader of the stored records: every
-    command acts only on an artifact with no stale part.
+    whether the stored document is theirs.  This is the one reader of the stored records: every
+    command acts only on an artifact with no stale record.
 
     The code is the backend's evaluation of L(G), or for a descent the
     source's evaluation descended with the recorded basis, whose twist must
-    exist.  The stored parts are compared in order, records as the writer
-    writes them: the field, a descent's records of its source's field and
-    params and of its Gram matrix, C(H), C(G), the places, the params and
-    the whole provenance.  A params record names its first key that
-    differs, with both values.  Indices over another modulus are other
-    elements, so the fields come first.  The code is made once per artifact
-    and recipe (``load`` hands over its own), and the stored parts are
-    compared on every call, so an artifact edited after it was read is still
-    caught.  ValueError when the recipe names no code.  Nothing is proved
-    here: ``curves.certify`` proves it.
+    exist.  The stored document is compared with the fresh artifact's, its
+    tables the fresh arrays, in the writer's key order (``_differences``),
+    so the field comes before the tables whose indices it gives meaning; the
+    first key path that differs is stale.  The code is made once per artifact
+    and recipe (``load`` hands over its own), and the document is compared on
+    every call, so an artifact edited after it was read is still caught.
+    ValueError when the recipe names no code.  Nothing is proved here:
+    ``curves.certify`` proves it.
     """
     doc = _document(art)
     recipe = _recipe(doc)
     code = _FRESH.get(art)
     if code is None or code[0] != recipe:
         code = _FRESH[art] = recipe, *_code(recipe)
-    _, backend, g_rows, h_rows, basis = code
-    kind, q, _, j = recipe[:4]
+    (kind, q, _, j, *_), backend, g_rows, h_rows, basis = code
     parts = _parts(backend, j, basis)
-    at, what, ours = f"the {kind} backend at", "" if basis is None else "descended ", parts["descended_from"]
-    modulus = (f"{at} q = {q} has modulus {backend.field.modulus}" if basis is None
-               else f"a descent to GF(2^{basis.sub.degree}) is over modulus {basis.sub.modulus}")
-    stored = art.descended_from
-
-    compared = [
-        ("field", art.field == parts["field"], f"field.modulus is {art.field.modulus}, but {modulus}"),
-        *([] if basis is None else [  # a descent's records of its source
-            ("source_field", _dump(stored.get("field")) == _dump(ours["field"]),
-             f"provenance.descended_from.field is not the field of {at} q = {q}"),
-            ("gram", _dump(stored.get("gram")) == _dump(ours["gram"]),
-             "provenance.descended_from.gram is not the Gram matrix of its basis"),
-            _params("source_params", "provenance.descended_from.params", stored.get("params"), ours["params"],
-                    f"{at} j = {j}")]),
-        ("c_h", np.array_equal(art.c_h_rows, h_rows), f"matrices.c_h is not the {what}C(H) of {at} j = {j}"),
-        ("c_g", np.array_equal(art.c_g_rows, g_rows), f"matrices.c_g is not the {what}C(G) of {at} j = {j}"),
-        ("places", art.places == parts["places"],
-         f"places is not the place order of {at} q = {q}" if basis is None else "places is not null on a descent"),
-        _params("params", "params", doc["params"], {key: parts[key] for key in doc["params"]},
-                ("the descent of " if basis else "") + f"{at} j = {j}"),
-        ("provenance", _dump(art.descended_from) == _dump(ours),
-         "provenance.descended_from is not " + ("null on a curve artifact" if basis is None
-                                                else "the record its recipe writes")),
-    ]
-    stale, reason = next(((part, "artifact: " + why) for part, same, why in compared if not same), (None, None))
+    stale, shown = next(_differences(doc, _document(CodeArtifact(c_g_rows=g_rows, c_h_rows=h_rows, **parts))),
+                        (None, None))
+    who = ("" if basis is None else f"the descent to GF({basis.sub.q}) of ") + f"the {kind} backend at q = {q}, j = {j}"
+    reason = None if stale is None else "artifact: " + (f"{stale} is not what {who} writes" if shown is None
+                                                        else f"{stale} is {shown[0]}, but {who} writes {shown[1]}")
     return Fresh(backend, j, g_rows, h_rows, stale, reason, parts)
 
 
 def _parts(backend: CurveBackend, j: int, basis: DescentBasis | None) -> dict[str, Any]:
-    """Every field but the tables of the artifact of C(G) >= C(H) at j on ``backend``, or of its descent
+    """Every field but the matrices of the artifact of C(G) >= C(H) at j on ``backend``, or of its descent
     with ``basis``, as ``CodeArtifact`` keywords: what the recipe fixes, and no claim it does not prove."""
     d_lower = backend.distance_bound(j)
     if basis is None:
         return dict(backend_kind=backend.kind, q=backend.q, gamma=backend.gamma, j=j, field=backend.field,
-                    places=backend.places.tolist(), n=backend.n, k=j, deg_g=backend.deg_g(j), d_lower=d_lower,
+                    places=backend.places, n=backend.n, k=j, deg_g=backend.deg_g(j), d_lower=d_lower,
                     d_exact=None, descended_from=None)
     return dict(backend_kind=None, q=None, gamma=None, j=None, field=basis.sub, places=None, n=basis.m * backend.n,
                 k=basis.m * j, deg_g=None, d_lower=d_lower, d_exact=None,
@@ -541,8 +538,10 @@ def _parts(backend: CurveBackend, j: int, basis: DescentBasis | None) -> dict[st
 def _artifact(backend: CurveBackend, j: int, g_rows: np.ndarray, h_rows: np.ndarray,
               basis: DescentBasis | None) -> CodeArtifact:
     """The artifact of the code at j on ``backend``, or of its descent with ``basis``, from its fresh
-    C(G) and C(H) rows: ``_parts``, and a writable copy of each matrix."""
-    return CodeArtifact(c_g_rows=g_rows.copy(), c_h_rows=h_rows.copy(), **_parts(backend, j, basis))
+    C(G) and C(H) rows: ``_parts``, its places array as a list, and a writable copy of each matrix."""
+    art = CodeArtifact(c_g_rows=g_rows.copy(), c_h_rows=h_rows.copy(), **_parts(backend, j, basis))
+    art.places = None if art.places is None else art.places.tolist()
+    return art
 
 
 def construct_artifact(kind: str, q: int, j: int, gamma: int = 1) -> CodeArtifact:
@@ -565,7 +564,7 @@ def descend_artifact(art: CodeArtifact, base_degree: int = 1) -> CodeArtifact:
     the descents of the two, C(H)'s the dual of C(G)'s by the twist, need
     no dual built and no containment checked, and the rest of the descent
     comes from the recipe (``_parts``), no claim of the source's.
-    ValueError for a recipe that names no code and for a stale part, in
+    ValueError for a recipe that names no code and for a stale record, in
     ``fresh``'s words, then for a descended artifact (its source would be
     lost).
     """
@@ -614,7 +613,7 @@ def verify_artifact(
     C(H) = C(G)^perp, C(H) <= C(G) and the containment of the Euclidean dual,
     which a descent keeps by the twist identity.  A failed proof is an
     AssertionError, not a failed check.  ``fresh`` is the one reader of the
-    stored parts: a stale part fails ``matrices-recompute`` with its reason
+    stored records: a stale one fails ``matrices-recompute`` with its reason
     and skips every other check, so no search runs.  Otherwise the report is
     built from ``fresh``, and what this run computes is checked: the ranks
     of the fresh rows against the recipe's n and k, each search against the

@@ -118,7 +118,7 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
     _check_count("--trials", args.trials)
     _check_count("--weight", args.weight)
     # deg G, the field and C(H) set the guarantee region, so they come from the fresh artifact, and
-    # any stale part is refused; they are compared, not proved: decoding reads no claim of the proofs
+    # any stale record is refused; they are compared, not proved: decoding reads no claim of the proofs
     source = artifact_mod.fresh(artifact_mod.load(args.artifact))
     if source.stale:
         raise ValueError(source.reason)

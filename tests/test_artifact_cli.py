@@ -212,9 +212,9 @@ def test_build_outputs_are_pinned(tmp_path, capsys, kind, q, j):
 
 # SHA-256 of the verify report (as the CLI prints it) after row 0 of one matrix is changed
 TAMPERED_REPORT_SHA256 = {
-    "tampered-c_g-rational-q8-j2": "5b5fb0eb865e2d045d833a45b4a91d8072a0ac4bed5be9be7deb473dcd8f9f4f",
-    "tampered-c_g-hermitian-q4-j5": "82737a3521eba02e821d0d8b8a1399bdc10d53a21d8bc9632c25272607b87a4f",
-    "tampered-c_h-rational-q8-j2": "2adb5df0a82e0526f9937c865c5efc2c8c56027218bf575cc2833517288f1089",
+    "tampered-c_g-rational-q8-j2": "55d0e2d26ec081bb4bd53c2d52e2260b37b4afa4fdd85a002e632021f256a2bc",
+    "tampered-c_g-hermitian-q4-j5": "9ce8de974930f44b6b07beeb97a6752a7b7c379903230784743305520a4cb4c9",
+    "tampered-c_h-rational-q8-j2": "2c8a9c42e09362f2bbe7b5c9e1def30dd2009a3d2bdf265af5a4b7254b2c5004",
 }
 
 
@@ -226,8 +226,8 @@ def test_tampered_report_bytes_are_pinned(name):
     report = artifact_mod.verify_artifact(art)
     assert not report["ok"]
     assert report["checks"][0] == {"name": "matrices-recompute", "status": "fail", "detail":
-                                   f"artifact: matrices.{key} is not the C({key[-1].upper()}) of the {kind} "
-                                   f"backend at j = {j[1:]}"}
+                                   f"artifact: matrices.{key} is not what the {kind} backend at q = {q[1:]}, "
+                                   f"j = {j[1:]} writes"}
     text = json.dumps(report, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == TAMPERED_REPORT_SHA256[name]
 
@@ -290,7 +290,7 @@ def test_verify_reduces_no_stored_row_of_an_edited_hermitian_q16_file(monkeypatc
     report = artifact_mod.verify_artifact(art)
     assert [c for c in report["checks"] if c["status"] == "fail"] == [{
         "name": "matrices-recompute", "status": "fail",
-        "detail": "artifact: matrices.c_g is not the C(G) of the hermitian backend at j = 1"}]
+        "detail": "artifact: matrices.c_g is not what the hermitian backend at q = 16, j = 1 writes"}]
     # control: the elimination of the stored rows that verify once made is refused
     with pytest.raises(AssertionError, match="a matrix is reduced"):
         CodeBasis.from_rows(art.field, art.c_h_rows, art.width)
@@ -507,7 +507,7 @@ def test_a_certified_search_is_refused_before_any_reduction(monkeypatch, flags):
     reversed_rows.c_g_rows = reversed_rows.c_g_rows[::-1].copy()
     detail = next(c["detail"] for c in artifact_mod.verify_artifact(reversed_rows, **flags)["checks"]
                   if c["name"] == "distance-bound")
-    assert detail == "the stored c_g is not the recipe's: nothing else is checked"
+    assert detail == "the stored matrices.c_g is not the recipe's: nothing else is checked"
     assert calls == []
 
 
@@ -559,60 +559,64 @@ def test_cli_descend_refuses_a_backend_block_that_names_no_code(tmp_path, capsys
         assert not out.exists()
 
 
-def _not_fresh(doc, *parts):
-    """The document with each named part edited: rational q=8 j=1 read over x^3+x^2+1 (13), not
-    x^3+x+1 (11); one entry of the last C(G) row, outside the C(H) prefix; one of the first C(H) row;
-    the places reversed; the lower bound one more; a provenance that names the artifact's own backend.
-    On its descent: one entry of the Gram matrix, and the source's lower bound one more."""
+def _not_fresh(doc, *paths):
+    """The document with the record at each named key path edited: rational q=8 j=1 read over
+    x^3+x^2+1 (13), not x^3+x+1 (11); one entry of the last C(G) row, outside the C(H) prefix; one of
+    the first C(H) row; the lower bound one more; the places reversed; a provenance that names the
+    artifact's own backend.  On its descent: one entry of the Gram matrix, and the source's lower
+    bound one more."""
     source = doc["provenance"]["descended_from"]
-    if "field" in parts:
+    if "field.modulus" in paths:
         doc["field"]["modulus"] = 13
-    if "c_g" in parts:
+    if "matrices.c_g" in paths:
         doc["matrices"]["c_g"][-1][0] ^= 1
-    if "c_h" in parts:
+    if "matrices.c_h" in paths:
         doc["matrices"]["c_h"][0][0] ^= 1
-    if "places" in parts:
-        doc["places"].reverse()
-    if "params" in parts:
+    if "params.d_lower" in paths:
         doc["params"]["d_lower"] += 1
-    if "provenance" in parts:
+    if "places" in paths:
+        doc["places"].reverse()
+    if SOURCE in paths:
         doc["provenance"]["descended_from"] = {"backend": doc["backend"]}
-    if "gram" in parts:
+    if f"{SOURCE}.gram" in paths:
         source["gram"][0][0] ^= 1
-    if "source_params" in parts:
+    if f"{SOURCE}.params.d_lower" in paths:
         source["params"]["d_lower"] += 1
     return doc
 
 
-# in the order fresh compares them
+SOURCE = "provenance.descended_from"
+R81 = "the rational backend at q = 8, j = 1"
+# in the writer's sorted-key order, which fresh walks
 NOT_FRESH = {
-    "field": "artifact: field.modulus is 13, but the rational backend at q = 8 has modulus 11",
-    "c_h": "artifact: matrices.c_h is not the C(H) of the rational backend at j = 1",
-    "c_g": "artifact: matrices.c_g is not the C(G) of the rational backend at j = 1",
-    "places": "artifact: places is not the place order of the rational backend at q = 8",
-    "params": "artifact: params.d_lower is 3, but the rational backend at j = 1 gives 2",
-    "provenance": "artifact: provenance.descended_from is not null on a curve artifact",
+    "field.modulus": f"artifact: field.modulus is 13, but {R81} writes 11",
+    "matrices.c_g": f"artifact: matrices.c_g is not what {R81} writes",
+    "matrices.c_h": f"artifact: matrices.c_h is not what {R81} writes",
+    "params.d_lower": f"artifact: params.d_lower is 3, but {R81} writes 2",
+    "places": f"artifact: places is not what {R81} writes",
+    SOURCE: f'artifact: {SOURCE} is {{"backend": {{"gamma": 1, "j": 1, "kind": "rational", "q": 8}}}}, but {R81} '
+            "writes null",
 }
 # a descent's records of its source, on the descent of rational q=8 j=1
 DESCENT_NOT_FRESH = {
-    "gram": "artifact: provenance.descended_from.gram is not the Gram matrix of its basis",
-    "source_params": "artifact: provenance.descended_from.params.d_lower is 3, but the rational backend at j = 1 "
-                     "gives 2",
+    f"{SOURCE}.gram": f"artifact: {SOURCE}.gram is [[0, 0, 0], [0, 0, 1], [0, 1, 0]], but the descent to GF(2) of "
+                      f"{R81} writes [[1, 0, 0], [0, 0, 1], [0, 1, 0]]",
+    f"{SOURCE}.params.d_lower": f"artifact: {SOURCE}.params.d_lower is 3, but the descent to GF(2) of {R81} writes 2",
 }
 
 
-@pytest.mark.parametrize("part", [*NOT_FRESH, *DESCENT_NOT_FRESH])
-def test_every_command_refuses_a_stale_part_in_fresh_words(tmp_path, capsys, part):
-    # fresh alone reads the stored parts, and every command acts only on a file with no stale part:
+@pytest.mark.parametrize("path", [*NOT_FRESH, *DESCENT_NOT_FRESH])
+def test_every_command_refuses_a_stale_record_in_fresh_words(tmp_path, capsys, path):
+    # fresh alone reads the stored records, and every command acts only on a file with none stale:
     # verify fails it, and descend and decode-sim refuse it in fresh's words, writing no file and no
     # record.  The inherited bound holds for the backend's own code alone, and the guarantee region
     # for the fresh deg G, field and C(H).  An edited descent is refused so before it is refused as
     # a descent
     art = artifact_mod.construct_artifact("rational", 8, 1)
-    error = NOT_FRESH.get(part) or DESCENT_NOT_FRESH[part]
-    text = artifact_mod.to_json(art if part in NOT_FRESH else artifact_mod.descend_artifact(art))
+    error = NOT_FRESH.get(path) or DESCENT_NOT_FRESH[path]
+    text = artifact_mod.to_json(art if path in NOT_FRESH else artifact_mod.descend_artifact(art))
     src, out = tmp_path / "edited.json", tmp_path / "down.json"
-    src.write_text(json.dumps(_not_fresh(json.loads(text), part)))
+    src.write_text(json.dumps(_not_fresh(json.loads(text), path)))
     assert main(["verify", str(src)]) == 1
     assert json.loads(capsys.readouterr().out)["checks"][0]["detail"] == error
     for argv in (["descend", "--in", str(src), "--out", str(out)],
@@ -622,10 +626,10 @@ def test_every_command_refuses_a_stale_part_in_fresh_words(tmp_path, capsys, par
         assert not out.exists()
 
 
-def test_fresh_names_the_first_stale_part():
-    # the field first, for indices over another modulus are other elements, then C(H), C(G), the
-    # places, the params and the provenance; the fresh code is made once per artifact, and the
-    # stored parts compared on every call
+def test_fresh_names_the_first_stale_record():
+    # the writer's sorted-key order puts the field first, for indices over another modulus are other
+    # elements, then C(G), C(H), the params, the places and the provenance; the fresh code is made
+    # once per artifact, and the stored records compared on every call
     text = artifact_mod.to_json(artifact_mod.construct_artifact("rational", 8, 1))
     order = list(NOT_FRESH)
     for at in range(len(order) + 1):
@@ -637,7 +641,74 @@ def test_fresh_names_the_first_stale_part():
     again = artifact_mod.fresh(art)
     assert again.g_rows is source.g_rows and again.stale is None
     art.c_g_rows[-1, 0] ^= 1
-    assert artifact_mod.fresh(art)[4:6] == ("c_g", NOT_FRESH["c_g"])
+    assert artifact_mod.fresh(art)[4:6] == ("matrices.c_g", NOT_FRESH["matrices.c_g"])
+
+
+@pytest.mark.parametrize("block", ["", "backend", "field", "matrices", "params", "provenance", "tool"])
+def test_every_command_refuses_a_key_the_writer_does_not_write(tmp_path, capsys, block):
+    # the file is not its recipe's bytes: verify, descend and decode-sim exit 2 with one error line
+    # that names the key, and write no file and no record.  The tool block is informational
+    doc = json.loads(artifact_mod.to_json(artifact_mod.construct_artifact("rational", 8, 1)))
+    (doc[block] if block else doc)["note"] = "an extra key"
+    src, out = tmp_path / "extra.json", tmp_path / "out.json"
+    src.write_text(json.dumps(doc))
+    key = f"{block}.note" if block else "note"
+    for argv in (["verify", str(src)], ["descend", "--in", str(src), "--out", str(out)],
+                 ["decode-sim", "--artifact", str(src), "--trials", "3", "--weight", "1", "--seed", "1",
+                  "--out", str(out)]):
+        if block == "tool":
+            assert main(argv) == 0
+            out.unlink(missing_ok=True)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: artifact: unknown key {key!r}\n")
+            assert not out.exists()
+
+
+def test_fresh_names_a_record_added_to_the_writer(monkeypatch):
+    # fresh holds no list of the records it compares: one more record the writer writes, at the top
+    # level or in a block, is compared and named when it is edited
+    real = artifact_mod._document
+
+    def writing_more(art):
+        doc = real(art)
+        doc["label"] = getattr(art, "label", "honest")
+        doc["params"]["rate"] = getattr(art, "rate", [art.k, art.n])
+        return doc
+
+    monkeypatch.setattr(artifact_mod, "_document", writing_more)
+    for code in (("rational", 8, 1), ("hermitian", 2, 1)):
+        art = artifact_mod.construct_artifact(*code)
+        assert artifact_mod.fresh(art).stale is None
+        art.rate = [art.k, art.n, 0]
+        assert artifact_mod.fresh(art).stale == "params.rate"
+        art.label = "edited"
+        verdict = artifact_mod.fresh(art)
+        assert (verdict.stale, verdict.reason) == ("label", f'artifact: label is "edited", but the {code[0]} backend '
+                                                            f"at q = {code[1]}, j = 1 writes \"honest\"")
+
+
+@pytest.mark.parametrize("code", [("rational", 256, 4), ("hermitian", 8, 1)], ids=str)
+def test_fresh_serialises_no_table_of_an_honest_artifact(monkeypatch, tmp_path, code):
+    # fresh runs in every verify, descend and decode-sim: its tables are compared by value, and no
+    # record it serialises is C(G), C(H) or the places
+    path = tmp_path / "a.json"
+    artifact_mod.save(artifact_mod.construct_artifact(*code), str(path))
+    art = artifact_mod.load(str(path))
+    dumped = []
+    real = artifact_mod._dump
+    monkeypatch.setattr(artifact_mod, "_dump", lambda value: dumped.append(value) or real(value))
+
+    def tables() -> list:  # every serialised value as long as a table, or a table itself
+        return [value for value in dumped if isinstance(value, (list, np.ndarray)) and len(value) >= 8
+                or any(value is table for table in (art.c_g_rows, art.c_h_rows, art.places))]
+
+    assert artifact_mod.fresh(art).stale is None and tables() == []
+    # the control: with the fresh places a list, as in a walk that knew no table but the matrices,
+    # they are serialised and seen
+    parts = artifact_mod._parts
+    monkeypatch.setattr(artifact_mod, "_parts", lambda *args: {**parts(*args), "places": parts(*args)["places"].tolist()})
+    assert artifact_mod.fresh(art).stale is None and len(tables()) == 2
 
 
 def test_only_the_commands_that_rely_on_a_proof_run_certify(monkeypatch, tmp_path):
@@ -863,7 +934,7 @@ def test_cli_decode_sim_refuses_a_forged_deg_g(tmp_path, capsys):
     capsys.readouterr()
     argv = ["--trials", "30", "--weight", "3", "--seed", "4", "--out", str(out)]
     assert main(["decode-sim", "--artifact", str(forged), *argv]) == 2
-    assert capsys.readouterr().err == "error: artifact: params.deg_g is 1, but the rational backend at j = 1 gives 8\n"
+    assert capsys.readouterr().err == "error: artifact: params.deg_g is 1, but the rational backend at q = 16, j = 1 writes 8\n"
     assert not out.exists()
     # the control: the honest file decodes the same stream, and beyond t_cap = 1 nothing is guaranteed
     assert main(["decode-sim", "--artifact", str(src), *argv]) == 0
@@ -899,14 +970,14 @@ def test_cli_decode_sim_refuses_a_forged_field_modulus(tmp_path, capsys):
     argv = ["--trials", "5", "--weight", "1", "--seed", "4", "--out", str(out)]
     assert main(["decode-sim", "--artifact", str(forged), *argv]) == 2
     assert capsys.readouterr().err == (
-        "error: artifact: field.modulus is 25, but the hermitian backend at q = 4 has modulus 19\n")
+        "error: artifact: field.modulus is 25, but the hermitian backend at q = 4, j = 5 writes 19\n")
     assert not out.exists()
     assert main(["decode-sim", "--artifact", str(src), *argv]) == 0
 
 
 def test_cli_descend_derives_its_params_from_the_recipe(tmp_path, capsys):
     # the stored k, d_lower and d_exact are claims, which fresh compares with the recipe: a forged
-    # source is refused in its words, and the descent of the honest one derives its own params and
+    # source is refused in its words, at the first of them in the writer's key order, and the descent of the honest one derives its own params and
     # its record of the source's from the recipe, and verifies
     src, forged, down = tmp_path / "r16.json", tmp_path / "forged.json", tmp_path / "down.json"
     assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", str(src)]) == 0
@@ -918,7 +989,7 @@ def test_cli_descend_derives_its_params_from_the_recipe(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(forged)]) == 1
     assert main(["descend", "--in", str(forged), "--out", str(down)]) == 2
-    assert capsys.readouterr().err == "error: artifact: params.k is 2, but the rational backend at j = 1 gives 1\n"
+    assert capsys.readouterr().err == "error: artifact: params.d_exact is 7, but the rational backend at q = 16, j = 1 writes null\n"
     assert not down.exists()
     assert main(["descend", "--in", str(src), "--out", str(down)]) == 0
     descended = json.loads(down.read_text())
@@ -941,7 +1012,7 @@ def test_cli_decode_sim_refuses_a_forged_c_h(tmp_path, capsys):
     argv = ["--trials", "5", "--weight", "1", "--seed", "3", "--out", str(out)]
     assert main(["decode-sim", "--artifact", str(forged), *argv]) == 2
     assert capsys.readouterr().err == (
-        "error: artifact: matrices.c_h is not the C(H) of the rational backend at j = 1\n")
+        "error: artifact: matrices.c_h is not what the rational backend at q = 16, j = 1 writes\n")
     assert not out.exists()
     # the control: the honest file certifies and recovers every planted error of the stream
     assert main(["decode-sim", "--artifact", str(src), *argv]) == 0
@@ -954,8 +1025,8 @@ def test_cli_decode_sim_refuses_a_forged_c_h(tmp_path, capsys):
     doc["params"]["deg_g"] = 0
     doc["matrices"]["c_h"] = doc["matrices"]["c_h"][:1]
     out.unlink()
-    for text, error in ((json.dumps(doc), "artifact: matrices.c_h is not the descended C(H) of the rational backend "
-                                          "at j = 1"),
+    for text, error in ((json.dumps(doc), "artifact: matrices.c_h is not what the descent to GF(2) of the rational "
+                                          "backend at q = 8, j = 1 writes"),
                         (honest, "decode-sim needs a backend artifact with a recorded deg G")):
         forged.write_text(text)
         capsys.readouterr()
@@ -966,7 +1037,7 @@ def test_cli_decode_sim_refuses_a_forged_c_h(tmp_path, capsys):
 
 def test_cli_verify_reports_a_curve_artifact_of_the_wrong_length(tmp_path, capsys):
     # rational q=16 j=1 (n = 8) recorded as n = 5, every row cut to 2n = 10 entries: the fresh
-    # code is made at the backend's length, so the report runs, fails on the stored C(H) and
+    # code is made at the backend's length, so the report runs, fails on the stored C(G) and
     # checks nothing else
     path = tmp_path / "r16.json"
     assert main(["construct", "--backend", "rational", "--q", "16", "--j", "1", "--out", str(path)]) == 0
@@ -979,7 +1050,7 @@ def test_cli_verify_reports_a_curve_artifact_of_the_wrong_length(tmp_path, capsy
     assert main(["verify", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert [c["status"] for c in report["checks"]] == ["fail"] + ["skipped"] * 6
-    assert report["checks"][0]["detail"] == "artifact: matrices.c_h is not the C(H) of the rational backend at j = 1"
+    assert report["checks"][0]["detail"] == "artifact: matrices.c_g is not what the rational backend at q = 16, j = 1 writes"
 
 
 def test_cli_too_deep_file_exits_2(tmp_path, capsys):
@@ -1045,15 +1116,15 @@ def test_cli_verify_of_an_empty_descent_reduces_nothing(tmp_path, capsys):
     assert peak < 2 << 20
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["matrices-recompute"]["detail"] == (
-        "artifact: matrices.c_h is not the descended C(H) of the hermitian backend at j = 1")
+        "artifact: matrices.c_g is not what the descent to GF(2) of the hermitian backend at q = 2, j = 1 writes")
     assert checks["dual-equality"] == {
         "name": "dual-equality", "status": "skipped",
-        "detail": "the stored c_h is not the recipe's: nothing else is checked"}
+        "detail": "the stored matrices.c_g is not the recipe's: nothing else is checked"}
 
 
 def test_cli_descend_refuses_a_code_below_rank_n(tmp_path, capsys):
     # a zero C(G) cannot contain its symplectic dual, the whole space: no artifact of k = -12.  It
-    # is refused as a code that is not the fresh one, at C(H), which is checked before C(G)
+    # is refused as a code that is not the fresh one, at C(G), the first table in the writer's key order
     src, out = tmp_path / "r8.json", tmp_path / "down.json"
     assert main(["construct", "--backend", "rational", "--q", "8", "--j", "1", "--out", str(src)]) == 0
     doc = json.loads(src.read_text())
@@ -1061,7 +1132,8 @@ def test_cli_descend_refuses_a_code_below_rank_n(tmp_path, capsys):
     src.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["descend", "--in", str(src), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: artifact: matrices.c_h is not the C(H) of the rational backend at j = 1\n"
+    assert capsys.readouterr().err == (
+        "error: artifact: matrices.c_g is not what the rational backend at q = 8, j = 1 writes\n")
     assert not out.exists()
 
 

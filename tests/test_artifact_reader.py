@@ -119,6 +119,15 @@ def _truncated(text, code, draw):
     return text[:draw(st.integers(0, len(text) - 1))]
 
 
+def _unknown_key(text, code, draw):
+    """A key the writer does not write, at the top level or in one of its blocks; one in the
+    informational "tool" block is read."""
+    doc = json.loads(text)
+    blocks = [doc] + [value for key, value in sorted(doc.items()) if isinstance(value, dict)]
+    draw(st.sampled_from(blocks))["note"] = "an extra key"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 MUTATIONS = {
     "none": lambda text, code, draw: text,
     "leading-zero": _leading_zero,
@@ -133,6 +142,7 @@ MUTATIONS = {
     "crlf": lambda text, code, draw: text.replace("\n", "\r\n"),
     "swapped-keys": _swapped_keys,
     "truncated": _truncated,
+    "unknown-key": _unknown_key,
 }
 
 

@@ -77,7 +77,7 @@ def test_decode_sim_refusals_are_pinned(tmp_path, capsys):
     forged = tmp_path / "forged.json"
     forged.write_text(json.dumps(doc))
     assert _decode_sim(capsys, str(forged), 5, 1, 3) == (
-        2, EMPTY, "error: artifact: matrices.c_h is not the C(H) of the rational backend at j = 1\n")
+        2, EMPTY, "error: artifact: matrices.c_h is not what the rational backend at q = 16, j = 1 writes\n")
 
 
 @pytest.mark.parametrize("kind, q, j, weight", [("rational", 16, 1, 1), ("rational", 16, 1, 2),

@@ -237,12 +237,13 @@ def test_mutation_beta_as_alpha_fails_the_differential_and_verify(monkeypatch):
         descent._shared_basis.cache_clear()  # the mutant basis is not kept for later descents
     assert [(b.gram, b.twist) for b in used] == [(((1, 0, 0), (0, 0, 1), (0, 1, 0)), 1)]
     assert not np.array_equal(down.c_h_rows, _eliminated_dual(down))
-    # verify descends the source again, with the real maps, and finds the stored C(H) not that
+    # verify descends the source again, with the real maps, and finds the stored C(G) not that
     # descent: the stored rows are no code the recipe proves, and are not checked
     checks = {c["name"]: c for c in artifact.verify_artifact(down)["checks"]}
     assert checks["matrices-recompute"] == {
         "name": "matrices-recompute", "status": "fail",
-        "detail": "artifact: matrices.c_h is not the descended C(H) of the rational backend at j = 1"}
+        "detail": "artifact: matrices.c_g is not what the descent to GF(2) of the rational backend at q = 8, "
+                  "j = 1 writes"}
     assert checks["dual-equality"]["status"] == "skipped"
 
 

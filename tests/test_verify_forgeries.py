@@ -1,27 +1,29 @@
-"""The forgery table: artifacts edited so that exactly one claim is false,
-each with the part of the file that ``agstab verify`` must name.
+"""The forgery table: artifacts edited so that exactly one record is false,
+each with the key path of the record that ``agstab verify`` must name.
 
 Every row edits the artifact file of hermitian q=2 j=1, rational q=8 j=1
 or rational q=16 j=1, or of the binary descent of one of the first two.
-``artifact.fresh`` is the one reader of the stored parts, so every row has
-one expectation: ``matrices-recompute`` fails with ``fresh``'s reason,
-which names the edited key (a params record its first key that differs,
-with both values), every other check is skipped with one detail that names
-the stale part, no search runs, and ``agstab verify`` exits 1.
+``artifact.fresh`` is the one reader of the stored records: it compares
+the stored document with the one the recipe's fresh artifact writes, key
+by key in the writer's order.  So every row has one expectation:
+``matrices-recompute`` fails with ``fresh``'s reason, which names the
+row's key path, every other check is skipped with one detail that names
+it, no search runs, and ``agstab verify`` exits 1.
 
 A descent is re-derived from its recipe, the source backend and basis that
-its provenance records, so an edit of its tables, basis or Gram matrix is
-named where the fresh descent first differs.  The params rows, of the
-artifact's own record and of a descent's record of its source's, are
-caught by ``fresh``'s params comparison alone: a control deletes it and
-sees each of them pass, or be named otherwise.
+its provenance records, so an edit of its tables, backend or basis is
+named at the first table, where the fresh descent first differs.  Every
+record the writer writes is some row's stale record, or is excluded with
+its reason, and three mutants of the walk each fail the rows they must.
 
 No row targets ``euclidean-dual-containment`` or ``hamming-bound``: both
 read only the fresh code, which ``curves.certify`` proves, so on a file with
-no stale part nothing the file holds can fail them.
+no stale record nothing the file holds can fail them.
 """
 
+import inspect
 import json
+import textwrap
 from functools import lru_cache
 
 import numpy as np
@@ -169,50 +171,92 @@ def _extra_key(source):
     source["note"] = "an extra key"
 
 
-# (name, edit, flags, the stale part, the key its reason names)
+def _field_degree(doc, rng):
+    """The field one degree larger, with a modulus of that degree: its size and characteristic agree."""
+    block = doc["field"]
+    block["degree"] += 1
+    block["size"] *= 2
+    block["modulus"] = {3: 11, 4: 19, 5: 37}[block["degree"]]
+
+
+def _field_modulus(doc, rng):
+    """GF(2) read over x (2), not x + 1 (3); GF(8) over 13, not 11; GF(16) over 25, not 19."""
+    doc["field"]["modulus"] = {3: 2, 11: 13, 19: 25}[doc["field"]["modulus"]]
+
+
+def _c_h_reversed(doc, rng):
+    doc["matrices"]["c_h"] = doc["matrices"]["c_h"][::-1]
+
+
+def _source_field(key, value):
+    def edit(source):
+        source["field"][key] = value(source["field"][key])
+    return edit
+
+
+def _source_n(source):
+    source["params"]["n"] += 1
+
+
+def _source_d_exact(source):
+    source["params"]["d_exact"] = source["params"]["d_lower"]
+
+
+# (name, edit, flags, the key path of the stale record, which fresh's reason names)
 CURVE_ROWS = [
-    ("places-permuted", _permute_places, (), "places", "places"),
-    ("k-plus-one", _k_plus_one, (), "params", "params.k"),
-    ("d-lower-plus-one", _d_lower_plus(1), (), "params", "params.d_lower"),
-    ("deg-g-one", _deg_g(1), (), "params", "params.deg_g"),
-    ("provenance-not-null", _curve_provenance, (), "provenance", "provenance.descended_from"),
+    ("field-degree", _field_degree, (), "field.degree"),
+    ("c_g-rows-reversed", _c_g_reversed, (), "matrices.c_g"),
+    ("c_h-rows-reversed", _c_h_reversed, (), "matrices.c_h"),
+    ("places-permuted", _permute_places, (), "places"),
+    ("k-plus-one", _k_plus_one, (), "params.k"),
+    ("d-lower-plus-one", _d_lower_plus(1), (), "params.d_lower"),
+    ("deg-g-one", _deg_g(1), (), "params.deg_g"),
+    ("provenance-not-null", _curve_provenance, (), "provenance.descended_from"),
     # a stored d_exact (no command writes one): 7 on rational q=16 j=1
-    ("d-exact-d-lower-plus-three", _d_exact(lambda params: params["d_lower"] + 3), (), "params", "params.d_exact"),
+    ("d-exact-d-lower-plus-three", _d_exact(lambda params: params["d_lower"] + 3), (), "params.d_exact"),
 ]
 SOURCE = "provenance.descended_from"
 DESCENT_ROWS = [
-    ("k-plus-one", _k_plus_one, (), "params", "params.k"),
-    ("c_h-another-subspace", _other_c_h, (), "c_h", "matrices.c_h"),
-    # its C(H), the dual of a random C(G), is named first
-    ("c_g-random", _random_c_g, (), "c_h", "matrices.c_h"),
-    ("unit-stabilizer", _unit_stabilizer, (), "c_h", "matrices.c_h"),
-    ("c_g-rows-reversed", _c_g_reversed, (), "c_g", "matrices.c_g"),
-    # the recipe at j = 2, whose params the record of the source's (those at j = 1) is not
-    ("source-j-plus-one", _provenance(_source_j_plus_one), (), "source_params", f"{SOURCE}.params.k"),
-    ("basis-reversed", _provenance(_basis_reversed), (), "gram", f"{SOURCE}.gram"),
-    ("basis-and-gram-reversed", _provenance(_basis_and_gram_reversed), (), "c_h", "matrices.c_h"),
-    ("gram-entry", _provenance(_gram_entry), (), "gram", f"{SOURCE}.gram"),
-    ("source-field-modulus", _provenance(_source_modulus), (), "source_field", f"{SOURCE}.field"),
-    ("gram-as-booleans", _provenance(_gram_as_booleans), (), "gram", f"{SOURCE}.gram"),
-    ("source-d-lower-plus-one", _provenance(_source_d_lower_plus_one), (), "source_params",
-     f"{SOURCE}.params.d_lower"),
-    ("source-k", _provenance(_source_k), (), "source_params", f"{SOURCE}.params.k"),
-    ("provenance-extra-key", _provenance(_extra_key), (), "provenance", SOURCE),
-    ("places", _places_on_a_descent, (), "places", "places"),
-    ("deg-g-five", _deg_g(5), (), "params", "params.deg_g"),
-    ("d-lower-plus-five", _d_lower_plus(5), (), "params", "params.d_lower"),
-    ("d-lower-plus-five-exact", _d_lower_plus(5), ("--exact-distance",), "params", "params.d_lower"),
-    ("d-exact-d-lower", _d_exact(lambda params: params["d_lower"]), (), "params", "params.d_exact"),
+    ("field-modulus", _field_modulus, (), "field.modulus"),
+    ("k-plus-one", _k_plus_one, (), "params.k"),
+    ("c_h-another-subspace", _other_c_h, (), "matrices.c_h"),
+    ("c_g-random", _random_c_g, (), "matrices.c_g"),
+    ("unit-stabilizer", _unit_stabilizer, (), "matrices.c_g"),
+    ("c_g-rows-reversed", _c_g_reversed, (), "matrices.c_g"),
+    # the recipe at j = 2, whose descent the stored rows are not
+    ("source-j-plus-one", _provenance(_source_j_plus_one), (), "matrices.c_g"),
+    # a basis is part of the recipe: the rows are not its descent
+    ("basis-reversed", _provenance(_basis_reversed), (), "matrices.c_g"),
+    ("basis-and-gram-reversed", _provenance(_basis_and_gram_reversed), (), "matrices.c_g"),
+    ("gram-entry", _provenance(_gram_entry), (), f"{SOURCE}.gram"),
+    ("source-field-modulus", _provenance(_source_modulus), (), f"{SOURCE}.field.modulus"),
+    ("source-field-degree", _provenance(_source_field("degree", lambda v: v + 1)), (), f"{SOURCE}.field.degree"),
+    ("source-field-size", _provenance(_source_field("size", lambda v: 2 * v)), (), f"{SOURCE}.field.size"),
+    ("source-field-characteristic", _provenance(_source_field("characteristic", lambda v: 3)), (),
+     f"{SOURCE}.field.characteristic"),
+    ("gram-as-booleans", _provenance(_gram_as_booleans), (), f"{SOURCE}.gram"),
+    ("source-d-lower-plus-one", _provenance(_source_d_lower_plus_one), (), f"{SOURCE}.params.d_lower"),
+    ("source-k", _provenance(_source_k), (), f"{SOURCE}.params.k"),
+    ("source-n", _provenance(_source_n), (), f"{SOURCE}.params.n"),
+    ("source-d-exact", _provenance(_source_d_exact), (), f"{SOURCE}.params.d_exact"),
+    ("provenance-extra-key", _provenance(_extra_key), (), f"{SOURCE}.note"),
+    ("places", _places_on_a_descent, (), "places"),
+    ("deg-g-five", _deg_g(5), (), "params.deg_g"),
+    ("d-lower-plus-five", _d_lower_plus(5), (), "params.d_lower"),
+    ("d-lower-plus-five-exact", _d_lower_plus(5), ("--exact-distance",), "params.d_lower"),
+    ("d-exact-d-lower", _d_exact(lambda params: params["d_lower"]), (), "params.d_exact"),
     # one a search would derive otherwise: no weight exceeds n
-    ("d-exact-past-n-exact", _d_exact(lambda params: params["n"] + 1), ("--exact-distance",), "params",
-     "params.d_exact"),
+    ("d-exact-past-n-exact", _d_exact(lambda params: params["n"] + 1), ("--exact-distance",), "params.d_exact"),
 ]
 TABLE = [
-    pytest.param(source, descended, edit, flags, part, named, id=f"{'descended-' * descended}{source}-{name}")
+    pytest.param(source, descended, edit, flags, stale, id=f"{'descended-' * descended}{source}-{name}")
     for source in SOURCES
     for descended, rows in ((False, CURVE_ROWS), (True, DESCENT_ROWS))
     if source in DESCENT_SOURCES or not descended
-    for name, edit, flags, part, named in rows
+    for name, edit, flags, stale in rows
+] + [  # GF(4), the field of hermitian q=2, has one modulus
+    pytest.param(source, False, _field_modulus, (), "field.modulus", id=f"{source}-field-modulus")
+    for source in ("rational-q8-j1", "rational-q16-j1")
 ]
 CHECKS = ["matrices-recompute", "dual-equality", "containment", "k-formula", "distance-bound",
           "euclidean-dual-containment", "hamming-bound"]
@@ -232,37 +276,93 @@ def _verify(tmp_path, capsys, text: str, flags: tuple[str, ...]) -> tuple[int, d
     return code, json.loads(capsys.readouterr().out)
 
 
-def _named(code: int, report: dict, named: str) -> bool:
-    """Whether verify failed the file with a reason that names the key ``named``."""
-    return code == 1 and report["checks"][0]["detail"].startswith(f"artifact: {named} ")
-
-
-@pytest.mark.parametrize("source, descended, edit, flags, part, named", TABLE)
-def test_verify_catches_each_forgery(tmp_path, capsys, source, descended, edit, flags, part, named):
+def _check_row(tmp_path, capsys, source, descended, edit, flags, stale):
     text = _forged(source, descended, edit)
     code, report = _verify(tmp_path, capsys, text, flags)
-    assert _named(code, report, named), report["checks"][0]
     verdict = artifact_mod.fresh(artifact_mod.from_json(text))
-    assert verdict.stale == part
+    assert (code, verdict.stale) == (1, stale), report["checks"][0]
+    assert verdict.reason.startswith(f"artifact: {stale} ")
     assert report == {"ok": False, "checks": [
         {"name": CHECKS[0], "status": "fail", "detail": verdict.reason},
-        *({"name": name, "status": "skipped", "detail": f"the stored {part} is not the recipe's: "
+        *({"name": name, "status": "skipped", "detail": f"the stored {stale} is not the recipe's: "
                                                         "nothing else is checked"} for name in CHECKS[1:])]}
 
 
-PARAMS_ROWS = [row for row in TABLE if row.values[4] in ("params", "source_params")]
+@pytest.mark.parametrize("source, descended, edit, flags, stale", TABLE)
+def test_verify_catches_each_forgery(tmp_path, capsys, source, descended, edit, flags, stale):
+    _check_row(tmp_path, capsys, source, descended, edit, flags, stale)
 
 
-def test_the_params_rows_rest_on_the_params_comparison(tmp_path, capsys, monkeypatch):
-    # the control: with the params comparison deleted from fresh, no params row is named as it
-    # is: its own params pass verify, and a descent's record of its source's falls to the
-    # comparison of the whole provenance, or to the rows of the recipe it names
-    monkeypatch.setattr(artifact_mod, "_params", lambda part, *args: (part, True, None))
-    for row in PARAMS_ROWS:
-        source, descended, edit, flags, part, named = row.values
-        code, report = _verify(tmp_path, capsys, _forged(source, descended, edit), flags)
-        assert not _named(code, report, named), row.id
-        assert code == (0 if part == "params" else 1), row.id
+def _record_paths(doc: dict, path: str = ""):
+    """The key path of every record a document holds: each value that is no object, tables included."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _record_paths(value, f"{path}{key}.")
+        else:
+            yield path + key
+
+
+RECIPE = "the recipe: an edit names another code, and the file is named where its artifact first differs"
+# the records no row edits, and why; a key excludes every path under it
+UNFORGED = {
+    "schema_version": "the reader refuses any other version before fresh runs",
+    "tool": "informational: the artifact does not carry it, so fresh compares the writer's tool with itself",
+    "field.characteristic": "the reader checks it against field.degree",
+    "field.size": "the reader checks it against field.degree",
+    "params.n": "the reader checks the rows' length against it, and the tables, which come first, then differ",
+}
+CURVE_UNFORGED = {**UNFORGED, "backend": RECIPE}
+DESCENT_UNFORGED = {**UNFORGED, "backend": RECIPE + " (a block makes it a curve artifact)",
+                    "field.degree": RECIPE + " (the degree of the field it descends to)",
+                    f"{SOURCE}.backend": RECIPE, f"{SOURCE}.basis": RECIPE}
+
+
+@pytest.mark.parametrize("descended", [False, True], ids=["curve", "descent"])
+def test_every_record_the_writer_writes_has_a_forgery(descended):
+    # every record path _document writes, down to the keys of params, field and the provenance, is
+    # the stale record of some row on that kind of artifact, or is excluded with its reason: a record
+    # added to the writer fails here until a row forges it
+    art = artifact_mod.from_json(_text("rational-q8-j1", descended))
+    excluded = DESCENT_UNFORGED if descended else CURVE_UNFORGED
+    paths = {path for path in _record_paths(artifact_mod._document(art))
+             if not any(path == key or path.startswith(key + ".") for key in excluded)}
+    named = {row.values[4] for row in TABLE if row.values[1] == descended}
+    assert paths - named == set()
+    assert {"params.deg_g", "matrices.c_h", "params.k"} <= paths  # the control: the walk reaches them
+    assert named - paths == ({f"{SOURCE}.note"} if descended else set())  # a key the writer never writes
+
+
+PINNED = {row.id: row for row in TABLE}
+
+
+TABLE_CONDITION = "(stored == ours.tolist() if isinstance(stored, list) else np.array_equal(stored, ours))"
+
+
+@pytest.mark.parametrize("mutant, rows", [
+    # records compared as Python compares them, where true is 1
+    (("else _dump(value)", "else value"), ["descended-rational-q8-j1-gram-as-booleans"]),
+    # a walk that stops below the top-level blocks, and compares the provenance record whole
+    (("isinstance(ours, dict):", "isinstance(ours, dict) and len(path) < 2:"),
+     ["descended-rational-q8-j1-gram-entry", "descended-hermitian-q2-j1-source-k",
+      "descended-rational-q8-j1-source-field-modulus"]),
+    # tables compared by their shape alone
+    ((TABLE_CONDITION, "np.shape(stored) == np.shape(ours)"),
+     ["descended-rational-q8-j1-c_g-rows-reversed", "descended-hermitian-q2-j1-c_h-another-subspace",
+      "rational-q16-j1-c_h-rows-reversed", "rational-q8-j1-places-permuted"]),
+], ids=["records-by-==", "one-level", "tables-by-shape"])
+def test_mutants_of_the_walk_fail_their_rows(monkeypatch, tmp_path, capsys, mutant, rows):
+    source = textwrap.dedent(inspect.getsource(artifact_mod._differences))
+    assert source.count(mutant[0]) == 1
+    namespace = {}
+    exec(compile(source.replace(*mutant), "<mutant>", "exec"), vars(artifact_mod), namespace)
+    rows = [PINNED[row] for row in rows]
+    monkeypatch.setattr(artifact_mod, "_differences", namespace["_differences"])
+    for row in rows:
+        with pytest.raises(AssertionError):
+            _check_row(tmp_path, capsys, *row.values)
+    monkeypatch.undo()
+    for row in rows:  # the control: each row holds on the walk itself
+        _check_row(tmp_path, capsys, *row.values)
 
 
 def _reduced(monkeypatch, run) -> bool:
@@ -285,8 +385,8 @@ def _reduced(monkeypatch, run) -> bool:
     return False
 
 
-@pytest.mark.parametrize("source, descended, edit, flags, part, named", TABLE)
-def test_verify_reduces_no_stored_row_of_a_stale_table(monkeypatch, source, descended, edit, flags, part, named):
+@pytest.mark.parametrize("source, descended, edit, flags, stale", TABLE)
+def test_verify_reduces_no_stored_row_of_a_stale_table(monkeypatch, source, descended, edit, flags, stale):
     art = artifact_mod.from_json(_forged(source, descended, edit))
     artifact_mod.fresh(art)  # the recipe's descent, made once per artifact, as load makes it for a whole file
     for options in ({}, {"exact_distance": True}, {"budget": 2}):

@@ -356,10 +356,9 @@ def load(path: str) -> CodeArtifact:
         if size > memory:
             raise ValueError(f"artifact: {path} is {size} bytes, more than the {memory} bytes of memory "
                              "on this host, and not the file its recipe writes: it cannot be read")
-        raw = fh.read()
-    text = io.TextIOWrapper(io.BytesIO(raw)).read()
-    del raw  # json.loads holds only the text, as when the file was read as text
-    return _keeping(code, _from_document(json.loads(text)))
+        with io.TextIOWrapper(fh) as text:  # one read, decoded as text mode decodes it
+            doc = json.loads(text.read())
+    return _keeping(code, _from_document(doc))
 
 
 # regeneration costs one evaluation, which fresh then reuses, and one layout; json.loads and a later
@@ -498,8 +497,9 @@ def fresh(art: CodeArtifact) -> Fresh:
     exist.  The stored document is compared with the fresh artifact's, its
     tables the fresh arrays, in the writer's key order (``_differences``),
     so the field comes before the tables whose indices it gives meaning; the
-    first key path that differs is stale.  The code is made once per artifact
-    and recipe (``load`` hands over its own), and the document is compared on
+    first key path that differs is stale, and its reason shows both records
+    only when they fit in a line.  The code is made once per artifact and
+    recipe (``load`` hands over its own), and the document is compared on
     every call, so an artifact edited after it was read is still caught.
     ValueError when the recipe names no code.  Nothing is proved here:
     ``curves.certify`` proves it.
@@ -514,8 +514,9 @@ def fresh(art: CodeArtifact) -> Fresh:
     stale, shown = next(_differences(doc, _document(CodeArtifact(c_g_rows=g_rows, c_h_rows=h_rows, **parts))),
                         (None, None))
     who = ("" if basis is None else f"the descent to GF({basis.sub.q}) of ") + f"the {kind} backend at q = {q}, j = {j}"
-    reason = None if stale is None else "artifact: " + (f"{stale} is not what {who} writes" if shown is None
-                                                        else f"{stale} is {shown[0]}, but {who} writes {shown[1]}")
+    reason = None if stale is None else "artifact: " + (
+        f"{stale} is {shown[0]}, but {who} writes {shown[1]}" if shown and len(shown[0] + shown[1]) <= 80
+        else f"{stale} is not what {who} writes")
     return Fresh(backend, j, g_rows, h_rows, stale, reason, parts)
 
 
@@ -617,11 +618,11 @@ def verify_artifact(
     and skips every other check, so no search runs.  Otherwise the report is
     built from ``fresh``, and what this run computes is checked: the ranks
     of the fresh rows against the recipe's n and k, each search against the
-    lower bound (the C(H) rows check C(G) and the C(G) rows C(H); one that
-    ``symplectic.search_refusal`` refuses fails before it starts) and the
-    Hamming search on swap(C(H)), the Euclidean dual of C(G).  A descent
-    skips ``matrices-recompute``, as it has no places, and the classical
-    checks.
+    lower bound (``symplectic.sweep_min_weight``, to which the C(H) rows
+    check C(G) and the C(G) rows C(H), and which alone decides what it
+    searches or refuses) and the Hamming search of C(G), which has the
+    weights of swap(C(G)), whose Euclidean dual is C(H).  A descent skips
+    ``matrices-recompute``, as it has no places, and the classical checks.
     """
     source = fresh(art)
     backend, j, g_rows, h_rows, parts = source.backend, source.j, source.g_rows, source.h_rows, source.parts
@@ -645,14 +646,8 @@ def verify_artifact(
     bound_ok, bound_detail = True, (f"inherited lower bound {bound} (descent does not decrease it)" if descended
                                     else f"recorded lower bound {bound} matches the recomputed {bound}")
     if exact_distance or budget is not None:
-        mode = "auto" if exact_distance else "budget"
-        try:
-            if rank_g == rank_h:
-                res = symplectic.MinWeightResult(status="empty")
-            elif refused := symplectic.search_refusal(f.q, n, rank_g, budget, mode):
-                raise ValueError(refused)
-            else:  # C(H) = C(G)^perp: the checks of C(G) are the C(H) rows, and vice versa
-                res = symplectic.sweep_min_weight(f, h_rows, g_rows, 2 * n, rank_g, budget, mode)
+        try:  # C(H) = C(G)^perp: the checks of C(G) are the C(H) rows, and vice versa
+            res = symplectic.sweep_min_weight(f, h_rows, g_rows, 2 * n, budget, "auto" if exact_distance else "budget")
         except ValueError as exc:
             bound_ok, bound_detail = False, f"search failed: {exc}"
         else:
@@ -674,17 +669,14 @@ def verify_artifact(
         checks.append(_check("euclidean-dual-containment", True, "the Euclidean dual of C(G) lies inside C(G)"))
         d_hamming = backend.hamming_bound(j)
         dim_ok = rank_g == n + j
-        if exact_distance and f.q ** rank_g <= symplectic.ENUMERATION_CAP:
-            try:  # the Euclidean dual of the fresh C(G) is swap(C(H))
-                w = symplectic.sweep_min_hamming_weight(f, np.roll(h_rows, n, axis=1), 2 * n, rank_g)
-            except ValueError as exc:
-                checks.append(_check("hamming-bound", False, f"search failed: {exc}"))
-            else:
-                checks.append(_check("hamming-bound", dim_ok and w >= d_hamming,
-                                     f"classical dim {rank_g} = n + j and min Hamming weight {w} >= {d_hamming}"))
+        try:  # C(H) is the Euclidean dual of swap(C(G)), whose Hamming weights are C(G)'s
+            w = symplectic.sweep_min_hamming_weight(f, h_rows, 2 * n) if exact_distance else None
+        except ValueError as exc:
+            checks.append(_check("hamming-bound", False, f"search failed: {exc}"))
         else:
-            checks.append(_check("hamming-bound", dim_ok,
-                                 f"classical dim {rank_g} = n + j; bound {d_hamming} not enumerated"))
+            found = f" and min Hamming weight {w} >= {d_hamming}" if w else f"; bound {d_hamming} not enumerated"
+            checks.append(_check("hamming-bound", dim_ok and (not w or w >= d_hamming),
+                                 f"classical dim {rank_g} = n + j{found}"))
 
     report: dict[str, Any] = {"ok": all(c["status"] != "fail" for c in checks), "checks": checks}
     if d_exact is not None:

@@ -12,26 +12,30 @@ two equal subspaces compare bit for bit.
 
 The distance searches are the hot paths.  Every one sweeps the weights
 w = 1, 2, .. on one meet-in-the-middle kernel (Stern 1988),
-``_SyndromeSearch``: the exact distances (symplectic, for q^dim <=
-ENUMERATION_CAP, and Hamming) stop at the first weight with a codeword,
-the weight-budget sweep at its budget.  The kernel also decodes on Hamming
-weight.  The checks may be any rows that span the dual of the code
-searched, for hits and weights do not depend on the basis: the sweeps
-``sweep_min_weight`` and ``sweep_min_hamming_weight`` take them as given,
-and ``relative_min_weight`` and ``min_hamming_weight`` read them off a
-canonical basis.  The vectors of weight exactly w with syndrome t split
+``_SyndromeSearch``: the exact distances (symplectic and Hamming) stop at
+the first weight with a codeword, the weight-budget sweep at its budget.
+The kernel also decodes on Hamming weight.  The checks may be any
+independent rows that span the dual of the code searched, for hits and
+weights do not depend on the basis: the sweeps ``sweep_min_weight`` and
+``sweep_min_hamming_weight`` take them as given and read the rank off
+them, and ``relative_min_weight`` and ``min_hamming_weight`` read them off
+a canonical basis.  The vectors of weight exactly w with syndrome t split
 after s_{w//2} of their support s_1 < ... < s_w; the left parts are held
 sorted by a 64-bit GF(2)-linear fingerprint of their syndromes, the right
 parts stream past them in chunks, looked up in sorted order past a small
-left half, and every match is checked exactly.  Syndromes come from the log/antilog
-arrays, so every GF(2^r), r <= 16, works.
+left half, and every match is checked exactly.  Syndromes come from the
+log/antilog arrays, so every GF(2^r), r <= 16, works.
 ENUMERATION_CAP is the one refusal policy, read when each refusal runs: a
-weight whose halves exceed it, an exact distance with q^dim over it and
-the exhaustive decoding oracle with q^(2n) over it raise ValueError.
+weight whose halves exceed it and the exhaustive decoding oracle with
+q^(2n) over it raise ValueError.  An exact distance needs q^dim within it
+(``_exhaustive``): past it the symplectic sweep needs a budget, and the
+Hamming sweep gives None.  The two sweeps decide this themselves, and
+give each refusal that rests on q, n and the rank before any kernel.
 
 The [[n, k, d]] of a stabilizer code C(G) >= C(H) = C(G)^perp is read
 off in ``artifact.verify_artifact``: n from the width, k from the ranks,
-and d from ``relative_min_weight(C(G), C(H))`` or, certified, its sweep.
+and d from ``sweep_min_weight`` on the fresh rows, where the C(H) rows
+check C(G) and the C(G) rows check C(H).
 """
 
 from __future__ import annotations
@@ -335,19 +339,9 @@ def _weight_refusal(w: int, n: int, base: int) -> str | None:
     return None
 
 
-def search_refusal(q: int, n: int, rank: int, budget: int | None, mode: str) -> str | None:
-    """The message with which ``relative_min_weight`` refuses C \\ D, C of ``rank`` > dim D in
-    F_q^(2n), before it searches any weight; None when it searches one.  It rests on q, n and
-    the rank alone (a sweep with no budget needs q^rank <= ENUMERATION_CAP, and every sweep
-    starts at weight 1), so a caller that knows the rank can refuse before reducing any basis."""
-    exact = mode == "auto" and q ** rank <= ENUMERATION_CAP
-    if not exact and budget is None:
-        try:
-            dim = str(q ** rank)
-        except ValueError:  # more digits than an int converts to (sys.get_int_max_str_digits)
-            dim = f"{q}^{rank}"
-        return f"q^dim = {dim} exceeds the enumeration cap; a weight budget is required"
-    return _weight_refusal(1, n, q * q - 1) if exact or budget >= 1 else None
+def _exhaustive(q: int, rank: int) -> bool:
+    """The one test of both exact distances: the code, of q^rank vectors, is within ENUMERATION_CAP."""
+    return q ** rank <= ENUMERATION_CAP
 
 
 def _symplectic_search(field: GF2m, rows: np.ndarray, width: int) -> _SyndromeSearch:
@@ -384,69 +378,82 @@ def _enumerate_min_weight(field: GF2m, c_checks: np.ndarray, d_checks: np.ndarra
 
 def _budget_min_weight(field: GF2m, c_checks: np.ndarray, d_checks: np.ndarray, width: int,
                        budget: int) -> MinWeightResult:
-    """Sweep the symplectic weights 1..budget for a vector in C \\ D."""
-    w = _first_weight(field, c_checks, d_checks, width, budget)
+    """Sweep the symplectic weights 1..budget for a vector in C \\ D; no weight builds no kernel."""
+    w = _first_weight(field, c_checks, d_checks, width, budget) if budget >= 1 else None
     if w is None:
         return MinWeightResult(status="at-least", floor=budget + 1)
     return MinWeightResult(status="exact", weight=w)
 
 
-def sweep_min_weight(field: GF2m, c_checks: np.ndarray, d_checks: np.ndarray, width: int, rank: int,
+def sweep_min_weight(field: GF2m, c_checks: np.ndarray, d_checks: np.ndarray, width: int,
                      budget: int | None = None, mode: str = "auto") -> MinWeightResult:
-    """``relative_min_weight`` over C \\ D, D < C in F_q^width with C of ``rank``, on rows that span
-    C^perp (``c_checks``) and D^perp (``d_checks``); the caller has ruled out D = C and ``search_refusal``."""
-    if mode == "auto" and field.q ** rank <= ENUMERATION_CAP:
-        return MinWeightResult(status="exact", weight=_enumerate_min_weight(field, c_checks, d_checks, width))
-    return _budget_min_weight(field, c_checks, d_checks, width, budget)
+    """Minimum symplectic weight over C \\ D, D <= C in F_q^width, on independent rows that span
+    C^perp (``c_checks``) and D^perp (``d_checks``); C has rank width - len(c_checks).
 
-
-def relative_min_weight(C: CodeBasis, D: CodeBasis, budget: int | None = None, mode: str = "auto") -> MinWeightResult:
-    """Minimum symplectic weight over C \\ D.
-
-    mode "auto" sweeps every weight up to the exact minimum whenever
-    q^dim(C) <= ENUMERATION_CAP and otherwise requires a budget; "budget"
-    sweeps the weights up to the budget only (which is how the two are
-    cross-checked against each other).  Either sweep raises ValueError when
-    a weight's halves exceed ENUMERATION_CAP rows.
+    It is "empty" when C and D have as many checks.  Mode "auto" sweeps
+    every weight up to the exact minimum when C is ``_exhaustive``, and
+    otherwise, as mode "budget" does, the weights up to the budget.  An
+    unknown mode or mode "budget" with no budget raises ValueError, and so
+    does, before any kernel is built, no budget past the cap or a weight 1
+    whose halves exceed ENUMERATION_CAP rows, as a later such weight does
+    when the sweep reaches it.
     """
     if mode not in ("auto", "budget"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "budget" and budget is None:
         raise ValueError('mode "budget" needs a budget')
+    if len(c_checks) == len(d_checks):
+        return MinWeightResult(status="empty")
+    rank = width - len(c_checks)
+    exact = mode == "auto" and _exhaustive(field.q, rank)
+    if not exact and budget is None:
+        try:
+            dim = str(field.q ** rank)
+        except ValueError:  # more digits than an int converts to (sys.get_int_max_str_digits)
+            dim = f"{field.q}^{rank}"
+        raise ValueError(f"q^dim = {dim} exceeds the enumeration cap; a weight budget is required")
+    if (exact or budget >= 1) and (refused := _weight_refusal(1, width // 2, field.q ** 2 - 1)):
+        raise ValueError(refused)
+    if exact:
+        return MinWeightResult(status="exact", weight=_enumerate_min_weight(field, c_checks, d_checks, width))
+    return _budget_min_weight(field, c_checks, d_checks, width, budget)
+
+
+def relative_min_weight(C: CodeBasis, D: CodeBasis, budget: int | None = None, mode: str = "auto") -> MinWeightResult:
+    """Minimum symplectic weight over C \\ D: ``sweep_min_weight`` on the rows of the two duals.
+
+    D must lie in C (ValueError).  The two modes cross-check each other.
+    """
     if not contains(C, D):
         raise ValueError("D must be a subspace of C")
-    if C.rank == D.rank:
-        return MinWeightResult(status="empty")
-    if refused := search_refusal(C.field.q, C.width // 2, C.rank, budget, mode):
-        raise ValueError(refused)
     # the checks of C are the rows of its dual, and those of D = C^perp the rows of C
     dual_c = symplectic_dual(C)
     dual_d = C if dual_c == D else symplectic_dual(D)
-    return sweep_min_weight(C.field, dual_c.rows, dual_d.rows, C.width, C.rank, budget, mode)
+    return sweep_min_weight(C.field, dual_c.rows, dual_d.rows, C.width, budget, mode)
 
 
-def min_hamming_weight(C: CodeBasis) -> int:
-    """Exact minimum Hamming weight over the nonzero codewords of C.
-
-    The kernel with g = 1 sweeps the Hamming weights 1, 2, .. for a vector
-    with zero syndrome against the Euclidean dual of C and stops at the
-    first with a hit; the Singleton bound puts one at weight <= width -
-    rank + 1.  The checks are the kernel rows read off the rref, unreduced.
-    ValueError when a weight's halves exceed ENUMERATION_CAP rows.
-    """
+def min_hamming_weight(C: CodeBasis) -> int | None:
+    """Exact minimum Hamming weight over the nonzero codewords of C, or None past the cap: the
+    sweep on the Euclidean kernel rows read off the rref, unreduced.  ValueError for the zero code."""
     if C.rank == 0:
         raise ValueError("the zero code has no nonzero codeword")
-    if C.rank == C.width:
-        return 1  # no checks: every unit vector is a codeword
-    return sweep_min_hamming_weight(C.field, linalg._nullspace_rows(C.rows, C.pivots, C.width), C.width, C.rank)
+    return sweep_min_hamming_weight(C.field, linalg._nullspace_rows(C.rows, C.pivots, C.width), C.width)
 
 
-def sweep_min_hamming_weight(field: GF2m, checks: np.ndarray, width: int, rank: int) -> int:
-    """The sweep of ``min_hamming_weight`` over the nonzero x in F_q^width with x . b = 0 for
-    the rows b of ``checks``, which span the Euclidean dual of a code of ``rank`` < width."""
+def sweep_min_hamming_weight(field: GF2m, checks: np.ndarray, width: int) -> int | None:
+    """Minimum Hamming weight over the nonzero x in F_q^width with x . b = 0 for the rows b of
+    ``checks``, independent, which span the Euclidean dual of the code; None, not enumerated, when
+    the code is not ``_exhaustive``, the test of ``sweep_min_weight``'s exact sweep.
+
+    The kernel with g = 1 sweeps the weights 1, 2, .. and stops at the
+    first with a hit; the Singleton bound puts one at weight <= len(checks)
+    + 1.  ValueError when a weight's halves exceed ENUMERATION_CAP rows.
+    """
+    if not _exhaustive(field.q, width - len(checks)):
+        return None
     search = _SyndromeSearch(field, checks, width, 1)
     zero = (0,) * len(checks)
-    for w in range(1, width - rank + 2):
+    for w in range(1, len(checks) + 2):
         if next(search.solutions(w, zero), None) is not None:
             return w
     raise AssertionError("no codeword within the Singleton bound")

@@ -319,6 +319,23 @@ def test_no_command_module_names_an_elimination_oracle(module):
                   "linalg.row_in_span") & ELIMINATION_ORACLES == ELIMINATION_ORACLES
 
 
+SEARCH_POLICY = {"ENUMERATION_CAP", "MinWeightResult", "search_refusal"}
+
+
+@pytest.mark.parametrize("module", ["artifact", "cli"])
+def test_no_command_module_names_the_search_policy(module):
+    # symplectic.sweep_min_weight and sweep_min_hamming_weight decide what a search enumerates and
+    # what it refuses: a command names neither the cap, nor a result it builds, nor a refusal test
+    import importlib
+    import inspect
+
+    assert not _names(inspect.getsource(importlib.import_module(f"agstab.{module}"))) & SEARCH_POLICY
+    # control: the policy verify once split with the sweep is seen
+    assert _names("from .symplectic import ENUMERATION_CAP, MinWeightResult, search_refusal\n"
+                  "if refused := search_refusal(q, n, rank, budget, mode):\n"
+                  "    res = MinWeightResult(status='empty')\n") & SEARCH_POLICY == SEARCH_POLICY
+
+
 STORED_RECORDS = {"k", "d_lower", "deg_g", "d_exact", "c_g_rows", "c_h_rows", "places", "descended_from"}
 
 
@@ -626,6 +643,43 @@ def test_every_command_refuses_a_stale_record_in_fresh_words(tmp_path, capsys, p
         assert not out.exists()
 
 
+def _long_places(doc):
+    doc["places"] = [[0]] * 20000
+
+
+def _long_provenance(doc):
+    doc["provenance"]["descended_from"] = {"x": list(range(30000))}
+
+
+# a record far longer than a line, where the writer writes null: fresh names it as a table
+LONG_RECORDS = {
+    "descent-places": (("hermitian", 2, 1), True, _long_places,
+                       "artifact: places is not what the descent to GF(2) of the hermitian backend at q = 2, j = 1 writes"),
+    "curve-provenance": (("rational", 8, 1), False, _long_provenance,
+                         f"artifact: {SOURCE} is not what {R81} writes"),
+}
+
+
+@pytest.mark.parametrize("row", LONG_RECORDS)
+def test_a_long_stored_record_gets_a_one_line_reason(tmp_path, capsys, row):
+    # the stored record dumped would be about 100 000 and 199 000 characters: every command's
+    # reason shows two records only when they fit in a line
+    code, descended, edit, error = LONG_RECORDS[row]
+    art = artifact_mod.construct_artifact(*code)
+    doc = json.loads(artifact_mod.to_json(artifact_mod.descend_artifact(art) if descended else art))
+    edit(doc)
+    src, out = tmp_path / "long.json", tmp_path / "out.json"
+    src.write_text(json.dumps(doc, indent=2))
+    assert main(["verify", str(src)]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"][0]["detail"] == error
+    for argv in (["descend", "--in", str(src), "--out", str(out)],
+                 ["decode-sim", "--artifact", str(src), "--trials", "3", "--weight", "1", "--seed", "1",
+                  "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not out.exists()
+
+
 def test_fresh_names_the_first_stale_record():
     # the writer's sorted-key order puts the field first, for indices over another modulus are other
     # elements, then C(G), C(H), the params, the places and the provenance; the fresh code is made
@@ -686,6 +740,12 @@ def test_fresh_names_a_record_added_to_the_writer(monkeypatch):
         verdict = artifact_mod.fresh(art)
         assert (verdict.stale, verdict.reason) == ("label", f'artifact: label is "edited", but the {code[0]} backend '
                                                             f"at q = {code[1]}, j = 1 writes \"honest\"")
+        # the two records are shown while their dumps, with "honest"'s 8 characters, fit in 80
+        art.label = "x" * 70
+        assert f'label is "{art.label}", but' in artifact_mod.fresh(art).reason
+        art.label += "x"
+        assert artifact_mod.fresh(art).reason == (f"artifact: label is not what the {code[0]} backend "
+                                                  f"at q = {code[1]}, j = 1 writes")
 
 
 @pytest.mark.parametrize("code", [("rational", 256, 4), ("hermitian", 8, 1)], ids=str)

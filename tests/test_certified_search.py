@@ -5,10 +5,11 @@ artifacts still take, and mutation controls for the rows each search checks.
 ``curves.certify`` proves C(H) = C(G)^perp and C(H) <= C(G) of the fresh
 rows, the evaluation of L(G), so when the stored rows are those, the
 checks of C(G) are the C(H) rows and those of C(H) the C(G) rows.  The
-Hamming search of every curve artifact reads the fresh code: the Euclidean
-dual of the fresh C(G) is swap(C(H)).
+Hamming search of every curve artifact reads the fresh code: C(H) is the
+Euclidean dual of swap(C(G)), which has the Hamming weights of C(G).
 """
 
+import hashlib
 import inspect
 import json
 import textwrap
@@ -22,6 +23,7 @@ import pytest
 from agstab import artifact as artifact_mod
 from agstab import linalg, symplectic
 from agstab.curves import make_backend
+from agstab.gf import field
 from agstab.symplectic import ENUMERATION_CAP, CodeBasis, min_hamming_weight, relative_min_weight
 
 # every curve code that tier-1 constructs: rational q <= 16, hermitian q = 2, and hermitian
@@ -45,7 +47,7 @@ def test_the_evaluation_rows_give_the_reduced_results(code):
     f, width, rank = art.field, art.width, len(art.c_g_rows)
     c_g, c_h = (CodeBasis.from_rows(f, rows, width) for rows in (art.c_g_rows, art.c_h_rows))
     # the checks as verify passes them: C(H) rows for C(G), C(G) rows for D = C(H)
-    rows = (f, art.c_h_rows, art.c_g_rows, width, rank)
+    rows = (f, art.c_h_rows, art.c_g_rows, width)
     # every budget up to the first that ends the sweep, with a weight or a refusal
     for budget in count(1):
         want = outcome(relative_min_weight, c_g, c_h, budget=budget, mode="budget")
@@ -54,8 +56,9 @@ def test_the_evaluation_rows_give_the_reduced_results(code):
             break
     if f.q ** rank <= ENUMERATION_CAP:
         assert symplectic.sweep_min_weight(*rows) == relative_min_weight(c_g, c_h)
-        swapped = np.roll(art.c_h_rows, art.n, axis=1)
-        assert symplectic.sweep_min_hamming_weight(f, swapped, width, rank) == min_hamming_weight(c_g)
+        assert symplectic.sweep_min_hamming_weight(f, art.c_h_rows, width) == min_hamming_weight(c_g)
+    else:
+        assert symplectic.sweep_min_hamming_weight(f, art.c_h_rows, width) is None
 
 
 def eliminating(monkeypatch, art):
@@ -63,9 +66,9 @@ def eliminating(monkeypatch, art):
     to the path of an edited or a descended artifact, the Hamming one to the search of C(G)."""
     c_g, c_h = (CodeBasis.from_rows(art.field, rows, art.width) for rows in (art.c_g_rows, art.c_h_rows))
     shim = SimpleNamespace(**vars(symplectic))  # artifact's view of the module; the module is unchanged
-    shim.sweep_min_weight = (lambda field, c_checks, d_checks, width, rank, budget, mode:
+    shim.sweep_min_weight = (lambda field, c_checks, d_checks, width, budget, mode:
                              relative_min_weight(c_g, c_h, budget=budget, mode=mode))
-    shim.sweep_min_hamming_weight = lambda field, checks, width, rank: min_hamming_weight(c_g)
+    shim.sweep_min_hamming_weight = lambda field, checks, width: min_hamming_weight(c_g)
     monkeypatch.setattr(artifact_mod, "symplectic", shim)
 
 
@@ -116,14 +119,14 @@ def _mutant(*edits):
 
 
 SWEEP = "symplectic.sweep_min_weight(f, h_rows, g_rows,"
-HAMMING = "np.roll(h_rows, n, axis=1)"
+HAMMING = "symplectic.sweep_min_hamming_weight(f, h_rows,"
 MUTANTS = {
     "d-checks-from-c-h": ((SWEEP, SWEEP.replace("g_rows", "h_rows")),),
     "hamming-checks-from-c-g": ((HAMMING, HAMMING.replace("h_rows", "g_rows")),),
     "none": (),  # the control: recompiled unchanged, nothing to catch
-    # no mutant either: swap permutes the coordinates, so the unswapped C(H) rows check
-    # swap(C(G)), which has the Hamming weights of C(G), and no report can change
-    "hamming-swap-dropped": ((HAMMING, "h_rows"),),
+    # no mutant either: swap permutes the coordinates, so the swapped C(H) rows check C(G),
+    # which has the Hamming weights of swap(C(G)), and no report can change
+    "hamming-swap-added": ((HAMMING, HAMMING.replace("h_rows", "np.roll(h_rows, n, axis=1)")),),
 }
 
 
@@ -179,5 +182,40 @@ def test_the_exact_refusal_at_hermitian_q16_writes_the_power_it_cannot_convert(m
     (4096, 2052, "4096^2052"),  # 7413 digits: rational q=4096 j=4
 ])
 def test_the_refusal_writes_q_to_the_rank_only_past_the_digit_limit(q, rank, dim):
-    assert symplectic.search_refusal(q, q // 2, rank, None, "auto") == (
-        f"q^dim = {dim} exceeds the enumeration cap; a weight budget is required")
+    # the sweep reads the rank off its checks: no check of C in F_q^rank, and one of D
+    f = field(q.bit_length() - 1)
+    checks = np.zeros((0, rank), dtype=np.uint16), np.zeros((1, rank), dtype=np.uint16)
+    with pytest.raises(ValueError) as refused:
+        symplectic.sweep_min_weight(f, *checks, rank)
+    assert str(refused.value) == f"q^dim = {dim} exceeds the enumeration cap; a weight budget is required"
+
+
+# whether verify passes, and the SHA-256 of the report it prints (json.dumps(report, indent=2) and a
+# newline); budget 0 is no refusal, but sweeps no weight
+REFUSED_REPORTS = {
+    (("rational", 512, 4), (("budget", 1),)):
+        (False, "966b9f80d2cefbb02dd22472d9e25d4a8661b72ec2774b916df548a5e3934200"),
+    (("hermitian", 16, 1), (("exact_distance", True),)):
+        (False, "4f55040179cd826473063a8a2145b1975dbee005eed55470d8c53993e4d6f98e"),
+    (("rational", 512, 4), (("budget", 0),)):
+        (True, "e5d450e2badd1e317f536d18900cb8613786ac7fdbc452c14617378def92a947"),
+}
+
+
+@pytest.mark.parametrize("code, options", REFUSED_REPORTS, ids=str)
+def test_a_refusal_builds_no_kernel(monkeypatch, code, options):
+    # rational q=512 j=4 refuses weight 1, whose right half has C(256,1) * 262143 rows, and hermitian
+    # q=16 j=1 the exact distance, as q^dim = 256^2041: each before the sweep builds a kernel, which
+    # would copy every check to int64; the Hamming search is not enumerated, and builds none either
+    art = artifact_mod.construct_artifact(*code)
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(symplectic._SyndromeSearch, "__init__", no_kernel)
+    report = artifact_mod.verify_artifact(art, **dict(options))
+    printed = json.dumps(report, indent=2) + "\n"
+    assert (report["ok"], hashlib.sha256(printed.encode()).hexdigest()) == REFUSED_REPORTS[code, options]
+    # control: a sweep that searches builds its kernel, and so fails here
+    with pytest.raises(AssertionError, match="a kernel was built"):
+        artifact_mod.verify_artifact(artifact_mod.construct_artifact("rational", 8, 1), exact_distance=True)

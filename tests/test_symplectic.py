@@ -13,6 +13,7 @@ from agstab.symplectic import (
     contains,
     min_hamming_weight,
     relative_min_weight,
+    sweep_min_weight,
     symplectic_dual,
     symplectic_weight,
     syndrome_of,
@@ -340,6 +341,9 @@ def test_budget_mode_needs_a_budget():
     C = CodeBasis.from_rows(f, [(1, 1, 1, 1)], 4)
     with pytest.raises(ValueError, match='^mode "budget" needs a budget$'):
         relative_min_weight(C, CodeBasis.zero(f, 4), mode="budget")
+    # the sweep says so itself, not that q^dim exceeds the cap
+    with pytest.raises(ValueError, match='^mode "budget" needs a budget$'):
+        sweep_min_weight(f, symplectic_dual(C).rows, symplectic_dual(CodeBasis.zero(f, 4)).rows, 4, mode="budget")
     assert relative_min_weight(C, CodeBasis.zero(f, 4)).weight == 2    # "auto" needs none here
 
 

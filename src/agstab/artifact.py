@@ -223,6 +223,17 @@ def _json_kind(value: Any) -> str:
     return _KINDS.get(type(value), type(value).__name__)
 
 
+# the widest integer read from a file or an option: counts and sizes are far below it, and 2n still a dimension
+INT_BOUND = 1 << 62
+
+
+def bounded(where: str, value: int) -> int:
+    """``value``, or ValueError naming ``where`` (and not printing ``value``) past INT_BOUND."""
+    if not -INT_BOUND <= value < INT_BOUND:
+        raise ValueError(f"{where} is an integer of {value.bit_length()} bits, outside [-2^62, 2^62)")
+    return value
+
+
 def _entry(block: dict, path: str, key: str, kind: type, nullable: bool = False) -> Any:
     """block[key], checked to be of ``kind`` (a bool is not an int) or, if nullable, null."""
     where = f"{path}.{key}" if path else key
@@ -230,7 +241,7 @@ def _entry(block: dict, path: str, key: str, kind: type, nullable: bool = False)
         raise ValueError(f"artifact: missing key {where!r}")
     value = block[key]
     if (value is None and nullable) or (isinstance(value, kind) and not isinstance(value, bool)):
-        return value
+        return bounded(f"artifact: {where}", value) if type(value) is int else value
     expected = _KINDS[kind] + (" or null" if nullable else "")
     raise ValueError(f"artifact: {where} must be {expected}, got {_json_kind(value)}")
 
@@ -249,6 +260,7 @@ def _element_rows(rows: list, path: str, q: int, width: int | None) -> list[list
         values = set(row)  # no bools here, so no True merges into a 1
         if values and (min(values) < 0 or max(values) >= q):
             bad = next(v for v in row if not 0 <= v < q)
+            bounded(f"artifact: {where}[{row.index(bad)}]", bad)
             raise ValueError(f"artifact: {where} holds {bad}, outside [0, {q})")
     return rows
 
@@ -279,10 +291,10 @@ def from_json(text: str) -> CodeArtifact:
 
 def _from_document(doc: Any) -> CodeArtifact:
     """The artifact of a parsed document, its structure checked: every key
-    present, every value of its type, the matrices rectangular with rows of
-    length 2n and entries in [0, q), and no key the writer does not write
-    (``_known``).  ValueError names the first offending key.  Whether the
-    values are the recipe's (k, d, the rows themselves) is left to ``fresh``.
+    present, every value of its type (an integer within INT_BOUND), the
+    matrices rectangular with rows of length 2n and entries in [0, q), and no
+    key the writer does not write (``_known``).  ValueError names the first
+    offending key.  Whether the values are the recipe's is left to ``fresh``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"artifact: the document must be an object, got {_json_kind(doc)}")
@@ -434,6 +446,8 @@ def _recipe(doc: dict) -> tuple:
         if set(map(type, basis)) - {int}:
             bad = next(v for v in basis if type(v) is not int)
             raise ValueError(f"artifact: {path}.basis holds {_json_kind(bad)}, expected field-element integers")
+        for i, v in enumerate(basis):
+            bounded(f"artifact: {path}.basis[{i}]", v)
         backend, path = _entry(source, path, "backend", dict), path + ".backend"
         descent = _entry(_entry(doc, "", "field", dict), "field", "degree", int), tuple(basis)
     return *_backend(backend, path), *descent

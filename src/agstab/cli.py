@@ -90,7 +90,8 @@ def _check_count(flag: str, value: int | None) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    art = artifact_mod.construct_artifact(args.backend, args.q, args.j, args.gamma)
+    recipe = (artifact_mod.bounded(f"--{flag}", getattr(args, flag)) for flag in ("q", "j", "gamma"))
+    art = artifact_mod.construct_artifact(args.backend, *recipe)
     artifact_mod.save(art, args.out)
     print(json.dumps({"written": args.out, "n": art.n, "k": art.k, "d_lower": art.d_lower}))
     return 0
@@ -126,9 +127,8 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
     if deg_g is None:
         raise ValueError("decode-sim needs a backend artifact with a recorded deg G")
     field, width = backend.field, 2 * n
-    # on the rational curve C(H) is the rows x^i, i < rank, at the places: a closed-form rref, power-sum checks
-    points = tuple(backend.places[:, 0].tolist()) if backend.kind == "rational" else None
-    c_h = (power_basis(field, points, len(source.h_rows)) if points
+    # C(H) in the canonical basis the records' syndromes use: in closed form on the rational curve
+    c_h = (power_basis(field, backend.places[:, 0], len(source.h_rows)) if backend.kind == "rational"
            else CodeBasis.from_rows(field, source.h_rows, width))
     block = max(1, min(_TRIALS, _ENTRIES // max(1, c_h.rank * width)))
     rng = Lcg64(args.seed)
@@ -142,9 +142,9 @@ def _cmd_decode_sim(args: argparse.Namespace) -> int:
                        for _ in range(min(block, args.trials - first))]
             syn = _syndromes(field, np.array(planted, dtype=np.intp), c_h.rows)
             try:
-                results = decode_syndromes(c_h, points, syn, deg_g)
+                results = decode_syndromes(c_h, syn, deg_g)
             except (ValueError, AssertionError):  # write the records before the trial that fails, then fail
-                results = (decode_syndromes(c_h, points, s[None], deg_g)[0] for s in syn)
+                results = (decode_syndromes(c_h, s[None], deg_g)[0] for s in syn)
             for t, (e, s, res) in enumerate(zip(planted, syn.tolist(), results), first):
                 ok = res.error == e
                 recovered += ok

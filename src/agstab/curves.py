@@ -378,15 +378,23 @@ def monomial_matrix(f: GF2m, exponents: Sequence[tuple[int, ...]], places: np.nd
     return M
 
 
-def power_basis(f: GF2m, points: Sequence[int], rank: int) -> CodeBasis:
-    """The canonical basis of the rows x^i, i < rank, at distinct ``points``, with no elimination
-    (``_power_basis``), built once per (f, points, rank): decode-sim decodes against it, and the
-    decoder proves the basis it is given to be this very one (``decoder._power_sums``)."""
+@dataclass(frozen=True, eq=False)
+class PowerBasis(CodeBasis):
+    """The rows x^i, i < rank, at distinct ``points``, one per column, in rref: the checks of an extended
+    Reed-Solomon code, decoded by power sums.  It equals and hashes as the ``CodeBasis`` of its rows."""
+
+    points: tuple[int, ...]
+
+
+def power_basis(f: GF2m, points: Sequence[int], rank: int) -> PowerBasis:
+    """The canonical basis of the rows x^i, i < rank, at ``points``, with no elimination
+    (``_power_basis``), built once per (f, points, rank): decode-sim decodes against it.
+    ValueError when two points are equal: the closed form would not be the rref of the rows."""
     return _power_basis(f, tuple(as_elements(f, points).tolist()), rank)
 
 
 @lru_cache(maxsize=8)
-def _power_basis(f: GF2m, points: tuple[int, ...], rank: int) -> CodeBasis:
+def _power_basis(f: GF2m, points: tuple[int, ...], rank: int) -> PowerBasis:
     """``power_basis``, the points as a tuple, the key of the memo.
 
     Any rank columns of V = (P_c^i) are an invertible Vandermonde matrix, so the
@@ -396,6 +404,8 @@ def _power_basis(f: GF2m, points: tuple[int, ...], rank: int) -> CodeBasis:
     (P_k + P_m).  The column sums of the logs of P_c + P_m are log u(P_c), and
     -log w_k on the pivots (log 0 is 3(q - 1), 0 mod q - 1): R is one gather.
     """
+    if len(set(points)) < len(points):
+        raise ValueError("the points are not distinct")
     log, antilog = f.log_antilog
     P = as_elements(f, points)
     L = log.take(P[:rank, None] ^ P)
@@ -406,7 +416,7 @@ def _power_basis(f: GF2m, points: tuple[int, ...], rank: int) -> CodeBasis:
     R = antilog.take(L)
     R[:, :rank] = np.eye(rank, dtype=R.dtype)
     R.setflags(write=False)
-    return CodeBasis(f, len(P), R, tuple(range(rank)))
+    return PowerBasis(f, len(P), R, tuple(range(rank)), points)
 
 
 def evaluation_matrix(backend: CurveBackend, j: int, which: str = "g") -> np.ndarray:

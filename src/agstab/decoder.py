@@ -22,39 +22,35 @@ lighter vector inside it, certified and not the error; otherwise a
 heavier answer comes back as a best-effort minimum ("found-min") or as an
 explicit "budget-exhausted".
 
-Two solvers answer the Hamming problem, and the problem's data picks one.
+Two solvers answer the Hamming problem, and the checks pick one.
 
-* ``power_sum_solve`` (Berlekamp 1968, Massey 1969), when the problem
-  states ``points``: the x-coordinate P_c of each column, so that the rows
-  x^i at the points, i < rank, span the checks.  That is C(H) on the
-  rational curve, evaluated at every element of GF(q): the checked code is
-  an extended Reed-Solomon code, MDS of distance rank + 1.  The syndrome
-  maps to the power sums p_i = sum_c y_c P_c^i, Berlekamp-Massey finds the
+* The power sums (Berlekamp 1968, Massey 1969), when the checks are a
+  ``curves.PowerBasis``, the rows x^i, i < rank, at distinct points P_c:
+  C(H) on the rational curve, at every element of GF(q), checks an
+  extended Reed-Solomon code, MDS of distance rank + 1.  The syndrome maps
+  to the power sums p_i = sum_c y_c P_c^i, Berlekamp-Massey finds the
   shortest recurrence Lambda of p_0 .. p_{rank-1}, its roots among the
   inverse points locate the errors and Forney gives their values.  The
   column of the point 0 enters p_0 alone; an error there shows as
-  deg Lambda = L - 1, and its value is what p_0 leaves over.  The points
-  are checked once per (basis, points): distinct, one per column, and the
-  basis the closed-form rref of their rows x^i, or ValueError.  With 2 budget <= rank
-  (which holds for every rational code, with equality in about a quarter
-  of them) a vector of weight <= budget is the only one, so the answer is
-  the kernel's.
-* ``hamming_min_solve``, for every other problem (the Hermitian codes, a
-  problem without points, and one with 2 budget > rank): the
-  meet-in-the-middle kernel of ``symplectic`` weight by weight, returning
-  the lexicographically least vector of the first weight that has any; a
-  weight whose halves exceed ENUMERATION_CAP rows, C(2n, k) * (q - 1)^k,
-  is refused with ValueError (the cap is the one constant of
-  ``symplectic``).  It is also the power-sum solver's oracle in the tests.
+  deg Lambda = L - 1, and its value is what p_0 leaves over.  With
+  2 budget <= rank (every rational code, with equality in about a quarter
+  of them) a vector of weight <= budget is the only one: the kernel's.
+* ``hamming_min_solve`` for all other checks (the Hermitian codes, a
+  plain ``CodeBasis`` and 2 budget > rank): the meet-in-the-middle kernel
+  of ``symplectic`` weight by weight, returning the lexicographically
+  least vector of the first weight that has any; a weight whose halves
+  exceed ENUMERATION_CAP rows, C(2n, k) * (q - 1)^k, is refused with
+  ValueError (the cap is the one constant of ``symplectic``).  It is also
+  the power sums' oracle in the tests.
 
 Both recover the unique minimum inside the guarantee region and break
-ties outside it lexicographically (the power-sum solver has no ties: it
-answers only where the minimum is unique).  ``DecodeResult.decoder``
-names the solver that answered.  ``decode_syndromes`` decodes a block of
-syndromes, and ``symplectic_decode`` and ``power_sum_solve`` are its
-one-row case: the power sums, roots, error values and the final syndrome
-check of a block are one gather each, and the kernel, memoised on the
-check basis, keeps its halves from one syndrome to the next.
+ties outside it lexicographically (the power sums have no ties: they
+answer only where the minimum is unique).  ``DecodeResult.decoder`` names
+the solver that answered.  ``decode_syndromes`` decodes a block of
+syndromes, and ``symplectic_decode`` is its one-row case: the power sums,
+roots, error values and the final syndrome check of a block are one
+gather each, and the kernel, memoised on the check basis, keeps its
+halves from one syndrome to the next.
 """
 
 from __future__ import annotations
@@ -66,7 +62,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import symplectic
-from .curves import monomial_matrix, power_basis
+from .curves import PowerBasis, monomial_matrix
 from .gf import GF2m, as_elements
 from .linalg import _as_array
 from .symplectic import CodeBasis, _SyndromeSearch, _symplectic_search, _syndromes, syndrome_of
@@ -74,13 +70,10 @@ from .symplectic import CodeBasis, _SyndromeSearch, _symplectic_search, _syndrom
 
 @dataclass(frozen=True)
 class SyndromeProblem:
-    """A dual-code basis plus one measured syndrome."""
+    """A dual-code basis plus one measured syndrome; a ``curves.PowerBasis`` is decoded by power sums."""
 
     dual_basis: CodeBasis
     syndrome: tuple[int, ...]
-    # the x-coordinate of each column, stating that the rows x^i, i < rank, span the
-    # dual basis (checked before the power-sum solver uses them); None for checks of any other form
-    points: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.syndrome) != self.dual_basis.rank:
@@ -162,7 +155,7 @@ def hamming_min_solve(
 
 
 class _PowerSums(NamedTuple):
-    """What ``power_sum_solve`` needs of one (basis, points) pair."""
+    """What the power sums need of one power basis."""
 
     to_sums: np.ndarray  # logs of V[:, pivots], the map from a syndrome to its power sums
     logs: np.ndarray     # the log of each nonzero point
@@ -171,24 +164,15 @@ class _PowerSums(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _power_sums(basis: CodeBasis, points: tuple[int, ...]) -> _PowerSums:
-    """The power-sum data of ``basis`` at ``points``, once the points are proved to fit it.
+def _power_sums(basis: PowerBasis) -> _PowerSums:
+    """The power-sum data of ``basis``, the rref R of the rows V, x^i at its points, i < rank.
 
-    V is the rows x^i, i < rank, at the points.  ValueError unless the
-    points are distinct field elements, one per column, and the basis is
-    the rref of V, which ``power_basis`` gives in closed form.  Then R = T V
-    with T invertible, and as R[:, pivots] = I, V[:, pivots] = T^-1 maps the
-    syndrome R y to the power sums V y.  Memoised: decode-sim decodes every
-    trial of a code against the same basis and points.
+    ``curves.power_basis`` makes R with its points distinct, one per column,
+    so R = T V with T invertible, and as R[:, pivots] = I, V[:, pivots] = T^-1
+    maps the syndrome R y to the power sums V y.  Memoised on the basis: an
+    equal one at other points (an affine image) checks the same code.
     """
-    f = basis.field
-    P = as_elements(f, points)
-    if P.shape != (basis.width,):
-        raise ValueError(f"{P.size} points for {basis.width} columns")
-    if basis.width and np.bincount(P, minlength=f.q).max() > 1:
-        raise ValueError("the points are not distinct")
-    if basis != power_basis(f, points, basis.rank):  # the same object as decode-sim's
-        raise ValueError("the rows x^i, i < rank, at the points do not span the checks")
+    f, P = basis.field, as_elements(basis.field, basis.points)
     M = monomial_matrix(f, [(i,) for i in range(basis.rank)], P[:basis.rank, None])
     log = f.log_antilog[0]
     nonzero = np.flatnonzero(P)
@@ -246,13 +230,12 @@ def _error_values(field: GF2m, lam: np.ndarray, omega: np.ndarray, x_logs: np.nd
     return antilog.take((x_logs + num - den) % period)
 
 
-def _power_sum_block(basis: CodeBasis, points: tuple[int, ...], S: np.ndarray,
-                     budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _power_sum_block(basis: PowerBasis, S: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """(Y, found): row t of Y is the y of Hamming weight <= ``budget`` with the syndrome S[t],
-    where found[t]; ``power_sum_solve`` of each row, Berlekamp-Massey per row and one gather for
-    the power sums, the roots and the error values of the whole block."""
+    where found[t], unique for 2 budget <= rank; Berlekamp-Massey per row and one gather for the
+    power sums, the roots and the error values of the whole block."""
     f = basis.field
-    data = _power_sums(basis, points)
+    data = _power_sums(basis)
     log, antilog = f.log_antilog
     sums = np.bitwise_xor.reduce(antilog.take(data.to_sums + log.take(S)[:, None, :]), axis=2)
     found = np.zeros(len(S), dtype=bool)
@@ -284,42 +267,19 @@ def _power_sum_block(basis: CodeBasis, points: tuple[int, ...], S: np.ndarray,
     return Y, found
 
 
-def power_sum_solve(
-    basis: CodeBasis,
-    points: Sequence[int],
-    syndrome: Sequence[int],
-    budget: int,
-) -> tuple[int, ...] | None:
-    """The y of Hamming weight at most ``budget`` with y . basis.rows[i] = syndrome[i]
-    for all i, None when there is none, for checks that the rows x^i at ``points`` span.
-
-    With 2 budget <= rank such a y is unique, and it is what
-    ``hamming_min_solve`` returns.  ValueError when 2 budget > rank, on a
-    syndrome of the wrong length or with entries outside [0, q), and when
-    the points do not fit the basis (``_power_sums``).
-    """
-    if not 0 <= 2 * budget <= basis.rank:
-        raise ValueError(f"budget {budget} is outside [0, rank / 2] for rank {basis.rank}")
-    if len(syndrome) != basis.rank:
-        raise ValueError(f"syndrome length {len(syndrome)} != {basis.rank} check rows")
-    Y, found = _power_sum_block(basis, tuple(points), as_elements(basis.field, syndrome)[None], budget)
-    return tuple(Y[0].tolist()) if found[0] else None
-
-
 def guarantee_cap(n: int, deg_g: int) -> int:
     """Largest t with 2t + 1 <= n - floor(deg G / 2); -1 when none."""
     bound = n - deg_g // 2
     return (bound - 1) // 2
 
 
-def decode_syndromes(basis: CodeBasis, points: tuple[int, ...] | None, syndromes: Sequence[Sequence[int]],
-                     deg_g: int) -> list[DecodeResult]:
+def decode_syndromes(basis: CodeBasis, syndromes: Sequence[Sequence[int]], deg_g: int) -> list[DecodeResult]:
     """Decode a block of syndromes against the checks ``basis`` through the swap reduction.
 
     The Hamming budget is 2 * t_cap, covering every error inside the guarantee
     region; each certificate reflects whether the recovered vector itself sits
-    inside it.  The power sums answer given ``points`` and 2 budget <= rank, else
-    the kernel; with no checks (C^perp = 0) the answer is the zero vector.
+    inside it.  The power sums answer when ``basis`` is a ``curves.PowerBasis``
+    and 2 budget <= rank, else the kernel; with no checks (C^perp = 0), zero.
     """
     f, n = basis.field, basis.width // 2
     S = as_elements(f, syndromes).reshape(len(syndromes), basis.rank)
@@ -327,8 +287,8 @@ def decode_syndromes(basis: CodeBasis, points: tuple[int, ...] | None, syndromes
     Y, found = np.zeros((len(S), basis.width), dtype=f.log_antilog[1].dtype), np.ones(len(S), dtype=bool)
     if not basis.rank:
         decoder = "none"
-    elif points is not None and 2 * budget <= basis.rank:
-        (Y, found), decoder = _power_sum_block(basis, points, S, budget), "power-sums"
+    elif isinstance(basis, PowerBasis) and 2 * budget <= basis.rank:
+        (Y, found), decoder = _power_sum_block(basis, S, budget), "power-sums"
     else:
         search, decoder = _hamming_search(basis), "search"
         for t, s in enumerate(S):
@@ -348,7 +308,7 @@ def decode_syndromes(basis: CodeBasis, points: tuple[int, ...] | None, syndromes
 
 def symplectic_decode(problem: SyndromeProblem, deg_g: int) -> DecodeResult:
     """Decode one syndrome: the one-row case of ``decode_syndromes``."""
-    return decode_syndromes(problem.dual_basis, problem.points, [problem.syndrome], deg_g)[0]
+    return decode_syndromes(problem.dual_basis, [problem.syndrome], deg_g)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,7 @@ def test_no_command_module_names_an_elimination_oracle(module):
 
 
 SEARCH_POLICY = {"ENUMERATION_CAP", "MinWeightResult", "search_refusal"}
+SOLVER_CHOICE = {"points", "power_sum_solve", "_power_sum_block", "_power_sums", "_hamming_search"}
 
 
 @pytest.mark.parametrize("module", ["artifact", "cli"])
@@ -334,6 +335,20 @@ def test_no_command_module_names_the_search_policy(module):
     assert _names("from .symplectic import ENUMERATION_CAP, MinWeightResult, search_refusal\n"
                   "if refused := search_refusal(q, n, rank, budget, mode):\n"
                   "    res = MinWeightResult(status='empty')\n") & SEARCH_POLICY == SEARCH_POLICY
+
+
+def test_decode_sim_names_no_solver():
+    # the checks choose the decoder: decode-sim builds C(H)'s canonical basis and hands it over, naming
+    # no solver and no points to choose one by
+    import inspect
+
+    from agstab import cli
+
+    assert not _names(inspect.getsource(cli)) & SOLVER_CHOICE
+    # control: the points decode-sim once passed beside the basis, and each solver's name, are seen
+    assert _names("from .decoder import _hamming_search, _power_sum_block, _power_sums, power_sum_solve\n"
+                  "points = tuple(backend.places[:, 0].tolist())\n"
+                  "results = decode_syndromes(c_h, points, syn, deg_g)\n") & SOLVER_CHOICE == SOLVER_CHOICE
 
 
 STORED_RECORDS = {"k", "d_lower", "deg_g", "d_exact", "c_g_rows", "c_h_rows", "places", "descended_from"}
@@ -958,8 +973,9 @@ def test_cli_decode_sim_power_sums_decode_past_the_search(tmp_path, capsys, q, j
 
 
 @pytest.mark.parametrize("q, j, weights", [(16, 1, (1, 2, 3)), (32, 12, (1, 2)), (8, 2, (1, 2))])
-def test_cli_decode_sim_streams_are_the_same_without_points(tmp_path, capsys, monkeypatch, q, j, weights):
-    # inside the region (t_cap = 1 at each) and beyond it the power sums answer as the search does
+def test_cli_decode_sim_streams_are_the_same_on_a_plain_copy_of_c_h(tmp_path, capsys, monkeypatch, q, j, weights):
+    # inside the region (t_cap = 1 at each) and beyond it the power sums answer as the search does:
+    # the search decodes the same rows handed over as a basis that states no points
     from agstab import cli
 
     art = str(tmp_path / "r.json")
@@ -975,8 +991,8 @@ def test_cli_decode_sim_streams_are_the_same_without_points(tmp_path, capsys, mo
 
     for weight in weights:
         ours, ours_err = stream(weight, real)
-        search, search_err = stream(weight, lambda basis, points, syndromes, deg_g: real(
-            basis, None, syndromes, deg_g))
+        search, search_err = stream(weight, lambda basis, syndromes, deg_g: real(
+            CodeBasis(basis.field, basis.width, basis.rows, basis.pivots), syndromes, deg_g))
         assert ours == search
         assert ours_err.endswith("; decoder power-sums 12\n")
         assert ours_err.replace("power-sums", "search") == search_err
@@ -1470,23 +1486,52 @@ MALFORMED = {
                            "artifact: matrices.c_g[1] holds 8, outside [0, 8)"),
     "negative-entry": (lambda d: _put(d, -1, "places", 0, 0), "artifact: places[0] holds -1, outside [0, 8)"),
     "width-not-2n": (lambda d: _put(d, 5, "params", "n"), "artifact: matrices.c_g[0] has length 8, expected 2n = 10"),
+    # integers JSON carries past the reader's bound: 2n past Python's 4300-digit limit, a width of 2^63
+    # that no array holds, and a q of 4000 digits
+    "n-of-4300-digits": (lambda d: _put(d, 5 * 10 ** 4299, "params", "n"),
+                         "artifact: params.n is an integer of 14284 bits, outside [-2^62, 2^62)"),
+    "n-past-any-array": (lambda d: (_put(d, 1 << 62, "params", "n"), _put(d, [], "matrices", "c_g"),
+                                    _put(d, [], "matrices", "c_h")),
+                         "artifact: params.n is an integer of 63 bits, outside [-2^62, 2^62)"),
+    "q-of-4000-digits": (lambda d: _put(d, 10 ** 3999, "backend", "q"),
+                         "artifact: backend.q is an integer of 13285 bits, outside [-2^62, 2^62)"),
+    "entry-of-4300-digits": (lambda d: _put(d, -5 * 10 ** 4299, "matrices", "c_h", 2, 1),
+                             "artifact: matrices.c_h[2][1] is an integer of 14284 bits, outside [-2^62, 2^62)"),
 }
 
 
 @pytest.mark.parametrize("name, exact", [pytest.param(name, exact, id=name + "-exact" * exact)
                                          for exact in (False, True) for name in sorted(MALFORMED)])
 def test_cli_malformed_artifact_exits_2_naming_the_key(tmp_path, capsys, name, exact):
-    # "-exact" writes to_json's layout, which from_json parses without json.loads when it can
-    path = tmp_path / "bad.json"
+    # "-exact" writes to_json's layout, which from_json parses without json.loads when it can; every
+    # command reads the file so, and writes nothing
+    path, out = tmp_path / "bad.json", tmp_path / "out.json"
     assert main(["construct", "--backend", "rational", "--q", "8", "--j", "1", "--out", str(path)]) == 0
     doc = json.loads(path.read_text())
     corrupt, message = MALFORMED[name]
     corrupt(doc)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n" if exact else json.dumps(doc))
     capsys.readouterr()
-    assert main(["verify", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: {message}\n"
+    for argv in (["verify", str(path)], ["descend", "--in", str(path), "--out", str(out)],
+                 ["decode-sim", "--artifact", str(path), "--trials", "1", "--weight", "1", "--seed", "1",
+                  "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--q", 10 ** 3999, "--q is an integer of 13285 bits, outside [-2^62, 2^62)"),
+    ("--j", -(1 << 62) - 1, "--j is an integer of 63 bits, outside [-2^62, 2^62)"),
+    ("--gamma", 1 << 62, "--gamma is an integer of 63 bits, outside [-2^62, 2^62)"),
+    # the control: within the bound the backend answers in its own words
+    ("--q", (1 << 62) - 1, "q must be a power of 2 and >= 4, got 4611686018427387903"),
+], ids=["q", "j", "gamma", "q-within"])
+def test_construct_names_the_option_of_an_integer_past_the_bound(tmp_path, capsys, flag, value, error):
+    out = tmp_path / "x.json"
+    argv = ["construct", "--backend", "rational", "--q", "8", "--j", "1", flag, str(value), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n") and not out.exists()
 
 
 @settings(max_examples=150)

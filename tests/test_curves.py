@@ -626,6 +626,22 @@ def test_power_basis_at_random_distinct_points(degree):
         assert power_basis(f, points, rank) == CodeBasis.from_rows(f, V, len(points))
 
 
+@pytest.mark.parametrize("case", ["gf8", "rational-q16-j0", "rational-q16-j1"])
+def test_power_basis_refuses_repeated_points(case):
+    # the closed form puts the pivots on the first rank columns, which at repeated points need not
+    # be the rref's: over GF(8) at (1, 1, 2, 3) the rows 1, x have their pivots at columns 0 and 2
+    if case == "gf8":
+        f, points, rank = field(3), [1, 1, 2, 3], 2
+        V = monomial_matrix(f, [(0,), (1,)], np.array(points)[:, None])
+        assert CodeBasis.from_rows(f, V, 4).pivots == (0, 2)
+    else:  # the places of rational q=16 with the first one's point repeated
+        backend = RationalBackend(16)
+        f, points, rank = backend.field, backend.places[:, 0].tolist(), backend.n - int(case[-1])
+        points[0] = points[1]
+    with pytest.raises(ValueError, match="^the points are not distinct$"):
+        power_basis(f, points, rank)
+
+
 CLOSED_FORM_MUTANTS = {
     # w_0 off by a factor g: row 0 is scaled off the pivots
     "wrong-w0": ("L -= s[:rank, None]", "L -= s[:rank, None] + (np.arange(rank)[:, None] == 0)"),

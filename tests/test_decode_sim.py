@@ -128,24 +128,16 @@ def test_a_rational_stream_runs_no_elimination(tmp_path, capsys, monkeypatch, q,
 
 
 def test_a_rational_stream_builds_its_closed_form_once(tmp_path, capsys, monkeypatch):
-    # decode-sim builds C(H) in closed form, and the decoder proves the basis it is given to be
-    # that closed form: the memo makes the proof compare the same object, built once
-    from functools import lru_cache
-
+    # decode-sim builds C(H) in closed form, and the decoder reads the points off that basis and
+    # builds none of its own: with no memo, a stream of 40 trials builds it once
     from agstab import curves
 
     path = _construct(tmp_path, "rational", 16, 1)
     built = []
     closed_form = curves._power_basis.__wrapped__
-
-    def counting(*args):
-        built.append(args[2])
-        return closed_form(*args)
-
-    for memo, builds in ((lru_cache(maxsize=8), [7]), (lambda build: build, [7, 7])):  # the control: no memo
-        monkeypatch.setattr(curves, "_power_basis", memo(counting))
-        decoder._power_sums.cache_clear()
-        built.clear()
+    monkeypatch.setattr(curves, "_power_basis", lambda *args: built.append(args[2]) or closed_form(*args))
+    decoder._power_sums.cache_clear()
+    for builds in ([7], [7, 7]):  # the control: a second stream builds it again
         assert _decode_sim(capsys, path, 40, 1, 7) == (0, *STREAMS["rational", 16, 1, 40, 1, 7])
         assert built == builds
     decoder._power_sums.cache_clear()

@@ -7,18 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agstab import decoder
-from agstab.curves import MAX_PLACE_PAIRS, HermitianBackend, RationalBackend, build_codes
+from agstab.curves import MAX_PLACE_PAIRS, HermitianBackend, RationalBackend, build_codes, power_basis
 from agstab.decoder import (
     SyndromeProblem,
     brute_oracle,
     exhaustive_coset_leaders,
     guarantee_cap,
     hamming_min_solve,
-    power_sum_solve,
     symplectic_decode,
     syndrome_of,
 )
-from agstab.gf import field
+from agstab.gf import as_elements, field
 from agstab.symplectic import CodeBasis, symplectic_weight
 from conftest import naive_symplectic_form
 
@@ -187,22 +186,33 @@ FAST_WEIGHT = {4: 4, 8: 4, 16: 3, 32: 2, 64: 2}
 
 @lru_cache(maxsize=None)
 def _rational_checks(q: int, j: int):
-    """C(H) of rational q at j, and the x-coordinate of each of its columns."""
+    """C(H) of rational q at j as its power basis, which knows the x-coordinate of each column."""
     backend = RationalBackend(q)
-    return build_codes(backend, j)[1], tuple(backend.places[:, 0].tolist())
+    return power_basis(backend.field, backend.places[:, 0], backend.n - j)
+
+
+def _plain(basis: CodeBasis) -> CodeBasis:
+    """The same rows as a basis that states no points, which the search decodes."""
+    return CodeBasis(basis.field, basis.width, basis.rows, basis.pivots)
 
 
 def _check_products(f, y, rows) -> tuple[int, ...]:
     return tuple(_dot(f, y, row) for row in rows.tolist())
 
 
+def _power_sums(checks, s, budget: int):
+    """The y of Hamming weight <= budget with the checks s, by the power sums alone, or None."""
+    Y, found = decoder._power_sum_block(checks, as_elements(checks.field, s)[None], budget)
+    return tuple(Y[0].tolist()) if found[0] else None
+
+
 def _both_solvers(q: int, j: int, budget: int, y) -> tuple:
-    """(power_sum_solve, the kernel) on the checks y . C(H) rows of rational q at j;
+    """(the power sums, the kernel) on the checks y . C(H) rows of rational q at j;
     with no checks the kernel's answer is the zero vector, as in symplectic_decode."""
-    checks, points = _rational_checks(q, j)
+    checks = _rational_checks(q, j)
     s = _check_products(checks.field, y, checks.rows)
     kernel = hamming_min_solve(checks.field, s, checks.rows, budget) if checks.rank else (0,) * q
-    return power_sum_solve(checks, points, s, budget), kernel
+    return _power_sums(checks, s, budget), kernel
 
 
 @st.composite
@@ -211,12 +221,12 @@ def _planted(draw):
     vector of weight up to one past the budget, sometimes on the column of the point 0."""
     q = draw(st.sampled_from(sorted(FAST_WEIGHT)))
     j = draw(st.integers(0, q // 2))
-    checks, points = _rational_checks(q, j)
+    checks = _rational_checks(q, j)
     budget = draw(st.integers(0, min(checks.rank // 2, FAST_WEIGHT[q])))
     weight = draw(st.integers(0, min(budget + 1, FAST_WEIGHT[q])))
     support = draw(st.lists(st.integers(0, q - 1), min_size=weight, max_size=weight, unique=True))
     if support and draw(st.booleans()):
-        zero = points.index(0)
+        zero = checks.points.index(0)
         support = [zero] + [c for c in support if c != zero][:weight - 1]
     y = [0] * q
     for c in support:
@@ -226,24 +236,20 @@ def _planted(draw):
 
 @settings(max_examples=400)
 @given(_planted())
-def test_power_sum_solve_matches_the_kernel(case):
+def test_the_power_sums_match_the_kernel(case):
     ours, kernel = _both_solvers(*case)
     assert ours == kernel
 
 
-def test_power_sum_solve_edge_cases():
+def test_power_sum_edge_cases():
     # the zero syndrome, rank 0 (j = n: no checks) and an error on the point 0 alone
-    checks, points = _rational_checks(16, 3)
-    assert power_sum_solve(checks, points, (0,) * checks.rank, 2) == (0,) * 16
-    none, points8 = _rational_checks(8, 4)
-    assert none.rank == 0 and power_sum_solve(none, points8, (), 0) == (0,) * 8
+    checks = _rational_checks(16, 3)
+    assert _power_sums(checks, (0,) * checks.rank, 2) == (0,) * 16
+    none = _rational_checks(8, 4)
+    assert none.rank == 0 and _power_sums(none, (), 0) == (0,) * 8
     y = [0] * 16
-    y[points.index(0)] = 7
+    y[checks.points.index(0)] = 7
     assert _both_solvers(16, 3, 2, tuple(y)) == (tuple(y), tuple(y))
-    with pytest.raises(ValueError, match="budget 3 is outside"):
-        power_sum_solve(checks, points, (0,) * checks.rank, 3)   # rank 5: the answer need not be unique
-    with pytest.raises(ValueError, match="syndrome length 4 != 5"):
-        power_sum_solve(checks, points, (0,) * 4, 2)
 
 
 def test_power_sum_budget_fits_every_rational_code():
@@ -266,9 +272,9 @@ def test_power_sum_budget_fits_every_rational_code():
 def test_mutation_without_the_point_zero_fails_the_differential(monkeypatch):
     # decoding as if no column had the point 0 loses every error there
     real = decoder._power_sums.__wrapped__
-    monkeypatch.setattr(decoder, "_power_sums", lambda basis, points: real(basis, points)._replace(zero=None))
+    monkeypatch.setattr(decoder, "_power_sums", lambda basis: real(basis)._replace(zero=None))
     with pytest.raises(AssertionError):
-        test_power_sum_solve_matches_the_kernel()
+        test_the_power_sums_match_the_kernel()
 
 
 def test_mutation_without_forneys_factor_fails_the_differential(monkeypatch):
@@ -281,14 +287,14 @@ def test_mutation_without_forneys_factor_fails_the_differential(monkeypatch):
 
     monkeypatch.setattr(decoder, "_error_values", mutated)
     with pytest.raises(AssertionError):
-        test_power_sum_solve_matches_the_kernel()
+        test_the_power_sums_match_the_kernel()
 
 
 @pytest.mark.parametrize("q, j", [(8, 1), (16, 1), (16, 5), (32, 12)])
-def test_symplectic_decode_is_the_same_with_and_without_points(q, j):
+def test_symplectic_decode_is_the_same_on_a_power_basis_and_its_plain_copy(q, j):
     # in the region and one weight past it, where the kernel runs in milliseconds
     backend = RationalBackend(q)
-    checks, points = _rational_checks(q, j)
+    checks = _rational_checks(q, j)
     rng = np.random.default_rng(q + j)
     t_cap = guarantee_cap(backend.n, backend.deg_g(j))
     for weight in range(t_cap + 2):
@@ -297,11 +303,32 @@ def test_symplectic_decode_is_the_same_with_and_without_points(q, j):
             for i in map(int, rng.choice(backend.n, size=weight, replace=False)):
                 v = int(rng.integers(1, q * q))
                 e[i], e[backend.n + i] = v // q, v % q
-            problem = SyndromeProblem(checks, syndrome_of(backend.field, tuple(e), checks.rows), points)
+            problem = SyndromeProblem(checks, syndrome_of(backend.field, tuple(e), checks.rows))
             ours = symplectic_decode(problem, backend.deg_g(j))
-            kernel = symplectic_decode(dataclasses.replace(problem, points=None), backend.deg_g(j))
+            kernel = symplectic_decode(dataclasses.replace(problem, dual_basis=_plain(checks)), backend.deg_g(j))
             assert (ours.decoder, kernel.decoder) == ("power-sums", "search")
             assert dataclasses.replace(ours, decoder="search") == kernel
+
+
+class _NoBasis:
+    """A class that no basis is an instance of."""
+
+
+@pytest.mark.parametrize("mutant", ["every-basis", "no-basis", "none"])
+def test_mutation_choosing_the_solver_otherwise_fails_named_rows(monkeypatch, mutant):
+    # decode_syndromes takes the power sums for a power basis alone.  Taken for every basis, the
+    # plain copy decodes by power sums, or finds no points to take them at; taken for none, the
+    # power basis is searched.  The control fails no row
+    if mutant != "none":
+        monkeypatch.setattr(decoder, "PowerBasis", CodeBasis if mutant == "every-basis" else _NoBasis)
+    failed = []
+    for q, j in [(8, 1), (16, 5)]:
+        try:
+            test_symplectic_decode_is_the_same_on_a_power_basis_and_its_plain_copy(q, j)
+        except (AssertionError, AttributeError):
+            failed.append((q, j))
+    decoder._power_sums.cache_clear()
+    assert failed == ([] if mutant == "none" else [(8, 1), (16, 5)])
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +391,15 @@ def test_decode_never_mislabels_heavy_errors():
             assert res.error is None
 
 
-@pytest.mark.parametrize("backend, j, heaviest, random_syndromes, with_points", [
+@pytest.mark.parametrize("backend, j, heaviest, random_syndromes, power", [
     (RationalBackend(16), 1, 3, True, True), (RationalBackend(64), 4, 9, True, True),
     (RationalBackend(16), 1, 2, True, False), (RationalBackend(8), 4, 1, False, True),
     (HermitianBackend(2), 1, 2, True, False), (HermitianBackend(4), 5, 1, False, False)], ids=repr)
-def test_a_block_decodes_as_each_of_its_rows(backend, j, heaviest, random_syndromes, with_points):
+def test_a_block_decodes_as_each_of_its_rows(backend, j, heaviest, random_syndromes, power):
     # planted errors of every weight up to ``heaviest``, some on the column of the point 0, and
     # random syndromes: unique-guaranteed, found-min and budget-exhausted rows in one block,
     # through the power sums, the search and (with no checks) neither
-    checks = build_codes(backend, j)[1]
-    points = tuple(backend.places[:, 0].tolist()) if with_points else None
+    checks = _rational_checks(backend.q, j) if power else build_codes(backend, j)[1]
     q, n, rng = backend.field.q, backend.n, np.random.default_rng(j)
     syndromes = []
     for weight in range(heaviest + 1):
@@ -388,8 +414,8 @@ def test_a_block_decodes_as_each_of_its_rows(backend, j, heaviest, random_syndro
             syndromes.append(syndrome_of(backend.field, tuple(e), checks.rows))
     if random_syndromes:
         syndromes += [tuple(map(int, rng.integers(0, q, checks.rank))) for _ in range(8)]
-    block = decoder.decode_syndromes(checks, points, syndromes, backend.deg_g(j))
-    assert block == [symplectic_decode(SyndromeProblem(checks, s, points), backend.deg_g(j)) for s in syndromes]
+    block = decoder.decode_syndromes(checks, syndromes, backend.deg_g(j))
+    assert block == [symplectic_decode(SyndromeProblem(checks, s), backend.deg_g(j)) for s in syndromes]
     statuses = {r.status for r in block}
     assert "unique-guaranteed" in statuses
     if heaviest > 1 and backend.kind == "rational":
@@ -437,8 +463,8 @@ def test_oracle_matches_decode_inside_guarantee():
     t_cap = guarantee_cap(rb.n, rb.deg_g(0))
     inside = {syn: vec for syn, (vec, w) in exhaustive_coset_leaders(rb.field, ch).items() if w <= t_cap}
     assert t_cap == 1 and len(inside) == 1 + rb.n * (rb.field.q ** 2 - 1) == 253
-    for points, solver in ((tuple(rb.places[:, 0].tolist()), "power-sums"), (None, "search")):
-        block = decoder.decode_syndromes(ch, points, list(inside), rb.deg_g(0))
+    for checks, solver in ((_rational_checks(8, 0), "power-sums"), (ch, "search")):
+        block = decoder.decode_syndromes(checks, list(inside), rb.deg_g(0))
         assert [r.error for r in block] == list(inside.values())
         assert {(r.status, r.decoder) for r in block} == {("unique-guaranteed", solver)}
 
